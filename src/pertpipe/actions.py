@@ -134,6 +134,22 @@ def materialize(path: tuple[str, ...], proposer: GridProposer | None = None) -> 
     )
 
 
+def hierarchical_path(path: tuple[str, ...]) -> tuple[str, ...]:
+    """The debug-free, hierarchy-legal path that materializes like ``path``.
+
+    Keeps the paradigm, names the backbone (filling the default when the
+    path has refinements but no backbone), then the refinements in their
+    original order. A hierarchical path comes back with its debug actions
+    dropped and nothing else changed; a flat-mode path is reordered.
+    """
+    candidate = materialize(path)
+    refinements = tuple(a for a in path if action_kind(a) in ("hyperparam", "loss"))
+    head = (f"paradigm:{candidate.paradigm}",)
+    if refinements or any(action_kind(a) == "backbone" for a in path):
+        head += (f"backbone:{candidate.backbone}",)
+    return head + refinements
+
+
 def legal_actions(
     path: tuple[str, ...],
     status: str = "valid",

@@ -10,6 +10,7 @@ the output directory.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -18,6 +19,7 @@ import click
 import numpy as np
 
 from . import bundle as bundle_io
+from .actions import hierarchical_path
 from .data import PseudoBulkProfile, pseudo_bulk, split_unseen_cell, split_unseen_perturbation
 from .errors import (
     BundleFormatError,
@@ -228,11 +230,24 @@ def search(bundle, out_dir, evaluator_spec, mode, kb_path, seed, fail_rate,
         seed=seed,
         mode=str(config["search.mode"]),
     )
+    input_digests = {"bundle": bundle_io.bundle_digest(bundle)}
+    if evaluator_spec.startswith("landscape:"):
+        table = _landscape_path(evaluator_spec).read_bytes()
+        input_digests["landscape"] = hashlib.sha256(table).hexdigest()
+    if kb_path:
+        kb_file = Path(kb_path)
+        kb_bytes = kb_file.read_bytes() if kb_file.is_file() else b""
+        input_digests["kb"] = hashlib.sha256(kb_bytes).hexdigest()
     manifest = RunManifest(
         command="search",
         config=dict(config),
-        input_digests={"bundle": bundle_io.bundle_digest(bundle)},
+        input_digests=input_digests,
         seed=seed,
+        options={
+            "evaluator": evaluator_spec,
+            "fail_rate": fail_rate,
+            "fail_fixable": fail_fixable,
+        },
     )
     result = run_search(search_config, evaluator, retrieval=retrieval)
 
@@ -272,10 +287,11 @@ def search(bundle, out_dir, evaluator_spec, mode, kb_path, seed, fail_rate,
     manifest.write(out)
 
     if kb_path:
-        debug_free = tuple(a for a in result.best_path if a != "debug")
+        # stored paths must be hierarchy-legal; a flat-mode path is reordered
+        # into the hierarchical path that materializes to the same candidate
         entry = make_entry(
             profile_text=profile_text + " | solution: " + result.best_candidate.key(),
-            action_path=debug_free,
+            action_path=hierarchical_path(result.best_path),
             reward=min(1.0, max(0.0, result.best_reward)),
         )
         KnowledgeBase(kb_path).record(entry)
@@ -296,14 +312,16 @@ def _make_evaluator(spec: str, ds, config, seed):
             raise ParameterError(f"unknown split.kind {kind!r}")
         return SurrogateEvaluator(ds, split), kind
     if spec.startswith("landscape:"):
-        ref = Path(spec.split(":", 1)[1])
-        if not ref.is_file():
-            ref = builtin_landscape_path(str(ref))
-        return LandscapeEvaluator.from_file(ref), None
+        return LandscapeEvaluator.from_file(_landscape_path(spec)), None
     raise ParameterError(
         f"unknown evaluator {spec!r}; use 'surrogate' or 'landscape:<table.json>' "
         f"(builtin tables: funnel, funnel_jitter, ablation)"
     )
+
+
+def _landscape_path(spec: str) -> Path:
+    ref = Path(spec.split(":", 1)[1])
+    return ref if ref.is_file() else builtin_landscape_path(str(ref))
 
 
 def _profile_text(bundle_path, ds, config, evaluator_spec) -> str:

@@ -15,8 +15,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import time
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -202,81 +202,132 @@ def _winsorize(D: np.ndarray) -> np.ndarray:
     return np.clip(D, lo, hi)
 
 
+@dataclass(frozen=True)
+class _SplitStats:
+    """Everything a surrogate evaluation needs that no candidate changes."""
+
+    train_pert: np.ndarray  # perturbed train cells
+    y_ctrl: np.ndarray  # train control mean
+    codes: np.ndarray  # per perturbed train cell, its condition's row in index_of
+    index_of: dict[str, int]  # sorted train condition names -> row
+    Z: np.ndarray  # one-hot condition design plus an intercept column
+    ZtZ: np.ndarray
+    val_deltas: tuple[tuple[str, np.ndarray], ...]  # (condition, truth shift)
+    gene_mask: np.ndarray  # pathway_gene_mask of the dataset
+
+
+@dataclass(frozen=True)
+class _LossView:
+    """Per-condition statistics of the train shift matrix under one loss."""
+
+    cond_means: np.ndarray  # (m, g)
+    grand: np.ndarray
+    ZtD: np.ndarray  # (m + 1, g)
+    var_within: np.ndarray  # mean over conditions of the within-condition variance
+
+
 class SurrogateEvaluator:
     """Closed-form per-family trainers scored by held-out shift correlation.
 
     Fits on the train split, predicts the val split's per-condition
     pseudo-bulk as train-control-mean plus an estimated shift, and returns
     the clamped mean DeltaPCC. Execution time is a deterministic per-family
-    cost table scaled by data size (wall-clock measurement is opt-in).
+    cost table scaled by data size, never the wall clock.
+
+    Statistics that no candidate changes are built once, on first use: the
+    split views, control means, the condition design and the val truth
+    shifts, then per loss the condition means, ``Z^T D`` and the
+    within-condition variance. The n x g shift matrix ``D`` itself is
+    dropped once its loss view is built. A candidate then costs one small
+    ridge solve or an O(m * g) expression plus scoring.
     """
 
-    def __init__(
-        self,
-        dataset: CanonicalDataset,
-        split: SplitAssignment,
-        measure_wall_clock: bool = False,
-    ):
+    def __init__(self, dataset: CanonicalDataset, split: SplitAssignment):
         self.dataset = dataset
         self.split = split
-        self.measure_wall_clock = measure_wall_clock
+        self._views: dict[str, _LossView] = {}
 
     def evaluate(self, candidate: Candidate, seed: int) -> EvalOutcome:
-        started = time.perf_counter()
+        sim_time = self._simulated_time(candidate)
+        stats = self._stats
+        if stats is None:
+            return EvalOutcome(
+                m_val=None,
+                t_exec=sim_time,
+                error="degenerate split: train needs control and perturbed cells "
+                "and val needs perturbed cells",
+            )
+        reg = candidate.hyperparams.reg_strength * (1.0 + candidate.hyperparams.dropout)
+        predict = self._fit_family(candidate.backbone, stats, self._view(candidate.loss), reg)
+        scores = []
+        for condition, true_delta in stats.val_deltas:
+            try:
+                scores.append(delta_pcc(true_delta, predict(condition)))
+            except UndefinedMetric:
+                continue
+        if not scores:
+            return EvalOutcome(m_val=None, t_exec=sim_time, error=None)
+        return EvalOutcome(m_val=max(0.0, float(np.mean(scores))), t_exec=sim_time)
+
+    @cached_property
+    def _stats(self) -> _SplitStats | None:
+        """Candidate-invariant split statistics; None when the split is degenerate."""
         ds = self.dataset
         train = self.split.indices("train")
         val = self.split.indices("val")
-        sim_time = self._simulated_time(candidate)
-
         train_ctrl = train[ds.is_control[train]]
         train_pert = train[~ds.is_control[train]]
         val_pert = val[~ds.is_control[val]]
         val_ctrl = val[ds.is_control[val]]
         if train_ctrl.size == 0 or train_pert.size == 0 or val_pert.size == 0:
-            return EvalOutcome(
-                m_val=None,
-                t_exec=self._elapsed(started, sim_time),
-                error="degenerate split: train needs control and perturbed cells "
-                "and val needs perturbed cells",
-            )
+            return None
 
         y_ctrl = ds.X[train_ctrl].mean(axis=0)
         # truth shifts reference the val split's own control so their noise is
         # independent of the fitted shift; falls back to the train control
         # when the val split carries no control cells
         y_ctrl_val = ds.X[val_ctrl].mean(axis=0) if val_ctrl.size else y_ctrl
-        D = ds.X[train_pert] - y_ctrl
-        if candidate.loss == "huber":
-            D = _winsorize(D)
-        train_conds = ds.condition_name[train_pert]
-        cond_names = sorted(set(train_conds.tolist()))
-        cond_means = np.vstack(
-            [D[train_conds == c].mean(axis=0) for c in cond_names]
+        train_conds = ds.condition_name[train_pert].tolist()
+        index_of = {c: i for i, c in enumerate(sorted(set(train_conds)))}
+        codes = np.array([index_of[c] for c in train_conds])
+        m = len(index_of)
+        Z = np.zeros((train_pert.size, m + 1))
+        Z[np.arange(train_pert.size), codes] = 1.0
+        Z[:, m] = 1.0
+        return _SplitStats(
+            train_pert=train_pert,
+            y_ctrl=y_ctrl,
+            codes=codes,
+            index_of=index_of,
+            Z=Z,
+            ZtZ=Z.T @ Z,
+            val_deltas=tuple(
+                (p.condition_name, p.mean_expr - y_ctrl_val)
+                for p in pseudo_bulk(ds, val_pert)
+            ),
+            gene_mask=pathway_gene_mask(ds.ensembl_id),
         )
-        reg = candidate.hyperparams.reg_strength * (1.0 + candidate.hyperparams.dropout)
 
-        predict = self._fit_family(
-            candidate.backbone, D, train_conds, cond_names, cond_means, reg, seed
-        )
-
-        val_profiles = pseudo_bulk(ds, val_pert)
-        scores = []
-        for profile in val_profiles:
-            true_delta = profile.mean_expr - y_ctrl_val
-            predicted_delta = predict(profile.condition_name)
-            try:
-                scores.append(delta_pcc(true_delta, predicted_delta))
-            except UndefinedMetric:
-                continue
-        t_exec = self._elapsed(started, sim_time)
-        if not scores:
-            return EvalOutcome(m_val=None, t_exec=t_exec, error=None)
-        return EvalOutcome(m_val=max(0.0, float(np.mean(scores))), t_exec=t_exec)
-
-    def _elapsed(self, started: float, sim_time: float) -> float:
-        if self.measure_wall_clock:
-            return time.perf_counter() - started
-        return sim_time
+    def _view(self, loss: str) -> _LossView:
+        view = self._views.get(loss)
+        if view is None:
+            stats = self._stats
+            D = self.dataset.X[stats.train_pert] - stats.y_ctrl
+            if loss == "huber":
+                D = _winsorize(D)
+            means, within = [], []
+            for i in range(len(stats.index_of)):
+                rows = D[stats.codes == i]
+                means.append(rows.mean(axis=0))
+                within.append(rows.var(axis=0))
+            cond_means = np.vstack(means)
+            view = self._views[loss] = _LossView(
+                cond_means=cond_means,
+                grand=cond_means.mean(axis=0),
+                ZtD=stats.Z.T @ D,
+                var_within=np.mean(within, axis=0),
+            )
+        return view
 
     def _simulated_time(self, candidate: Candidate) -> float:
         size = self.dataset.n_cells * self.dataset.n_genes / 5e4
@@ -289,24 +340,18 @@ class SurrogateEvaluator:
             t *= 1.05
         return t
 
-    def _fit_family(self, backbone, D, train_conds, cond_names, cond_means, reg, seed):
-        index_of = {c: i for i, c in enumerate(cond_names)}
-        grand = cond_means.mean(axis=0)
+    def _fit_family(self, backbone, stats: _SplitStats, view: _LossView, reg):
+        index_of = stats.index_of
+        cond_means = view.cond_means
+        grand = view.grand
 
         if backbone in ("resnet", "pathway_masked"):
-            n_t = D.shape[0]
-            m = len(cond_names)
-            Z = np.zeros((n_t, m + 1))
-            for i, c in enumerate(train_conds.tolist()):
-                Z[i, index_of[c]] = 1.0
-            Z[:, m] = 1.0
-            A = Z.T @ Z + reg * np.eye(m + 1)
-            beta = np.linalg.solve(A, Z.T @ D)
+            m = len(index_of)
+            beta = np.linalg.solve(stats.ZtZ + reg * np.eye(m + 1), view.ZtD)
             intercept = beta[m]
             if backbone == "pathway_masked":
-                gene_mask = pathway_gene_mask(self.dataset.ensembl_id)
-                beta = beta * gene_mask[None, :]
-                intercept = intercept * gene_mask
+                beta = beta * stats.gene_mask[None, :]
+                intercept = intercept * stats.gene_mask
 
             def predict(cond: str) -> np.ndarray:
                 if cond in index_of:
@@ -317,12 +362,7 @@ class SurrogateEvaluator:
 
         if backbone == "gated_mlp":
             var_between = cond_means.var(axis=0)
-            within = []
-            for c in cond_names:
-                rows = D[train_conds == c]
-                within.append(rows.var(axis=0))
-            var_within = np.mean(within, axis=0)
-            gate = var_between / (var_between + reg * var_within + 1e-12)
+            gate = var_between / (var_between + reg * view.var_within + 1e-12)
 
             def predict(cond: str) -> np.ndarray:
                 base = cond_means[index_of[cond]] if cond in index_of else grand
@@ -331,7 +371,7 @@ class SurrogateEvaluator:
             return predict
 
         if backbone == "conditional_vae":
-            m = len(cond_names)
+            m = len(index_of)
             spread = cond_means.var(axis=0)
             kappa = grand**2 / (grand**2 + spread / max(m, 1) + reg / max(m, 1) + 1e-12)
 

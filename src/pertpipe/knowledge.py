@@ -7,7 +7,8 @@ normalized similarity with normalized reward, and gates between warm-start
 (inject the top path) and ab-initio search on the peak similarity.
 
 The store is an append-only JSON-lines file with a version header; a
-mismatched embedding dimension is rejected at load.
+mismatched embedding dimension or a line that does not decode (a torn
+write, a hand edit) is rejected at load with its ``path:line``.
 """
 
 from __future__ import annotations
@@ -207,16 +208,21 @@ class KnowledgeBase:
         self.dim = dim
 
     def load(self) -> list[KnowledgeEntry]:
+        """Read every entry; a line that does not decode is rejected by number."""
         if not self.path.exists():
             return []
-        lines = [ln for ln in self.path.read_text().splitlines() if ln.strip()]
+        lines = [
+            (i, ln) for i, ln in enumerate(self.path.read_text().splitlines(), start=1)
+            if ln.strip()
+        ]
         if not lines:
             return []
-        header = json.loads(lines[0])
-        if header.get("kb_version") != KB_VERSION:
+        header = self._decode(*lines[0], json.loads)
+        version = header.get("kb_version") if isinstance(header, dict) else None
+        if version != KB_VERSION:
             raise ValidationError(
                 f"knowledge base {self.path} has version "
-                f"{header.get('kb_version')!r}, expected {KB_VERSION}"
+                f"{version!r}, expected {KB_VERSION}"
             )
         stored_dim = header.get("dim", self.dim)
         if stored_dim != self.dim:
@@ -225,15 +231,23 @@ class KnowledgeBase:
                 f"reader expects {self.dim}"
             )
         entries = []
-        for i, line in enumerate(lines[1:], start=2):
-            entry = KnowledgeEntry.from_json(line)
+        for i, line in lines[1:]:
+            entry = self._decode(i, line, KnowledgeEntry.from_json)
             if entry.embedding.shape != (self.dim,):
                 raise ValidationError(
-                    f"{self.path}:{i} entry has embedding dimension "
-                    f"{entry.embedding.shape[0]}, expected {self.dim}"
+                    f"{self.path}:{i} entry has embedding shape "
+                    f"{entry.embedding.shape}, expected ({self.dim},)"
                 )
             entries.append(entry)
         return entries
+
+    def _decode(self, lineno: int, line: str, parse):
+        try:
+            return parse(line)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValidationError(
+                f"{self.path}:{lineno} is not a valid knowledge-base line: {exc}"
+            ) from None
 
     def record(self, entry: KnowledgeEntry) -> None:
         """Validate and durably append one entry."""

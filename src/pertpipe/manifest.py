@@ -1,9 +1,10 @@
 """Run manifests and layered configuration.
 
 Every artifact-producing command writes one manifest recording the resolved
-configuration, input digests, seed, and outcome, so a run can be reproduced
-from its manifest alone. Run ids are content-addressed over (config, input
-digests, seed) to make accidental duplicate runs detectable.
+configuration, command-line options, input digests, seed, and outcome, so a
+run can be reproduced from its manifest alone. Run ids are content-addressed
+over (config, options, input digests, seed), so runs that differ in any of
+them get different ids and accidental duplicate runs are detectable.
 
 Configuration precedence, lowest to highest: built-in defaults, config
 file (flat ``section.key=value`` lines), command-line overrides.
@@ -104,6 +105,7 @@ class RunManifest:
     config: dict
     input_digests: dict[str, str]
     seed: int
+    options: dict = field(default_factory=dict)  # settings given outside config
     run_id: str = ""
     tool_version: str = TOOL_VERSION
     started_at: float = field(default_factory=time.time)
@@ -117,6 +119,7 @@ class RunManifest:
                     "command": self.command,
                     "config": self.config,
                     "inputs": self.input_digests,
+                    "options": self.options,
                     "seed": self.seed,
                 },
                 sort_keys=True,
@@ -138,6 +141,7 @@ class RunManifest:
                     "command": self.command,
                     "config": self.config,
                     "input_digests": self.input_digests,
+                    "options": self.options,
                     "seed": self.seed,
                     "tool_version": self.tool_version,
                     "started_at": self.started_at,

@@ -10,6 +10,14 @@ tree starts blank and both paradigms are expanded first.
 Determinism: a single seeded generator drives every shuffle, node creation
 order is deterministic, and evaluators are pure, so two runs with the same
 configuration produce byte-identical trajectory logs.
+
+Transpositions: many action paths materialize to the same candidate (a
+paradigm alone and the paradigm plus its default backbone both fill in to
+the same pipeline). The engine keeps a per-run table from each materialized
+candidate to its first outcome, so each distinct candidate is evaluated at
+most once per run; a hit reuses that outcome, its ``t_exec`` included, and
+only ``t_ratio`` is recomputed against the current baseline. Strict mode
+re-evaluates only on a miss.
 """
 
 from __future__ import annotations
@@ -191,6 +199,7 @@ class _Engine:
         self.root = self._new_node(None, 0, ())
         self.t_root: float | None = None
         self.n_expansions = 0
+        self.outcomes: dict[Candidate, EvalOutcome] = {}  # transposition table
 
     def _new_node(self, action: str | None, level: int, path: tuple[str, ...]) -> Node:
         node = Node(action, level, path, self.node_count)
@@ -260,14 +269,17 @@ class _Engine:
 
     def simulate(self, node: Node) -> EvalOutcome:
         candidate = materialize(node.path, self.proposer)
-        outcome = self.evaluator.evaluate(candidate, self.config.seed)
-        if self.config.strict:
-            again = self.evaluator.evaluate(candidate, self.config.seed)
-            if again != outcome:
-                raise PertpipeError(
-                    f"evaluator is not pure: {candidate.key()} returned two "
-                    f"different outcomes for one seed"
-                )
+        outcome = self.outcomes.get(candidate)
+        if outcome is None:
+            outcome = self.evaluator.evaluate(candidate, self.config.seed)
+            if self.config.strict:
+                again = self.evaluator.evaluate(candidate, self.config.seed)
+                if again != outcome:
+                    raise PertpipeError(
+                        f"evaluator is not pure: {candidate.key()} returned two "
+                        f"different outcomes for one seed"
+                    )
+            self.outcomes[candidate] = outcome
         t_ratio = outcome.t_exec / self.t_root if self.t_root else 1.0
         if outcome.ok and self.t_root is None:
             self.t_root = outcome.t_exec

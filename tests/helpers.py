@@ -3,7 +3,9 @@
 The metric oracle here is a deliberately naive pure-Python reimplementation
 (no shared code with the package) used to cross-check the vectorized
 implementations. The expression generator draws ASTs from the grammar's
-derivation space, so every generated tree is reachable by the parser.
+derivation space, so every generated tree is reachable by the parser. The
+surrogate reference recomputes everything per candidate, the way the
+evaluator did before it cached candidate-invariant statistics.
 """
 
 from __future__ import annotations
@@ -14,7 +16,10 @@ import random
 import numpy as np
 
 from pertpipe import dsl
-from pertpipe.data import CanonicalDataset
+from pertpipe.data import CanonicalDataset, pseudo_bulk
+from pertpipe.evaluators import _FAMILY_COST, _winsorize, pathway_gene_mask
+from pertpipe.metrics import UndefinedMetric, delta_pcc
+from pertpipe.search import EvalOutcome
 
 
 # --------------------------------------------------------------------------
@@ -200,3 +205,89 @@ def small_canonical(
         gene_symbol=np.array([f"G{j}" for j in range(g)], dtype=object),
         pert_vocab=vocab,
     )
+
+
+# --------------------------------------------------------------------------
+# per-candidate surrogate reference (no state shared between candidates)
+
+
+def reference_surrogate_evaluate(ds, split, candidate) -> EvalOutcome:
+    """What ``SurrogateEvaluator.evaluate`` must return, recomputed for each candidate."""
+    train = split.indices("train")
+    val = split.indices("val")
+    sim_time = _FAMILY_COST[candidate.backbone] * (0.5 + ds.n_cells * ds.n_genes / 5e4)
+    if candidate.hyperparams.learning_rate < 1e-2:
+        sim_time *= 1.3
+    if candidate.loss == "huber":
+        sim_time *= 1.1
+    if candidate.debug_fixed:
+        sim_time *= 1.05
+
+    train_ctrl = train[ds.is_control[train]]
+    train_pert = train[~ds.is_control[train]]
+    val_pert = val[~ds.is_control[val]]
+    val_ctrl = val[ds.is_control[val]]
+    if train_ctrl.size == 0 or train_pert.size == 0 or val_pert.size == 0:
+        return EvalOutcome(
+            m_val=None,
+            t_exec=sim_time,
+            error="degenerate split: train needs control and perturbed cells "
+            "and val needs perturbed cells",
+        )
+
+    y_ctrl = ds.X[train_ctrl].mean(axis=0)
+    y_ctrl_val = ds.X[val_ctrl].mean(axis=0) if val_ctrl.size else y_ctrl
+    D = ds.X[train_pert] - y_ctrl
+    if candidate.loss == "huber":
+        D = _winsorize(D)
+    train_conds = ds.condition_name[train_pert]
+    cond_names = sorted(set(train_conds.tolist()))
+    cond_means = np.vstack([D[train_conds == c].mean(axis=0) for c in cond_names])
+    reg = candidate.hyperparams.reg_strength * (1.0 + candidate.hyperparams.dropout)
+    predict = _reference_fit(ds, candidate.backbone, D, train_conds, cond_names, cond_means, reg)
+
+    scores = []
+    for profile in pseudo_bulk(ds, val_pert):
+        true_delta = profile.mean_expr - y_ctrl_val
+        try:
+            scores.append(delta_pcc(true_delta, predict(profile.condition_name)))
+        except UndefinedMetric:
+            continue
+    if not scores:
+        return EvalOutcome(m_val=None, t_exec=sim_time, error=None)
+    return EvalOutcome(m_val=max(0.0, float(np.mean(scores))), t_exec=sim_time)
+
+
+def _reference_fit(ds, backbone, D, train_conds, cond_names, cond_means, reg):
+    index_of = {c: i for i, c in enumerate(cond_names)}
+    grand = cond_means.mean(axis=0)
+    if backbone in ("resnet", "pathway_masked"):
+        m = len(cond_names)
+        Z = np.zeros((D.shape[0], m + 1))
+        for i, c in enumerate(train_conds.tolist()):
+            Z[i, index_of[c]] = 1.0
+        Z[:, m] = 1.0
+        beta = np.linalg.solve(Z.T @ Z + reg * np.eye(m + 1), Z.T @ D)
+        intercept = beta[m]
+        if backbone == "pathway_masked":
+            gene_mask = pathway_gene_mask(ds.ensembl_id)
+            beta = beta * gene_mask[None, :]
+            intercept = intercept * gene_mask
+        return lambda c: beta[index_of[c]] + intercept if c in index_of else intercept
+    if backbone == "gated_mlp":
+        var_between = cond_means.var(axis=0)
+        var_within = np.mean([D[train_conds == c].var(axis=0) for c in cond_names], axis=0)
+        gate = var_between / (var_between + reg * var_within + 1e-12)
+        return lambda c: gate * (cond_means[index_of[c]] if c in index_of else grand)
+    if backbone == "conditional_vae":
+        m = len(cond_names)
+        spread = cond_means.var(axis=0)
+        kappa = grand**2 / (grand**2 + spread / max(m, 1) + reg / max(m, 1) + 1e-12)
+        return lambda c: (
+            grand + kappa * (cond_means[index_of[c]] - grand) if c in index_of else kappa * grand
+        )
+    assert backbone == "flow_matching", backbone
+    norms = np.linalg.norm(cond_means, axis=1)
+    directions = cond_means / np.where(norms > 0, norms, 1.0)[:, None]
+    fallback = directions.mean(axis=0) * float(norms.mean()) / (1.0 + reg)
+    return lambda c: cond_means[index_of[c]] if c in index_of else fallback

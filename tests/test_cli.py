@@ -12,8 +12,11 @@ from pertpipe.bundle import (
     write_canonical_bundle,
     write_raw_bundle,
 )
+from pertpipe.actions import materialize, validate_action_path
 from pertpipe.cli import main
 from pertpipe.data import pseudo_bulk
+from pertpipe.evaluators import builtin_landscape_path
+from pertpipe.knowledge import KnowledgeBase, make_entry
 
 
 @pytest.fixture
@@ -195,6 +198,8 @@ class TestSearchCommand:
         rows = json.loads(listing.output)
         assert len(rows) == 1
         assert rows[0]["path"][0].startswith("paradigm:")
+        best = json.loads((tmp_path / "run" / "best_candidate.json").read_text())
+        assert rows[0]["path"] == best["path"]
 
     def test_warm_start_used_on_rerun(self, runner, synthetic_bundle, tmp_path):
         kb = tmp_path / "kb.jsonl"
@@ -342,6 +347,45 @@ class TestGenSyntheticAndKb:
         assert result.exit_code == 2
 
 
+class TestKnowledgeBaseFlags:
+    def test_flat_mode_records_hierarchy_legal_path(self, runner, tmp_path):
+        # on this bundle the flat-mode best path is [paradigm, loss:huber]
+        bundle = tmp_path / "bundle"
+        result = runner.invoke(
+            main,
+            ["gen-synthetic", "--out", str(bundle), "--seed", "1", "--noise-sigma", "0.4"],
+        )
+        assert result.exit_code == 0
+        kb, out = tmp_path / "kb.jsonl", tmp_path / "run"
+        result = runner.invoke(
+            main,
+            ["search", str(bundle), "--out", str(out), "--mode", "flat",
+             "--seed", "3", "--kb", str(kb)],
+        )
+        assert result.exit_code == 0, result.output + result.stderr
+        best = json.loads((out / "best_candidate.json").read_text())
+        (entry,) = KnowledgeBase(kb).load()
+        validate_action_path(entry.action_path)
+        assert materialize(entry.action_path).key() == best["candidate"]
+
+    @pytest.mark.parametrize(
+        "command",
+        [["search", "{bundle}", "--out", "{out}"], ["kb", "list"], ["kb", "show", "0"]],
+        ids=["search", "kb_list", "kb_show"],
+    )
+    def test_torn_kb_line_exits_2(self, runner, synthetic_bundle, tmp_path, command):
+        kb = tmp_path / "kb.jsonl"
+        KnowledgeBase(kb).record(make_entry("x", ("paradigm:generative",), 0.5))
+        with open(kb, "a") as fh:
+            fh.write('{"torn')
+        args = [a.format(bundle=synthetic_bundle, out=tmp_path / "o") for a in command]
+        result = runner.invoke(main, args + ["--kb", str(kb)])
+        assert result.exit_code == 2
+        error = _stderr_error(result)["error"]
+        assert error["code"] == "kb"
+        assert f"{kb}:3 " in error["message"]
+
+
 class TestManifests:
     def test_run_id_content_addressed(self, runner, synthetic_bundle, tmp_path):
         ids = []
@@ -358,6 +402,54 @@ class TestManifests:
             ids.append(manifest["run_id"])
             assert manifest["input_digests"]["bundle"]
         assert ids[0] == ids[1]
+
+    @pytest.mark.parametrize(
+        "base,varied",
+        [
+            ([], ["--evaluator", "landscape:funnel"]),
+            ([], ["--fail-rate", "0.5"]),
+            (["--fail-rate", "0.5"], ["--fail-rate", "0.5", "--no-fail-fixable"]),
+            ([], ["--kb", "empty"]),
+            (["--kb", "empty"], ["--kb", "one_entry"]),
+        ],
+        ids=["evaluator", "fail_rate", "fail_fixable", "kb", "kb_state"],
+    )
+    def test_run_id_covers_search_flags(self, runner, synthetic_bundle, tmp_path, base, varied):
+        def run_id(name, flags):
+            flags = list(flags)
+            if "--kb" in flags:  # every run gets a fresh copy of the named store
+                i = flags.index("--kb") + 1
+                kb = tmp_path / f"{name}.jsonl"
+                if flags[i] == "one_entry":
+                    entry = make_entry("x", ("paradigm:generative",), 0.5, created_at=0.0)
+                    KnowledgeBase(kb).record(entry)
+                flags[i] = str(kb)
+            out = tmp_path / name
+            result = runner.invoke(
+                main,
+                ["search", str(synthetic_bundle), "--out", str(out), "--seed", "3",
+                 "--set", "search.n_sim=8", *flags],
+            )
+            assert result.exit_code == 0, result.output + result.stderr
+            return json.loads((out / "run_manifest.json").read_text())["run_id"]
+
+        assert run_id("a", base) == run_id("b", base)
+        assert run_id("c", varied) != run_id("a", base)
+
+    def test_run_id_covers_landscape_table_content(self, runner, synthetic_bundle, tmp_path):
+        table = tmp_path / "table.json"
+        ids = []
+        for name in ("funnel", "ablation"):
+            table.write_bytes(builtin_landscape_path(name).read_bytes())
+            out = tmp_path / name
+            result = runner.invoke(
+                main,
+                ["search", str(synthetic_bundle), "--out", str(out),
+                 "--evaluator", f"landscape:{table}", "--set", "search.n_sim=8"],
+            )
+            assert result.exit_code == 0, result.output + result.stderr
+            ids.append(json.loads((out / "run_manifest.json").read_text())["run_id"])
+        assert ids[0] != ids[1]
 
     def test_rerun_from_manifest_reproduces_output(self, runner, synthetic_bundle, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from pertpipe.actions import Candidate, HYPERPARAM_GRID, enumerate_candidates
+from helpers import reference_surrogate_evaluate
 from pertpipe.data import (
     SplitAssignment,
     pseudo_bulk,
+    split_unseen_cell,
     split_unseen_perturbation,
     validate_canonical,
 )
@@ -198,6 +200,46 @@ class TestSurrogateEvaluator:
             out = ev.evaluate(candidate, 0)
             assert out.ok
             assert 0.0 <= out.m_val <= 1.0
+
+
+# every hierarchy-legal candidate followed by its debug-fixed variant
+EVERY_CANDIDATE = tuple(
+    c for base in enumerate_candidates() for c in (base, replace(base, debug_fixed=True))
+)
+
+
+def _reference_case(noise, split_kind):
+    """An S-size dataset (108 x 60) under one of the two split strategies."""
+    ds, _ = generate_synthetic(SyntheticConfig(60, 8, 12, noise, 0.3, seed=1))
+    if split_kind == "unseen_perturbation":
+        return ds, split_unseen_perturbation(ds, 0.8, seed=1)
+    lines = np.where(np.arange(ds.n_cells) % 2 == 0, "LINE_0", "LINE_1").astype(object)
+    ds = replace(ds, cell_type=lines)
+    return ds, split_unseen_cell(ds, "LINE_1", 0.5, seed=1)
+
+
+class TestSurrogateMatchesReference:
+    """Cached candidate-invariant statistics change no bit of any outcome."""
+
+    @pytest.mark.parametrize("noise", [0.0, 0.4])
+    @pytest.mark.parametrize("split_kind", ["unseen_perturbation", "unseen_cell"])
+    @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
+    def test_every_candidate_bit_identical(self, noise, split_kind, order):
+        ds, split = _reference_case(noise, split_kind)
+        ev = SurrogateEvaluator(ds, split)
+        for candidate in EVERY_CANDIDATE[::order]:
+            expected = reference_surrogate_evaluate(ds, split, candidate)
+            assert ev.evaluate(candidate, 0) == expected, candidate.key()
+
+    def test_degenerate_split_error_on_every_call(self, noiseless_bundle):
+        ds, _, _ = noiseless_bundle
+        labels = np.where(ds.is_control, "val", "train").astype(object)
+        split = SplitAssignment(labels=labels, split_kind="unseen_perturbation", seed=0)
+        ev = SurrogateEvaluator(ds, split)
+        for candidate in EVERY_CANDIDATE + EVERY_CANDIDATE[:3]:
+            out = ev.evaluate(candidate, 0)
+            assert out == reference_surrogate_evaluate(ds, split, candidate)
+            assert "degenerate split" in out.error
 
 
 class TestLandscapeEvaluator:

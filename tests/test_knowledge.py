@@ -177,6 +177,12 @@ class TestHashEmbedder:
         assert HashEmbedder(dim=32).embed("text").shape == (32,)
 
 
+SCALAR_EMBEDDING_ENTRY = json.dumps(
+    {"profile_text": "x", "embedding": 1.0, "action_path": ["paradigm:generative"],
+     "reward": 0.5, "created_at": 0.0}
+)
+
+
 class TestKnowledgeBase:
     def test_record_then_retrieve_self_similarity(self, tmp_path):
         kb = KnowledgeBase(tmp_path / "kb.jsonl")
@@ -243,3 +249,25 @@ class TestKnowledgeBase:
         kb = KnowledgeBase(tmp_path / "kb.jsonl")
         with pytest.raises(ValidationError, match="reward"):
             kb.record(make_entry("x", LEGAL_PATH, 1.5))
+
+    @pytest.mark.parametrize(
+        "lines,bad_line",
+        [
+            (None, 3),  # torn final entry
+            (['{"kb_version": 1, "dim": 25'], 1),  # torn header
+            (['{"kb_version": 1, "dim": 256}', "", '{"reward": 0.5}'], 3),
+            (['{"kb_version": 1, "dim": 256}', "[1, 2]"], 2),
+            (['{"kb_version": 1, "dim": 256}', SCALAR_EMBEDDING_ENTRY], 2),
+        ],
+        ids=["torn_entry", "torn_header", "missing_keys", "not_an_object", "scalar_embedding"],
+    )
+    def test_undecodable_line_rejected_by_number(self, tmp_path, lines, bad_line):
+        path = tmp_path / "kb.jsonl"
+        if lines is None:
+            KnowledgeBase(path).record(make_entry("x", LEGAL_PATH, 0.5))
+            with open(path, "a") as fh:
+                fh.write('{"torn')
+        else:
+            path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValidationError, match=f"kb.jsonl:{bad_line} "):
+            KnowledgeBase(path).load()

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -9,12 +11,20 @@ from pertpipe.actions import (
     DEBUG_ACTION,
     HYPERPARAM_GRID,
     enumerate_candidates,
+    hierarchical_path,
     legal_actions,
     materialize,
     validate_action_path,
 )
 from pertpipe.errors import ParameterError, PertpipeError, ValidationError
-from pertpipe.evaluators import FailureInjectingEvaluator, LandscapeEvaluator
+from pertpipe.data import split_unseen_perturbation
+from pertpipe.evaluators import (
+    FailureInjectingEvaluator,
+    LandscapeEvaluator,
+    SurrogateEvaluator,
+    SyntheticConfig,
+    generate_synthetic,
+)
 from pertpipe.knowledge import RetrievalResult
 from pertpipe.search import (
     EvalOutcome,
@@ -217,6 +227,33 @@ class TestMaterialize:
         keys = [c.key() for c in enumerate_candidates()]
         assert len(keys) == len(set(keys)) == 40
 
+    @pytest.mark.parametrize(
+        "path,expected",
+        [
+            (("paradigm:generative",), ("paradigm:generative",)),
+            (("paradigm:generative", "debug"), ("paradigm:generative",)),
+            (
+                ("paradigm:discriminative", "loss:huber"),
+                ("paradigm:discriminative", "backbone:resnet", "loss:huber"),
+            ),
+            (
+                ("paradigm:discriminative", "hyperparam:h2", "debug", "backbone:gated_mlp"),
+                ("paradigm:discriminative", "backbone:gated_mlp", "hyperparam:h2"),
+            ),
+            (
+                ("paradigm:generative", "backbone:flow_matching", "debug",
+                 "loss:huber", "hyperparam:h1"),
+                ("paradigm:generative", "backbone:flow_matching", "loss:huber",
+                 "hyperparam:h1"),
+            ),
+        ],
+    )
+    def test_hierarchical_path(self, path, expected):
+        got = hierarchical_path(path)
+        assert got == expected
+        validate_action_path(got)
+        assert materialize(got) == replace(materialize(path), debug_fixed=False)
+
     def test_path_validation(self):
         validate_action_path(("paradigm:generative", "backbone:flow_matching"))
         with pytest.raises(ValidationError):
@@ -379,3 +416,147 @@ class TestRunSearch:
         )
         with pytest.raises(ValidationError):
             run_search(SearchConfig(n_sim=2, seed=0), self.EV, retrieval=rr)
+
+
+# --------------------------------------------------------------------------
+# transposition table: one evaluation per distinct candidate, same bytes
+
+# sha256 prefixes of (trajectory_jsonl, tree_json) for n_sim=64 runs, taken
+# from the engine before it kept a transposition table; keyed by
+# evaluator/mode/strictness/failure injector/seed
+TRAJECTORY_PINS = {
+    "surrogate/hierarchical/lax/none/0": ("95594b60ea989cee", "d1b18c118bd29986"),
+    "surrogate/hierarchical/lax/none/1": ("0d2c645b0641eb66", "ccc590e110df16a5"),
+    "surrogate/hierarchical/lax/none/2": ("a8a3436d33f95750", "737fe46a2a68ac3b"),
+    "surrogate/hierarchical/lax/fixable/0": ("87c768a83e3a93d2", "eda2af4bd7d2ffe7"),
+    "surrogate/hierarchical/lax/fixable/1": ("8cef96587da4b9c7", "7489544e0f3661a1"),
+    "surrogate/hierarchical/lax/fixable/2": ("e7ca72e7aef83e2c", "550976cc960dd8ed"),
+    "surrogate/hierarchical/lax/unfixable/0": ("2ce548e16971adfd", "ef3b67b4c1dacf6a"),
+    "surrogate/hierarchical/lax/unfixable/1": ("d3983e287e6d02fd", "4917f899c2ba598e"),
+    "surrogate/hierarchical/lax/unfixable/2": ("b0131c8ad0fd9f61", "3d77a9160b040191"),
+    "surrogate/hierarchical/strict/none/0": ("95594b60ea989cee", "d1b18c118bd29986"),
+    "surrogate/hierarchical/strict/none/1": ("0d2c645b0641eb66", "ccc590e110df16a5"),
+    "surrogate/hierarchical/strict/none/2": ("a8a3436d33f95750", "737fe46a2a68ac3b"),
+    "surrogate/hierarchical/strict/fixable/0": ("87c768a83e3a93d2", "eda2af4bd7d2ffe7"),
+    "surrogate/hierarchical/strict/fixable/1": ("8cef96587da4b9c7", "7489544e0f3661a1"),
+    "surrogate/hierarchical/strict/fixable/2": ("e7ca72e7aef83e2c", "550976cc960dd8ed"),
+    "surrogate/hierarchical/strict/unfixable/0": ("2ce548e16971adfd", "ef3b67b4c1dacf6a"),
+    "surrogate/hierarchical/strict/unfixable/1": ("d3983e287e6d02fd", "4917f899c2ba598e"),
+    "surrogate/hierarchical/strict/unfixable/2": ("b0131c8ad0fd9f61", "3d77a9160b040191"),
+    "surrogate/flat_ablation/lax/none/0": ("4fe4330be9e1d6cc", "2d7f98a6ea7924a6"),
+    "surrogate/flat_ablation/lax/none/1": ("70b14bdd88ff2c06", "1cee58aa17847df6"),
+    "surrogate/flat_ablation/lax/none/2": ("fa852ec0bba70902", "a28f8ac3dc1ad2a7"),
+    "surrogate/flat_ablation/lax/fixable/0": ("5ef1a0f622484a8a", "6c5978362c0eae8a"),
+    "surrogate/flat_ablation/lax/fixable/1": ("6e5dc3a591642669", "9b3eb30e20e97575"),
+    "surrogate/flat_ablation/lax/fixable/2": ("b4b68f8dbc58c87e", "d7323fb34e6451c4"),
+    "surrogate/flat_ablation/lax/unfixable/0": ("71b6e9e5098784b6", "280b02551c82ad0c"),
+    "surrogate/flat_ablation/lax/unfixable/1": ("4303d097a278a989", "39cf509b97266a63"),
+    "surrogate/flat_ablation/lax/unfixable/2": ("03cbf6edae944c46", "b7c499c7234b0e20"),
+    "surrogate/flat_ablation/strict/none/0": ("4fe4330be9e1d6cc", "2d7f98a6ea7924a6"),
+    "surrogate/flat_ablation/strict/none/1": ("70b14bdd88ff2c06", "1cee58aa17847df6"),
+    "surrogate/flat_ablation/strict/none/2": ("fa852ec0bba70902", "a28f8ac3dc1ad2a7"),
+    "surrogate/flat_ablation/strict/fixable/0": ("5ef1a0f622484a8a", "6c5978362c0eae8a"),
+    "surrogate/flat_ablation/strict/fixable/1": ("6e5dc3a591642669", "9b3eb30e20e97575"),
+    "surrogate/flat_ablation/strict/fixable/2": ("b4b68f8dbc58c87e", "d7323fb34e6451c4"),
+    "surrogate/flat_ablation/strict/unfixable/0": ("71b6e9e5098784b6", "280b02551c82ad0c"),
+    "surrogate/flat_ablation/strict/unfixable/1": ("4303d097a278a989", "39cf509b97266a63"),
+    "surrogate/flat_ablation/strict/unfixable/2": ("03cbf6edae944c46", "b7c499c7234b0e20"),
+    "funnel_jitter/hierarchical/lax/none/0": ("525e31db90654536", "03152a72e2c51557"),
+    "funnel_jitter/hierarchical/lax/none/1": ("aec8a3e56318e268", "a58c5ac28d583e25"),
+    "funnel_jitter/hierarchical/lax/none/2": ("d004c68c70dec31b", "afd73e8253e1bd60"),
+    "funnel_jitter/hierarchical/lax/fixable/0": ("d0443014e6747bae", "8df81ff740f5fd1a"),
+    "funnel_jitter/hierarchical/lax/fixable/1": ("c3b14ca9efb187b0", "224973e78fb9fc7a"),
+    "funnel_jitter/hierarchical/lax/fixable/2": ("f33551e0019e7bc6", "95d0efd34b6ca106"),
+    "funnel_jitter/hierarchical/lax/unfixable/0": ("493435224d2927af", "35578ba459674d06"),
+    "funnel_jitter/hierarchical/lax/unfixable/1": ("9426a2fd1baa46cc", "e8e6e038505aedff"),
+    "funnel_jitter/hierarchical/lax/unfixable/2": ("50f5bfa24b17b367", "0ce04b3624979adf"),
+    "funnel_jitter/hierarchical/strict/none/0": ("525e31db90654536", "03152a72e2c51557"),
+    "funnel_jitter/hierarchical/strict/none/1": ("aec8a3e56318e268", "a58c5ac28d583e25"),
+    "funnel_jitter/hierarchical/strict/none/2": ("d004c68c70dec31b", "afd73e8253e1bd60"),
+    "funnel_jitter/hierarchical/strict/fixable/0": ("d0443014e6747bae", "8df81ff740f5fd1a"),
+    "funnel_jitter/hierarchical/strict/fixable/1": ("c3b14ca9efb187b0", "224973e78fb9fc7a"),
+    "funnel_jitter/hierarchical/strict/fixable/2": ("f33551e0019e7bc6", "95d0efd34b6ca106"),
+    "funnel_jitter/hierarchical/strict/unfixable/0": ("493435224d2927af", "35578ba459674d06"),
+    "funnel_jitter/hierarchical/strict/unfixable/1": ("9426a2fd1baa46cc", "e8e6e038505aedff"),
+    "funnel_jitter/hierarchical/strict/unfixable/2": ("50f5bfa24b17b367", "0ce04b3624979adf"),
+    "funnel_jitter/flat_ablation/lax/none/0": ("df0ab7a7e4265c90", "45bd3a64bcee0d7b"),
+    "funnel_jitter/flat_ablation/lax/none/1": ("1d443928a29b7611", "f96d5076ea564af4"),
+    "funnel_jitter/flat_ablation/lax/none/2": ("69a8c22af7586f43", "9db5d6aa9e150fd3"),
+    "funnel_jitter/flat_ablation/lax/fixable/0": ("11ed6d5d3a4e8674", "29afc9d1a50b1c05"),
+    "funnel_jitter/flat_ablation/lax/fixable/1": ("74f53b62809c84e9", "c1c2f02fe2f5360c"),
+    "funnel_jitter/flat_ablation/lax/fixable/2": ("082aef5efaede1a9", "b68fb6e753ba5827"),
+    "funnel_jitter/flat_ablation/lax/unfixable/0": ("d6a78797f134d9ad", "356fb9dc6407e1fc"),
+    "funnel_jitter/flat_ablation/lax/unfixable/1": ("f11b17ade8b3a359", "f3da1b346f1eab95"),
+    "funnel_jitter/flat_ablation/lax/unfixable/2": ("f15e9736fd046520", "7e6a543496ed1be9"),
+    "funnel_jitter/flat_ablation/strict/none/0": ("df0ab7a7e4265c90", "45bd3a64bcee0d7b"),
+    "funnel_jitter/flat_ablation/strict/none/1": ("1d443928a29b7611", "f96d5076ea564af4"),
+    "funnel_jitter/flat_ablation/strict/none/2": ("69a8c22af7586f43", "9db5d6aa9e150fd3"),
+    "funnel_jitter/flat_ablation/strict/fixable/0": ("11ed6d5d3a4e8674", "29afc9d1a50b1c05"),
+    "funnel_jitter/flat_ablation/strict/fixable/1": ("74f53b62809c84e9", "c1c2f02fe2f5360c"),
+    "funnel_jitter/flat_ablation/strict/fixable/2": ("082aef5efaede1a9", "b68fb6e753ba5827"),
+    "funnel_jitter/flat_ablation/strict/unfixable/0": ("d6a78797f134d9ad", "356fb9dc6407e1fc"),
+    "funnel_jitter/flat_ablation/strict/unfixable/1": ("f11b17ade8b3a359", "f3da1b346f1eab95"),
+    "funnel_jitter/flat_ablation/strict/unfixable/2": ("f15e9736fd046520", "7e6a543496ed1be9"),
+}
+
+
+@pytest.fixture(scope="module")
+def pin_evaluators():
+    ds, _ = generate_synthetic(SyntheticConfig(60, 8, 12, 0.4, 0.3, seed=0))
+    return {
+        "surrogate": SurrogateEvaluator(ds, split_unseen_perturbation(ds, 0.8, seed=0)),
+        "funnel_jitter": LandscapeEvaluator.builtin("funnel_jitter"),
+    }
+
+
+class CountingEvaluator:
+    def __init__(self, inner):
+        self.inner = inner
+        self.keys: list[str] = []
+
+    def evaluate(self, candidate, seed):
+        self.keys.append(candidate.key())
+        return self.inner.evaluate(candidate, seed)
+
+
+def _pinned_run(pin_evaluators, case):
+    name, mode, strictness, injector, seed = case.split("/")
+    evaluator = pin_evaluators[name]
+    if injector != "none":
+        evaluator = FailureInjectingEvaluator(
+            evaluator, 0.5, fix_succeeds=injector == "fixable"
+        )
+    counting = CountingEvaluator(evaluator)
+    config = SearchConfig(
+        n_sim=64, seed=int(seed), mode=mode, strict=strictness == "strict"
+    )
+    return run_search(config, counting), counting
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+class TestTranspositionTable:
+    @pytest.mark.parametrize("case", sorted(TRAJECTORY_PINS))
+    def test_bytes_unchanged_and_one_evaluation_per_candidate(self, pin_evaluators, case):
+        result, counting = _pinned_run(pin_evaluators, case)
+        assert (_sha(result.trajectory_jsonl()), _sha(result.tree_json())) == TRAJECTORY_PINS[case]
+        distinct = {materialize(tuple(r["path"])).key() for r in result.trajectory}
+        per_candidate = 2 if "/strict/" in case else 1
+        assert sorted(counting.keys) == sorted(k for k in distinct for _ in range(per_candidate))
+
+    def test_hit_reuses_first_outcome_with_current_baseline(self):
+        # every path under one paradigm materializes to its default candidate
+        result, counting = _pinned_run(
+            {"funnel": LandscapeEvaluator.builtin("funnel")},
+            "funnel/hierarchical/lax/none/0",
+        )
+        by_key: dict[str, list[dict]] = {}
+        for rec in result.trajectory:
+            by_key.setdefault(materialize(tuple(rec["path"])).key(), []).append(rec)
+        repeated = [recs for recs in by_key.values() if len(recs) > 1]
+        assert repeated
+        for recs in repeated:
+            assert len({(r["m_val"], r["t_exec"], r["failed"]) for r in recs}) == 1
+        assert len(counting.keys) == len(by_key)
