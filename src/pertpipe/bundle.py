@@ -4,22 +4,28 @@ A bundle is a directory holding `manifest.json`, `obs.tsv`, `var.tsv`, a
 row-major little-endian float64 matrix `X.f64`, and (for canonical
 datasets) `pert_mask.u8` plus `pert_dose.f64`. Readers reject any binary
 file whose size differs from the expected byte count.
+
+Writers first remove any old manifest, write each file under a temporary
+name and rename it into place, and write the manifest last, so a write cut
+short leaves a directory that readers reject rather than a mix of old and
+new files.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 
 from .data import CANONICAL_OBS_KEYS, CanonicalDataset, RawTable
+from .dsl import _kind
 from .errors import BundleFormatError
 
 MANIFEST = "manifest.json"
-
-_OBS_TYPE_TAGS = {"str", "float", "bool", "categorical"}
+_DIGEST_CHUNK = 1 << 20
 
 
 def _dump_json(obj) -> str:
@@ -31,19 +37,43 @@ def _format_cell(value) -> str:
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
-    text = str(value)
-    if "\t" in text or "\n" in text:
-        raise BundleFormatError(f"tsv cell value contains tab/newline: {text!r}")
-    return text
+    return str(value)
+
+
+def _format_column(col: np.ndarray) -> list[str]:
+    """The TSV text of each cell, formatted per dtype rather than per cell."""
+    if col.dtype == bool:
+        return np.where(col, "true", "false").tolist()
+    if col.dtype.kind == "f":
+        return list(map(repr, col.astype(np.float64).tolist()))
+    if col.dtype.kind in "OUiu":
+        return [v if type(v) is str else _format_cell(v) for v in col.tolist()]
+    return [_format_cell(v) for v in col]
+
+
+def _replace_file(path: Path, write) -> None:
+    """Call ``write`` on a temporary path beside ``path``, then rename it into place."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _has_tab_or_newline(text: str) -> bool:
+    return "\t" in text or "\n" in text
 
 
 def _write_tsv(path: Path, columns: dict[str, np.ndarray]) -> None:
-    names = list(columns)
-    n = len(next(iter(columns.values()))) if columns else 0
-    lines = ["\t".join(names)]
-    for i in range(n):
-        lines.append("\t".join(_format_cell(columns[name][i]) for name in names))
-    path.write_text("\n".join(lines) + "\n")
+    cells = [_format_column(col) for col in columns.values()]
+    if any(_has_tab_or_newline("".join(text)) for text in cells):
+        bad = next(t for row in zip(*cells) for t in row if _has_tab_or_newline(t))
+        raise BundleFormatError(f"tsv cell value contains tab/newline: {bad!r}")
+    lines = ["\t".join(columns), *map("\t".join, zip(*cells))]
+    text = "\n".join(lines) + "\n"
+    _replace_file(path, lambda tmp: tmp.write_text(text))
 
 
 def _read_tsv(path: Path) -> dict[str, list[str]]:
@@ -65,27 +95,18 @@ def _read_tsv(path: Path) -> dict[str, list[str]]:
 
 
 def _write_matrix(path: Path, a: np.ndarray, dtype: str) -> None:
-    path.write_bytes(np.ascontiguousarray(a, dtype=dtype).tobytes())
+    _replace_file(path, np.ascontiguousarray(a, dtype=dtype).tofile)
 
 
 def _read_matrix(path: Path, shape: tuple[int, int], dtype: str) -> np.ndarray:
-    itemsize = np.dtype(dtype).itemsize
-    expected = shape[0] * shape[1] * itemsize
-    data = path.read_bytes()
-    if len(data) != expected:
+    expected = shape[0] * shape[1] * np.dtype(dtype).itemsize
+    size = path.stat().st_size
+    if size != expected:
         raise BundleFormatError(
-            f"{path} holds {len(data)} bytes, expected {expected} "
+            f"{path} holds {size} bytes, expected {expected} "
             f"({shape[0]}x{shape[1]} {dtype})"
         )
-    return np.frombuffer(data, dtype=dtype).reshape(shape).copy()
-
-
-def _obs_type_tag(col: np.ndarray) -> str:
-    if col.dtype == bool:
-        return "bool"
-    if np.issubdtype(col.dtype, np.floating) or np.issubdtype(col.dtype, np.integer):
-        return "float"
-    return "str"
+    return np.fromfile(path, dtype=dtype).reshape(shape)
 
 
 def _parse_obs_column(values: list[str], tag: str) -> np.ndarray:
@@ -101,9 +122,21 @@ def _parse_obs_column(values: list[str], tag: str) -> np.ndarray:
     raise BundleFormatError(f"unknown obs column type {tag!r}")
 
 
-def write_raw_bundle(table: RawTable, out_dir: str | Path) -> None:
+def _start_write(out_dir: str | Path) -> Path:
+    """Create the bundle directory and remove any old manifest before files change."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    (out / MANIFEST).unlink(missing_ok=True)
+    return out
+
+
+def _write_manifest(out: Path, manifest: dict) -> None:
+    text = _dump_json(manifest)
+    _replace_file(out / MANIFEST, lambda tmp: tmp.write_text(text))
+
+
+def write_raw_bundle(table: RawTable, out_dir: str | Path) -> None:
+    out = _start_write(out_dir)
     manifest = {
         "kind": "raw",
         "n_cells": table.n_cells,
@@ -111,11 +144,10 @@ def write_raw_bundle(table: RawTable, out_dir: str | Path) -> None:
         "p": 0,
         "flags": {},
         "pert_vocab": [],
-        "obs_types": {k: _obs_type_tag(v) for k, v in table.obs.items()},
+        "obs_types": {k: _kind(v) for k, v in table.obs.items()},
         "var_index_name": "index",
         "obsm": {k: int(v.shape[1]) for k, v in table.obsm.items()},
     }
-    (out / MANIFEST).write_text(_dump_json(manifest))
     _write_tsv(out / "obs.tsv", table.obs)
     var_cols = {"index": table.var_index}
     var_cols.update(table.var_columns)
@@ -123,6 +155,7 @@ def write_raw_bundle(table: RawTable, out_dir: str | Path) -> None:
     _write_matrix(out / "X.f64", table.X, "<f8")
     for name, m in table.obsm.items():
         _write_matrix(out / f"obsm_{name}.f64", m, "<f8")
+    _write_manifest(out, manifest)
 
 
 def read_raw_bundle(path: str | Path) -> RawTable:
@@ -147,8 +180,7 @@ def read_raw_bundle(path: str | Path) -> RawTable:
 
 
 def write_canonical_bundle(ds: CanonicalDataset, out_dir: str | Path) -> None:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _start_write(out_dir)
     manifest = {
         "kind": "canonical",
         "n_cells": ds.n_cells,
@@ -158,7 +190,6 @@ def write_canonical_bundle(ds: CanonicalDataset, out_dir: str | Path) -> None:
         "pert_vocab": list(ds.pert_vocab),
         "extra_obs": sorted(ds.extra_obs),
     }
-    (out / MANIFEST).write_text(_dump_json(manifest))
     _write_tsv(out / "obs.tsv", ds.obs_columns())
     _write_tsv(
         out / "var.tsv",
@@ -167,6 +198,7 @@ def write_canonical_bundle(ds: CanonicalDataset, out_dir: str | Path) -> None:
     _write_matrix(out / "X.f64", ds.X, "<f8")
     _write_matrix(out / "pert_mask.u8", ds.pert_mask, "u1")
     _write_matrix(out / "pert_dose.f64", ds.pert_dose, "<f8")
+    _write_manifest(out, manifest)
 
 
 def read_canonical_bundle(path: str | Path) -> CanonicalDataset:
@@ -219,13 +251,6 @@ def _load_manifest(root: Path, expected_kind: str) -> dict:
     return manifest
 
 
-def bundle_kind(path: str | Path) -> str:
-    mpath = Path(path) / MANIFEST
-    if not mpath.is_file():
-        raise BundleFormatError(f"no {MANIFEST} in {path}")
-    return json.loads(mpath.read_text()).get("kind", "unknown")
-
-
 def _is_bundle_file(name: str) -> bool:
     return name in (
         MANIFEST,
@@ -245,9 +270,13 @@ def bundle_digest(path: str | Path) -> str:
     """
     root = Path(path)
     h = hashlib.sha256()
+    buf = bytearray(_DIGEST_CHUNK)
+    view = memoryview(buf)
     for f in sorted(p for p in root.iterdir() if p.is_file() and _is_bundle_file(p.name)):
         h.update(f.name.encode())
         h.update(b"\0")
-        h.update(f.read_bytes())
+        with open(f, "rb") as fh:
+            while n := fh.readinto(buf):
+                h.update(view[:n])
         h.update(b"\0")
     return h.hexdigest()

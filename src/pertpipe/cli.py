@@ -23,6 +23,7 @@ from .actions import hierarchical_path
 from .data import PseudoBulkProfile, pseudo_bulk, split_unseen_cell, split_unseen_perturbation
 from .errors import (
     BundleFormatError,
+    LlmReplyError,
     MappingError,
     ParameterError,
     TransportError,
@@ -126,11 +127,9 @@ def unify(raw_bundle, out_dir, mapping_file, induce, llm_transport, replay_file,
             spec = induce_mapping(preview, client)
         except TransportError as exc:
             _fail("transport", str(exc), EXIT_TRANSPORT)
+        except LlmReplyError as exc:
+            _fail("llm_response", str(exc), EXIT_TRANSPORT)
         except MappingError as exc:
-            if exc.raw_response is not None and "not valid JSON" in str(exc):
-                _fail("llm_response", str(exc), EXIT_TRANSPORT)
-            if "no fenced JSON block" in str(exc):
-                _fail("llm_response", str(exc), EXIT_TRANSPORT)
             _fail("mapping_spec", str(exc), EXIT_VALIDATION)
     try:
         ds = apply_mapping(table, spec, combo_delimiter=str(config["unify.combo_delimiter"]))

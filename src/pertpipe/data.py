@@ -18,6 +18,8 @@ from .errors import ParameterError, ValidationError
 PERT_TYPES = ("drug", "crispr", "mixed", "control")
 SPLIT_LABELS = ("train", "val", "test")
 
+_PATTERN_BLOCK = 1024  # rows per batch of byte keys in first_pattern_rows
+
 CANONICAL_OBS_KEYS = (
     "cell_type",
     "batch_id",
@@ -235,6 +237,53 @@ class ValidationReport:
         return "\n".join(f"[{i.code}] {i.message}" for i in self.issues)
 
 
+def _first_true(bad: np.ndarray) -> tuple[int, int, int] | None:
+    """Row, column and count of the True entries of a 2-D mask, or None if none.
+
+    The cheap ``any()`` test runs first; positions are looked up only when
+    it finds an offender.
+    """
+    if not bad.any():
+        return None
+    i, j = np.unravel_index(np.argmax(bad), bad.shape)
+    return int(i), int(j), int(np.count_nonzero(bad))
+
+
+def _first_non_finite(a: np.ndarray) -> tuple[int, int, int] | None:
+    """``_first_true`` of the NaN/inf entries of ``a``.
+
+    NaN and inf propagate through a sum, so a finite sum proves every entry
+    finite without allocating a mask; only otherwise are entries tested.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(a.sum()):
+            return None
+    return _first_true(~np.isfinite(a))
+
+
+def first_pattern_rows(mask: np.ndarray, dose: np.ndarray) -> np.ndarray:
+    """For each row, the index of the first row with the same mask and dose bytes.
+
+    ``mask`` is uint8 and ``dose`` float64, both (n, p). Rows are keyed by
+    their exact bytes, so 0.0 and -0.0 doses are different patterns. Keys
+    are built a block of rows at a time to bound memory.
+    """
+    n, p = mask.shape
+    if p == 0:
+        return np.zeros(n, dtype=np.intp)
+    width = 9 * p  # one mask byte and eight dose bytes per column
+    first: dict[bytes, int] = {}
+    out = np.empty(n, dtype=np.intp)
+    for start in range(0, n, _PATTERN_BLOCK):
+        stop = min(start + _PATTERN_BLOCK, n)
+        block = np.empty((stop - start, width), dtype=np.uint8)
+        block[:, :p] = mask[start:stop]
+        block[:, p:] = np.ascontiguousarray(dose[start:stop]).view(np.uint8)
+        keys = block.view(f"V{width}").ravel().tolist()
+        out[start:stop] = [first.setdefault(k, i) for i, k in enumerate(keys, start)]
+    return out
+
+
 def normalize_log1p(
     X: np.ndarray,
     target_sum: float,
@@ -243,33 +292,40 @@ def normalize_log1p(
 ) -> np.ndarray:
     """Total-count normalize each row to ``target_sum``, then apply log1p.
 
-    When ``is_already_log1p`` is set the matrix is returned unchanged. When
-    ``normalization_required`` is false the scaling step is skipped but log1p
-    still applies. Rows summing to zero pass through unscaled (empty droplets
-    must not abort a batch job); the same applies to rows so close to zero
-    that the scale factor would overflow.
+    Negative and non-finite (NaN, inf) values raise ``ValidationError``
+    naming the first offending cell. When ``is_already_log1p`` is set the
+    matrix is returned unchanged. When ``normalization_required`` is false
+    the scaling step is skipped but log1p still applies. Rows summing to
+    zero pass through unscaled (empty droplets must not abort a batch job);
+    the same applies to rows so close to zero that the scale factor would
+    overflow.
     """
     X = np.asarray(X, dtype=np.float64)
     if target_sum <= 0:
         raise ParameterError(f"target_sum must be positive, got {target_sum}")
-    neg = np.argwhere(X < 0)
-    if neg.size:
-        i, j = neg[0]
+    neg = _first_true(X < 0)
+    if neg:
+        i, j, _ = neg
         raise ValidationError(
             f"negative expression value {X[i, j]} at cell X[{i}, {j}]"
         )
+    nonfinite = _first_non_finite(X)
+    if nonfinite:
+        i, j, _ = nonfinite
+        raise ValidationError(
+            f"non-finite expression value {X[i, j]} at cell X[{i}, {j}]"
+        )
     if is_already_log1p:
         return X
-    out = X.copy()
-    if normalization_required:
-        sums = out.sum(axis=1)
-        with np.errstate(over="ignore", divide="ignore"):
-            scale = np.divide(
-                target_sum, sums, out=np.zeros_like(sums), where=sums > 0
-            )
-        usable = (sums > 0) & np.isfinite(scale)
-        out[usable] = out[usable] * scale[usable][:, None]
-    return np.log1p(out)
+    if not normalization_required:
+        return np.log1p(X)
+    sums = X.sum(axis=1)
+    with np.errstate(over="ignore", divide="ignore"):
+        scale = np.divide(target_sum, sums, out=np.zeros_like(sums), where=sums > 0)
+    usable = (sums > 0) & np.isfinite(scale)
+    # unusable rows are scaled by exactly 1.0, which leaves their bits unchanged
+    out = X * np.where(usable, scale, 1.0)[:, None]
+    return np.log1p(out, out=out)
 
 
 def select_hvg(ds: CanonicalDataset, k: int) -> CanonicalDataset:
@@ -442,29 +498,30 @@ def validate_canonical(ds: CanonicalDataset) -> ValidationReport:
         else:
             seen[eid] = j
 
-    bad_mask = np.argwhere((ds.pert_mask != 0) & (ds.pert_mask != 1))
-    if bad_mask.size:
-        i, j = bad_mask[0]
+    bad_mask = _first_true(ds.pert_mask > 1)  # uint8, so not in {0, 1}
+    if bad_mask:
+        i, j, count = bad_mask
         issues.append(
             ValidationIssue(
                 "mask_not_binary",
                 f"pert_mask[{i}, {j}] = {ds.pert_mask[i, j]} is not in {{0, 1}} "
-                f"({len(bad_mask)} offending entries)",
+                f"({count} offending entries)",
             )
         )
 
-    neg_dose = np.argwhere(ds.pert_dose < 0)
-    if neg_dose.size:
-        i, j = neg_dose[0]
+    neg_dose = _first_true(ds.pert_dose < 0)
+    if neg_dose:
+        i, j, count = neg_dose
         issues.append(
             ValidationIssue(
                 "negative_dose",
                 f"pert_dose[{i}, {j}] = {ds.pert_dose[i, j]} is negative "
-                f"({len(neg_dose)} offending entries)",
+                f"({count} offending entries)",
             )
         )
 
-    stray = (ds.pert_mask == 0) & (ds.pert_dose != 0)
+    stray = ds.pert_dose != 0
+    stray &= ds.pert_mask == 0
     for i in np.flatnonzero(stray.any(axis=1)):
         j = int(np.flatnonzero(stray[i])[0])
         issues.append(
@@ -483,15 +540,26 @@ def validate_canonical(ds: CanonicalDataset) -> ValidationReport:
             )
         )
 
-    neg_x = np.argwhere(ds.X < 0)
-    if neg_x.size:
-        i, j = neg_x[0]
+    neg_x = _first_true(ds.X < 0)
+    if neg_x:
+        i, j, count = neg_x
         issues.append(
             ValidationIssue(
                 "negative_expression",
-                f"X[{i}, {j}] = {ds.X[i, j]} is negative ({len(neg_x)} entries)",
+                f"X[{i}, {j}] = {ds.X[i, j]} is negative ({count} entries)",
             )
         )
+
+    for label, values in (("X", ds.X), ("pert_dose", ds.pert_dose)):
+        nonfinite = _first_non_finite(values)
+        if nonfinite:
+            i, j, count = nonfinite
+            issues.append(
+                ValidationIssue(
+                    "non_finite",
+                    f"{label}[{i}, {j}] = {values[i, j]} is not finite ({count} entries)",
+                )
+            )
 
     bad_types = sorted(set(ds.pert_type.tolist()) - set(PERT_TYPES))
     if bad_types:
@@ -502,23 +570,20 @@ def validate_canonical(ds: CanonicalDataset) -> ValidationReport:
             )
         )
 
-    # identical (mask row, dose row) patterns must share one condition name
-    pattern_names: dict[bytes, tuple[str, int]] = {}
-    reported: set[bytes] = set()
-    for i in range(ds.n_cells):
-        key = ds.pert_mask[i].tobytes() + ds.pert_dose[i].tobytes()
-        name = ds.condition_name[i]
-        if key not in pattern_names:
-            pattern_names[key] = (name, i)
-        elif pattern_names[key][0] != name and key not in reported:
-            first_name, first_row = pattern_names[key]
-            issues.append(
-                ValidationIssue(
-                    "condition_name_conflict",
-                    f"cells {first_row} and {i} share one mask/dose pattern but have "
-                    f"condition names {first_name!r} and {name!r}",
-                )
+    # identical (mask row, dose row) patterns must share one condition name;
+    # each pattern reports its first row whose name differs from its first row's
+    first = first_pattern_rows(ds.pert_mask, ds.pert_dose)
+    names = ds.condition_name
+    rows = np.flatnonzero(names[first] != names)
+    _, pick = np.unique(first[rows], return_index=True)
+    for i in np.sort(rows[pick]):
+        f = first[i]
+        issues.append(
+            ValidationIssue(
+                "condition_name_conflict",
+                f"cells {f} and {i} share one mask/dose pattern but have "
+                f"condition names {names[f]!r} and {names[i]!r}",
             )
-            reported.add(key)
+        )
 
     return ValidationReport(issues=tuple(issues))

@@ -639,15 +639,9 @@ def _cast(value, target: str):
             raise DslEvalError(f"cannot cast value {value!r} to float") from None
     if target == "str":
         if isinstance(value, np.ndarray):
-            return np.array([_to_str(v) for v in value.tolist()], dtype=object)
-        return _to_str(value)
+            return np.array(list(map(str, value.tolist())), dtype=object)
+        return str(value)
     raise DslEvalError(f"unknown cast target {target!r}")
-
-
-def _to_str(v) -> str:
-    if isinstance(v, bool):
-        return "True" if v else "False"
-    return str(v)
 
 
 def _isin(operand, items: ListLit):

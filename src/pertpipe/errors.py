@@ -29,3 +29,7 @@ class MappingError(PertpipeError):
     def __init__(self, message: str, raw_response: str | None = None):
         super().__init__(message)
         self.raw_response = raw_response
+
+
+class LlmReplyError(MappingError):
+    """An LLM reply holds no usable mapping JSON (no fenced block, or not JSON)."""

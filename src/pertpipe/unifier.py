@@ -23,10 +23,11 @@ from .data import (
     CanonicalDataset,
     PERT_TYPES,
     RawTable,
+    first_pattern_rows,
     normalize_log1p,
     validate_canonical,
 )
-from .errors import MappingError, ParameterError
+from .errors import LlmReplyError, MappingError, ParameterError
 from .llm import LlmClient
 
 # wire-format key for the nested mapping surface form
@@ -97,9 +98,8 @@ class MappingSpec:
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise MappingError(
-                f"mapping is not valid JSON: {exc}", raw_response
-            ) from exc
+            error = MappingError if raw_response is None else LlmReplyError
+            raise error(f"mapping is not valid JSON: {exc}", raw_response) from exc
         if not isinstance(doc, dict):
             raise MappingError("mapping JSON must be an object", raw_response)
         return cls.from_dict(doc, raw_response)
@@ -353,14 +353,10 @@ def preview_schema(table: RawTable, sample_size: int) -> SchemaPreview:
         raise ParameterError(f"sample_size must be >= 1, got {sample_size}")
     columns = []
     for name, col in table.obs.items():
-        if col.dtype == bool:
-            tag = "bool"
-        elif np.issubdtype(col.dtype, np.floating) or np.issubdtype(col.dtype, np.integer):
-            tag = "float"
-        else:
-            tag = "str"
         columns.append(
-            ColumnPreview(name=name, dtype=tag, samples=_first_distinct(col, sample_size))
+            ColumnPreview(
+                name=name, dtype=dsl._kind(col), samples=_first_distinct(col, sample_size)
+            )
         )
     x_min = float(table.X.min()) if table.X.size else 0.0
     x_max = float(table.X.max()) if table.X.size else 0.0
@@ -407,7 +403,7 @@ def extract_json_block(text: str) -> str:
     match = _FENCE_RE.search(text)
     if match:
         return match.group(1).strip()
-    raise MappingError("no fenced JSON block found in response", raw_response=text)
+    raise LlmReplyError("no fenced JSON block found in response", raw_response=text)
 
 
 def load_prompt_template(name: str) -> str:
@@ -463,14 +459,8 @@ def _resolve_entry(entry: MappingEntry, table: RawTable, key: str):
 
 def _as_str_column(value, n: int) -> np.ndarray:
     if isinstance(value, np.ndarray):
-        return np.array([_scalar_str(v) for v in value.tolist()], dtype=object)
-    return np.array([_scalar_str(value)] * n, dtype=object)
-
-
-def _scalar_str(v) -> str:
-    if isinstance(v, bool):
-        return "True" if v else "False"
-    return str(v)
+        return np.array(list(map(str, value.tolist())), dtype=object)
+    return np.full(n, str(value), dtype=object)
 
 
 def _as_bool_column(value, n: int, key: str) -> np.ndarray:
@@ -554,26 +544,25 @@ def apply_mapping(
             _resolve_entry(cond_entry, table, "condition_name"), n
         )
 
-    # vocabulary over non-control perturbation names, combos split apart
+    # vocabulary over the distinct non-control perturbation labels, combos
+    # split apart; each label's mask row is built once and broadcast to its cells
     vocab: list[str] = []
     if pert_values is not None:
-        seen = set()
-        for i in np.flatnonzero(~is_control):
-            for part in str(pert_values[i]).split(combo_delimiter):
-                part = part.strip()
-                if part and part not in seen:
-                    seen.add(part)
-                    vocab.append(part)
-        vocab.sort()
+        perturbed = np.flatnonzero(~is_control)
+        labels, label_of_cell = np.unique(pert_values[perturbed], return_inverse=True)
+        label_parts = [
+            [part for part in (p.strip() for p in label.split(combo_delimiter)) if part]
+            for label in labels.tolist()
+        ]
+        vocab = sorted({part for parts in label_parts for part in parts})
     index_of = {name: j for j, name in enumerate(vocab)}
 
     mask = np.zeros((n, len(vocab)), dtype=np.uint8)
     if pert_values is not None:
-        for i in np.flatnonzero(~is_control):
-            for part in str(pert_values[i]).split(combo_delimiter):
-                part = part.strip()
-                if part:
-                    mask[i, index_of[part]] = 1
+        label_mask = np.zeros((len(label_parts), len(vocab)), dtype=np.uint8)
+        for k, parts in enumerate(label_parts):
+            label_mask[k, [index_of[part] for part in parts]] = 1
+        mask[perturbed] = label_mask[label_of_cell]
 
     dose = np.zeros((n, len(vocab)), dtype=np.float64)
     if not isinstance(spec.pert_dose_source, Absent) and vocab:
@@ -582,9 +571,7 @@ def apply_mapping(
             n,
             "pert_dose_source",
         )
-        rows = np.flatnonzero((~is_control) & (mask.sum(axis=1) > 0))
-        for i in rows:
-            dose[i, mask[i] == 1] = dose_col[i]
+        np.copyto(dose, dose_col[:, None], where=mask == 1)
 
     X = normalize_log1p(
         table.X,
@@ -683,64 +670,50 @@ def merge_datasets(parts: list[CanonicalDataset]) -> MergeResult:
                 vocab.append(name)
     vocab_index = {name: j for j, name in enumerate(vocab)}
 
-    x_blocks, mask_blocks, dose_blocks = [], [], []
-    obs_concat: dict[str, list] = {k: [] for k in CANONICAL_OBS_KEYS}
+    n_total = sum(part.n_cells for part in parts)
+    X = np.empty((n_total, len(gene_order)), dtype=np.float64)
+    mask_all = np.zeros((n_total, len(vocab)), dtype=np.uint8)
+    dose_all = np.zeros((n_total, len(vocab)), dtype=np.float64)
+    starts = np.cumsum([0] + [part.n_cells for part in parts])
+    for part, start, stop in zip(parts, starts, starts[1:]):
+        col_of = {eid: j for j, eid in enumerate(part.ensembl_id.tolist())}
+        np.take(part.X, [col_of[g] for g in gene_order], axis=1, out=X[start:stop])
+        cols = [vocab_index[name] for name in part.pert_vocab]
+        mask_all[start:stop, cols] = part.pert_mask
+        dose_all[start:stop, cols] = part.pert_dose
+
+    obs = {
+        k: np.concatenate([getattr(part, k) for part in parts]) for k in CANONICAL_OBS_KEYS
+    }
     extra_keys = sorted(
         {k for part in parts for k in part.extra_obs} - {"source_dataset"}
     )
-    extras: dict[str, list] = {k: [] for k in extra_keys}
-    source: list[str] = []
-
-    for i, part in enumerate(parts):
-        col_of = {eid: j for j, eid in enumerate(part.ensembl_id.tolist())}
-        cols = [col_of[g] for g in gene_order]
-        x_blocks.append(part.X[:, cols])
-        mask = np.zeros((part.n_cells, len(vocab)), dtype=np.uint8)
-        dose = np.zeros((part.n_cells, len(vocab)), dtype=np.float64)
-        for j, name in enumerate(part.pert_vocab):
-            mask[:, vocab_index[name]] = part.pert_mask[:, j]
-            dose[:, vocab_index[name]] = part.pert_dose[:, j]
-        mask_blocks.append(mask)
-        dose_blocks.append(dose)
-        for k in CANONICAL_OBS_KEYS:
-            obs_concat[k].extend(getattr(part, k).tolist())
-        for k in extra_keys:
-            values = part.extra_obs.get(k)
-            extras[k].extend(
-                values.tolist() if values is not None else ["unknown"] * part.n_cells
-            )
-        source.extend([f"dataset_{i}"] * part.n_cells)
-
-    mask_all = np.vstack(mask_blocks)
-    dose_all = np.vstack(dose_blocks)
-    condition = np.array(obs_concat["condition_name"], dtype=object)
+    extra_obs = {
+        k: np.concatenate(
+            [
+                part.extra_obs.get(k, np.full(part.n_cells, "unknown", dtype=object))
+                for part in parts
+            ]
+        )
+        for k in extra_keys
+    }
+    extra_obs["source_dataset"] = np.concatenate(
+        [np.full(part.n_cells, f"dataset_{i}", dtype=object) for i, part in enumerate(parts)]
+    )
 
     # same pattern, one name: first-seen wins
-    pattern_name: dict[bytes, str] = {}
-    renamed = 0
-    for i in range(mask_all.shape[0]):
-        key = mask_all[i].tobytes() + dose_all[i].tobytes()
-        if key not in pattern_name:
-            pattern_name[key] = condition[i]
-        elif condition[i] != pattern_name[key]:
-            renamed += 1
-            condition[i] = pattern_name[key]
+    condition = obs["condition_name"]
+    obs["condition_name"] = condition[first_pattern_rows(mask_all, dose_all)]
+    renamed = int(np.count_nonzero(obs["condition_name"] != condition))
     if renamed:
         warnings.append(
             f"renamed condition_name on {renamed} cells to match the first-seen "
             f"name of their mask/dose pattern"
         )
 
-    extra_obs = {k: np.array(v, dtype=object) for k, v in extras.items()}
-    extra_obs["source_dataset"] = np.array(source, dtype=object)
     merged = CanonicalDataset(
-        cell_type=np.array(obs_concat["cell_type"], dtype=object),
-        batch_id=np.array(obs_concat["batch_id"], dtype=object),
-        donor_id=np.array(obs_concat["donor_id"], dtype=object),
-        pert_type=np.array(obs_concat["pert_type"], dtype=object),
-        is_control=np.array(obs_concat["is_control"], dtype=bool),
-        condition_name=condition,
-        X=np.vstack(x_blocks),
+        **obs,
+        X=X,
         pert_mask=mask_all,
         pert_dose=dose_all,
         ensembl_id=np.array(gene_order, dtype=object),

@@ -5,7 +5,9 @@ The metric oracle here is a deliberately naive pure-Python reimplementation
 implementations. The expression generator draws ASTs from the grammar's
 derivation space, so every generated tree is reachable by the parser. The
 surrogate reference recomputes everything per candidate, the way the
-evaluator did before it cached candidate-invariant statistics.
+evaluator did before it cached candidate-invariant statistics. The
+harmonize references keep the per-cell loops that bundle writes, mapping
+application, merging and validation ran before they were vectorized.
 """
 
 from __future__ import annotations
@@ -16,7 +18,14 @@ import random
 import numpy as np
 
 from pertpipe import dsl
-from pertpipe.data import CanonicalDataset, pseudo_bulk
+from pertpipe.data import (
+    CANONICAL_OBS_KEYS,
+    PERT_TYPES,
+    CanonicalDataset,
+    ValidationIssue,
+    pseudo_bulk,
+)
+from pertpipe.errors import BundleFormatError
 from pertpipe.evaluators import _FAMILY_COST, _winsorize, pathway_gene_mask
 from pertpipe.metrics import UndefinedMetric, delta_pcc
 from pertpipe.search import EvalOutcome
@@ -291,3 +300,252 @@ def _reference_fit(ds, backbone, D, train_conds, cond_names, cond_means, reg):
     directions = cond_means / np.where(norms > 0, norms, 1.0)[:, None]
     fallback = directions.mean(axis=0) * float(norms.mean()) / (1.0 + reg)
     return lambda c: cond_means[index_of[c]] if c in index_of else fallback
+
+
+# --------------------------------------------------------------------------
+# harmonize references: the per-cell loops as they were before vectorization
+
+
+def _reference_format_cell(value) -> str:
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    text = str(value)
+    if "\t" in text or "\n" in text:
+        raise BundleFormatError(f"tsv cell value contains tab/newline: {text!r}")
+    return text
+
+
+def reference_tsv_text(columns: dict[str, np.ndarray]) -> str:
+    """The text the bundle TSV writer produced cell by cell."""
+    names = list(columns)
+    n = len(next(iter(columns.values()))) if columns else 0
+    lines = ["\t".join(names)]
+    for i in range(n):
+        lines.append("\t".join(_reference_format_cell(columns[name][i]) for name in names))
+    return "\n".join(lines) + "\n"
+
+
+def reference_normalize_log1p(X, target_sum, is_already_log1p, normalization_required):
+    """Row normalization and log1p through a boolean-indexed copy, as before."""
+    X = np.asarray(X, dtype=np.float64)
+    if is_already_log1p:
+        return X
+    out = X.copy()
+    if normalization_required:
+        sums = out.sum(axis=1)
+        with np.errstate(over="ignore", divide="ignore"):
+            scale = np.divide(target_sum, sums, out=np.zeros_like(sums), where=sums > 0)
+        usable = (sums > 0) & np.isfinite(scale)
+        out[usable] = out[usable] * scale[usable][:, None]
+    return np.log1p(out)
+
+
+def reference_perturbation_matrices(pert_values, is_control, dose_col, combo_delimiter):
+    """Vocabulary, mask and dose built cell by cell, as ``apply_mapping`` did.
+
+    ``pert_values`` or ``dose_col`` is None when the mapping leaves it absent.
+    """
+    n = len(is_control)
+    vocab: list[str] = []
+    if pert_values is not None:
+        seen = set()
+        for i in np.flatnonzero(~is_control):
+            for part in str(pert_values[i]).split(combo_delimiter):
+                part = part.strip()
+                if part and part not in seen:
+                    seen.add(part)
+                    vocab.append(part)
+        vocab.sort()
+    index_of = {name: j for j, name in enumerate(vocab)}
+
+    mask = np.zeros((n, len(vocab)), dtype=np.uint8)
+    if pert_values is not None:
+        for i in np.flatnonzero(~is_control):
+            for part in str(pert_values[i]).split(combo_delimiter):
+                part = part.strip()
+                if part:
+                    mask[i, index_of[part]] = 1
+
+    dose = np.zeros((n, len(vocab)), dtype=np.float64)
+    if dose_col is not None and vocab:
+        rows = np.flatnonzero((~is_control) & (mask.sum(axis=1) > 0))
+        for i in rows:
+            dose[i, mask[i] == 1] = dose_col[i]
+    return vocab, mask, dose
+
+
+def reference_merge_fields(parts: list[CanonicalDataset]) -> tuple[dict, list[str]]:
+    """Every field ``merge_datasets`` builds, by per-column and per-cell loops, plus warnings."""
+    common = set(parts[0].ensembl_id.tolist())
+    for part in parts[1:]:
+        common &= set(part.ensembl_id.tolist())
+    gene_order = [g for g in parts[0].ensembl_id.tolist() if g in common]
+
+    warnings: list[str] = []
+    symbol_for: dict[str, str] = {}
+    for i, part in enumerate(parts):
+        for eid, sym in zip(part.ensembl_id.tolist(), part.gene_symbol.tolist()):
+            if eid not in common:
+                continue
+            if eid not in symbol_for:
+                symbol_for[eid] = sym
+            elif symbol_for[eid] != sym:
+                warnings.append(
+                    f"gene_symbol conflict for {eid!r}: keeping "
+                    f"{symbol_for[eid]!r}, dataset_{i} says {sym!r}"
+                )
+
+    vocab: list[str] = []
+    for part in parts:
+        for name in part.pert_vocab:
+            if name not in vocab:
+                vocab.append(name)
+    vocab_index = {name: j for j, name in enumerate(vocab)}
+
+    x_blocks, mask_blocks, dose_blocks = [], [], []
+    obs_concat: dict[str, list] = {k: [] for k in CANONICAL_OBS_KEYS}
+    extra_keys = sorted({k for part in parts for k in part.extra_obs} - {"source_dataset"})
+    extras: dict[str, list] = {k: [] for k in extra_keys}
+    source: list[str] = []
+    for i, part in enumerate(parts):
+        col_of = {eid: j for j, eid in enumerate(part.ensembl_id.tolist())}
+        x_blocks.append(part.X[:, [col_of[g] for g in gene_order]])
+        mask = np.zeros((part.n_cells, len(vocab)), dtype=np.uint8)
+        dose = np.zeros((part.n_cells, len(vocab)), dtype=np.float64)
+        for j, name in enumerate(part.pert_vocab):
+            mask[:, vocab_index[name]] = part.pert_mask[:, j]
+            dose[:, vocab_index[name]] = part.pert_dose[:, j]
+        mask_blocks.append(mask)
+        dose_blocks.append(dose)
+        for k in CANONICAL_OBS_KEYS:
+            obs_concat[k].extend(getattr(part, k).tolist())
+        for k in extra_keys:
+            values = part.extra_obs.get(k)
+            extras[k].extend(
+                values.tolist() if values is not None else ["unknown"] * part.n_cells
+            )
+        source.extend([f"dataset_{i}"] * part.n_cells)
+
+    mask_all = np.vstack(mask_blocks)
+    dose_all = np.vstack(dose_blocks)
+    condition = np.array(obs_concat["condition_name"], dtype=object)
+    pattern_name: dict[bytes, str] = {}
+    renamed = 0
+    for i in range(mask_all.shape[0]):
+        key = mask_all[i].tobytes() + dose_all[i].tobytes()
+        if key not in pattern_name:
+            pattern_name[key] = condition[i]
+        elif condition[i] != pattern_name[key]:
+            renamed += 1
+            condition[i] = pattern_name[key]
+    if renamed:
+        warnings.append(
+            f"renamed condition_name on {renamed} cells to match the first-seen "
+            f"name of their mask/dose pattern"
+        )
+    fields = {k: np.array(v, dtype=object) for k, v in obs_concat.items()}
+    fields["is_control"] = np.array(obs_concat["is_control"], dtype=bool)
+    fields["condition_name"] = condition
+    extra_obs = {k: np.array(v, dtype=object) for k, v in extras.items()}
+    extra_obs["source_dataset"] = np.array(source, dtype=object)
+    fields.update(
+        X=np.vstack(x_blocks),
+        pert_mask=mask_all,
+        pert_dose=dose_all,
+        ensembl_id=np.array(gene_order, dtype=object),
+        gene_symbol=np.array([symbol_for[g] for g in gene_order], dtype=object),
+        pert_vocab=tuple(vocab),
+        extra_obs=extra_obs,
+    )
+    return fields, warnings
+
+
+def reference_validation_issues(ds: CanonicalDataset) -> list[ValidationIssue]:
+    """``validate_canonical`` with full ``argwhere`` scans and a per-cell pattern loop.
+
+    It predates the ``non_finite`` check, so compare against the new report
+    with those issues left out.
+    """
+    issues: list[ValidationIssue] = []
+    seen: dict[str, int] = {}
+    for j, eid in enumerate(ds.ensembl_id.tolist()):
+        if eid in seen:
+            issues.append(
+                ValidationIssue(
+                    "duplicate_ensembl_id",
+                    f"ensembl_id {eid!r} appears at gene rows {seen[eid]} and {j}",
+                )
+            )
+        else:
+            seen[eid] = j
+    bad_mask = np.argwhere((ds.pert_mask != 0) & (ds.pert_mask != 1))
+    if bad_mask.size:
+        i, j = bad_mask[0]
+        issues.append(
+            ValidationIssue(
+                "mask_not_binary",
+                f"pert_mask[{i}, {j}] = {ds.pert_mask[i, j]} is not in {{0, 1}} "
+                f"({len(bad_mask)} offending entries)",
+            )
+        )
+    neg_dose = np.argwhere(ds.pert_dose < 0)
+    if neg_dose.size:
+        i, j = neg_dose[0]
+        issues.append(
+            ValidationIssue(
+                "negative_dose",
+                f"pert_dose[{i}, {j}] = {ds.pert_dose[i, j]} is negative "
+                f"({len(neg_dose)} offending entries)",
+            )
+        )
+    stray = (ds.pert_mask == 0) & (ds.pert_dose != 0)
+    for i in np.flatnonzero(stray.any(axis=1)):
+        j = int(np.flatnonzero(stray[i])[0])
+        issues.append(
+            ValidationIssue(
+                "dose_without_mask",
+                f"cell {i} has nonzero pert_dose[{i}, {j}] where pert_mask is 0",
+            )
+        )
+    ctrl_nonzero = ds.is_control & (ds.pert_mask.sum(axis=1) > 0)
+    for i in np.flatnonzero(ctrl_nonzero):
+        issues.append(
+            ValidationIssue("control_with_mask", f"control cell {i} has a nonzero pert_mask row")
+        )
+    neg_x = np.argwhere(ds.X < 0)
+    if neg_x.size:
+        i, j = neg_x[0]
+        issues.append(
+            ValidationIssue(
+                "negative_expression",
+                f"X[{i}, {j}] = {ds.X[i, j]} is negative ({len(neg_x)} entries)",
+            )
+        )
+    bad_types = sorted(set(ds.pert_type.tolist()) - set(PERT_TYPES))
+    if bad_types:
+        issues.append(
+            ValidationIssue(
+                "unknown_pert_type",
+                f"pert_type values {bad_types} not in {list(PERT_TYPES)}",
+            )
+        )
+    pattern_names: dict[bytes, tuple[str, int]] = {}
+    reported: set[bytes] = set()
+    for i in range(ds.n_cells):
+        key = ds.pert_mask[i].tobytes() + ds.pert_dose[i].tobytes()
+        name = ds.condition_name[i]
+        if key not in pattern_names:
+            pattern_names[key] = (name, i)
+        elif pattern_names[key][0] != name and key not in reported:
+            first_name, first_row = pattern_names[key]
+            issues.append(
+                ValidationIssue(
+                    "condition_name_conflict",
+                    f"cells {first_row} and {i} share one mask/dose pattern but have "
+                    f"condition names {first_name!r} and {name!r}",
+                )
+            )
+            reported.add(key)
+    return issues

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from helpers import small_canonical
+from pertpipe import bundle
 from pertpipe.bundle import (
     bundle_digest,
     read_canonical_bundle,
@@ -106,3 +110,72 @@ class TestCanonicalBundle:
         (tmp_path / "c" / "pert_mask.u8").write_bytes(b"\x01")
         with pytest.raises(BundleFormatError, match="expected 2"):
             read_canonical_bundle(tmp_path / "c")
+
+
+class TestCrashSafeWrites:
+    def _datasets(self):
+        old = small_canonical(
+            {"control": [[1.0, 0.5]], "A": [[2.0, 0.25]]}, doses={"A": 10.0}
+        )
+        new = small_canonical(
+            {"control": [[3.0, 1.5]], "A": [[4.0, 0.75]]}, doses={"A": 20.0}
+        )
+        return old, new
+
+    def test_failed_overwrite_is_rejected_not_mixed(self, tmp_path, monkeypatch):
+        old, new = self._datasets()
+        write_canonical_bundle(old, tmp_path / "c")
+        real = bundle._write_matrix
+
+        def failing(path, a, dtype):
+            if path.name == "pert_dose.f64":
+                raise OSError("disk full")
+            real(path, a, dtype)
+
+        monkeypatch.setattr(bundle, "_write_matrix", failing)
+        with pytest.raises(OSError, match="disk full"):
+            write_canonical_bundle(new, tmp_path / "c")
+        # X is already new and pert_dose still old: the reader must refuse
+        with pytest.raises(BundleFormatError, match="manifest"):
+            read_canonical_bundle(tmp_path / "c")
+
+    def test_manifest_is_written_last(self, tmp_path, monkeypatch):
+        old, _ = self._datasets()
+        order = []
+        real = bundle.os.replace
+
+        def recording(src, dst):
+            order.append(Path(dst).name)
+            real(src, dst)
+
+        monkeypatch.setattr(bundle.os, "replace", recording)
+        write_canonical_bundle(old, tmp_path / "c")
+        assert order[-1] == "manifest.json"
+        assert sorted(order) == sorted(p.name for p in (tmp_path / "c").iterdir())
+
+    def test_failed_file_write_keeps_old_file_and_no_temporary(self, tmp_path):
+        target = tmp_path / "X.f64"
+        target.write_bytes(b"old")
+
+        def partial(tmp):
+            tmp.write_bytes(b"new but cut")
+            raise OSError("cut")
+
+        with pytest.raises(OSError, match="cut"):
+            bundle._replace_file(target, partial)
+        assert target.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["X.f64"]
+
+
+def test_digest_hashes_large_files_in_chunks(tmp_path):
+    rng = np.random.default_rng(0)
+    table = RawTable(
+        obs={"name": np.array([f"c{i}" for i in range(300)], dtype=object)},
+        var_index=np.array([f"g{j}" for j in range(500)], dtype=object),
+        X=rng.random((300, 500)),  # 1.2 MB, more than one read chunk
+    )
+    write_raw_bundle(table, tmp_path / "raw")
+    h = hashlib.sha256()
+    for f in sorted((tmp_path / "raw").iterdir()):
+        h.update(f.name.encode() + b"\0" + f.read_bytes() + b"\0")
+    assert bundle_digest(tmp_path / "raw") == h.hexdigest()

@@ -137,6 +137,36 @@ class TestUnify:
         )
         assert result.exit_code == 3
 
+    def test_unparsable_json_reply_exits_3(self, runner, raw_bundle_dir, tmp_path):
+        result = runner.invoke(
+            main,
+            [
+                "unify", str(raw_bundle_dir), str(tmp_path / "o"),
+                "--induce", "--llm-transport", "mock",
+                "--mock-response", "```json\n{not json\n```",
+            ],
+        )
+        assert result.exit_code == 3
+        assert _stderr_error(result)["error"]["code"] == "llm_response"
+
+    def test_spec_error_quoting_reply_error_text_exits_2(
+        self, runner, raw_bundle_dir, tmp_path
+    ):
+        # valid JSON whose spec error happens to contain "no fenced JSON block"
+        doc = {"uscp_mapping": {"obs": {"cell_type": {"type": "no fenced JSON block"}}}}
+        result = runner.invoke(
+            main,
+            [
+                "unify", str(raw_bundle_dir), str(tmp_path / "o"),
+                "--induce", "--llm-transport", "mock",
+                "--mock-response", "```json\n" + json.dumps(doc) + "\n```",
+            ],
+        )
+        assert result.exit_code == 2
+        error = _stderr_error(result)["error"]
+        assert error["code"] == "mapping_spec"
+        assert "no fenced JSON block" in error["message"]
+
     def test_requires_exactly_one_mode(self, runner, raw_bundle_dir, tmp_path):
         result = runner.invoke(main, ["unify", str(raw_bundle_dir), str(tmp_path / "o")])
         assert result.exit_code == 1

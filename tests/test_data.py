@@ -49,6 +49,13 @@ class TestNormalizeLog1p:
         with pytest.raises(ValidationError, match=r"X\[1, 1\]"):
             normalize_log1p(X, 1e4, False, True)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("already_log1p", [False, True])
+    def test_non_finite_entry_names_first_offending_cell(self, bad, already_log1p):
+        X = np.array([[1.0, 2.0], [3.0, bad], [bad, 1.0]])
+        with pytest.raises(ValidationError, match=r"non-finite .* X\[1, 1\]"):
+            normalize_log1p(X, 1e4, already_log1p, True)
+
     def test_bad_target_sum(self):
         with pytest.raises(ParameterError):
             normalize_log1p(np.ones((1, 2)), 0.0, False, True)
@@ -332,3 +339,24 @@ class TestValidateCanonical:
         names[1] = "vehicle"
         report = validate_canonical(replace(ds, condition_name=names))
         assert any(i.code == "condition_name_conflict" for i in report.issues)
+
+    def test_non_finite_expression_and_dose(self):
+        # a NaN dose under a set mask bit is out of reach of dose_without_mask
+        ds = small_canonical({"control": [[1.0, 2.0]], "A": [[2.0, 1.0]]})
+        X = ds.X.copy()
+        X[0, 1] = np.nan
+        dose = ds.pert_dose.copy()
+        dose[1, 0] = np.nan
+        report = validate_canonical(replace(ds, X=X, pert_dose=dose))
+        messages = [i.message for i in report.issues if i.code == "non_finite"]
+        assert messages == [
+            "X[0, 1] = nan is not finite (1 entries)",
+            "pert_dose[1, 0] = nan is not finite (1 entries)",
+        ]
+
+    def test_infinite_expression_is_non_finite(self):
+        ds = small_canonical({"control": [[1.0, 2.0]], "A": [[2.0, 1.0]]})
+        X = ds.X.copy()
+        X[1, 0] = np.inf
+        report = validate_canonical(replace(ds, X=X))
+        assert [i.code for i in report.issues] == ["non_finite"]

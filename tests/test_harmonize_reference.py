@@ -1,0 +1,436 @@
+"""Vectorized harmonize code against the per-cell loops it replaced.
+
+Each test draws small inputs with hypothesis and requires the same bytes,
+arrays, warnings and validation issues from the package as from the loop
+references in ``helpers``. The draws favour the cases a value-keyed
+shortcut would get wrong: ``-0.0`` against ``0.0`` (equal values,
+different bytes), ``True``/``1``/``1.0`` (equal and equally hashed), blank
+and empty combo parts, all-control tables and empty vocabularies.
+"""
+
+from __future__ import annotations
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from helpers import (
+    reference_merge_fields,
+    reference_normalize_log1p,
+    reference_perturbation_matrices,
+    reference_tsv_text,
+    reference_validation_issues,
+)
+from pertpipe import unifier
+from pertpipe.bundle import (
+    _write_tsv,
+    bundle_digest,
+    read_canonical_bundle,
+    read_raw_bundle,
+    write_canonical_bundle,
+    write_raw_bundle,
+)
+from pertpipe.data import (
+    CANONICAL_OBS_KEYS,
+    CanonicalDataset,
+    RawTable,
+    ValidationReport,
+    normalize_log1p,
+    validate_canonical,
+)
+from pertpipe.errors import BundleFormatError
+from pertpipe.unifier import MappingSpec, apply_mapping, merge_datasets
+
+_FLOATS = st.sampled_from([0.0, -0.0, 1.0, 0.1, -2.5, 1e300, 5e-324, np.nan, np.inf, -np.inf])
+_OBJECTS = st.one_of(
+    st.text(alphabet="ab +\t\n", max_size=3),
+    st.sampled_from(
+        [True, False, 1, 0, 1.0, 0.0, -0.0, np.bool_(True), np.float64(-0.0),
+         np.float32(0.1), np.int64(1), None, np.nan]
+    ),
+)
+
+
+def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _obs_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and [type(v) for v in a.tolist()] == [
+        type(v) for v in b.tolist()
+    ] and a.tolist() == b.tolist()
+
+
+# --------------------------------------------------------------------------
+# bundle TSV text
+
+
+@st.composite
+def tsv_columns(draw):
+    n = draw(st.integers(0, 5))
+    columns = {}
+    for k in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["f8", "f4", "bool", "i8", "u1", "U", "O"]))
+        if kind in ("f8", "f4"):
+            with np.errstate(over="ignore"):
+                col = np.array(draw(st.lists(_FLOATS, min_size=n, max_size=n))).astype(kind)
+        elif kind == "bool":
+            col = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+        elif kind in ("i8", "u1"):
+            col = np.array(draw(st.lists(st.integers(0, 255), min_size=n, max_size=n)), dtype=kind)
+        elif kind == "U":
+            text = st.text(alphabet="ab +\t", max_size=3)
+            col = np.array(draw(st.lists(text, min_size=n, max_size=n)), dtype=str)
+        else:
+            col = np.empty(n, dtype=object)
+            col[:] = draw(st.lists(_OBJECTS, min_size=n, max_size=n))
+        columns[f"c{k}"] = col
+    return columns
+
+
+@given(tsv_columns())
+@settings(max_examples=200, deadline=None)
+@example({"m": np.array([-0.0, 0.0, True, 1, 1.0, "1"], dtype=object)})
+@example({"f": np.array([-0.0, 0.0, 1.0]), "b": np.array([True, False, True])})
+def test_tsv_text_matches_reference(columns):
+    try:
+        expected, error = reference_tsv_text(columns), None
+    except BundleFormatError as exc:
+        expected, error = None, str(exc)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.tsv"
+        if error is not None:
+            with pytest.raises(BundleFormatError) as info:
+                _write_tsv(path, columns)
+            assert str(info.value) == error
+            assert list(Path(tmp).iterdir()) == []
+        else:
+            _write_tsv(path, columns)
+            assert path.read_text() == expected
+
+
+# --------------------------------------------------------------------------
+# normalize_log1p
+
+
+@given(
+    rows=st.lists(
+        st.lists(st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 0.5, 3.0, 1e6, 1e300]),
+                 min_size=3, max_size=3),
+        min_size=1, max_size=5,
+    ),
+    target=st.sampled_from([1.0, 1e4, 1e300]),
+    already=st.booleans(),
+    normalize=st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_normalize_log1p_matches_reference(rows, target, already, normalize):
+    X = np.array(rows)
+    out = normalize_log1p(X, target, already, normalize)
+    assert _same_bytes(out, reference_normalize_log1p(X, target, already, normalize))
+
+
+# --------------------------------------------------------------------------
+# apply_mapping: vocabulary, mask and dose
+
+
+def _flat_spec(with_pert: bool, with_dose: bool) -> MappingSpec:
+    doc = {
+        "perturbation_type": "drug",
+        "control_status": {"type": "direct", "source_key": "ctrl"},
+        "numerical": {"is_already_log1p": True},
+    }
+    if with_pert:
+        doc["perturbation_name"] = {"type": "direct", "source_key": "pert"}
+    if with_dose:
+        doc["dose_value"] = {"type": "direct", "source_key": "dose"}
+    return MappingSpec.from_dict(doc)
+
+
+def _table(labels, controls, doses):
+    return RawTable(
+        obs={
+            "pert": np.array(labels, dtype=object),
+            "ctrl": np.array(controls, dtype=bool),
+            "dose": np.array(doses, dtype=np.float64),
+        },
+        var_index=np.array(["E0", "E1"], dtype=object),
+        X=np.ones((len(labels), 2)),
+    )
+
+
+@st.composite
+def mapping_tables(draw):
+    n = draw(st.integers(1, 8))
+    delimiter = draw(st.sampled_from(["+", "|"]))
+    labels = draw(st.lists(st.text(alphabet="ab +|", max_size=5), min_size=n, max_size=n))
+    controls = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    doses = draw(st.lists(st.sampled_from([0.0, -0.0, 1.5, 7.0, 1e-300, np.nan]),
+                          min_size=n, max_size=n))
+    table = _table(labels, controls, doses)
+    return table, delimiter, draw(st.booleans()), draw(st.booleans())
+
+
+@given(mapping_tables())
+@settings(max_examples=200, deadline=None)
+@example((_table(["a", "b+a"], [True, True], [1.0, 2.0]), "+", True, True))  # all control
+@example((_table(["", " + ", "+"], [False, False, False], [1.0, 1.0, 1.0]), "+", True, True))
+@example((_table(["a", "a", "a+b"], [False, False, False], [-0.0, 0.0, -0.0]), "+", True, True))
+def test_apply_mapping_matrices_match_reference(case):
+    table, delimiter, with_pert, with_dose = case
+    with pytest.MonkeyPatch.context() as mp:
+        # compare the construction alone; validation has its own reference test
+        mp.setattr(unifier, "validate_canonical", lambda ds: ValidationReport(issues=()))
+        ds = apply_mapping(table, _flat_spec(with_pert, with_dose), combo_delimiter=delimiter)
+    vocab, mask, dose = reference_perturbation_matrices(
+        table.obs["pert"] if with_pert else None,
+        table.obs["ctrl"],
+        table.obs["dose"] if with_dose else None,
+        delimiter,
+    )
+    assert ds.pert_vocab == tuple(vocab)
+    assert _same_bytes(ds.pert_mask, mask)
+    assert _same_bytes(ds.pert_dose, dose)
+
+
+def _reference_scalar_str(v) -> str:
+    if isinstance(v, bool):
+        return "True" if v else "False"
+    return str(v)
+
+
+@given(st.lists(_OBJECTS, min_size=1, max_size=6), st.sampled_from(["O", "f8", "bool"]))
+@settings(max_examples=100, deadline=None)
+def test_str_columns_match_reference(values, kind):
+    if kind == "O":
+        col = np.empty(len(values), dtype=object)
+        col[:] = values
+    else:
+        col = np.array([float(v) if kind == "f8" else bool(v) for v in values
+                        if not isinstance(v, str) and v is not None], dtype=kind)
+    expected = [_reference_scalar_str(v) for v in col.tolist()]
+    assert unifier._as_str_column(col, len(col)).tolist() == expected
+    for v in values:
+        assert unifier._as_str_column(v, 2).tolist() == [_reference_scalar_str(v)] * 2
+
+
+# --------------------------------------------------------------------------
+# merge_datasets
+
+
+@st.composite
+def canonical_parts(draw):
+    parts = []
+    for i in range(draw(st.integers(2, 3))):
+        n = draw(st.integers(0, 5))
+        genes = ["E0"] + draw(st.lists(st.sampled_from(["E1", "E2", "E3"]), unique=True))
+        genes = draw(st.permutations(genes))
+        symbols = [draw(st.sampled_from(["s0", "s1"])) for _ in genes]
+        vocab = draw(st.lists(st.sampled_from(["a", "b", "c"]), unique=True))
+        p = len(vocab)
+        mask = np.array(
+            draw(st.lists(st.lists(st.sampled_from([0, 1]), min_size=p, max_size=p),
+                          min_size=n, max_size=n)),
+            dtype=np.uint8,
+        ).reshape(n, p)
+        on = st.sampled_from([0.0, -0.0, 1.0, 2.5])
+        off = st.sampled_from([0.0, -0.0])
+        dose = np.array(
+            [[draw(on if m else off) for m in row] for row in mask.tolist()], dtype=np.float64
+        ).reshape(n, p)
+        control = [not row.any() and draw(st.booleans()) for row in mask]
+        pick = lambda pool: np.array(  # noqa: E731
+            draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)), dtype=object
+        )
+        extra = {}
+        for key in draw(st.lists(st.sampled_from(["plate", "source_dataset"]), unique=True)):
+            extra[key] = pick(["p0", "p1"])
+        parts.append(
+            CanonicalDataset(
+                cell_type=pick(["t0", "t1"]),
+                batch_id=pick([f"b{i}"]),
+                donor_id=pick(["d0"]),
+                pert_type=np.array(["control" if c else "drug" for c in control], dtype=object),
+                is_control=np.array(control, dtype=bool),
+                condition_name=pick(["x", "y", "z"]),
+                X=np.array(
+                    draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5]),
+                                  min_size=n * len(genes), max_size=n * len(genes)))
+                ).reshape(n, len(genes)),
+                pert_mask=mask,
+                pert_dose=dose,
+                ensembl_id=np.array(genes, dtype=object),
+                gene_symbol=np.array(symbols, dtype=object),
+                pert_vocab=tuple(vocab),
+                extra_obs=extra,
+            )
+        )
+    return parts
+
+
+@given(canonical_parts())
+@settings(max_examples=200, deadline=None)
+def test_merge_matches_reference(parts):
+    merged = merge_datasets(parts)
+    fields, warnings = reference_merge_fields(parts)
+    assert list(merged.warnings) == warnings
+    ds = merged.dataset
+    for key in CANONICAL_OBS_KEYS:
+        assert _obs_equal(getattr(ds, key), fields[key]), key
+    for key in ("X", "pert_mask", "pert_dose"):
+        assert _same_bytes(getattr(ds, key), fields[key]), key
+    assert ds.ensembl_id.tolist() == fields["ensembl_id"].tolist()
+    assert ds.gene_symbol.tolist() == fields["gene_symbol"].tolist()
+    assert ds.pert_vocab == fields["pert_vocab"]
+    assert ds.extra_obs.keys() == fields["extra_obs"].keys()
+    for key, col in fields["extra_obs"].items():
+        assert _obs_equal(ds.extra_obs[key], col), key
+
+
+# --------------------------------------------------------------------------
+# validate_canonical
+
+
+@st.composite
+def canonical_datasets(draw, text=st.sampled_from(["x", "y"])):
+    n = draw(st.integers(0, 6))
+    p = draw(st.integers(0, 3))
+    g = draw(st.integers(1, 3))
+
+    def grid(values, rows, cols, dtype):
+        flat = draw(st.lists(values, min_size=rows * cols, max_size=rows * cols))
+        return np.array(flat, dtype=dtype).reshape(rows, cols)
+
+    def column(values, dtype=object):
+        return np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=dtype)
+
+    return CanonicalDataset(
+        cell_type=column(text),
+        batch_id=column(text),
+        donor_id=column(text),
+        pert_type=column(st.sampled_from(["drug", "control", "bogus"])),
+        is_control=column(st.booleans(), bool),
+        condition_name=column(text),
+        X=grid(_FLOATS, n, g, np.float64),
+        pert_mask=grid(st.sampled_from([0, 1, 1, 2]), n, p, np.uint8),
+        pert_dose=grid(st.sampled_from([0.0, 0.0, -0.0, 1.0, -1.0, np.nan, np.inf]), n, p,
+                       np.float64),
+        ensembl_id=np.array(draw(st.lists(st.sampled_from(["E0", "E1"]), min_size=g,
+                                          max_size=g)), dtype=object),
+        gene_symbol=np.array(["s"] * g, dtype=object),
+        pert_vocab=tuple(f"v{j}" for j in range(p)),
+        extra_obs={"plate": column(text)} if draw(st.booleans()) else {},
+    )
+
+
+def _two_conflicts_out_of_order() -> CanonicalDataset:
+    # pattern groups {0, 3} and {1, 2}: the later group conflicts first
+    n = 4
+    text = np.array(["t"] * n, dtype=object)
+    return CanonicalDataset(
+        cell_type=text, batch_id=text, donor_id=text,
+        pert_type=np.array(["drug"] * n, dtype=object),
+        is_control=np.zeros(n, dtype=bool),
+        condition_name=np.array(["x", "x", "y", "y"], dtype=object),
+        X=np.ones((n, 1)),
+        pert_mask=np.array([[1], [0], [0], [1]], dtype=np.uint8),
+        pert_dose=np.zeros((n, 1)),
+        ensembl_id=np.array(["E0"], dtype=object),
+        gene_symbol=np.array(["s"], dtype=object),
+        pert_vocab=("v0",),
+    )
+
+
+@given(canonical_datasets())
+@settings(max_examples=200, deadline=None)
+@example(_two_conflicts_out_of_order())
+def test_validation_issues_match_reference(ds):
+    issues = validate_canonical(ds).issues
+    assert [i for i in issues if i.code != "non_finite"] == reference_validation_issues(ds)
+    flagged = {i.message.split("[")[0] for i in issues if i.code == "non_finite"}
+    expected = {name for name in ("X", "pert_dose")
+                if not np.isfinite(getattr(ds, name)).all()}
+    assert flagged == expected
+
+
+# --------------------------------------------------------------------------
+# bundle round trips
+
+
+_SAFE_TEXT = st.text(alphabet="ab c+_-.", min_size=1, max_size=4)
+
+
+@given(canonical_datasets(text=_SAFE_TEXT))
+@settings(max_examples=100, deadline=None)
+def test_canonical_bundle_round_trip_and_stable_digest(ds):
+    with tempfile.TemporaryDirectory() as tmp:
+        one, two, again = Path(tmp) / "one", Path(tmp) / "two", Path(tmp) / "again"
+        write_canonical_bundle(ds, one)
+        write_canonical_bundle(ds, two)
+        back = read_canonical_bundle(one)
+        for key in ("X", "pert_mask", "pert_dose", "is_control"):
+            assert _same_bytes(getattr(back, key), getattr(ds, key)), key
+        for key in ("cell_type", "batch_id", "donor_id", "pert_type", "condition_name",
+                    "ensembl_id", "gene_symbol"):
+            assert getattr(back, key).tolist() == getattr(ds, key).tolist(), key
+        assert back.pert_vocab == ds.pert_vocab
+        assert {k: v.tolist() for k, v in back.extra_obs.items()} == {
+            k: v.tolist() for k, v in ds.extra_obs.items()
+        }
+        write_canonical_bundle(back, again)
+        assert bundle_digest(one) == bundle_digest(two) == bundle_digest(again)
+        assert sorted(p.name for p in one.iterdir()) == [
+            "X.f64", "manifest.json", "obs.tsv", "pert_dose.f64", "pert_mask.u8", "var.tsv",
+        ]
+
+
+@st.composite
+def raw_tables(draw):
+    n = draw(st.integers(1, 5))
+    obs = {}
+    for k in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["float", "bool", "str"]))
+        if kind == "float":
+            obs[f"c{k}"] = np.array(draw(st.lists(_FLOATS, min_size=n, max_size=n)))
+        elif kind == "bool":
+            obs[f"c{k}"] = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        else:
+            obs[f"c{k}"] = np.array(
+                draw(st.lists(_SAFE_TEXT, min_size=n, max_size=n)), dtype=object
+            )
+    g = draw(st.integers(1, 3))
+    X = np.array(draw(st.lists(_FLOATS, min_size=n * g, max_size=n * g))).reshape(n, g)
+    obsm = {"emb": X[:, :1] * 2} if draw(st.booleans()) else {}
+    return RawTable(
+        obs=obs,
+        var_index=np.array([f"E{j}" for j in range(g)], dtype=object),
+        var_columns={"sym": np.array([f"S{j}" for j in range(g)], dtype=object)},
+        X=X,
+        obsm=obsm,
+    )
+
+
+@given(raw_tables())
+@settings(max_examples=100, deadline=None)
+def test_raw_bundle_round_trip_and_stable_digest(table):
+    with tempfile.TemporaryDirectory() as tmp:
+        one, again = Path(tmp) / "one", Path(tmp) / "again"
+        write_raw_bundle(table, one)
+        back = read_raw_bundle(one)
+        assert back.obs.keys() == table.obs.keys()
+        for key, col in table.obs.items():
+            assert back.obs[key].dtype.kind == ("O" if col.dtype == object else col.dtype.kind)
+            if col.dtype == object:
+                assert back.obs[key].tolist() == col.tolist()
+            else:
+                assert _same_bytes(back.obs[key], col)
+        assert _same_bytes(back.X, table.X)
+        assert back.obsm.keys() == table.obsm.keys()
+        for key, m in table.obsm.items():
+            assert _same_bytes(back.obsm[key], m)
+        write_raw_bundle(back, again)
+        assert bundle_digest(one) == bundle_digest(again)

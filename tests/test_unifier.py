@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pertpipe.data import RawTable, validate_canonical
-from pertpipe.errors import MappingError, ParameterError, TransportError
+from pertpipe.errors import LlmReplyError, MappingError, ParameterError, TransportError
 from pertpipe.llm import LlmClient
 from pertpipe.unifier import (
     Absent,
@@ -143,8 +143,15 @@ class TestMappingSpecLoading:
         assert "source_key" in message
 
     def test_from_json_rejects_non_json(self):
-        with pytest.raises(MappingError, match="not valid JSON"):
+        with pytest.raises(MappingError, match="not valid JSON") as err:
             MappingSpec.from_json("{broken")
+        assert not isinstance(err.value, LlmReplyError)
+
+    def test_non_json_reply_is_an_unusable_reply(self):
+        with pytest.raises(LlmReplyError, match="not valid JSON"):
+            MappingSpec.from_json("{broken", raw_response="```json\n{broken\n```")
+        with pytest.raises(LlmReplyError, match="no fenced JSON block"):
+            extract_json_block("no mapping here")
 
 
 def dict_flat_with_control(expr: str) -> dict:
@@ -237,6 +244,16 @@ class TestApplyMapping:
         for i in np.flatnonzero(drug_raw_table.obs["drug_id"] == "drugA"):
             assert ds.pert_dose[i, a] == 10000.0
         assert validate_canonical(ds).ok
+
+    def test_nan_dose_under_mask_is_rejected(self, drug_raw_table, flat_form_mapping):
+        obs = dict(drug_raw_table.obs)
+        conc = obs["conc_um"].copy()
+        conc[1] = "nan"  # drugA, so its mask bit is set
+        obs["conc_um"] = conc
+        table = RawTable(obs=obs, var_index=drug_raw_table.var_index,
+                         var_columns=drug_raw_table.var_columns, X=drug_raw_table.X)
+        with pytest.raises(MappingError, match=r"non_finite.*pert_dose\[1, 0\]"):
+            apply_mapping(table, MappingSpec.from_dict(flat_form_mapping))
 
     def test_absent_donor_defaults_to_unknown(self, drug_raw_table):
         spec = MappingSpec.from_dict(
