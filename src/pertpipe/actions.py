@@ -36,7 +36,7 @@ class HyperparamPoint:
     dropout: float
 
 
-# the fixed grid the default proposer walks; h0 is the materialization default
+# the fixed grid of hyperparameter refinements; h0 is the materialization default
 HYPERPARAM_GRID = (
     HyperparamPoint("h0", learning_rate=1e-2, reg_strength=1e-2, dropout=0.0),
     HyperparamPoint("h1", learning_rate=1e-3, reg_strength=1e-1, dropout=0.0),
@@ -47,16 +47,6 @@ HYPERPARAM_GRID = (
 _GRID_BY_NAME = {p.name: p for p in HYPERPARAM_GRID}
 
 DEBUG_ACTION = "debug"
-
-
-class GridProposer:
-    """Default deterministic proposer: refinement values come from the fixed grid."""
-
-    def hyperparam_points(self) -> tuple[HyperparamPoint, ...]:
-        return HYPERPARAM_GRID
-
-    def losses(self) -> tuple[str, ...]:
-        return LOSSES
 
 
 def action_kind(action: str) -> str:
@@ -96,9 +86,8 @@ class Candidate:
         return base + "/fixed" if self.debug_fixed else base
 
 
-def materialize(path: tuple[str, ...], proposer: GridProposer | None = None) -> Candidate:
+def materialize(path: tuple[str, ...]) -> Candidate:
     """Fill a (possibly partial) action path into a full candidate."""
-    proposer = proposer or GridProposer()
     paradigm = None
     backbone = None
     point = None
@@ -128,8 +117,8 @@ def materialize(path: tuple[str, ...], proposer: GridProposer | None = None) -> 
     return Candidate(
         paradigm=paradigm,
         backbone=backbone,
-        hyperparams=point or proposer.hyperparam_points()[0],
-        loss=loss or proposer.losses()[0],
+        hyperparams=point or HYPERPARAM_GRID[0],
+        loss=loss or LOSSES[0],
         debug_fixed=debug_fixed,
     )
 
@@ -154,7 +143,6 @@ def legal_actions(
     path: tuple[str, ...],
     status: str = "valid",
     mode: str = "hierarchical",
-    proposer: GridProposer | None = None,
 ) -> tuple[str, ...]:
     """Actions available below a node with the given action path.
 
@@ -164,7 +152,6 @@ def legal_actions(
     every depth after the paradigm. In both modes a bug node additionally
     offers the debug action.
     """
-    proposer = proposer or GridProposer()
     kinds = [action_kind(a) for a in path if action_kind(a) != "debug"]
     actions: list[str] = []
     paradigm = next(
@@ -190,11 +177,9 @@ def legal_actions(
             actions.extend(f"backbone:{b}" for b in BACKBONES[paradigm])
         if offer_refinements:
             if not hyperparam_taken:
-                actions.extend(
-                    f"hyperparam:{p.name}" for p in proposer.hyperparam_points()
-                )
+                actions.extend(f"hyperparam:{p.name}" for p in HYPERPARAM_GRID)
             if not loss_taken:
-                actions.extend(f"loss:{l}" for l in proposer.losses())
+                actions.extend(f"loss:{l}" for l in LOSSES)
     if status == "bug":
         actions.append(DEBUG_ACTION)
     return tuple(actions)
@@ -214,20 +199,12 @@ def validate_action_path(path: tuple[str, ...], mode: str = "hierarchical") -> N
         prefix = prefix + (action,)
 
 
-def enumerate_candidates(proposer: GridProposer | None = None) -> tuple[Candidate, ...]:
+def enumerate_candidates() -> tuple[Candidate, ...]:
     """Every hierarchy-legal materialized candidate, in canonical order."""
-    proposer = proposer or GridProposer()
-    out = []
-    for paradigm in PARADIGMS:
-        for backbone in BACKBONES[paradigm]:
-            for point in proposer.hyperparam_points():
-                for loss in proposer.losses():
-                    out.append(
-                        Candidate(
-                            paradigm=paradigm,
-                            backbone=backbone,
-                            hyperparams=point,
-                            loss=loss,
-                        )
-                    )
-    return tuple(out)
+    return tuple(
+        Candidate(paradigm=paradigm, backbone=backbone, hyperparams=point, loss=loss)
+        for paradigm in PARADIGMS
+        for backbone in BACKBONES[paradigm]
+        for point in HYPERPARAM_GRID
+        for loss in LOSSES
+    )

@@ -77,11 +77,14 @@ def _write_tsv(path: Path, columns: dict[str, np.ndarray]) -> None:
 
 
 def _read_tsv(path: Path) -> dict[str, list[str]]:
-    text = path.read_text()
-    lines = [ln for ln in text.split("\n") if ln != ""]
-    if not lines:
-        raise BundleFormatError(f"{path} is empty")
+    lines = path.read_text().removesuffix("\n").split("\n")
     names = lines[0].split("\t")
+    if len(names) > 1:
+        # in a one-column table an empty line is a row holding "", wider
+        # tables skip blank lines
+        lines = [ln for ln in lines if ln != ""]
+    if not lines or lines[0] == "":
+        raise BundleFormatError(f"{path} is empty")
     columns: dict[str, list[str]] = {name: [] for name in names}
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split("\t")

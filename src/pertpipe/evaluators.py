@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .actions import Candidate, GridProposer, enumerate_candidates
+from .actions import Candidate, enumerate_candidates
 from .data import (
     CanonicalDataset,
     SplitAssignment,
@@ -193,37 +193,72 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[CanonicalDataset, GroundTr
 # surrogate evaluator
 
 
-def _winsorize(D: np.ndarray) -> np.ndarray:
-    """One-pass per-gene clipping at 1.345 sigma: the robust-loss analog."""
-    mu = D.mean(axis=0)
-    sigma = D.std(axis=0)
-    lo = mu - _HUBER_C * sigma
-    hi = mu + _HUBER_C * sigma
-    return np.clip(D, lo, hi)
-
-
 @dataclass(frozen=True)
 class _SplitStats:
     """Everything a surrogate evaluation needs that no candidate changes."""
 
-    train_pert: np.ndarray  # perturbed train cells
+    rows: np.ndarray  # perturbed train cells, grouped by condition in index_of order
+    counts: np.ndarray  # (m,) cells per train condition
     y_ctrl: np.ndarray  # train control mean
-    codes: np.ndarray  # per perturbed train cell, its condition's row in index_of
     index_of: dict[str, int]  # sorted train condition names -> row
-    Z: np.ndarray  # one-hot condition design plus an intercept column
-    ZtZ: np.ndarray
     val_deltas: tuple[tuple[str, np.ndarray], ...]  # (condition, truth shift)
     gene_mask: np.ndarray  # pathway_gene_mask of the dataset
 
 
 @dataclass(frozen=True)
 class _LossView:
-    """Per-condition statistics of the train shift matrix under one loss."""
+    """Per-condition sufficient statistics of the train shifts under one loss."""
 
+    sums: np.ndarray  # (m, g) per-condition sums of the shifts
     cond_means: np.ndarray  # (m, g)
-    grand: np.ndarray
-    ZtD: np.ndarray  # (m + 1, g)
-    var_within: np.ndarray  # mean over conditions of the within-condition variance
+    cond_vars: np.ndarray  # (m, g) within-condition variances
+    grand: np.ndarray  # mean of the condition means
+    var_between: np.ndarray  # variance of the condition means
+    var_within: np.ndarray  # mean of the within-condition variances
+
+
+def _loss_view(X: np.ndarray, stats: _SplitStats, clip=None) -> _LossView:
+    """Shift statistics gathered one condition block at a time.
+
+    Each block is the condition's rows of ``X`` minus the train control
+    mean, clipped per gene to ``clip = (lo, hi)`` for the robust loss, so
+    no n x g shift matrix is ever held.
+    """
+    m, g = stats.counts.size, X.shape[1]
+    sums = np.empty((m, g))
+    cond_vars = np.empty((m, g))
+    start = 0
+    for i, end in enumerate(np.cumsum(stats.counts).tolist()):
+        block = X[stats.rows[start:end]]
+        block -= stats.y_ctrl
+        if clip is not None:
+            np.clip(block, *clip, out=block)
+        block.sum(axis=0, out=sums[i])
+        cond_vars[i] = block.var(axis=0)
+        start = end
+    cond_means = sums / stats.counts[:, None]
+    return _LossView(
+        sums=sums,
+        cond_means=cond_means,
+        cond_vars=cond_vars,
+        grand=cond_means.mean(axis=0),
+        var_between=cond_means.var(axis=0),
+        var_within=cond_vars.mean(axis=0),
+    )
+
+
+def _huber_bounds(stats: _SplitStats, mse: _LossView) -> tuple[np.ndarray, np.ndarray]:
+    """Per-gene clip bounds at 1.345 sigma of all train shifts: the robust-loss analog.
+
+    The mean and standard deviation over every perturbed train cell are
+    pooled from the per-condition counts, means and variances (law of
+    total variance).
+    """
+    n = stats.counts.sum()
+    mu = mse.sums.sum(axis=0) / n
+    var = (stats.counts @ mse.cond_vars + stats.counts @ (mse.cond_means - mu) ** 2) / n
+    sigma = np.sqrt(var)
+    return mu - _HUBER_C * sigma, mu + _HUBER_C * sigma
 
 
 class SurrogateEvaluator:
@@ -234,12 +269,17 @@ class SurrogateEvaluator:
     the clamped mean DeltaPCC. Execution time is a deterministic per-family
     cost table scaled by data size, never the wall clock.
 
-    Statistics that no candidate changes are built once, on first use: the
-    split views, control means, the condition design and the val truth
-    shifts, then per loss the condition means, ``Z^T D`` and the
-    within-condition variance. The n x g shift matrix ``D`` itself is
-    dropped once its loss view is built. A candidate then costs one small
-    ridge solve or an O(m * g) expression plus scoring.
+    Every family fits from per-condition sufficient statistics, built once
+    on first use: the split views, control means and val truth shifts, then
+    per loss the per-condition counts, sums, means and variances of the
+    train shifts, gathered one condition block at a time (the huber clip
+    bounds are pooled from the mse statistics). The ridge families solve
+    the one-hot ridge in closed form over counts, so a candidate costs
+    O(m * g) plus scoring and no n x g shift matrix is ever held.
+
+    Inputs that are degenerate (a split without the cells a fit needs) or
+    not finite (NaN or inf in the cells a fit reads) make every candidate
+    fail with an error naming the problem.
     """
 
     def __init__(self, dataset: CanonicalDataset, split: SplitAssignment):
@@ -250,15 +290,12 @@ class SurrogateEvaluator:
     def evaluate(self, candidate: Candidate, seed: int) -> EvalOutcome:
         sim_time = self._simulated_time(candidate)
         stats = self._stats
-        if stats is None:
-            return EvalOutcome(
-                m_val=None,
-                t_exec=sim_time,
-                error="degenerate split: train needs control and perturbed cells "
-                "and val needs perturbed cells",
-            )
+        if isinstance(stats, str):
+            return EvalOutcome(m_val=None, t_exec=sim_time, error=stats)
         reg = candidate.hyperparams.reg_strength * (1.0 + candidate.hyperparams.dropout)
-        predict = self._fit_family(candidate.backbone, stats, self._view(candidate.loss), reg)
+        predict = self._fit_family(
+            candidate.backbone, stats, self._view(stats, candidate.loss), reg
+        )
         scores = []
         for condition, true_delta in stats.val_deltas:
             try:
@@ -270,8 +307,8 @@ class SurrogateEvaluator:
         return EvalOutcome(m_val=max(0.0, float(np.mean(scores))), t_exec=sim_time)
 
     @cached_property
-    def _stats(self) -> _SplitStats | None:
-        """Candidate-invariant split statistics; None when the split is degenerate."""
+    def _stats(self) -> _SplitStats | str:
+        """Candidate-invariant split statistics, or why no candidate can be scored."""
         ds = self.dataset
         train = self.split.indices("train")
         val = self.split.indices("val")
@@ -280,53 +317,45 @@ class SurrogateEvaluator:
         val_pert = val[~ds.is_control[val]]
         val_ctrl = val[ds.is_control[val]]
         if train_ctrl.size == 0 or train_pert.size == 0 or val_pert.size == 0:
-            return None
+            return (
+                "degenerate split: train needs control and perturbed cells "
+                "and val needs perturbed cells"
+            )
 
         y_ctrl = ds.X[train_ctrl].mean(axis=0)
         # truth shifts reference the val split's own control so their noise is
         # independent of the fitted shift; falls back to the train control
         # when the val split carries no control cells
         y_ctrl_val = ds.X[val_ctrl].mean(axis=0) if val_ctrl.size else y_ctrl
-        train_conds = ds.condition_name[train_pert].tolist()
-        index_of = {c: i for i, c in enumerate(sorted(set(train_conds)))}
-        codes = np.array([index_of[c] for c in train_conds])
-        m = len(index_of)
-        Z = np.zeros((train_pert.size, m + 1))
-        Z[np.arange(train_pert.size), codes] = 1.0
-        Z[:, m] = 1.0
-        return _SplitStats(
-            train_pert=train_pert,
+        names, codes = np.unique(ds.condition_name[train_pert], return_inverse=True)
+        stats = _SplitStats(
+            rows=train_pert[np.argsort(codes, kind="stable")],
+            counts=np.bincount(codes),
             y_ctrl=y_ctrl,
-            codes=codes,
-            index_of=index_of,
-            Z=Z,
-            ZtZ=Z.T @ Z,
+            index_of={c: i for i, c in enumerate(names.tolist())},
             val_deltas=tuple(
                 (p.condition_name, p.mean_expr - y_ctrl_val)
                 for p in pseudo_bulk(ds, val_pert)
             ),
             gene_mask=pathway_gene_mask(ds.ensembl_id),
         )
+        with np.errstate(invalid="ignore"):  # inf - inf in a variance is reported below
+            mse = self._views["mse"] = _loss_view(ds.X, stats)
+        # NaN and inf survive every sum, so these aggregates see each cell read
+        for cells, aggregate in (
+            ("train control", y_ctrl),
+            ("val", np.array([delta for _, delta in stats.val_deltas])),
+            ("perturbed train", mse.sums),
+        ):
+            if not np.isfinite(aggregate).all():
+                return f"non-finite input: X holds NaN or inf in the {cells} cells"
+        return stats
 
-    def _view(self, loss: str) -> _LossView:
+    def _view(self, stats: _SplitStats, loss: str) -> _LossView:
         view = self._views.get(loss)
-        if view is None:
-            stats = self._stats
-            D = self.dataset.X[stats.train_pert] - stats.y_ctrl
-            if loss == "huber":
-                D = _winsorize(D)
-            means, within = [], []
-            for i in range(len(stats.index_of)):
-                rows = D[stats.codes == i]
-                means.append(rows.mean(axis=0))
-                within.append(rows.var(axis=0))
-            cond_means = np.vstack(means)
-            view = self._views[loss] = _LossView(
-                cond_means=cond_means,
-                grand=cond_means.mean(axis=0),
-                ZtD=stats.Z.T @ D,
-                var_within=np.mean(within, axis=0),
-            )
+        if view is None:  # only the huber view is built here, from the mse one
+            clip = _huber_bounds(stats, self._views["mse"])
+            view = self._views[loss] = _loss_view(self.dataset.X, stats, clip)
         return view
 
     def _simulated_time(self, candidate: Candidate) -> float:
@@ -346,23 +375,26 @@ class SurrogateEvaluator:
         grand = view.grand
 
         if backbone in ("resnet", "pathway_masked"):
-            m = len(index_of)
-            beta = np.linalg.solve(stats.ZtZ + reg * np.eye(m + 1), view.ZtD)
-            intercept = beta[m]
-            if backbone == "pathway_masked":
-                beta = beta * stats.gene_mask[None, :]
-                intercept = intercept * stats.gene_mask
+            # ridge on a one-hot condition design plus an intercept, every
+            # coefficient penalized: the normal equations form an arrowhead
+            # system whose solution is, with shrink_i = 1 / (c_i + reg),
+            #   intercept = sum_i shrink_i S_i / (1 + sum_i c_i shrink_i)
+            #   beta_i + intercept = shrink_i (S_i + reg * intercept)
+            shrink = 1.0 / (stats.counts + reg)
+            intercept = (shrink @ view.sums) / (1.0 + float(stats.counts @ shrink))
+            mask = stats.gene_mask if backbone == "pathway_masked" else None
 
             def predict(cond: str) -> np.ndarray:
+                shift = intercept
                 if cond in index_of:
-                    return beta[index_of[cond]] + intercept
-                return intercept
+                    i = index_of[cond]
+                    shift = shrink[i] * (view.sums[i] + reg * intercept)
+                return shift if mask is None else shift * mask
 
             return predict
 
         if backbone == "gated_mlp":
-            var_between = cond_means.var(axis=0)
-            gate = var_between / (var_between + reg * view.var_within + 1e-12)
+            gate = view.var_between / (view.var_between + reg * view.var_within + 1e-12)
 
             def predict(cond: str) -> np.ndarray:
                 base = cond_means[index_of[cond]] if cond in index_of else grand
@@ -372,7 +404,7 @@ class SurrogateEvaluator:
 
         if backbone == "conditional_vae":
             m = len(index_of)
-            spread = cond_means.var(axis=0)
+            spread = view.var_between
             kappa = grand**2 / (grand**2 + spread / max(m, 1) + reg / max(m, 1) + 1e-12)
 
             def predict(cond: str) -> np.ndarray:
@@ -503,14 +535,12 @@ class ExhaustiveResult:
         return "\n".join(lines) + "\n"
 
 
-def exhaustive_best(
-    evaluator, seed: int, proposer: GridProposer | None = None
-) -> ExhaustiveResult:
+def exhaustive_best(evaluator, seed: int) -> ExhaustiveResult:
     """Evaluate every hierarchy-legal candidate once; ties keep the first."""
     rows: list[ExhaustiveRow] = []
     best: Candidate | None = None
     best_m: float | None = None
-    for candidate in enumerate_candidates(proposer):
+    for candidate in enumerate_candidates():
         outcome = evaluator.evaluate(candidate, seed)
         rows.append(
             ExhaustiveRow(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 import time
 from dataclasses import dataclass
@@ -257,12 +258,12 @@ class KnowledgeBase:
                 f"entry embedding dimension {entry.embedding.shape[0]} "
                 f"does not match store dimension {self.dim}"
             )
-        is_new = not self.path.exists() or self.path.stat().st_size == 0
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "a") as fh:
             _flock(fh)
             try:
-                if is_new:
+                # decided under the lock, so only the first writer adds a header
+                if os.fstat(fh.fileno()).st_size == 0:
                     fh.write(
                         json.dumps({"kb_version": KB_VERSION, "dim": self.dim}) + "\n"
                     )

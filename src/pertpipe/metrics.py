@@ -50,11 +50,30 @@ def delta_pcc(delta: np.ndarray, delta_hat: np.ndarray) -> float:
     return float(np.clip((a * b).sum() / denom, -1.0, 1.0))
 
 
+# norms whose square stays a normal float, so ``np.linalg.norm`` keeps full precision
+_NORM_RANGE = (np.sqrt(np.finfo(np.float64).tiny), np.sqrt(np.finfo(np.float64).max))
+
+
+def _in_norm_range(v: np.ndarray) -> np.ndarray:
+    """``v``, or ``v`` over its largest magnitude when its squared norm under- or overflows."""
+    with np.errstate(over="ignore"):
+        if _NORM_RANGE[0] <= np.linalg.norm(v) <= _NORM_RANGE[1]:
+            return v
+    peak = np.abs(v).max()
+    return v / peak if 0.0 < peak < np.inf else v
+
+
 def cos_logfc(delta: np.ndarray, delta_hat: np.ndarray) -> float:
-    """Cosine similarity of true vs predicted shift vectors."""
+    """Cosine similarity of true vs predicted shift vectors.
+
+    A vector whose squared norm leaves the normal float range (a tiny but
+    nonzero shift, say) is rescaled by its largest magnitude first, which
+    leaves the cosine unchanged; any other input is used as it is.
+    """
     delta = np.asarray(delta, dtype=np.float64)
     delta_hat = np.asarray(delta_hat, dtype=np.float64)
     _check_lengths(delta, delta_hat)
+    delta, delta_hat = _in_norm_range(delta), _in_norm_range(delta_hat)
     denom = np.linalg.norm(delta) * np.linalg.norm(delta_hat)
     if denom == 0:
         raise UndefinedMetric("a shift vector has zero norm")

@@ -32,7 +32,6 @@ import numpy as np
 from .actions import (
     Candidate,
     DEBUG_ACTION,
-    GridProposer,
     legal_actions,
     materialize,
     validate_action_path,
@@ -190,10 +189,9 @@ class SearchResult:
 
 
 class _Engine:
-    def __init__(self, config: SearchConfig, evaluator, proposer):
+    def __init__(self, config: SearchConfig, evaluator):
         self.config = config
         self.evaluator = evaluator
-        self.proposer = proposer or GridProposer()
         self.rng = np.random.default_rng(config.seed)
         self.node_count = 0
         self.root = self._new_node(None, 0, ())
@@ -208,12 +206,7 @@ class _Engine:
 
     def _untried(self, node: Node) -> list[str]:
         if node.untried is None:
-            legal = list(
-                legal_actions(
-                    node.path, status=node.status, mode=self.config.mode,
-                    proposer=self.proposer,
-                )
-            )
+            legal = list(legal_actions(node.path, status=node.status, mode=self.config.mode))
             order = self.rng.permutation(len(legal))
             node.untried = [legal[i] for i in order]
         return node.untried
@@ -268,7 +261,7 @@ class _Engine:
             return path, False  # terminal leaf revisit
 
     def simulate(self, node: Node) -> EvalOutcome:
-        candidate = materialize(node.path, self.proposer)
+        candidate = materialize(node.path)
         outcome = self.outcomes.get(candidate)
         if outcome is None:
             outcome = self.evaluator.evaluate(candidate, self.config.seed)
@@ -304,7 +297,6 @@ def run_search(
     config: SearchConfig,
     evaluator,
     retrieval: RetrievalResult | None = None,
-    proposer: GridProposer | None = None,
 ) -> SearchResult:
     """Run up to n_sim select/expand/simulate/backpropagate iterations.
 
@@ -314,7 +306,7 @@ def run_search(
     Returns the best valid candidate by reward plus the full per-iteration
     trajectory and the tree.
     """
-    engine = _Engine(config, evaluator, proposer)
+    engine = _Engine(config, evaluator)
     if retrieval is not None and retrieval.mode == "warm_start" and retrieval.epsilon0:
         engine.inject_path(tuple(retrieval.epsilon0))
 
@@ -367,7 +359,7 @@ def run_search(
             n_expansions=engine.n_expansions,
         )
     return SearchResult(
-        best_candidate=materialize(best_node.path, engine.proposer),
+        best_candidate=materialize(best_node.path),
         best_reward=best[0],
         best_m_val=best_outcome.m_val if best_outcome else None,
         best_path=best_node.path,

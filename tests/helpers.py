@@ -4,10 +4,12 @@ The metric oracle here is a deliberately naive pure-Python reimplementation
 (no shared code with the package) used to cross-check the vectorized
 implementations. The expression generator draws ASTs from the grammar's
 derivation space, so every generated tree is reachable by the parser. The
-surrogate reference recomputes everything per candidate, the way the
-evaluator did before it cached candidate-invariant statistics. The
-harmonize references keep the per-cell loops that bundle writes, mapping
-application, merging and validation ran before they were vectorized.
+surrogate reference recomputes everything per candidate from the full
+n x g shift matrix, with a dense ridge solve and a direct winsorization,
+the way the evaluator did before it fitted from per-condition sufficient
+statistics. The harmonize references keep the per-cell loops that bundle
+writes, mapping application, merging and validation ran before they were
+vectorized.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from pertpipe.data import (
     pseudo_bulk,
 )
 from pertpipe.errors import BundleFormatError
-from pertpipe.evaluators import _FAMILY_COST, _winsorize, pathway_gene_mask
+from pertpipe.evaluators import _FAMILY_COST, _HUBER_C, pathway_gene_mask
 from pertpipe.metrics import UndefinedMetric, delta_pcc
 from pertpipe.search import EvalOutcome
 
@@ -220,6 +222,13 @@ def small_canonical(
 # per-candidate surrogate reference (no state shared between candidates)
 
 
+def _winsorize(D: np.ndarray) -> np.ndarray:
+    """One-pass per-gene clipping at 1.345 sigma: the robust-loss analog."""
+    mu = D.mean(axis=0)
+    sigma = D.std(axis=0)
+    return np.clip(D, mu - _HUBER_C * sigma, mu + _HUBER_C * sigma)
+
+
 def reference_surrogate_evaluate(ds, split, candidate) -> EvalOutcome:
     """What ``SurrogateEvaluator.evaluate`` must return, recomputed for each candidate."""
     train = split.indices("train")
@@ -265,6 +274,19 @@ def reference_surrogate_evaluate(ds, split, candidate) -> EvalOutcome:
     if not scores:
         return EvalOutcome(m_val=None, t_exec=sim_time, error=None)
     return EvalOutcome(m_val=max(0.0, float(np.mean(scores))), t_exec=sim_time)
+
+
+def assert_outcome_close(out: EvalOutcome, expected: EvalOutcome, what: str = "") -> None:
+    """``out`` equals ``expected`` except for a relative 1e-9 in ``m_val``."""
+    assert (out.t_exec, out.error, out.t_ratio) == (
+        expected.t_exec, expected.error, expected.t_ratio
+    ), what
+    if expected.m_val is None or out.m_val is None:
+        assert out.m_val == expected.m_val, what
+    else:
+        assert math.isclose(out.m_val, expected.m_val, rel_tol=1e-9, abs_tol=0.0), (
+            what, out.m_val, expected.m_val
+        )
 
 
 def _reference_fit(ds, backbone, D, train_conds, cond_names, cond_means, reg):

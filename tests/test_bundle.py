@@ -46,6 +46,29 @@ class TestRawBundle:
         assert back.var_columns["sym"].tolist() == ["S1", "S2"]
         assert np.array_equal(back.obsm["emb"], raw_table.obsm["emb"])
 
+    @pytest.mark.parametrize(
+        "names", [["a", "", "c"], [""], ["", ""], ["a", "b", ""]], ids=repr
+    )
+    def test_empty_cells_of_a_one_column_table_round_trip(self, names, tmp_path):
+        n = len(names)
+        table = RawTable(
+            obs={"name": np.array(names, dtype=object)},
+            var_index=np.array(["g1", ""], dtype=object),
+            var_columns={},
+            X=np.arange(2.0 * n).reshape(n, 2),
+        )
+        write_raw_bundle(table, tmp_path / "raw")
+        back = read_raw_bundle(tmp_path / "raw")
+        assert back.obs["name"].tolist() == names
+        assert back.var_index.tolist() == ["g1", ""]
+
+    def test_wider_tables_skip_blank_lines(self, raw_table, tmp_path):
+        write_raw_bundle(raw_table, tmp_path / "raw")
+        obs = tmp_path / "raw" / "obs.tsv"
+        lines = obs.read_text().split("\n")
+        obs.write_text("\n".join(lines[:2] + [""] + lines[2:]) + "\n")
+        assert read_raw_bundle(tmp_path / "raw").obs["name"].tolist() == ["a", "b", "c"]
+
     def test_size_mismatch_reports_expected_bytes(self, raw_table, tmp_path):
         write_raw_bundle(raw_table, tmp_path / "raw")
         with open(tmp_path / "raw" / "X.f64", "ab") as fh:

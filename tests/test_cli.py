@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -278,6 +279,24 @@ class TestSearchCommand:
         )
         assert result.exit_code == 4
         assert _stderr_error(result)["error"]["code"] == "no_valid_candidate"
+
+    def test_non_finite_bundle_exits_4(self, runner, synthetic_bundle, tmp_path):
+        n_genes = len(read_canonical_bundle(synthetic_bundle).ensembl_id)
+        X = np.memmap(synthetic_bundle / "X.f64", dtype="<f8", mode="r+").reshape(-1, n_genes)
+        X[-1, 0] = np.nan  # a perturbed cell
+        X.flush()
+        del X
+        result = runner.invoke(
+            main,
+            [
+                "search", str(synthetic_bundle), "--out", str(tmp_path / "run"),
+                "--evaluator", "surrogate", "--seed", "1", "--set", "search.n_sim=6",
+            ],
+        )
+        assert result.exit_code == 4, result.output + result.stderr
+        assert _stderr_error(result)["error"]["code"] == "no_valid_candidate"
+        for line in (tmp_path / "run" / "trajectory.jsonl").read_text().splitlines():
+            assert json.loads(line)["failed"].startswith("non-finite input")
 
     def test_missing_bundle_usage_error(self, runner, tmp_path):
         result = runner.invoke(

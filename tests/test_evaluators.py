@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pertpipe.actions import Candidate, HYPERPARAM_GRID, enumerate_candidates
-from helpers import reference_surrogate_evaluate
+from helpers import assert_outcome_close, reference_surrogate_evaluate
 from pertpipe.data import (
     SplitAssignment,
     pseudo_bulk,
@@ -148,6 +148,30 @@ class TestSurrogateEvaluator:
         assert not out.ok
         assert "degenerate split" in out.error
 
+    @pytest.mark.parametrize(
+        "part,control,cells",
+        [
+            ("train", True, "train control"),
+            ("train", False, "perturbed train"),
+            ("val", True, "val"),
+            ("val", False, "val"),
+        ],
+    )
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_fails_every_candidate(self, noisy_bundle, part, control, cells, bad):
+        ds, split, _ = noisy_bundle
+        X = ds.X.copy()
+        X[np.flatnonzero((split.labels == part) & (ds.is_control == control))[0], 3] = bad
+        ev = SurrogateEvaluator(replace(ds, X=X), split)
+        for candidate in EVERY_CANDIDATE:
+            out = ev.evaluate(candidate, 0)
+            assert out.m_val is None, candidate.key()
+            assert out.error == f"non-finite input: X holds NaN or inf in the {cells} cells"
+        # a cell outside train and val is never read
+        X = ds.X.copy()
+        X[np.flatnonzero(split.labels == "test")[0], 3] = bad
+        assert SurrogateEvaluator(replace(ds, X=X), split).evaluate(_ridge("resnet"), 0).ok
+
     def test_purity_identical_outcomes(self, noisy_bundle):
         ds, split, _ = noisy_bundle
         ev = SurrogateEvaluator(ds, split)
@@ -219,17 +243,36 @@ def _reference_case(noise, split_kind):
 
 
 class TestSurrogateMatchesReference:
-    """Cached candidate-invariant statistics change no bit of any outcome."""
+    """Fits from per-condition sufficient statistics agree with the dense fits.
+
+    ``t_exec`` and ``error`` are exact; ``m_val`` moves only by rounding
+    (the closed-form ridge and the pooled huber clip bounds round
+    differently from a dense solve and a direct pass over the shifts).
+    """
 
     @pytest.mark.parametrize("noise", [0.0, 0.4])
     @pytest.mark.parametrize("split_kind", ["unseen_perturbation", "unseen_cell"])
     @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
-    def test_every_candidate_bit_identical(self, noise, split_kind, order):
+    def test_every_candidate_matches(self, noise, split_kind, order):
         ds, split = _reference_case(noise, split_kind)
         ev = SurrogateEvaluator(ds, split)
         for candidate in EVERY_CANDIDATE[::order]:
             expected = reference_surrogate_evaluate(ds, split, candidate)
-            assert ev.evaluate(candidate, 0) == expected, candidate.key()
+            assert_outcome_close(ev.evaluate(candidate, 0), expected, candidate.key())
+
+    def test_shuffled_cells_match(self):
+        # the generator writes each condition's cells in one sorted block;
+        # the evaluator must not rely on that order
+        ds, split = _reference_case(0.4, "unseen_perturbation")
+        order = np.random.default_rng(5).permutation(ds.n_cells)
+        per_cell = ("cell_type", "batch_id", "donor_id", "pert_type", "is_control",
+                    "condition_name", "X", "pert_mask", "pert_dose")
+        ds = replace(ds, **{name: getattr(ds, name)[order] for name in per_cell})
+        split = replace(split, labels=split.labels[order])
+        ev = SurrogateEvaluator(ds, split)
+        for candidate in EVERY_CANDIDATE:
+            expected = reference_surrogate_evaluate(ds, split, candidate)
+            assert_outcome_close(ev.evaluate(candidate, 0), expected, candidate.key())
 
     def test_degenerate_split_error_on_every_call(self, noiseless_bundle):
         ds, _, _ = noiseless_bundle

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
 
+from pertpipe import knowledge
 from pertpipe.errors import ParameterError, ValidationError
 from pertpipe.knowledge import (
     HashEmbedder,
@@ -271,3 +273,51 @@ class TestKnowledgeBase:
             path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValidationError, match=f"kb.jsonl:{bad_line} "):
             KnowledgeBase(path).load()
+
+
+def _append_entries(path, writer: int, n: int, barrier) -> None:
+    barrier.wait()
+    for i in range(n):
+        KnowledgeBase(path).record(make_entry(f"writer {writer} entry {i}", LEGAL_PATH, 0.5))
+
+
+class TestConcurrentRecord:
+    def test_writer_that_loses_the_lock_race_adds_no_header(self, tmp_path, monkeypatch):
+        path = tmp_path / "kb.jsonl"
+        real_flock = knowledge._flock
+
+        def racing_flock(fh):
+            # a second first writer appends its header and entry before this
+            # writer's lock is taken, after this writer opened the empty file
+            monkeypatch.setattr(knowledge, "_flock", real_flock)
+            KnowledgeBase(path).record(make_entry("other", OTHER_PATH, 0.6))
+            real_flock(fh)
+
+        monkeypatch.setattr(knowledge, "_flock", racing_flock)
+        KnowledgeBase(path).record(make_entry("mine", LEGAL_PATH, 0.5))
+        assert sum('"kb_version"' in ln for ln in path.read_text().splitlines()) == 1
+        assert [e.profile_text for e in KnowledgeBase(path).load()] == ["other", "mine"]
+
+    @pytest.mark.parametrize("writers", [2, 3, 4])
+    def test_interleaved_writers_leave_one_header_and_every_entry(self, tmp_path, writers):
+        path = tmp_path / "kb.jsonl"
+        per_writer = 6
+        ctx = multiprocessing.get_context("spawn")
+        barrier = ctx.Barrier(writers)
+        procs = [
+            ctx.Process(target=_append_entries, args=(path, w, per_writer, barrier))
+            for w in range(writers)
+        ]
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join(timeout=60)
+        assert [proc.exitcode for proc in procs] == [0] * writers
+        assert sum('"kb_version"' in ln for ln in path.read_text().splitlines()) == 1
+        texts = [e.profile_text for e in KnowledgeBase(path).load()]
+        assert sorted(texts) == sorted(
+            f"writer {w} entry {i}" for w in range(writers) for i in range(per_writer)
+        )
+        for w in range(writers):  # each writer's entries keep their order
+            mine = [t for t in texts if t.startswith(f"writer {w} ")]
+            assert mine == [f"writer {w} entry {i}" for i in range(per_writer)]

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import oracle_condition_metrics
@@ -100,6 +100,7 @@ class TestCosLogfc:
             cos_logfc([0.0, 0.0], [1.0, 2.0])
 
     @given(st.lists(st.floats(-10, 10), min_size=2, max_size=12), st.floats(0.1, 7.0))
+    @example(values=[0.0, 2.54e-162], a=0.5)  # the squared norm underflows
     @settings(max_examples=80, deadline=None)
     def test_positive_scale_invariance(self, values, a):
         d = np.arange(1.0, len(values) + 1.0)
@@ -107,6 +108,13 @@ class TestCosLogfc:
         if np.linalg.norm(d_hat) == 0:
             return
         assert abs(cos_logfc(d, d_hat) - cos_logfc(d, a * d_hat)) < 1e-12
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e160, 1e200])
+    def test_extreme_magnitudes_keep_the_cosine(self, scale):
+        d, d_hat = np.array([1.0, 2.0, 3.0]), np.array([1.0, 1.0, 3.0])
+        assert abs(cos_logfc(scale * d, d_hat) - COS_REF) < 1e-12
+        assert abs(cos_logfc(d, scale * d_hat) - COS_REF) < 1e-12
+        assert abs(cos_logfc(scale * d, scale * d_hat) - COS_REF) < 1e-12
 
     def test_swap_symmetric(self):
         a, b = np.array([1.0, 4.0, 2.0]), np.array([0.5, 1.0, 3.0])

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import replace
 
 import pytest
 
+from helpers import reference_surrogate_evaluate
 from pertpipe.actions import (
     Candidate,
     DEBUG_ACTION,
@@ -421,46 +423,49 @@ class TestRunSearch:
 # --------------------------------------------------------------------------
 # transposition table: one evaluation per distinct candidate, same bytes
 
-# sha256 prefixes of (trajectory_jsonl, tree_json) for n_sim=64 runs, taken
-# from the engine before it kept a transposition table; keyed by
-# evaluator/mode/strictness/failure injector/seed
+# sha256 prefixes of (trajectory_jsonl, tree_json) for n_sim=64 runs, keyed
+# by evaluator/mode/strictness/failure injector/seed. The funnel_jitter
+# entries were taken from the engine before it kept a transposition table;
+# the surrogate entries from the evaluator that fits from per-condition
+# sufficient statistics (TestSurrogateSearchMatchesReference ties those
+# runs to the dense per-candidate reference)
 TRAJECTORY_PINS = {
-    "surrogate/hierarchical/lax/none/0": ("95594b60ea989cee", "d1b18c118bd29986"),
-    "surrogate/hierarchical/lax/none/1": ("0d2c645b0641eb66", "ccc590e110df16a5"),
-    "surrogate/hierarchical/lax/none/2": ("a8a3436d33f95750", "737fe46a2a68ac3b"),
-    "surrogate/hierarchical/lax/fixable/0": ("87c768a83e3a93d2", "eda2af4bd7d2ffe7"),
-    "surrogate/hierarchical/lax/fixable/1": ("8cef96587da4b9c7", "7489544e0f3661a1"),
-    "surrogate/hierarchical/lax/fixable/2": ("e7ca72e7aef83e2c", "550976cc960dd8ed"),
-    "surrogate/hierarchical/lax/unfixable/0": ("2ce548e16971adfd", "ef3b67b4c1dacf6a"),
-    "surrogate/hierarchical/lax/unfixable/1": ("d3983e287e6d02fd", "4917f899c2ba598e"),
-    "surrogate/hierarchical/lax/unfixable/2": ("b0131c8ad0fd9f61", "3d77a9160b040191"),
-    "surrogate/hierarchical/strict/none/0": ("95594b60ea989cee", "d1b18c118bd29986"),
-    "surrogate/hierarchical/strict/none/1": ("0d2c645b0641eb66", "ccc590e110df16a5"),
-    "surrogate/hierarchical/strict/none/2": ("a8a3436d33f95750", "737fe46a2a68ac3b"),
-    "surrogate/hierarchical/strict/fixable/0": ("87c768a83e3a93d2", "eda2af4bd7d2ffe7"),
-    "surrogate/hierarchical/strict/fixable/1": ("8cef96587da4b9c7", "7489544e0f3661a1"),
-    "surrogate/hierarchical/strict/fixable/2": ("e7ca72e7aef83e2c", "550976cc960dd8ed"),
-    "surrogate/hierarchical/strict/unfixable/0": ("2ce548e16971adfd", "ef3b67b4c1dacf6a"),
-    "surrogate/hierarchical/strict/unfixable/1": ("d3983e287e6d02fd", "4917f899c2ba598e"),
-    "surrogate/hierarchical/strict/unfixable/2": ("b0131c8ad0fd9f61", "3d77a9160b040191"),
-    "surrogate/flat_ablation/lax/none/0": ("4fe4330be9e1d6cc", "2d7f98a6ea7924a6"),
-    "surrogate/flat_ablation/lax/none/1": ("70b14bdd88ff2c06", "1cee58aa17847df6"),
-    "surrogate/flat_ablation/lax/none/2": ("fa852ec0bba70902", "a28f8ac3dc1ad2a7"),
-    "surrogate/flat_ablation/lax/fixable/0": ("5ef1a0f622484a8a", "6c5978362c0eae8a"),
-    "surrogate/flat_ablation/lax/fixable/1": ("6e5dc3a591642669", "9b3eb30e20e97575"),
-    "surrogate/flat_ablation/lax/fixable/2": ("b4b68f8dbc58c87e", "d7323fb34e6451c4"),
-    "surrogate/flat_ablation/lax/unfixable/0": ("71b6e9e5098784b6", "280b02551c82ad0c"),
-    "surrogate/flat_ablation/lax/unfixable/1": ("4303d097a278a989", "39cf509b97266a63"),
-    "surrogate/flat_ablation/lax/unfixable/2": ("03cbf6edae944c46", "b7c499c7234b0e20"),
-    "surrogate/flat_ablation/strict/none/0": ("4fe4330be9e1d6cc", "2d7f98a6ea7924a6"),
-    "surrogate/flat_ablation/strict/none/1": ("70b14bdd88ff2c06", "1cee58aa17847df6"),
-    "surrogate/flat_ablation/strict/none/2": ("fa852ec0bba70902", "a28f8ac3dc1ad2a7"),
-    "surrogate/flat_ablation/strict/fixable/0": ("5ef1a0f622484a8a", "6c5978362c0eae8a"),
-    "surrogate/flat_ablation/strict/fixable/1": ("6e5dc3a591642669", "9b3eb30e20e97575"),
-    "surrogate/flat_ablation/strict/fixable/2": ("b4b68f8dbc58c87e", "d7323fb34e6451c4"),
-    "surrogate/flat_ablation/strict/unfixable/0": ("71b6e9e5098784b6", "280b02551c82ad0c"),
-    "surrogate/flat_ablation/strict/unfixable/1": ("4303d097a278a989", "39cf509b97266a63"),
-    "surrogate/flat_ablation/strict/unfixable/2": ("03cbf6edae944c46", "b7c499c7234b0e20"),
+    "surrogate/hierarchical/lax/none/0": ("89ef833f2d21d38e", "8e02e7932b3b64f9"),
+    "surrogate/hierarchical/lax/none/1": ("39878defbbd5cc98", "f2165eb9d9808483"),
+    "surrogate/hierarchical/lax/none/2": ("12b0fe89e3471575", "890e7067e8a1666b"),
+    "surrogate/hierarchical/lax/fixable/0": ("e11a4e5981950538", "08746c4216884a50"),
+    "surrogate/hierarchical/lax/fixable/1": ("75b4c513f2b441ec", "a04e5327e72c651c"),
+    "surrogate/hierarchical/lax/fixable/2": ("3f87d1956068f69b", "70fa9360e5572e06"),
+    "surrogate/hierarchical/lax/unfixable/0": ("877dc0e4f29b8e43", "f6a39205c9bf1f2c"),
+    "surrogate/hierarchical/lax/unfixable/1": ("f976ba9c925c4e51", "65cd785b9cb2e629"),
+    "surrogate/hierarchical/lax/unfixable/2": ("4cc9dcb3f664a36c", "c3fd988d3541943e"),
+    "surrogate/hierarchical/strict/none/0": ("89ef833f2d21d38e", "8e02e7932b3b64f9"),
+    "surrogate/hierarchical/strict/none/1": ("39878defbbd5cc98", "f2165eb9d9808483"),
+    "surrogate/hierarchical/strict/none/2": ("12b0fe89e3471575", "890e7067e8a1666b"),
+    "surrogate/hierarchical/strict/fixable/0": ("e11a4e5981950538", "08746c4216884a50"),
+    "surrogate/hierarchical/strict/fixable/1": ("75b4c513f2b441ec", "a04e5327e72c651c"),
+    "surrogate/hierarchical/strict/fixable/2": ("3f87d1956068f69b", "70fa9360e5572e06"),
+    "surrogate/hierarchical/strict/unfixable/0": ("877dc0e4f29b8e43", "f6a39205c9bf1f2c"),
+    "surrogate/hierarchical/strict/unfixable/1": ("f976ba9c925c4e51", "65cd785b9cb2e629"),
+    "surrogate/hierarchical/strict/unfixable/2": ("4cc9dcb3f664a36c", "c3fd988d3541943e"),
+    "surrogate/flat_ablation/lax/none/0": ("d2685cc5121bb040", "6bb28ef29cf6317a"),
+    "surrogate/flat_ablation/lax/none/1": ("86e40f3591806abc", "53bc9d6dde07e30e"),
+    "surrogate/flat_ablation/lax/none/2": ("4701a6e735cc67e7", "21e35d142ba671ff"),
+    "surrogate/flat_ablation/lax/fixable/0": ("4fc76e0df5b2a534", "d1ef4bfa3ec84d54"),
+    "surrogate/flat_ablation/lax/fixable/1": ("4920b5391a127e06", "b51b7738c97a78de"),
+    "surrogate/flat_ablation/lax/fixable/2": ("7f685f4a7735fbae", "1528df1f5fd0f1b8"),
+    "surrogate/flat_ablation/lax/unfixable/0": ("30493d506a74bb02", "a9111bae00eecd83"),
+    "surrogate/flat_ablation/lax/unfixable/1": ("a7c1f45a5547e1d8", "e940b349c5660872"),
+    "surrogate/flat_ablation/lax/unfixable/2": ("11ecc849561128ca", "1d7177957bffbe7a"),
+    "surrogate/flat_ablation/strict/none/0": ("d2685cc5121bb040", "6bb28ef29cf6317a"),
+    "surrogate/flat_ablation/strict/none/1": ("86e40f3591806abc", "53bc9d6dde07e30e"),
+    "surrogate/flat_ablation/strict/none/2": ("4701a6e735cc67e7", "21e35d142ba671ff"),
+    "surrogate/flat_ablation/strict/fixable/0": ("4fc76e0df5b2a534", "d1ef4bfa3ec84d54"),
+    "surrogate/flat_ablation/strict/fixable/1": ("4920b5391a127e06", "b51b7738c97a78de"),
+    "surrogate/flat_ablation/strict/fixable/2": ("7f685f4a7735fbae", "1528df1f5fd0f1b8"),
+    "surrogate/flat_ablation/strict/unfixable/0": ("30493d506a74bb02", "a9111bae00eecd83"),
+    "surrogate/flat_ablation/strict/unfixable/1": ("a7c1f45a5547e1d8", "e940b349c5660872"),
+    "surrogate/flat_ablation/strict/unfixable/2": ("11ecc849561128ca", "1d7177957bffbe7a"),
     "funnel_jitter/hierarchical/lax/none/0": ("525e31db90654536", "03152a72e2c51557"),
     "funnel_jitter/hierarchical/lax/none/1": ("aec8a3e56318e268", "a58c5ac28d583e25"),
     "funnel_jitter/hierarchical/lax/none/2": ("d004c68c70dec31b", "afd73e8253e1bd60"),
@@ -560,3 +565,51 @@ class TestTranspositionTable:
         for recs in repeated:
             assert len({(r["m_val"], r["t_exec"], r["failed"]) for r in recs}) == 1
         assert len(counting.keys) == len(by_key)
+
+
+# --------------------------------------------------------------------------
+# the sufficient-statistics surrogate against the dense per-candidate reference
+
+
+class ReferenceSurrogate:
+    """``reference_surrogate_evaluate`` as an evaluator, memoized (it is pure)."""
+
+    def __init__(self, ds, split):
+        self.ds, self.split = ds, split
+        self.memo: dict[Candidate, EvalOutcome] = {}
+
+    def evaluate(self, candidate, seed):
+        if candidate not in self.memo:
+            self.memo[candidate] = reference_surrogate_evaluate(self.ds, self.split, candidate)
+        return self.memo[candidate]
+
+
+class TestSurrogateSearchMatchesReference:
+    """Rounding may reorder ties among equal-reward candidates, so paths can
+    differ from a search scored by the reference; the best reward and every
+    score along the way agree within a relative 1e-9."""
+
+    @pytest.mark.parametrize("data_seed", [0, 1, 2])
+    @pytest.mark.parametrize("noise", [0.0, 0.4])
+    def test_best_reward_and_every_m_val(self, data_seed, noise):
+        ds, _ = generate_synthetic(SyntheticConfig(60, 8, 12, noise, 0.3, seed=data_seed))
+        split = split_unseen_perturbation(ds, 0.8, seed=data_seed)
+        fast = SurrogateEvaluator(ds, split)
+        reference = ReferenceSurrogate(ds, split)
+        for mode, injector, seed in itertools.product(
+            ("hierarchical", "flat_ablation"), ("none", "fixable", "unfixable"), range(4)
+        ):
+            results = []
+            for evaluator in (fast, reference):
+                if injector != "none":
+                    evaluator = FailureInjectingEvaluator(
+                        evaluator, 0.5, fix_succeeds=injector == "fixable"
+                    )
+                results.append(run_search(SearchConfig(n_sim=64, seed=seed, mode=mode), evaluator))
+            new, ref = results
+            case = (mode, injector, seed)
+            assert math.isclose(new.best_reward, ref.best_reward, rel_tol=0.0, abs_tol=1e-9), case
+            for rec in new.trajectory:
+                if rec["m_val"] is not None:
+                    expected = reference.evaluate(materialize(tuple(rec["path"])), seed)
+                    assert math.isclose(rec["m_val"], expected.m_val, rel_tol=1e-9), case
