@@ -62,6 +62,11 @@ def _replace_file(path: Path, write) -> None:
         raise
 
 
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path``; a failed write leaves the old file, never a torn one."""
+    _replace_file(Path(path), lambda tmp: tmp.write_text(text))
+
+
 def _has_tab_or_newline(text: str) -> bool:
     return "\t" in text or "\n" in text
 
@@ -72,8 +77,7 @@ def _write_tsv(path: Path, columns: dict[str, np.ndarray]) -> None:
         bad = next(t for row in zip(*cells) for t in row if _has_tab_or_newline(t))
         raise BundleFormatError(f"tsv cell value contains tab/newline: {bad!r}")
     lines = ["\t".join(columns), *map("\t".join, zip(*cells))]
-    text = "\n".join(lines) + "\n"
-    _replace_file(path, lambda tmp: tmp.write_text(text))
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def _read_tsv(path: Path) -> dict[str, list[str]]:
@@ -134,8 +138,7 @@ def _start_write(out_dir: str | Path) -> Path:
 
 
 def _write_manifest(out: Path, manifest: dict) -> None:
-    text = _dump_json(manifest)
-    _replace_file(out / MANIFEST, lambda tmp: tmp.write_text(text))
+    write_text_atomic(out / MANIFEST, _dump_json(manifest))
 
 
 def write_raw_bundle(table: RawTable, out_dir: str | Path) -> None:

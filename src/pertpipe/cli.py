@@ -138,7 +138,9 @@ def unify(raw_bundle, out_dir, mapping_file, induce, llm_transport, replay_file,
 
     out = Path(out_dir)
     bundle_io.write_canonical_bundle(ds, out)
-    (out / "validation_report.json").write_text(json.dumps({"issues": []}) + "\n")
+    bundle_io.write_text_atomic(
+        out / "validation_report.json", json.dumps({"issues": []}) + "\n"
+    )
     manifest.finish(
         status="ok",
         canonical_digest=bundle_io.bundle_digest(out),
@@ -252,10 +254,11 @@ def search(bundle, out_dir, evaluator_spec, mode, kb_path, seed, fail_rate,
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "trajectory.jsonl").write_text(result.trajectory_jsonl())
-    (out / "tree.json").write_text(result.tree_json() + "\n")
+    bundle_io.write_text_atomic(out / "trajectory.jsonl", result.trajectory_jsonl())
+    bundle_io.write_text_atomic(out / "tree.json", result.tree_json() + "\n")
     if retrieval is not None:
-        (out / "retrieval.json").write_text(
+        bundle_io.write_text_atomic(
+            out / "retrieval.json",
             json.dumps(
                 {
                     "rho": None if retrieval.rho == float("-inf") else retrieval.rho,
@@ -281,7 +284,9 @@ def search(bundle, out_dir, evaluator_spec, mode, kb_path, seed, fail_rate,
         "split": split_used,
         "mode": search_config.mode,
     }
-    (out / "best_candidate.json").write_text(json.dumps(best, indent=2, sort_keys=True) + "\n")
+    bundle_io.write_text_atomic(
+        out / "best_candidate.json", json.dumps(best, indent=2, sort_keys=True) + "\n"
+    )
     manifest.finish(status="ok", **{k: best[k] for k in ("candidate", "reward", "m_val")})
     manifest.write(out)
 
@@ -404,7 +409,7 @@ def gen_synthetic(out_dir, n_genes, n_perts, cells_per_condition, noise_sigma,
         _fail("gen_synthetic", str(exc), EXIT_VALIDATION)
     out = Path(out_dir)
     bundle_io.write_canonical_bundle(ds, out)
-    (out / "ground_truth.json").write_text(truth.to_json() + "\n")
+    bundle_io.write_text_atomic(out / "ground_truth.json", truth.to_json() + "\n")
     manifest = RunManifest(
         command="gen-synthetic",
         config={

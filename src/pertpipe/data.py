@@ -483,6 +483,11 @@ def split_unseen_cell(
 
 def validate_canonical(ds: CanonicalDataset) -> ValidationReport:
     """Check every canonical-schema invariant; violations become report entries."""
+    return _canonical_report(ds, first_pattern_rows(ds.pert_mask, ds.pert_dose))
+
+
+def _canonical_report(ds: CanonicalDataset, first: np.ndarray) -> ValidationReport:
+    """``validate_canonical`` given ``first_pattern_rows`` of ``ds``'s mask and dose."""
     issues: list[ValidationIssue] = []
 
     ids = ds.ensembl_id.tolist()
@@ -572,7 +577,6 @@ def validate_canonical(ds: CanonicalDataset) -> ValidationReport:
 
     # identical (mask row, dose row) patterns must share one condition name;
     # each pattern reports its first row whose name differs from its first row's
-    first = first_pattern_rows(ds.pert_mask, ds.pert_dose)
     names = ds.condition_name
     rows = np.flatnonzero(names[first] != names)
     _, pick = np.unique(first[rows], return_index=True)

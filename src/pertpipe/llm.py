@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import json
 import os
-import urllib.error
-import urllib.request
 from pathlib import Path
 
 from .errors import TransportError
@@ -77,6 +75,11 @@ class LlmClient:
         return self._complete_live(messages)
 
     def _complete_live(self, messages: list[dict[str, str]]) -> str:
+        # imported here: urllib.request loads http.client, ssl and email, which
+        # every process importing pertpipe would otherwise pay for
+        import urllib.error
+        import urllib.request
+
         body = json.dumps(
             {"model": self._kwargs["model"], "messages": messages}
         ).encode()

@@ -18,6 +18,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .bundle import write_text_atomic
 from .errors import ParameterError
 
 TOOL_VERSION = "0.1.0"
@@ -134,7 +135,8 @@ class RunManifest:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         path = out / "run_manifest.json"
-        path.write_text(
+        write_text_atomic(
+            path,
             json.dumps(
                 {
                     "run_id": self.run_id,

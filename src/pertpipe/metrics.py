@@ -37,30 +37,38 @@ def rmse(y: np.ndarray, y_hat: np.ndarray) -> float:
     return float(np.sqrt(np.mean((y - y_hat) ** 2)))
 
 
+# sums of squares that stay normal floats, so their square roots keep full precision
+_SQUARES_RANGE = (np.finfo(np.float64).tiny, np.finfo(np.float64).max)
+
+
+def _in_squares_range(v: np.ndarray, squares) -> tuple[np.ndarray, float]:
+    """``v`` and ``squares(v)``; ``v`` is first divided by its largest magnitude
+    when that sum of squares under- or overflows, which leaves a scale-free
+    metric unchanged. Any other input is used as it is."""
+    ss = squares(v)
+    if not _SQUARES_RANGE[0] <= ss <= _SQUARES_RANGE[1]:
+        peak = np.abs(v).max()
+        if 0.0 < peak < np.inf:
+            v = v / peak
+            ss = squares(v)
+    return v, ss
+
+
 def delta_pcc(delta: np.ndarray, delta_hat: np.ndarray) -> float:
-    """Pearson correlation of true vs predicted shift vectors."""
+    """Pearson correlation of true vs predicted shift vectors.
+
+    A centred vector whose sum of squares leaves the normal float range (a
+    tiny but nonzero spread, say) is rescaled by its largest magnitude first.
+    """
     delta = np.asarray(delta, dtype=np.float64)
     delta_hat = np.asarray(delta_hat, dtype=np.float64)
     _check_lengths(delta, delta_hat, minimum=2)
-    a = delta - delta.mean()
-    b = delta_hat - delta_hat.mean()
-    denom = np.sqrt((a * a).sum()) * np.sqrt((b * b).sum())
+    a, ssa = _in_squares_range(delta - delta.mean(), lambda v: (v * v).sum())
+    b, ssb = _in_squares_range(delta_hat - delta_hat.mean(), lambda v: (v * v).sum())
+    denom = np.sqrt(ssa) * np.sqrt(ssb)
     if denom == 0:
         raise UndefinedMetric("a shift vector has zero variance")
     return float(np.clip((a * b).sum() / denom, -1.0, 1.0))
-
-
-# norms whose square stays a normal float, so ``np.linalg.norm`` keeps full precision
-_NORM_RANGE = (np.sqrt(np.finfo(np.float64).tiny), np.sqrt(np.finfo(np.float64).max))
-
-
-def _in_norm_range(v: np.ndarray) -> np.ndarray:
-    """``v``, or ``v`` over its largest magnitude when its squared norm under- or overflows."""
-    with np.errstate(over="ignore"):
-        if _NORM_RANGE[0] <= np.linalg.norm(v) <= _NORM_RANGE[1]:
-            return v
-    peak = np.abs(v).max()
-    return v / peak if 0.0 < peak < np.inf else v
 
 
 def cos_logfc(delta: np.ndarray, delta_hat: np.ndarray) -> float:
@@ -73,8 +81,11 @@ def cos_logfc(delta: np.ndarray, delta_hat: np.ndarray) -> float:
     delta = np.asarray(delta, dtype=np.float64)
     delta_hat = np.asarray(delta_hat, dtype=np.float64)
     _check_lengths(delta, delta_hat)
-    delta, delta_hat = _in_norm_range(delta), _in_norm_range(delta_hat)
-    denom = np.linalg.norm(delta) * np.linalg.norm(delta_hat)
+    # v.dot(v) is the square that np.linalg.norm takes the root of
+    with np.errstate(over="ignore"):
+        delta, ssd = _in_squares_range(delta, lambda v: v.dot(v))
+        delta_hat, ssh = _in_squares_range(delta_hat, lambda v: v.dot(v))
+    denom = np.sqrt(ssd) * np.sqrt(ssh)
     if denom == 0:
         raise UndefinedMetric("a shift vector has zero norm")
     return float(np.clip(np.dot(delta, delta_hat) / denom, -1.0, 1.0))

@@ -23,6 +23,7 @@ from .data import (
     CanonicalDataset,
     PERT_TYPES,
     RawTable,
+    _canonical_report,
     first_pattern_rows,
     normalize_log1p,
     validate_canonical,
@@ -678,9 +679,14 @@ def merge_datasets(parts: list[CanonicalDataset]) -> MergeResult:
     for part, start, stop in zip(parts, starts, starts[1:]):
         col_of = {eid: j for j, eid in enumerate(part.ensembl_id.tolist())}
         np.take(part.X, [col_of[g] for g in gene_order], axis=1, out=X[start:stop])
-        cols = [vocab_index[name] for name in part.pert_vocab]
-        mask_all[start:stop, cols] = part.pert_mask
-        dose_all[start:stop, cols] = part.pert_dose
+        # one slice per run of consecutive merged columns: a fancy column
+        # index would copy element by element
+        cols = np.array([vocab_index[name] for name in part.pert_vocab], dtype=np.intp)
+        runs = np.flatnonzero(np.diff(cols, prepend=-2) != 1).tolist()
+        for a, b in zip(runs, runs[1:] + [len(cols)]):
+            c = slice(cols[a], cols[a] + b - a)
+            mask_all[start:stop, c] = part.pert_mask[:, a:b]
+            dose_all[start:stop, c] = part.pert_dose[:, a:b]
 
     obs = {
         k: np.concatenate([getattr(part, k) for part in parts]) for k in CANONICAL_OBS_KEYS
@@ -703,7 +709,8 @@ def merge_datasets(parts: list[CanonicalDataset]) -> MergeResult:
 
     # same pattern, one name: first-seen wins
     condition = obs["condition_name"]
-    obs["condition_name"] = condition[first_pattern_rows(mask_all, dose_all)]
+    first = first_pattern_rows(mask_all, dose_all)
+    obs["condition_name"] = condition[first]
     renamed = int(np.count_nonzero(obs["condition_name"] != condition))
     if renamed:
         warnings.append(
@@ -721,7 +728,8 @@ def merge_datasets(parts: list[CanonicalDataset]) -> MergeResult:
         pert_vocab=tuple(vocab),
         extra_obs=extra_obs,
     )
-    report = validate_canonical(merged)
+    # the grouping above is the one validate_canonical would compute again
+    report = _canonical_report(merged, first)
     if not report.ok:
         raise MappingError("merged dataset violates canonical invariants:\n" + str(report))
     return MergeResult(dataset=merged, warnings=tuple(warnings))

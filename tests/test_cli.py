@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import pertpipe
 from helpers import small_canonical
 from pertpipe.bundle import (
     bundle_digest,
@@ -534,3 +539,61 @@ class TestManifests:
              "--set", "search.bogus=1"],
         )
         assert result.exit_code == 1
+
+
+class TestArtifactWrites:
+    @pytest.mark.parametrize(
+        "command,artifact",
+        [
+            ("search", "trajectory.jsonl"),
+            ("search", "tree.json"),
+            ("search", "retrieval.json"),
+            ("search", "best_candidate.json"),
+            ("search", "run_manifest.json"),
+            ("unify", "validation_report.json"),
+            ("gen-synthetic", "ground_truth.json"),
+        ],
+    )
+    def test_failed_write_keeps_the_old_artifact(
+        self, runner, synthetic_bundle, raw_bundle_dir, mapping_file, tmp_path, monkeypatch,
+        command, artifact,
+    ):
+        out = tmp_path / "out"
+        args = {
+            "search": ["search", str(synthetic_bundle), "--out", str(out),
+                       "--evaluator", "landscape:funnel", "--set", "search.n_sim=8",
+                       "--kb", str(tmp_path / "kb.jsonl")],
+            "unify": ["unify", str(raw_bundle_dir), str(out), "--mapping", str(mapping_file)],
+            "gen-synthetic": ["gen-synthetic", "--out", str(out), "--n-genes", "20",
+                              "--n-perts", "3", "--cells-per-condition", "4"],
+        }[command]
+        assert runner.invoke(main, args).exit_code == 0
+        old = (out / artifact).read_bytes()
+
+        real = Path.write_text
+
+        def torn(path, text, *rest, **kwargs):
+            if path.name in (artifact, f".{artifact}.tmp"):
+                real(path, text[: len(text) // 2], *rest, **kwargs)
+                raise OSError(f"disk full while writing {path.name}")
+            return real(path, text, *rest, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", torn)
+        result = runner.invoke(main, args)
+        assert isinstance(result.exception, OSError)
+        assert (out / artifact).read_bytes() == old
+        assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
+
+
+def test_import_leaves_the_http_client_unloaded():
+    # only the live LLM transport needs urllib.request, which loads http.client and ssl
+    src = str(Path(pertpipe.__file__).parents[1])
+    code = (
+        "import sys, pertpipe.cli; "
+        "print(sorted({'urllib.request', 'http.client'} & sys.modules.keys()))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "[]"

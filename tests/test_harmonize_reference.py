@@ -42,7 +42,7 @@ from pertpipe.data import (
     normalize_log1p,
     validate_canonical,
 )
-from pertpipe.errors import BundleFormatError
+from pertpipe.errors import BundleFormatError, MappingError
 from pertpipe.unifier import MappingSpec, apply_mapping, merge_datasets
 
 _FLOATS = st.sampled_from([0.0, -0.0, 1.0, 0.1, -2.5, 1e300, 5e-324, np.nan, np.inf, -np.inf])
@@ -223,42 +223,50 @@ def test_str_columns_match_reference(values, kind):
 
 
 @st.composite
-def canonical_parts(draw):
+def canonical_parts(draw, defects=False):
+    """2-3 parts; ``defects`` adds values that break a canonical invariant."""
     parts = []
     for i in range(draw(st.integers(2, 3))):
         n = draw(st.integers(0, 5))
         genes = ["E0"] + draw(st.lists(st.sampled_from(["E1", "E2", "E3"]), unique=True))
         genes = draw(st.permutations(genes))
         symbols = [draw(st.sampled_from(["s0", "s1"])) for _ in genes]
-        vocab = draw(st.lists(st.sampled_from(["a", "b", "c"]), unique=True))
+        # five names, so later parts get runs of merged columns that start past 0
+        vocab = draw(st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), unique=True))
         p = len(vocab)
         mask = np.array(
-            draw(st.lists(st.lists(st.sampled_from([0, 1]), min_size=p, max_size=p),
+            draw(st.lists(st.lists(st.sampled_from([0, 1, 2] if defects else [0, 1]),
+                                   min_size=p, max_size=p),
                           min_size=n, max_size=n)),
             dtype=np.uint8,
         ).reshape(n, p)
-        on = st.sampled_from([0.0, -0.0, 1.0, 2.5])
-        off = st.sampled_from([0.0, -0.0])
+        on = st.sampled_from([0.0, -0.0, 1.0, 2.5] + ([-1.0, np.nan] if defects else []))
+        off = st.sampled_from([0.0, -0.0] + ([3.0] if defects else []))
         dose = np.array(
             [[draw(on if m else off) for m in row] for row in mask.tolist()], dtype=np.float64
         ).reshape(n, p)
-        control = [not row.any() and draw(st.booleans()) for row in mask]
+        control = [(defects or not row.any()) and draw(st.booleans()) for row in mask]
         pick = lambda pool: np.array(  # noqa: E731
             draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)), dtype=object
         )
         extra = {}
         for key in draw(st.lists(st.sampled_from(["plate", "source_dataset"]), unique=True)):
             extra[key] = pick(["p0", "p1"])
+        x_values = [0.0, -0.0, 1.0, 2.5] + ([-1.0, np.inf] if defects else [])
         parts.append(
             CanonicalDataset(
                 cell_type=pick(["t0", "t1"]),
                 batch_id=pick([f"b{i}"]),
                 donor_id=pick(["d0"]),
-                pert_type=np.array(["control" if c else "drug" for c in control], dtype=object),
+                pert_type=np.array(
+                    ["control" if c else draw(st.sampled_from(
+                        ["drug", "bogus"] if defects else ["drug"])) for c in control],
+                    dtype=object,
+                ),
                 is_control=np.array(control, dtype=bool),
                 condition_name=pick(["x", "y", "z"]),
                 X=np.array(
-                    draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5]),
+                    draw(st.lists(st.sampled_from(x_values),
                                   min_size=n * len(genes), max_size=n * len(genes)))
                 ).reshape(n, len(genes)),
                 pert_mask=mask,
@@ -272,10 +280,25 @@ def canonical_parts(draw):
     return parts
 
 
+def _merge_recording_report(parts):
+    """``merge_datasets(parts)`` and the validation report the merge computed."""
+    reports = []
+    real = unifier._canonical_report
+
+    def recording(ds, first):
+        reports.append(real(ds, first))
+        return reports[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(unifier, "_canonical_report", recording)
+        merged = merge_datasets(parts)
+    return merged, reports
+
+
 @given(canonical_parts())
 @settings(max_examples=200, deadline=None)
 def test_merge_matches_reference(parts):
-    merged = merge_datasets(parts)
+    merged, reports = _merge_recording_report(parts)
     fields, warnings = reference_merge_fields(parts)
     assert list(merged.warnings) == warnings
     ds = merged.dataset
@@ -289,6 +312,22 @@ def test_merge_matches_reference(parts):
     assert ds.extra_obs.keys() == fields["extra_obs"].keys()
     for key, col in fields["extra_obs"].items():
         assert _obs_equal(ds.extra_obs[key], col), key
+    # the merge validates with the grouping it renamed by; it must report what
+    # validate_canonical reports
+    assert reports == [validate_canonical(ds)]
+
+
+@given(canonical_parts(defects=True))
+@settings(max_examples=200, deadline=None)
+def test_invalid_merge_raises_the_reference_report(parts):
+    fields, _ = reference_merge_fields(parts)
+    report = validate_canonical(CanonicalDataset(**fields))
+    if report.ok:
+        merge_datasets(parts)
+        return
+    with pytest.raises(MappingError) as info:
+        merge_datasets(parts)
+    assert str(info.value) == "merged dataset violates canonical invariants:\n" + str(report)
 
 
 # --------------------------------------------------------------------------

@@ -79,6 +79,27 @@ class TestDeltaPcc:
         shifted = delta_pcc(d, a * d_hat + b)
         assert abs(base - shifted) < 1e-12
 
+    @given(st.lists(st.floats(-10, 10), min_size=2, max_size=12), st.integers(-40, 40))
+    @example(values=[0.0, 2.54e-162], k=-1)  # the centred sum of squares underflows
+    @settings(max_examples=80, deadline=None)
+    def test_power_of_two_scale_invariance(self, values, k):
+        d = np.arange(1.0, len(values) + 1.0)
+        d_hat = np.array(values)
+        scaled = d_hat * 2.0**k
+        if np.ptp(d_hat) == 0 or not np.array_equal(scaled / 2.0**k, d_hat):
+            return  # the scaling must be exact
+        assert abs(delta_pcc(d, d_hat) - delta_pcc(d, scaled)) < 1e-12
+
+    # numpy reports the overflowing sum of squares that the rescale then avoids;
+    # delta_pcc takes no np.errstate, which would cost every ordinary call
+    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e160, 1e200])
+    def test_extreme_magnitudes_keep_the_correlation(self, scale):
+        d, d_hat = np.array([1.0, 2.0, 3.0]), np.array([1.0, 1.0, 3.0])
+        assert abs(delta_pcc(scale * d, d_hat) - PCC_REF) < 1e-12
+        assert abs(delta_pcc(d, scale * d_hat) - PCC_REF) < 1e-12
+        assert abs(delta_pcc(scale * d, scale * d_hat) - PCC_REF) < 1e-12
+
     def test_swap_symmetric(self):
         a, b = np.array([1.0, 4.0, 2.0]), np.array([0.5, 1.0, 3.0])
         assert abs(delta_pcc(a, b) - delta_pcc(b, a)) < 1e-15
