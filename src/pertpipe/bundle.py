@@ -1,9 +1,11 @@
 """Portable on-disk dataset bundles.
 
-A bundle is a directory holding `manifest.json`, `obs.tsv`, `var.tsv`, a
-row-major little-endian float64 matrix `X.f64`, and (for canonical
-datasets) `pert_mask.u8` plus `pert_dose.f64`. Readers reject any binary
-file whose size differs from the expected byte count.
+A bundle is a directory holding `manifest.json`, `obs.tsv`, `var.tsv` and
+a row-major little-endian float64 matrix `X.f64`. A canonical bundle (its
+manifest says `"format": 2` and `"nnz"`) adds its perturbations as
+little-endian CSR arrays: `pert_indptr.i64`, `pert_indices.i64` and
+`pert_dose.f64`. Readers reject other canonical formats (format 1 held
+dense mask and dose matrices) and any binary file of the wrong size.
 
 Writers first remove any old manifest, write each file under a temporary
 name and rename it into place, and write the manifest last, so a write cut
@@ -25,6 +27,7 @@ from .dsl import _kind
 from .errors import BundleFormatError
 
 MANIFEST = "manifest.json"
+CANONICAL_FORMAT = 2
 _DIGEST_CHUNK = 1 << 20
 
 
@@ -105,13 +108,13 @@ def _write_matrix(path: Path, a: np.ndarray, dtype: str) -> None:
     _replace_file(path, np.ascontiguousarray(a, dtype=dtype).tofile)
 
 
-def _read_matrix(path: Path, shape: tuple[int, int], dtype: str) -> np.ndarray:
-    expected = shape[0] * shape[1] * np.dtype(dtype).itemsize
+def _read_matrix(path: Path, shape: tuple[int, ...], dtype: str) -> np.ndarray:
+    expected = int(np.prod(shape)) * np.dtype(dtype).itemsize
     size = path.stat().st_size
     if size != expected:
         raise BundleFormatError(
             f"{path} holds {size} bytes, expected {expected} "
-            f"({shape[0]}x{shape[1]} {dtype})"
+            f"({'x'.join(map(str, shape))} {dtype})"
         )
     return np.fromfile(path, dtype=dtype).reshape(shape)
 
@@ -189,6 +192,8 @@ def write_canonical_bundle(ds: CanonicalDataset, out_dir: str | Path) -> None:
     out = _start_write(out_dir)
     manifest = {
         "kind": "canonical",
+        "format": CANONICAL_FORMAT,
+        "nnz": len(ds.pert_indices),
         "n_cells": ds.n_cells,
         "n_genes": ds.n_genes,
         "p": ds.n_perts,
@@ -202,15 +207,18 @@ def write_canonical_bundle(ds: CanonicalDataset, out_dir: str | Path) -> None:
         {"ensembl_id": ds.ensembl_id, "gene_symbol": ds.gene_symbol},
     )
     _write_matrix(out / "X.f64", ds.X, "<f8")
-    _write_matrix(out / "pert_mask.u8", ds.pert_mask, "u1")
-    _write_matrix(out / "pert_dose.f64", ds.pert_dose, "<f8")
+    _write_matrix(out / "pert_indptr.i64", ds.pert_indptr, "<i8")
+    _write_matrix(out / "pert_indices.i64", ds.pert_indices, "<i8")
+    _write_matrix(out / "pert_dose.f64", ds.pert_values, "<f8")
     _write_manifest(out, manifest)
 
 
 def read_canonical_bundle(path: str | Path) -> CanonicalDataset:
     root = Path(path)
     manifest = _load_manifest(root, expected_kind="canonical")
-    n_cells, n_genes, p = manifest["n_cells"], manifest["n_genes"], manifest["p"]
+    n_cells, n_genes = manifest["n_cells"], manifest["n_genes"]
+    if type(nnz := manifest.get("nnz")) is not int or nnz < 0:
+        raise BundleFormatError(f"{root / MANIFEST} has nnz {nnz!r}, expected a count")
     obs = _read_tsv(root / "obs.tsv")
     missing = [k for k in CANONICAL_OBS_KEYS if k not in obs]
     if missing:
@@ -232,8 +240,9 @@ def read_canonical_bundle(path: str | Path) -> CanonicalDataset:
         is_control=_parse_obs_column(obs["is_control"], "bool"),
         condition_name=np.array(obs["condition_name"], dtype=object),
         X=_read_matrix(root / "X.f64", (n_cells, n_genes), "<f8"),
-        pert_mask=_read_matrix(root / "pert_mask.u8", (n_cells, p), "u1"),
-        pert_dose=_read_matrix(root / "pert_dose.f64", (n_cells, p), "<f8"),
+        pert_indptr=_read_matrix(root / "pert_indptr.i64", (n_cells + 1,), "<i8"),
+        pert_indices=_read_matrix(root / "pert_indices.i64", (nnz,), "<i8"),
+        pert_values=_read_matrix(root / "pert_dose.f64", (nnz,), "<f8"),
         ensembl_id=np.array(var["ensembl_id"], dtype=object),
         gene_symbol=np.array(var["gene_symbol"], dtype=object),
         pert_vocab=tuple(manifest["pert_vocab"]),
@@ -254,6 +263,11 @@ def _load_manifest(root: Path, expected_kind: str) -> dict:
         raise BundleFormatError(
             f"{mpath} has kind {kind!r}, expected {expected_kind!r}"
         )
+    found = manifest.get("format", 1)  # format 1 had no format key
+    if kind == "canonical" and found != CANONICAL_FORMAT:
+        raise BundleFormatError(
+            f"{mpath} is canonical bundle format {found!r}, expected format {CANONICAL_FORMAT}"
+        )
     return manifest
 
 
@@ -263,7 +277,8 @@ def _is_bundle_file(name: str) -> bool:
         "obs.tsv",
         "var.tsv",
         "X.f64",
-        "pert_mask.u8",
+        "pert_indptr.i64",
+        "pert_indices.i64",
         "pert_dose.f64",
     ) or (name.startswith("obsm_") and name.endswith(".f64"))
 

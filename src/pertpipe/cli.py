@@ -376,6 +376,14 @@ def evaluate(bundle, predictions, control_name):
                 expected=ds.n_genes,
                 actual=int(arr.shape[0]) if arr.ndim == 1 else list(arr.shape),
             )
+        bad = np.flatnonzero(~np.isfinite(arr))
+        if bad.size:
+            _fail(
+                "predictions",
+                f"condition {cond!r} has non-finite value {arr[bad[0]]} at gene "
+                f"{bad[0]} ({bad.size} values)",
+                EXIT_VALIDATION,
+            )
         predicted.append(PseudoBulkProfile(condition_name=cond, mean_expr=arr, n_cells=0))
     try:
         report = evaluate_predictions(truth, predicted, control)
@@ -422,9 +430,10 @@ def gen_synthetic(out_dir, n_genes, n_perts, cells_per_condition, noise_sigma,
         input_digests={},
         seed=seed,
     )
-    manifest.finish(status="ok", bundle_digest=bundle_io.bundle_digest(out))
+    digest = bundle_io.bundle_digest(out)
+    manifest.finish(status="ok", bundle_digest=digest)
     manifest.write(out)
-    click.echo(json.dumps({"out": str(out), "digest": bundle_io.bundle_digest(out)}))
+    click.echo(json.dumps({"out": str(out), "digest": digest}))
 
 
 @main.group()

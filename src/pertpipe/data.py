@@ -1,15 +1,15 @@
 """Dataset model: raw tables, the canonical schema, pseudo-bulk, and splits.
 
 A canonical dataset carries a normalized+log1p expression matrix, the six
-standardized cell-metadata columns, a multi-hot perturbation mask, a dose
-matrix in nM, and Ensembl-indexed gene metadata. All containers are frozen
-after construction; every operation here is a pure function.
+standardized cell-metadata columns, a sparse multi-hot perturbation mask
+with a dose in nM per set bit, and Ensembl-indexed gene metadata. All
+containers are frozen after construction; every operation here is pure.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -17,8 +17,6 @@ from .errors import ParameterError, ValidationError
 
 PERT_TYPES = ("drug", "crispr", "mixed", "control")
 SPLIT_LABELS = ("train", "val", "test")
-
-_PATTERN_BLOCK = 1024  # rows per batch of byte keys in first_pattern_rows
 
 CANONICAL_OBS_KEYS = (
     "cell_type",
@@ -101,7 +99,11 @@ class RawTable:
 
 @dataclass(frozen=True)
 class CanonicalDataset:
-    """A dataset aligned to the canonical perturbation schema."""
+    """A dataset aligned to the canonical perturbation schema.
+
+    Perturbations are CSR: cell ``i`` holds entries ``pert_indptr[i]:pert_indptr[i + 1]``
+    of ``pert_indices`` (columns, increasing) and ``pert_values`` (doses, may be 0.0).
+    """
 
     cell_type: np.ndarray
     batch_id: np.ndarray
@@ -110,8 +112,9 @@ class CanonicalDataset:
     is_control: np.ndarray
     condition_name: np.ndarray
     X: np.ndarray
-    pert_mask: np.ndarray
-    pert_dose: np.ndarray
+    pert_indptr: np.ndarray
+    pert_indices: np.ndarray
+    pert_values: np.ndarray
     ensembl_id: np.ndarray
     gene_symbol: np.ndarray
     pert_vocab: tuple[str, ...]
@@ -119,25 +122,11 @@ class CanonicalDataset:
 
     def __post_init__(self):
         n = len(self.condition_name)
-        for name in ("cell_type", "batch_id", "donor_id", "pert_type", "condition_name"):
-            arr = np.asarray(getattr(self, name), dtype=object)
-            object.__setattr__(self, name, _freeze(arr))
-        object.__setattr__(
-            self, "is_control", _freeze(np.asarray(self.is_control, dtype=bool))
-        )
-        object.__setattr__(self, "X", _freeze(np.asarray(self.X, dtype=np.float64)))
-        object.__setattr__(
-            self, "pert_mask", _freeze(np.asarray(self.pert_mask, dtype=np.uint8))
-        )
-        object.__setattr__(
-            self, "pert_dose", _freeze(np.asarray(self.pert_dose, dtype=np.float64))
-        )
-        object.__setattr__(
-            self, "ensembl_id", _freeze(np.asarray(self.ensembl_id, dtype=object))
-        )
-        object.__setattr__(
-            self, "gene_symbol", _freeze(np.asarray(self.gene_symbol, dtype=object))
-        )
+        dtypes = dict.fromkeys(CANONICAL_OBS_KEYS + ("ensembl_id", "gene_symbol"), object)
+        dtypes.update(is_control=bool, X=np.float64, pert_indptr=np.int64,
+                      pert_indices=np.int64, pert_values=np.float64)
+        for name, dtype in dtypes.items():
+            object.__setattr__(self, name, _freeze(np.asarray(getattr(self, name), dtype)))
         object.__setattr__(self, "pert_vocab", tuple(self.pert_vocab))
         object.__setattr__(
             self,
@@ -151,14 +140,7 @@ class CanonicalDataset:
         for name in ("cell_type", "batch_id", "donor_id", "pert_type", "is_control"):
             if len(getattr(self, name)) != n:
                 raise ValidationError(f"obs column {name!r} length mismatch")
-        if self.pert_mask.shape != (n, p):
-            raise ValidationError(
-                f"pert_mask has shape {self.pert_mask.shape}, expected ({n}, {p})"
-            )
-        if self.pert_dose.shape != (n, p):
-            raise ValidationError(
-                f"pert_dose has shape {self.pert_dose.shape}, expected ({n}, {p})"
-            )
+        _check_csr(self.pert_indptr, self.pert_indices, self.pert_values, n, p)
         if len(self.ensembl_id) != g or len(self.gene_symbol) != g:
             raise ValidationError("var columns do not match gene count")
         for name, col in self.extra_obs.items():
@@ -176,6 +158,21 @@ class CanonicalDataset:
     @property
     def n_perts(self) -> int:
         return len(self.pert_vocab)
+
+    # dense (n, p) views, built on each access in O(n * p): for tests and
+    # outside readers only
+    @property
+    def pert_mask(self) -> np.ndarray:
+        return self._dense(np.uint8, 1)
+
+    @property
+    def pert_dose(self) -> np.ndarray:
+        return self._dense(np.float64, self.pert_values)
+
+    def _dense(self, dtype, fill) -> np.ndarray:
+        out = np.zeros((self.n_cells, self.n_perts), dtype=dtype)
+        out[entry_rows(self.pert_indptr), self.pert_indices] = fill
+        return _freeze(out)
 
     def obs_columns(self) -> dict[str, np.ndarray]:
         """All obs columns (canonical first, then extras) in a fixed order."""
@@ -237,6 +234,39 @@ class ValidationReport:
         return "\n".join(f"[{i.code}] {i.message}" for i in self.issues)
 
 
+def _check_csr(indptr, indices, values, n: int, p: int) -> None:
+    """Raise ``ValidationError`` unless the arrays are n rows of CSR over p columns."""
+    if indptr.shape != (n + 1,):
+        raise ValidationError(f"pert_indptr has shape {indptr.shape}, expected ({n + 1},)")
+    if indptr[0] != 0:
+        raise ValidationError(f"pert_indptr starts at {indptr[0]}, expected 0")
+    down = np.flatnonzero(np.diff(indptr) < 0)
+    if down.size:
+        i = down[0]
+        raise ValidationError(
+            f"pert_indptr decreases from {indptr[i]} to {indptr[i + 1]} at row {i}"
+        )
+    nnz = indptr[-1]
+    if indices.shape != (nnz,) or values.shape != (nnz,):
+        raise ValidationError(f"pert_indptr ends at {nnz}, but pert_indices has shape "
+                              f"{indices.shape} and pert_values {values.shape}")
+    outside = np.flatnonzero((indices < 0) | (indices >= p))
+    if outside.size:
+        k = outside[0]
+        raise ValidationError(f"pert_indices[{k}] = {indices[k]} lies outside [0, {p})")
+    rows = entry_rows(indptr)
+    unsorted = np.flatnonzero((np.diff(indices) <= 0) & (np.diff(rows) == 0)) + 1
+    if unsorted.size:
+        k = unsorted[0]
+        raise ValidationError(f"pert_indices are not strictly increasing in row {rows[k]} "
+                              f"(entry {k} holds {indices[k]} after {indices[k - 1]})")
+
+
+def entry_rows(indptr: np.ndarray) -> np.ndarray:
+    """The row of each CSR entry."""
+    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+
+
 def _first_true(bad: np.ndarray) -> tuple[int, int, int] | None:
     """Row, column and count of the True entries of a 2-D mask, or None if none.
 
@@ -261,27 +291,21 @@ def _first_non_finite(a: np.ndarray) -> tuple[int, int, int] | None:
     return _first_true(~np.isfinite(a))
 
 
-def first_pattern_rows(mask: np.ndarray, dose: np.ndarray) -> np.ndarray:
-    """For each row, the index of the first row with the same mask and dose bytes.
+def first_pattern_rows(indptr: np.ndarray, indices: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """For each CSR row, the index of the first row with the same entries.
 
-    ``mask`` is uint8 and ``dose`` float64, both (n, p). Rows are keyed by
-    their exact bytes, so 0.0 and -0.0 doses are different patterns. Keys
-    are built a block of rows at a time to bound memory.
+    A row is keyed by the bytes of its (column, dose) pairs, so 0.0 and
+    -0.0 doses are different patterns; this is the grouping of the rows'
+    dense mask and dose bytes.
     """
-    n, p = mask.shape
-    if p == 0:
-        return np.zeros(n, dtype=np.intp)
-    width = 9 * p  # one mask byte and eight dose bytes per column
+    pairs = np.rec.fromarrays([indices, values], dtype=[("j", "<i8"), ("v", "<f8")])
+    keys = pairs.tobytes()
+    bounds = (indptr * pairs.itemsize).tolist()
     first: dict[bytes, int] = {}
-    out = np.empty(n, dtype=np.intp)
-    for start in range(0, n, _PATTERN_BLOCK):
-        stop = min(start + _PATTERN_BLOCK, n)
-        block = np.empty((stop - start, width), dtype=np.uint8)
-        block[:, :p] = mask[start:stop]
-        block[:, p:] = np.ascontiguousarray(dose[start:stop]).view(np.uint8)
-        keys = block.view(f"V{width}").ravel().tolist()
-        out[start:stop] = [first.setdefault(k, i) for i, k in enumerate(keys, start)]
-    return out
+    return np.array(
+        [first.setdefault(keys[a:b], i) for i, (a, b) in enumerate(zip(bounds, bounds[1:]))],
+        dtype=np.intp,
+    )
 
 
 def normalize_log1p(
@@ -344,20 +368,8 @@ def select_hvg(ds: CanonicalDataset, k: int) -> CanonicalDataset:
     # sort by variance descending, ties by ascending index
     order = np.lexsort((np.arange(g), -variances))
     keep = np.sort(order[:k])
-    return CanonicalDataset(
-        cell_type=ds.cell_type,
-        batch_id=ds.batch_id,
-        donor_id=ds.donor_id,
-        pert_type=ds.pert_type,
-        is_control=ds.is_control,
-        condition_name=ds.condition_name,
-        X=ds.X[:, keep],
-        pert_mask=ds.pert_mask,
-        pert_dose=ds.pert_dose,
-        ensembl_id=ds.ensembl_id[keep],
-        gene_symbol=ds.gene_symbol[keep],
-        pert_vocab=ds.pert_vocab,
-        extra_obs=dict(ds.extra_obs),
+    return replace(
+        ds, X=ds.X[:, keep], ensembl_id=ds.ensembl_id[keep], gene_symbol=ds.gene_symbol[keep]
     )
 
 
@@ -483,11 +495,12 @@ def split_unseen_cell(
 
 def validate_canonical(ds: CanonicalDataset) -> ValidationReport:
     """Check every canonical-schema invariant; violations become report entries."""
-    return _canonical_report(ds, first_pattern_rows(ds.pert_mask, ds.pert_dose))
+    first = first_pattern_rows(ds.pert_indptr, ds.pert_indices, ds.pert_values)
+    return _canonical_report(ds, first)
 
 
 def _canonical_report(ds: CanonicalDataset, first: np.ndarray) -> ValidationReport:
-    """``validate_canonical`` given ``first_pattern_rows`` of ``ds``'s mask and dose."""
+    """``validate_canonical`` given ``first_pattern_rows`` of ``ds``'s perturbations."""
     issues: list[ValidationIssue] = []
 
     ids = ds.ensembl_id.tolist()
@@ -503,47 +516,22 @@ def _canonical_report(ds: CanonicalDataset, first: np.ndarray) -> ValidationRepo
         else:
             seen[eid] = j
 
-    bad_mask = _first_true(ds.pert_mask > 1)  # uint8, so not in {0, 1}
-    if bad_mask:
-        i, j, count = bad_mask
-        issues.append(
-            ValidationIssue(
-                "mask_not_binary",
-                f"pert_mask[{i}, {j}] = {ds.pert_mask[i, j]} is not in {{0, 1}} "
-                f"({count} offending entries)",
-            )
-        )
-
-    neg_dose = _first_true(ds.pert_dose < 0)
-    if neg_dose:
-        i, j, count = neg_dose
+    # the first entry in CSR order is the first in row-major order
+    i_of, j_of, doses = entry_rows(ds.pert_indptr), ds.pert_indices, ds.pert_values
+    neg_dose = np.flatnonzero(doses < 0)
+    if neg_dose.size:
+        k = neg_dose[0]
         issues.append(
             ValidationIssue(
                 "negative_dose",
-                f"pert_dose[{i}, {j}] = {ds.pert_dose[i, j]} is negative "
-                f"({count} offending entries)",
+                f"pert_dose[{i_of[k]}, {j_of[k]}] = {doses[k]} is negative "
+                f"({neg_dose.size} offending entries)",
             )
         )
 
-    stray = ds.pert_dose != 0
-    stray &= ds.pert_mask == 0
-    for i in np.flatnonzero(stray.any(axis=1)):
-        j = int(np.flatnonzero(stray[i])[0])
-        issues.append(
-            ValidationIssue(
-                "dose_without_mask",
-                f"cell {i} has nonzero pert_dose[{i}, {j}] where pert_mask is 0",
-            )
-        )
-
-    ctrl_nonzero = ds.is_control & (ds.pert_mask.sum(axis=1) > 0)
-    for i in np.flatnonzero(ctrl_nonzero):
-        issues.append(
-            ValidationIssue(
-                "control_with_mask",
-                f"control cell {i} has a nonzero pert_mask row",
-            )
-        )
+    for i in np.flatnonzero(ds.is_control & (np.diff(ds.pert_indptr) > 0)):
+        message = f"control cell {i} has a nonzero pert_mask row"
+        issues.append(ValidationIssue("control_with_mask", message))
 
     neg_x = _first_true(ds.X < 0)
     if neg_x:
@@ -555,16 +543,24 @@ def _canonical_report(ds: CanonicalDataset, first: np.ndarray) -> ValidationRepo
             )
         )
 
-    for label, values in (("X", ds.X), ("pert_dose", ds.pert_dose)):
-        nonfinite = _first_non_finite(values)
-        if nonfinite:
-            i, j, count = nonfinite
-            issues.append(
-                ValidationIssue(
-                    "non_finite",
-                    f"{label}[{i}, {j}] = {values[i, j]} is not finite ({count} entries)",
-                )
+    nonfinite = _first_non_finite(ds.X)
+    if nonfinite:
+        i, j, count = nonfinite
+        issues.append(
+            ValidationIssue(
+                "non_finite", f"X[{i}, {j}] = {ds.X[i, j]} is not finite ({count} entries)"
             )
+        )
+    nonfinite = np.flatnonzero(~np.isfinite(doses))
+    if nonfinite.size:
+        k = nonfinite[0]
+        issues.append(
+            ValidationIssue(
+                "non_finite",
+                f"pert_dose[{i_of[k]}, {j_of[k]}] = {doses[k]} is not finite "
+                f"({nonfinite.size} entries)",
+            )
+        )
 
     bad_types = sorted(set(ds.pert_type.tolist()) - set(PERT_TYPES))
     if bad_types:
@@ -575,8 +571,8 @@ def _canonical_report(ds: CanonicalDataset, first: np.ndarray) -> ValidationRepo
             )
         )
 
-    # identical (mask row, dose row) patterns must share one condition name;
-    # each pattern reports its first row whose name differs from its first row's
+    # identical perturbation patterns must share one condition name; each
+    # pattern reports its first row whose name differs from its first row's
     names = ds.condition_name
     rows = np.flatnonzero(names[first] != names)
     _, pick = np.unique(first[rows], return_index=True)

@@ -142,25 +142,11 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[CanonicalDataset, GroundTr
 
     pert_names = tuple(f"PERT_{i:03d}" for i in range(p))
     n_cells = (p + 1) * c
-    linear = np.empty((n_cells, g))
-    condition = np.empty(n_cells, dtype=object)
-    is_control = np.zeros(n_cells, dtype=bool)
-    mask = np.zeros((n_cells, p), dtype=np.uint8)
-    pert_type = np.empty(n_cells, dtype=object)
-
-    noise = rng.normal(0.0, cfg.noise_sigma, size=(n_cells, g)) if cfg.noise_sigma > 0 else 0.0
-    row = 0
-    for block, name in enumerate(("control",) + pert_names):
-        for _ in range(c):
-            base = x0 if block == 0 else x0 + effects[block - 1]
-            linear[row] = base
-            condition[row] = name
-            is_control[row] = block == 0
-            pert_type[row] = "control" if block == 0 else "crispr"
-            if block > 0:
-                mask[row, block - 1] = 1
-            row += 1
+    block = np.repeat(np.arange(p + 1), c)  # c cells per condition, controls first
+    is_control = block == 0
+    linear = np.vstack([x0, x0 + effects])[block]
     if cfg.noise_sigma > 0:
+        noise = rng.normal(0.0, cfg.noise_sigma, size=(n_cells, g))
         linear = np.clip(linear + noise, 0.0, None)
 
     X = normalize_log1p(
@@ -170,12 +156,14 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[CanonicalDataset, GroundTr
         cell_type=np.array(["LINE_0"] * n_cells, dtype=object),
         batch_id=np.array(["batch_0"] * n_cells, dtype=object),
         donor_id=np.array(["LINE_0"] * n_cells, dtype=object),
-        pert_type=pert_type,
+        pert_type=np.where(is_control, "control", "crispr"),
         is_control=is_control,
-        condition_name=condition,
+        condition_name=np.array(("control",) + pert_names, dtype=object)[block],
         X=X,
-        pert_mask=mask,
-        pert_dose=np.zeros((n_cells, p)),
+        # one entry per perturbed cell, with no dose
+        pert_indptr=np.concatenate(([0], np.cumsum(~is_control))),
+        pert_indices=block[c:] - 1,
+        pert_values=np.zeros(p * c),
         ensembl_id=ensembl,
         gene_symbol=symbols,
         pert_vocab=pert_names,

@@ -7,8 +7,9 @@ normalized similarity with normalized reward, and gates between warm-start
 (inject the top path) and ab-initio search on the peak similarity.
 
 The store is an append-only JSON-lines file with a version header; a
-mismatched embedding dimension or a line that does not decode (a torn
-write, a hand edit) is rejected at load with its ``path:line``.
+mismatched embedding dimension, a reward outside [0, 1] or a line that
+does not decode (a torn write, a hand edit) is rejected at load with its
+``path:line``.
 """
 
 from __future__ import annotations
@@ -238,6 +239,10 @@ class KnowledgeBase:
                 raise ValidationError(
                     f"{self.path}:{i} entry has embedding shape "
                     f"{entry.embedding.shape}, expected ({self.dim},)"
+                )
+            if not 0.0 <= entry.reward <= 1.0:
+                raise ValidationError(
+                    f"{self.path}:{i} entry reward {entry.reward} outside [0, 1]"
                 )
             entries.append(entry)
         return entries

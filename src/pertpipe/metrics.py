@@ -54,17 +54,30 @@ def _in_squares_range(v: np.ndarray, squares) -> tuple[np.ndarray, float]:
     return v, ss
 
 
+def _centred(v: np.ndarray) -> np.ndarray:
+    """``v`` minus its mean; when the sum overflows, ``v`` is divided by its
+    largest magnitude first, which leaves a correlation unchanged."""
+    mean = v.mean()
+    if not np.isfinite(mean):
+        peak = np.abs(v).max()
+        if peak < np.inf:
+            v = v / peak
+            mean = v.mean()
+    return v - mean
+
+
 def delta_pcc(delta: np.ndarray, delta_hat: np.ndarray) -> float:
     """Pearson correlation of true vs predicted shift vectors.
 
-    A centred vector whose sum of squares leaves the normal float range (a
-    tiny but nonzero spread, say) is rescaled by its largest magnitude first.
+    A vector whose sum overflows is scaled down before it is centred, and a
+    centred vector whose sum of squares leaves the normal float range (a
+    tiny but nonzero spread, say) is rescaled by its largest magnitude.
     """
     delta = np.asarray(delta, dtype=np.float64)
     delta_hat = np.asarray(delta_hat, dtype=np.float64)
     _check_lengths(delta, delta_hat, minimum=2)
-    a, ssa = _in_squares_range(delta - delta.mean(), lambda v: (v * v).sum())
-    b, ssb = _in_squares_range(delta_hat - delta_hat.mean(), lambda v: (v * v).sum())
+    a, ssa = _in_squares_range(_centred(delta), lambda v: (v * v).sum())
+    b, ssb = _in_squares_range(_centred(delta_hat), lambda v: (v * v).sum())
     denom = np.sqrt(ssa) * np.sqrt(ssb)
     if denom == 0:
         raise UndefinedMetric("a shift vector has zero variance")

@@ -24,6 +24,7 @@ from .data import (
     PERT_TYPES,
     RawTable,
     _canonical_report,
+    entry_rows,
     first_pattern_rows,
     normalize_log1p,
     validate_canonical,
@@ -546,8 +547,10 @@ def apply_mapping(
         )
 
     # vocabulary over the distinct non-control perturbation labels, combos
-    # split apart; each label's mask row is built once and broadcast to its cells
+    # split apart; each label's sorted columns are repeated for its cells
     vocab: list[str] = []
+    counts = np.zeros(n, dtype=np.int64)
+    indices = np.zeros(0, dtype=np.int64)
     if pert_values is not None:
         perturbed = np.flatnonzero(~is_control)
         labels, label_of_cell = np.unique(pert_values[perturbed], return_inverse=True)
@@ -556,23 +559,26 @@ def apply_mapping(
             for label in labels.tolist()
         ]
         vocab = sorted({part for parts in label_parts for part in parts})
-    index_of = {name: j for j, name in enumerate(vocab)}
+        index_of = {name: j for j, name in enumerate(vocab)}
+        label_cols = [sorted({index_of[part] for part in parts}) for parts in label_parts]
+        label_len = np.array([len(cols) for cols in label_cols], dtype=np.int64)
+        label_start = np.cumsum(label_len) - label_len
+        flat = np.array([j for cols in label_cols for j in cols], dtype=np.int64)
+        per_cell = label_len[label_of_cell]
+        counts[perturbed] = per_cell
+        # entry e of the k-th perturbed cell is entry e of its label
+        shift = label_start[label_of_cell] - (np.cumsum(per_cell) - per_cell)
+        indices = flat[np.repeat(shift, per_cell) + np.arange(per_cell.sum())]
+    indptr = np.concatenate(([0], np.cumsum(counts)))
 
-    mask = np.zeros((n, len(vocab)), dtype=np.uint8)
-    if pert_values is not None:
-        label_mask = np.zeros((len(label_parts), len(vocab)), dtype=np.uint8)
-        for k, parts in enumerate(label_parts):
-            label_mask[k, [index_of[part] for part in parts]] = 1
-        mask[perturbed] = label_mask[label_of_cell]
-
-    dose = np.zeros((n, len(vocab)), dtype=np.float64)
+    values = np.zeros(len(indices), dtype=np.float64)
     if not isinstance(spec.pert_dose_source, Absent) and vocab:
         dose_col = _as_float_column(
             _resolve_entry(spec.pert_dose_source, table, "pert_dose_source"),
             n,
             "pert_dose_source",
         )
-        np.copyto(dose, dose_col[:, None], where=mask == 1)
+        values = np.repeat(dose_col, counts)
 
     X = normalize_log1p(
         table.X,
@@ -603,8 +609,9 @@ def apply_mapping(
         is_control=is_control,
         condition_name=obs["condition_name"],
         X=X,
-        pert_mask=mask,
-        pert_dose=dose,
+        pert_indptr=indptr,
+        pert_indices=indices,
+        pert_values=values,
         ensembl_id=ensembl,
         gene_symbol=symbols,
         pert_vocab=tuple(vocab),
@@ -632,18 +639,16 @@ def merge_datasets(parts: list[CanonicalDataset]) -> MergeResult:
 
     Genes are restricted to the intersection of ensembl ids (ordered by the
     first part), the perturbation vocabulary becomes the first-seen union,
-    and mask/dose matrices are re-projected onto it. Expression values are
-    never renormalized. A ``source_dataset`` obs column records provenance.
-    Identical mask/dose patterns that carry different condition names across
-    parts are renamed to the first-seen name so the merged dataset stays
-    canonical.
+    and each part's perturbation entries are re-numbered onto it. Expression
+    values are never renormalized. A ``source_dataset`` obs column records
+    provenance. Identical mask/dose patterns that carry different condition
+    names across parts are renamed to the first-seen name so the merged
+    dataset stays canonical.
     """
     if len(parts) < 2:
         raise ParameterError(f"need at least 2 datasets to merge, got {len(parts)}")
 
-    common = set(parts[0].ensembl_id.tolist())
-    for part in parts[1:]:
-        common &= set(part.ensembl_id.tolist())
+    common = set.intersection(*(set(part.ensembl_id.tolist()) for part in parts))
     if not common:
         raise ParameterError("gene intersection across datasets is empty")
     gene_order = [g for g in parts[0].ensembl_id.tolist() if g in common]
@@ -662,31 +667,25 @@ def merge_datasets(parts: list[CanonicalDataset]) -> MergeResult:
                     f"{symbol_for[eid]!r}, dataset_{i} says {sym!r}"
                 )
 
-    vocab: list[str] = []
-    seen_vocab: set[str] = set()
-    for part in parts:
-        for name in part.pert_vocab:
-            if name not in seen_vocab:
-                seen_vocab.add(name)
-                vocab.append(name)
+    vocab = list(dict.fromkeys(name for part in parts for name in part.pert_vocab))
     vocab_index = {name: j for j, name in enumerate(vocab)}
 
     n_total = sum(part.n_cells for part in parts)
     X = np.empty((n_total, len(gene_order)), dtype=np.float64)
-    mask_all = np.zeros((n_total, len(vocab)), dtype=np.uint8)
-    dose_all = np.zeros((n_total, len(vocab)), dtype=np.float64)
     starts = np.cumsum([0] + [part.n_cells for part in parts])
+    renumbered = []
     for part, start, stop in zip(parts, starts, starts[1:]):
         col_of = {eid: j for j, eid in enumerate(part.ensembl_id.tolist())}
         np.take(part.X, [col_of[g] for g in gene_order], axis=1, out=X[start:stop])
-        # one slice per run of consecutive merged columns: a fancy column
-        # index would copy element by element
-        cols = np.array([vocab_index[name] for name in part.pert_vocab], dtype=np.intp)
-        runs = np.flatnonzero(np.diff(cols, prepend=-2) != 1).tolist()
-        for a, b in zip(runs, runs[1:] + [len(cols)]):
-            c = slice(cols[a], cols[a] + b - a)
-            mask_all[start:stop, c] = part.pert_mask[:, a:b]
-            dose_all[start:stop, c] = part.pert_dose[:, a:b]
+        cols = np.array([vocab_index[name] for name in part.pert_vocab], dtype=np.int64)
+        renumbered.append(cols[part.pert_indices])
+    counts = np.concatenate([np.diff(part.pert_indptr) for part in parts])
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    indices = np.concatenate(renumbered)
+    # the first-seen union can reverse a part's column order: re-sort each row
+    order = np.lexsort((indices, entry_rows(indptr)))
+    indices = indices[order]
+    values = np.concatenate([part.pert_values for part in parts])[order]
 
     obs = {
         k: np.concatenate([getattr(part, k) for part in parts]) for k in CANONICAL_OBS_KEYS
@@ -709,7 +708,7 @@ def merge_datasets(parts: list[CanonicalDataset]) -> MergeResult:
 
     # same pattern, one name: first-seen wins
     condition = obs["condition_name"]
-    first = first_pattern_rows(mask_all, dose_all)
+    first = first_pattern_rows(indptr, indices, values)
     obs["condition_name"] = condition[first]
     renamed = int(np.count_nonzero(obs["condition_name"] != condition))
     if renamed:
@@ -721,8 +720,9 @@ def merge_datasets(parts: list[CanonicalDataset]) -> MergeResult:
     merged = CanonicalDataset(
         **obs,
         X=X,
-        pert_mask=mask_all,
-        pert_dose=dose_all,
+        pert_indptr=indptr,
+        pert_indices=indices,
+        pert_values=values,
         ensembl_id=np.array(gene_order, dtype=object),
         gene_symbol=np.array([symbol_for[g] for g in gene_order], dtype=object),
         pert_vocab=tuple(vocab),

@@ -171,6 +171,33 @@ def _gen_atom(rng, depth):
 # dataset builders
 
 
+def csr_from_dense(mask, dose) -> dict[str, np.ndarray]:
+    """The ``CanonicalDataset`` perturbation arguments for a dense mask and dose.
+
+    Raises ``ValueError`` on what CSR cannot hold: a mask value above 1, or
+    a dose with any bit set (``-0.0`` included) under a 0 mask bit.
+    """
+    mask = np.asarray(mask, dtype=np.uint8)
+    dose = np.ascontiguousarray(dose, dtype=np.float64)
+    if (mask > 1).any():
+        raise ValueError("mask value above 1")
+    if (dose.view(np.int64)[mask == 0] != 0).any():
+        raise ValueError("dose set under a 0 mask bit")
+    rows, cols = np.nonzero(mask)
+    return {
+        "pert_indptr": np.concatenate(([0], np.cumsum(np.count_nonzero(mask, axis=1)))),
+        "pert_indices": cols,
+        "pert_values": dose[rows, cols],
+    }
+
+
+def dataset_from_fields(fields: dict) -> CanonicalDataset:
+    """A ``CanonicalDataset`` from fields that hold dense ``pert_mask``/``pert_dose``."""
+    fields = dict(fields)
+    csr = csr_from_dense(fields.pop("pert_mask"), fields.pop("pert_dose"))
+    return CanonicalDataset(**fields, **csr)
+
+
 def small_canonical(
     conditions: dict[str, list[list[float]]],
     control_name: str = "control",
@@ -210,8 +237,7 @@ def small_canonical(
         is_control=np.array(ctrl, dtype=bool),
         condition_name=np.array(names, dtype=object),
         X=np.array(rows, dtype=np.float64),
-        pert_mask=mask,
-        pert_dose=dose,
+        **csr_from_dense(mask, dose),
         ensembl_id=np.array([f"ENSG{j:011d}" for j in range(g)], dtype=object),
         gene_symbol=np.array([f"G{j}" for j in range(g)], dtype=object),
         pert_vocab=vocab,

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +104,26 @@ class TestCanonicalBundle:
         assert back.condition_name.tolist() == ds.condition_name.tolist()
         assert back.ensembl_id.tolist() == ds.ensembl_id.tolist()
 
+    def test_format_2_round_trip_keeps_the_digest(self, tmp_path):
+        from dataclasses import replace
+
+        ds = small_canonical({"control": [[1.0, 0.5]], "A": [[2.0, 0.25]], "B": [[0.0, 3.0]]})
+        # a two-entry row and a -0.0 dose, which must survive byte for byte
+        ds = replace(ds, pert_indptr=[0, 0, 2, 3], pert_indices=[0, 1, 1],
+                     pert_values=[10.0, -0.0, 0.0])
+        write_canonical_bundle(ds, tmp_path / "one")
+        manifest = json.loads((tmp_path / "one" / "manifest.json").read_text())
+        assert (manifest["format"], manifest["nnz"]) == (2, 3)
+        assert sorted(f.name for f in (tmp_path / "one").iterdir()) == [
+            "X.f64", "manifest.json", "obs.tsv", "pert_dose.f64", "pert_indices.i64",
+            "pert_indptr.i64", "var.tsv",
+        ]
+        back = read_canonical_bundle(tmp_path / "one")
+        for name in ("pert_indptr", "pert_indices", "pert_values"):
+            assert getattr(back, name).tobytes() == getattr(ds, name).tobytes(), name
+        write_canonical_bundle(back, tmp_path / "again")
+        assert bundle_digest(tmp_path / "one") == bundle_digest(tmp_path / "again")
+
     def test_extra_obs_round_trip(self, tmp_path):
         from dataclasses import replace
 
@@ -127,11 +148,30 @@ class TestCanonicalBundle:
         (tmp_path / "c" / "run_manifest.json").write_text("{}")
         assert bundle_digest(tmp_path / "c") == before
 
-    def test_mask_size_mismatch(self, tmp_path):
+    @pytest.mark.parametrize(
+        "name",
+        ["manifest.json", "obs.tsv", "var.tsv", "X.f64", "pert_indptr.i64",
+         "pert_indices.i64", "pert_dose.f64"],
+    )
+    def test_digest_covers_every_bundle_file(self, tmp_path, name):
+        ds = small_canonical({"control": [[1.0, 0.5]], "A": [[2.0, 0.25]]}, doses={"A": 10.0})
+        write_canonical_bundle(ds, tmp_path / "c")
+        before = bundle_digest(tmp_path / "c")
+        path = tmp_path / "c" / name
+        data = bytearray(path.read_bytes())
+        data[-1] ^= 1
+        path.write_bytes(bytes(data))
+        assert bundle_digest(tmp_path / "c") != before
+
+    @pytest.mark.parametrize(
+        "name, expected",
+        [("pert_indptr.i64", 24), ("pert_indices.i64", 8), ("pert_dose.f64", 8)],
+    )
+    def test_perturbation_file_size_mismatch(self, tmp_path, name, expected):
         ds = small_canonical({"control": [[1.0, 0.5]], "A": [[2.0, 0.25]]})
         write_canonical_bundle(ds, tmp_path / "c")
-        (tmp_path / "c" / "pert_mask.u8").write_bytes(b"\x01")
-        with pytest.raises(BundleFormatError, match="expected 2"):
+        (tmp_path / "c" / name).write_bytes(b"\x01")
+        with pytest.raises(BundleFormatError, match=f"{name} holds 1 bytes, expected {expected}"):
             read_canonical_bundle(tmp_path / "c")
 
 

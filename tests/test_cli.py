@@ -357,6 +357,69 @@ class TestEvaluateCommand:
         assert error["details"]["actual"] == 3
 
 
+    def test_non_finite_prediction_exits_2(self, runner, tmp_path):
+        bundle = tmp_path / "b"
+        result = runner.invoke(main, ["gen-synthetic", "--out", str(bundle), "--n-genes", "5"])
+        assert result.exit_code == 0, result.output + result.stderr
+        pred_file = tmp_path / "pred.json"
+        # Python's json reads the NaN literal
+        pred_file.write_text(
+            '{"PERT_000": [1.0, NaN, 2.0, 0.5, 1.0], "PERT_001": [1.0, 1.5, 2.0, 0.5, 1.0]}'
+        )
+        result = runner.invoke(main, ["evaluate", str(bundle), str(pred_file)])
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        error = _stderr_error(result)["error"]
+        assert error["code"] == "predictions"
+        assert error["message"] == (
+            "condition 'PERT_000' has non-finite value nan at gene 1 (1 values)"
+        )
+
+
+class TestCanonicalBundleFormat:
+    """A canonical bundle that breaks format 2 exits 2 with a JSON error."""
+
+    @staticmethod
+    def _write(path, values, dtype):
+        np.array(values, dtype=dtype).tofile(path)
+
+    @pytest.mark.parametrize(
+        "defect, message",
+        [
+            ("format_1", "is canonical bundle format 1, expected format 2"),
+            ("decreasing_indptr", "pert_indptr decreases from 2 to 1 at row 1"),
+            ("index_equal_to_p", "pert_indices[1] = 2 lies outside [0, 2)"),
+            ("duplicate_index", "pert_indices are not strictly increasing in row 2"),
+            ("nnz_disagrees", "pert_indices.i64 holds 16 bytes, expected 24"),
+        ],
+    )
+    def test_invalid_bundle_exits_2(self, runner, tmp_path, defect, message):
+        # cells control, A, B: indptr [0, 0, 1, 2], indices [0, 1]
+        ds = small_canonical(
+            {"control": [[1.0, 1.0]], "A": [[2.0, 2.0]], "B": [[0.5, 1.5]]}
+        )
+        bundle = tmp_path / "b"
+        write_canonical_bundle(ds, bundle)
+        manifest = json.loads((bundle / "manifest.json").read_text())
+        if defect == "format_1":
+            del manifest["format"]
+        elif defect == "decreasing_indptr":
+            self._write(bundle / "pert_indptr.i64", [0, 2, 1, 2], "<i8")
+        elif defect == "index_equal_to_p":
+            self._write(bundle / "pert_indices.i64", [0, 2], "<i8")
+        elif defect == "duplicate_index":
+            self._write(bundle / "pert_indptr.i64", [0, 0, 0, 2], "<i8")
+            self._write(bundle / "pert_indices.i64", [1, 1], "<i8")
+        else:
+            manifest["nnz"] = 3
+        (bundle / "manifest.json").write_text(json.dumps(manifest))
+        result = runner.invoke(main, ["search", str(bundle), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2, result.output
+        error = _stderr_error(result)["error"]
+        assert error["code"] == "bundle"
+        assert message in error["message"]
+
+
 class TestGenSyntheticAndKb:
     def test_same_seed_same_digest(self, runner, tmp_path):
         digests = []
@@ -371,6 +434,22 @@ class TestGenSyntheticAndKb:
             digests.append(json.loads(result.output)["digest"])
         assert digests[0] == digests[1]
         assert (tmp_path / "one" / "ground_truth.json").is_file()
+
+    def test_digest_taken_once_for_manifest_and_output(self, runner, tmp_path, monkeypatch):
+        import pertpipe.bundle
+
+        calls = []
+        real = pertpipe.bundle.bundle_digest
+        monkeypatch.setattr(
+            pertpipe.bundle, "bundle_digest", lambda path: calls.append(path) or real(path)
+        )
+        out = tmp_path / "b"
+        result = runner.invoke(main, ["gen-synthetic", "--out", str(out), "--n-genes", "20"])
+        assert result.exit_code == 0, result.output + result.stderr
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        printed = json.loads(result.output)["digest"]
+        assert len(calls) == 1
+        assert printed == manifest["outcome"]["bundle_digest"] == real(out)
 
     def test_kb_add_then_list(self, runner, tmp_path):
         kb = tmp_path / "kb.jsonl"
@@ -421,6 +500,20 @@ class TestKnowledgeBaseFlags:
         (entry,) = KnowledgeBase(kb).load()
         validate_action_path(entry.action_path)
         assert materialize(entry.action_path).key() == best["candidate"]
+
+    def test_out_of_range_kb_reward_exits_2(self, runner, synthetic_bundle, tmp_path):
+        kb = tmp_path / "kb.jsonl"
+        KnowledgeBase(kb).record(make_entry("x", ("paradigm:generative",), 0.5))
+        with open(kb, "a") as fh:
+            fh.write(make_entry("y", ("paradigm:generative",), 0.5).to_json()
+                     .replace('"reward": 0.5', '"reward": NaN') + "\n")
+        result = runner.invoke(
+            main, ["search", str(synthetic_bundle), "--out", str(tmp_path / "o"), "--kb", str(kb)]
+        )
+        assert result.exit_code == 2, result.output
+        error = _stderr_error(result)["error"]
+        assert error["code"] == "kb"
+        assert error["message"] == f"{kb}:3 entry reward nan outside [0, 1]"
 
     @pytest.mark.parametrize(
         "command",

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import small_canonical
+from helpers import csr_from_dense, small_canonical
 from pertpipe.data import (
+    first_pattern_rows,
     normalize_log1p,
     pseudo_bulk,
     select_hvg,
@@ -294,6 +295,44 @@ class TestSplitUnseenCell:
             split_unseen_cell(ds, "HEK293", 0.5, seed=0)
 
 
+class TestCanonicalCsr:
+    """The perturbation arrays must be CSR over the vocabulary."""
+
+    @pytest.mark.parametrize(
+        "indptr, indices, message",
+        [
+            ([0, 0], [], r"pert_indptr has shape \(2,\), expected \(3,\)"),
+            ([1, 1, 1], [], "pert_indptr starts at 1, expected 0"),
+            ([0, 1, 0], [], "pert_indptr decreases from 1 to 0 at row 1"),
+            ([0, 0, 2], [0], r"pert_indptr ends at 2, but pert_indices has shape \(1,\)"),
+            ([0, 0, 1], [-1], r"pert_indices\[0\] = -1 lies outside \[0, 2\)"),
+            ([0, 0, 1], [2], r"pert_indices\[0\] = 2 lies outside \[0, 2\)"),
+            ([0, 0, 2], [1, 1], "not strictly increasing in row 1"),
+            ([0, 0, 2], [1, 0], "not strictly increasing in row 1"),
+        ],
+    )
+    def test_malformed_arrays_rejected(self, indptr, indices, message):
+        ds = small_canonical({"control": [[1.0]], "A": [[2.0]]}, vocab=("A", "B"))
+        with pytest.raises(ValidationError, match=message):
+            replace(ds, pert_indptr=indptr, pert_indices=indices,
+                    pert_values=np.zeros(len(indices)))
+
+    def test_rows_may_restart_lower_and_skip(self):
+        ds = small_canonical({"control": [[1.0]] * 2, "A": [[2.0]]}, vocab=("A", "B"))
+        ds = replace(ds, pert_indptr=[0, 2, 2, 3], pert_indices=[0, 1, 0],
+                     pert_values=[1.0, -0.0, 5.0])
+        assert ds.pert_mask.tolist() == [[1, 1], [0, 0], [1, 0]]
+        assert ds.pert_dose.tobytes() == np.array([[1.0, -0.0], [0.0, 0.0], [5.0, 0.0]]).tobytes()
+        assert not ds.pert_mask.flags.writeable and not ds.pert_dose.flags.writeable
+
+    def test_pattern_rows_key_on_exact_dose_bytes(self):
+        rows = first_pattern_rows(
+            np.array([0, 1, 2, 3, 3, 5]), np.array([0, 0, 0, 0, 1]),
+            np.array([0.0, -0.0, 0.0, 0.0, 0.0]),
+        )
+        assert rows.tolist() == [0, 1, 0, 3, 4]
+
+
 class TestValidateCanonical:
     def test_valid_fixture_gives_empty_report(self):
         ds = small_canonical({"control": [[1.0, 2.0]], "A": [[2.0, 1.0]]})
@@ -303,7 +342,7 @@ class TestValidateCanonical:
         ds = small_canonical({"control": [[1.0, 2.0]], "A": [[2.0, 1.0]]})
         mask = ds.pert_mask.copy()
         mask[0, 0] = 1  # row 0 is the control cell
-        report = validate_canonical(replace(ds, pert_mask=mask))
+        report = validate_canonical(replace(ds, **csr_from_dense(mask, ds.pert_dose)))
         assert any(i.code == "control_with_mask" for i in report.issues)
         assert any("cell 0" in i.message for i in report.issues)
 
@@ -315,13 +354,6 @@ class TestValidateCanonical:
             i.code == "duplicate_ensembl_id" and "0" in i.message and "1" in i.message
             for i in report.issues
         )
-
-    def test_dose_without_mask(self):
-        ds = small_canonical({"control": [[1.0, 2.0]], "A": [[2.0, 1.0]]})
-        dose = ds.pert_dose.copy()
-        dose[0, 0] = 5.0
-        report = validate_canonical(replace(ds, pert_dose=dose))
-        assert any(i.code == "dose_without_mask" for i in report.issues)
 
     def test_negative_expression(self):
         ds = small_canonical({"control": [[1.0, 2.0]], "A": [[2.0, 1.0]]})
@@ -341,13 +373,10 @@ class TestValidateCanonical:
         assert any(i.code == "condition_name_conflict" for i in report.issues)
 
     def test_non_finite_expression_and_dose(self):
-        # a NaN dose under a set mask bit is out of reach of dose_without_mask
         ds = small_canonical({"control": [[1.0, 2.0]], "A": [[2.0, 1.0]]})
         X = ds.X.copy()
         X[0, 1] = np.nan
-        dose = ds.pert_dose.copy()
-        dose[1, 0] = np.nan
-        report = validate_canonical(replace(ds, X=X, pert_dose=dose))
+        report = validate_canonical(replace(ds, X=X, pert_values=[np.nan]))
         messages = [i.message for i in report.issues if i.code == "non_finite"]
         assert messages == [
             "X[0, 1] = nan is not finite (1 entries)",

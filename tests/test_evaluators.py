@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pertpipe.actions import Candidate, HYPERPARAM_GRID, enumerate_candidates
-from helpers import assert_outcome_close, reference_surrogate_evaluate
+from helpers import assert_outcome_close, csr_from_dense, reference_surrogate_evaluate
 from pertpipe.data import (
     SplitAssignment,
     pseudo_bulk,
@@ -266,8 +266,9 @@ class TestSurrogateMatchesReference:
         ds, split = _reference_case(0.4, "unseen_perturbation")
         order = np.random.default_rng(5).permutation(ds.n_cells)
         per_cell = ("cell_type", "batch_id", "donor_id", "pert_type", "is_control",
-                    "condition_name", "X", "pert_mask", "pert_dose")
-        ds = replace(ds, **{name: getattr(ds, name)[order] for name in per_cell})
+                    "condition_name", "X")
+        ds = replace(ds, **{name: getattr(ds, name)[order] for name in per_cell},
+                     **csr_from_dense(ds.pert_mask[order], ds.pert_dose[order]))
         split = replace(split, labels=split.labels[order])
         ev = SurrogateEvaluator(ds, split)
         for candidate in EVERY_CANDIDATE:

@@ -19,6 +19,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    csr_from_dense,
+    dataset_from_fields,
     reference_merge_fields,
     reference_normalize_log1p,
     reference_perturbation_matrices,
@@ -224,7 +226,10 @@ def test_str_columns_match_reference(values, kind):
 
 @st.composite
 def canonical_parts(draw, defects=False):
-    """2-3 parts; ``defects`` adds values that break a canonical invariant."""
+    """2-3 parts; ``defects`` adds values that break a canonical invariant.
+
+    Doses are drawn for set mask bits only: CSR holds no other.
+    """
     parts = []
     for i in range(draw(st.integers(2, 3))):
         n = draw(st.integers(0, 5))
@@ -235,15 +240,13 @@ def canonical_parts(draw, defects=False):
         vocab = draw(st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), unique=True))
         p = len(vocab)
         mask = np.array(
-            draw(st.lists(st.lists(st.sampled_from([0, 1, 2] if defects else [0, 1]),
-                                   min_size=p, max_size=p),
+            draw(st.lists(st.lists(st.sampled_from([0, 1]), min_size=p, max_size=p),
                           min_size=n, max_size=n)),
             dtype=np.uint8,
         ).reshape(n, p)
         on = st.sampled_from([0.0, -0.0, 1.0, 2.5] + ([-1.0, np.nan] if defects else []))
-        off = st.sampled_from([0.0, -0.0] + ([3.0] if defects else []))
         dose = np.array(
-            [[draw(on if m else off) for m in row] for row in mask.tolist()], dtype=np.float64
+            [[draw(on) if m else 0.0 for m in row] for row in mask.tolist()], dtype=np.float64
         ).reshape(n, p)
         control = [(defects or not row.any()) and draw(st.booleans()) for row in mask]
         pick = lambda pool: np.array(  # noqa: E731
@@ -269,8 +272,7 @@ def canonical_parts(draw, defects=False):
                     draw(st.lists(st.sampled_from(x_values),
                                   min_size=n * len(genes), max_size=n * len(genes)))
                 ).reshape(n, len(genes)),
-                pert_mask=mask,
-                pert_dose=dose,
+                **csr_from_dense(mask, dose),
                 ensembl_id=np.array(genes, dtype=object),
                 gene_symbol=np.array(symbols, dtype=object),
                 pert_vocab=tuple(vocab),
@@ -321,7 +323,7 @@ def test_merge_matches_reference(parts):
 @settings(max_examples=200, deadline=None)
 def test_invalid_merge_raises_the_reference_report(parts):
     fields, _ = reference_merge_fields(parts)
-    report = validate_canonical(CanonicalDataset(**fields))
+    report = validate_canonical(dataset_from_fields(fields))
     if report.ok:
         merge_datasets(parts)
         return
@@ -347,6 +349,9 @@ def canonical_datasets(draw, text=st.sampled_from(["x", "y"])):
     def column(values, dtype=object):
         return np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=dtype)
 
+    mask = grid(st.sampled_from([0, 1, 1]), n, p, np.uint8)
+    dose = grid(st.sampled_from([0.0, 0.0, -0.0, 1.0, -1.0, np.nan, np.inf]), n, p, np.float64)
+
     return CanonicalDataset(
         cell_type=column(text),
         batch_id=column(text),
@@ -355,9 +360,7 @@ def canonical_datasets(draw, text=st.sampled_from(["x", "y"])):
         is_control=column(st.booleans(), bool),
         condition_name=column(text),
         X=grid(_FLOATS, n, g, np.float64),
-        pert_mask=grid(st.sampled_from([0, 1, 1, 2]), n, p, np.uint8),
-        pert_dose=grid(st.sampled_from([0.0, 0.0, -0.0, 1.0, -1.0, np.nan, np.inf]), n, p,
-                       np.float64),
+        **csr_from_dense(mask, np.where(mask == 1, dose, 0.0)),
         ensembl_id=np.array(draw(st.lists(st.sampled_from(["E0", "E1"]), min_size=g,
                                           max_size=g)), dtype=object),
         gene_symbol=np.array(["s"] * g, dtype=object),
@@ -376,8 +379,7 @@ def _two_conflicts_out_of_order() -> CanonicalDataset:
         is_control=np.zeros(n, dtype=bool),
         condition_name=np.array(["x", "x", "y", "y"], dtype=object),
         X=np.ones((n, 1)),
-        pert_mask=np.array([[1], [0], [0], [1]], dtype=np.uint8),
-        pert_dose=np.zeros((n, 1)),
+        **csr_from_dense(np.array([[1], [0], [0], [1]]), np.zeros((n, 1))),
         ensembl_id=np.array(["E0"], dtype=object),
         gene_symbol=np.array(["s"], dtype=object),
         pert_vocab=("v0",),
@@ -394,6 +396,12 @@ def test_validation_issues_match_reference(ds):
     expected = {name for name in ("X", "pert_dose")
                 if not np.isfinite(getattr(ds, name)).all()}
     assert flagged == expected
+    # the dose message names the first offender of the dense view
+    bad = np.argwhere(~np.isfinite(ds.pert_dose))
+    if bad.size:
+        i, j = bad[0]
+        message = f"pert_dose[{i}, {j}] = {ds.pert_dose[i, j]} is not finite ({len(bad)} entries)"
+        assert message in [x.message for x in issues if x.code == "non_finite"]
 
 
 # --------------------------------------------------------------------------
@@ -411,7 +419,7 @@ def test_canonical_bundle_round_trip_and_stable_digest(ds):
         write_canonical_bundle(ds, one)
         write_canonical_bundle(ds, two)
         back = read_canonical_bundle(one)
-        for key in ("X", "pert_mask", "pert_dose", "is_control"):
+        for key in ("X", "pert_indptr", "pert_indices", "pert_values", "is_control"):
             assert _same_bytes(getattr(back, key), getattr(ds, key)), key
         for key in ("cell_type", "batch_id", "donor_id", "pert_type", "condition_name",
                     "ensembl_id", "gene_symbol"):
@@ -423,7 +431,8 @@ def test_canonical_bundle_round_trip_and_stable_digest(ds):
         write_canonical_bundle(back, again)
         assert bundle_digest(one) == bundle_digest(two) == bundle_digest(again)
         assert sorted(p.name for p in one.iterdir()) == [
-            "X.f64", "manifest.json", "obs.tsv", "pert_dose.f64", "pert_mask.u8", "var.tsv",
+            "X.f64", "manifest.json", "obs.tsv", "pert_dose.f64", "pert_indices.i64",
+            "pert_indptr.i64", "var.tsv",
         ]
 
 

@@ -252,6 +252,18 @@ class TestKnowledgeBase:
         with pytest.raises(ValidationError, match="reward"):
             kb.record(make_entry("x", LEGAL_PATH, 1.5))
 
+    @pytest.mark.parametrize("reward", [float("nan"), 1.5, -0.25])
+    def test_reward_range_checked_at_load(self, tmp_path, reward):
+        # a hand edit that record() would have refused
+        path = tmp_path / "kb.jsonl"
+        KnowledgeBase(path).record(make_entry("x", LEGAL_PATH, 0.5))
+        doc = json.loads(make_entry("y", LEGAL_PATH, 0.5).to_json())
+        doc["reward"] = reward
+        with open(path, "a") as fh:
+            fh.write(json.dumps(doc) + "\n")
+        with pytest.raises(ValidationError, match=r"kb.jsonl:3 entry reward .* outside \[0, 1\]"):
+            KnowledgeBase(path).load()
+
     @pytest.mark.parametrize(
         "lines,bad_line",
         [

@@ -13,6 +13,7 @@ from pertpipe.data import PseudoBulkProfile
 from pertpipe.errors import ParameterError
 from pertpipe.metrics import (
     UndefinedMetric,
+    _in_squares_range,
     cos_logfc,
     delta_pcc,
     evaluate_predictions,
@@ -103,6 +104,34 @@ class TestDeltaPcc:
     def test_swap_symmetric(self):
         a, b = np.array([1.0, 4.0, 2.0]), np.array([0.5, 1.0, 3.0])
         assert abs(delta_pcc(a, b) - delta_pcc(b, a)) < 1e-15
+
+    # the mean's sum overflows before the vector is scaled down, and rmse squares 1e308
+    @pytest.mark.filterwarnings("ignore:overflow encountered in reduce:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:overflow encountered in square:RuntimeWarning")
+    def test_overflowing_sum_keeps_the_correlation(self):
+        # [1, 1, 0] against [1, 2, 3] correlates at -sqrt(3)/2
+        d, d_hat = [1e308, 1e308, 0.0], [1.0, 2.0, 3.0]
+        assert delta_pcc(d, d_hat) == pytest.approx(-PCC_REF, abs=1e-12)
+        assert delta_pcc(d_hat, d) == pytest.approx(-PCC_REF, abs=1e-12)
+        truth = [PseudoBulkProfile("ctrl", np.zeros(3), 1), PseudoBulkProfile("A", d, 1)]
+        report = evaluate_predictions(truth, [PseudoBulkProfile("A", d_hat, 0)], truth[0])
+        assert report.per_condition["A"]["delta_pcc"] == pytest.approx(-PCC_REF, abs=1e-12)
+        assert report.skipped["delta_pcc"] == []
+
+    def test_ordinary_inputs_keep_their_bits(self):
+        # the centring as it was before sums that overflow were handled
+        def before(d, h):
+            a, ssa = _in_squares_range(d - d.mean(), lambda v: (v * v).sum())
+            b, ssb = _in_squares_range(h - h.mean(), lambda v: (v * v).sum())
+            return float(np.clip((a * b).sum() / (np.sqrt(ssa) * np.sqrt(ssb)), -1.0, 1.0))
+
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            n = int(rng.integers(2, 40))
+            scale = 10.0 ** rng.uniform(-150, 150, size=2)
+            d = rng.normal(size=n) * scale[0]
+            h = (rng.normal(size=n) + rng.normal()) * scale[1]
+            assert delta_pcc(d, h) == before(d, h)
 
 
 class TestCosLogfc:

@@ -357,6 +357,7 @@ def _mini_canonical(genes, vocab, conditions, symbols=None):
     """conditions: list of (condition_name, is_control, mask_bits, x_row)."""
     n = len(conditions)
     mask = np.array([c[2] for c in conditions], dtype=np.uint8)
+    from helpers import csr_from_dense
     from pertpipe.data import CanonicalDataset
 
     return CanonicalDataset(
@@ -369,8 +370,7 @@ def _mini_canonical(genes, vocab, conditions, symbols=None):
         is_control=np.array([c[1] for c in conditions], dtype=bool),
         condition_name=np.array([c[0] for c in conditions], dtype=object),
         X=np.array([c[3] for c in conditions], dtype=np.float64),
-        pert_mask=mask,
-        pert_dose=np.zeros((n, len(vocab))),
+        **csr_from_dense(mask.reshape(n, len(vocab)), np.zeros((n, len(vocab)))),
         ensembl_id=np.array(genes, dtype=object),
         gene_symbol=np.array(symbols or genes, dtype=object),
         pert_vocab=tuple(vocab),
@@ -470,3 +470,60 @@ class TestMergeDatasets:
         ctrl_names = set(merged.condition_name[merged.is_control].tolist())
         assert ctrl_names == {"ctrl"}
         assert any("renamed" in w for w in result.warnings)
+
+
+def _screen(rng, labels, controls, genes, doses=None) -> RawTable:
+    n = len(labels)
+    obs = {"pert": np.array(labels, dtype=object), "ctrl": np.array(controls, dtype=bool)}
+    if doses is not None:
+        obs["dose"] = np.array(doses, dtype=np.float64)
+    return RawTable(
+        obs=obs,
+        var_index=np.array([f"ENSG{j:011d}" for j in genes], dtype=object),
+        X=rng.poisson(5.0, size=(n, len(genes))).astype(np.float64),
+    )
+
+
+def test_pipeline_never_reads_the_dense_views(tmp_path, monkeypatch):
+    """Unify, merge, write, read and search at size S without ``pert_mask``/``pert_dose``."""
+    from pertpipe.bundle import read_canonical_bundle, write_canonical_bundle
+    from pertpipe.data import CanonicalDataset, split_unseen_perturbation
+    from pertpipe.evaluators import SurrogateEvaluator, SyntheticConfig, generate_synthetic
+    from pertpipe.search import SearchConfig, run_search
+
+    def dense_view(self):
+        raise AssertionError("pipeline code read a dense perturbation view")
+
+    monkeypatch.setattr(CanonicalDataset, "pert_mask", property(dense_view))
+    monkeypatch.setattr(CanonicalDataset, "pert_dose", property(dense_view))
+
+    # two screens of 108 and 60 cells over 60 genes, 40 of them shared
+    rng = np.random.default_rng(0)
+    drugs = ["D1+D0", "D0", "D1", "D2", "D3+D2", "D4", "D5", "D6", "D7"]
+    drug_labels = [drugs[i % len(drugs)] for i in range(96)] + ["DMSO"] * 12
+    drug = _screen(rng, drug_labels, [lab == "DMSO" for lab in drug_labels], range(60),
+                   doses=rng.choice([10.0, 100.0], size=108))
+    guide_labels = [f"G{i % 4}" for i in range(48)] + ["NT"] * 12
+    crispr = _screen(rng, guide_labels, [lab == "NT" for lab in guide_labels], range(20, 80))
+
+    spec = {
+        "perturbation_type": "drug",
+        "perturbation_name": {"type": "direct", "source_key": "pert"},
+        "control_status": {"type": "direct", "source_key": "ctrl"},
+    }
+    parts = [
+        apply_mapping(drug, MappingSpec.from_dict(
+            {**spec, "dose_value": {"type": "direct", "source_key": "dose"}})),
+        apply_mapping(crispr, MappingSpec.from_dict({**spec, "perturbation_type": "crispr"})),
+    ]
+    merged = merge_datasets(parts).dataset
+    synthetic, _ = generate_synthetic(SyntheticConfig(
+        n_genes=60, n_perts=8, cells_per_condition=12, noise_sigma=0.4, effect_sparsity=0.3,
+        seed=0,
+    ))
+    for name, ds in (("merged", merged), ("synthetic", synthetic)):
+        write_canonical_bundle(ds, tmp_path / name)
+        back = read_canonical_bundle(tmp_path / name)
+        split = split_unseen_perturbation(back, train_frac=0.8, seed=0)
+        result = run_search(SearchConfig(n_sim=16, seed=0), SurrogateEvaluator(back, split))
+        assert result.found_valid, name
