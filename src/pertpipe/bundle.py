@@ -84,7 +84,10 @@ def _write_tsv(path: Path, columns: dict[str, np.ndarray]) -> None:
 
 
 def _read_tsv(path: Path) -> dict[str, list[str]]:
-    lines = path.read_text().removesuffix("\n").split("\n")
+    try:
+        lines = path.read_text().removesuffix("\n").split("\n")
+    except FileNotFoundError:
+        raise BundleFormatError(f"bundle file {path} is missing") from None
     names = lines[0].split("\t")
     if len(names) > 1:
         # in a one-column table an empty line is a row holding "", wider
@@ -110,7 +113,10 @@ def _write_matrix(path: Path, a: np.ndarray, dtype: str) -> None:
 
 def _read_matrix(path: Path, shape: tuple[int, ...], dtype: str) -> np.ndarray:
     expected = int(np.prod(shape)) * np.dtype(dtype).itemsize
-    size = path.stat().st_size
+    try:
+        size = path.stat().st_size
+    except FileNotFoundError:
+        raise BundleFormatError(f"bundle file {path} is missing") from None
     if size != expected:
         raise BundleFormatError(
             f"{path} holds {size} bytes, expected {expected} "
@@ -170,7 +176,7 @@ def write_raw_bundle(table: RawTable, out_dir: str | Path) -> None:
 def read_raw_bundle(path: str | Path) -> RawTable:
     root = Path(path)
     manifest = _load_manifest(root, expected_kind="raw")
-    n_cells, n_genes = manifest["n_cells"], manifest["n_genes"]
+    n_cells, n_genes = _count(root, manifest, "n_cells"), _count(root, manifest, "n_genes")
     obs_types = manifest.get("obs_types", {})
     raw_obs = _read_tsv(root / "obs.tsv")
     obs = {
@@ -216,9 +222,12 @@ def write_canonical_bundle(ds: CanonicalDataset, out_dir: str | Path) -> None:
 def read_canonical_bundle(path: str | Path) -> CanonicalDataset:
     root = Path(path)
     manifest = _load_manifest(root, expected_kind="canonical")
-    n_cells, n_genes = manifest["n_cells"], manifest["n_genes"]
-    if type(nnz := manifest.get("nnz")) is not int or nnz < 0:
-        raise BundleFormatError(f"{root / MANIFEST} has nnz {nnz!r}, expected a count")
+    n_cells, n_genes = _count(root, manifest, "n_cells"), _count(root, manifest, "n_genes")
+    nnz = _count(root, manifest, "nnz")
+    pert_vocab = _field(
+        root, manifest, "pert_vocab",
+        lambda v: type(v) is list and all(type(name) is str for name in v), "a list of names",
+    )
     obs = _read_tsv(root / "obs.tsv")
     missing = [k for k in CANONICAL_OBS_KEYS if k not in obs]
     if missing:
@@ -245,7 +254,7 @@ def read_canonical_bundle(path: str | Path) -> CanonicalDataset:
         pert_values=_read_matrix(root / "pert_dose.f64", (nnz,), "<f8"),
         ensembl_id=np.array(var["ensembl_id"], dtype=object),
         gene_symbol=np.array(var["gene_symbol"], dtype=object),
-        pert_vocab=tuple(manifest["pert_vocab"]),
+        pert_vocab=tuple(pert_vocab),
         extra_obs=extra,
     )
 
@@ -258,6 +267,8 @@ def _load_manifest(root: Path, expected_kind: str) -> dict:
         manifest = json.loads(mpath.read_text())
     except json.JSONDecodeError as exc:
         raise BundleFormatError(f"{mpath} is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise BundleFormatError(f"{mpath} is not a JSON object")
     kind = manifest.get("kind")
     if kind != expected_kind:
         raise BundleFormatError(
@@ -269,6 +280,20 @@ def _load_manifest(root: Path, expected_kind: str) -> dict:
             f"{mpath} is canonical bundle format {found!r}, expected format {CANONICAL_FORMAT}"
         )
     return manifest
+
+
+def _field(root: Path, manifest: dict, key: str, valid, expected: str):
+    """The manifest's ``key``; a missing or invalid value names the key."""
+    if key not in manifest:
+        raise BundleFormatError(f"{root / MANIFEST} has no {key!r}")
+    value = manifest[key]
+    if not valid(value):
+        raise BundleFormatError(f"{root / MANIFEST} has {key} {value!r}, expected {expected}")
+    return value
+
+
+def _count(root: Path, manifest: dict, key: str) -> int:
+    return _field(root, manifest, key, lambda v: type(v) is int and v >= 0, "a count")
 
 
 def _is_bundle_file(name: str) -> bool:

@@ -236,9 +236,7 @@ def search(bundle, out_dir, evaluator_spec, mode, kb_path, seed, fail_rate,
         table = _landscape_path(evaluator_spec).read_bytes()
         input_digests["landscape"] = hashlib.sha256(table).hexdigest()
     if kb_path:
-        kb_file = Path(kb_path)
-        kb_bytes = kb_file.read_bytes() if kb_file.is_file() else b""
-        input_digests["kb"] = hashlib.sha256(kb_bytes).hexdigest()
+        input_digests["kb"] = kb.digest
     manifest = RunManifest(
         command="search",
         config=dict(config),
@@ -366,7 +364,11 @@ def evaluate(bundle, predictions, control_name):
 
     predicted = []
     for cond, vec in doc.items():
-        arr = np.asarray(vec, dtype=np.float64)
+        try:
+            arr = np.asarray(vec, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            _fail("predictions", f"condition {cond!r} is not a vector of numbers: {exc}",
+                  EXIT_VALIDATION)
         if arr.shape != (ds.n_genes,):
             _fail(
                 "shape",

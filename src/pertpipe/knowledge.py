@@ -1,15 +1,25 @@
 """Persistent task memory and retrieval-based warm starting.
 
-Each entry stores a task profile embedding, the action path of a previously
-successful pipeline, and its reward. Retrieval embeds the query, filters by
-raw cosine similarity, ranks the survivors by a composite weight mixing
-normalized similarity with normalized reward, and gates between warm-start
-(inject the top path) and ab-initio search on the peak similarity.
+Each entry holds a task profile text, its embedding, the action path of a
+previously successful pipeline, and its reward. Retrieval embeds the query,
+filters by raw cosine similarity, ranks the survivors by a composite weight
+mixing normalized similarity with normalized reward, and gates between
+warm-start (inject the top path) and ab-initio search on the peak
+similarity.
 
-The store is an append-only JSON-lines file with a version header; a
-mismatched embedding dimension, a reward outside [0, 1] or a line that
-does not decode (a torn write, a hand edit) is rejected at load with its
-``path:line``.
+The store is an append-only JSON-lines file under a version header
+``{"kb_version": 2, "dim": d}``. Its lines keep only what cannot be
+derived: the embedding is a pure function of the profile text, so lines
+hold none, and ``load`` embeds every profile in one batch. Version-1 stores
+(whose lines also held the embedding) still load; their stored vectors are
+never read, as the same function produced them, and appends to them are
+version-2 lines.
+
+A final line without a trailing newline is an append that was cut short
+(or one still being written): ``load`` ignores it, and ``record`` truncates
+it under the lock before it appends. Any other line that does not decode,
+holds an illegal action path or a reward outside [0, 1], and a header of
+another version or dimension, is rejected at load with its ``path:line``.
 """
 
 from __future__ import annotations
@@ -20,13 +30,15 @@ import os
 import re
 import time
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .actions import validate_action_path
 from .errors import ParameterError, ValidationError
 
-KB_VERSION = 1
+KB_VERSION = 2
+_READABLE_VERSIONS = (1, 2)
 DEFAULT_EMBED_DIM = 256
 
 DEFAULT_TAU_FILTER = 0.3
@@ -54,15 +66,26 @@ class HashEmbedder:
         self.dim = dim
 
     def embed(self, text: str) -> np.ndarray:
-        vec = np.zeros(self.dim, dtype=np.float64)
-        for token in _TOKEN_RE.findall(text.lower()):
-            digest = hashlib.sha256(token.encode()).digest()
-            bucket = int.from_bytes(digest[:8], "big") % self.dim
-            vec[bucket] += 1.0
-        norm = np.linalg.norm(vec)
-        if norm > 0:
-            vec /= norm
-        return vec
+        return self.embed_many([text])[0]
+
+    def embed_many(self, texts) -> np.ndarray:
+        """Embed each text into one row of an ``(len(texts), dim)`` matrix.
+
+        Each distinct token is hashed once. The counts are integers, so the
+        rows do not depend on which texts share the batch.
+        """
+        tokens = [_TOKEN_RE.findall(text.lower()) for text in texts]
+        bucket = {
+            token: int.from_bytes(hashlib.sha256(token.encode()).digest()[:8], "big") % self.dim
+            for token in set(chain.from_iterable(tokens))
+        }
+        cols = np.fromiter((bucket[t] for row in tokens for t in row), dtype=np.int64)
+        rows = np.repeat(np.arange(len(tokens)), [len(row) for row in tokens])
+        counts = np.bincount(rows * self.dim + cols, minlength=len(tokens) * self.dim)
+        vecs = counts.reshape(len(tokens), self.dim).astype(np.float64)
+        norms = np.linalg.norm(vecs, axis=1, keepdims=True)
+        np.divide(vecs, norms, out=vecs, where=norms > 0)
+        return vecs
 
 
 @dataclass(frozen=True)
@@ -90,26 +113,15 @@ class KnowledgeEntry:
         validate_action_path(self.action_path)
 
     def to_json(self) -> str:
+        """The stored line: everything but the embedding, which load derives."""
         return json.dumps(
             {
                 "profile_text": self.profile_text,
-                "embedding": [float(x) for x in self.embedding],
                 "action_path": list(self.action_path),
                 "reward": self.reward,
                 "created_at": self.created_at,
             },
             sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, line: str) -> "KnowledgeEntry":
-        doc = json.loads(line)
-        return cls(
-            profile_text=doc["profile_text"],
-            embedding=np.array(doc["embedding"], dtype=np.float64),
-            action_path=tuple(doc["action_path"]),
-            reward=float(doc["reward"]),
-            created_at=float(doc["created_at"]),
         )
 
 
@@ -176,7 +188,14 @@ def retrieve(
             rho=float("-inf"), mode="ab_initio", ranked=(), epsilon0=None
         )
     query = embedder.embed(query_text)
-    sims = [cosine_similarity(query, e.embedding) for e in entries]
+    bad = next((e for e in entries if e.embedding.shape != query.shape), None)
+    if bad is not None:
+        raise ParameterError(
+            f"dimension mismatch: {query.shape} vs {bad.embedding.shape}"
+        )
+    # one dot per entry, as cosine_similarity takes it: a single matrix-vector
+    # product sums in another order and moves some similarities by an ulp
+    sims = np.clip([np.dot(query, e.embedding) for e in entries], -1.0, 1.0).tolist()
     rho = max(sims)
     survivors = [
         (e, s) for e, s in zip(entries, sims) if s > params.tau_filter
@@ -208,23 +227,69 @@ class KnowledgeBase:
 
         self.path = Path(path)
         self.dim = dim
+        self.digest: str | None = None  # sha256 of the bytes the last load read
 
     def load(self) -> list[KnowledgeEntry]:
-        """Read every entry; a line that does not decode is rejected by number."""
-        if not self.path.exists():
-            return []
-        lines = [
-            (i, ln) for i, ln in enumerate(self.path.read_text().splitlines(), start=1)
-            if ln.strip()
-        ]
+        """Read every complete line and embed the profiles in one batch.
+
+        A line that does not decode, names an illegal action path or a
+        reward outside [0, 1] is rejected by number; a final line without a
+        newline is ignored. Sets ``digest`` to the sha256 of the file's
+        bytes (of no bytes when the file does not exist).
+        """
+        try:
+            data = self.path.read_bytes()
+        except FileNotFoundError:
+            data = b""
+        self.digest = hashlib.sha256(data).hexdigest()
+        # past the last newline lies a torn append, or one still being written
+        end = data.rfind(b"\n") + 1
+        try:
+            content = data[:end].decode()
+        except UnicodeDecodeError as exc:
+            lineno = data.count(b"\n", 0, exc.start) + 1
+            raise ValidationError(f"{self.path}:{lineno} is not valid UTF-8: {exc}") from None
+        lines = [(i, ln) for i, ln in enumerate(content.split("\n")[:-1], start=1) if ln.strip()]
         if not lines:
             return []
-        header = self._decode(*lines[0], json.loads)
+        self._check_header(*lines[0])
+        fields = []
+        legal_paths: set[tuple] = set()
+        for i, line in lines[1:]:
+            try:
+                doc = json.loads(line)
+                text, path = doc["profile_text"], tuple(doc["action_path"])
+                reward, created_at = float(doc["reward"]), float(doc["created_at"])
+                if not isinstance(text, str):
+                    raise TypeError(f"profile_text is a {type(text).__name__}, not a string")
+                if path not in legal_paths:
+                    validate_action_path(path)
+                    legal_paths.add(path)
+            except (ValueError, KeyError, TypeError, ValidationError) as exc:
+                raise ValidationError(
+                    f"{self.path}:{i} is not a valid knowledge-base line: {exc}"
+                ) from None
+            if not 0.0 <= reward <= 1.0:
+                raise ValidationError(f"{self.path}:{i} entry reward {reward} outside [0, 1]")
+            fields.append((text, path, reward, created_at))
+        embeddings = HashEmbedder(self.dim).embed_many([f[0] for f in fields])
+        return [
+            KnowledgeEntry(text, emb, path, reward, created_at)
+            for (text, path, reward, created_at), emb in zip(fields, embeddings)
+        ]
+
+    def _check_header(self, lineno: int, line: str) -> None:
+        try:
+            header = json.loads(line)
+        except ValueError as exc:
+            raise ValidationError(
+                f"{self.path}:{lineno} is not a valid knowledge-base line: {exc}"
+            ) from None
         version = header.get("kb_version") if isinstance(header, dict) else None
-        if version != KB_VERSION:
+        if version not in _READABLE_VERSIONS:
             raise ValidationError(
                 f"knowledge base {self.path} has version "
-                f"{version!r}, expected {KB_VERSION}"
+                f"{version!r}, expected one of {list(_READABLE_VERSIONS)}"
             )
         stored_dim = header.get("dim", self.dim)
         if stored_dim != self.dim:
@@ -232,28 +297,6 @@ class KnowledgeBase:
                 f"knowledge base {self.path} stores {stored_dim}-dim embeddings, "
                 f"reader expects {self.dim}"
             )
-        entries = []
-        for i, line in lines[1:]:
-            entry = self._decode(i, line, KnowledgeEntry.from_json)
-            if entry.embedding.shape != (self.dim,):
-                raise ValidationError(
-                    f"{self.path}:{i} entry has embedding shape "
-                    f"{entry.embedding.shape}, expected ({self.dim},)"
-                )
-            if not 0.0 <= entry.reward <= 1.0:
-                raise ValidationError(
-                    f"{self.path}:{i} entry reward {entry.reward} outside [0, 1]"
-                )
-            entries.append(entry)
-        return entries
-
-    def _decode(self, lineno: int, line: str, parse):
-        try:
-            return parse(line)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ValidationError(
-                f"{self.path}:{lineno} is not a valid knowledge-base line: {exc}"
-            ) from None
 
     def record(self, entry: KnowledgeEntry) -> None:
         """Validate and durably append one entry."""
@@ -264,18 +307,34 @@ class KnowledgeBase:
                 f"does not match store dimension {self.dim}"
             )
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a") as fh:
+        with open(self.path, "ab+") as fh:
             _flock(fh)
             try:
-                # decided under the lock, so only the first writer adds a header
-                if os.fstat(fh.fileno()).st_size == 0:
-                    fh.write(
-                        json.dumps({"kb_version": KB_VERSION, "dim": self.dim}) + "\n"
-                    )
-                fh.write(entry.to_json() + "\n")
+                # decided under the lock: a torn tail is cut off, and only the
+                # first writer adds a header
+                size = os.fstat(fh.fileno()).st_size
+                complete = _complete_length(fh, size)
+                if complete < size:
+                    fh.truncate(complete)
+                text = entry.to_json() + "\n"
+                if complete == 0:
+                    text = json.dumps({"kb_version": KB_VERSION, "dim": self.dim}) + "\n" + text
+                fh.write(text.encode())
                 fh.flush()
+                os.fsync(fh.fileno())
             finally:
                 _funlock(fh)
+
+
+def _complete_length(fh, size: int) -> int:
+    """Bytes of the file up to and including its last newline."""
+    if size == 0:
+        return 0
+    fh.seek(size - 1)
+    if fh.read(1) == b"\n":
+        return size
+    fh.seek(0)
+    return fh.read(size).rfind(b"\n") + 1
 
 
 def _flock(fh) -> None:

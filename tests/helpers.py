@@ -9,13 +9,17 @@ n x g shift matrix, with a dense ridge solve and a direct winsorization,
 the way the evaluator did before it fitted from per-condition sufficient
 statistics. The harmonize references keep the per-cell loops that bundle
 writes, mapping application, merging and validation ran before they were
-vectorized.
+vectorized. The knowledge-base references embed one text at a time and
+score one entry at a time, the way retrieval did before it embedded and
+scored in batches.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
+import re
 
 import numpy as np
 
@@ -29,6 +33,7 @@ from pertpipe.data import (
 )
 from pertpipe.errors import BundleFormatError
 from pertpipe.evaluators import _FAMILY_COST, _HUBER_C, pathway_gene_mask
+from pertpipe.knowledge import RetrievalResult, composite_weight, cosine_similarity
 from pertpipe.metrics import UndefinedMetric, delta_pcc
 from pertpipe.search import EvalOutcome
 
@@ -597,3 +602,37 @@ def reference_validation_issues(ds: CanonicalDataset) -> list[ValidationIssue]:
             )
             reported.add(key)
     return issues
+
+
+# --------------------------------------------------------------------------
+# knowledge-base references: one text and one entry at a time
+
+
+def reference_embed(text: str, dim: int = 256) -> np.ndarray:
+    vec = np.zeros(dim, dtype=np.float64)
+    for token in re.findall(r"[a-z0-9]+", text.lower()):
+        digest = hashlib.sha256(token.encode()).digest()
+        vec[int.from_bytes(digest[:8], "big") % dim] += 1.0
+    norm = np.linalg.norm(vec)
+    if norm > 0:
+        vec /= norm
+    return vec
+
+
+def reference_retrieve(query_text, entries, params) -> RetrievalResult:
+    sims = [cosine_similarity(reference_embed(query_text), e.embedding) for e in entries]
+    rho = max(sims)
+    survivors = [(e, s) for e, s in zip(entries, sims) if s > params.tau_filter]
+    if rho <= params.tau or not survivors:
+        return RetrievalResult(rho=rho, mode="ab_initio", ranked=(), epsilon0=None)
+    rewards = [e.reward for e, _ in survivors]
+    r_min, r_max = min(rewards), max(rewards)
+    weighted = [
+        (e, s, composite_weight(s, e.reward, r_min, r_max, params.tau_filter,
+                                params.alpha_retrieval))
+        for e, s in survivors
+    ]
+    weighted.sort(key=lambda item: (-item[2], -item[0].created_at))
+    ranked = tuple(weighted[: params.m])
+    return RetrievalResult(rho=rho, mode="warm_start", ranked=ranked,
+                           epsilon0=ranked[0][0].action_path)

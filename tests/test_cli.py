@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import builtins
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -19,10 +22,11 @@ from pertpipe.bundle import (
     write_raw_bundle,
 )
 from pertpipe.actions import materialize, validate_action_path
-from pertpipe.cli import main
+from pertpipe.cli import _profile_text, main
 from pertpipe.data import pseudo_bulk
 from pertpipe.evaluators import builtin_landscape_path
 from pertpipe.knowledge import KnowledgeBase, make_entry
+from pertpipe.manifest import resolve_config
 
 
 @pytest.fixture
@@ -375,6 +379,23 @@ class TestEvaluateCommand:
             "condition 'PERT_000' has non-finite value nan at gene 1 (1 values)"
         )
 
+    @pytest.mark.parametrize(
+        "vector",
+        [[1.0, "x", 2.0, 0.5, 1.0], [1.0, [2.0], 2.0, 0.5, 1.0], {"gene": 1.0}],
+        ids=["string", "nested_list", "object"],
+    )
+    def test_non_numeric_prediction_exits_2(self, runner, tmp_path, vector):
+        bundle = tmp_path / "b"
+        result = runner.invoke(main, ["gen-synthetic", "--out", str(bundle), "--n-genes", "5"])
+        assert result.exit_code == 0, result.output + result.stderr
+        pred_file = tmp_path / "pred.json"
+        pred_file.write_text(json.dumps({"PERT_000": vector}))
+        result = runner.invoke(main, ["evaluate", str(bundle), str(pred_file)])
+        assert result.exit_code == 2, result.output
+        error = _stderr_error(result)["error"]
+        assert error["code"] == "predictions"
+        assert error["message"].startswith("condition 'PERT_000' is not a vector of numbers: ")
+
 
 class TestCanonicalBundleFormat:
     """A canonical bundle that breaks format 2 exits 2 with a JSON error."""
@@ -414,6 +435,82 @@ class TestCanonicalBundleFormat:
             manifest["nnz"] = 3
         (bundle / "manifest.json").write_text(json.dumps(manifest))
         result = runner.invoke(main, ["search", str(bundle), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2, result.output
+        error = _stderr_error(result)["error"]
+        assert error["code"] == "bundle"
+        assert message in error["message"]
+
+
+class TestIncompleteBundles:
+    """A bundle missing a file or a manifest key exits 2 naming it, not with a traceback."""
+
+    @pytest.mark.parametrize("command", ["search", "evaluate"])
+    @pytest.mark.parametrize(
+        "defect, message",
+        [
+            ("X.f64", "X.f64 is missing"),
+            ("pert_indices.i64", "pert_indices.i64 is missing"),
+            ("pert_indptr.i64", "pert_indptr.i64 is missing"),
+            ("obs.tsv", "obs.tsv is missing"),
+            ("n_cells", "has no 'n_cells'"),
+            ("n_genes", "has no 'n_genes'"),
+            ("pert_vocab", "has no 'pert_vocab'"),
+        ],
+    )
+    def test_canonical_bundle_exits_2(self, runner, synthetic_bundle, tmp_path,
+                                      command, defect, message):
+        manifest_path = synthetic_bundle / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        if defect in manifest:
+            del manifest[defect]
+            manifest_path.write_text(json.dumps(manifest))
+        else:
+            (synthetic_bundle / defect).unlink()
+        pred_file = tmp_path / "pred.json"
+        pred_file.write_text("{}")
+        args = {
+            "search": ["search", str(synthetic_bundle), "--out", str(tmp_path / "o")],
+            "evaluate": ["evaluate", str(synthetic_bundle), str(pred_file)],
+        }[command]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        error = _stderr_error(result)["error"]
+        assert error["code"] == "bundle"
+        assert message in error["message"]
+
+    @pytest.mark.parametrize(
+        "value", ["12", -1, None, ["a"]], ids=["string", "negative", "null", "list"],
+    )
+    def test_invalid_count_exits_2(self, runner, synthetic_bundle, tmp_path, value):
+        manifest_path = synthetic_bundle / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["n_genes"] = value
+        manifest_path.write_text(json.dumps(manifest))
+        result = runner.invoke(main, ["search", str(synthetic_bundle), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2, result.output
+        assert f"has n_genes {value!r}, expected a count" in _stderr_error(result)["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "defect, message",
+        [
+            ("X.f64", "X.f64 is missing"),
+            ("obs.tsv", "obs.tsv is missing"),
+            ("n_cells", "has no 'n_cells'"),
+            ("n_genes", "has no 'n_genes'"),
+        ],
+    )
+    def test_raw_bundle_exits_2(self, runner, raw_bundle_dir, mapping_file, tmp_path,
+                                defect, message):
+        manifest_path = raw_bundle_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        if defect in manifest:
+            del manifest[defect]
+            manifest_path.write_text(json.dumps(manifest))
+        else:
+            (raw_bundle_dir / defect).unlink()
+        result = runner.invoke(
+            main, ["unify", str(raw_bundle_dir), str(tmp_path / "o"), "--mapping", str(mapping_file)]
+        )
         assert result.exit_code == 2, result.output
         error = _stderr_error(result)["error"]
         assert error["code"] == "bundle"
@@ -521,16 +618,102 @@ class TestKnowledgeBaseFlags:
         ids=["search", "kb_list", "kb_show"],
     )
     def test_torn_kb_line_exits_2(self, runner, synthetic_bundle, tmp_path, command):
+        # a newline after the damage: not an append cut short, so not skipped
         kb = tmp_path / "kb.jsonl"
         KnowledgeBase(kb).record(make_entry("x", ("paradigm:generative",), 0.5))
         with open(kb, "a") as fh:
-            fh.write('{"torn')
+            fh.write('{"torn\n')
         args = [a.format(bundle=synthetic_bundle, out=tmp_path / "o") for a in command]
         result = runner.invoke(main, args + ["--kb", str(kb)])
         assert result.exit_code == 2
         error = _stderr_error(result)["error"]
         assert error["code"] == "kb"
         assert f"{kb}:3 " in error["message"]
+
+
+    def test_search_after_a_crash_mid_append(self, runner, synthetic_bundle, tmp_path):
+        kb = tmp_path / "kb.jsonl"
+        KnowledgeBase(kb).record(make_entry("x", ("paradigm:generative",), 0.5))
+        half = make_entry("y", ("paradigm:generative",), 0.5).to_json()
+        with open(kb, "a") as fh:
+            fh.write(half[: len(half) // 2])  # the crash: half an entry, no newline
+        result = runner.invoke(
+            main,
+            ["search", str(synthetic_bundle), "--out", str(tmp_path / "o"),
+             "--set", "search.n_sim=8", "--kb", str(kb)],
+        )
+        assert result.exit_code == 0, result.output + result.stderr
+        data = kb.read_bytes()
+        assert data.endswith(b"\n")
+        assert all(json.loads(line) for line in data.splitlines())
+        assert [e.profile_text for e in KnowledgeBase(kb).load()][0] == "x"
+        assert len(KnowledgeBase(kb).load()) == 2
+
+    def test_illegal_stored_path_exits_2(self, runner, synthetic_bundle, tmp_path):
+        # a hand edit with the query's own profile, so a load that kept it
+        # would warm-start from the illegal path
+        profile = _profile_text(
+            synthetic_bundle, read_canonical_bundle(synthetic_bundle),
+            resolve_config(None, {}), "surrogate",
+        )
+        kb = tmp_path / "kb.jsonl"
+        KnowledgeBase(kb).record(make_entry("x", ("paradigm:generative",), 0.5))
+        doc = {"profile_text": profile, "action_path": ["backbone:resnet", "bogus:action"],
+               "reward": 0.9, "created_at": 1.0}
+        with open(kb, "a") as fh:
+            fh.write(json.dumps(doc) + "\n")
+        result = runner.invoke(
+            main, ["search", str(synthetic_bundle), "--out", str(tmp_path / "o"), "--kb", str(kb)]
+        )
+        assert result.exit_code == 2, result.output
+        error = _stderr_error(result)["error"]
+        assert error["code"] == "kb"
+        assert error["message"].startswith(f"{kb}:3 ")
+        assert "not legal" in error["message"]
+
+    def test_kb_file_read_once_before_record(self, runner, synthetic_bundle, tmp_path,
+                                             monkeypatch):
+        kb = tmp_path / "kb.jsonl"
+        KnowledgeBase(kb).record(make_entry("x", ("paradigm:generative",), 0.5))
+        opened = []
+
+        def counting(real):
+            def wrapper(file, *args, **kwargs):
+                if isinstance(file, (str, os.PathLike)) and Path(file) == kb:
+                    opened.append(file)
+                return real(file, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(builtins, "open", counting(builtins.open))
+        monkeypatch.setattr(io, "open", counting(io.open))
+        at_record = []
+        real_record = KnowledgeBase.record
+        monkeypatch.setattr(
+            KnowledgeBase, "record",
+            lambda self, entry: at_record.append(len(opened)) or real_record(self, entry),
+        )
+        result = runner.invoke(
+            main,
+            ["search", str(synthetic_bundle), "--out", str(tmp_path / "o"),
+             "--set", "search.n_sim=8", "--kb", str(kb)],
+        )
+        assert result.exit_code == 0, result.output + result.stderr
+        assert at_record == [1]
+
+    def test_manifest_kb_digest_is_the_pre_run_sha256(self, runner, synthetic_bundle, tmp_path):
+        kb = tmp_path / "kb.jsonl"
+        KnowledgeBase(kb).record(make_entry("x", ("paradigm:generative",), 0.5))
+        before = hashlib.sha256(kb.read_bytes()).hexdigest()
+        out = tmp_path / "o"
+        result = runner.invoke(
+            main,
+            ["search", str(synthetic_bundle), "--out", str(out),
+             "--set", "search.n_sim=8", "--kb", str(kb)],
+        )
+        assert result.exit_code == 0, result.output + result.stderr
+        assert hashlib.sha256(kb.read_bytes()).hexdigest() != before  # the run appended
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["input_digests"]["kb"] == before
 
 
 class TestManifests:

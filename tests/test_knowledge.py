@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import multiprocessing
 
 import numpy as np
 import pytest
 
+from helpers import reference_embed, reference_retrieve
 from pertpipe import knowledge
 from pertpipe.errors import ParameterError, ValidationError
 from pertpipe.knowledge import (
@@ -178,11 +180,88 @@ class TestHashEmbedder:
     def test_dimension_configurable(self):
         assert HashEmbedder(dim=32).embed("text").shape == (32,)
 
+    @pytest.mark.parametrize("dim", [1, 7, 256])
+    def test_embed_many_matches_embed_bit_for_bit(self, dim):
+        rng = np.random.default_rng(dim)
+        alphabet = list("abcXYZ019 _-\t.|")
+        texts = ["".join(rng.choice(alphabet, size=int(rng.integers(0, 80))))
+                 for _ in range(300)]
+        texts += ["", "  \t ", "Émigré ß 中文 k562", "a a a b"] + texts[:5]
+        embedder = HashEmbedder(dim)
+        batch = embedder.embed_many(texts)
+        assert batch.shape == (len(texts), dim)
+        for text, row in zip(texts, batch):
+            assert row.tobytes() == embedder.embed(text).tobytes()
+            assert row.tobytes() == reference_embed(text, dim).tobytes()
 
-SCALAR_EMBEDDING_ENTRY = json.dumps(
-    {"profile_text": "x", "embedding": 1.0, "action_path": ["paradigm:generative"],
-     "reward": 0.5, "created_at": 0.0}
+    def test_empty_batch(self):
+        assert HashEmbedder().embed_many([]).shape == (0, 256)
+
+
+def _profiles(rng, n: int) -> list[str]:
+    """Profile texts in the layout ``pertpipe search`` records; many share most tokens."""
+    texts = []
+    for _ in range(n):
+        n_perts = int(rng.integers(10, 400))
+        vocab = " ".join(f"PERT_{j:03d}" for j in range(min(n_perts, 8)))
+        evaluator = ["surrogate", "landscape:funnel", "landscape:ablation"][int(rng.integers(0, 3))]
+        texts.append(
+            f"cells {(n_perts + 1) * int(rng.integers(15, 60))} genes {int(rng.integers(100, 8000))} "
+            f"perturbations {n_perts} vocab {vocab} split unseen_perturbation "
+            f"evaluator {evaluator}"
+        )
+    return texts
+
+
+PATHS = (
+    LEGAL_PATH,
+    OTHER_PATH,
+    ("paradigm:generative",),
+    ("paradigm:discriminative", "backbone:gated_mlp", "loss:huber"),
+    ("paradigm:discriminative", "backbone:pathway_masked", "hyperparam:h2", "loss:mse"),
 )
+
+
+def _stored_entries(seed: int, n: int) -> list[KnowledgeEntry]:
+    rng = np.random.default_rng(seed)
+    return [
+        make_entry(text, PATHS[int(rng.integers(0, len(PATHS)))], float(rng.uniform()),
+                   created_at=float(rng.integers(0, 50)))
+        for text in _profiles(rng, n)
+    ]
+
+
+def _v1_line(entry: KnowledgeEntry, embedding) -> str:
+    """An entry line as version-1 stores wrote it, embedding included."""
+    doc = json.loads(entry.to_json())
+    doc["embedding"] = embedding
+    return json.dumps(doc, sort_keys=True)
+
+
+class TestBatchRetrieval:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_the_per_entry_cosine_loop(self, tmp_path, seed):
+        path = tmp_path / "kb.jsonl"
+        for entry in _stored_entries(seed, 300):
+            KnowledgeBase(path).record(entry)
+        entries = KnowledgeBase(path).load()
+        queries = _profiles(np.random.default_rng(100 + seed), 20) + ["unrelated words only"]
+        modes = set()
+        for params in (RetrievalParams(), RetrievalParams(m=10, tau=0.9, alpha_retrieval=0.2)):
+            for query in queries:
+                got = retrieve(query, entries, params)
+                want = reference_retrieve(query, entries, params)
+                assert (got.rho, got.mode, got.epsilon0) == (want.rho, want.mode, want.epsilon0)
+                assert [(id(e), s, w) for e, s, w in got.ranked] == [
+                    (id(e), s, w) for e, s, w in want.ranked
+                ]
+                modes.add(got.mode)
+        assert modes == {"warm_start", "ab_initio"}
+
+    def test_dimension_mismatch_raises(self):
+        entry = KnowledgeEntry("x", np.ones(3) / np.sqrt(3), LEGAL_PATH, 0.5, 0.0)
+        with pytest.raises(ParameterError, match="dimension mismatch"):
+            retrieve("q", [entry], RetrievalParams(), _FixedEmbedder([1.0, 0.0]))
 
 
 class TestKnowledgeBase:
@@ -233,7 +312,7 @@ class TestKnowledgeBase:
         path = tmp_path / "kb.jsonl"
         KnowledgeBase(path).record(make_entry("x", LEGAL_PATH, 0.5))
         header = json.loads(path.read_text().splitlines()[0])
-        assert header == {"kb_version": 1, "dim": 256}
+        assert header == {"kb_version": 2, "dim": 256}
         path.write_text(json.dumps({"kb_version": 99, "dim": 256}) + "\n")
         with pytest.raises(ValidationError, match="version"):
             KnowledgeBase(path).load()
@@ -267,24 +346,169 @@ class TestKnowledgeBase:
     @pytest.mark.parametrize(
         "lines,bad_line",
         [
-            (None, 3),  # torn final entry
+            (None, 3),  # torn entry that a newline ends, so not a cut-short append
             (['{"kb_version": 1, "dim": 25'], 1),  # torn header
             (['{"kb_version": 1, "dim": 256}', "", '{"reward": 0.5}'], 3),
             (['{"kb_version": 1, "dim": 256}', "[1, 2]"], 2),
-            (['{"kb_version": 1, "dim": 256}', SCALAR_EMBEDDING_ENTRY], 2),
+            (['{"kb_version": 2, "dim": 256}', json.dumps(
+                {"profile_text": 7, "action_path": [], "reward": 0.5, "created_at": 0.0})], 2),
         ],
-        ids=["torn_entry", "torn_header", "missing_keys", "not_an_object", "scalar_embedding"],
+        ids=["torn_entry", "torn_header", "missing_keys", "not_an_object", "numeric_profile"],
     )
     def test_undecodable_line_rejected_by_number(self, tmp_path, lines, bad_line):
         path = tmp_path / "kb.jsonl"
         if lines is None:
             KnowledgeBase(path).record(make_entry("x", LEGAL_PATH, 0.5))
             with open(path, "a") as fh:
-                fh.write('{"torn')
+                fh.write('{"torn\n')
         else:
             path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValidationError, match=f"kb.jsonl:{bad_line} "):
             KnowledgeBase(path).load()
+
+
+class TestStoreFormat:
+    def test_entry_lines_hold_no_embedding(self, tmp_path):
+        path = tmp_path / "kb.jsonl"
+        KnowledgeBase(path).record(make_entry("x", LEGAL_PATH, 0.5, created_at=1.0))
+        header, line = path.read_text().splitlines()
+        assert json.loads(line) == {
+            "profile_text": "x", "action_path": list(LEGAL_PATH), "reward": 0.5,
+            "created_at": 1.0,
+        }
+
+    def test_loaded_embeddings_are_read_only_rows_of_the_batch(self, tmp_path):
+        path = tmp_path / "kb.jsonl"
+        for entry in _stored_entries(0, 5):
+            KnowledgeBase(path).record(entry)
+        entries = KnowledgeBase(path).load()
+        assert not any(e.embedding.flags.writeable for e in entries)
+        assert len({id(e.embedding.base) for e in entries}) == 1
+        assert entries[0].embedding.base.shape == (5, 256)
+        for e in entries:
+            assert e.embedding.tobytes() == reference_embed(e.profile_text).tobytes()
+
+    def test_version_1_store_loads_with_bit_equal_embeddings(self, tmp_path):
+        path = tmp_path / "kb.jsonl"
+        entries = _stored_entries(3, 200)
+        stored = [[float(x) for x in reference_embed(e.profile_text)] for e in entries]
+        path.write_text(
+            "\n".join([json.dumps({"kb_version": 1, "dim": 256})]
+                      + [_v1_line(e, v) for e, v in zip(entries, stored)]) + "\n"
+        )
+        loaded = KnowledgeBase(path).load()
+        assert np.array(stored).tobytes() == np.array([e.embedding for e in loaded]).tobytes()
+        assert [(e.profile_text, e.action_path, e.reward, e.created_at) for e in loaded] == [
+            (e.profile_text, e.action_path, e.reward, e.created_at) for e in entries
+        ]
+
+    def test_version_1_stored_embedding_is_never_read(self, tmp_path):
+        # a scalar where the vector was: version-1 lines keep loading regardless
+        path = tmp_path / "kb.jsonl"
+        entry = make_entry("x", LEGAL_PATH, 0.5, created_at=0.0)
+        path.write_text(json.dumps({"kb_version": 1, "dim": 256}) + "\n"
+                        + _v1_line(entry, 1.0) + "\n")
+        (loaded,) = KnowledgeBase(path).load()
+        assert loaded.embedding.tobytes() == HashEmbedder().embed("x").tobytes()
+
+    def test_append_to_version_1_store_writes_a_version_2_line(self, tmp_path):
+        path = tmp_path / "kb.jsonl"
+        old = make_entry("old task", LEGAL_PATH, 0.5, created_at=0.0)
+        path.write_text(json.dumps({"kb_version": 1, "dim": 256}) + "\n"
+                        + _v1_line(old, list(old.embedding)) + "\n")
+        KnowledgeBase(path).record(make_entry("new task", OTHER_PATH, 0.6))
+        lines = path.read_text().splitlines()
+        assert json.loads(lines[0]) == {"kb_version": 1, "dim": 256}
+        assert "embedding" not in json.loads(lines[2])
+        assert [e.profile_text for e in KnowledgeBase(path).load()] == ["old task", "new task"]
+
+    @pytest.mark.parametrize(
+        "bad_path",
+        [("backbone:resnet", "bogus:action"), LEGAL_PATH + ("debug",), ("paradigm:bogus",)],
+        ids=["illegal_first_action", "debug_action", "unknown_paradigm"],
+    )
+    def test_illegal_action_path_rejected_at_load(self, tmp_path, bad_path):
+        path = tmp_path / "kb.jsonl"
+        KnowledgeBase(path).record(make_entry("x", LEGAL_PATH, 0.5))
+        doc = json.loads(make_entry("y", LEGAL_PATH, 0.5).to_json())
+        doc["action_path"] = list(bad_path)
+        with open(path, "a") as fh:
+            fh.write(json.dumps(doc) + "\n")
+        with pytest.raises(ValidationError, match=r"kb.jsonl:3 .*(not legal|debug)"):
+            KnowledgeBase(path).load()
+
+    def test_each_distinct_path_validated_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "kb.jsonl"
+        entries = _stored_entries(4, 60)
+        for entry in entries:
+            KnowledgeBase(path).record(entry)
+        checked = []
+        real = knowledge.validate_action_path
+        monkeypatch.setattr(knowledge, "validate_action_path",
+                            lambda p: checked.append(p) or real(p))
+        KnowledgeBase(path).load()
+        assert sorted(checked) == sorted({e.action_path for e in entries})
+
+    def test_digest_is_the_sha256_of_the_bytes_read(self, tmp_path):
+        path = tmp_path / "kb.jsonl"
+        kb = KnowledgeBase(path)
+        kb.load()
+        assert kb.digest == hashlib.sha256(b"").hexdigest()
+        kb.record(make_entry("x", LEGAL_PATH, 0.5))
+        with open(path, "a") as fh:
+            fh.write('{"torn')
+        kb.load()
+        assert kb.digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestTornTail:
+    """A final line without a newline is an append that never finished."""
+
+    def test_load_ignores_it(self, tmp_path):
+        path = tmp_path / "kb.jsonl"
+        KnowledgeBase(path).record(make_entry("x", LEGAL_PATH, 0.5))
+        whole = make_entry("y", OTHER_PATH, 0.6).to_json()
+        with open(path, "a") as fh:
+            fh.write(whole)  # complete JSON, but the newline never came
+        assert [e.profile_text for e in KnowledgeBase(path).load()] == ["x"]
+
+    def test_a_character_cut_in_half_is_ignored_but_bad_bytes_are_not(self, tmp_path):
+        path = tmp_path / "kb.jsonl"
+        KnowledgeBase(path).record(make_entry("x", LEGAL_PATH, 0.5))
+        intact = path.read_bytes()
+        path.write_bytes(intact + '{"profile_text": "é'.encode()[:-1])
+        assert len(KnowledgeBase(path).load()) == 1
+        path.write_bytes(intact + b'{"profile_text": "\xff"}\n')
+        with pytest.raises(ValidationError, match="kb.jsonl:3 is not valid UTF-8"):
+            KnowledgeBase(path).load()
+
+    @pytest.mark.parametrize(
+        "before, torn",
+        [(1, '{"torn'), (2, make_entry("y", OTHER_PATH, 0.6).to_json()[:40]),
+         (0, '{"kb_version": 2, "di'), (0, "")],
+        ids=["after_one_entry", "half_an_entry", "torn_header", "nothing"],
+    )
+    def test_record_cuts_it_off_then_appends(self, tmp_path, before, torn):
+        path = tmp_path / "kb.jsonl"
+        for i in range(before):
+            KnowledgeBase(path).record(make_entry(f"e{i}", LEGAL_PATH, 0.5))
+        intact = path.read_bytes() if path.exists() else b""
+        with open(path, "a") as fh:
+            fh.write(torn)
+        KnowledgeBase(path).record(make_entry("next", OTHER_PATH, 0.7))
+        data = path.read_bytes()
+        assert data.startswith(intact) and data.endswith(b"\n")
+        assert json.loads(data.splitlines()[0]) == {"kb_version": 2, "dim": 256}
+        texts = [e.profile_text for e in KnowledgeBase(path).load()]
+        assert texts == [f"e{i}" for i in range(before)] + ["next"]
+
+    def test_record_syncs_the_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "kb.jsonl"
+        synced = []
+        real = knowledge.os.fsync
+        monkeypatch.setattr(knowledge.os, "fsync", lambda fd: synced.append(fd) or real(fd))
+        KnowledgeBase(path).record(make_entry("x", LEGAL_PATH, 0.5))
+        assert len(synced) == 1
 
 
 def _append_entries(path, writer: int, n: int, barrier) -> None:
