@@ -23,10 +23,11 @@ from pathlib import Path
 import numpy as np
 
 from .data import CANONICAL_OBS_KEYS, CanonicalDataset, RawTable
-from .dsl import _kind
+from .dsl import DslEvalError, _cast, _kind
 from .errors import BundleFormatError
 
 MANIFEST = "manifest.json"
+_OBS_TYPES = ("bool", "float", "str", "categorical")
 CANONICAL_FORMAT = 2
 _DIGEST_CHUNK = 1 << 20
 
@@ -125,17 +126,18 @@ def _read_matrix(path: Path, shape: tuple[int, ...], dtype: str) -> np.ndarray:
     return np.fromfile(path, dtype=dtype).reshape(shape)
 
 
-def _parse_obs_column(values: list[str], tag: str) -> np.ndarray:
+def _parse_obs_column(name: str, values: list[str], tag: str) -> np.ndarray:
     if tag == "bool":
         bad = [v for v in values if v not in ("true", "false")]
         if bad:
-            raise BundleFormatError(f"bool column contains {bad[0]!r}")
+            raise BundleFormatError(f"bool obs column {name!r} contains {bad[0]!r}")
         return np.array([v == "true" for v in values], dtype=bool)
     if tag == "float":
-        return np.array([float(v) for v in values], dtype=np.float64)
-    if tag in ("str", "categorical"):
-        return np.array(values, dtype=object)
-    raise BundleFormatError(f"unknown obs column type {tag!r}")
+        try:
+            return _cast(np.array(values, dtype=object), "float")
+        except DslEvalError as exc:
+            raise BundleFormatError(f"float obs column {name!r}: {exc}") from None
+    return np.array(values, dtype=object)
 
 
 def _start_write(out_dir: str | Path) -> Path:
@@ -177,10 +179,19 @@ def read_raw_bundle(path: str | Path) -> RawTable:
     root = Path(path)
     manifest = _load_manifest(root, expected_kind="raw")
     n_cells, n_genes = _count(root, manifest, "n_cells"), _count(root, manifest, "n_genes")
-    obs_types = manifest.get("obs_types", {})
+    obs_types = _field(
+        root, manifest, "obs_types",
+        lambda v: type(v) is dict and all(tag in _OBS_TYPES for tag in v.values()),
+        f"an object from column name to one of {list(_OBS_TYPES)}", default={},
+    )
+    obsm_widths = _field(
+        root, manifest, "obsm",
+        lambda v: type(v) is dict and all(type(k) is int and k >= 0 for k in v.values()),
+        "an object from name to a column count", default={},
+    )
     raw_obs = _read_tsv(root / "obs.tsv")
     obs = {
-        name: _parse_obs_column(values, obs_types.get(name, "str"))
+        name: _parse_obs_column(name, values, obs_types.get(name, "str"))
         for name, values in raw_obs.items()
     }
     var = _read_tsv(root / "var.tsv")
@@ -188,9 +199,10 @@ def read_raw_bundle(path: str | Path) -> RawTable:
     var_index = np.array(var[var_names[0]], dtype=object)
     var_columns = {name: np.array(var[name], dtype=object) for name in var_names[1:]}
     X = _read_matrix(root / "X.f64", (n_cells, n_genes), "<f8")
-    obsm = {}
-    for name, k in manifest.get("obsm", {}).items():
-        obsm[name] = _read_matrix(root / f"obsm_{name}.f64", (n_cells, int(k)), "<f8")
+    obsm = {
+        name: _read_matrix(root / f"obsm_{name}.f64", (n_cells, k), "<f8")
+        for name, k in obsm_widths.items()
+    }
     return RawTable(obs=obs, var_index=var_index, var_columns=var_columns, X=X, obsm=obsm)
 
 
@@ -246,7 +258,7 @@ def read_canonical_bundle(path: str | Path) -> CanonicalDataset:
         batch_id=np.array(obs["batch_id"], dtype=object),
         donor_id=np.array(obs["donor_id"], dtype=object),
         pert_type=np.array(obs["pert_type"], dtype=object),
-        is_control=_parse_obs_column(obs["is_control"], "bool"),
+        is_control=_parse_obs_column("is_control", obs["is_control"], "bool"),
         condition_name=np.array(obs["condition_name"], dtype=object),
         X=_read_matrix(root / "X.f64", (n_cells, n_genes), "<f8"),
         pert_indptr=_read_matrix(root / "pert_indptr.i64", (n_cells + 1,), "<i8"),
@@ -282,10 +294,12 @@ def _load_manifest(root: Path, expected_kind: str) -> dict:
     return manifest
 
 
-def _field(root: Path, manifest: dict, key: str, valid, expected: str):
-    """The manifest's ``key``; a missing or invalid value names the key."""
+def _field(root: Path, manifest: dict, key: str, valid, expected: str, default=None):
+    """The manifest's ``key``; an invalid value, or a missing one without a default, names it."""
     if key not in manifest:
-        raise BundleFormatError(f"{root / MANIFEST} has no {key!r}")
+        if default is None:
+            raise BundleFormatError(f"{root / MANIFEST} has no {key!r}")
+        return default
     value = manifest[key]
     if not valid(value):
         raise BundleFormatError(f"{root / MANIFEST} has {key} {value!r}, expected {expected}")

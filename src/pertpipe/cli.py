@@ -365,18 +365,17 @@ def evaluate(bundle, predictions, control_name):
     predicted = []
     for cond, vec in doc.items():
         try:
-            arr = np.asarray(vec, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
+            arr = _json_vector(vec)
+        except (ValueError, OverflowError) as exc:
             _fail("predictions", f"condition {cond!r} is not a vector of numbers: {exc}",
                   EXIT_VALIDATION)
         if arr.shape != (ds.n_genes,):
             _fail(
                 "shape",
-                f"condition {cond!r} has {arr.shape[0] if arr.ndim == 1 else arr.shape} "
-                f"values, expected {ds.n_genes}",
+                f"condition {cond!r} has {arr.shape[0]} values, expected {ds.n_genes}",
                 EXIT_VALIDATION,
                 expected=ds.n_genes,
-                actual=int(arr.shape[0]) if arr.ndim == 1 else list(arr.shape),
+                actual=int(arr.shape[0]),
             )
         bad = np.flatnonzero(~np.isfinite(arr))
         if bad.size:
@@ -392,6 +391,16 @@ def evaluate(bundle, predictions, control_name):
     except (ParameterError, ValidationError) as exc:
         _fail("evaluate", str(exc), EXIT_VALIDATION)
     click.echo(report.to_json())
+
+
+def _json_vector(vec) -> np.ndarray:
+    """A JSON list of numbers as float64; numpy alone would also read "1.0", true and null."""
+    if type(vec) is not list:
+        raise ValueError(f"got {type(vec).__name__} {vec!r}")
+    for j, v in enumerate(vec):
+        if type(v) not in (int, float):
+            raise ValueError(f"gene {j} holds {v!r}")
+    return np.array(vec, dtype=np.float64)  # OverflowError past the float range
 
 
 @main.command("gen-synthetic")

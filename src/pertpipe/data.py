@@ -325,8 +325,8 @@ def normalize_log1p(
     overflow.
     """
     X = np.asarray(X, dtype=np.float64)
-    if target_sum <= 0:
-        raise ParameterError(f"target_sum must be positive, got {target_sum}")
+    if not 0 < target_sum < math.inf:
+        raise ParameterError(f"target_sum must be finite and positive, got {target_sum}")
     neg = _first_true(X < 0)
     if neg:
         i, j, _ = neg

@@ -8,14 +8,14 @@ without ever touching ``eval``.
 
 Grammar (whitespace-insensitive)::
 
-    expression → or_expr
-    or_expr    → and_expr ("or" and_expr)*
-    and_expr   → cmp ("and" cmp)*
-    cmp        → sum (("==" | "!=") sum)?
-    sum        → term (("+" | "-") term)*
-    term       → postfix (("*" | "/") postfix)*
+    expression → postfix (binary_op postfix)*
     postfix    → atom (".astype(" type ")" | ".isin(" list ")")*
     atom       → column | literal | "(" expression ")"
+
+``_PRECEDENCE`` is the single precedence table: the parser climbs it and
+``format_expr`` reads it to place parentheses. From loosest to tightest the
+binary operators are ``or``, ``and``, ``==``/``!=``, ``+``/``-`` and
+``*``/``/``. All associate left, except that comparisons do not chain.
 
 Columns are written ``df['name']`` or ``adata.obs['name']``. Literals are
 single- or double-quoted strings, numbers (float64, optional leading
@@ -26,6 +26,7 @@ lambdas, comparison chains, extra operators) is rejected with an
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,9 +120,8 @@ Expr = ColumnRef | StrLit | NumLit | BoolLit | ListLit | Cast | IsIn | BinOp | P
 BINARY_OPS = ("==", "!=", "+", "-", "*", "/", "and", "or")
 CAST_TARGETS = ("float", "str")
 
-# Python operators/keywords we recognise but refuse, so that rejection
-# names the construct instead of reporting a bare syntax error.
-_UNSUPPORTED_OPS = ("<=", ">=", "//", "**", "<", ">", "%", "&", "|", "^", "~", "@", "=")
+# Python keywords we recognise but refuse, so that rejection names the
+# construct instead of reporting a bare syntax error.
 _UNSUPPORTED_KEYWORDS = {
     "not", "in", "is", "if", "else", "lambda", "None", "for", "while",
 }
@@ -133,100 +133,71 @@ _UNSUPPORTED_KEYWORDS = {
 
 @dataclass(frozen=True)
 class _Token:
-    kind: str  # NAME NUMBER STRING OP EOF
+    kind: str  # NAME NUMBER STRING OP UNSUP EOF
     value: str
     offset: int
 
 
+# One named group per token class, tried in this order. The refused
+# operators and characters become UNSUP tokens that surface at parse time,
+# so the enclosing construct (a call, a lambda) can be named instead.
+_TOKEN_RE = re.compile(
+    r"""
+      (?P<SPACE>[ \t\r\n]+)
+    | (?P<STRING>'(?:\\.|[^'\\])*'|"(?:\\.|[^"\\])*")
+    | (?P<OPEN_QUOTE>['"])
+    | (?P<NUMBER>(?:\d+(?:\.\d+)?|\.\d+)(?:[eE][+-]?\d+)?)
+    | (?P<NAME>[^\W\d]\w*)
+    | (?P<CMP>==|!=)
+    | (?P<REFUSED_OP><=|>=|//|\*\*|[<>%&|^~@=])
+    | (?P<OP>[()\[\],.+\-*/])
+    | (?P<REFUSED_CHAR>[{}:;?!#$])
+    | (?P<BAD>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
+_REFUSED = {"REFUSED_OP": "operator", "REFUSED_CHAR": "character"}
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i, n = 0, len(text)
-    simple = "()[],.+-*/"
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
+    for m in _TOKEN_RE.finditer(text):
+        kind, value, offset = m.lastgroup, m.group(), m.start()
+        head = value[0]
+        # \w also holds numeric signs such as '½', which start no name
+        bad_name = kind == "NAME" and not (head.isalpha() or head.isdigit() or head == "_")
+        if kind == "BAD" or bad_name:
+            raise DslSyntaxError(f"unexpected character {head!r}", offset)
+        if kind == "OPEN_QUOTE":
+            raise DslSyntaxError("unterminated string literal", offset)
+        if kind == "SPACE":
             continue
-        if ch in "'\"":
-            quote = ch
-            j = i + 1
-            buf = []
-            while j < n and text[j] != quote:
-                if text[j] == "\\" and j + 1 < n:
-                    buf.append(text[j + 1])
-                    j += 2
-                else:
-                    buf.append(text[j])
-                    j += 1
-            if j >= n:
-                raise DslSyntaxError("unterminated string literal", i)
-            tokens.append(_Token("STRING", "".join(buf), i))
-            i = j + 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                if text[j] == ".":
-                    # a digit must follow, otherwise this dot is postfix syntax
-                    if j + 1 >= n or not text[j + 1].isdigit():
-                        break
-                    seen_dot = True
-                j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    while k < n and text[k].isdigit():
-                        k += 1
-                    j = k
-            tokens.append(_Token("NUMBER", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("NAME", text[i:j], i))
-            i = j
-            continue
-        two = text[i : i + 2]
-        if two in ("==", "!="):
-            tokens.append(_Token("OP", two, i))
-            i += 2
-            continue
-        matched_bad = next(
-            (op for op in _UNSUPPORTED_OPS if text.startswith(op, i)), None
-        )
-        if matched_bad:
-            # recognised-but-refused tokens surface at parse time so the
-            # enclosing construct (a call, a lambda) can be named instead
-            tokens.append(_Token("UNSUP", f"operator {matched_bad!r}", i))
-            i += len(matched_bad)
-            continue
-        if ch in simple:
-            tokens.append(_Token("OP", ch, i))
-            i += 1
-            continue
-        if ch in "{}:;?!#$":
-            tokens.append(_Token("UNSUP", f"character {ch!r}", i))
-            i += 1
-            continue
-        raise DslSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("EOF", "", n))
+        if kind == "STRING":
+            value = _ESCAPE_RE.sub(r"\1", value[1:-1])
+        elif kind == "CMP":
+            kind = "OP"
+        elif kind in _REFUSED:
+            kind, value = "UNSUP", f"{_REFUSED[kind]} {value!r}"
+        tokens.append(_Token(kind, value, offset))
+    tokens.append(_Token("EOF", "", len(text)))
     return tokens
 
 
 # --------------------------------------------------------------------------
 # parser
 
+# binding strength of each binary operator: the grammar and the formatter
+# both read this table
+_PRECEDENCE = {"or": 1, "and": 2, "==": 3, "!=": 3, "+": 4, "-": 4, "*": 5, "/": 5}
+_COMPARISONS = ("==", "!=")
+_LITERAL_NODES = {str: StrLit, float: NumLit, bool: BoolLit}
+
 
 class _Parser:
     def __init__(self, text: str):
         if not text or not text.strip():
             raise DslSyntaxError("empty expression", 0)
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
@@ -237,6 +208,10 @@ class _Parser:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
+
+    def at(self, *values: str, kind: str = "OP") -> bool:
+        tok = self.peek()
+        return tok.kind == kind and tok.value in values
 
     def expect_op(self, value: str) -> _Token:
         tok = self.peek()
@@ -249,12 +224,12 @@ class _Parser:
         return self.advance()
 
     def parse(self) -> Expr:
-        expr = self.or_expr()
+        expr = self.expression()
         tok = self.peek()
         if tok.kind != "EOF":
             if tok.kind == "UNSUP":
                 raise UnsupportedConstructError(tok.value, tok.offset)
-            if tok.kind == "OP" and tok.value == "(":
+            if self.at("("):
                 raise UnsupportedConstructError("call on expression", tok.offset)
             if tok.kind == "NAME" and tok.value in _UNSUPPORTED_KEYWORDS:
                 raise UnsupportedConstructError(f"keyword {tok.value!r}", tok.offset)
@@ -263,56 +238,24 @@ class _Parser:
             )
         return expr
 
-    def or_expr(self) -> Expr:
-        node = self.and_expr()
-        while self._at_keyword("or"):
-            self.advance()
-            node = BinOp("or", node, self.and_expr())
-        return node
-
-    def and_expr(self) -> Expr:
-        node = self.cmp()
-        while self._at_keyword("and"):
-            self.advance()
-            node = BinOp("and", node, self.cmp())
-        return node
-
-    def cmp(self) -> Expr:
-        node = self.sum_expr()
-        tok = self.peek()
-        if tok.kind == "OP" and tok.value in ("==", "!="):
-            op = self.advance().value
-            node = BinOp(op, node, self.sum_expr())
-            again = self.peek()
-            if again.kind == "OP" and again.value in ("==", "!="):
-                raise UnsupportedConstructError("chained comparison", again.offset)
-        return node
-
-    def sum_expr(self) -> Expr:
-        node = self.term()
-        while True:
-            tok = self.peek()
-            if tok.kind == "OP" and tok.value in ("+", "-"):
-                op = self.advance().value
-                node = BinOp(op, node, self.term())
-            else:
-                return node
-
-    def term(self) -> Expr:
+    def expression(self, min_precedence: int = 1) -> Expr:
+        """Precedence climbing: operators binding at least ``min_precedence``."""
         node = self.postfix()
         while True:
             tok = self.peek()
-            if tok.kind == "OP" and tok.value in ("*", "/"):
-                op = self.advance().value
-                node = BinOp(op, node, self.postfix())
-            else:
+            precedence = _PRECEDENCE.get(tok.value) if tok.kind in ("OP", "NAME") else None
+            if precedence is None or precedence < min_precedence:
                 return node
+            self.advance()
+            node = BinOp(tok.value, node, self.expression(precedence + 1))
+            if tok.value in _COMPARISONS and self.at(*_COMPARISONS):
+                raise UnsupportedConstructError("chained comparison", self.peek().offset)
 
     def postfix(self) -> Expr:
         node = self.atom()
         while True:
             tok = self.peek()
-            if tok.kind == "OP" and tok.value == ".":
+            if self.at("."):
                 self.advance()
                 name = self.peek()
                 if name.kind != "NAME":
@@ -346,32 +289,28 @@ class _Parser:
                     raise UnsupportedConstructError(
                         f"attribute access .{name.value}", name.offset
                     )
-            elif tok.kind == "OP" and tok.value == "[":
+            elif self.at("["):
                 raise UnsupportedConstructError("indexing on expression", tok.offset)
-            elif tok.kind == "OP" and tok.value == "(":
+            elif self.at("("):
                 raise UnsupportedConstructError("call on expression", tok.offset)
             else:
                 return node
 
     def list_literal(self) -> ListLit:
         open_tok = self.peek()
-        if open_tok.kind != "OP" or open_tok.value != "[":
+        if not self.at("["):
             raise UnsupportedConstructError(
                 "isin argument must be a literal list", open_tok.offset
             )
         self.advance()
         items: list = []
-        if not (self.peek().kind == "OP" and self.peek().value == "]"):
-            while True:
+        if not self.at("]"):
+            items.append(self._literal_value())
+            while self.at(","):
+                self.advance()
                 items.append(self._literal_value())
-                tok = self.peek()
-                if tok.kind == "OP" and tok.value == ",":
-                    self.advance()
-                    continue
-                break
         self.expect_op("]")
-        kinds = {type(v) for v in items}
-        if len(kinds) > 1:
+        if len({type(v) for v in items}) > 1:
             raise DslSyntaxError(
                 "list literal mixes element types", open_tok.offset
             )
@@ -387,14 +326,14 @@ class _Parser:
         if tok.kind == "NUMBER":
             self.advance()
             return float(tok.value)
-        if tok.kind == "OP" and tok.value == "-":
+        if self.at("-"):
             self.advance()
             num = self.peek()
             if num.kind != "NUMBER":
                 raise UnsupportedConstructError("unary minus", tok.offset)
             self.advance()
             return -float(num.value)
-        if tok.kind == "NAME" and tok.value in ("True", "False"):
+        if self.at("True", "False", kind="NAME"):
             self.advance()
             return tok.value == "True"
         raise DslSyntaxError(
@@ -404,68 +343,47 @@ class _Parser:
 
     def atom(self) -> Expr:
         tok = self.peek()
-        if tok.kind == "UNSUP":
-            raise UnsupportedConstructError(tok.value, tok.offset)
-        if tok.kind == "OP" and tok.value == "(":
+        if self.at("("):
             self.advance()
-            inner = self.or_expr()
+            inner = self.expression()
             self.expect_op(")")
             return Paren(inner)
-        if tok.kind == "OP" and tok.value == "-":
-            self.advance()
-            num = self.peek()
-            if num.kind != "NUMBER":
-                raise UnsupportedConstructError("unary minus", tok.offset)
-            self.advance()
-            return NumLit(-float(num.value))
-        if tok.kind == "OP" and tok.value == "[":
+        if self.at("["):
             raise UnsupportedConstructError("list literal outside isin", tok.offset)
-        if tok.kind == "STRING":
-            self.advance()
-            return StrLit(tok.value)
-        if tok.kind == "NUMBER":
-            self.advance()
-            return NumLit(float(tok.value))
-        if tok.kind == "NAME":
-            if tok.value in ("True", "False"):
-                self.advance()
-                return BoolLit(tok.value == "True")
-            if tok.value in _UNSUPPORTED_KEYWORDS:
-                raise UnsupportedConstructError(f"keyword {tok.value!r}", tok.offset)
-            if tok.value == "df":
-                self.advance()
-                nxt = self.peek()
-                if nxt.kind == "OP" and nxt.value == ".":
-                    raise UnsupportedConstructError(
-                        "attribute column access on df", nxt.offset
-                    )
-                return self._column_subscript()
-            if tok.value == "adata":
-                self.advance()
-                dot = self.peek()
-                if dot.kind == "OP" and dot.value == ".":
-                    self.advance()
-                    attr = self.peek()
-                    if attr.kind == "NAME" and attr.value == "obs":
-                        self.advance()
-                        return self._column_subscript()
-                    raise UnsupportedConstructError(
-                        f"adata attribute .{attr.value}", attr.offset
-                    )
+        if tok.kind == "NAME" and tok.value not in ("True", "False"):
+            return self._name()
+        if tok.kind == "EOF" or (tok.kind == "OP" and tok.value != "-"):
+            raise DslSyntaxError(
+                f"unexpected token {tok.value or '<end>'!r}", tok.offset,
+                {"column", "literal", "("},
+            )
+        value = self._literal_value()
+        return _LITERAL_NODES[type(value)](value)
+
+    def _name(self) -> Expr:
+        tok = self.advance()
+        if tok.value in _UNSUPPORTED_KEYWORDS:
+            raise UnsupportedConstructError(f"keyword {tok.value!r}", tok.offset)
+        if tok.value == "df":
+            if self.at("."):
+                raise UnsupportedConstructError(
+                    "attribute column access on df", self.peek().offset
+                )
+            return self._column_subscript()
+        if tok.value == "adata":
+            if not self.at("."):
                 raise UnsupportedConstructError("bare identifier 'adata'", tok.offset)
             self.advance()
-            nxt = self.peek()
-            if nxt.kind == "OP" and nxt.value == "(":
-                raise UnsupportedConstructError(
-                    f"function call {tok.value}()", tok.offset
-                )
+            attr = self.peek()
+            if attr.kind == "NAME" and attr.value == "obs":
+                self.advance()
+                return self._column_subscript()
             raise UnsupportedConstructError(
-                f"bare identifier {tok.value!r}", tok.offset
+                f"adata attribute .{attr.value}", attr.offset
             )
-        raise DslSyntaxError(
-            f"unexpected token {tok.value or '<end>'!r}", tok.offset,
-            {"column", "literal", "("},
-        )
+        if self.at("("):
+            raise UnsupportedConstructError(f"function call {tok.value}()", tok.offset)
+        raise UnsupportedConstructError(f"bare identifier {tok.value!r}", tok.offset)
 
     def _column_subscript(self) -> ColumnRef:
         self.expect_op("[")
@@ -478,10 +396,6 @@ class _Parser:
         self.expect_op("]")
         return ColumnRef(tok.value)
 
-    def _at_keyword(self, kw: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "NAME" and tok.value == kw
-
 
 def parse(text: str) -> Expr:
     """Parse mapping-logic text into an AST."""
@@ -490,8 +404,6 @@ def parse(text: str) -> Expr:
 
 # --------------------------------------------------------------------------
 # formatter
-
-_PRECEDENCE = {"or": 1, "and": 2, "==": 3, "!=": 3, "+": 4, "-": 4, "*": 5, "/": 5}
 
 
 def _node_precedence(e: Expr) -> int:
@@ -504,13 +416,8 @@ def format_expr(e: Expr) -> str:
     """Render an AST back to canonical text; parse(format_expr(e)) == e."""
     if isinstance(e, ColumnRef):
         return f"df['{e.name}']"
-    if isinstance(e, StrLit):
-        escaped = e.value.replace("\\", "\\\\").replace("'", "\\'")
-        return f"'{escaped}'"
-    if isinstance(e, NumLit):
-        return repr(float(e.value))
-    if isinstance(e, BoolLit):
-        return "True" if e.value else "False"
+    if isinstance(e, (StrLit, NumLit, BoolLit)):
+        return _format_literal(e.value)
     if isinstance(e, ListLit):
         return "[" + ", ".join(_format_literal(v) for v in e.items) + "]"
     if isinstance(e, Cast):
@@ -522,7 +429,7 @@ def format_expr(e: Expr) -> str:
     if isinstance(e, BinOp):
         p = _PRECEDENCE[e.op]
         # comparisons are non-associative; others associate left
-        lhs_min = p + 1 if e.op in ("==", "!=") else p
+        lhs_min = p + 1 if e.op in _COMPARISONS else p
         lhs = format_expr(e.lhs)
         if _node_precedence(e.lhs) < lhs_min:
             lhs = f"({lhs})"
@@ -534,10 +441,10 @@ def format_expr(e: Expr) -> str:
 
 
 def _format_literal(v) -> str:
-    if isinstance(v, bool):
+    if isinstance(v, (bool, np.bool_)):
         return "True" if v else "False"
-    if isinstance(v, float):
-        return repr(v)
+    if isinstance(v, (int, float, np.number)):
+        return repr(float(v))
     escaped = str(v).replace("\\", "\\\\").replace("'", "\\'")
     return f"'{escaped}'"
 
@@ -680,20 +587,13 @@ def _binop(op: str, lhs, rhs):
             raise DslEvalError(
                 f"type mismatch: cannot compare {lk} with {rk}"
             )
-        if lk == "str" and _any_array(lhs, rhs):
-            lhs_list = lhs.tolist() if isinstance(lhs, np.ndarray) else None
-            rhs_list = rhs.tolist() if isinstance(rhs, np.ndarray) else None
-            n = len(lhs_list) if lhs_list is not None else len(rhs_list)
-            out = np.empty(n, dtype=bool)
-            for i in range(n):
-                a = lhs_list[i] if lhs_list is not None else lhs
-                b = rhs_list[i] if rhs_list is not None else rhs
-                out[i] = a == b
-            return out if op == "==" else ~out
-        result = np.equal(lhs, rhs) if _any_array(lhs, rhs) else (lhs == rhs)
-        if op == "!=":
-            result = ~result if isinstance(result, np.ndarray) else (not result)
-        return result
+        if not _any_array(lhs, rhs):
+            return (lhs == rhs) if op == "==" else not (lhs == rhs)
+        if lk == "str":
+            # compare Python objects: numpy's unicode dtype drops trailing NULs
+            lhs, rhs = np.asarray(lhs, dtype=object), np.asarray(rhs, dtype=object)
+        result = np.equal(lhs, rhs)
+        return result if op == "==" else ~result
     if op == "+":
         if lk == "str" and rk == "str":
             if _any_array(lhs, rhs):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -50,6 +51,8 @@ _FLAT_ALIASES = {
     "is_control": "is_control",
     "pert_type": "pert_type",
 }
+# obs keys whose bare value is a mapping expression ("<key>_logic" when nested)
+_BARE_LOGIC = ("is_control", "condition_name")
 
 
 # --------------------------------------------------------------------------
@@ -172,6 +175,29 @@ def _logic_entry(
     return Logic(expression=expression, parsed=parsed, description=description)
 
 
+def _obs_entry(target: str, value, label: str, violations: list[str]) -> MappingEntry:
+    """One obs entry of either surface form.
+
+    A bare value is a constant for ``pert_type``, a mapping expression for
+    ``is_control`` and ``condition_name``, and a column name otherwise.
+    """
+    if isinstance(value, dict) or target not in ("pert_type", *_BARE_LOGIC):
+        return _entry_from_value(value, label, violations)
+    if value in (None, "None") or (value == "" and target != "pert_type"):
+        return Absent()
+    if target == "pert_type":
+        return Constant(value)
+    return _logic_entry(str(value), None, label, violations)
+
+
+def _block(doc: dict, name: str, violations: list[str]) -> dict:
+    value = doc.get(name) or {}
+    if not isinstance(value, dict):
+        violations.append(f"{name!r} block must be an object")
+        return {}
+    return value
+
+
 def _parse_nested(doc: dict, violations: list[str]) -> MappingSpec:
     body = doc.get(UNIFIED_MAPPING_KEY, doc)
     if not isinstance(body, dict):
@@ -182,91 +208,47 @@ def _parse_nested(doc: dict, violations: list[str]) -> MappingSpec:
         violations.append("missing or invalid 'obs' block")
         obs = {}
     obs_entries: dict[str, MappingEntry] = {}
-    for key in ("cell_type", "batch_id", "donor_id"):
-        obs_entries[key] = _entry_from_value(obs.get(key), f"obs.{key}", violations)
-    pert_type_value = obs.get("pert_type")
-    if pert_type_value in (None, "None"):
-        obs_entries["pert_type"] = Absent()
-    elif isinstance(pert_type_value, dict):
-        obs_entries["pert_type"] = _entry_from_value(
-            pert_type_value, "obs.pert_type", violations
-        )
-    else:
-        obs_entries["pert_type"] = Constant(pert_type_value)
-    for key, logic_key in (
-        ("is_control", "is_control_logic"),
-        ("condition_name", "condition_name_logic"),
-    ):
-        value = obs.get(logic_key, obs.get(key))
-        if value in (None, "None", ""):
-            obs_entries[key] = Absent()
-        elif isinstance(value, dict):
-            obs_entries[key] = _entry_from_value(value, f"obs.{logic_key}", violations)
-        else:
-            obs_entries[key] = _logic_entry(
-                str(value), None, f"obs.{logic_key}", violations
-            )
-    obsm = body.get("obsm") or {}
-    if not isinstance(obsm, dict):
-        violations.append("'obsm' block must be an object")
-        obsm = {}
-    mask_entry = _entry_from_value(
-        obsm.get("pert_mask_source"), "obsm.pert_mask_source", violations
+    for key in CANONICAL_OBS_KEYS:
+        name = f"{key}_logic" if key in _BARE_LOGIC else key
+        value = obs.get(name, obs.get(key))
+        obs_entries[key] = _obs_entry(key, value, f"obs.{name}", violations)
+    obsm = _block(body, "obsm", violations)
+    mask_entry, dose_entry = (
+        _entry_from_value(obsm.get(key), f"obsm.{key}", violations)
+        for key in ("pert_mask_source", "pert_dose_source")
     )
-    dose_entry = _entry_from_value(
-        obsm.get("pert_dose_source"), "obsm.pert_dose_source", violations
-    )
-    var = body.get("var") or {}
-    numerical = body.get("numerical") or {}
-    summary = doc.get("data_summary", body.get("data_summary", ""))
     return _finish_spec(
-        obs_entries, mask_entry, dose_entry, var, numerical, summary, violations
+        obs_entries,
+        mask_entry,
+        dose_entry,
+        _block(body, "var", violations),
+        _block(body, "numerical", violations),
+        doc.get("data_summary", body.get("data_summary", "")),
+        violations,
     )
 
 
 def _parse_flat(doc: dict, violations: list[str]) -> MappingSpec:
     obs_entries: dict[str, MappingEntry] = {k: Absent() for k in CANONICAL_OBS_KEYS}
-    mask_entry: MappingEntry = Absent()
-    dose_entry: MappingEntry = Absent()
-    cell_line_entry: MappingEntry | None = None
+    sources: dict[str, MappingEntry] = {}  # mask and dose sources, cell line
     for key, value in doc.items():
         target = _FLAT_ALIASES.get(key)
-        if target is None:
-            continue
-        if target == "pert_type":
-            if isinstance(value, dict):
-                obs_entries["pert_type"] = _entry_from_value(value, key, violations)
-            elif value in (None, "None"):
-                obs_entries["pert_type"] = Absent()
-            else:
-                obs_entries["pert_type"] = Constant(value)
-        elif target == "pert_mask_source":
-            mask_entry = _entry_from_value(value, key, violations)
-        elif target == "pert_dose_source":
-            dose_entry = _entry_from_value(value, key, violations)
-        elif target == "cell_line":
-            cell_line_entry = _entry_from_value(value, key, violations)
-        elif target in ("is_control", "condition_name"):
-            if isinstance(value, dict):
-                obs_entries[target] = _entry_from_value(value, key, violations)
-            elif value in (None, "None", ""):
-                obs_entries[target] = Absent()
-            else:
-                obs_entries[target] = _logic_entry(str(value), None, key, violations)
-        else:
-            obs_entries[target] = _entry_from_value(value, key, violations)
-    if cell_line_entry is not None:
+        if target in CANONICAL_OBS_KEYS:
+            obs_entries[target] = _obs_entry(target, value, key, violations)
+        elif target is not None:
+            sources[target] = _entry_from_value(value, key, violations)
+    if "cell_line" in sources:
         # a cell-line column identifies the donor; reuse it for cell_type
         # only when nothing better was mapped
-        obs_entries["donor_id"] = cell_line_entry
+        obs_entries["donor_id"] = sources["cell_line"]
         if isinstance(obs_entries["cell_type"], Absent):
-            obs_entries["cell_type"] = cell_line_entry
+            obs_entries["cell_type"] = sources["cell_line"]
     return _finish_spec(
         obs_entries,
-        mask_entry,
-        dose_entry,
-        doc.get("var") or {},
-        doc.get("numerical") or {},
+        sources.get("pert_mask_source", Absent()),
+        sources.get("pert_dose_source", Absent()),
+        _block(doc, "var", violations),
+        _block(doc, "numerical", violations),
         doc.get("data_summary", ""),
         violations,
     )
@@ -275,8 +257,6 @@ def _parse_flat(doc: dict, violations: list[str]) -> MappingSpec:
 def _finish_spec(
     obs_entries, mask_entry, dose_entry, var, numerical, summary, violations
 ) -> MappingSpec:
-    for key in CANONICAL_OBS_KEYS:
-        obs_entries.setdefault(key, Absent())
     pert_type_entry = obs_entries["pert_type"]
     if isinstance(pert_type_entry, Constant) and pert_type_entry.value not in PERT_TYPES:
         violations.append(
@@ -293,24 +273,30 @@ def _finish_spec(
     symbol_col = var.get("gene_symbol_col")
     if symbol_col in (None, "None", ""):
         symbol_col = None
-    is_log1p = bool(numerical.get("is_already_log1p", False))
-    norm_required = bool(numerical.get("normalization_required", True))
-    try:
-        target_sum = float(numerical.get("target_sum", 1e4))
-    except (TypeError, ValueError):
-        violations.append(f"numerical.target_sum {numerical.get('target_sum')!r} is not a number")
+    elif not isinstance(symbol_col, str):
+        violations.append(f"var.gene_symbol_col {symbol_col!r} is not a column name")
+    flags = {
+        key: numerical.get(key, default)
+        for key, default in (("is_already_log1p", False), ("normalization_required", True))
+    }
+    for key, value in flags.items():
+        if type(value) is not bool:
+            violations.append(f"numerical.{key} must be true or false, got {value!r}")
+    target_sum = numerical.get("target_sum", 1e4)
+    if type(target_sum) not in (int, float) or not 0 < target_sum <= sys.float_info.max:
+        violations.append(
+            f"numerical.target_sum must be a finite positive number, got {target_sum!r}"
+        )
         target_sum = 1e4
-    if target_sum <= 0:
-        violations.append(f"numerical.target_sum must be positive, got {target_sum}")
     return MappingSpec(
         obs_entries=obs_entries,
         pert_mask_source=mask_entry,
         pert_dose_source=dose_entry,
         var_index_type=index_type,
         gene_symbol_col=symbol_col,
-        is_already_log1p=is_log1p,
-        normalization_required=norm_required,
-        target_sum=target_sum,
+        is_already_log1p=flags["is_already_log1p"],
+        normalization_required=flags["normalization_required"],
+        target_sum=float(target_sum),
         data_summary=str(summary or ""),
     )
 
@@ -460,9 +446,14 @@ def _resolve_entry(entry: MappingEntry, table: RawTable, key: str):
 
 
 def _as_str_column(value, n: int) -> np.ndarray:
-    if isinstance(value, np.ndarray):
-        return np.array(list(map(str, value.tolist())), dtype=object)
-    return np.full(n, str(value), dtype=object)
+    return np.full(n, dsl._cast(value, "str"), dtype=object)
+
+
+def _as_float_column(value, n: int, key: str) -> np.ndarray:
+    try:
+        return np.full(n, dsl._cast(value, "float"), dtype=np.float64)
+    except dsl.DslError as exc:
+        raise MappingError(f"{key}: {exc}") from None
 
 
 def _as_bool_column(value, n: int, key: str) -> np.ndarray:
@@ -475,27 +466,6 @@ def _as_bool_column(value, n: int, key: str) -> np.ndarray:
     if isinstance(value, bool):
         return np.full(n, value, dtype=bool)
     raise MappingError(f"{key}: expected a boolean value, got {value!r}")
-
-
-def _as_float_column(value, n: int, key: str) -> np.ndarray:
-    if isinstance(value, np.ndarray):
-        if np.issubdtype(value.dtype, np.floating) or np.issubdtype(
-            value.dtype, np.integer
-        ):
-            return value.astype(np.float64)
-        out = np.empty(n, dtype=np.float64)
-        for i, v in enumerate(value.tolist()):
-            try:
-                out[i] = float(v)
-            except (TypeError, ValueError):
-                raise MappingError(
-                    f"{key}: cannot read {v!r} at row {i} as a number"
-                ) from None
-        return out
-    try:
-        return np.full(n, float(value), dtype=np.float64)
-    except (TypeError, ValueError):
-        raise MappingError(f"{key}: cannot read {value!r} as a number") from None
 
 
 def apply_mapping(
@@ -520,31 +490,20 @@ def apply_mapping(
             "is_control",
         )
 
-    if isinstance(spec.pert_mask_source, Absent):
-        pert_values = None
-    else:
+    pert_values = None
+    if not isinstance(spec.pert_mask_source, Absent):
         pert_values = _as_str_column(
             _resolve_entry(spec.pert_mask_source, table, "pert_mask_source"), n
         )
 
     obs: dict[str, np.ndarray] = {"is_control": is_control}
-    for key in ("cell_type", "batch_id", "donor_id", "pert_type"):
+    # an absent condition_name takes the perturbation labels verbatim
+    labels = "unknown" if pert_values is None else pert_values
+    defaults = {**_OBS_DEFAULTS, "condition_name": labels}
+    for key, default in defaults.items():
         entry = spec.obs_entries[key]
-        if isinstance(entry, Absent):
-            obs[key] = np.array([_OBS_DEFAULTS[key]] * n, dtype=object)
-        else:
-            obs[key] = _as_str_column(_resolve_entry(entry, table, key), n)
-
-    cond_entry = spec.obs_entries["condition_name"]
-    if isinstance(cond_entry, Absent):
-        if pert_values is not None:
-            obs["condition_name"] = pert_values.copy()
-        else:
-            obs["condition_name"] = np.array(["unknown"] * n, dtype=object)
-    else:
-        obs["condition_name"] = _as_str_column(
-            _resolve_entry(cond_entry, table, "condition_name"), n
-        )
+        value = default if isinstance(entry, Absent) else _resolve_entry(entry, table, key)
+        obs[key] = _as_str_column(value, n)
 
     # vocabulary over the distinct non-control perturbation labels, combos
     # split apart; each label's sorted columns are repeated for its cells
@@ -587,17 +546,14 @@ def apply_mapping(
         normalization_required=spec.normalization_required,
     )
 
-    ensembl = np.array([str(v) for v in table.var_index.tolist()], dtype=object)
+    ensembl = dsl._cast(table.var_index, "str")
     if spec.gene_symbol_col is not None:
         if spec.gene_symbol_col not in table.var_columns:
             raise MappingError(
                 f"gene_symbol_col {spec.gene_symbol_col!r} not in var columns; "
                 f"available: {sorted(table.var_columns)}"
             )
-        symbols = np.array(
-            [str(v) for v in table.var_columns[spec.gene_symbol_col].tolist()],
-            dtype=object,
-        )
+        symbols = dsl._cast(table.var_columns[spec.gene_symbol_col], "str")
     else:
         symbols = ensembl.copy()
 

@@ -8,10 +8,10 @@ surrogate reference recomputes everything per candidate from the full
 n x g shift matrix, with a dense ridge solve and a direct winsorization,
 the way the evaluator did before it fitted from per-condition sufficient
 statistics. The harmonize references keep the per-cell loops that bundle
-writes, mapping application, merging and validation ran before they were
-vectorized. The knowledge-base references embed one text at a time and
-score one entry at a time, the way retrieval did before it embedded and
-scored in batches.
+writes, mapping application, merging, validation and the DSL's string
+comparison ran before they were vectorized. The knowledge-base references
+embed one text at a time and score one entry at a time, the way retrieval
+did before it embedded and scored in batches.
 """
 
 from __future__ import annotations
@@ -378,6 +378,19 @@ def reference_tsv_text(columns: dict[str, np.ndarray]) -> str:
     for i in range(n):
         lines.append("\t".join(_reference_format_cell(columns[name][i]) for name in names))
     return "\n".join(lines) + "\n"
+
+
+def reference_str_compare(op, lhs, rhs) -> np.ndarray:
+    """The DSL's string ``==``/``!=`` with a column, one Python comparison per cell."""
+    lhs_list = lhs.tolist() if isinstance(lhs, np.ndarray) else None
+    rhs_list = rhs.tolist() if isinstance(rhs, np.ndarray) else None
+    n = len(lhs_list) if lhs_list is not None else len(rhs_list)
+    out = np.empty(n, dtype=bool)
+    for i in range(n):
+        a = lhs_list[i] if lhs_list is not None else lhs
+        b = rhs_list[i] if rhs_list is not None else rhs
+        out[i] = a == b
+    return out if op == "==" else ~out
 
 
 def reference_normalize_log1p(X, target_sum, is_already_log1p, normalization_required):

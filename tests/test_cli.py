@@ -177,6 +177,26 @@ class TestUnify:
         assert error["code"] == "mapping_spec"
         assert "no fenced JSON block" in error["message"]
 
+    @pytest.mark.parametrize(
+        "numerical",
+        [{"is_already_log1p": "false"}, {"normalization_required": "false"},
+         {"target_sum": "inf"}],
+        ids=["log1p_string", "normalization_string", "target_sum_string"],
+    )
+    def test_mistyped_numerical_block_exits_2(self, runner, raw_bundle_dir, tmp_path,
+                                              flat_form_mapping, numerical):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({**flat_form_mapping, "numerical": numerical}))
+        result = runner.invoke(
+            main,
+            ["unify", str(raw_bundle_dir), str(tmp_path / "o"), "--mapping", str(spec_file)],
+        )
+        assert result.exit_code == 2, result.output
+        error = _stderr_error(result)["error"]
+        assert error["code"] == "mapping_spec"
+        assert f"numerical.{next(iter(numerical))}" in error["message"]
+        assert not (tmp_path / "o").exists()
+
     def test_requires_exactly_one_mode(self, runner, raw_bundle_dir, tmp_path):
         result = runner.invoke(main, ["unify", str(raw_bundle_dir), str(tmp_path / "o")])
         assert result.exit_code == 1
@@ -381,8 +401,11 @@ class TestEvaluateCommand:
 
     @pytest.mark.parametrize(
         "vector",
-        [[1.0, "x", 2.0, 0.5, 1.0], [1.0, [2.0], 2.0, 0.5, 1.0], {"gene": 1.0}],
-        ids=["string", "nested_list", "object"],
+        [[1.0, "x", 2.0, 0.5, 1.0], [1.0, [2.0], 2.0, 0.5, 1.0], {"gene": 1.0},
+         ["1.0", "2", "3", "0.5", "1"], [True, 2.0, 3.0, 0.5, 1.0], [1.0, None, 2.0, 0.5, 1.0],
+         "1.0", 1.0, [10**400, 2.0, 3.0, 0.5, 1.0]],
+        ids=["string", "nested_list", "object", "numeric_strings", "bool", "null",
+             "bare_string", "bare_number", "int_beyond_float"],
     )
     def test_non_numeric_prediction_exits_2(self, runner, tmp_path, vector):
         bundle = tmp_path / "b"
@@ -508,6 +531,36 @@ class TestIncompleteBundles:
             manifest_path.write_text(json.dumps(manifest))
         else:
             (raw_bundle_dir / defect).unlink()
+        result = runner.invoke(
+            main, ["unify", str(raw_bundle_dir), str(tmp_path / "o"), "--mapping", str(mapping_file)]
+        )
+        assert result.exit_code == 2, result.output
+        error = _stderr_error(result)["error"]
+        assert error["code"] == "bundle"
+        assert message in error["message"]
+
+
+    @pytest.mark.parametrize(
+        "manifest_edit, message",
+        [
+            ({"obsm": {"emb": "two"}}, "has obsm {'emb': 'two'}, expected an object from name"),
+            ({"obsm": ["emb"]}, "has obsm ['emb'], expected an object from name"),
+            ({"obsm": {"emb": -1}}, "has obsm {'emb': -1}, expected an object from name"),
+            ({"obs_types": ["str"]}, "has obs_types ['str'], expected an object from column"),
+            ({"obs_types": {"drug_id": "text"}}, "has obs_types {'drug_id': 'text'}"),
+            ({"obs_types": {"drug_id": "float"}},
+             "float obs column 'drug_id': cannot cast value 'DMSO' at row 0 to float"),
+            ({"obs_types": {"drug_id": "bool"}}, "bool obs column 'drug_id' contains 'DMSO'"),
+        ],
+        ids=["obsm_width_string", "obsm_list", "obsm_negative", "obs_types_list",
+             "obs_types_unknown_tag", "float_cell_not_a_number", "bool_cell_not_a_bool"],
+    )
+    def test_raw_manifest_types_exit_2(self, runner, raw_bundle_dir, mapping_file, tmp_path,
+                                       manifest_edit, message):
+        manifest_path = raw_bundle_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest.update(manifest_edit)
+        manifest_path.write_text(json.dumps(manifest))
         result = runner.invoke(
             main, ["unify", str(raw_bundle_dir), str(tmp_path / "o"), "--mapping", str(mapping_file)]
         )

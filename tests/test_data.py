@@ -61,6 +61,12 @@ class TestNormalizeLog1p:
         with pytest.raises(ParameterError):
             normalize_log1p(np.ones((1, 2)), 0.0, False, True)
 
+    @pytest.mark.parametrize("target_sum", [np.nan, np.inf])
+    def test_non_finite_target_sum(self, target_sum):
+        # either makes every row's scale unusable, so no row would be scaled
+        with pytest.raises(ParameterError, match="target_sum must be finite and positive"):
+            normalize_log1p(np.ones((1, 2)), target_sum, False, True)
+
     @given(
         st.lists(
             st.lists(st.floats(0, 100), min_size=4, max_size=4),

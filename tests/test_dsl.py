@@ -2,10 +2,15 @@ from __future__ import annotations
 
 import random
 
+import json
+
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from helpers import random_expr
+from pertpipe.bundle import write_raw_bundle
+from pertpipe.cli import main
 from pertpipe import dsl
 from pertpipe.dsl import (
     BinOp,
@@ -116,6 +121,71 @@ class TestParse:
         assert "unsupported construct" in str(err.value)
 
 
+class TestTokenize:
+    @pytest.mark.parametrize(
+        "text, tokens",
+        [
+            ("1.", [("NUMBER", "1", 0), ("OP", ".", 1)]),
+            (".5", [("NUMBER", ".5", 0)]),
+            ("1e", [("NUMBER", "1", 0), ("NAME", "e", 1)]),
+            ("1e+5", [("NUMBER", "1e+5", 0)]),
+            ("1.5.3", [("NUMBER", "1.5", 0), ("NUMBER", ".3", 3)]),
+            ("'it\\'s'", [("STRING", "it's", 0)]),
+            ('"a\\"b"', [("STRING", 'a"b', 0)]),
+            ("'a\\nb'", [("STRING", "anb", 0)]),
+            ("!", [("UNSUP", "character '!'", 0)]),
+            ("!=", [("OP", "!=", 0)]),
+            ("{", [("UNSUP", "character '{'", 0)]),
+            ("a //b", [("NAME", "a", 0), ("UNSUP", "operator '//'", 2), ("NAME", "b", 4)]),
+            ("x==y", [("NAME", "x", 0), ("OP", "==", 1), ("NAME", "y", 3)]),
+            ("²", [("NAME", "²", 0)]),
+        ],
+    )
+    def test_token_values_and_offsets(self, text, tokens):
+        got = [(t.kind, t.value, t.offset) for t in dsl._tokenize(text)]
+        assert got == tokens + [("EOF", "", len(text))]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("'a\\", "unterminated string literal at offset 0"),
+            ("df['a", "unterminated string literal at offset 3"),
+            ('"abc', "unterminated string literal at offset 0"),
+            ("1 + `", "unexpected character '`' at offset 4"),
+            ("a \\ b", "unexpected character '\\\\' at offset 2"),
+            ("x ½", "unexpected character '½' at offset 2"),
+        ],
+        ids=["trailing_backslash", "unterminated_subscript", "unterminated_double",
+             "backtick", "backslash", "vulgar_fraction"],
+    )
+    def test_token_errors(self, text, message):
+        with pytest.raises(DslSyntaxError) as err:
+            dsl._tokenize(text)
+        assert str(err.value) == message
+
+
+class TestNonDecimalDigit:
+    """``str.isdigit`` holds for '²', but ``float`` cannot read it."""
+
+    def test_parse_refuses_it_as_a_bare_identifier(self):
+        with pytest.raises(UnsupportedConstructError, match="bare identifier '²' at offset 11"):
+            parse("df['g'] == ²")
+
+    def test_unify_exits_2_not_1(self, tmp_path, drug_raw_table):
+        write_raw_bundle(drug_raw_table, tmp_path / "raw")
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "perturbation_name": "drug_id", "control_status": "df['drug_id'] == ²",
+        }))
+        result = CliRunner().invoke(
+            main, ["unify", str(tmp_path / "raw"), str(tmp_path / "o"), "--mapping", str(spec)]
+        )
+        assert result.exit_code == 2, result.output
+        error = json.loads(result.stderr.strip().splitlines()[-1])["error"]
+        assert error["code"] == "mapping_spec"
+        assert "bare identifier '²'" in error["message"]
+
+
 class TestFormat:
     def test_column_canonical_spelling(self):
         assert format_expr(ColumnRef("x")) == "df['x']"
@@ -138,6 +208,16 @@ class TestFormat:
     def test_right_nested_binop_gets_parentheses(self):
         expr = BinOp("+", NumLit(1.0), BinOp("+", NumLit(2.0), NumLit(3.0)))
         assert format_expr(expr) == "1.0 + (2.0 + 3.0)"
+
+    @pytest.mark.parametrize("value", [5, 5.0, np.float64(5.0), np.int64(5)])
+    def test_any_number_renders_as_float(self, value):
+        assert format_expr(NumLit(value)) == "5.0"
+        assert format_expr(ListLit((value,))) == "[5.0]"
+
+    def test_literal_nodes_render_like_list_items(self):
+        assert format_expr(BoolLit(False)) == "False"
+        assert format_expr(StrLit("a\\b'c")) == "'a\\\\b\\'c'"
+        assert parse(format_expr(StrLit("a\\b'c"))) == StrLit("a\\b'c")
 
     def test_escaped_quote_round_trip(self):
         lit = StrLit("it's")

@@ -24,10 +24,11 @@ from helpers import (
     reference_merge_fields,
     reference_normalize_log1p,
     reference_perturbation_matrices,
+    reference_str_compare,
     reference_tsv_text,
     reference_validation_issues,
 )
-from pertpipe import unifier
+from pertpipe import dsl, unifier
 from pertpipe.bundle import (
     _write_tsv,
     bundle_digest,
@@ -218,6 +219,46 @@ def test_str_columns_match_reference(values, kind):
     assert unifier._as_str_column(col, len(col)).tolist() == expected
     for v in values:
         assert unifier._as_str_column(v, 2).tolist() == [_reference_scalar_str(v)] * 2
+
+
+# trailing NULs, which numpy's unicode dtype drops, but Python strings keep
+_STR_TEXT = st.one_of(
+    st.sampled_from(["", "a", "a\x00", "\x00", "a\x00\x00", "\x00a"]),
+    st.text(alphabet="ab \t\x00", max_size=3),
+)
+
+
+@st.composite
+def str_operands(draw, n):
+    """An object column, a ``<U`` column or a string literal of the DSL."""
+    kind = draw(st.sampled_from(["O", "U", "literal"]))
+    if kind == "O":
+        col = np.empty(n, dtype=object)
+        col[:] = draw(st.lists(st.one_of(_OBJECTS, _STR_TEXT), min_size=n, max_size=n))
+        return col
+    if kind == "U":
+        return np.array(draw(st.lists(_STR_TEXT, min_size=n, max_size=n)), dtype=str)
+    return draw(_STR_TEXT)
+
+
+@given(st.data(), st.integers(0, 5), st.sampled_from(["==", "!="]))
+@settings(max_examples=200, deadline=None)
+def test_str_comparison_matches_reference(data, n, op):
+    lhs, rhs = data.draw(str_operands(n)), data.draw(str_operands(n))
+    table = {}
+    nodes = []
+    for name, operand in (("l", lhs), ("r", rhs)):
+        if isinstance(operand, np.ndarray):
+            table[name] = operand
+            nodes.append(dsl.ColumnRef(name))
+        else:
+            nodes.append(dsl.StrLit(operand))
+    got = dsl.evaluate(dsl.BinOp(op, *nodes), table)
+    if not table:
+        assert got is ((lhs == rhs) == (op == "=="))
+        return
+    expected = reference_str_compare(op, lhs, rhs)
+    assert got.dtype == bool and got.tolist() == expected.tolist()
 
 
 # --------------------------------------------------------------------------

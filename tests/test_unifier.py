@@ -142,6 +142,90 @@ class TestMappingSpecLoading:
         assert "unsupported construct" in message
         assert "source_key" in message
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ({"numerical": {"is_already_log1p": "false"}},
+             "numerical.is_already_log1p must be true or false, got 'false'"),
+            ({"numerical": {"normalization_required": "false"}},
+             "numerical.normalization_required must be true or false, got 'false'"),
+            ({"numerical": {"is_already_log1p": 1}},
+             "numerical.is_already_log1p must be true or false, got 1"),
+            ({"numerical": {"target_sum": float("nan")}},
+             "numerical.target_sum must be a finite positive number, got nan"),
+            ({"numerical": {"target_sum": "inf"}},
+             "numerical.target_sum must be a finite positive number, got 'inf'"),
+            ({"numerical": {"target_sum": "10000"}},
+             "numerical.target_sum must be a finite positive number, got '10000'"),
+            ({"numerical": {"target_sum": True}},
+             "numerical.target_sum must be a finite positive number, got True"),
+            ({"numerical": {"target_sum": 10**400}},
+             "numerical.target_sum must be a finite positive number, got 1000"),
+            ({"numerical": {"target_sum": 0}},
+             "numerical.target_sum must be a finite positive number, got 0"),
+            ({"numerical": [1]}, "'numerical' block must be an object"),
+            ({"var": ["x"]}, "'var' block must be an object"),
+            ({"var": {"gene_symbol_col": ["x"]}},
+             "var.gene_symbol_col ['x'] is not a column name"),
+        ],
+        ids=["log1p_string", "normalization_string", "log1p_int", "target_nan",
+             "target_inf_string", "target_numeric_string", "target_bool", "target_huge_int",
+             "target_zero", "numerical_list", "var_list", "symbol_col_list"],
+    )
+    @pytest.mark.parametrize("form", ["flat", "nested"])
+    def test_numerical_and_var_blocks_are_typed(self, flat_form_mapping, extra, message, form):
+        if form == "flat":
+            doc = {**flat_form_mapping, **extra}
+        else:
+            doc = {"uscp_mapping": {"obs": {"pert_type": "drug"}, **extra}}
+        with pytest.raises(MappingError) as err:
+            MappingSpec.from_dict(doc)
+        assert message in str(err.value)
+
+    def test_numerical_block_values_are_kept(self, flat_form_mapping):
+        doc = {
+            **flat_form_mapping,
+            "numerical": {
+                "is_already_log1p": True, "normalization_required": False, "target_sum": 500,
+            },
+        }
+        spec = MappingSpec.from_dict(doc)
+        assert (spec.is_already_log1p, spec.normalization_required) == (True, False)
+        assert spec.target_sum == 500.0 and type(spec.target_sum) is float
+
+    def test_both_forms_load_equal_specs(self):
+        flat = {
+            "perturbation_type": "drug",
+            "perturbation_name": "drug_id",
+            "dose_value": {"type": "logic", "expression": "df['conc_um'].astype(float)"},
+            "cell_type": "cell_type_annotation",
+            "donor_id": {"type": "constant", "value": "d1"},
+            "control_status": "df['drug_id'] == 'DMSO'",
+            "condition_name": "",
+            "var": {"index_type": "Gene Symbol"},
+            "numerical": {"normalization_required": False},
+        }
+        nested = {
+            "uscp_mapping": {
+                "obs": {
+                    "cell_type": "cell_type_annotation",
+                    "donor_id": {"type": "constant", "value": "d1"},
+                    "pert_type": "drug",
+                    "is_control_logic": "df['drug_id'] == 'DMSO'",
+                    "condition_name_logic": "",
+                },
+                "obsm": {
+                    "pert_mask_source": "drug_id",
+                    "pert_dose_source": {
+                        "type": "logic", "expression": "df['conc_um'].astype(float)",
+                    },
+                },
+                "var": {"index_type": "Gene Symbol"},
+                "numerical": {"normalization_required": False},
+            }
+        }
+        assert MappingSpec.from_dict(flat) == MappingSpec.from_dict(nested)
+
     def test_from_json_rejects_non_json(self):
         with pytest.raises(MappingError, match="not valid JSON") as err:
             MappingSpec.from_json("{broken")
