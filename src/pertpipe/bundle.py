@@ -10,14 +10,26 @@ dense mask and dose matrices) and any binary file of the wrong size.
 Writers first remove any old manifest, write each file under a temporary
 name and rename it into place, and write the manifest last, so a write cut
 short leaves a directory that readers reject rather than a mix of old and
-new files.
+new files. Bundle files are replaced by rename and never edited in place.
+
+Readers map each binary file read-only and return read-only arrays over the
+mapping, so nothing is copied at read time. A live dataset holds one file
+descriptor per matrix until its arrays are dropped; because a rewrite
+renames new files into place, that dataset keeps the old contents while a
+new read sees the new ones. Do not overwrite a bundle file in place (as
+`cp` onto it or `rsync --inplace` do) while any process has the bundle
+open: its dataset would change under it, or the process would die of
+SIGBUS if the file shrank. Replace files by rename or write a new
+directory.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import mmap
 import os
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -90,22 +102,25 @@ def _read_tsv(path: Path) -> dict[str, list[str]]:
     except FileNotFoundError:
         raise BundleFormatError(f"bundle file {path} is missing") from None
     names = lines[0].split("\t")
-    if len(names) > 1:
+    k = len(names)
+    if k > 1:
         # in a one-column table an empty line is a row holding "", wider
         # tables skip blank lines
-        lines = [ln for ln in lines if ln != ""]
+        lines = list(filter(None, lines))
     if not lines or lines[0] == "":
         raise BundleFormatError(f"{path} is empty")
-    columns: dict[str, list[str]] = {name: [] for name in names}
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split("\t")
-        if len(parts) != len(names):
-            raise BundleFormatError(
-                f"{path}:{lineno} has {len(parts)} fields, expected {len(names)}"
-            )
-        for name, value in zip(names, parts):
-            columns[name].append(value)
-    return columns
+    body = lines[1:]
+    tabs = list(map(str.count, body, repeat("\t")))
+    if tabs.count(k - 1) != len(body):
+        i = next(i for i, n in enumerate(tabs) if n != k - 1)
+        raise BundleFormatError(f"{path}:{i + 2} has {tabs[i] + 1} fields, expected {k}")
+    if len(set(names)) < k:
+        dup = next(name for name in names if names.count(name) > 1)
+        raise BundleFormatError(f"{path} names column {dup!r} more than once")
+    # every line holds k fields, so one split of the joined body lays the
+    # cells out row-major and column j is every k-th cell from j
+    fields = "\t".join(body).split("\t") if body else []
+    return {name: fields[j::k] for j, name in enumerate(names)}
 
 
 def _write_matrix(path: Path, a: np.ndarray, dtype: str) -> None:
@@ -113,17 +128,28 @@ def _write_matrix(path: Path, a: np.ndarray, dtype: str) -> None:
 
 
 def _read_matrix(path: Path, shape: tuple[int, ...], dtype: str) -> np.ndarray:
+    """A read-only array over a read-only mapping of ``path``; nothing is copied."""
     expected = int(np.prod(shape)) * np.dtype(dtype).itemsize
     try:
-        size = path.stat().st_size
+        fh = open(path, "rb")
     except FileNotFoundError:
         raise BundleFormatError(f"bundle file {path} is missing") from None
-    if size != expected:
-        raise BundleFormatError(
-            f"{path} holds {size} bytes, expected {expected} "
-            f"({'x'.join(map(str, shape))} {dtype})"
-        )
-    return np.fromfile(path, dtype=dtype).reshape(shape)
+    with fh:
+        # size and mapping come from one descriptor, so they see one file
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise BundleFormatError(
+                f"{path} holds {size} bytes, expected {expected} "
+                f"({'x'.join(map(str, shape))} {dtype})"
+            )
+        if size == 0:  # an empty file cannot be mapped
+            a = np.empty(shape, dtype=dtype)
+            a.setflags(write=False)
+            return a
+        # the mapping holds its own duplicate of the descriptor until the
+        # array that views it is dropped
+        mapped = mmap.mmap(fh.fileno(), size, access=mmap.ACCESS_READ)
+    return np.frombuffer(mapped, dtype=dtype).reshape(shape)
 
 
 def _parse_obs_column(name: str, values: list[str], tag: str) -> np.ndarray:

@@ -21,7 +21,9 @@ Columns are written ``df['name']`` or ``adata.obs['name']``. Literals are
 single- or double-quoted strings, numbers (float64, optional leading
 minus), and True/False. Any other Python construct (method calls, slicing,
 lambdas, comparison chains, extra operators) is rejected with an
-"unsupported construct" error rather than approximated.
+"unsupported construct" error rather than approximated, and so is nesting
+deeper than Python's recursion limit lets ``parse`` follow; ``evaluate`` and
+``format_expr`` refuse such a tree with a ``DslError`` as well.
 """
 
 from __future__ import annotations
@@ -117,7 +119,6 @@ class Paren:
 
 Expr = ColumnRef | StrLit | NumLit | BoolLit | ListLit | Cast | IsIn | BinOp | Paren
 
-BINARY_OPS = ("==", "!=", "+", "-", "*", "/", "and", "or")
 CAST_TARGETS = ("float", "str")
 
 # Python keywords we recognise but refuse, so that rejection names the
@@ -190,6 +191,7 @@ def _tokenize(text: str) -> list[_Token]:
 # binding strength of each binary operator: the grammar and the formatter
 # both read this table
 _PRECEDENCE = {"or": 1, "and": 2, "==": 3, "!=": 3, "+": 4, "-": 4, "*": 5, "/": 5}
+BINARY_OPS = tuple(_PRECEDENCE)
 _COMPARISONS = ("==", "!=")
 _LITERAL_NODES = {str: StrLit, float: NumLit, bool: BoolLit}
 
@@ -399,7 +401,13 @@ class _Parser:
 
 def parse(text: str) -> Expr:
     """Parse mapping-logic text into an AST."""
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise UnsupportedConstructError(
+            "expression nested too deeply", parser.peek().offset
+        ) from None
 
 
 # --------------------------------------------------------------------------
@@ -414,6 +422,13 @@ def _node_precedence(e: Expr) -> int:
 
 def format_expr(e: Expr) -> str:
     """Render an AST back to canonical text; parse(format_expr(e)) == e."""
+    try:
+        return _format(e)
+    except RecursionError:
+        raise DslError("expression nested too deeply to format") from None
+
+
+def _format(e: Expr) -> str:
     if isinstance(e, ColumnRef):
         return f"df['{e.name}']"
     if isinstance(e, (StrLit, NumLit, BoolLit)):
@@ -423,17 +438,17 @@ def format_expr(e: Expr) -> str:
     if isinstance(e, Cast):
         return f"{_format_postfix_operand(e.operand)}.astype({e.target})"
     if isinstance(e, IsIn):
-        return f"{_format_postfix_operand(e.operand)}.isin({format_expr(e.items)})"
+        return f"{_format_postfix_operand(e.operand)}.isin({_format(e.items)})"
     if isinstance(e, Paren):
-        return f"({format_expr(e.inner)})"
+        return f"({_format(e.inner)})"
     if isinstance(e, BinOp):
         p = _PRECEDENCE[e.op]
         # comparisons are non-associative; others associate left
         lhs_min = p + 1 if e.op in _COMPARISONS else p
-        lhs = format_expr(e.lhs)
+        lhs = _format(e.lhs)
         if _node_precedence(e.lhs) < lhs_min:
             lhs = f"({lhs})"
-        rhs = format_expr(e.rhs)
+        rhs = _format(e.rhs)
         if _node_precedence(e.rhs) <= p:
             rhs = f"({rhs})"
         return f"{lhs} {e.op} {rhs}"
@@ -450,7 +465,7 @@ def _format_literal(v) -> str:
 
 
 def _format_postfix_operand(e: Expr) -> str:
-    text = format_expr(e)
+    text = _format(e)
     if isinstance(e, BinOp):
         return f"({text})"
     return text
@@ -521,7 +536,10 @@ def evaluate(expr: Expr, table):
             return _binop(node.op, ev(node.lhs), ev(node.rhs))
         raise DslEvalError(f"cannot evaluate node {node!r}")
 
-    return ev(expr)
+    try:
+        return ev(expr)
+    except RecursionError:
+        raise DslEvalError("expression nested too deeply to evaluate") from None
 
 
 def _cast(value, target: str):

@@ -632,7 +632,11 @@ def merge_datasets(parts: list[CanonicalDataset]) -> MergeResult:
     renumbered = []
     for part, start, stop in zip(parts, starts, starts[1:]):
         col_of = {eid: j for j, eid in enumerate(part.ensembl_id.tolist())}
-        np.take(part.X, [col_of[g] for g in gene_order], axis=1, out=X[start:stop])
+        src = np.array([col_of[g] for g in gene_order], dtype=np.int64)
+        # one slice copy per run of consecutive source columns
+        bounds = [0, *(np.flatnonzero(np.diff(src) != 1) + 1).tolist(), len(src)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            X[start:stop, lo:hi] = part.X[:, src[lo] : src[lo] + hi - lo]
         cols = np.array([vocab_index[name] for name in part.pert_vocab], dtype=np.int64)
         renumbered.append(cols[part.pert_indices])
     counts = np.concatenate([np.diff(part.pert_indptr) for part in parts])

@@ -9,7 +9,8 @@ n x g shift matrix, with a dense ridge solve and a direct winsorization,
 the way the evaluator did before it fitted from per-condition sufficient
 statistics. The harmonize references keep the per-cell loops that bundle
 writes, mapping application, merging, validation and the DSL's string
-comparison ran before they were vectorized. The knowledge-base references
+comparison ran before they were vectorized, and the bundle TSV reader that
+split and appended one line at a time. The knowledge-base references
 embed one text at a time and score one entry at a time, the way retrieval
 did before it embedded and scored in batches.
 """
@@ -378,6 +379,29 @@ def reference_tsv_text(columns: dict[str, np.ndarray]) -> str:
     for i in range(n):
         lines.append("\t".join(_reference_format_cell(columns[name][i]) for name in names))
     return "\n".join(lines) + "\n"
+
+
+def reference_read_tsv(path) -> dict[str, list[str]]:
+    """The bundle TSV reader that split each line and appended cell by cell."""
+    try:
+        lines = path.read_text().removesuffix("\n").split("\n")
+    except FileNotFoundError:
+        raise BundleFormatError(f"bundle file {path} is missing") from None
+    names = lines[0].split("\t")
+    if len(names) > 1:
+        lines = [ln for ln in lines if ln != ""]
+    if not lines or lines[0] == "":
+        raise BundleFormatError(f"{path} is empty")
+    columns: dict[str, list[str]] = {name: [] for name in names}
+    for lineno, line in enumerate(lines[1:], start=2):
+        parts = line.split("\t")
+        if len(parts) != len(names):
+            raise BundleFormatError(
+                f"{path}:{lineno} has {len(parts)} fields, expected {len(names)}"
+            )
+        for name, value in zip(names, parts):
+            columns[name].append(value)
+    return columns
 
 
 def reference_str_compare(op, lhs, rhs) -> np.ndarray:

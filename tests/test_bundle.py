@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import mmap
 from pathlib import Path
 
 import numpy as np
@@ -242,3 +243,94 @@ def test_digest_hashes_large_files_in_chunks(tmp_path):
     for f in sorted((tmp_path / "raw").iterdir()):
         h.update(f.name.encode() + b"\0" + f.read_bytes() + b"\0")
     assert bundle_digest(tmp_path / "raw") == h.hexdigest()
+
+
+class TestMappedReads:
+    """Readers map matrix files read-only instead of copying them."""
+
+    def _bundles(self, raw_table, tmp_path):
+        ds = small_canonical(
+            {"control": [[1.0, 0.5]], "A": [[2.0, 0.25]], "B": [[0.0, 3.0]]},
+            doses={"A": 10.0},
+        )
+        write_raw_bundle(raw_table, tmp_path / "raw")
+        write_canonical_bundle(ds, tmp_path / "canon")
+        raw = read_raw_bundle(tmp_path / "raw")
+        canon = read_canonical_bundle(tmp_path / "canon")
+        return {
+            "raw/X.f64": (raw.X, "<f8"),
+            "raw/obsm_emb.f64": (raw.obsm["emb"], "<f8"),
+            "canon/X.f64": (canon.X, "<f8"),
+            "canon/pert_indptr.i64": (canon.pert_indptr, "<i8"),
+            "canon/pert_indices.i64": (canon.pert_indices, "<i8"),
+            "canon/pert_dose.f64": (canon.pert_values, "<f8"),
+        }
+
+    def test_arrays_are_read_only_and_equal_the_files(self, raw_table, tmp_path):
+        for name, (a, dtype) in self._bundles(raw_table, tmp_path).items():
+            on_disk = np.fromfile(tmp_path / name, dtype=dtype)
+            assert not a.flags.writeable, name
+            assert a.dtype == on_disk.dtype and a.tobytes() == on_disk.tobytes(), name
+            base = a
+            while isinstance(base, np.ndarray):
+                base = base.base
+            # a view of the mapped file, not a copy
+            assert isinstance(base, memoryview) and isinstance(base.obj, mmap.mmap), name
+            with pytest.raises(ValueError, match="read-only"):
+                a.reshape(-1)[0] = 1
+
+    def test_rewrite_leaves_a_live_dataset_unchanged(self, tmp_path):
+        old, new = TestCrashSafeWrites()._datasets()
+        write_canonical_bundle(old, tmp_path / "c")
+        live = read_canonical_bundle(tmp_path / "c")
+        write_canonical_bundle(new, tmp_path / "c")
+        for name in ("X", "pert_indptr", "pert_indices", "pert_values"):
+            assert np.array_equal(getattr(live, name), getattr(old, name)), name
+        again = read_canonical_bundle(tmp_path / "c")
+        assert np.array_equal(again.X, new.X)
+        assert np.array_equal(again.pert_values, new.pert_values)
+
+    def test_bundle_without_perturbation_entries_reads_back(self, tmp_path):
+        ds = small_canonical({"control": [[1.0, 0.5], [2.0, 0.25]]})
+        write_canonical_bundle(ds, tmp_path / "c")
+        assert (tmp_path / "c" / "pert_indices.i64").stat().st_size == 0
+        back = read_canonical_bundle(tmp_path / "c")
+        assert back.pert_indices.shape == back.pert_values.shape == (0,)
+        assert not back.pert_indices.flags.writeable
+        assert back.pert_indptr.tolist() == [0, 0, 0]
+        assert np.array_equal(back.X, ds.X)
+
+    @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
+    def test_discarded_reads_release_their_descriptors(self, raw_table, tmp_path):
+        write_raw_bundle(raw_table, tmp_path / "raw")
+        ds = small_canonical({"control": [[1.0, 0.5]], "A": [[2.0, 0.25]]})
+        write_canonical_bundle(ds, tmp_path / "canon")
+        before = len(list(Path("/proc/self/fd").iterdir()))
+        for _ in range(150):
+            read_raw_bundle(tmp_path / "raw")
+            read_canonical_bundle(tmp_path / "canon")
+        assert len(list(Path("/proc/self/fd").iterdir())) == before
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [("remove", "bundle file .*X.f64 is missing"),
+         ("truncate", "X.f64 holds 0 bytes, expected 16"),
+         ("extend", "X.f64 holds 24 bytes, expected 16")],
+    )
+    def test_a_damaged_matrix_file_is_rejected(self, tmp_path, damage, message):
+        ds = small_canonical({"control": [[1.0, 0.5]]})
+        write_canonical_bundle(ds, tmp_path / "c")
+        path = tmp_path / "c" / "X.f64"
+        if damage == "remove":
+            path.unlink()
+        else:
+            path.write_bytes(b"" if damage == "truncate" else b"\x00" * 24)
+        with pytest.raises(BundleFormatError, match=message):
+            read_canonical_bundle(tmp_path / "c")
+
+    def test_repeated_column_names_are_rejected(self, raw_table, tmp_path):
+        write_raw_bundle(raw_table, tmp_path / "raw")
+        obs = tmp_path / "raw" / "obs.tsv"
+        obs.write_text(obs.read_text().replace("name\tdose", "name\tname", 1))
+        with pytest.raises(BundleFormatError, match="names column 'name' more than once"):
+            read_raw_bundle(tmp_path / "raw")

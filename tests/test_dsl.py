@@ -96,6 +96,11 @@ class TestParse:
         assert parse("True") == BoolLit(True)
         assert parse("False") == BoolLit(False)
 
+    def test_binary_ops_are_the_precedence_table(self):
+        assert dsl.BINARY_OPS == tuple(dsl._PRECEDENCE)
+        for op in dsl.BINARY_OPS:
+            assert parse(f"df['a'] {op} df['b']") == BinOp(op, ColumnRef("a"), ColumnRef("b"))
+
     def test_empty_input(self):
         with pytest.raises(DslSyntaxError):
             parse("   ")
@@ -184,6 +189,70 @@ class TestNonDecimalDigit:
         error = json.loads(result.stderr.strip().splitlines()[-1])["error"]
         assert error["code"] == "mapping_spec"
         assert "bare identifier '²'" in error["message"]
+
+
+def _nested(levels: int, core: str = "df['d'] == 'a'") -> str:
+    return "(" * levels + core + ")" * levels
+
+
+class TestNesting:
+    """Nesting too deep for Python's stack is refused, not a ``RecursionError``;
+    everything shallower still parses, evaluates and formats."""
+
+    WORKING = {
+        "or_chain": (
+            " or ".join(f"df['d'] == 'c{i}'" for i in range(150)),
+            {"d": np.array(["c0", "c149", "x"], dtype=object)}, [True, True, False],
+        ),
+        "parentheses": (
+            _nested(140), {"d": np.array(["a", "b"], dtype=object)}, [True, False],
+        ),
+        "cast_chain": (
+            "df['x']" + ".astype(float)" * 140, {"x": np.array([1.0, 2.0])}, [1.0, 2.0],
+        ),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(WORKING))
+    def test_deep_trees_parse_evaluate_and_format(self, shape):
+        text, columns, value = self.WORKING[shape]
+        expr = parse(text)
+        assert evaluate(expr, columns).tolist() == value
+        assert parse(format_expr(expr)) == expr
+
+    @pytest.mark.parametrize("levels", [400, 5000])
+    def test_deep_parentheses_are_unsupported(self, levels):
+        with pytest.raises(UnsupportedConstructError, match="nested too deeply"):
+            parse(_nested(levels))
+
+    def test_chain_too_long_to_evaluate_or_format(self):
+        # the parser loops over a chain, evaluate and format_expr recurse on it
+        expr = parse(" + ".join(["df['x']"] * 5000))
+        with pytest.raises(DslEvalError, match="nested too deeply to evaluate"):
+            evaluate(expr, {"x": np.array([1.0])})
+        with pytest.raises(dsl.DslError, match="nested too deeply to format"):
+            format_expr(expr)
+
+    # control_status text and the error code: parse refuses deep parentheses,
+    # a chain parses but is too deep to evaluate
+    CONTROL_STATUS = {
+        "parentheses_400": (_nested(400, "df['drug_id'] == 'DMSO'"), "mapping_spec"),
+        "parentheses_5000": (_nested(5000, "df['drug_id'] == 'DMSO'"), "mapping_spec"),
+        "or_chain_5000": (" or ".join(["df['drug_id'] == 'DMSO'"] * 5000), "apply_mapping"),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(CONTROL_STATUS))
+    def test_unify_exits_2(self, tmp_path, drug_raw_table, shape):
+        text, code = self.CONTROL_STATUS[shape]
+        write_raw_bundle(drug_raw_table, tmp_path / "raw")
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"perturbation_name": "drug_id", "control_status": text}))
+        result = CliRunner().invoke(
+            main, ["unify", str(tmp_path / "raw"), str(tmp_path / "o"), "--mapping", str(spec)]
+        )
+        assert result.exit_code == 2, result.output
+        error = json.loads(result.stderr.strip().splitlines()[-1])["error"]
+        assert error["code"] == code
+        assert "nested too deeply" in error["message"]
 
 
 class TestFormat:

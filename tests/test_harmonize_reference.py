@@ -24,12 +24,14 @@ from helpers import (
     reference_merge_fields,
     reference_normalize_log1p,
     reference_perturbation_matrices,
+    reference_read_tsv,
     reference_str_compare,
     reference_tsv_text,
     reference_validation_issues,
 )
 from pertpipe import dsl, unifier
 from pertpipe.bundle import (
+    _read_tsv,
     _write_tsv,
     bundle_digest,
     read_canonical_bundle,
@@ -114,6 +116,46 @@ def test_tsv_text_matches_reference(columns):
         else:
             _write_tsv(path, columns)
             assert path.read_text() == expected
+
+
+_CELL = st.text(alphabet="ab \r", max_size=2)
+
+
+@st.composite
+def tsv_files(draw):
+    """TSV text with unique column names: rows of the right width, blank
+    lines, and rows one field short or long; "\r" is a newline to the reader."""
+    names = draw(st.lists(st.text(alphabet="ab", max_size=2), min_size=1, max_size=4,
+                          unique=True))
+    k = len(names)
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["row", "row", "row", "blank", "short", "long"]))
+        width = {"row": k, "blank": 0, "short": k - 1, "long": k + 1}[kind]
+        lines.append("\t".join(draw(st.lists(_CELL, min_size=width, max_size=width))))
+    text = "\n".join(["\t".join(names), *lines]) + draw(st.sampled_from(["", "\n", "\n\n"]))
+    return draw(st.sampled_from([text, "", "\n"]))
+
+
+@given(tsv_files())
+@settings(max_examples=300, deadline=None)
+@example("a\n\nb\n\n")  # a one-column table keeps its empty rows
+@example("a\tb\n\n1\t2\n\n3\n")  # the short row is line 3 once blanks are skipped
+@example("a\tb\n")
+def test_tsv_reader_matches_reference(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.tsv"
+        path.write_text(text)
+        try:
+            expected, error = reference_read_tsv(path), None
+        except BundleFormatError as exc:
+            expected, error = None, str(exc)
+        if error is None:
+            assert _read_tsv(path) == expected
+        else:
+            with pytest.raises(BundleFormatError) as info:
+                _read_tsv(path)
+            assert str(info.value) == error
 
 
 # --------------------------------------------------------------------------
@@ -371,6 +413,52 @@ def test_invalid_merge_raises_the_reference_report(parts):
     with pytest.raises(MappingError) as info:
         merge_datasets(parts)
     assert str(info.value) == "merged dataset violates canonical invariants:\n" + str(report)
+
+
+@st.composite
+def gene_layouts(draw):
+    """Each part's gene ids: the shared genes cut into blocks, the blocks
+    permuted, and private genes put between them, so the merged columns map
+    to runs of consecutive source columns of every length."""
+    shared = [f"S{j}" for j in range(draw(st.integers(1, 12)))]
+    layouts = []
+    for i in range(draw(st.integers(2, 3))):
+        cuts = sorted(draw(st.sets(st.integers(1, len(shared) - 1), max_size=4))) \
+            if len(shared) > 1 else []
+        blocks = [shared[a:b] for a, b in zip([0, *cuts], [*cuts, len(shared)])]
+        genes = []
+        for j, block in enumerate(draw(st.permutations(blocks))):
+            genes += [f"P{i}_{j}_{k}" for k in range(draw(st.integers(0, 2)))] + block
+        layouts.append(genes + [f"P{i}_end"] * draw(st.integers(0, 1)))
+    return layouts
+
+
+@given(gene_layouts(), st.integers(0, 3), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_merged_x_matches_per_cell_reference(layouts, n, seed):
+    rng = np.random.default_rng(seed)
+    parts = []
+    for genes in layouts:
+        ctrl = np.full(n, "control", dtype=object)
+        parts.append(CanonicalDataset(
+            cell_type=ctrl, batch_id=ctrl, donor_id=ctrl, pert_type=ctrl,
+            is_control=np.ones(n, dtype=bool), condition_name=ctrl,
+            X=rng.random((n, len(genes))),
+            **csr_from_dense(np.zeros((n, 0)), np.zeros((n, 0))),
+            ensembl_id=np.array(genes, dtype=object),
+            gene_symbol=np.array(genes, dtype=object),
+            pert_vocab=(),
+        ))
+    merged = merge_datasets(parts).dataset
+    gene_order = merged.ensembl_id.tolist()
+    expected = np.empty((len(parts) * n, len(gene_order)))
+    for p, part in enumerate(parts):
+        col_of = {g: j for j, g in enumerate(part.ensembl_id.tolist())}
+        for i in range(n):
+            for j, g in enumerate(gene_order):
+                expected[p * n + i, j] = part.X[i, col_of[g]]
+    assert sorted(gene_order) == sorted(g for g in layouts[0] if g.startswith("S"))
+    assert merged.X.tobytes() == expected.tobytes()
 
 
 # --------------------------------------------------------------------------
