@@ -84,7 +84,8 @@ def write_text_atomic(path: str | Path, text: str) -> None:
 
 
 def _has_tab_or_newline(text: str) -> bool:
-    return "\t" in text or "\n" in text
+    # the reader's universal newlines take "\r" for a line break too
+    return "\t" in text or "\n" in text or "\r" in text
 
 
 def _write_tsv(path: Path, columns: dict[str, np.ndarray]) -> None:
@@ -101,19 +102,20 @@ def _read_tsv(path: Path) -> dict[str, list[str]]:
         lines = path.read_text().removesuffix("\n").split("\n")
     except FileNotFoundError:
         raise BundleFormatError(f"bundle file {path} is missing") from None
+    if lines[0] == "":
+        raise BundleFormatError(f"{path} is empty")
     names = lines[0].split("\t")
     k = len(names)
-    if k > 1:
-        # in a one-column table an empty line is a row holding "", wider
-        # tables skip blank lines
-        lines = list(filter(None, lines))
-    if not lines or lines[0] == "":
-        raise BundleFormatError(f"{path} is empty")
     body = lines[1:]
     tabs = list(map(str.count, body, repeat("\t")))
     if tabs.count(k - 1) != len(body):
-        i = next(i for i, n in enumerate(tabs) if n != k - 1)
-        raise BundleFormatError(f"{path}:{i + 2} has {tabs[i] + 1} fields, expected {k}")
+        # in a one-column table an empty line is a row holding "", wider
+        # tables skip blank lines; an error names the line of the file
+        bad = (i for i, n in enumerate(tabs) if n != k - 1 and (k == 1 or body[i]))
+        i = next(bad, None)
+        if i is not None:
+            raise BundleFormatError(f"{path}:{i + 2} has {tabs[i] + 1} fields, expected {k}")
+        body = list(filter(None, body))
     if len(set(names)) < k:
         dup = next(name for name in names if names.count(name) > 1)
         raise BundleFormatError(f"{path} names column {dup!r} more than once")

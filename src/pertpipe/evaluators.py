@@ -15,8 +15,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import threading
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -210,7 +210,8 @@ def _loss_view(X: np.ndarray, stats: _SplitStats, clip=None) -> _LossView:
 
     Each block is the condition's rows of ``X`` minus the train control
     mean, clipped per gene to ``clip = (lo, hi)`` for the robust loss, so
-    no n x g shift matrix is ever held.
+    no n x g shift matrix is ever held. The variances take ``np.var``'s
+    steps in place and reuse the block's sum, so they keep its bits.
     """
     m, g = stats.counts.size, X.shape[1]
     sums = np.empty((m, g))
@@ -220,10 +221,14 @@ def _loss_view(X: np.ndarray, stats: _SplitStats, clip=None) -> _LossView:
         block = X[stats.rows[start:end]]
         block -= stats.y_ctrl
         if clip is not None:
-            np.clip(block, *clip, out=block)
+            np.maximum(block, clip[0], out=block)
+            np.minimum(block, clip[1], out=block)
         block.sum(axis=0, out=sums[i])
-        cond_vars[i] = block.var(axis=0)
+        block -= sums[i] / (end - start)
+        np.square(block, out=block)
+        block.sum(axis=0, out=cond_vars[i])
         start = end
+    cond_vars /= stats.counts[:, None]
     cond_means = sums / stats.counts[:, None]
     return _LossView(
         sums=sums,
@@ -249,6 +254,52 @@ def _huber_bounds(stats: _SplitStats, mse: _LossView) -> tuple[np.ndarray, np.nd
     return mu - _HUBER_C * sigma, mu + _HUBER_C * sigma
 
 
+def _prepare(ds: CanonicalDataset, split: SplitAssignment):
+    """Candidate-invariant split statistics and the view of each loss, or
+    why no candidate can be scored."""
+    train = split.indices("train")
+    val = split.indices("val")
+    train_ctrl = train[ds.is_control[train]]
+    train_pert = train[~ds.is_control[train]]
+    val_pert = val[~ds.is_control[val]]
+    val_ctrl = val[ds.is_control[val]]
+    if train_ctrl.size == 0 or train_pert.size == 0 or val_pert.size == 0:
+        return (
+            "degenerate split: train needs control and perturbed cells "
+            "and val needs perturbed cells"
+        )
+
+    y_ctrl = ds.X[train_ctrl].mean(axis=0)
+    # truth shifts reference the val split's own control so their noise is
+    # independent of the fitted shift; falls back to the train control
+    # when the val split carries no control cells
+    y_ctrl_val = ds.X[val_ctrl].mean(axis=0) if val_ctrl.size else y_ctrl
+    names, codes = np.unique(ds.condition_name[train_pert], return_inverse=True)
+    stats = _SplitStats(
+        rows=train_pert[np.argsort(codes, kind="stable")],
+        counts=np.bincount(codes),
+        y_ctrl=y_ctrl,
+        index_of={c: i for i, c in enumerate(names.tolist())},
+        val_deltas=tuple(
+            (p.condition_name, p.mean_expr - y_ctrl_val)
+            for p in pseudo_bulk(ds, val_pert)
+        ),
+        gene_mask=pathway_gene_mask(ds.ensembl_id),
+    )
+    with np.errstate(invalid="ignore"):  # inf - inf in a variance is reported below
+        mse = _loss_view(ds.X, stats)
+    # NaN and inf survive every sum, so these aggregates see each cell read
+    for cells, aggregate in (
+        ("train control", y_ctrl),
+        ("val", np.array([delta for _, delta in stats.val_deltas])),
+        ("perturbed train", mse.sums),
+    ):
+        if not np.isfinite(aggregate).all():
+            return f"non-finite input: X holds NaN or inf in the {cells} cells"
+    huber = _loss_view(ds.X, stats, _huber_bounds(stats, mse))
+    return stats, {"mse": mse, "huber": huber}
+
+
 class SurrogateEvaluator:
     """Closed-form per-family trainers scored by held-out shift correlation.
 
@@ -257,12 +308,14 @@ class SurrogateEvaluator:
     the clamped mean DeltaPCC. Execution time is a deterministic per-family
     cost table scaled by data size, never the wall clock.
 
-    Every family fits from per-condition sufficient statistics, built once
-    on first use: the split views, control means and val truth shifts, then
+    Every family fits from per-condition sufficient statistics, built on a
+    background thread from construction; the first ``evaluate`` waits for
+    it. They are the split views, control means and val truth shifts, then
     per loss the per-condition counts, sums, means and variances of the
     train shifts, gathered one condition block at a time (the huber clip
-    bounds are pooled from the mse statistics). The ridge families solve
-    the one-hot ridge in closed form over counts, so a candidate costs
+    bounds are pooled from the mse statistics). An error raised while
+    building them is raised again by every ``evaluate``. The ridge families
+    solve the one-hot ridge in closed form over counts, so a candidate costs
     O(m * g) plus scoring and no n x g shift matrix is ever held.
 
     Inputs that are degenerate (a split without the cells a fit needs) or
@@ -273,17 +326,30 @@ class SurrogateEvaluator:
     def __init__(self, dataset: CanonicalDataset, split: SplitAssignment):
         self.dataset = dataset
         self.split = split
-        self._views: dict[str, _LossView] = {}
+        # not a daemon, so interpreter exit waits for it instead of stopping
+        # it inside a numpy call
+        self._thread = threading.Thread(
+            target=self._prepare_in_background, name="surrogate-prepare"
+        )
+        self._thread.start()
+
+    def _prepare_in_background(self) -> None:
+        try:
+            self._prepared = _prepare(self.dataset, self.split)
+        except BaseException as exc:  # raised again by evaluate, not printed here
+            self._prepared = exc
 
     def evaluate(self, candidate: Candidate, seed: int) -> EvalOutcome:
         sim_time = self._simulated_time(candidate)
-        stats = self._stats
-        if isinstance(stats, str):
-            return EvalOutcome(m_val=None, t_exec=sim_time, error=stats)
+        self._thread.join()  # every read of the prepared state waits here
+        prepared = self._prepared
+        if isinstance(prepared, BaseException):
+            raise prepared
+        if isinstance(prepared, str):
+            return EvalOutcome(m_val=None, t_exec=sim_time, error=prepared)
+        stats, views = prepared
         reg = candidate.hyperparams.reg_strength * (1.0 + candidate.hyperparams.dropout)
-        predict = self._fit_family(
-            candidate.backbone, stats, self._view(stats, candidate.loss), reg
-        )
+        predict = self._fit_family(candidate.backbone, stats, views[candidate.loss], reg)
         scores = []
         for condition, true_delta in stats.val_deltas:
             try:
@@ -293,58 +359,6 @@ class SurrogateEvaluator:
         if not scores:
             return EvalOutcome(m_val=None, t_exec=sim_time, error=None)
         return EvalOutcome(m_val=max(0.0, float(np.mean(scores))), t_exec=sim_time)
-
-    @cached_property
-    def _stats(self) -> _SplitStats | str:
-        """Candidate-invariant split statistics, or why no candidate can be scored."""
-        ds = self.dataset
-        train = self.split.indices("train")
-        val = self.split.indices("val")
-        train_ctrl = train[ds.is_control[train]]
-        train_pert = train[~ds.is_control[train]]
-        val_pert = val[~ds.is_control[val]]
-        val_ctrl = val[ds.is_control[val]]
-        if train_ctrl.size == 0 or train_pert.size == 0 or val_pert.size == 0:
-            return (
-                "degenerate split: train needs control and perturbed cells "
-                "and val needs perturbed cells"
-            )
-
-        y_ctrl = ds.X[train_ctrl].mean(axis=0)
-        # truth shifts reference the val split's own control so their noise is
-        # independent of the fitted shift; falls back to the train control
-        # when the val split carries no control cells
-        y_ctrl_val = ds.X[val_ctrl].mean(axis=0) if val_ctrl.size else y_ctrl
-        names, codes = np.unique(ds.condition_name[train_pert], return_inverse=True)
-        stats = _SplitStats(
-            rows=train_pert[np.argsort(codes, kind="stable")],
-            counts=np.bincount(codes),
-            y_ctrl=y_ctrl,
-            index_of={c: i for i, c in enumerate(names.tolist())},
-            val_deltas=tuple(
-                (p.condition_name, p.mean_expr - y_ctrl_val)
-                for p in pseudo_bulk(ds, val_pert)
-            ),
-            gene_mask=pathway_gene_mask(ds.ensembl_id),
-        )
-        with np.errstate(invalid="ignore"):  # inf - inf in a variance is reported below
-            mse = self._views["mse"] = _loss_view(ds.X, stats)
-        # NaN and inf survive every sum, so these aggregates see each cell read
-        for cells, aggregate in (
-            ("train control", y_ctrl),
-            ("val", np.array([delta for _, delta in stats.val_deltas])),
-            ("perturbed train", mse.sums),
-        ):
-            if not np.isfinite(aggregate).all():
-                return f"non-finite input: X holds NaN or inf in the {cells} cells"
-        return stats
-
-    def _view(self, stats: _SplitStats, loss: str) -> _LossView:
-        view = self._views.get(loss)
-        if view is None:  # only the huber view is built here, from the mse one
-            clip = _huber_bounds(stats, self._views["mse"])
-            view = self._views[loss] = _loss_view(self.dataset.X, stats, clip)
-        return view
 
     def _simulated_time(self, candidate: Candidate) -> float:
         size = self.dataset.n_cells * self.dataset.n_genes / 5e4

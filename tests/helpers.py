@@ -7,10 +7,13 @@ derivation space, so every generated tree is reachable by the parser. The
 surrogate reference recomputes everything per candidate from the full
 n x g shift matrix, with a dense ridge solve and a direct winsorization,
 the way the evaluator did before it fitted from per-condition sufficient
-statistics. The harmonize references keep the per-cell loops that bundle
-writes, mapping application, merging, validation and the DSL's string
-comparison ran before they were vectorized, and the bundle TSV reader that
-split and appended one line at a time. The knowledge-base references
+statistics; the loss-view reference takes each block's variance with
+``np.var`` and clips with ``np.clip``, as the evaluator did before it
+reused the block sum and clipped by maximum then minimum. The harmonize
+references keep the per-cell loops that bundle writes, mapping
+application, merging, validation and the DSL's string comparison ran
+before they were vectorized, and the bundle TSV reader that split and
+appended one line at a time. The knowledge-base references
 embed one text at a time and score one entry at a time, the way retrieval
 did before it embedded and scored in batches.
 """
@@ -33,7 +36,7 @@ from pertpipe.data import (
     pseudo_bulk,
 )
 from pertpipe.errors import BundleFormatError
-from pertpipe.evaluators import _FAMILY_COST, _HUBER_C, pathway_gene_mask
+from pertpipe.evaluators import _FAMILY_COST, _HUBER_C, _LossView, pathway_gene_mask
 from pertpipe.knowledge import RetrievalResult, composite_weight, cosine_similarity
 from pertpipe.metrics import UndefinedMetric, delta_pcc
 from pertpipe.search import EvalOutcome
@@ -261,6 +264,32 @@ def _winsorize(D: np.ndarray) -> np.ndarray:
     return np.clip(D, mu - _HUBER_C * sigma, mu + _HUBER_C * sigma)
 
 
+def reference_loss_view(X: np.ndarray, stats, clip=None) -> _LossView:
+    """``_loss_view`` as it was before it reused the block sum for the
+    variance and clipped by maximum then minimum: ``np.clip`` and ``np.var``."""
+    m, g = stats.counts.size, X.shape[1]
+    sums = np.empty((m, g))
+    cond_vars = np.empty((m, g))
+    start = 0
+    for i, end in enumerate(np.cumsum(stats.counts).tolist()):
+        block = X[stats.rows[start:end]]
+        block -= stats.y_ctrl
+        if clip is not None:
+            np.clip(block, *clip, out=block)
+        block.sum(axis=0, out=sums[i])
+        cond_vars[i] = block.var(axis=0)
+        start = end
+    cond_means = sums / stats.counts[:, None]
+    return _LossView(
+        sums=sums,
+        cond_means=cond_means,
+        cond_vars=cond_vars,
+        grand=cond_means.mean(axis=0),
+        var_between=cond_means.var(axis=0),
+        var_within=cond_vars.mean(axis=0),
+    )
+
+
 def reference_surrogate_evaluate(ds, split, candidate) -> EvalOutcome:
     """What ``SurrogateEvaluator.evaluate`` must return, recomputed for each candidate."""
     train = split.indices("train")
@@ -366,7 +395,7 @@ def _reference_format_cell(value) -> str:
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     text = str(value)
-    if "\t" in text or "\n" in text:
+    if "\t" in text or "\n" in text or "\r" in text:
         raise BundleFormatError(f"tsv cell value contains tab/newline: {text!r}")
     return text
 
@@ -387,13 +416,13 @@ def reference_read_tsv(path) -> dict[str, list[str]]:
         lines = path.read_text().removesuffix("\n").split("\n")
     except FileNotFoundError:
         raise BundleFormatError(f"bundle file {path} is missing") from None
-    names = lines[0].split("\t")
-    if len(names) > 1:
-        lines = [ln for ln in lines if ln != ""]
-    if not lines or lines[0] == "":
+    if lines[0] == "":
         raise BundleFormatError(f"{path} is empty")
+    names = lines[0].split("\t")
     columns: dict[str, list[str]] = {name: [] for name in names}
     for lineno, line in enumerate(lines[1:], start=2):
+        if line == "" and len(names) > 1:
+            continue
         parts = line.split("\t")
         if len(parts) != len(names):
             raise BundleFormatError(

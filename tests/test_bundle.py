@@ -3,10 +3,13 @@ from __future__ import annotations
 import hashlib
 import json
 import mmap
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import small_canonical
 from pertpipe import bundle
@@ -71,6 +74,12 @@ class TestRawBundle:
         obs.write_text("\n".join(lines[:2] + [""] + lines[2:]) + "\n")
         assert read_raw_bundle(tmp_path / "raw").obs["name"].tolist() == ["a", "b", "c"]
 
+    def test_short_row_error_names_the_line_of_the_file(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_text("a\tb\n\n1\t2\n\n3\n")
+        with pytest.raises(BundleFormatError, match=r"t\.tsv:5 has 1 fields, expected 2$"):
+            bundle._read_tsv(path)
+
     def test_size_mismatch_reports_expected_bytes(self, raw_table, tmp_path):
         write_raw_bundle(raw_table, tmp_path / "raw")
         with open(tmp_path / "raw" / "X.f64", "ab") as fh:
@@ -87,6 +96,28 @@ class TestRawBundle:
         write_raw_bundle(raw_table, tmp_path / "raw")
         with pytest.raises(BundleFormatError, match="kind"):
             read_canonical_bundle(tmp_path / "raw")
+
+
+@given(
+    cells=st.lists(st.text(alphabet="x \t\n\r", max_size=3), min_size=1, max_size=4),
+    wide=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+@example(cells=["x\ry", "z"], wide=False)
+@example(cells=["x\ry", "z"], wide=True)
+def test_tsv_cells_read_back_or_are_refused(cells, wide):
+    # a cell the reader would split into two lines or fields is never written
+    columns = {"a": np.array(cells, dtype=object)}
+    if wide:
+        columns["b"] = np.array(["1"] * len(cells), dtype=object)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "obs.tsv"
+        try:
+            bundle._write_tsv(path, columns)
+        except BundleFormatError:
+            assert any(c in cell for cell in cells for c in "\t\n\r")
+            return
+        assert bundle._read_tsv(path) == {k: v.tolist() for k, v in columns.items()}
 
 
 class TestCanonicalBundle:

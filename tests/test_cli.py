@@ -327,6 +327,21 @@ class TestSearchCommand:
         for line in (tmp_path / "run" / "trajectory.jsonl").read_text().splitlines():
             assert json.loads(line)["failed"].startswith("non-finite input")
 
+    def test_degenerate_split_exits_4(self, runner, synthetic_bundle, tmp_path):
+        # one cell line, held out whole: train has no cells
+        result = runner.invoke(
+            main,
+            [
+                "search", str(synthetic_bundle), "--out", str(tmp_path / "run"),
+                "--evaluator", "surrogate", "--seed", "1", "--set", "search.n_sim=6",
+                "--set", "split.kind=unseen_cell",
+            ],
+        )
+        assert result.exit_code == 4, result.output + result.stderr
+        assert _stderr_error(result)["error"]["code"] == "no_valid_candidate"
+        for line in (tmp_path / "run" / "trajectory.jsonl").read_text().splitlines():
+            assert json.loads(line)["failed"].startswith("degenerate split")
+
     def test_missing_bundle_usage_error(self, runner, tmp_path):
         result = runner.invoke(
             main, ["search", str(tmp_path / "ghost"), "--out", str(tmp_path / "o")]

@@ -1,13 +1,26 @@
 from __future__ import annotations
 
 import math
+import itertools
+import threading
+import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from pertpipe import evaluators
 from pertpipe.actions import Candidate, HYPERPARAM_GRID, enumerate_candidates
-from helpers import assert_outcome_close, csr_from_dense, reference_surrogate_evaluate
+from helpers import (
+    assert_outcome_close,
+    csr_from_dense,
+    reference_loss_view,
+    reference_surrogate_evaluate,
+)
 from pertpipe.data import (
     SplitAssignment,
     pseudo_bulk,
@@ -284,6 +297,116 @@ class TestSurrogateMatchesReference:
             out = ev.evaluate(candidate, 0)
             assert out == reference_surrogate_evaluate(ds, split, candidate)
             assert "degenerate split" in out.error
+
+
+class TestPreparation:
+    """The statistics are built on a background thread from construction."""
+
+    def test_no_thread_alive_after_first_evaluate(self, noisy_bundle):
+        ds, split, _ = noisy_bundle
+        ev = SurrogateEvaluator(ds, split)
+        assert not ev._thread.daemon  # interpreter exit waits for it
+        assert ev.evaluate(_ridge("resnet"), 0).ok
+        assert not ev._thread.is_alive()
+        assert ev._thread not in threading.enumerate()
+
+    def test_dropped_evaluator_leaves_no_thread(self, noisy_bundle):
+        ds, split, _ = noisy_bundle
+        ev = SurrogateEvaluator(ds, split)
+        thread, ref = ev._thread, weakref.ref(ev)
+        del ev
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert thread not in threading.enumerate()
+        assert ref() is None  # the finished thread holds no reference to it
+
+    def test_preparation_error_raised_by_every_evaluate(self, noisy_bundle, monkeypatch):
+        ds, split, _ = noisy_bundle
+        hooked = []
+        monkeypatch.setattr(threading, "excepthook", hooked.append)
+
+        def broken(*args, **kwargs):
+            raise MemoryError("no room for the loss view")
+
+        monkeypatch.setattr(evaluators, "_loss_view", broken)
+        ev = SurrogateEvaluator(ds, split)
+        for candidate in (_ridge("resnet"), _ridge("gated_mlp", loss="huber")):
+            with pytest.raises(MemoryError, match="^no room for the loss view$"):
+                ev.evaluate(candidate, 0)
+        assert not ev._thread.is_alive()
+        assert hooked == []
+
+    def test_preparing_thread_ignores_invalid_values(self, noisy_bundle):
+        # numpy's error state is per thread and a new one starts at the
+        # defaults, so inf - inf in a variance would warn there unless the
+        # thread sets its own; it is left to the finiteness check
+        ds, split, _ = noisy_bundle
+        X = ds.X.copy()
+        X[np.flatnonzero((split.labels == "train") & ~ds.is_control)[0], 3] = np.inf
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = SurrogateEvaluator(replace(ds, X=X), split).evaluate(_ridge("resnet"), 0)
+        assert out.error == "non-finite input: X holds NaN or inf in the perturbed train cells"
+        assert [str(w.message) for w in caught] == []
+
+
+_FINITE = [-0.0, 0.0, 0.5, -0.5, 1.0, -1.0, 3.0, 1e-300, -1e300]
+
+
+@st.composite
+def loss_view_inputs(draw):
+    """Small matrices whose shifts tie the clip bounds, with signed zeros
+    and constant genes; the mse view also sees NaN and inf."""
+    clipped = draw(st.booleans())
+    values = st.sampled_from(_FINITE if clipped else _FINITE + [np.nan, np.inf, -np.inf])
+    counts = np.array(draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
+    g = draw(st.integers(1, 12))
+    n = int(counts.sum()) + draw(st.integers(0, 2))
+    X = draw(arrays(np.float64, (n, g), elements=values))
+    for j in draw(st.sets(st.integers(0, g - 1))):
+        X[:, j] = draw(values)  # a constant gene
+    rows = np.array(draw(st.permutations(range(n)))[: counts.sum()])
+    y_ctrl = draw(arrays(np.float64, g, elements=values))
+    stats = evaluators._SplitStats(
+        rows=rows, counts=counts, y_ctrl=y_ctrl, index_of={}, val_deltas=(),
+        gene_mask=np.ones(g, dtype=bool),
+    )
+    clip = None
+    if clipped:
+        bounds = [sorted(draw(st.lists(values, min_size=2, max_size=2))) for _ in range(g)]
+        clip = tuple(np.array(b) for b in zip(*bounds))
+    return X, stats, clip
+
+
+def _assert_same_view(view, expected):
+    for field in ("sums", "cond_means", "cond_vars", "grand", "var_between", "var_within"):
+        assert getattr(view, field).tobytes() == getattr(expected, field).tobytes(), field
+
+
+@given(loss_view_inputs())
+@settings(max_examples=400, deadline=None)
+def test_loss_view_matches_reference(case):
+    X, stats, clip = case
+    with np.errstate(all="ignore"):
+        view = evaluators._loss_view(X, stats, clip)
+        expected = reference_loss_view(X, stats, clip)
+    _assert_same_view(view, expected)
+
+
+@pytest.mark.parametrize("g", [1, 2, 33])
+def test_loss_view_signed_zero_ties(g):
+    # on a signed-zero tie np.clip keeps the cell when there is one gene and
+    # returns the bound otherwise, while maximum then minimum always return
+    # the bound; sums start from +0.0 and variances square, so no zero's
+    # sign reaches the view
+    for x, y, lo, hi in itertools.product([-0.0, 0.0], repeat=4):
+        stats = evaluators._SplitStats(
+            rows=np.arange(3), counts=np.array([2, 1]), y_ctrl=np.full(g, y),
+            index_of={}, val_deltas=(), gene_mask=np.ones(g, dtype=bool),
+        )
+        X, clip = np.full((3, g), x), (np.full(g, lo), np.full(g, hi))
+        view = evaluators._loss_view(X, stats, clip)
+        _assert_same_view(view, reference_loss_view(X, stats, clip))
 
 
 class TestLandscapeEvaluator:
