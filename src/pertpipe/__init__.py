@@ -10,7 +10,6 @@ from .data import (
     SplitAssignment,
     normalize_log1p,
     pseudo_bulk,
-    select_hvg,
     split_unseen_cell,
     split_unseen_perturbation,
     validate_canonical,
@@ -39,7 +38,6 @@ __all__ = [
     "pseudo_bulk",
     "rmse",
     "run_search",
-    "select_hvg",
     "split_unseen_cell",
     "split_unseen_perturbation",
     "time_decay",

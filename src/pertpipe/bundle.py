@@ -7,10 +7,12 @@ little-endian CSR arrays: `pert_indptr.i64`, `pert_indices.i64` and
 `pert_dose.f64`. Readers reject other canonical formats (format 1 held
 dense mask and dose matrices) and any binary file of the wrong size.
 
-Writers first remove any old manifest, write each file under a temporary
-name and rename it into place, and write the manifest last, so a write cut
-short leaves a directory that readers reject rather than a mix of old and
-new files. Bundle files are replaced by rename and never edited in place.
+Writers first format the TSV tables, refusing a cell the reader would
+split, so a refused write leaves an old bundle untouched. Then they remove
+any old manifest, write each file under a temporary name and rename it
+into place, and write the manifest last, so a write cut short leaves a
+directory that readers reject rather than a mix of old and new files.
+Bundle files are replaced by rename and never edited in place.
 
 Readers map each binary file read-only and return read-only arrays over the
 mapping, so nothing is copied at read time. A live dataset holds one file
@@ -88,20 +90,22 @@ def _has_tab_or_newline(text: str) -> bool:
     return "\t" in text or "\n" in text or "\r" in text
 
 
-def _write_tsv(path: Path, columns: dict[str, np.ndarray]) -> None:
+def _tsv_text(columns: dict[str, np.ndarray]) -> str:
     cells = [_format_column(col) for col in columns.values()]
     if any(_has_tab_or_newline("".join(text)) for text in cells):
         bad = next(t for row in zip(*cells) for t in row if _has_tab_or_newline(t))
         raise BundleFormatError(f"tsv cell value contains tab/newline: {bad!r}")
     lines = ["\t".join(columns), *map("\t".join, zip(*cells))]
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def _read_tsv(path: Path) -> dict[str, list[str]]:
     try:
-        lines = path.read_text().removesuffix("\n").split("\n")
+        lines = path.read_text(encoding="utf-8").removesuffix("\n").split("\n")
     except FileNotFoundError:
         raise BundleFormatError(f"bundle file {path} is missing") from None
+    except UnicodeDecodeError as exc:
+        raise BundleFormatError(f"{path} is not UTF-8 text: {exc}") from None
     if lines[0] == "":
         raise BundleFormatError(f"{path} is empty")
     names = lines[0].split("\t")
@@ -181,6 +185,8 @@ def _write_manifest(out: Path, manifest: dict) -> None:
 
 
 def write_raw_bundle(table: RawTable, out_dir: str | Path) -> None:
+    obs_text = _tsv_text(table.obs)
+    var_text = _tsv_text({"index": table.var_index, **table.var_columns})
     out = _start_write(out_dir)
     manifest = {
         "kind": "raw",
@@ -193,10 +199,8 @@ def write_raw_bundle(table: RawTable, out_dir: str | Path) -> None:
         "var_index_name": "index",
         "obsm": {k: int(v.shape[1]) for k, v in table.obsm.items()},
     }
-    _write_tsv(out / "obs.tsv", table.obs)
-    var_cols = {"index": table.var_index}
-    var_cols.update(table.var_columns)
-    _write_tsv(out / "var.tsv", var_cols)
+    write_text_atomic(out / "obs.tsv", obs_text)
+    write_text_atomic(out / "var.tsv", var_text)
     _write_matrix(out / "X.f64", table.X, "<f8")
     for name, m in table.obsm.items():
         _write_matrix(out / f"obsm_{name}.f64", m, "<f8")
@@ -235,6 +239,8 @@ def read_raw_bundle(path: str | Path) -> RawTable:
 
 
 def write_canonical_bundle(ds: CanonicalDataset, out_dir: str | Path) -> None:
+    obs_text = _tsv_text(ds.obs_columns())
+    var_text = _tsv_text({"ensembl_id": ds.ensembl_id, "gene_symbol": ds.gene_symbol})
     out = _start_write(out_dir)
     manifest = {
         "kind": "canonical",
@@ -247,11 +253,8 @@ def write_canonical_bundle(ds: CanonicalDataset, out_dir: str | Path) -> None:
         "pert_vocab": list(ds.pert_vocab),
         "extra_obs": sorted(ds.extra_obs),
     }
-    _write_tsv(out / "obs.tsv", ds.obs_columns())
-    _write_tsv(
-        out / "var.tsv",
-        {"ensembl_id": ds.ensembl_id, "gene_symbol": ds.gene_symbol},
-    )
+    write_text_atomic(out / "obs.tsv", obs_text)
+    write_text_atomic(out / "var.tsv", var_text)
     _write_matrix(out / "X.f64", ds.X, "<f8")
     _write_matrix(out / "pert_indptr.i64", ds.pert_indptr, "<i8")
     _write_matrix(out / "pert_indices.i64", ds.pert_indices, "<i8")
@@ -304,9 +307,9 @@ def _load_manifest(root: Path, expected_kind: str) -> dict:
     if not mpath.is_file():
         raise BundleFormatError(f"no {MANIFEST} in {root}")
     try:
-        manifest = json.loads(mpath.read_text())
-    except json.JSONDecodeError as exc:
-        raise BundleFormatError(f"{mpath} is not valid JSON: {exc}") from exc
+        manifest = json.loads(mpath.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise BundleFormatError(f"{mpath} is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(manifest, dict):
         raise BundleFormatError(f"{mpath} is not a JSON object")
     kind = manifest.get("kind")

@@ -117,7 +117,9 @@ def unify(raw_bundle, out_dir, mapping_file, induce, llm_transport, replay_file,
     )
     if mapping_file:
         try:
-            spec = MappingSpec.from_json(Path(mapping_file).read_text())
+            spec = MappingSpec.from_json(Path(mapping_file).read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            _fail("mapping_spec", f"mapping file is not UTF-8 text: {exc}", EXIT_VALIDATION)
         except MappingError as exc:
             _fail("mapping_spec", str(exc), EXIT_VALIDATION)
     else:
@@ -137,7 +139,10 @@ def unify(raw_bundle, out_dir, mapping_file, induce, llm_transport, replay_file,
         _fail("apply_mapping", str(exc), EXIT_VALIDATION)
 
     out = Path(out_dir)
-    bundle_io.write_canonical_bundle(ds, out)
+    try:
+        bundle_io.write_canonical_bundle(ds, out)
+    except BundleFormatError as exc:  # a mapped value the bundle cannot store
+        _fail("apply_mapping", str(exc), EXIT_VALIDATION)
     bundle_io.write_text_atomic(
         out / "validation_report.json", json.dumps({"issues": []}) + "\n"
     )
@@ -198,10 +203,10 @@ def search(bundle, out_dir, evaluator_spec, mode, kb_path, seed, fail_rate,
             evaluator = FailureInjectingEvaluator(
                 evaluator, failure_rate=fail_rate, fix_succeeds=fail_fixable
             )
-    except (ParameterError, OSError, json.JSONDecodeError) as exc:
+    except (ParameterError, OSError) as exc:
         _fail("evaluator", str(exc), EXIT_USAGE)
 
-    profile_text = _profile_text(bundle, ds, config, evaluator_spec)
+    profile_text = _profile_text(ds, config, evaluator_spec)
     retrieval = None
     if kb_path:
         kb = KnowledgeBase(kb_path)
@@ -326,7 +331,7 @@ def _landscape_path(spec: str) -> Path:
     return ref if ref.is_file() else builtin_landscape_path(str(ref))
 
 
-def _profile_text(bundle_path, ds, config, evaluator_spec) -> str:
+def _profile_text(ds, config, evaluator_spec) -> str:
     vocab_head = " ".join(ds.pert_vocab[:8])
     return (
         f"cells {ds.n_cells} genes {ds.n_genes} perturbations {ds.n_perts} "
@@ -346,7 +351,9 @@ def evaluate(bundle, predictions, control_name):
     except (BundleFormatError, ValidationError) as exc:
         _fail("bundle", str(exc), EXIT_VALIDATION)
     try:
-        doc = json.loads(Path(predictions).read_text())
+        doc = json.loads(Path(predictions).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        _fail("predictions", f"predictions file is not UTF-8 text: {exc}", EXIT_VALIDATION)
     except json.JSONDecodeError as exc:
         _fail("predictions", f"predictions file is not valid JSON: {exc}", EXIT_VALIDATION)
     if not isinstance(doc, dict):

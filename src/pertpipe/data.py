@@ -9,7 +9,7 @@ containers are frozen after construction; every operation here is pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -197,11 +197,9 @@ class PseudoBulkProfile:
 
 @dataclass(frozen=True)
 class SplitAssignment:
-    """Per-cell train/val/test labels plus the strategy that produced them."""
+    """Per-cell train/val/test labels."""
 
     labels: np.ndarray
-    split_kind: str
-    seed: int
 
     def __post_init__(self):
         labels = np.asarray(self.labels, dtype=object)
@@ -352,27 +350,6 @@ def normalize_log1p(
     return np.log1p(out, out=out)
 
 
-def select_hvg(ds: CanonicalDataset, k: int) -> CanonicalDataset:
-    """Restrict to the k most variable genes.
-
-    Variance is the population variance of the stored (log-space) values.
-    Ties break toward the lower original gene index, and the surviving genes
-    keep their original relative order.
-    """
-    g = ds.n_genes
-    if k < 1 or k > g:
-        raise ParameterError(f"k must be in [1, {g}], got {k}")
-    if k == g:
-        return ds
-    variances = ds.X.var(axis=0)
-    # sort by variance descending, ties by ascending index
-    order = np.lexsort((np.arange(g), -variances))
-    keep = np.sort(order[:k])
-    return replace(
-        ds, X=ds.X[:, keep], ensembl_id=ds.ensembl_id[keep], gene_symbol=ds.gene_symbol[keep]
-    )
-
-
 def pseudo_bulk(
     ds: CanonicalDataset, cells: np.ndarray | None = None
 ) -> list[PseudoBulkProfile]:
@@ -461,7 +438,7 @@ def split_unseen_perturbation(
     labels[shuffled_ctrl[:n_tr]] = "train"
     labels[shuffled_ctrl[n_tr : n_tr + n_va]] = "val"
     labels[shuffled_ctrl[n_tr + n_va :]] = "test"
-    return SplitAssignment(labels=labels, split_kind="unseen_perturbation", seed=seed)
+    return SplitAssignment(labels=labels)
 
 
 def split_unseen_cell(
@@ -490,7 +467,7 @@ def split_unseen_cell(
     n_val = int(math.floor(val_frac_of_holdout * n_hold + 0.5))
     labels[shuffled[:n_val]] = "val"
     labels[shuffled[n_val:]] = "test"
-    return SplitAssignment(labels=labels, split_kind="unseen_cell", seed=seed)
+    return SplitAssignment(labels=labels)
 
 
 def validate_canonical(ds: CanonicalDataset) -> ValidationReport:

@@ -191,7 +191,6 @@ def _tokenize(text: str) -> list[_Token]:
 # binding strength of each binary operator: the grammar and the formatter
 # both read this table
 _PRECEDENCE = {"or": 1, "and": 2, "==": 3, "!=": 3, "+": 4, "-": 4, "*": 5, "/": 5}
-BINARY_OPS = tuple(_PRECEDENCE)
 _COMPARISONS = ("==", "!=")
 _LITERAL_NODES = {str: StrLit, float: NumLit, bool: BoolLit}
 

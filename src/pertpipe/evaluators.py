@@ -6,8 +6,7 @@ branches of the action space: plain ridge recovers clean linear effects,
 gated and pathway-masked variants win under heavy noise, the generative
 stand-ins estimate condition means with shrinkage or direction averaging.
 A lookup-table landscape oracle tests search dynamics with no fitting at
-all, a failure injector exercises the debug path, and an exhaustive
-enumerator provides the optimality reference.
+all, and a failure injector exercises the debug path.
 """
 
 from __future__ import annotations
@@ -437,6 +436,10 @@ class SurrogateEvaluator:
 # landscape oracle
 
 
+def _finite(value) -> bool:
+    return type(value) is float and math.isfinite(value)
+
+
 def builtin_landscape_path(name: str) -> Path:
     """Filesystem path of a landscape table shipped with the package."""
     from importlib import resources
@@ -456,12 +459,40 @@ class LandscapeEvaluator:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "LandscapeEvaluator":
-        doc = json.loads(Path(path).read_text())
-        return cls(doc["leaves"], t_exec=float(doc.get("t_exec", 10.0)))
+        """Load a table, checked whole so a bad one fails before any search.
 
-    @classmethod
-    def builtin(cls, name: str) -> "LandscapeEvaluator":
-        return cls.from_file(builtin_landscape_path(name))
+        The file is a UTF-8 JSON object. Its ``leaves`` object holds a row
+        for every candidate key, each with a finite ``mean`` and, if it has
+        one, a finite ``jitter_bound``; a ``t_exec`` is a finite number.
+        """
+        try:
+            # integers read as floats, so one finiteness check covers both
+            doc = json.loads(Path(path).read_text(encoding="utf-8"), parse_int=float)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ParameterError(f"landscape table {path} is not UTF-8 JSON: {exc}") from None
+        leaves = doc.get("leaves") if isinstance(doc, dict) else None
+        if not isinstance(leaves, dict):
+            raise ParameterError(f"landscape table {path} needs an object of 'leaves'")
+        missing = [c.key() for c in enumerate_candidates() if c.key() not in leaves]
+        if missing:
+            raise ParameterError(
+                f"landscape table {path} lacks {len(missing)} candidate leaves, "
+                f"first {missing[0]!r}"
+            )
+        for key, row in leaves.items():
+            if not (
+                isinstance(row, dict)
+                and _finite(row.get("mean"))
+                and _finite(row.get("jitter_bound", 0.0))
+            ):
+                raise ParameterError(
+                    f"landscape table {path} leaf {key!r} needs a finite number 'mean' "
+                    f"and an optional finite number 'jitter_bound', got {row!r}"
+                )
+        t_exec = doc.get("t_exec", 10.0)
+        if not _finite(t_exec):
+            raise ParameterError(f"landscape table {path} has t_exec {t_exec!r}, not a number")
+        return cls(leaves, t_exec=t_exec)
 
     def evaluate(self, candidate: Candidate, seed: int) -> EvalOutcome:
         key = candidate.key().removesuffix("/fixed")
@@ -508,51 +539,3 @@ class FailureInjectingEvaluator:
             t_exec=outcome.t_exec,
             error=f"injected failure for {candidate.key()}",
         )
-
-
-# --------------------------------------------------------------------------
-# exhaustive oracle
-
-
-@dataclass(frozen=True)
-class ExhaustiveRow:
-    candidate_key: str
-    m_val: float | None
-    t_exec: float
-    error: str | None
-
-
-@dataclass(frozen=True)
-class ExhaustiveResult:
-    best_candidate: Candidate | None
-    best_m_val: float | None
-    table: tuple[ExhaustiveRow, ...]
-
-    def to_tsv(self) -> str:
-        lines = ["candidate\tm_val\tt_exec\tstatus"]
-        for row in self.table:
-            m = "" if row.m_val is None else repr(row.m_val)
-            status = "failed" if row.error else "ok"
-            lines.append(f"{row.candidate_key}\t{m}\t{row.t_exec!r}\t{status}")
-        return "\n".join(lines) + "\n"
-
-
-def exhaustive_best(evaluator, seed: int) -> ExhaustiveResult:
-    """Evaluate every hierarchy-legal candidate once; ties keep the first."""
-    rows: list[ExhaustiveRow] = []
-    best: Candidate | None = None
-    best_m: float | None = None
-    for candidate in enumerate_candidates():
-        outcome = evaluator.evaluate(candidate, seed)
-        rows.append(
-            ExhaustiveRow(
-                candidate_key=candidate.key(),
-                m_val=outcome.m_val if outcome.ok else None,
-                t_exec=outcome.t_exec,
-                error=outcome.error,
-            )
-        )
-        if outcome.ok and outcome.m_val is not None:
-            if best_m is None or outcome.m_val > best_m:
-                best, best_m = candidate, outcome.m_val
-    return ExhaustiveResult(best_candidate=best, best_m_val=best_m, table=tuple(rows))

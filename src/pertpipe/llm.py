@@ -40,8 +40,8 @@ class LlmClient:
     def replay(cls, path: str | Path):
         path = Path(path)
         try:
-            responses = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            responses = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise TransportError(f"cannot load replay file {path}: {exc}") from exc
         if not isinstance(responses, list) or not all(
             isinstance(r, str) for r in responses
@@ -55,10 +55,6 @@ class LlmClient:
     def mock(cls, response: str | list[str]):
         responses = [response] if isinstance(response, str) else list(response)
         return cls("mock", responses=responses)
-
-    @property
-    def transport(self) -> str:
-        return self._transport
 
     def complete(self, messages: list[dict[str, str]]) -> str:
         """Send a chat message list, return the assistant text."""

@@ -43,25 +43,15 @@ CONFIG_DEFAULTS: dict[str, float | int | str] = {
     "unify.model": "default-model",
 }
 
-_INT_KEYS = {"search.n_sim", "retrieval.m", "unify.sample_size"}
-_FLOAT_KEYS = {
-    "search.c",
-    "search.alpha_qmix",
-    "search.uct_epsilon",
-    "search.w_p",
-    "search.w_e",
-    "search.wall_clock_budget",
-    "retrieval.tau_filter",
-    "retrieval.alpha_retrieval",
-    "retrieval.tau",
-    "split.train_frac",
-}
-
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
     """Read ``key=value`` lines; '#' starts a comment, blank lines ignored."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"config file {path} is not UTF-8 text: {exc}") from None
     values: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -87,17 +77,17 @@ def resolve_config(
 
 
 def _coerce(key: str, value):
+    """``value`` as the type of the key's default."""
+    kind = type(CONFIG_DEFAULTS[key])
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return int(value) if key in _INT_KEYS else value
+        return int(value) if kind is int else value
     text = str(value)
+    if kind is str:
+        return text
     try:
-        if key in _INT_KEYS:
-            return int(text)
-        if key in _FLOAT_KEYS:
-            return float(text)
+        return kind(text)
     except ValueError:
         raise ParameterError(f"config key {key!r} expects a number, got {text!r}") from None
-    return text
 
 
 @dataclass

@@ -81,10 +81,10 @@ class Node:
 
     __slots__ = (
         "action", "level", "path", "n_visits", "q_sum", "q_max",
-        "status", "children", "untried", "index",
+        "status", "children", "untried",
     )
 
-    def __init__(self, action: str | None, level: int, path: tuple[str, ...], index: int):
+    def __init__(self, action: str | None, level: int, path: tuple[str, ...]):
         self.action = action
         self.level = level
         self.path = path
@@ -94,7 +94,6 @@ class Node:
         self.status = "fresh"
         self.children: list[Node] = []
         self.untried: list[str] | None = None  # filled lazily, seeded-shuffled
-        self.index = index
 
     @property
     def q_mean(self) -> float:
@@ -193,16 +192,10 @@ class _Engine:
         self.config = config
         self.evaluator = evaluator
         self.rng = np.random.default_rng(config.seed)
-        self.node_count = 0
-        self.root = self._new_node(None, 0, ())
+        self.root = Node(None, 0, ())
         self.t_root: float | None = None
         self.n_expansions = 0
         self.outcomes: dict[Candidate, EvalOutcome] = {}  # transposition table
-
-    def _new_node(self, action: str | None, level: int, path: tuple[str, ...]) -> Node:
-        node = Node(action, level, path, self.node_count)
-        self.node_count += 1
-        return node
 
     def _untried(self, node: Node) -> list[str]:
         if node.untried is None:
@@ -221,14 +214,12 @@ class _Engine:
             untried = self._untried(node)
             if action in untried:
                 untried.remove(action)
-            child = self._new_node(
-                action, self._child_level(node, action), node.path + (action,)
-            )
+            child = Node(action, self._child_level(node, action), node.path + (action,))
             node.children.insert(0, child)
             node = child
 
     def select(self) -> tuple[list[Node], bool]:
-        """Walk to the node to simulate; returns (path, expanded_new_node)."""
+        """Walk to the node to simulate; returns (path, whether a new node was expanded)."""
         node = self.root
         path = [node]
         while True:
@@ -242,9 +233,7 @@ class _Engine:
             untried = self._untried(node)
             if untried:
                 action = untried.pop(0)
-                child = self._new_node(
-                    action, self._child_level(node, action), node.path + (action,)
-                )
+                child = Node(action, self._child_level(node, action), node.path + (action,))
                 node.children.append(child)
                 path.append(child)
                 return path, True

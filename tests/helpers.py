@@ -15,7 +15,9 @@ application, merging, validation and the DSL's string comparison ran
 before they were vectorized, and the bundle TSV reader that split and
 appended one line at a time. The knowledge-base references
 embed one text at a time and score one entry at a time, the way retrieval
-did before it embedded and scored in batches.
+did before it embedded and scored in batches. The exhaustive oracle
+evaluates every hierarchy-legal candidate once; it is the reference the
+search's optimality is checked against.
 """
 
 from __future__ import annotations
@@ -24,10 +26,12 @@ import hashlib
 import math
 import random
 import re
+from dataclasses import dataclass
 
 import numpy as np
 
 from pertpipe import dsl
+from pertpipe.actions import Candidate, enumerate_candidates
 from pertpipe.data import (
     CANONICAL_OBS_KEYS,
     PERT_TYPES,
@@ -36,7 +40,14 @@ from pertpipe.data import (
     pseudo_bulk,
 )
 from pertpipe.errors import BundleFormatError
-from pertpipe.evaluators import _FAMILY_COST, _HUBER_C, _LossView, pathway_gene_mask
+from pertpipe.evaluators import (
+    _FAMILY_COST,
+    _HUBER_C,
+    LandscapeEvaluator,
+    _LossView,
+    builtin_landscape_path,
+    pathway_gene_mask,
+)
 from pertpipe.knowledge import RetrievalResult, composite_weight, cosine_similarity
 from pertpipe.metrics import UndefinedMetric, delta_pcc
 from pertpipe.search import EvalOutcome
@@ -702,3 +713,48 @@ def reference_retrieve(query_text, entries, params) -> RetrievalResult:
     ranked = tuple(weighted[: params.m])
     return RetrievalResult(rho=rho, mode="warm_start", ranked=ranked,
                            epsilon0=ranked[0][0].action_path)
+
+
+# --------------------------------------------------------------------------
+# exhaustive search-optimality oracle
+
+
+def builtin_landscape(name: str) -> LandscapeEvaluator:
+    """The landscape evaluator over a table shipped with the package."""
+    return LandscapeEvaluator.from_file(builtin_landscape_path(name))
+
+
+@dataclass(frozen=True)
+class ExhaustiveRow:
+    candidate_key: str
+    m_val: float | None
+    t_exec: float
+    error: str | None
+
+
+@dataclass(frozen=True)
+class ExhaustiveResult:
+    best_candidate: Candidate | None
+    best_m_val: float | None
+    table: tuple[ExhaustiveRow, ...]
+
+
+def exhaustive_best(evaluator, seed: int) -> ExhaustiveResult:
+    """Evaluate every hierarchy-legal candidate once; ties keep the first."""
+    rows: list[ExhaustiveRow] = []
+    best: Candidate | None = None
+    best_m: float | None = None
+    for candidate in enumerate_candidates():
+        outcome = evaluator.evaluate(candidate, seed)
+        rows.append(
+            ExhaustiveRow(
+                candidate_key=candidate.key(),
+                m_val=outcome.m_val if outcome.ok else None,
+                t_exec=outcome.t_exec,
+                error=outcome.error,
+            )
+        )
+        if outcome.ok and outcome.m_val is not None:
+            if best_m is None or outcome.m_val > best_m:
+                best, best_m = candidate, outcome.m_val
+    return ExhaustiveResult(best_candidate=best, best_m_val=best_m, table=tuple(rows))

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from helpers import oracle_condition_metrics, random_expr
+from helpers import builtin_landscape, exhaustive_best, oracle_condition_metrics, random_expr
 from pertpipe import dsl
 from pertpipe.actions import materialize
 from pertpipe.bundle import bundle_digest
@@ -23,10 +23,8 @@ from pertpipe.data import (
     validate_canonical,
 )
 from pertpipe.evaluators import (
-    LandscapeEvaluator,
     SurrogateEvaluator,
     SyntheticConfig,
-    exhaustive_best,
     generate_synthetic,
 )
 from pertpipe.knowledge import (
@@ -79,9 +77,9 @@ def test_01_time_decay_exactness():
 def test_02_selection_and_reward_formulas():
     with criterion(2, "selection score and reward formulas", 1.0):
         config = SearchConfig()  # C=1.0, alpha_qmix=0.7, w_p=0.8, w_e=0.2
-        parent = Node(None, 0, (), 0)
+        parent = Node(None, 0, ())
         parent.n_visits = 10
-        child = Node("paradigm:discriminative", 1, ("paradigm:discriminative",), 1)
+        child = Node("paradigm:discriminative", 1, ("paradigm:discriminative",))
         child.n_visits = 2
         child.q_sum = 0.8  # mean 0.4
         child.q_max = 0.6
@@ -140,7 +138,7 @@ def test_03_metrics_oracle_equivalence():
 
 def test_04_search_optimality_vs_exhaustive():
     with criterion(4, "search optimality vs exhaustive oracle", 60.0):
-        ev = LandscapeEvaluator.builtin("funnel")
+        ev = builtin_landscape("funnel")
         best_key = exhaustive_best(ev, seed=0).best_candidate.key()
         hits = sum(
             1
@@ -150,7 +148,7 @@ def test_04_search_optimality_vs_exhaustive():
         )
         assert hits >= 95, f"only {hits}/100 zero-jitter runs found the optimum"
 
-        ev_j = LandscapeEvaluator.builtin("funnel_jitter")
+        ev_j = builtin_landscape("funnel_jitter")
         config = SearchConfig(n_sim=64, seed=0)
         close = 0
         for seed in range(100):
@@ -165,7 +163,7 @@ def test_04_search_optimality_vs_exhaustive():
 
 def test_05_hierarchy_freeze_property():
     with criterion(5, "hierarchy freeze over 1000 runs", 60.0):
-        ev = LandscapeEvaluator.builtin("funnel")
+        ev = builtin_landscape("funnel")
         structural = ("paradigm", "backbone")
         for seed in range(1000):
             result = run_search(SearchConfig(n_sim=16, seed=seed), ev)
@@ -184,7 +182,7 @@ def test_05_hierarchy_freeze_property():
 
 def test_06_warm_start_gating():
     with criterion(6, "warm-start vs ab-initio gating", 10.0):
-        ev = LandscapeEvaluator.builtin("funnel")
+        ev = builtin_landscape("funnel")
         stored_path = ("paradigm:generative", "backbone:conditional_vae")
         profile = "drug response 48 cells 40 genes"
         entries = [make_entry(profile, stored_path, 0.8, created_at=1.0)]
@@ -301,7 +299,7 @@ def test_09_end_to_end_synthetic_pipeline():
 
 def test_10_hierarchical_vs_flat_ablation():
     with criterion(10, "hierarchical beats flat on ablation fixture", 60.0):
-        ev = LandscapeEvaluator.builtin("ablation")
+        ev = builtin_landscape("ablation")
         best_key = exhaustive_best(ev, seed=0).best_candidate.key()
         n_sim = 60
 

@@ -12,6 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pertpipe
 from helpers import small_canonical
@@ -23,7 +25,7 @@ from pertpipe.bundle import (
 )
 from pertpipe.actions import materialize, validate_action_path
 from pertpipe.cli import _profile_text, main
-from pertpipe.data import pseudo_bulk
+from pertpipe.data import RawTable, pseudo_bulk
 from pertpipe.evaluators import builtin_landscape_path
 from pertpipe.knowledge import KnowledgeBase, make_entry
 from pertpipe.manifest import resolve_config
@@ -493,13 +495,19 @@ class TestIncompleteBundles:
             ("n_cells", "has no 'n_cells'"),
             ("n_genes", "has no 'n_genes'"),
             ("pert_vocab", "has no 'pert_vocab'"),
+            ("manifest.json not UTF-8", "manifest.json is not valid UTF-8 JSON"),
+            ("obs.tsv not UTF-8", "obs.tsv is not UTF-8 text"),
+            ("var.tsv not UTF-8", "var.tsv is not UTF-8 text"),
         ],
     )
     def test_canonical_bundle_exits_2(self, runner, synthetic_bundle, tmp_path,
                                       command, defect, message):
         manifest_path = synthetic_bundle / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        if defect in manifest:
+        if defect.endswith(" not UTF-8"):
+            path = synthetic_bundle / defect.removesuffix(" not UTF-8")
+            path.write_bytes(path.read_bytes() + b"\xff")
+        elif defect in manifest:
             del manifest[defect]
             manifest_path.write_text(json.dumps(manifest))
         else:
@@ -721,8 +729,7 @@ class TestKnowledgeBaseFlags:
         # a hand edit with the query's own profile, so a load that kept it
         # would warm-start from the illegal path
         profile = _profile_text(
-            synthetic_bundle, read_canonical_bundle(synthetic_bundle),
-            resolve_config(None, {}), "surrogate",
+            read_canonical_bundle(synthetic_bundle), resolve_config(None, {}), "surrogate"
         )
         kb = tmp_path / "kb.jsonl"
         KnowledgeBase(kb).record(make_entry("x", ("paradigm:generative",), 0.5))
@@ -883,6 +890,129 @@ class TestManifests:
              "--set", "search.bogus=1"],
         )
         assert result.exit_code == 1
+
+
+_NOT_UTF8 = b'{"a": "\xff"}\n'
+_UNIFY_MAPPING = ["unify", "{raw}", "{out}", "--mapping", "{file}"]
+_UNIFY_REPLAY = ["unify", "{raw}", "{out}", "--induce", "--llm-transport", "replay",
+                 "--replay-file", "{file}"]
+_SEARCH_CONFIG = ["search", "{bundle}", "--out", "{out}", "--config", "{file}"]
+_SEARCH_LANDSCAPE = ["search", "{bundle}", "--out", "{out}", "--evaluator", "landscape:{file}"]
+_EVALUATE = ["evaluate", "{bundle}", "{file}"]
+
+
+def _funnel_lacking_a_leaf() -> bytes:
+    doc = json.loads(builtin_landscape_path("funnel").read_text())
+    del doc["leaves"]["generative/flow_matching/h3/huber"]
+    return json.dumps(doc).encode()
+
+
+# (outside file, command reading it, exit code, error code)
+OUTSIDE_INPUTS = {
+    "tab_in_mapped_value": (
+        json.dumps({
+            "perturbation_type": "drug",
+            "perturbation_name": "drug_id",
+            "control_status": "df['drug_id'] == 'DMSO'",
+            "condition_name": "df['drug_id'] + '\t'",  # a real tab once JSON is read
+        }).encode(),
+        _UNIFY_MAPPING, 2, "apply_mapping",
+    ),
+    "mapping_not_utf8": (_NOT_UTF8, _UNIFY_MAPPING, 2, "mapping_spec"),
+    "config_not_utf8": (b"search.n_sim=\xff\n", _SEARCH_CONFIG, 1, "config"),
+    "replay_not_utf8": (_NOT_UTF8, _UNIFY_REPLAY, 3, "transport"),
+    "predictions_not_utf8": (_NOT_UTF8, _EVALUATE, 2, "predictions"),
+    "landscape_without_leaves": (b'{"t_exec": 1}', _SEARCH_LANDSCAPE, 1, "evaluator"),
+    "landscape_leaves_not_an_object": (b'{"leaves": []}', _SEARCH_LANDSCAPE, 1, "evaluator"),
+    "landscape_lacking_a_leaf": (_funnel_lacking_a_leaf(), _SEARCH_LANDSCAPE, 1, "evaluator"),
+    "landscape_not_utf8": (_NOT_UTF8, _SEARCH_LANDSCAPE, 1, "evaluator"),
+}
+
+
+def _invoke_on(runner, argv, contents: bytes, raw, bundle, root):
+    """Run ``argv`` with ``contents`` as its outside file, written under ``root``."""
+    path = root / "input"
+    path.write_bytes(contents)
+    args = [a.format(raw=raw, bundle=bundle, file=path, out=root / "out") for a in argv]
+    return runner.invoke(main, args)
+
+
+class TestOutsideInputs:
+    """Bad outside files end with their documented exit code and a JSON error."""
+
+    @pytest.mark.parametrize(
+        "contents, argv, exit_code, code", OUTSIDE_INPUTS.values(), ids=OUTSIDE_INPUTS.keys()
+    )
+    def test_exits_with_json_error(self, runner, raw_bundle_dir, synthetic_bundle, tmp_path,
+                                   contents, argv, exit_code, code):
+        result = _invoke_on(runner, argv, contents, raw_bundle_dir, synthetic_bundle, tmp_path)
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == exit_code, result.output
+        assert _stderr_error(result)["error"]["code"] == code
+        assert "Traceback" not in result.stderr
+
+    def test_refused_mapped_value_keeps_the_previous_bundle(
+        self, runner, raw_bundle_dir, mapping_file, tmp_path
+    ):
+        out = tmp_path / "out"
+        args = ["unify", str(raw_bundle_dir), str(out), "--mapping", str(mapping_file)]
+        assert runner.invoke(main, args).exit_code == 0
+        digest = bundle_digest(out)
+        contents, argv, _, _ = OUTSIDE_INPUTS["tab_in_mapped_value"]
+        result = _invoke_on(runner, argv, contents, raw_bundle_dir, None, tmp_path)
+        assert result.exit_code == 2, result.output
+        assert bundle_digest(out) == digest  # the manifest is hashed too
+
+
+def _fuzz_bytes(valid: bytes):
+    """Random bytes, text with a byte that is never UTF-8, and cut-short valid files."""
+    return st.one_of(
+        st.binary(max_size=48),
+        st.tuples(st.text(max_size=24), st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"]))
+        .map(lambda parts: parts[0].encode() + parts[1]),
+        st.integers(0, len(valid.rstrip()) - 1).map(lambda k: valid[:k]),
+    )
+
+
+# each command still fails if the drawn file happens to be valid
+_FUZZED = {
+    "mapping": (_UNIFY_MAPPING, json.dumps({"perturbation_name": "drug_id"}).encode()),
+    "config": ([*_SEARCH_CONFIG, "--evaluator", "none"], b"search.n_sim=4\nsplit.kind=x\n"),
+    "replay": (_UNIFY_REPLAY, json.dumps(["```json\n{}\n```"]).encode()),
+    "predictions": ([*_EVALUATE, "--control", "none"], json.dumps({"PERT_000": [0.5]}).encode()),
+    "landscape": (_SEARCH_LANDSCAPE, builtin_landscape_path("funnel").read_bytes()),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_bundles(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    write_raw_bundle(
+        RawTable(
+            obs={"drug_id": np.array(["DMSO", "drugA"], dtype=object)},
+            var_index=np.array(["ENSG00000000001"], dtype=object),
+            var_columns={},
+            X=np.ones((2, 1)),
+        ),
+        root / "raw",
+    )
+    write_canonical_bundle(small_canonical({"control": [[1.0]], "PERT_000": [[2.0]]}),
+                           root / "bundle")
+    return root
+
+
+@pytest.mark.parametrize("kind", _FUZZED)
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_random_outside_file_ends_in_json_error(fuzz_bundles, kind, data):
+    argv, valid = _FUZZED[kind]
+    contents = data.draw(_fuzz_bytes(valid), label="contents")
+    result = _invoke_on(CliRunner(), argv, contents, fuzz_bundles / "raw",
+                        fuzz_bundles / "bundle", fuzz_bundles)
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code in (1, 2, 3), result.output
+    error = json.loads(result.stderr.strip().splitlines()[-1])["error"]
+    assert isinstance(error["code"], str) and isinstance(error["message"], str)
 
 
 class TestArtifactWrites:

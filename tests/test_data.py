@@ -13,7 +13,6 @@ from pertpipe.data import (
     first_pattern_rows,
     normalize_log1p,
     pseudo_bulk,
-    select_hvg,
     split_unseen_cell,
     split_unseen_perturbation,
     validate_canonical,
@@ -97,52 +96,6 @@ class TestNormalizeLog1p:
         once = normalize_log1p(X, 4.0, False, True)
         again = normalize_log1p(once, 4.0, True, True)
         assert np.array_equal(once, again)
-
-
-def _dataset_with_gene_variances():
-    # gene variances: col0 = 0.5, col1 = 0.0, col2 = 0.9 (population)
-    rows = {
-        "control": [[0.0, 1.0, 0.2], [1.0, 1.0, 2.0]],
-        "A": [[1.0, 1.0, 0.2], [2.0, 1.0, 2.0]],
-    }
-    return small_canonical(rows)
-
-
-class TestSelectHvg:
-    def test_topk_by_variance_brute_force(self):
-        ds = _dataset_with_gene_variances()
-        variances = ds.X.var(axis=0)
-        order = sorted(range(3), key=lambda j: (-variances[j], j))
-        expected = sorted(order[:2])
-        out = select_hvg(ds, 2)
-        kept = [list(ds.ensembl_id).index(e) for e in out.ensembl_id]
-        assert kept == expected == [0, 2]
-
-    def test_identity_when_k_equals_genes(self):
-        ds = _dataset_with_gene_variances()
-        assert select_hvg(ds, 3) is ds
-
-    def test_tie_breaks_to_lower_index(self):
-        ds = small_canonical(
-            {"control": [[0.0, 0.0], [2.0, 2.0]], "A": [[1.0, 1.0], [1.0, 1.0]]}
-        )
-        out = select_hvg(ds, 1)
-        assert list(out.ensembl_id) == [ds.ensembl_id[0]]
-
-    def test_k_out_of_range(self):
-        ds = _dataset_with_gene_variances()
-        with pytest.raises(ParameterError):
-            select_hvg(ds, 4)
-        with pytest.raises(ParameterError):
-            select_hvg(ds, 0)
-
-    def test_preserves_original_gene_order(self):
-        rng = np.random.default_rng(3)
-        ds = small_canonical({"control": rng.uniform(0, 2, (4, 8)).tolist(),
-                              "A": rng.uniform(0, 2, (4, 8)).tolist()})
-        out = select_hvg(ds, 5)
-        kept = [list(ds.ensembl_id).index(e) for e in out.ensembl_id]
-        assert kept == sorted(kept)
 
 
 class TestPseudoBulk:

@@ -17,7 +17,9 @@ from pertpipe import evaluators
 from pertpipe.actions import Candidate, HYPERPARAM_GRID, enumerate_candidates
 from helpers import (
     assert_outcome_close,
+    builtin_landscape,
     csr_from_dense,
+    exhaustive_best,
     reference_loss_view,
     reference_surrogate_evaluate,
 )
@@ -35,7 +37,6 @@ from pertpipe.evaluators import (
     SurrogateEvaluator,
     SyntheticConfig,
     builtin_landscape_path,
-    exhaustive_best,
     generate_synthetic,
     pathway_gene_mask,
 )
@@ -156,7 +157,7 @@ class TestSurrogateEvaluator:
         labels = np.array(["train"] * ds.n_cells, dtype=object)
         labels[~ds.is_control] = "train"
         labels[ds.is_control] = "val"  # train has no control cells
-        split = SplitAssignment(labels=labels, split_kind="unseen_perturbation", seed=0)
+        split = SplitAssignment(labels=labels)
         out = SurrogateEvaluator(ds, split).evaluate(_ridge("resnet"), seed=0)
         assert not out.ok
         assert "degenerate split" in out.error
@@ -291,7 +292,7 @@ class TestSurrogateMatchesReference:
     def test_degenerate_split_error_on_every_call(self, noiseless_bundle):
         ds, _, _ = noiseless_bundle
         labels = np.where(ds.is_control, "val", "train").astype(object)
-        split = SplitAssignment(labels=labels, split_kind="unseen_perturbation", seed=0)
+        split = SplitAssignment(labels=labels)
         ev = SurrogateEvaluator(ds, split)
         for candidate in EVERY_CANDIDATE + EVERY_CANDIDATE[:3]:
             out = ev.evaluate(candidate, 0)
@@ -411,14 +412,14 @@ def test_loss_view_signed_zero_ties(g):
 
 class TestLandscapeEvaluator:
     def test_zero_jitter_returns_table_mean(self):
-        ev = LandscapeEvaluator.builtin("funnel")
+        ev = builtin_landscape("funnel")
         c = Candidate("discriminative", "resnet", HYPERPARAM_GRID[3], "mse")
         out = ev.evaluate(c, seed=0)
         assert out.m_val == 0.9
         assert out.t_exec == 10.0
 
     def test_jitter_is_bounded_and_seeded(self):
-        ev = LandscapeEvaluator.builtin("funnel_jitter")
+        ev = builtin_landscape("funnel_jitter")
         c = Candidate("discriminative", "resnet", HYPERPARAM_GRID[3], "mse")
         values = {ev.evaluate(c, seed=s).m_val for s in range(20)}
         assert len(values) > 1
@@ -431,7 +432,7 @@ class TestLandscapeEvaluator:
             ev.evaluate(Candidate("generative", "flow_matching", H0, "mse"), 0)
 
     def test_debug_fixed_candidates_share_base_row(self):
-        ev = LandscapeEvaluator.builtin("funnel")
+        ev = builtin_landscape("funnel")
         base = Candidate("discriminative", "resnet", H0, "mse")
         fixed = replace(base, debug_fixed=True)
         assert ev.evaluate(base, 0).m_val == ev.evaluate(fixed, 0).m_val
@@ -445,7 +446,7 @@ class TestLandscapeEvaluator:
 class TestFailureInjection:
     def test_injected_candidate_fails_until_fixed(self):
         ev = FailureInjectingEvaluator(
-            LandscapeEvaluator.builtin("funnel"), failure_rate=1.0
+            builtin_landscape("funnel"), failure_rate=1.0
         )
         c = Candidate("generative", "conditional_vae", H0, "mse")
         broken = ev.evaluate(c, 0)
@@ -455,20 +456,20 @@ class TestFailureInjection:
 
     def test_unfixable_failures_stay_failed(self):
         ev = FailureInjectingEvaluator(
-            LandscapeEvaluator.builtin("funnel"), failure_rate=1.0, fix_succeeds=False
+            builtin_landscape("funnel"), failure_rate=1.0, fix_succeeds=False
         )
         c = Candidate("generative", "conditional_vae", H0, "mse", debug_fixed=True)
         assert not ev.evaluate(c, 0).ok
 
     def test_rate_zero_is_transparent(self):
-        inner = LandscapeEvaluator.builtin("funnel")
+        inner = builtin_landscape("funnel")
         ev = FailureInjectingEvaluator(inner, failure_rate=0.0)
         c = Candidate("discriminative", "resnet", H0, "mse")
         assert ev.evaluate(c, 0) == inner.evaluate(c, 0)
 
     def test_fraction_roughly_respected(self):
         ev = FailureInjectingEvaluator(
-            LandscapeEvaluator.builtin("funnel"), failure_rate=0.5, salt=7
+            builtin_landscape("funnel"), failure_rate=0.5, salt=7
         )
         failed = sum(
             0 if ev.evaluate(c, 0).ok else 1 for c in enumerate_candidates()
@@ -478,7 +479,7 @@ class TestFailureInjection:
 
 class TestExhaustiveBest:
     def test_zero_jitter_matches_table_max(self):
-        ev = LandscapeEvaluator.builtin("funnel")
+        ev = builtin_landscape("funnel")
         result = exhaustive_best(ev, seed=0)
         assert result.best_candidate.key() == "discriminative/resnet/h3/mse"
         assert result.best_m_val == 0.9
@@ -486,7 +487,7 @@ class TestExhaustiveBest:
 
     def test_all_failed_gives_empty_best(self):
         ev = FailureInjectingEvaluator(
-            LandscapeEvaluator.builtin("funnel"), failure_rate=1.0, fix_succeeds=False
+            builtin_landscape("funnel"), failure_rate=1.0, fix_succeeds=False
         )
         result = exhaustive_best(ev, seed=0)
         assert result.best_candidate is None
@@ -495,11 +496,12 @@ class TestExhaustiveBest:
 
     def test_tsv_reproducible(self, noisy_bundle):
         ds, split, _ = noisy_bundle
-        ev = SurrogateEvaluator(ds, split)
-        a = exhaustive_best(ev, seed=2).to_tsv()
-        b = exhaustive_best(ev, seed=2).to_tsv()
-        assert a == b
-        assert a.splitlines()[0] == "candidate\tm_val\tt_exec\tstatus"
+        a = exhaustive_best(SurrogateEvaluator(ds, split), seed=2)
+        b = exhaustive_best(SurrogateEvaluator(ds, split), seed=2)
+        assert a.table == b.table
+        assert [row.candidate_key for row in a.table] == [
+            c.key() for c in enumerate_candidates()
+        ]
 
     def test_ties_keep_first_in_enumeration_order(self):
         table = {c.key(): {"mean": 0.5} for c in enumerate_candidates()}

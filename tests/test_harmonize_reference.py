@@ -32,7 +32,7 @@ from helpers import (
 from pertpipe import dsl, unifier
 from pertpipe.bundle import (
     _read_tsv,
-    _write_tsv,
+    _tsv_text,
     bundle_digest,
     read_canonical_bundle,
     read_raw_bundle,
@@ -106,16 +106,12 @@ def test_tsv_text_matches_reference(columns):
         expected, error = reference_tsv_text(columns), None
     except BundleFormatError as exc:
         expected, error = None, str(exc)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "t.tsv"
-        if error is not None:
-            with pytest.raises(BundleFormatError) as info:
-                _write_tsv(path, columns)
-            assert str(info.value) == error
-            assert list(Path(tmp).iterdir()) == []
-        else:
-            _write_tsv(path, columns)
-            assert path.read_text() == expected
+    if error is not None:
+        with pytest.raises(BundleFormatError) as info:
+            _tsv_text(columns)
+        assert str(info.value) == error
+    else:
+        assert _tsv_text(columns) == expected
 
 
 _CELL = st.text(alphabet="ab \r", max_size=2)

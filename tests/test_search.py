@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import reference_surrogate_evaluate
+from helpers import builtin_landscape, exhaustive_best, reference_surrogate_evaluate
 from pertpipe.actions import (
     Candidate,
     DEBUG_ACTION,
@@ -22,7 +22,6 @@ from pertpipe.errors import ParameterError, PertpipeError, ValidationError
 from pertpipe.data import split_unseen_perturbation
 from pertpipe.evaluators import (
     FailureInjectingEvaluator,
-    LandscapeEvaluator,
     SurrogateEvaluator,
     SyntheticConfig,
     generate_synthetic,
@@ -42,7 +41,7 @@ from pertpipe.search import (
 
 
 def _node(n=0, q_sum=0.0, q_max=0.0, level=1):
-    node = Node("paradigm:discriminative", level, ("paradigm:discriminative",), 0)
+    node = Node("paradigm:discriminative", level, ("paradigm:discriminative",))
     node.n_visits = n
     node.q_sum = q_sum
     node.q_max = q_max
@@ -287,7 +286,7 @@ class TestBackpropagate:
 
 
 class TestRunSearch:
-    EV = LandscapeEvaluator.builtin("funnel")
+    EV = builtin_landscape("funnel")
 
     def test_single_simulation(self):
         result = run_search(SearchConfig(n_sim=1, seed=0), self.EV)
@@ -398,8 +397,6 @@ class TestRunSearch:
             run_search(SearchConfig(n_sim=4, seed=0, strict=True), Flaky())
 
     def test_search_never_beats_exhaustive_max(self):
-        from pertpipe.evaluators import exhaustive_best
-
         ex = exhaustive_best(self.EV, seed=0)
         for seed in range(10):
             result = run_search(SearchConfig(n_sim=32, seed=seed), self.EV)
@@ -510,7 +507,7 @@ def pin_evaluators():
     ds, _ = generate_synthetic(SyntheticConfig(60, 8, 12, 0.4, 0.3, seed=0))
     return {
         "surrogate": SurrogateEvaluator(ds, split_unseen_perturbation(ds, 0.8, seed=0)),
-        "funnel_jitter": LandscapeEvaluator.builtin("funnel_jitter"),
+        "funnel_jitter": builtin_landscape("funnel_jitter"),
     }
 
 
@@ -554,7 +551,7 @@ class TestTranspositionTable:
     def test_hit_reuses_first_outcome_with_current_baseline(self):
         # every path under one paradigm materializes to its default candidate
         result, counting = _pinned_run(
-            {"funnel": LandscapeEvaluator.builtin("funnel")},
+            {"funnel": builtin_landscape("funnel")},
             "funnel/hierarchical/lax/none/0",
         )
         by_key: dict[str, list[dict]] = {}
