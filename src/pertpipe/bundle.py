@@ -308,7 +308,7 @@ def _load_manifest(root: Path, expected_kind: str) -> dict:
         raise BundleFormatError(f"no {MANIFEST} in {root}")
     try:
         manifest = json.loads(mpath.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise BundleFormatError(f"{mpath} is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(manifest, dict):
         raise BundleFormatError(f"{mpath} is not a JSON object")

@@ -37,16 +37,17 @@ from .evaluators import (
     builtin_landscape_path,
     generate_synthetic,
 )
-from .knowledge import (
-    KnowledgeBase,
-    RetrievalParams,
-    make_entry,
-    retrieve,
-)
+from .knowledge import KnowledgeBase, make_entry, retrieve
 from .llm import LlmClient
-from .manifest import RunManifest, parse_config_file, resolve_config
+from .manifest import (
+    RunManifest,
+    parse_config_file,
+    resolve_config,
+    to_retrieval_params,
+    to_search_config,
+)
 from .metrics import evaluate_predictions
-from .search import SearchConfig, run_search
+from .search import run_search
 from .unifier import MappingSpec, apply_mapping, induce_mapping, preview_schema
 
 click.UsageError.exit_code = 1
@@ -66,7 +67,7 @@ def _fail(code: str, message: str, exit_code: int, **details):
     sys.exit(exit_code)
 
 
-def _resolved_config(config_path, sets):
+def _resolved_config(config_path, sets, mode=None):
     file_values = parse_config_file(config_path) if config_path else None
     overrides = {}
     for item in sets:
@@ -74,6 +75,8 @@ def _resolved_config(config_path, sets):
             _fail("usage", f"--set expects key=value, got {item!r}", EXIT_USAGE)
         key, _, value = item.partition("=")
         overrides[key.strip()] = value.strip()
+    if mode:  # --mode beats the config file and --set
+        overrides["search.mode"] = "flat_ablation" if mode == "flat" else "hierarchical"
     return resolve_config(file_values, overrides)
 
 
@@ -123,7 +126,7 @@ def unify(raw_bundle, out_dir, mapping_file, induce, llm_transport, replay_file,
         except MappingError as exc:
             _fail("mapping_spec", str(exc), EXIT_VALIDATION)
     else:
-        preview = preview_schema(table, sample_size=int(config["unify.sample_size"]))
+        preview = preview_schema(table, sample_size=config["unify.sample_size"])
         try:
             client = _make_client(llm_transport, replay_file, mock_response, model, config)
             spec = induce_mapping(preview, client)
@@ -134,7 +137,7 @@ def unify(raw_bundle, out_dir, mapping_file, induce, llm_transport, replay_file,
         except MappingError as exc:
             _fail("mapping_spec", str(exc), EXIT_VALIDATION)
     try:
-        ds = apply_mapping(table, spec, combo_delimiter=str(config["unify.combo_delimiter"]))
+        ds = apply_mapping(table, spec, combo_delimiter=config["unify.combo_delimiter"])
     except (MappingError, ValidationError) as exc:
         _fail("apply_mapping", str(exc), EXIT_VALIDATION)
 
@@ -166,7 +169,7 @@ def _make_client(transport, replay_file, mock_response, model, config) -> LlmCli
         if mock_response is None:
             raise TransportError("mock transport needs --mock-response")
         return LlmClient.mock(mock_response)
-    return LlmClient.live(model=model or str(config["unify.model"]))
+    return LlmClient.live(model=model or config["unify.model"])
 
 
 @main.command()
@@ -187,11 +190,9 @@ def search(bundle, out_dir, evaluator_spec, mode, kb_path, seed, fail_rate,
            fail_fixable, config_path, sets):
     """Search for the best modeling pipeline on a canonical bundle."""
     try:
-        config = _resolved_config(config_path, sets)
+        config = _resolved_config(config_path, sets, mode)
     except (ParameterError, OSError) as exc:
         _fail("config", str(exc), EXIT_USAGE)
-    if mode:
-        config["search.mode"] = "flat_ablation" if mode == "flat" else "hierarchical"
     try:
         ds = bundle_io.read_canonical_bundle(bundle)
     except (BundleFormatError, ValidationError) as exc:
@@ -214,28 +215,9 @@ def search(bundle, out_dir, evaluator_spec, mode, kb_path, seed, fail_rate,
             entries = kb.load()
         except ValidationError as exc:
             _fail("kb", str(exc), EXIT_VALIDATION)
-        retrieval = retrieve(
-            profile_text,
-            entries,
-            RetrievalParams(
-                tau_filter=float(config["retrieval.tau_filter"]),
-                m=int(config["retrieval.m"]),
-                alpha_retrieval=float(config["retrieval.alpha_retrieval"]),
-                tau=float(config["retrieval.tau"]),
-            ),
-        )
+        retrieval = retrieve(profile_text, entries, to_retrieval_params(config))
 
-    search_config = SearchConfig(
-        C=float(config["search.c"]),
-        alpha_qmix=float(config["search.alpha_qmix"]),
-        uct_epsilon=float(config["search.uct_epsilon"]),
-        n_sim=int(config["search.n_sim"]),
-        w_p=float(config["search.w_p"]),
-        w_e=float(config["search.w_e"]),
-        wall_clock_budget=float(config["search.wall_clock_budget"]),
-        seed=seed,
-        mode=str(config["search.mode"]),
-    )
+    search_config = to_search_config(config, seed)
     input_digests = {"bundle": bundle_io.bundle_digest(bundle)}
     if evaluator_spec.startswith("landscape:"):
         table = _landscape_path(evaluator_spec).read_bytes()
@@ -307,16 +289,12 @@ def search(bundle, out_dir, evaluator_spec, mode, kb_path, seed, fail_rate,
 
 def _make_evaluator(spec: str, ds, config, seed):
     if spec == "surrogate":
-        kind = str(config["split.kind"])
+        kind = config["split.kind"]
         if kind == "unseen_perturbation":
-            split = split_unseen_perturbation(
-                ds, train_frac=float(config["split.train_frac"]), seed=seed
-            )
-        elif kind == "unseen_cell":
+            split = split_unseen_perturbation(ds, train_frac=config["split.train_frac"], seed=seed)
+        else:  # unseen_cell
             types = sorted(set(ds.cell_type.tolist()))
             split = split_unseen_cell(ds, types[-1], 0.5, seed)
-        else:
-            raise ParameterError(f"unknown split.kind {kind!r}")
         return SurrogateEvaluator(ds, split), kind
     if spec.startswith("landscape:"):
         return LandscapeEvaluator.from_file(_landscape_path(spec)), None
@@ -354,7 +332,7 @@ def evaluate(bundle, predictions, control_name):
         doc = json.loads(Path(predictions).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         _fail("predictions", f"predictions file is not UTF-8 text: {exc}", EXIT_VALIDATION)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         _fail("predictions", f"predictions file is not valid JSON: {exc}", EXIT_VALIDATION)
     if not isinstance(doc, dict):
         _fail("predictions", "predictions file must map condition -> vector", EXIT_VALIDATION)

@@ -468,7 +468,7 @@ class LandscapeEvaluator:
         try:
             # integers read as floats, so one finiteness check covers both
             doc = json.loads(Path(path).read_text(encoding="utf-8"), parse_int=float)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise ParameterError(f"landscape table {path} is not UTF-8 JSON: {exc}") from None
         leaves = doc.get("leaves") if isinstance(doc, dict) else None
         if not isinstance(leaves, dict):

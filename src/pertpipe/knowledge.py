@@ -41,13 +41,6 @@ KB_VERSION = 2
 _READABLE_VERSIONS = (1, 2)
 DEFAULT_EMBED_DIM = 256
 
-DEFAULT_TAU_FILTER = 0.3
-DEFAULT_TOP_M = 3
-DEFAULT_ALPHA_RETRIEVAL = 0.5
-# minimum peak similarity before a stored path is trusted as a warm start;
-# configurable, surfaced in docs because no single value suits every corpus
-DEFAULT_TAU = 0.5
-
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 
@@ -127,10 +120,16 @@ class KnowledgeEntry:
 
 @dataclass(frozen=True)
 class RetrievalParams:
-    tau_filter: float = DEFAULT_TAU_FILTER
-    m: int = DEFAULT_TOP_M
-    alpha_retrieval: float = DEFAULT_ALPHA_RETRIEVAL
-    tau: float = DEFAULT_TAU
+    tau_filter: float = 0.3
+    m: int = 3
+    alpha_retrieval: float = 0.5
+    # minimum peak similarity before a stored path is trusted as a warm start;
+    # configurable, surfaced in docs because no single value suits every corpus
+    tau: float = 0.5
+
+    def __post_init__(self):
+        if self.m < 1:
+            raise ParameterError(f"m must be >= 1, got {self.m}")
 
 
 @dataclass(frozen=True)
@@ -154,8 +153,8 @@ def composite_weight(
     r_k: float,
     r_min: float,
     r_max: float,
-    tau_filter: float = DEFAULT_TAU_FILTER,
-    alpha_retrieval: float = DEFAULT_ALPHA_RETRIEVAL,
+    tau_filter: float = RetrievalParams.tau_filter,
+    alpha_retrieval: float = RetrievalParams.alpha_retrieval,
 ) -> float:
     """Mix normalized similarity and normalized reward into a ranking weight.
 
@@ -265,7 +264,7 @@ class KnowledgeBase:
                 if path not in legal_paths:
                     validate_action_path(path)
                     legal_paths.add(path)
-            except (ValueError, KeyError, TypeError, ValidationError) as exc:
+            except (ValueError, KeyError, TypeError, ValidationError, RecursionError) as exc:
                 raise ValidationError(
                     f"{self.path}:{i} is not a valid knowledge-base line: {exc}"
                 ) from None
@@ -281,7 +280,7 @@ class KnowledgeBase:
     def _check_header(self, lineno: int, line: str) -> None:
         try:
             header = json.loads(line)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValidationError(
                 f"{self.path}:{lineno} is not a valid knowledge-base line: {exc}"
             ) from None

@@ -41,7 +41,7 @@ class LlmClient:
         path = Path(path)
         try:
             responses = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise TransportError(f"cannot load replay file {path}: {exc}") from exc
         if not isinstance(responses, list) or not all(
             isinstance(r, str) for r in responses
@@ -99,7 +99,7 @@ class LlmClient:
 def _extract_chat_text(payload: str) -> str:
     try:
         doc = json.loads(payload)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
         return payload
     if isinstance(doc, dict):
         choices = doc.get("choices")

@@ -14,34 +14,43 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .bundle import write_text_atomic
 from .errors import ParameterError
+from .knowledge import RetrievalParams
+from .search import SearchConfig
 
 TOOL_VERSION = "0.1.0"
 
+# config key -> field of the dataclass that holds the key's default and range check;
+# the seed and strict mode are set by each run, not by config
+_SEARCH_FIELDS, _RETRIEVAL_FIELDS = (
+    {f"{section}.{f.name.lower()}": f for f in fields(cls) if f.name not in ("seed", "strict")}
+    for section, cls in (("search", SearchConfig), ("retrieval", RetrievalParams))
+)
+
 CONFIG_DEFAULTS: dict[str, float | int | str] = {
-    "search.c": 1.0,
-    "search.alpha_qmix": 0.7,
-    "search.uct_epsilon": 1e-6,
-    "search.n_sim": 32,
-    "search.w_p": 0.8,
-    "search.w_e": 0.2,
-    "search.wall_clock_budget": 18000.0,
-    "search.mode": "hierarchical",
-    "retrieval.tau_filter": 0.3,
-    "retrieval.m": 3,
-    "retrieval.alpha_retrieval": 0.5,
-    "retrieval.tau": 0.5,
+    **{key: f.default for key, f in (_SEARCH_FIELDS | _RETRIEVAL_FIELDS).items()},
     "split.kind": "unseen_perturbation",
     "split.train_frac": 0.8,
     "unify.sample_size": 8,
     "unify.combo_delimiter": "+",
     "unify.model": "default-model",
 }
+
+
+def to_search_config(config: dict, seed: int = 0) -> SearchConfig:
+    """The ``search.*`` settings of a resolved config, for a run with ``seed``."""
+    return SearchConfig(**{f.name: config[key] for key, f in _SEARCH_FIELDS.items()}, seed=seed)
+
+
+def to_retrieval_params(config: dict) -> RetrievalParams:
+    """The ``retrieval.*`` settings of a resolved config."""
+    return RetrievalParams(**{f.name: config[key] for key, f in _RETRIEVAL_FIELDS.items()})
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
@@ -66,28 +75,38 @@ def resolve_config(
     file_values: dict[str, str] | None = None,
     overrides: dict[str, str] | None = None,
 ) -> dict[str, float | int | str]:
-    """Apply precedence and coerce values to their declared types."""
+    """Apply precedence, coerce values to their declared types and check their ranges."""
     resolved = dict(CONFIG_DEFAULTS)
     for source in (file_values or {}, overrides or {}):
         for key, value in source.items():
             if key not in CONFIG_DEFAULTS:
                 raise ParameterError(f"unknown config key {key!r}")
             resolved[key] = _coerce(key, value)
+    to_search_config(resolved)
+    to_retrieval_params(resolved)
+    kind, frac = resolved["split.kind"], resolved["split.train_frac"]
+    size = resolved["unify.sample_size"]
+    if kind not in ("unseen_perturbation", "unseen_cell"):
+        raise ParameterError(f"unknown split.kind {kind!r}")
+    if not 0 < frac < 1:
+        raise ParameterError(f"split.train_frac must be in (0, 1), got {frac}")
+    if size < 1:
+        raise ParameterError(f"unify.sample_size must be >= 1, got {size}")
+    if not resolved["unify.combo_delimiter"]:
+        raise ParameterError("unify.combo_delimiter must not be empty")
     return resolved
 
 
 def _coerce(key: str, value):
-    """``value`` as the type of the key's default."""
+    """``value`` as the type of the key's default; a float must be finite."""
     kind = type(CONFIG_DEFAULTS[key])
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return int(value) if kind is int else value
-    text = str(value)
-    if kind is str:
-        return text
     try:
-        return kind(text)
-    except ValueError:
-        raise ParameterError(f"config key {key!r} expects a number, got {text!r}") from None
+        typed = kind(value)
+    except (ValueError, TypeError, OverflowError):
+        typed = None
+    if typed is None or (kind is float and not math.isfinite(typed)):
+        raise ParameterError(f"config key {key!r} expects a finite number, got {value!r}")
+    return typed
 
 
 @dataclass

@@ -74,6 +74,8 @@ class SearchConfig:
             raise ParameterError(f"n_sim must be >= 1, got {self.n_sim}")
         if self.mode not in ("hierarchical", "flat_ablation"):
             raise ParameterError(f"unknown mode {self.mode!r}")
+        if self.uct_epsilon <= 0:  # UCT divides by visits + uct_epsilon
+            raise ParameterError(f"uct_epsilon must be > 0, got {self.uct_epsilon}")
 
 
 class Node:
@@ -300,9 +302,7 @@ def run_search(
         engine.inject_path(tuple(retrieval.epsilon0))
 
     trajectory: list[dict] = []
-    best: tuple[float, int] | None = None  # (reward, iteration)
-    best_node: Node | None = None
-    best_outcome: EvalOutcome | None = None
+    best: tuple[float, Node, EvalOutcome] | None = None
     started = time.monotonic()
 
     iteration = 0
@@ -332,26 +332,14 @@ def run_search(
             }
         )
         if outcome.ok and (best is None or r > best[0]):
-            best = (r, iteration)
-            best_node = node
-            best_outcome = outcome
+            best = (r, node, outcome)
 
-    if best_node is None:
-        return SearchResult(
-            best_candidate=None,
-            best_reward=0.0,
-            best_m_val=None,
-            best_path=(),
-            trajectory=trajectory,
-            root=engine.root,
-            n_iterations=iteration,
-            n_expansions=engine.n_expansions,
-        )
+    best_reward, best_node, best_outcome = best or (0.0, None, None)
     return SearchResult(
-        best_candidate=materialize(best_node.path),
-        best_reward=best[0],
+        best_candidate=materialize(best_node.path) if best_node else None,
+        best_reward=best_reward,
         best_m_val=best_outcome.m_val if best_outcome else None,
-        best_path=best_node.path,
+        best_path=best_node.path if best_node else (),
         trajectory=trajectory,
         root=engine.root,
         n_iterations=iteration,

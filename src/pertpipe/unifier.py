@@ -102,7 +102,7 @@ class MappingSpec:
     def from_json(cls, text: str, raw_response: str | None = None) -> "MappingSpec":
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             error = MappingError if raw_response is None else LlmReplyError
             raise error(f"mapping is not valid JSON: {exc}", raw_response) from exc
         if not isinstance(doc, dict):

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -28,7 +29,7 @@ from pertpipe.cli import _profile_text, main
 from pertpipe.data import RawTable, pseudo_bulk
 from pertpipe.evaluators import builtin_landscape_path
 from pertpipe.knowledge import KnowledgeBase, make_entry
-from pertpipe.manifest import resolve_config
+from pertpipe.manifest import CONFIG_DEFAULTS, parse_config_file, resolve_config
 
 
 @pytest.fixture
@@ -524,6 +525,21 @@ class TestIncompleteBundles:
         assert error["code"] == "bundle"
         assert message in error["message"]
 
+    @pytest.mark.parametrize("command", ["search", "unify"])
+    def test_deeply_nested_manifest_exits_2(self, runner, synthetic_bundle, raw_bundle_dir,
+                                            mapping_file, tmp_path, command):
+        out = str(tmp_path / "o")
+        bundle, args = {
+            "search": (synthetic_bundle, ["search", str(synthetic_bundle), "--out", out]),
+            "unify": (raw_bundle_dir,
+                      ["unify", str(raw_bundle_dir), out, "--mapping", str(mapping_file)]),
+        }[command]
+        (bundle / "manifest.json").write_text(_DEEP)
+        result = runner.invoke(main, args)
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == 2, result.output
+        assert _stderr_error(result)["error"]["code"] == "bundle"
+
     @pytest.mark.parametrize(
         "value", ["12", -1, None, ["a"]], ids=["string", "negative", "null", "list"],
     )
@@ -883,6 +899,35 @@ class TestManifests:
         lines = (out / "trajectory.jsonl").read_text().strip().splitlines()
         assert len(lines) == 7  # CLI override beats the file value
 
+    def test_config_defaults_are_pinned(self):
+        # run ids hash the resolved config, so a default that moves or changes type moves them
+        pinned = {
+            "search.c": 1.0,
+            "search.alpha_qmix": 0.7,
+            "search.uct_epsilon": 1e-6,
+            "search.n_sim": 32,
+            "search.w_p": 0.8,
+            "search.w_e": 0.2,
+            "search.wall_clock_budget": 18000.0,
+            "search.mode": "hierarchical",
+            "retrieval.tau_filter": 0.3,
+            "retrieval.m": 3,
+            "retrieval.alpha_retrieval": 0.5,
+            "retrieval.tau": 0.5,
+            "split.kind": "unseen_perturbation",
+            "split.train_frac": 0.8,
+            "unify.sample_size": 8,
+            "unify.combo_delimiter": "+",
+            "unify.model": "default-model",
+        }
+        typed = {key: (value, type(value)) for key, value in CONFIG_DEFAULTS.items()}
+        assert typed == {key: (value, type(value)) for key, value in pinned.items()}
+
+    def test_readme_lists_every_config_key_with_its_default(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        rows = re.findall(r"^\| `([a-z_]+\.[a-z_]+)` \| `([^`]*)` \|", readme, re.M)
+        assert dict(rows) == {key: str(value) for key, value in CONFIG_DEFAULTS.items()}
+
     def test_unknown_config_key_rejected(self, runner, synthetic_bundle, tmp_path):
         result = runner.invoke(
             main,
@@ -898,7 +943,16 @@ _UNIFY_REPLAY = ["unify", "{raw}", "{out}", "--induce", "--llm-transport", "repl
                  "--replay-file", "{file}"]
 _SEARCH_CONFIG = ["search", "{bundle}", "--out", "{out}", "--config", "{file}"]
 _SEARCH_LANDSCAPE = ["search", "{bundle}", "--out", "{out}", "--evaluator", "landscape:{file}"]
+_SEARCH_KB = ["search", "{bundle}", "--out", "{out}", "--evaluator", "landscape:funnel",
+              "--kb", "{file}"]
+_KB_LIST = ["kb", "list", "--kb", "{file}"]
 _EVALUATE = ["evaluate", "{bundle}", "{file}"]
+# a reply that induces a valid mapping, so only the config file can fail the run;
+# its braces are doubled for the str.format in _invoke_on
+_VALID_REPLY = _nested_mapping_response().replace("{", "{{").replace("}", "}}")
+_UNIFY_CONFIG = ["unify", "{raw}", "{out}", "--induce", "--llm-transport", "mock",
+                 "--mock-response", _VALID_REPLY, "--config", "{file}"]
+_DEEP = "[" * 100_000 + "]" * 100_000  # past the recursion limit of json.loads
 
 
 def _funnel_lacking_a_leaf() -> bytes:
@@ -926,6 +980,28 @@ OUTSIDE_INPUTS = {
     "landscape_leaves_not_an_object": (b'{"leaves": []}', _SEARCH_LANDSCAPE, 1, "evaluator"),
     "landscape_lacking_a_leaf": (_funnel_lacking_a_leaf(), _SEARCH_LANDSCAPE, 1, "evaluator"),
     "landscape_not_utf8": (_NOT_UTF8, _SEARCH_LANDSCAPE, 1, "evaluator"),
+    "config_n_sim_zero": (b"search.n_sim=0\n", _SEARCH_CONFIG, 1, "config"),
+    "config_negative_weight": (b"search.w_p=-1\n", _SEARCH_CONFIG, 1, "config"),
+    "config_unknown_mode": (b"search.mode=bogus\n", _SEARCH_CONFIG, 1, "config"),
+    "config_negative_uct_epsilon": (b"search.uct_epsilon=-2\n", _SEARCH_CONFIG, 1, "config"),
+    "config_not_finite": (b"search.c=nan\n", _SEARCH_CONFIG, 1, "config"),
+    "config_top_m_zero": (b"retrieval.m=0\n", _SEARCH_CONFIG, 1, "config"),
+    "config_top_m_negative": (b"retrieval.m=-1\n", _SEARCH_CONFIG, 1, "config"),
+    "config_train_frac_above_one": (b"split.train_frac=1.5\n", _SEARCH_CONFIG, 1, "config"),
+    "config_unknown_split": (b"split.kind=x\n", _SEARCH_CONFIG, 1, "config"),
+    "config_empty_combo_delimiter": (b"unify.combo_delimiter=\n", _UNIFY_CONFIG, 1, "config"),
+    "config_negative_sample_size": (b"unify.sample_size=-3\n", _UNIFY_CONFIG, 1, "config"),
+    "mapping_nested_too_deep": (_DEEP.encode(), _UNIFY_MAPPING, 2, "mapping_spec"),
+    "replay_nested_too_deep": (_DEEP.encode(), _UNIFY_REPLAY, 3, "transport"),
+    "reply_nested_too_deep": (
+        json.dumps(["```json\n" + _DEEP + "\n```"]).encode(), _UNIFY_REPLAY, 3, "llm_response"
+    ),
+    "predictions_nested_too_deep": (_DEEP.encode(), _EVALUATE, 2, "predictions"),
+    "landscape_nested_too_deep": (_DEEP.encode(), _SEARCH_LANDSCAPE, 1, "evaluator"),
+    "kb_header_nested_too_deep": ((_DEEP + "\n").encode(), _KB_LIST, 2, "kb"),
+    "kb_line_nested_too_deep": (
+        ('{"kb_version": 2, "dim": 256}\n' + _DEEP + "\n").encode(), _SEARCH_KB, 2, "kb"
+    ),
 }
 
 
@@ -1013,6 +1089,39 @@ def test_random_outside_file_ends_in_json_error(fuzz_bundles, kind, data):
     assert result.exit_code in (1, 2, 3), result.output
     error = json.loads(result.stderr.strip().splitlines()[-1])["error"]
     assert isinstance(error["code"], str) and isinstance(error["message"], str)
+
+
+# legal and illegal words, small counts, floats near [0, 1] and anywhere, and text
+# without decimal digits, so that an integer key never reads a count that stalls the run
+_CONFIG_VALUES = st.one_of(
+    st.sampled_from(["", "hierarchical", "flat_ablation", "unseen_perturbation", "unseen_cell"]),
+    st.integers(-3, 12).map(str),
+    st.floats(-0.5, 1.5).map(repr),
+    st.floats().map(repr),
+    st.text(st.characters(exclude_categories=("Nd", "Cs")), max_size=8),
+)
+
+
+@given(values=st.dictionaries(st.sampled_from(sorted(CONFIG_DEFAULTS)), _CONFIG_VALUES,
+                              max_size=3))
+@settings(max_examples=120, deadline=None)
+def test_random_config_runs_or_ends_in_config_error(fuzz_bundles, values):
+    contents = "".join(f"{key}={value}\n" for key, value in values.items()).encode()
+    # the store gains an entry with each run, so later runs warm-start and use retrieval.*
+    argv = [*_SEARCH_CONFIG, "--evaluator", "landscape:funnel",
+            "--kb", str(fuzz_bundles / "kb.jsonl")]
+    result = _invoke_on(CliRunner(), argv, contents, None, fuzz_bundles / "bundle", fuzz_bundles)
+    if result.exit_code == 0:
+        return
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert "Traceback" not in result.stderr
+    error = _stderr_error(result)["error"]
+    if result.exit_code == 4:  # a wall-clock budget spent before the first simulation
+        assert error["code"] == "no_valid_candidate"
+        config = resolve_config(parse_config_file(fuzz_bundles / "input"))
+        assert config["search.wall_clock_budget"] < 1
+    else:
+        assert (result.exit_code, error["code"]) == (1, "config")
 
 
 class TestArtifactWrites:
