@@ -179,7 +179,7 @@ def _make_client(transport, replay_file, mock_response, model, config) -> LlmCli
               help="'surrogate' or 'landscape:<table.json>'.")
 @click.option("--mode", type=click.Choice(["hierarchical", "flat"]), default=None)
 @click.option("--kb", "kb_path", type=click.Path(dir_okay=False), default=None)
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=click.IntRange(min=0), default=0)
 @click.option("--fail-rate", type=float, default=0.0,
               help="Deterministically fail this fraction of candidates (debug-path demo).")
 @click.option("--fail-fixable/--no-fail-fixable", default=True,
@@ -200,7 +200,7 @@ def search(bundle, out_dir, evaluator_spec, mode, kb_path, seed, fail_rate,
 
     try:
         evaluator, split_used = _make_evaluator(evaluator_spec, ds, config, seed)
-        if fail_rate > 0:
+        if fail_rate != 0:  # the injector refuses a rate outside [0, 1], NaN too
             evaluator = FailureInjectingEvaluator(
                 evaluator, failure_rate=fail_rate, fix_succeeds=fail_fixable
             )
@@ -395,7 +395,7 @@ def _json_vector(vec) -> np.ndarray:
 @click.option("--cells-per-condition", type=int, default=12)
 @click.option("--noise-sigma", type=float, default=0.3)
 @click.option("--effect-sparsity", type=float, default=0.3)
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=click.IntRange(min=0), default=0)
 def gen_synthetic(out_dir, n_genes, n_perts, cells_per_condition, noise_sigma,
                   effect_sparsity, seed):
     """Generate a synthetic canonical bundle with a ground-truth sidecar."""

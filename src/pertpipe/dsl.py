@@ -19,7 +19,9 @@ binary operators are ``or``, ``and``, ``==``/``!=``, ``+``/``-`` and
 
 Columns are written ``df['name']`` or ``adata.obs['name']``. Literals are
 single- or double-quoted strings, numbers (float64, optional leading
-minus), and True/False. Any other Python construct (method calls, slicing,
+minus), and True/False. A literal stands for a column that holds its value
+in every row, so every expression evaluates to a column of the table's
+length. Any other Python construct (method calls, slicing,
 lambdas, comparison chains, extra operators) is rejected with an
 "unsupported construct" error rather than approximated, and so is nesting
 deeper than Python's recursion limit lets ``parse`` follow; ``evaluate`` and
@@ -473,43 +475,36 @@ def _format_postfix_operand(e: Expr) -> str:
 # --------------------------------------------------------------------------
 # evaluator
 
-# evaluation result: a column (ndarray of length n_cells) or a broadcastable scalar
-ColumnValue = np.ndarray | float | str | bool
+# the dtype of the column a literal stands for
+_LITERAL_DTYPES = {StrLit: object, NumLit: np.float64, BoolLit: bool}
+_KINDS = {"b": "bool", "f": "float", "i": "float", "u": "float"}
 
 
-def _table_columns(table) -> dict[str, np.ndarray]:
+def _table_columns(table) -> tuple[dict[str, np.ndarray], int]:
+    """The obs columns of a table or column dict, and their length."""
     obs = getattr(table, "obs", table)
     if not isinstance(obs, dict):
         raise DslEvalError(f"cannot evaluate against {type(table).__name__}")
-    return obs
+    if obs is not table:
+        return obs, table.n_cells
+    return obs, len(next(iter(obs.values()), ()))
 
 
-def _kind(value) -> str:
-    if isinstance(value, np.ndarray):
-        if value.dtype == bool:
-            return "bool"
-        if np.issubdtype(value.dtype, np.floating) or np.issubdtype(
-            value.dtype, np.integer
-        ):
-            return "float"
-        return "str"
-    if isinstance(value, bool):
-        return "bool"
-    if isinstance(value, float):
-        return "float"
-    return "str"
+def _kind(column: np.ndarray) -> str:
+    return _KINDS.get(column.dtype.kind, "str")
 
 
-def evaluate(expr: Expr, table):
+def evaluate(expr: Expr, table) -> np.ndarray:
     """Evaluate an AST against a table's obs columns.
 
-    Returns either a column of length n_cells or a scalar literal that
-    broadcasts. Both operands of ``and``/``or`` always evaluate (columns
-    have no short-circuit semantics). Never executes arbitrary code.
+    Returns a column of length n_cells. A literal stands for the column
+    that holds its value in every row, so each operator sees columns only.
+    Both operands of ``and``/``or`` always evaluate (columns have no
+    short-circuit semantics). Never executes arbitrary code.
     """
-    columns = _table_columns(table)
+    columns, n = _table_columns(table)
 
-    def ev(node: Expr):
+    def ev(node: Expr) -> np.ndarray:
         if isinstance(node, ColumnRef):
             if node.name not in columns:
                 available = sorted(columns)
@@ -517,12 +512,12 @@ def evaluate(expr: Expr, table):
                     f"unknown column {node.name!r}; available columns: {available}"
                 )
             return columns[node.name]
-        if isinstance(node, StrLit):
-            return node.value
-        if isinstance(node, NumLit):
-            return float(node.value)
-        if isinstance(node, BoolLit):
-            return node.value
+        if isinstance(node, (StrLit, NumLit, BoolLit)):
+            # fill, not np.full: np.full passes a string through numpy's
+            # unicode dtype, which drops trailing NULs
+            column = np.empty(n, dtype=_LITERAL_DTYPES[type(node)])
+            column.fill(node.value)
+            return column
         if isinstance(node, Paren):
             return ev(node.inner)
         if isinstance(node, ListLit):
@@ -542,11 +537,10 @@ def evaluate(expr: Expr, table):
 
 
 def _cast(value, target: str):
+    """Cast a column, or the scalar value of a mapping constant."""
     if target == "float":
         if isinstance(value, np.ndarray):
-            if _kind(value) == "float":
-                return value.astype(np.float64)
-            if value.dtype == bool:
+            if _kind(value) != "str":
                 return value.astype(np.float64)
             out = np.empty(len(value), dtype=np.float64)
             for i, v in enumerate(value):
@@ -568,83 +562,46 @@ def _cast(value, target: str):
     raise DslEvalError(f"unknown cast target {target!r}")
 
 
-def _isin(operand, items: ListLit):
-    if not items.items:
-        if isinstance(operand, np.ndarray):
-            return np.zeros(len(operand), dtype=bool)
-        return False
-    first = items.items[0]
-    element_kind = (
-        "bool" if isinstance(first, bool) else "float" if isinstance(first, float) else "str"
-    )
-    op_kind = _kind(operand)
-    if op_kind != element_kind:
-        raise DslEvalError(
-            f"type mismatch: isin over {element_kind} literals applied to "
-            f"{op_kind} values"
-        )
+def _isin(operand: np.ndarray, items: ListLit) -> np.ndarray:
+    if items.items:
+        element_kind, op_kind = _kind(np.array(items.items[:1])), _kind(operand)
+        if op_kind != element_kind:
+            raise DslEvalError(
+                f"type mismatch: isin over {element_kind} literals applied to "
+                f"{op_kind} values"
+            )
     wanted = set(items.items)
-    if isinstance(operand, np.ndarray):
-        return np.array([v in wanted for v in operand.tolist()], dtype=bool)
-    return operand in wanted
+    return np.array([v in wanted for v in operand.tolist()], dtype=bool)
 
 
-def _binop(op: str, lhs, rhs):
+_ARITHMETIC = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.true_divide}
+
+
+def _binop(op: str, lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     lk, rk = _kind(lhs), _kind(rhs)
     if op in ("and", "or"):
         if lk != "bool" or rk != "bool":
             raise DslEvalError(
                 f"type mismatch: cannot apply {op!r} to {lk} and {rk}"
             )
-        if op == "and":
-            return np.logical_and(lhs, rhs) if _any_array(lhs, rhs) else (lhs and rhs)
-        return np.logical_or(lhs, rhs) if _any_array(lhs, rhs) else (lhs or rhs)
+        return np.logical_and(lhs, rhs) if op == "and" else np.logical_or(lhs, rhs)
     if op in ("==", "!="):
         if lk != rk:
             raise DslEvalError(
                 f"type mismatch: cannot compare {lk} with {rk}"
             )
-        if not _any_array(lhs, rhs):
-            return (lhs == rhs) if op == "==" else not (lhs == rhs)
         if lk == "str":
             # compare Python objects: numpy's unicode dtype drops trailing NULs
             lhs, rhs = np.asarray(lhs, dtype=object), np.asarray(rhs, dtype=object)
         result = np.equal(lhs, rhs)
         return result if op == "==" else ~result
-    if op == "+":
-        if lk == "str" and rk == "str":
-            if _any_array(lhs, rhs):
-                la = _as_str_list(lhs, rhs)
-                ra = _as_str_list(rhs, lhs)
-                return np.array([a + b for a, b in zip(la, ra)], dtype=object)
-            return lhs + rhs
-        if lk == "float" and rk == "float":
-            return lhs + rhs
-        raise DslEvalError(f"type mismatch: cannot apply '+' to {lk} and {rk}")
-    if op in ("-", "*", "/"):
-        if lk != "float" or rk != "float":
-            raise DslEvalError(f"type mismatch: cannot apply {op!r} to {lk} and {rk}")
-        if op == "-":
-            return lhs - rhs
-        if op == "*":
-            return lhs * rhs
-        zero_rows = (
-            np.flatnonzero(np.asarray(rhs) == 0)
-            if isinstance(rhs, np.ndarray)
-            else ([0] if rhs == 0 else [])
-        )
-        if len(zero_rows) > 0:
-            raise DslEvalError(f"division by zero at row {int(zero_rows[0])}")
-        return lhs / rhs
-    raise DslEvalError(f"unknown operator {op!r}")
-
-
-def _any_array(*values) -> bool:
-    return any(isinstance(v, np.ndarray) for v in values)
-
-
-def _as_str_list(value, other):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    n = len(other)
-    return [value] * n
+    if op not in _ARITHMETIC:
+        raise DslEvalError(f"unknown operator {op!r}")
+    if op == "+" and lk == rk == "str":
+        return np.array([a + b for a, b in zip(lhs.tolist(), rhs.tolist())], dtype=object)
+    if lk != "float" or rk != "float":
+        raise DslEvalError(f"type mismatch: cannot apply {op!r} to {lk} and {rk}")
+    zero_rows = np.flatnonzero(rhs == 0) if op == "/" else ()
+    if len(zero_rows) > 0:
+        raise DslEvalError(f"division by zero at row {int(zero_rows[0])}")
+    return _ARITHMETIC[op](lhs, rhs)

@@ -80,8 +80,8 @@ class SyntheticConfig:
             raise ParameterError(
                 f"effect_sparsity must be in [0, 1], got {self.effect_sparsity}"
             )
-        if self.noise_sigma < 0:
-            raise ParameterError("noise_sigma must be nonnegative")
+        if not 0.0 <= self.noise_sigma < float("inf"):
+            raise ParameterError(f"noise_sigma must be in [0, inf), got {self.noise_sigma}")
 
 
 @dataclass(frozen=True)

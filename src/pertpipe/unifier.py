@@ -446,7 +446,11 @@ def _resolve_entry(entry: MappingEntry, table: RawTable, key: str):
 
 
 def _as_str_column(value, n: int) -> np.ndarray:
-    return np.full(n, dsl._cast(value, "str"), dtype=object)
+    # assign, not np.full: np.full passes a string through numpy's unicode
+    # dtype, which drops trailing NULs
+    column = np.empty(n, dtype=object)
+    column[:] = dsl._cast(value, "str")
+    return column
 
 
 def _as_float_column(value, n: int, key: str) -> np.ndarray:

@@ -79,6 +79,15 @@ def _stderr_error(result) -> dict:
     return json.loads(result.stderr.strip().splitlines()[-1])
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def _read_manifest(out: Path) -> dict:
+    """``run_manifest.json`` read as strict JSON: ``NaN`` and the infinities are refused."""
+    return json.loads((out / "run_manifest.json").read_text(), parse_constant=_refuse_constant)
+
+
 class TestUnify:
     def test_mapping_file_produces_canonical_bundle(
         self, runner, raw_bundle_dir, mapping_file, tmp_path
@@ -92,7 +101,26 @@ class TestUnify:
         assert ds.pert_vocab == ("drugA", "drugB")
         a = ds.pert_vocab.index("drugA")
         assert 10000.0 in set(ds.pert_dose[:, a].tolist())
-        assert (out / "run_manifest.json").is_file()
+        assert _read_manifest(out)["command"] == "unify"
+
+    def test_string_literals_keep_trailing_nuls(
+        self, runner, raw_bundle_dir, flat_form_mapping, tmp_path
+    ):
+        spec = {
+            **flat_form_mapping,
+            "cell_line": {"type": "constant", "value": "HeLa\u0000"},
+            "batch_id": {"type": "logic", "expression": "'b\u0000\u0000'"},
+        }
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(spec))
+        out = tmp_path / "canon"
+        result = runner.invoke(
+            main, ["unify", str(raw_bundle_dir), str(out), "--mapping", str(spec_file)]
+        )
+        assert result.exit_code == 0, result.output + result.stderr
+        ds = read_canonical_bundle(out)
+        assert set(ds.cell_type.tolist()) == {"HeLa\x00"}
+        assert set(ds.batch_id.tolist()) == {"b\x00\x00"}
 
     def test_missing_column_exits_2_with_name(self, runner, raw_bundle_dir, tmp_path):
         spec = {
@@ -242,7 +270,7 @@ class TestSearchCommand:
         assert best["candidate"].startswith("discriminative/")
         assert (out / "trajectory.jsonl").is_file()
         assert (out / "tree.json").is_file()
-        assert (out / "run_manifest.json").is_file()
+        assert _read_manifest(out)["command"] == "search"
         lines = (out / "trajectory.jsonl").read_text().strip().splitlines()
         assert len(lines) == 16
 
@@ -635,7 +663,7 @@ class TestGenSyntheticAndKb:
         out = tmp_path / "b"
         result = runner.invoke(main, ["gen-synthetic", "--out", str(out), "--n-genes", "20"])
         assert result.exit_code == 0, result.output + result.stderr
-        manifest = json.loads((out / "run_manifest.json").read_text())
+        manifest = _read_manifest(out)
         printed = json.loads(result.output)["digest"]
         assert len(calls) == 1
         assert printed == manifest["outcome"]["bundle_digest"] == real(out)
@@ -803,7 +831,7 @@ class TestKnowledgeBaseFlags:
         )
         assert result.exit_code == 0, result.output + result.stderr
         assert hashlib.sha256(kb.read_bytes()).hexdigest() != before  # the run appended
-        manifest = json.loads((out / "run_manifest.json").read_text())
+        manifest = _read_manifest(out)
         assert manifest["input_digests"]["kb"] == before
 
 
@@ -819,7 +847,7 @@ class TestManifests:
                  "--set", "search.n_sim=8"],
             )
             assert result.exit_code == 0
-            manifest = json.loads((out / "run_manifest.json").read_text())
+            manifest = _read_manifest(out)
             ids.append(manifest["run_id"])
             assert manifest["input_digests"]["bundle"]
         assert ids[0] == ids[1]
@@ -852,7 +880,7 @@ class TestManifests:
                  "--set", "search.n_sim=8", *flags],
             )
             assert result.exit_code == 0, result.output + result.stderr
-            return json.loads((out / "run_manifest.json").read_text())["run_id"]
+            return _read_manifest(out)["run_id"]
 
         assert run_id("a", base) == run_id("b", base)
         assert run_id("c", varied) != run_id("a", base)
@@ -869,7 +897,7 @@ class TestManifests:
                  "--evaluator", f"landscape:{table}", "--set", "search.n_sim=8"],
             )
             assert result.exit_code == 0, result.output + result.stderr
-            ids.append(json.loads((out / "run_manifest.json").read_text())["run_id"])
+            ids.append(_read_manifest(out)["run_id"])
         assert ids[0] != ids[1]
 
     def test_rerun_from_manifest_reproduces_output(self, runner, synthetic_bundle, tmp_path):
@@ -1038,6 +1066,51 @@ class TestOutsideInputs:
         result = _invoke_on(runner, argv, contents, raw_bundle_dir, None, tmp_path)
         assert result.exit_code == 2, result.output
         assert bundle_digest(out) == digest  # the manifest is hashed too
+
+
+_SEARCH = ["search", "{bundle}", "--out", "{out}"]
+_GEN_SYNTHETIC = ["gen-synthetic", "--out", "{out}"]
+
+# (command line, exit code, error code or None where click refuses the option
+# itself, text the error names)
+BAD_OPTIONS = {
+    "search_negative_seed": ([*_SEARCH, "--seed", "-1"], 1, None, "--seed"),
+    "search_landscape_negative_seed": (
+        [*_SEARCH, "--evaluator", "landscape:funnel", "--seed", "-1"], 1, None, "--seed"
+    ),
+    "gen_synthetic_negative_seed": ([*_GEN_SYNTHETIC, "--seed", "-1"], 1, None, "--seed"),
+    "fail_rate_nan": ([*_SEARCH, "--fail-rate", "nan"], 1, "evaluator", "failure_rate"),
+    "fail_rate_negative": ([*_SEARCH, "--fail-rate", "-0.5"], 1, "evaluator", "failure_rate"),
+    "fail_rate_above_one": ([*_SEARCH, "--fail-rate", "1.5"], 1, "evaluator", "failure_rate"),
+    "noise_sigma_nan": (
+        [*_GEN_SYNTHETIC, "--noise-sigma", "nan"], 2, "gen_synthetic", "noise_sigma"
+    ),
+    "noise_sigma_inf": (
+        [*_GEN_SYNTHETIC, "--noise-sigma", "inf"], 2, "gen_synthetic", "noise_sigma"
+    ),
+    "noise_sigma_negative": (
+        [*_GEN_SYNTHETIC, "--noise-sigma", "-1"], 2, "gen_synthetic", "noise_sigma"
+    ),
+}
+
+
+class TestBadOptions:
+    """Out-of-range options end with their documented exit code and write no manifest."""
+
+    @pytest.mark.parametrize(
+        "argv, exit_code, code, named", BAD_OPTIONS.values(), ids=BAD_OPTIONS.keys()
+    )
+    def test_exits_without_traceback(self, runner, synthetic_bundle, tmp_path,
+                                     argv, exit_code, code, named):
+        out = tmp_path / "out"
+        result = runner.invoke(main, [a.format(bundle=synthetic_bundle, out=out) for a in argv])
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == exit_code, result.output
+        assert "Traceback" not in result.stderr
+        assert named in result.stderr
+        if code is not None:
+            assert _stderr_error(result)["error"]["code"] == code
+        assert not (out / "run_manifest.json").exists()
 
 
 def _fuzz_bytes(valid: bytes):

@@ -7,6 +7,8 @@ import json
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_expr
 from pertpipe.bundle import write_raw_bundle
@@ -354,8 +356,10 @@ class TestEvaluate:
             evaluate(parse("df['a'] and df['a']"), cols)
 
     def test_scalar_broadcast_result(self):
-        # a pure-literal expression evaluates to a broadcastable scalar
-        assert evaluate(parse("2 * 3"), {"a": np.array([0.0])}) == 6.0
+        # a pure-literal expression evaluates to a column of the table's length
+        out = evaluate(parse("2 * 3"), {"a": np.array([0.0, 1.0])})
+        assert isinstance(out, np.ndarray) and out.dtype == np.float64
+        assert out.tolist() == [6.0, 6.0]
 
     def test_cast_float_failure_names_row(self):
         cols = {"a": np.array(["1.5", "oops"], dtype=object)}
@@ -376,3 +380,47 @@ class TestEvaluate:
         cols = {"a": np.array(["u", "v"], dtype=object)}
         expr = parse("df['a'] != 'u'")
         assert evaluate(expr, cols).tolist() == evaluate(expr, cols).tolist()
+
+
+def _column(values, dtype):
+    column = np.empty(len(values), dtype=dtype)
+    column[:] = values
+    return column
+
+
+@st.composite
+def random_tables(draw):
+    """A table over the columns ``random_expr`` names, with 0-4 rows."""
+    n = draw(st.integers(0, 4))
+    draw_list = lambda pool: draw(  # noqa: E731
+        st.lists(st.sampled_from(pool), min_size=n, max_size=n)
+    )
+    return {
+        "drug_id": _column(draw_list(["DMSO", "Ctrl", "a_b", "", "x\x00"]), object),
+        "conc_um": _column(draw_list(["1.5", "0", "1000", "x"]), object),
+        "cell_line": np.array(draw_list(["KRAS knockdown", "x 1", "a"]), dtype=str),
+        "guide": _column(draw_list(["a_b", "", "DMSO"]), object),
+        "dose": np.array(draw_list([0.0, -0.0, 1.0, 2.5, -5.0]), dtype=np.float64),
+        "batch": np.array(draw_list([True, False]), dtype=bool),
+    }
+
+
+@given(st.integers(0, 2**32 - 1), random_tables())
+@settings(max_examples=100, deadline=None)
+def test_random_expr_evaluates_row_by_row(seed, table):
+    # a literal is a column, so every row of a result depends on that row alone;
+    # most random expressions mix kinds and fail, so each example tries twenty
+    n = len(table["dose"])
+    rows = [{name: column[i : i + 1] for name, column in table.items()} for i in range(n)]
+    rng = random.Random(seed)
+    for _ in range(20):
+        expr = random_expr(rng)
+        try:
+            out = evaluate(expr, table)
+        except DslEvalError:
+            continue
+        assert isinstance(out, np.ndarray) and out.shape == (n,)
+        for i, row_table in enumerate(rows):
+            row = evaluate(expr, row_table)
+            assert row.dtype == out.dtype and row.shape == (1,)
+            assert repr(row.tolist()[0]) == repr(out.tolist()[i])
