@@ -82,7 +82,7 @@ def _replace_file(path: Path, write) -> None:
 
 def write_text_atomic(path: str | Path, text: str) -> None:
     """Write ``text`` to ``path``; a failed write leaves the old file, never a torn one."""
-    _replace_file(Path(path), lambda tmp: tmp.write_text(text))
+    _replace_file(Path(path), lambda tmp: tmp.write_text(text, encoding="utf-8"))
 
 
 def _has_tab_or_newline(text: str) -> bool:

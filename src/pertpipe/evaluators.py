@@ -29,7 +29,9 @@ from .data import (
     validate_canonical,
 )
 from .errors import ParameterError, ValidationError
-from .metrics import UndefinedMetric, delta_pcc
+# delta_pcc is not called here; the benchmark's tracer (perfbench/tracing.py)
+# patches it through this module's namespace
+from .metrics import UndefinedMetric, delta_pcc, pcc_of_sides, pcc_side  # noqa: F401
 from .search import EvalOutcome
 
 PATHWAY_FRACTION = 0.25
@@ -188,7 +190,7 @@ class _SplitStats:
     counts: np.ndarray  # (m,) cells per train condition
     y_ctrl: np.ndarray  # train control mean
     index_of: dict[str, int]  # sorted train condition names -> row
-    val_deltas: tuple[tuple[str, np.ndarray], ...]  # (condition, truth shift)
+    val_sides: tuple[tuple[str, tuple], ...]  # (condition, pcc_side of its truth shift)
     gene_mask: np.ndarray  # pathway_gene_mask of the dataset
 
 
@@ -202,6 +204,8 @@ class _LossView:
     grand: np.ndarray  # mean of the condition means
     var_between: np.ndarray  # variance of the condition means
     var_within: np.ndarray  # mean of the within-condition variances
+    mean_dir: np.ndarray  # mean unit direction of the condition means
+    mean_norm: float  # mean norm of the condition means
 
 
 def _loss_view(X: np.ndarray, stats: _SplitStats, clip=None) -> _LossView:
@@ -210,7 +214,8 @@ def _loss_view(X: np.ndarray, stats: _SplitStats, clip=None) -> _LossView:
     Each block is the condition's rows of ``X`` minus the train control
     mean, clipped per gene to ``clip = (lo, hi)`` for the robust loss, so
     no n x g shift matrix is ever held. The variances take ``np.var``'s
-    steps in place and reuse the block's sum, so they keep its bits.
+    steps in place and reuse the block's sum, so they keep its bits. The
+    mean direction and norm are flow matching's unseen-condition statistics.
     """
     m, g = stats.counts.size, X.shape[1]
     sums = np.empty((m, g))
@@ -229,6 +234,8 @@ def _loss_view(X: np.ndarray, stats: _SplitStats, clip=None) -> _LossView:
         start = end
     cond_vars /= stats.counts[:, None]
     cond_means = sums / stats.counts[:, None]
+    norms = np.linalg.norm(cond_means, axis=1)
+    safe = np.where(norms > 0, norms, 1.0)
     return _LossView(
         sums=sums,
         cond_means=cond_means,
@@ -236,6 +243,8 @@ def _loss_view(X: np.ndarray, stats: _SplitStats, clip=None) -> _LossView:
         grand=cond_means.mean(axis=0),
         var_between=cond_means.var(axis=0),
         var_within=cond_vars.mean(axis=0),
+        mean_dir=(cond_means / safe[:, None]).mean(axis=0),
+        mean_norm=float(norms.mean()),
     )
 
 
@@ -256,6 +265,11 @@ def _huber_bounds(stats: _SplitStats, mse: _LossView) -> tuple[np.ndarray, np.nd
 def _prepare(ds: CanonicalDataset, split: SplitAssignment):
     """Candidate-invariant split statistics and the view of each loss, or
     why no candidate can be scored."""
+    if ds.n_genes < 2:
+        return (
+            f"degenerate input: a shift correlation needs at least 2 genes, "
+            f"the dataset has {ds.n_genes}"
+        )
     train = split.indices("train")
     val = split.indices("val")
     train_ctrl = train[ds.is_control[train]]
@@ -273,28 +287,26 @@ def _prepare(ds: CanonicalDataset, split: SplitAssignment):
     # independent of the fitted shift; falls back to the train control
     # when the val split carries no control cells
     y_ctrl_val = ds.X[val_ctrl].mean(axis=0) if val_ctrl.size else y_ctrl
+    val_deltas = [(p.condition_name, p.mean_expr - y_ctrl_val) for p in pseudo_bulk(ds, val_pert)]
+    # NaN and inf survive every sum, so these aggregates see each cell read
+    non_finite = "non-finite input: X holds NaN or inf in the {} cells".format
+    if not np.isfinite(y_ctrl).all():
+        return non_finite("train control")
+    if not all(np.isfinite(delta).all() for _, delta in val_deltas):
+        return non_finite("val")
     names, codes = np.unique(ds.condition_name[train_pert], return_inverse=True)
     stats = _SplitStats(
         rows=train_pert[np.argsort(codes, kind="stable")],
         counts=np.bincount(codes),
         y_ctrl=y_ctrl,
         index_of={c: i for i, c in enumerate(names.tolist())},
-        val_deltas=tuple(
-            (p.condition_name, p.mean_expr - y_ctrl_val)
-            for p in pseudo_bulk(ds, val_pert)
-        ),
+        val_sides=tuple((condition, pcc_side(delta)) for condition, delta in val_deltas),
         gene_mask=pathway_gene_mask(ds.ensembl_id),
     )
     with np.errstate(invalid="ignore"):  # inf - inf in a variance is reported below
         mse = _loss_view(ds.X, stats)
-    # NaN and inf survive every sum, so these aggregates see each cell read
-    for cells, aggregate in (
-        ("train control", y_ctrl),
-        ("val", np.array([delta for _, delta in stats.val_deltas])),
-        ("perturbed train", mse.sums),
-    ):
-        if not np.isfinite(aggregate).all():
-            return f"non-finite input: X holds NaN or inf in the {cells} cells"
+    if not np.isfinite(mse.sums).all():
+        return non_finite("perturbed train")
     huber = _loss_view(ds.X, stats, _huber_bounds(stats, mse))
     return stats, {"mse": mse, "huber": huber}
 
@@ -309,17 +321,24 @@ class SurrogateEvaluator:
 
     Every family fits from per-condition sufficient statistics, built on a
     background thread from construction; the first ``evaluate`` waits for
-    it. They are the split views, control means and val truth shifts, then
-    per loss the per-condition counts, sums, means and variances of the
-    train shifts, gathered one condition block at a time (the huber clip
-    bounds are pooled from the mse statistics). An error raised while
-    building them is raised again by every ``evaluate``. The ridge families
-    solve the one-hot ridge in closed form over counts, so a candidate costs
-    O(m * g) plus scoring and no n x g shift matrix is ever held.
+    it. They are the split views, the train control mean and each val
+    condition's truth shift, centred with its sum of squares (the truth's
+    half of the Pearson correlation), then per loss the per-condition
+    counts, sums, means and variances of the train shifts, gathered one
+    condition block at a time (the huber clip bounds are pooled from the
+    mse statistics), and flow matching's mean direction and norm. An error
+    raised while building them is raised again by every ``evaluate``.
 
-    Inputs that are degenerate (a split without the cells a fit needs) or
-    not finite (NaN or inf in the cells a fit reads) make every candidate
-    fail with an error naming the problem.
+    A candidate costs O(m * g) for its fit (the ridge families solve the
+    one-hot ridge in closed form over counts, so no n x g shift matrix is
+    ever held), one prediction for all val conditions outside train and one
+    for each val condition in train (the ``unseen_cell`` split), each
+    prepared once, and an O(g) product sum per val condition.
+
+    Inputs that are degenerate (fewer than 2 genes, which no correlation is
+    defined on, or a split without the cells a fit needs) or not finite (NaN
+    or inf in the cells a fit reads) make every candidate fail with an error
+    naming the problem.
     """
 
     def __init__(self, dataset: CanonicalDataset, split: SplitAssignment):
@@ -349,10 +368,16 @@ class SurrogateEvaluator:
         stats, views = prepared
         reg = candidate.hyperparams.reg_strength * (1.0 + candidate.hyperparams.dropout)
         predict = self._fit_family(candidate.backbone, stats, views[candidate.loss], reg)
+        # every condition outside train gets one prediction, whose side (key
+        # None) is prepared once; a train condition gets its own
+        sides = {}
         scores = []
-        for condition, true_delta in stats.val_deltas:
+        for condition, truth in stats.val_sides:
+            key = condition if condition in stats.index_of else None
+            if key not in sides:
+                sides[key] = pcc_side(predict(condition))
             try:
-                scores.append(delta_pcc(true_delta, predict(condition)))
+                scores.append(pcc_of_sides(truth, sides[key]))
             except UndefinedMetric:
                 continue
         if not scores:
@@ -416,16 +441,10 @@ class SurrogateEvaluator:
             return predict
 
         if backbone == "flow_matching":
-            norms = np.linalg.norm(cond_means, axis=1)
-            safe = np.where(norms > 0, norms, 1.0)
-            directions = cond_means / safe[:, None]
-            mean_dir = directions.mean(axis=0)
-            mean_norm = float(norms.mean())
-
             def predict(cond: str) -> np.ndarray:
                 if cond in index_of:
                     return cond_means[index_of[cond]]
-                return mean_dir * mean_norm / (1.0 + reg)
+                return view.mean_dir * view.mean_norm / (1.0 + reg)
 
             return predict
 

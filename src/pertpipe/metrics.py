@@ -66,6 +66,21 @@ def _centred(v: np.ndarray) -> np.ndarray:
     return v - mean
 
 
+def pcc_side(v: np.ndarray) -> tuple[np.ndarray, float]:
+    """One vector's half of a Pearson correlation: ``v`` centred, and its sum
+    of squares. A vector scored against many others is prepared once."""
+    return _in_squares_range(_centred(v), lambda c: (c * c).sum())
+
+
+def pcc_of_sides(a: tuple[np.ndarray, float], b: tuple[np.ndarray, float]) -> float:
+    """Pearson correlation of two vectors prepared by ``pcc_side``."""
+    (ca, ssa), (cb, ssb) = a, b
+    denom = np.sqrt(ssa) * np.sqrt(ssb)
+    if denom == 0:
+        raise UndefinedMetric("a shift vector has zero variance")
+    return float(np.clip((ca * cb).sum() / denom, -1.0, 1.0))
+
+
 def delta_pcc(delta: np.ndarray, delta_hat: np.ndarray) -> float:
     """Pearson correlation of true vs predicted shift vectors.
 
@@ -76,12 +91,7 @@ def delta_pcc(delta: np.ndarray, delta_hat: np.ndarray) -> float:
     delta = np.asarray(delta, dtype=np.float64)
     delta_hat = np.asarray(delta_hat, dtype=np.float64)
     _check_lengths(delta, delta_hat, minimum=2)
-    a, ssa = _in_squares_range(_centred(delta), lambda v: (v * v).sum())
-    b, ssb = _in_squares_range(_centred(delta_hat), lambda v: (v * v).sum())
-    denom = np.sqrt(ssa) * np.sqrt(ssb)
-    if denom == 0:
-        raise UndefinedMetric("a shift vector has zero variance")
-    return float(np.clip((a * b).sum() / denom, -1.0, 1.0))
+    return pcc_of_sides(pcc_side(delta), pcc_side(delta_hat))
 
 
 def cos_logfc(delta: np.ndarray, delta_hat: np.ndarray) -> float:

@@ -7,7 +7,10 @@ derivation space, so every generated tree is reachable by the parser. The
 surrogate reference recomputes everything per candidate from the full
 n x g shift matrix, with a dense ridge solve and a direct winsorization,
 the way the evaluator did before it fitted from per-condition sufficient
-statistics; the loss-view reference takes each block's variance with
+statistics; the scoring reference calls ``delta_pcc`` once per val
+condition, as the evaluator did before it prepared the truth side of each
+condition once and shared one prediction side among unseen conditions; the
+loss-view reference takes each block's variance with
 ``np.var`` and clips with ``np.clip``, as the evaluator did before it
 reused the block sum and clipped by maximum then minimum. The harmonize
 references keep the per-cell loops that bundle writes, mapping
@@ -291,6 +294,8 @@ def reference_loss_view(X: np.ndarray, stats, clip=None) -> _LossView:
         cond_vars[i] = block.var(axis=0)
         start = end
     cond_means = sums / stats.counts[:, None]
+    norms = np.linalg.norm(cond_means, axis=1)
+    directions = cond_means / np.where(norms > 0, norms, 1.0)[:, None]
     return _LossView(
         sums=sums,
         cond_means=cond_means,
@@ -298,6 +303,8 @@ def reference_loss_view(X: np.ndarray, stats, clip=None) -> _LossView:
         grand=cond_means.mean(axis=0),
         var_between=cond_means.var(axis=0),
         var_within=cond_vars.mean(axis=0),
+        mean_dir=directions.mean(axis=0),
+        mean_norm=float(norms.mean()),
     )
 
 
@@ -346,6 +353,29 @@ def reference_surrogate_evaluate(ds, split, candidate) -> EvalOutcome:
     if not scores:
         return EvalOutcome(m_val=None, t_exec=sim_time, error=None)
     return EvalOutcome(m_val=max(0.0, float(np.mean(scores))), t_exec=sim_time)
+
+
+def reference_scored_m_val(ev, candidate) -> float | None:
+    """``ev``'s ``m_val`` for ``candidate``, scored the way ``evaluate`` did
+    before it shared candidate-invariant work: its own fit, then one
+    ``delta_pcc`` call per val condition on the truth shift and that
+    condition's prediction. ``ev``'s split must not be degenerate."""
+    ds, split = ev.dataset, ev.split
+    ev._thread.join()
+    stats, views = ev._prepared
+    val = split.indices("val")
+    val_ctrl = val[ds.is_control[val]]
+    y_ctrl_val = ds.X[val_ctrl].mean(axis=0) if val_ctrl.size else stats.y_ctrl
+    reg = candidate.hyperparams.reg_strength * (1.0 + candidate.hyperparams.dropout)
+    predict = ev._fit_family(candidate.backbone, stats, views[candidate.loss], reg)
+    scores = []
+    for profile in pseudo_bulk(ds, val[~ds.is_control[val]]):
+        truth = profile.mean_expr - y_ctrl_val
+        try:
+            scores.append(delta_pcc(truth, predict(profile.condition_name)))
+        except UndefinedMetric:
+            continue
+    return max(0.0, float(np.mean(scores))) if scores else None
 
 
 def assert_outcome_close(out: EvalOutcome, expected: EvalOutcome, what: str = "") -> None:

@@ -27,7 +27,7 @@ from pertpipe.bundle import (
 from pertpipe.actions import materialize, validate_action_path
 from pertpipe.cli import _profile_text, main
 from pertpipe.data import RawTable, pseudo_bulk
-from pertpipe.evaluators import builtin_landscape_path
+from pertpipe.evaluators import SyntheticConfig, builtin_landscape_path, generate_synthetic
 from pertpipe.knowledge import KnowledgeBase, make_entry
 from pertpipe.manifest import CONFIG_DEFAULTS, parse_config_file, resolve_config
 
@@ -102,6 +102,23 @@ class TestUnify:
         a = ds.pert_vocab.index("drugA")
         assert 10000.0 in set(ds.pert_dose[:, a].tolist())
         assert _read_manifest(out)["command"] == "unify"
+
+    def test_non_ascii_value_round_trips_under_the_c_locale(
+        self, drug_raw_table, mapping_file, tmp_path
+    ):
+        # every bundle reader decodes UTF-8, so writers must not use the locale's encoding
+        drugs = drug_raw_table.obs["drug_id"]
+        drug_raw_table.obs["drug_id"] = np.where(drugs == "drugA", "\u03b1-amanitin", drugs)
+        write_raw_bundle(drug_raw_table, tmp_path / "raw")
+        env = {**os.environ, "PYTHONPATH": str(Path(pertpipe.__file__).parents[1]),
+               "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+        out = tmp_path / "canon"
+        subprocess.run(
+            [sys.executable, "-m", "pertpipe.cli", "unify", str(tmp_path / "raw"), str(out),
+             "--mapping", str(mapping_file)],
+            capture_output=True, check=True, env=env,
+        )
+        assert read_canonical_bundle(out).pert_vocab == ("drugB", "\u03b1-amanitin")
 
     def test_string_literals_keep_trailing_nuls(
         self, runner, raw_bundle_dir, flat_form_mapping, tmp_path
@@ -989,7 +1006,13 @@ def _funnel_lacking_a_leaf() -> bytes:
     return json.dumps(doc).encode()
 
 
-# (outside file, command reading it, exit code, error code)
+def _one_gene_bundle(path: Path) -> None:
+    ds, _ = generate_synthetic(SyntheticConfig(1, 4, 6, 0.4, 0.3, seed=0))
+    write_canonical_bundle(ds, path)
+
+
+# (outside file as bytes or a function that writes it, command reading it,
+# exit code, error code)
 OUTSIDE_INPUTS = {
     "tab_in_mapped_value": (
         json.dumps({
@@ -1030,13 +1053,21 @@ OUTSIDE_INPUTS = {
     "kb_line_nested_too_deep": (
         ('{"kb_version": 2, "dim": 256}\n' + _DEEP + "\n").encode(), _SEARCH_KB, 2, "kb"
     ),
+    # a shift correlation needs two genes, so no candidate can be scored
+    "bundle_with_one_gene": (
+        _one_gene_bundle, ["search", "{file}", "--out", "{out}", "--set", "search.n_sim=4"],
+        4, "no_valid_candidate",
+    ),
 }
 
 
-def _invoke_on(runner, argv, contents: bytes, raw, bundle, root):
+def _invoke_on(runner, argv, contents, raw, bundle, root):
     """Run ``argv`` with ``contents`` as its outside file, written under ``root``."""
     path = root / "input"
-    path.write_bytes(contents)
+    if callable(contents):
+        contents(path)
+    else:
+        path.write_bytes(contents)
     args = [a.format(raw=raw, bundle=bundle, file=path, out=root / "out") for a in argv]
     return runner.invoke(main, args)
 

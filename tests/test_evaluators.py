@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -21,6 +21,7 @@ from helpers import (
     csr_from_dense,
     exhaustive_best,
     reference_loss_view,
+    reference_scored_m_val,
     reference_surrogate_evaluate,
 )
 from pertpipe.data import (
@@ -300,6 +301,139 @@ class TestSurrogateMatchesReference:
             assert "degenerate split" in out.error
 
 
+# float.hex of each base candidate's m_val, in enumerate_candidates order, for
+# the four _reference_case datasets (split kind/noise); a debug-fixed variant
+# scores as its base. Taken from the evaluator that scored each val condition
+# with one delta_pcc call, before the candidate-invariant scoring work was
+# shared between candidates
+M_VAL_PINS = {
+    "unseen_perturbation/0.0": (
+        "0x1.ff5f78c744a1bp-1", "0x1.ff4eba680cdf3p-1", "0x1.ff5f78c744a16p-1",
+        "0x1.ff4eba680cdf5p-1", "0x1.ff5f78c744a1ap-1", "0x1.ff4eba680cdf7p-1",
+        "0x1.ff5f78c744a1dp-1", "0x1.ff4eba680cdfap-1", "0x1.ff5f78c7d526ep-1",
+        "0x1.ff4eba68a235dp-1", "0x1.ff5f78c7d526ep-1", "0x1.ff4eba68a235dp-1",
+        "0x1.ff5f78c7d526ep-1", "0x1.ff4eba68a235dp-1", "0x1.ff5f78c7d526ep-1",
+        "0x1.ff4eba68a235dp-1", "0x1.ff5f78c744a19p-1", "0x1.ff4eba680cdf5p-1",
+        "0x1.ff5f78c744a18p-1", "0x1.ff4eba680cdf5p-1", "0x1.ff5f78c744a1ap-1",
+        "0x1.ff4eba680cdf5p-1", "0x1.ff5f78c744a1dp-1", "0x1.ff4eba680cdfbp-1",
+        "0x1.febf5bbcd56b3p-1", "0x1.fea3448ab2c5cp-1", "0x1.f2627f98eb1b9p-1",
+        "0x1.f20824cbdf2a4p-1", "0x1.db4b47873727dp-1", "0x1.da9ac8114654cp-1",
+        "0x1.ff5ac91bb65e8p-1", "0x1.ff48d4eee69d6p-1", "0x1.ff5d3b33d8e8ap-1",
+        "0x1.ff4cc25841f27p-1", "0x1.ff5d3b33d8e89p-1", "0x1.ff4cc25841f2cp-1",
+        "0x1.ff5d3b33d8e86p-1", "0x1.ff4cc25841f2dp-1", "0x1.ff5d3b33d8e87p-1",
+        "0x1.ff4cc25841f28p-1",
+    ),
+    "unseen_perturbation/0.4": (
+        "0x1.3d4f33af06beap-1", "0x1.3bf2a5b309e43p-1", "0x1.3d4f33af06beap-1",
+        "0x1.3bf2a5b309e44p-1", "0x1.3d4f33af06be8p-1", "0x1.3bf2a5b309e45p-1",
+        "0x1.3d4f33af06be7p-1", "0x1.3bf2a5b309e44p-1", "0x1.3bc3f54e5befcp-1",
+        "0x1.379c7a1d0e783p-1", "0x1.2174c8e4ac62ep-1", "0x1.1cfff977b6743p-1",
+        "0x1.fb04206147a27p-2", "0x1.f04189cc03579p-2", "0x1.3d70850ac6888p-1",
+        "0x1.3b94f17b46cfep-1", "0x1.60e26c8dee3b0p-1", "0x1.6044260ee75a7p-1",
+        "0x1.60e26c8dee3b2p-1", "0x1.6044260ee75a7p-1", "0x1.60e26c8dee3afp-1",
+        "0x1.6044260ee75a7p-1", "0x1.60e26c8dee3afp-1", "0x1.6044260ee75a6p-1",
+        "0x1.536628d51d56ap-1", "0x1.514aeef646c90p-1", "0x1.4c3cfe27c390dp-1",
+        "0x1.487893656c406p-1", "0x1.22ea7ef24a873p-1", "0x1.1b04803e304e0p-1",
+        "0x1.4add8ed84c8c0p-1", "0x1.48a8aece90968p-1", "0x1.3d3ff73ba6917p-1",
+        "0x1.3c0be42b25c43p-1", "0x1.3d3ff73ba6918p-1", "0x1.3c0be42b25c44p-1",
+        "0x1.3d3ff73ba6919p-1", "0x1.3c0be42b25c43p-1", "0x1.3d3ff73ba6918p-1",
+        "0x1.3c0be42b25c45p-1",
+    ),
+    "unseen_cell/0.0": (
+        "0x1.ffffffee268f0p-1", "0x1.fff6e62b5b646p-1", "0x1.fffff93d0af1cp-1",
+        "0x1.fff6b25824b70p-1", "0x1.fffda9521a40fp-1", "0x1.fff31fcf9f653p-1",
+        "0x1.ffffffffbe002p-1", "0x1.fff6ead733701p-1", "0x1.ffffffffffffep-1",
+        "0x1.fff6eb78d364ep-1", "0x1.ffffffffffffep-1", "0x1.fff6eb78d364ep-1",
+        "0x1.ffffffffffffep-1", "0x1.fff6eb78d364ep-1", "0x1.ffffffffffffep-1",
+        "0x1.fff6eb78d364ep-1", "0x1.ffffffee268f0p-1", "0x1.fff6e62b5b646p-1",
+        "0x1.fffff93d0af1cp-1", "0x1.fff6b25824b70p-1", "0x1.fffda9521a410p-1",
+        "0x1.fff31fcf9f652p-1", "0x1.ffffffffbe002p-1", "0x1.fff6ead733701p-1",
+        "0x1.fffe4c9079720p-1", "0x1.fff5303f5a2dep-1", "0x1.ffde56c84d0bdp-1",
+        "0x1.ffd6b9a716b59p-1", "0x1.ffa0fe88c9a92p-1", "0x1.ff9cab150dd33p-1",
+        "0x1.fffff6662adcep-1", "0x1.fff6d872750ffp-1", "0x1.0000000000000p+0",
+        "0x1.fff6eb78d1877p-1", "0x1.0000000000000p+0", "0x1.fff6eb78d1877p-1",
+        "0x1.0000000000000p+0", "0x1.fff6eb78d1877p-1", "0x1.0000000000000p+0",
+        "0x1.fff6eb78d1877p-1",
+    ),
+    "unseen_cell/0.4": (
+        "0x1.8cb013f445958p-3", "0x1.a2ba8ec0d3bc0p-3", "0x1.8e3836b70ecf4p-3",
+        "0x1.a412f79ea4068p-3", "0x1.9c709b364f6b9p-3", "0x1.b081bfcd709e5p-3",
+        "0x1.8c890fce53a58p-3", "0x1.a298459fdcdeap-3", "0x1.7039b272018d3p-3",
+        "0x1.8ec52eed73dd1p-3", "0x1.0cdaca1d1c346p-3", "0x1.452483bff2626p-3",
+        "0x1.92c5e9aa7f4efp-4", "0x1.13c400a2dbb3dp-3", "0x1.88a4f37a3bde4p-3",
+        "0x1.9fe934ad9adf2p-3", "0x1.31b591a17a076p-2", "0x1.3a58df648c9f9p-2",
+        "0x1.320b6ecb661b0p-2", "0x1.3aaf9ec936a8cp-2", "0x1.350959edd3b57p-2",
+        "0x1.3dbb8fb299412p-2", "0x1.31acfd140da82p-2", "0x1.3a50361822ab7p-2",
+        "0x1.a978570fa2832p-3", "0x1.bbdbd6cdb7bf0p-3", "0x1.d0e8d66e49f8fp-3",
+        "0x1.dd706da852d31p-3", "0x1.e5ee4101a11b4p-3", "0x1.f00a3fe5b88e2p-3",
+        "0x1.988ad642e60e6p-3", "0x1.ac863ed09e33cp-3", "0x1.8c83bb5dab3cbp-3",
+        "0x1.a293968d26b71p-3", "0x1.8c83bb5dab3cbp-3", "0x1.a293968d26b71p-3",
+        "0x1.8c83bb5dab3cbp-3", "0x1.a293968d26b71p-3", "0x1.8c83bb5dab3cbp-3",
+        "0x1.a293968d26b71p-3",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(M_VAL_PINS))
+def test_every_candidate_keeps_its_m_val_bits(case):
+    split_kind, noise = case.split("/")
+    ev = SurrogateEvaluator(*_reference_case(float(noise), split_kind))
+    got = {}
+    for candidate in EVERY_CANDIDATE:
+        got.setdefault(candidate.key().removesuffix("/fixed"), []).append(
+            ev.evaluate(candidate, 0).m_val.hex()
+        )
+    expected = {c.key(): [pin, pin] for c, pin in zip(enumerate_candidates(), M_VAL_PINS[case])}
+    assert got == expected
+
+
+@given(
+    n_genes=st.integers(2, 7),
+    n_perts=st.integers(3, 7),
+    noise=st.sampled_from([0.0, 0.4, 1.5]),
+    sparsity=st.sampled_from([0.3, 1.0]),
+    seed=st.integers(0, 2**16),
+    split_kind=st.sampled_from(["unseen_perturbation", "unseen_cell"]),
+    zeroed=st.sampled_from(["none", "one", "all"]),
+)
+@example(n_genes=2, n_perts=4, noise=0.4, sparsity=0.3, seed=0,
+         split_kind="unseen_perturbation", zeroed="none")
+@example(n_genes=2, n_perts=4, noise=0.4, sparsity=0.3, seed=0,
+         split_kind="unseen_cell", zeroed="none")
+@example(n_genes=5, n_perts=6, noise=0.4, sparsity=0.3, seed=1,
+         split_kind="unseen_perturbation", zeroed="one")
+@example(n_genes=5, n_perts=6, noise=0.4, sparsity=0.3, seed=1,
+         split_kind="unseen_cell", zeroed="one")
+@example(n_genes=5, n_perts=6, noise=0.4, sparsity=0.3, seed=1,
+         split_kind="unseen_cell", zeroed="all")
+@settings(max_examples=40, deadline=None)
+def test_m_val_equals_one_delta_pcc_per_condition(
+    n_genes, n_perts, noise, sparsity, seed, split_kind, zeroed
+):
+    """Every candidate's ``m_val`` keeps the bits of the per-condition scoring
+    loop. ``zeroed`` sets the controls and one val condition's cells (or
+    every val condition's) to zero, so that truth shift has zero variance."""
+    ds, _ = generate_synthetic(SyntheticConfig(n_genes, n_perts, 4, noise, sparsity, seed))
+    if split_kind == "unseen_perturbation":
+        split = split_unseen_perturbation(ds, 0.6, seed=seed)
+    else:
+        ds = replace(ds, cell_type=np.resize(np.array(["LINE_0", "LINE_1"], dtype=object),
+                                             ds.n_cells))
+        split = split_unseen_cell(ds, "LINE_1", 0.5, seed=seed)
+    val_conditions = sorted(set(ds.condition_name[split.labels == "val"]) - {"control"})
+    zero = {"none": [], "one": val_conditions[:1], "all": val_conditions}[zeroed]
+    if zero:
+        X = ds.X.copy()
+        X[ds.is_control | np.isin(ds.condition_name, zero)] = 0.0
+        ds = replace(ds, X=X)
+    ev = SurrogateEvaluator(ds, split)
+    for candidate in enumerate_candidates():
+        expected = reference_scored_m_val(ev, candidate)
+        assert ev.evaluate(candidate, 0).m_val == expected, candidate.key()
+        if zeroed == "all":
+            assert expected is None
+
+
 class TestPreparation:
     """The statistics are built on a background thread from construction."""
 
@@ -369,7 +503,7 @@ def loss_view_inputs(draw):
     rows = np.array(draw(st.permutations(range(n)))[: counts.sum()])
     y_ctrl = draw(arrays(np.float64, g, elements=values))
     stats = evaluators._SplitStats(
-        rows=rows, counts=counts, y_ctrl=y_ctrl, index_of={}, val_deltas=(),
+        rows=rows, counts=counts, y_ctrl=y_ctrl, index_of={}, val_sides=(),
         gene_mask=np.ones(g, dtype=bool),
     )
     clip = None
@@ -380,8 +514,10 @@ def loss_view_inputs(draw):
 
 
 def _assert_same_view(view, expected):
-    for field in ("sums", "cond_means", "cond_vars", "grand", "var_between", "var_within"):
-        assert getattr(view, field).tobytes() == getattr(expected, field).tobytes(), field
+    for field in ("sums", "cond_means", "cond_vars", "grand", "var_between", "var_within",
+                  "mean_dir", "mean_norm"):
+        got, want = np.asarray(getattr(view, field)), np.asarray(getattr(expected, field))
+        assert got.tobytes() == want.tobytes(), field
 
 
 @given(loss_view_inputs())
@@ -403,7 +539,7 @@ def test_loss_view_signed_zero_ties(g):
     for x, y, lo, hi in itertools.product([-0.0, 0.0], repeat=4):
         stats = evaluators._SplitStats(
             rows=np.arange(3), counts=np.array([2, 1]), y_ctrl=np.full(g, y),
-            index_of={}, val_deltas=(), gene_mask=np.ones(g, dtype=bool),
+            index_of={}, val_sides=(), gene_mask=np.ones(g, dtype=bool),
         )
         X, clip = np.full((3, g), x), (np.full(g, lo), np.full(g, hi))
         view = evaluators._loss_view(X, stats, clip)
