@@ -186,7 +186,9 @@ def legal_actions(
 
 
 def validate_action_path(path: tuple[str, ...], mode: str = "hierarchical") -> None:
-    """Check that a stored action path is hierarchy-legal and debug-free."""
+    """Check that a stored action path is non-empty, hierarchy-legal and debug-free."""
+    if not path:
+        raise ValidationError("stored action paths must not be empty")
     prefix: tuple[str, ...] = ()
     for action in path:
         if action == DEBUG_ACTION:

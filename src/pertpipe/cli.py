@@ -487,7 +487,7 @@ def kb_add(kb_path, profile, reward, path_text):
     entry = make_entry(profile_text=profile, action_path=actions, reward=reward)
     try:
         KnowledgeBase(kb_path).record(entry)
-    except (ValidationError, ParameterError) as exc:
+    except ValidationError as exc:
         _fail("kb", str(exc), EXIT_VALIDATION)
     click.echo(json.dumps({"recorded": True, "path": list(actions)}))
 

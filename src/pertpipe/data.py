@@ -407,34 +407,27 @@ def split_unseen_perturbation(
         raise ParameterError(f"train_frac must be in (0, 1), got {train_frac}")
     rng = np.random.default_rng(seed)
     control = ds.is_control
-    noncontrol_names = ds.condition_name[~control]
-    conds = sorted(set(noncontrol_names.tolist()))
-    if len(conds) < 2:
+    noncontrol = np.flatnonzero(~control)
+    conds, codes = np.unique(ds.condition_name[noncontrol], return_inverse=True)
+    if conds.size < 2:
         raise ParameterError(
-            f"need at least 2 non-control conditions, found {len(conds)}"
+            f"need at least 2 non-control conditions, found {conds.size}"
         )
-    perm = rng.permutation(len(conds))
-    shuffled = [conds[i] for i in perm]
-    n_train = int(math.floor(train_frac * len(conds)))
-    assignment: dict[str, str] = {}
-    for c in shuffled[:n_train]:
-        assignment[c] = "train"
-    for i, c in enumerate(shuffled[n_train:]):
-        assignment[c] = "val" if i % 2 == 0 else "test"
+    perm = rng.permutation(conds.size)
+    n_train = int(math.floor(train_frac * conds.size))
+    cond_labels = np.empty(conds.size, dtype=object)
+    cond_labels[perm[:n_train]] = "train"
+    cond_labels[perm[n_train::2]] = "val"
+    cond_labels[perm[n_train + 1 :: 2]] = "test"
 
     labels = np.empty(ds.n_cells, dtype=object)
-    for idx in np.flatnonzero(~control):
-        labels[idx] = assignment[ds.condition_name[idx]]
+    labels[noncontrol] = cond_labels[codes]
 
     # controls follow the effective non-control cell-count ratios
-    counts = {lab: 0 for lab in SPLIT_LABELS}
-    for idx in np.flatnonzero(~control):
-        counts[labels[idx]] += 1
+    counts = tuple(np.count_nonzero(labels[noncontrol] == lab) for lab in SPLIT_LABELS)
     ctrl_idx = np.flatnonzero(control)
     shuffled_ctrl = ctrl_idx[rng.permutation(ctrl_idx.size)]
-    n_tr, n_va, _ = _partition_by_cumulative_ratio(
-        ctrl_idx.size, (counts["train"], counts["val"], counts["test"])
-    )
+    n_tr, n_va, _ = _partition_by_cumulative_ratio(ctrl_idx.size, counts)
     labels[shuffled_ctrl[:n_tr]] = "train"
     labels[shuffled_ctrl[n_tr : n_tr + n_va]] = "val"
     labels[shuffled_ctrl[n_tr + n_va :]] = "test"

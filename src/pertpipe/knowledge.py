@@ -1,36 +1,40 @@
 """Persistent task memory and retrieval-based warm starting.
 
-Each entry holds a task profile text, its embedding, the action path of a
-previously successful pipeline, and its reward. Retrieval embeds the query,
-filters by raw cosine similarity, ranks the survivors by a composite weight
-mixing normalized similarity with normalized reward, and gates between
-warm-start (inject the top path) and ab-initio search on the peak
-similarity.
+Each entry holds a task profile text, the action path of a previously
+successful pipeline, its reward and its creation time. Retrieval embeds
+the query and every profile in one batch, filters by raw cosine
+similarity, ranks the survivors by a composite weight mixing normalized
+similarity with normalized reward, and gates between warm-start (inject
+the top path) and ab-initio search on the peak similarity.
 
 The store is an append-only JSON-lines file under a version header
-``{"kb_version": 2, "dim": d}``. Its lines keep only what cannot be
+``{"kb_version": 2, "dim": 256}``. Its lines keep only what cannot be
 derived: the embedding is a pure function of the profile text, so lines
-hold none, and ``load`` embeds every profile in one batch. Version-1 stores
-(whose lines also held the embedding) still load; their stored vectors are
-never read, as the same function produced them, and appends to them are
+hold none, and only ``retrieve`` computes it. Version-1 stores (whose
+lines also held the embedding) still load; their stored vectors are never
+read, as the same function produced them, and appends to them are
 version-2 lines.
 
 A final line without a trailing newline is an append that was cut short
 (or one still being written): ``load`` ignores it, and ``record`` truncates
 it under the lock before it appends. Any other line that does not decode,
-holds an illegal action path or a reward outside [0, 1], and a header of
-another version or dimension, is rejected at load with its ``path:line``.
+holds an empty or illegal action path, a reward or creation time that is
+not a finite number or a reward outside [0, 1], and a header of another
+version or dimension, is rejected at load with its ``path:line``. A store
+that cannot be opened is rejected with its path.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
 import time
 from dataclasses import dataclass
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
 
@@ -39,74 +43,54 @@ from .errors import ParameterError, ValidationError
 
 KB_VERSION = 2
 _READABLE_VERSIONS = (1, 2)
-DEFAULT_EMBED_DIM = 256
+EMBED_DIM = 256
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 
-class HashEmbedder:
-    """Deterministic token-hash term-frequency embedder.
+def embed(texts) -> np.ndarray:
+    """Embed each text into one row of an ``(len(texts), EMBED_DIM)`` matrix.
 
-    Fully offline: text is lowercased, split on non-alphanumerics, each
-    token is hashed (sha256, stable across platforms and processes) into a
-    fixed-dimension bucket, and the term-frequency vector is L2-normalized.
-    Repeated whitespace and case never change the embedding.
+    A deterministic token-hash term-frequency embedding, fully offline:
+    text is lowercased and split on non-alphanumerics, each distinct token
+    is hashed once (sha256, stable across platforms and processes) into a
+    bucket, and each row is L2-normalized. Case and repeated whitespace
+    never change a row. The counts are integers, so the rows do not depend
+    on which texts share the batch.
     """
-
-    def __init__(self, dim: int = DEFAULT_EMBED_DIM):
-        if dim < 1:
-            raise ParameterError(f"embedding dimension must be >= 1, got {dim}")
-        self.dim = dim
-
-    def embed(self, text: str) -> np.ndarray:
-        return self.embed_many([text])[0]
-
-    def embed_many(self, texts) -> np.ndarray:
-        """Embed each text into one row of an ``(len(texts), dim)`` matrix.
-
-        Each distinct token is hashed once. The counts are integers, so the
-        rows do not depend on which texts share the batch.
-        """
-        tokens = [_TOKEN_RE.findall(text.lower()) for text in texts]
-        bucket = {
-            token: int.from_bytes(hashlib.sha256(token.encode()).digest()[:8], "big") % self.dim
-            for token in set(chain.from_iterable(tokens))
-        }
-        cols = np.fromiter((bucket[t] for row in tokens for t in row), dtype=np.int64)
-        rows = np.repeat(np.arange(len(tokens)), [len(row) for row in tokens])
-        counts = np.bincount(rows * self.dim + cols, minlength=len(tokens) * self.dim)
-        vecs = counts.reshape(len(tokens), self.dim).astype(np.float64)
-        norms = np.linalg.norm(vecs, axis=1, keepdims=True)
-        np.divide(vecs, norms, out=vecs, where=norms > 0)
-        return vecs
+    tokens = [_TOKEN_RE.findall(text.lower()) for text in texts]
+    bucket = {
+        token: int.from_bytes(hashlib.sha256(token.encode()).digest()[:8], "big") % EMBED_DIM
+        for token in set(chain.from_iterable(tokens))
+    }
+    cols = np.fromiter((bucket[t] for row in tokens for t in row), dtype=np.int64)
+    rows = np.repeat(np.arange(len(tokens)), [len(row) for row in tokens])
+    counts = np.bincount(rows * EMBED_DIM + cols, minlength=len(tokens) * EMBED_DIM)
+    vecs = counts.reshape(len(tokens), EMBED_DIM).astype(np.float64)
+    norms = np.linalg.norm(vecs, axis=1, keepdims=True)
+    np.divide(vecs, norms, out=vecs, where=norms > 0)
+    return vecs
 
 
 @dataclass(frozen=True)
 class KnowledgeEntry:
     profile_text: str
-    embedding: np.ndarray
     action_path: tuple[str, ...]
     reward: float
     created_at: float
 
     def __post_init__(self):
-        emb = np.asarray(self.embedding, dtype=np.float64)
-        emb.setflags(write=False)
-        object.__setattr__(self, "embedding", emb)
         object.__setattr__(self, "action_path", tuple(self.action_path))
 
     def validate(self) -> None:
-        norm = np.linalg.norm(self.embedding)
-        if abs(norm - 1.0) > 1e-9:
-            raise ValidationError(
-                f"entry embedding must have unit norm, got {norm:.12f}"
-            )
         if not (0.0 <= self.reward <= 1.0):
             raise ValidationError(f"entry reward {self.reward} outside [0, 1]")
+        if not math.isfinite(self.created_at):
+            raise ValidationError(f"entry created_at {self.created_at} is not finite")
         validate_action_path(self.action_path)
 
     def to_json(self) -> str:
-        """The stored line: everything but the embedding, which load derives."""
+        """The stored line."""
         return json.dumps(
             {
                 "profile_text": self.profile_text,
@@ -140,14 +124,6 @@ class RetrievalResult:
     epsilon0: tuple[str, ...] | None
 
 
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ParameterError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(np.clip(np.dot(a, b), -1.0, 1.0))
-
-
 def composite_weight(
     s_k: float,
     r_k: float,
@@ -178,24 +154,20 @@ def retrieve(
     query_text: str,
     entries: list[KnowledgeEntry],
     params: RetrievalParams = RetrievalParams(),
-    embedder: HashEmbedder | None = None,
 ) -> RetrievalResult:
-    """Rank stored tasks against a query and gate warm-start vs ab-initio."""
-    embedder = embedder or HashEmbedder()
-    if not entries:
-        return RetrievalResult(
-            rho=float("-inf"), mode="ab_initio", ranked=(), epsilon0=None
-        )
-    query = embedder.embed(query_text)
-    bad = next((e for e in entries if e.embedding.shape != query.shape), None)
-    if bad is not None:
-        raise ParameterError(
-            f"dimension mismatch: {query.shape} vs {bad.embedding.shape}"
-        )
-    # one dot per entry, as cosine_similarity takes it: a single matrix-vector
-    # product sums in another order and moves some similarities by an ulp
-    sims = np.clip([np.dot(query, e.embedding) for e in entries], -1.0, 1.0).tolist()
-    rho = max(sims)
+    """Embed the query and every stored profile in one batch, then ``rank``."""
+    query, *rows = embed([query_text, *(e.profile_text for e in entries)])
+    # one dot per entry: a single matrix-vector product sums in another order
+    # and moves some similarities by an ulp
+    sims = np.clip([np.dot(query, row) for row in rows], -1.0, 1.0).tolist()
+    return rank(entries, sims, params)
+
+
+def rank(
+    entries: list[KnowledgeEntry], sims: list[float], params: RetrievalParams
+) -> RetrievalResult:
+    """Rank stored tasks by their query similarities and gate warm-start vs ab-initio."""
+    rho = max(sims, default=float("-inf"))
     survivors = [
         (e, s) for e, s in zip(entries, sims) if s > params.tau_filter
     ]
@@ -221,25 +193,27 @@ def retrieve(
 class KnowledgeBase:
     """Append-only JSONL store of knowledge entries."""
 
-    def __init__(self, path, dim: int = DEFAULT_EMBED_DIM):
-        from pathlib import Path
-
+    def __init__(self, path):
         self.path = Path(path)
-        self.dim = dim
         self.digest: str | None = None  # sha256 of the bytes the last load read
 
     def load(self) -> list[KnowledgeEntry]:
-        """Read every complete line and embed the profiles in one batch.
+        """Read every complete line.
 
-        A line that does not decode, names an illegal action path or a
-        reward outside [0, 1] is rejected by number; a final line without a
-        newline is ignored. Sets ``digest`` to the sha256 of the file's
-        bytes (of no bytes when the file does not exist).
+        A line that does not decode, names an empty or illegal action path,
+        a reward outside [0, 1] or a creation time that is not a finite
+        number is rejected by number; a final line without a newline is
+        ignored. Sets ``digest`` to the sha256 of the file's bytes (of no
+        bytes when the file does not exist).
         """
         try:
             data = self.path.read_bytes()
         except FileNotFoundError:
             data = b""
+        except OSError as exc:
+            raise ValidationError(
+                f"cannot read knowledge base {self.path}: {exc.strerror}"
+            ) from None
         self.digest = hashlib.sha256(data).hexdigest()
         # past the last newline lies a torn append, or one still being written
         end = data.rfind(b"\n") + 1
@@ -252,30 +226,31 @@ class KnowledgeBase:
         if not lines:
             return []
         self._check_header(*lines[0])
-        fields = []
+        entries = []
         legal_paths: set[tuple] = set()
         for i, line in lines[1:]:
             try:
                 doc = json.loads(line)
                 text, path = doc["profile_text"], tuple(doc["action_path"])
-                reward, created_at = float(doc["reward"]), float(doc["created_at"])
+                reward, created_at = doc["reward"], doc["created_at"]
                 if not isinstance(text, str):
                     raise TypeError(f"profile_text is a {type(text).__name__}, not a string")
+                if {type(reward), type(created_at)} - {int, float}:  # bool and str included
+                    raise TypeError("reward and created_at must be JSON numbers")
+                if not math.isfinite(created_at):  # OverflowError past the float range
+                    raise ValueError(f"created_at {created_at} is not finite")
                 if path not in legal_paths:
                     validate_action_path(path)
                     legal_paths.add(path)
-            except (ValueError, KeyError, TypeError, ValidationError, RecursionError) as exc:
+            except (ValueError, KeyError, TypeError, OverflowError, ValidationError,
+                    RecursionError) as exc:
                 raise ValidationError(
                     f"{self.path}:{i} is not a valid knowledge-base line: {exc}"
                 ) from None
             if not 0.0 <= reward <= 1.0:
                 raise ValidationError(f"{self.path}:{i} entry reward {reward} outside [0, 1]")
-            fields.append((text, path, reward, created_at))
-        embeddings = HashEmbedder(self.dim).embed_many([f[0] for f in fields])
-        return [
-            KnowledgeEntry(text, emb, path, reward, created_at)
-            for (text, path, reward, created_at), emb in zip(fields, embeddings)
-        ]
+            entries.append(KnowledgeEntry(text, path, float(reward), float(created_at)))
+        return entries
 
     def _check_header(self, lineno: int, line: str) -> None:
         try:
@@ -290,23 +265,24 @@ class KnowledgeBase:
                 f"knowledge base {self.path} has version "
                 f"{version!r}, expected one of {list(_READABLE_VERSIONS)}"
             )
-        stored_dim = header.get("dim", self.dim)
-        if stored_dim != self.dim:
+        stored_dim = header.get("dim", EMBED_DIM)
+        if stored_dim != EMBED_DIM:
             raise ValidationError(
                 f"knowledge base {self.path} stores {stored_dim}-dim embeddings, "
-                f"reader expects {self.dim}"
+                f"reader expects {EMBED_DIM}"
             )
 
     def record(self, entry: KnowledgeEntry) -> None:
         """Validate and durably append one entry."""
         entry.validate()
-        if entry.embedding.shape != (self.dim,):
+        try:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            fh = open(self.path, "ab+")
+        except OSError as exc:
             raise ValidationError(
-                f"entry embedding dimension {entry.embedding.shape[0]} "
-                f"does not match store dimension {self.dim}"
-            )
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "ab+") as fh:
+                f"cannot append to knowledge base {self.path}: {exc.strerror}"
+            ) from None
+        with fh:
             _flock(fh)
             try:
                 # decided under the lock: a torn tail is cut off, and only the
@@ -317,7 +293,7 @@ class KnowledgeBase:
                     fh.truncate(complete)
                 text = entry.to_json() + "\n"
                 if complete == 0:
-                    text = json.dumps({"kb_version": KB_VERSION, "dim": self.dim}) + "\n" + text
+                    text = json.dumps({"kb_version": KB_VERSION, "dim": EMBED_DIM}) + "\n" + text
                 fh.write(text.encode())
                 fh.flush()
                 os.fsync(fh.fileno())
@@ -358,13 +334,10 @@ def make_entry(
     profile_text: str,
     action_path: tuple[str, ...],
     reward: float,
-    embedder: HashEmbedder | None = None,
     created_at: float | None = None,
 ) -> KnowledgeEntry:
-    embedder = embedder or HashEmbedder()
     return KnowledgeEntry(
         profile_text=profile_text,
-        embedding=embedder.embed(profile_text),
         action_path=action_path,
         reward=reward,
         created_at=time.time() if created_at is None else created_at,

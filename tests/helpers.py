@@ -51,7 +51,7 @@ from pertpipe.evaluators import (
     builtin_landscape_path,
     pathway_gene_mask,
 )
-from pertpipe.knowledge import RetrievalResult, composite_weight, cosine_similarity
+from pertpipe.knowledge import RetrievalResult, composite_weight
 from pertpipe.metrics import UndefinedMetric, delta_pcc
 from pertpipe.search import EvalOutcome
 
@@ -715,11 +715,11 @@ def reference_validation_issues(ds: CanonicalDataset) -> list[ValidationIssue]:
 # knowledge-base references: one text and one entry at a time
 
 
-def reference_embed(text: str, dim: int = 256) -> np.ndarray:
-    vec = np.zeros(dim, dtype=np.float64)
+def reference_embed(text: str) -> np.ndarray:
+    vec = np.zeros(256, dtype=np.float64)
     for token in re.findall(r"[a-z0-9]+", text.lower()):
         digest = hashlib.sha256(token.encode()).digest()
-        vec[int.from_bytes(digest[:8], "big") % dim] += 1.0
+        vec[int.from_bytes(digest[:8], "big") % 256] += 1.0
     norm = np.linalg.norm(vec)
     if norm > 0:
         vec /= norm
@@ -727,7 +727,9 @@ def reference_embed(text: str, dim: int = 256) -> np.ndarray:
 
 
 def reference_retrieve(query_text, entries, params) -> RetrievalResult:
-    sims = [cosine_similarity(reference_embed(query_text), e.embedding) for e in entries]
+    query = reference_embed(query_text)
+    sims = [float(np.clip(np.dot(query, reference_embed(e.profile_text)), -1.0, 1.0))
+            for e in entries]
     rho = max(sims)
     survivors = [(e, s) for e, s in zip(entries, sims) if s > params.tau_filter]
     if rho <= params.tau or not survivors:

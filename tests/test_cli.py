@@ -991,6 +991,8 @@ _SEARCH_LANDSCAPE = ["search", "{bundle}", "--out", "{out}", "--evaluator", "lan
 _SEARCH_KB = ["search", "{bundle}", "--out", "{out}", "--evaluator", "landscape:funnel",
               "--kb", "{file}"]
 _KB_LIST = ["kb", "list", "--kb", "{file}"]
+_UNDER_A_FILE = "{file}/kb.jsonl"  # a store path whose parent is a regular file
+_KB_HEADER = '{"kb_version": 2, "dim": 256}\n'
 _EVALUATE = ["evaluate", "{bundle}", "{file}"]
 # a reply that induces a valid mapping, so only the config file can fail the run;
 # its braces are doubled for the str.format in _invoke_on
@@ -1052,6 +1054,28 @@ OUTSIDE_INPUTS = {
     "kb_header_nested_too_deep": ((_DEEP + "\n").encode(), _KB_LIST, 2, "kb"),
     "kb_line_nested_too_deep": (
         ('{"kb_version": 2, "dim": 256}\n' + _DEEP + "\n").encode(), _SEARCH_KB, 2, "kb"
+    ),
+    "kb_under_a_file_list": (b"", [*_KB_LIST[:-1], _UNDER_A_FILE], 2, "kb"),
+    "kb_under_a_file_add": (
+        b"", ["kb", "add", "--profile", "p", "--reward", "0.5", "--path", "paradigm:generative",
+              "--kb", _UNDER_A_FILE], 2, "kb",
+    ),
+    "kb_under_a_file_search": (b"", [*_SEARCH_KB[:-1], _UNDER_A_FILE], 2, "kb"),
+    "kb_reward_a_bool": (
+        (_KB_HEADER + '{"profile_text": "p", "action_path": ["paradigm:generative"], '
+         '"reward": true, "created_at": 0.0}\n').encode(), _KB_LIST, 2, "kb"
+    ),
+    "kb_reward_a_string": (
+        (_KB_HEADER + '{"profile_text": "p", "action_path": ["paradigm:generative"], '
+         '"reward": "0.5", "created_at": 0.0}\n').encode(), _KB_LIST, 2, "kb"
+    ),
+    "kb_created_at_nan": (
+        (_KB_HEADER + '{"profile_text": "p", "action_path": ["paradigm:generative"], '
+         '"reward": 0.5, "created_at": NaN}\n').encode(), _KB_LIST, 2, "kb"
+    ),
+    "kb_empty_path": (
+        (_KB_HEADER + '{"profile_text": "p", "action_path": [], '
+         '"reward": 0.5, "created_at": 0.0}\n').encode(), _SEARCH_KB, 2, "kb"
     ),
     # a shift correlation needs two genes, so no candidate can be scored
     "bundle_with_one_gene": (
@@ -1121,6 +1145,11 @@ BAD_OPTIONS = {
     ),
     "noise_sigma_negative": (
         [*_GEN_SYNTHETIC, "--noise-sigma", "-1"], 2, "gen_synthetic", "noise_sigma"
+    ),
+    # an empty stored path would gate a search into a warm start that injects nothing
+    "kb_add_empty_path": (
+        ["kb", "add", "--kb", "{out}/kb.jsonl", "--profile", "p", "--reward", "0.5",
+         "--path", ","], 2, "kb", "empty",
     ),
 }
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import multiprocessing
+import re
 
 import numpy as np
 import pytest
@@ -11,35 +12,18 @@ from helpers import reference_embed, reference_retrieve
 from pertpipe import knowledge
 from pertpipe.errors import ParameterError, ValidationError
 from pertpipe.knowledge import (
-    HashEmbedder,
     KnowledgeBase,
     KnowledgeEntry,
     RetrievalParams,
     composite_weight,
-    cosine_similarity,
+    embed,
     make_entry,
+    rank,
     retrieve,
 )
 
 LEGAL_PATH = ("paradigm:generative", "backbone:conditional_vae")
 OTHER_PATH = ("paradigm:discriminative", "backbone:resnet")
-
-
-class TestCosineSimilarity:
-    def test_identical_vectors(self):
-        v = np.array([0.6, 0.8])
-        assert cosine_similarity(v, v) == 1.0
-
-    def test_orthogonal(self):
-        assert cosine_similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-
-    def test_opposite(self):
-        v = np.array([0.6, 0.8])
-        assert cosine_similarity(v, -v) == -1.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ParameterError):
-            cosine_similarity(np.ones(3), np.ones(4))
 
 
 class TestCompositeWeight:
@@ -61,44 +45,33 @@ class TestCompositeWeight:
             composite_weight(0.3, 0.5, 0.0, 1.0, tau_filter=0.3)
 
 
-class _FixedEmbedder:
-    """Embeds every query to a fixed unit vector (controls similarities)."""
-
-    def __init__(self, vector):
-        self.vector = np.asarray(vector, dtype=np.float64)
-
-    def embed(self, text):
-        return self.vector
-
-
-def _entry(sim: float, reward: float, path=OTHER_PATH, created_at=0.0):
-    # query is [1, 0]; an embedding [s, sqrt(1-s^2)] has cosine s with it
-    emb = np.array([sim, np.sqrt(1.0 - sim * sim)])
+def _entry(reward: float, path=OTHER_PATH, created_at=0.0):
     return KnowledgeEntry(
-        profile_text=f"entry sim {sim}",
-        embedding=emb,
+        profile_text=f"entry {reward} {created_at}",
         action_path=path,
         reward=reward,
         created_at=created_at,
     )
 
 
-class TestRetrieve:
+class TestRank:
+    """Ranking and gating, given each entry's similarity to the query."""
+
     PARAMS = RetrievalParams(tau_filter=0.3, m=3, alpha_retrieval=0.5, tau=0.5)
-    EMBEDDER = _FixedEmbedder([1.0, 0.0])
 
     def test_empty_store_is_ab_initio(self):
-        result = retrieve("anything", [], self.PARAMS, self.EMBEDDER)
-        assert result.mode == "ab_initio"
-        assert result.ranked == ()
-        assert result.epsilon0 is None
+        for result in (rank([], [], self.PARAMS), retrieve("anything", [], self.PARAMS)):
+            assert result.rho == float("-inf")
+            assert result.mode == "ab_initio"
+            assert result.ranked == ()
+            assert result.epsilon0 is None
 
     def test_weight_ranking_beats_similarity_ranking(self):
-        a = _entry(0.65, 0.6, path=OTHER_PATH)
-        b = _entry(0.5, 0.9, path=LEGAL_PATH)
-        result = retrieve("q", [a, b], self.PARAMS, self.EMBEDDER)
+        a = _entry(0.6, path=OTHER_PATH)
+        b = _entry(0.9, path=LEGAL_PATH)
+        result = rank([a, b], [0.65, 0.5], self.PARAMS)
         assert result.mode == "warm_start"
-        assert abs(result.rho - 0.65) < 1e-12
+        assert result.rho == 0.65
         assert result.ranked[0][0] is b
         assert abs(result.ranked[0][2] - 0.6428571428571428) < 1e-9
         assert abs(result.ranked[1][2] - 0.25) < 1e-9
@@ -106,96 +79,80 @@ class TestRetrieve:
 
     def test_rho_is_max_over_all_entries(self):
         # the most similar entry can be filtered out of the ranking by weight
-        a = _entry(0.9, 0.0)
-        b = _entry(0.6, 1.0, path=LEGAL_PATH)
-        result = retrieve("q", [a, b], self.PARAMS, self.EMBEDDER)
-        assert abs(result.rho - 0.9) < 1e-12
+        a = _entry(0.0)
+        b = _entry(1.0, path=LEGAL_PATH)
+        result = rank([a, b], [0.9, 0.6], self.PARAMS)
+        assert result.rho == 0.9
         assert result.ranked[0][0] is b
 
     def test_all_below_filter_is_ab_initio(self):
-        entries = [_entry(0.2, 0.9), _entry(0.1, 0.8)]
-        result = retrieve("q", entries, self.PARAMS, self.EMBEDDER)
+        result = rank([_entry(0.9), _entry(0.8)], [0.2, 0.1], self.PARAMS)
         assert result.mode == "ab_initio"
         assert result.ranked == ()
 
     def test_rho_below_tau_is_ab_initio(self):
-        entries = [_entry(0.45, 0.9)]
-        result = retrieve("q", entries, self.PARAMS, self.EMBEDDER)
+        result = rank([_entry(0.9)], [0.45], self.PARAMS)
         assert result.mode == "ab_initio"
 
     def test_top_m_truncation(self):
-        entries = [_entry(0.4 + 0.1 * i, 0.5, created_at=i) for i in range(5)]
-        result = retrieve("q", entries, self.PARAMS, self.EMBEDDER)
+        entries = [_entry(0.5, created_at=i) for i in range(5)]
+        result = rank(entries, [0.4 + 0.1 * i for i in range(5)], self.PARAMS)
         assert len(result.ranked) == 3
 
     def test_ties_break_to_newer_entry(self):
-        old = _entry(0.6, 0.5, path=OTHER_PATH, created_at=1.0)
-        new = _entry(0.6, 0.5, path=LEGAL_PATH, created_at=2.0)
-        result = retrieve("q", [old, new], self.PARAMS, self.EMBEDDER)
+        old = _entry(0.5, path=OTHER_PATH, created_at=1.0)
+        new = _entry(0.5, path=LEGAL_PATH, created_at=2.0)
+        result = rank([old, new], [0.6, 0.6], self.PARAMS)
         assert result.ranked[0][0] is new
 
     def test_reward_monotonicity(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
-            sims = rng.uniform(0.31, 0.99, size=5)
+            sims = rng.uniform(0.31, 0.99, size=5).tolist()
             rewards = rng.uniform(0.0, 1.0, size=5)
-            entries = [
-                _entry(s, r, created_at=float(i))
-                for i, (s, r) in enumerate(zip(sims, rewards))
-            ]
-            result = retrieve("q", entries, RetrievalParams(m=5), self.EMBEDDER)
+            entries = [_entry(r, created_at=float(i)) for i, r in enumerate(rewards)]
+            result = rank(entries, sims, RetrievalParams(m=5))
             order = [e.created_at for e, _, _ in result.ranked]
             target = int(rng.integers(0, 5))
             bumped = min(rewards.max(), rewards[target] + rng.uniform(0, 0.2))
             entries2 = list(entries)
-            entries2[target] = _entry(
-                sims[target], bumped, created_at=float(target)
-            )
-            result2 = retrieve("q", entries2, RetrievalParams(m=5), self.EMBEDDER)
+            entries2[target] = _entry(bumped, created_at=float(target))
+            result2 = rank(entries2, sims, RetrievalParams(m=5))
             order2 = [e.created_at for e, _, _ in result2.ranked]
             if float(target) in order and float(target) in order2:
                 assert order2.index(float(target)) <= order.index(float(target))
 
 
-class TestHashEmbedder:
+class TestEmbed:
     def test_unit_norm(self):
-        emb = HashEmbedder().embed("a simple task profile")
+        (emb,) = embed(["a simple task profile"])
         assert abs(np.linalg.norm(emb) - 1.0) < 1e-12
 
     def test_case_and_whitespace_invariance(self):
-        e = HashEmbedder()
-        a = e.embed("Drug   Response\tK562")
-        b = e.embed("drug response k562")
+        a, b = embed(["Drug   Response\tK562", "drug response k562"])
         assert np.array_equal(a, b)
 
-    def test_deterministic_across_instances(self):
-        assert np.array_equal(
-            HashEmbedder().embed("profile"), HashEmbedder().embed("profile")
-        )
+    def test_deterministic_across_calls(self):
+        assert np.array_equal(embed(["profile"]), embed(["profile"]))
 
     def test_distinct_texts_differ(self):
-        e = HashEmbedder()
-        assert not np.array_equal(e.embed("alpha beta"), e.embed("gamma delta"))
+        a, b = embed(["alpha beta", "gamma delta"])
+        assert not np.array_equal(a, b)
 
-    def test_dimension_configurable(self):
-        assert HashEmbedder(dim=32).embed("text").shape == (32,)
-
-    @pytest.mark.parametrize("dim", [1, 7, 256])
-    def test_embed_many_matches_embed_bit_for_bit(self, dim):
-        rng = np.random.default_rng(dim)
+    def test_rows_match_the_reference_and_do_not_depend_on_the_batch(self):
+        rng = np.random.default_rng(7)
         alphabet = list("abcXYZ019 _-\t.|")
         texts = ["".join(rng.choice(alphabet, size=int(rng.integers(0, 80))))
                  for _ in range(300)]
         texts += ["", "  \t ", "Émigré ß 中文 k562", "a a a b"] + texts[:5]
-        embedder = HashEmbedder(dim)
-        batch = embedder.embed_many(texts)
-        assert batch.shape == (len(texts), dim)
+        batch = embed(texts)
+        assert batch.shape == (len(texts), knowledge.EMBED_DIM)
         for text, row in zip(texts, batch):
-            assert row.tobytes() == embedder.embed(text).tobytes()
-            assert row.tobytes() == reference_embed(text, dim).tobytes()
+            assert row.tobytes() == embed([text])[0].tobytes()
+            assert row.tobytes() == reference_embed(text).tobytes()
 
     def test_empty_batch(self):
-        assert HashEmbedder().embed_many([]).shape == (0, 256)
+        assert embed([]).shape == (0, 256)
 
 
 def _profiles(rng, n: int) -> list[str]:
@@ -258,10 +215,11 @@ class TestBatchRetrieval:
                 modes.add(got.mode)
         assert modes == {"warm_start", "ab_initio"}
 
-    def test_dimension_mismatch_raises(self):
-        entry = KnowledgeEntry("x", np.ones(3) / np.sqrt(3), LEGAL_PATH, 0.5, 0.0)
-        with pytest.raises(ParameterError, match="dimension mismatch"):
-            retrieve("q", [entry], RetrievalParams(), _FixedEmbedder([1.0, 0.0]))
+def _line(**fields) -> str:
+    """A stored entry line with ``fields`` replacing those of a valid one."""
+    doc = {"profile_text": "x", "action_path": list(LEGAL_PATH), "reward": 0.5,
+           "created_at": 0.0}
+    return json.dumps({**doc, **fields})
 
 
 class TestKnowledgeBase:
@@ -277,23 +235,32 @@ class TestKnowledgeBase:
         assert result.mode == "warm_start"
         assert result.epsilon0 == LEGAL_PATH
 
-    def test_non_unit_embedding_rejected(self, tmp_path):
-        kb = KnowledgeBase(tmp_path / "kb.jsonl")
-        bad = KnowledgeEntry(
-            profile_text="x",
-            embedding=np.ones(256),
-            action_path=LEGAL_PATH,
-            reward=0.5,
-            created_at=0.0,
-        )
-        with pytest.raises(ValidationError, match="unit norm"):
-            kb.record(bad)
-
     def test_illegal_path_rejected(self, tmp_path):
         kb = KnowledgeBase(tmp_path / "kb.jsonl")
         entry = make_entry("x", ("backbone:resnet",), 0.5)
         with pytest.raises(ValidationError, match="not legal"):
             kb.record(entry)
+
+    def test_empty_path_rejected(self, tmp_path):
+        with pytest.raises(ValidationError, match="empty"):
+            KnowledgeBase(tmp_path / "kb.jsonl").record(make_entry("x", (), 0.5))
+
+    @pytest.mark.parametrize("created_at", [float("nan"), float("inf")])
+    def test_non_finite_created_at_rejected(self, tmp_path, created_at):
+        with pytest.raises(ValidationError, match="created_at"):
+            KnowledgeBase(tmp_path / "kb.jsonl").record(
+                make_entry("x", LEGAL_PATH, 0.5, created_at=created_at))
+
+    def test_path_that_cannot_be_opened_is_named(self, tmp_path):
+        (tmp_path / "afile").write_text("")
+        path = tmp_path / "afile" / "kb.jsonl"
+        named = re.escape(f"knowledge base {path}: ")
+        with pytest.raises(ValidationError, match=f"cannot read {named}"):
+            KnowledgeBase(path).load()
+        with pytest.raises(ValidationError, match=f"cannot append to {named}"):
+            KnowledgeBase(path).record(make_entry("x", LEGAL_PATH, 0.5))
+        with pytest.raises(ValidationError, match=re.escape(f"{tmp_path}: Is a directory")):
+            KnowledgeBase(tmp_path).load()
 
     def test_debug_actions_rejected_in_stored_paths(self, tmp_path):
         kb = KnowledgeBase(tmp_path / "kb.jsonl")
@@ -319,9 +286,10 @@ class TestKnowledgeBase:
 
     def test_dimension_mismatch_rejected_at_load(self, tmp_path):
         path = tmp_path / "kb.jsonl"
-        KnowledgeBase(path, dim=256).record(make_entry("x", LEGAL_PATH, 0.5))
-        with pytest.raises(ValidationError, match="dim"):
-            KnowledgeBase(path, dim=64).load()
+        path.write_text(json.dumps({"kb_version": 2, "dim": 64}) + "\n"
+                        + make_entry("x", LEGAL_PATH, 0.5).to_json() + "\n")
+        with pytest.raises(ValidationError, match="64-dim"):
+            KnowledgeBase(path).load()
 
     def test_missing_file_loads_empty(self, tmp_path):
         assert KnowledgeBase(tmp_path / "none.jsonl").load() == []
@@ -352,8 +320,16 @@ class TestKnowledgeBase:
             (['{"kb_version": 1, "dim": 256}', "[1, 2]"], 2),
             (['{"kb_version": 2, "dim": 256}', json.dumps(
                 {"profile_text": 7, "action_path": [], "reward": 0.5, "created_at": 0.0})], 2),
+            (['{"kb_version": 2, "dim": 256}', _line(reward=True)], 2),
+            (['{"kb_version": 2, "dim": 256}', _line(reward="0.5")], 2),
+            (['{"kb_version": 2, "dim": 256}', _line(created_at=float("nan"))], 2),
+            (['{"kb_version": 2, "dim": 256}', _line(created_at=float("inf"))], 2),
+            (['{"kb_version": 2, "dim": 256}', _line(created_at=10**400)], 2),
+            (['{"kb_version": 2, "dim": 256}', _line(), _line(action_path=[])], 3),
         ],
-        ids=["torn_entry", "torn_header", "missing_keys", "not_an_object", "numeric_profile"],
+        ids=["torn_entry", "torn_header", "missing_keys", "not_an_object", "numeric_profile",
+             "bool_reward", "string_reward", "nan_created_at", "infinite_created_at",
+             "created_at_past_float_range", "empty_path"],
     )
     def test_undecodable_line_rejected_by_number(self, tmp_path, lines, bad_line):
         path = tmp_path / "kb.jsonl"
@@ -377,17 +353,6 @@ class TestStoreFormat:
             "created_at": 1.0,
         }
 
-    def test_loaded_embeddings_are_read_only_rows_of_the_batch(self, tmp_path):
-        path = tmp_path / "kb.jsonl"
-        for entry in _stored_entries(0, 5):
-            KnowledgeBase(path).record(entry)
-        entries = KnowledgeBase(path).load()
-        assert not any(e.embedding.flags.writeable for e in entries)
-        assert len({id(e.embedding.base) for e in entries}) == 1
-        assert entries[0].embedding.base.shape == (5, 256)
-        for e in entries:
-            assert e.embedding.tobytes() == reference_embed(e.profile_text).tobytes()
-
     def test_version_1_store_loads_with_bit_equal_embeddings(self, tmp_path):
         path = tmp_path / "kb.jsonl"
         entries = _stored_entries(3, 200)
@@ -397,7 +362,7 @@ class TestStoreFormat:
                       + [_v1_line(e, v) for e, v in zip(entries, stored)]) + "\n"
         )
         loaded = KnowledgeBase(path).load()
-        assert np.array(stored).tobytes() == np.array([e.embedding for e in loaded]).tobytes()
+        assert np.array(stored).tobytes() == embed([e.profile_text for e in loaded]).tobytes()
         assert [(e.profile_text, e.action_path, e.reward, e.created_at) for e in loaded] == [
             (e.profile_text, e.action_path, e.reward, e.created_at) for e in entries
         ]
@@ -408,14 +373,13 @@ class TestStoreFormat:
         entry = make_entry("x", LEGAL_PATH, 0.5, created_at=0.0)
         path.write_text(json.dumps({"kb_version": 1, "dim": 256}) + "\n"
                         + _v1_line(entry, 1.0) + "\n")
-        (loaded,) = KnowledgeBase(path).load()
-        assert loaded.embedding.tobytes() == HashEmbedder().embed("x").tobytes()
+        assert KnowledgeBase(path).load() == [entry]
 
     def test_append_to_version_1_store_writes_a_version_2_line(self, tmp_path):
         path = tmp_path / "kb.jsonl"
         old = make_entry("old task", LEGAL_PATH, 0.5, created_at=0.0)
         path.write_text(json.dumps({"kb_version": 1, "dim": 256}) + "\n"
-                        + _v1_line(old, list(old.embedding)) + "\n")
+                        + _v1_line(old, reference_embed(old.profile_text).tolist()) + "\n")
         KnowledgeBase(path).record(make_entry("new task", OTHER_PATH, 0.6))
         lines = path.read_text().splitlines()
         assert json.loads(lines[0]) == {"kb_version": 1, "dim": 256}
