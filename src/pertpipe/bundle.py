@@ -14,15 +14,27 @@ into place, and write the manifest last, so a write cut short leaves a
 directory that readers reject rather than a mix of old and new files.
 Bundle files are replaced by rename and never edited in place.
 
+Writers hash what they write: a worker thread feeds the bytes of each
+file to the digest while the writing thread formats the tables and writes
+the files, so the digest is known when the write ends. For each directory
+written in this process, the module keeps that digest with each bundle
+file's stat keys (device, inode, size, mtime and ctime in nanoseconds)
+taken after the write. ``bundle_digest`` returns the kept digest while the
+directory holds the same bundle files with the same keys, and reads and
+hashes the files otherwise. Nothing about a digest is written to disk, so
+another process always hashes.
+
 Readers map each binary file read-only and return read-only arrays over the
 mapping, so nothing is copied at read time. A live dataset holds one file
 descriptor per matrix until its arrays are dropped; because a rewrite
 renames new files into place, that dataset keeps the old contents while a
 new read sees the new ones. Do not overwrite a bundle file in place (as
 `cp` onto it or `rsync --inplace` do) while any process has the bundle
-open: its dataset would change under it, or the process would die of
-SIGBUS if the file shrank. Replace files by rename or write a new
-directory.
+open or wrote it: an open dataset would change under its process, or the
+process would die of SIGBUS if the file shrank, and the writing process
+would keep the old digest if the edit left every stat key as it was (a
+same-size edit within one tick of a filesystem's coarse clock). Replace
+files by rename or write a new directory.
 """
 
 from __future__ import annotations
@@ -31,12 +43,13 @@ import hashlib
 import json
 import mmap
 import os
+import threading
 from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
-from .data import CANONICAL_OBS_KEYS, CanonicalDataset, RawTable
+from .data import CANONICAL_OBS_KEYS, CanonicalDataset, RawTable, is_file_name_part
 from .dsl import DslEvalError, _cast, _kind
 from .errors import BundleFormatError
 
@@ -44,6 +57,10 @@ MANIFEST = "manifest.json"
 _OBS_TYPES = ("bool", "float", "str", "categorical")
 CANONICAL_FORMAT = 2
 _DIGEST_CHUNK = 1 << 20
+_DTYPES = {".f64": "<f8", ".i64": "<i8"}
+# real path of each bundle directory this process wrote -> (digest, _bundle_stats
+# right after the write)
+_written: dict[str, tuple[str, dict]] = {}
 
 
 def _dump_json(obj) -> str:
@@ -172,22 +189,75 @@ def _parse_obs_column(name: str, values: list[str], tag: str) -> np.ndarray:
     return np.array(values, dtype=object)
 
 
-def _start_write(out_dir: str | Path) -> Path:
-    """Create the bundle directory and remove any old manifest before files change."""
+def _write_bundle(
+    out_dir: str | Path, manifest: dict, tables: dict[str, dict], matrices: dict[str, object]
+) -> None:
+    """Write one bundle and keep the digest of the bytes it wrote.
+
+    ``tables`` maps a file name to the columns of its TSV table, ``matrices``
+    a file name to an array stored as little-endian float64 (``.f64``) or
+    int64 (``.i64``). A worker thread hashes the files in ``bundle_digest``'s
+    order while this thread formats the tables and writes the files; the
+    tables reach the worker once formatted. An error on either thread is
+    raised here, and the worker is joined before this returns.
+    """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / MANIFEST).unlink(missing_ok=True)
-    return out
+    key = os.path.realpath(out)
+    _written.pop(key, None)
+    arrays = {
+        name: np.ascontiguousarray(a, dtype=_DTYPES[name[-4:]]) for name, a in matrices.items()
+    }
+    manifest_bytes = _dump_json(manifest).encode()
+    texts: dict[str, bytes] = {}
+    formatted = threading.Event()
+    outcome: list = []
 
+    def hash_files() -> None:
+        try:
+            h = hashlib.sha256()
+            for name in sorted([MANIFEST, *tables, *arrays]):
+                if name in arrays:
+                    data = arrays[name].reshape(-1).view(np.uint8)
+                elif name == MANIFEST:
+                    data = manifest_bytes
+                else:
+                    formatted.wait()
+                    if name not in texts:  # a table was refused
+                        return
+                    data = texts[name]
+                h.update(name.encode() + b"\0")
+                h.update(data)
+                h.update(b"\0")
+            outcome.append(h.hexdigest())
+        except BaseException as exc:  # raised again on the writing thread
+            outcome.append(exc)
 
-def _write_manifest(out: Path, manifest: dict) -> None:
-    write_text_atomic(out / MANIFEST, _dump_json(manifest))
+    worker = threading.Thread(target=hash_files, name="bundle-digest")
+    worker.start()
+    try:
+        try:
+            # a refused cell raises before any file of an old bundle changes
+            texts.update({name: _tsv_text(columns).encode() for name, columns in tables.items()})
+        finally:
+            formatted.set()
+        out.mkdir(parents=True, exist_ok=True)
+        (out / MANIFEST).unlink(missing_ok=True)
+        for name, data in texts.items():
+            _replace_file(out / name, lambda tmp: tmp.write_bytes(data))
+        for name, a in arrays.items():
+            _write_matrix(out / name, a, a.dtype)
+    finally:
+        worker.join()
+    if isinstance(outcome[0], BaseException):
+        raise outcome[0]
+    _replace_file(out / MANIFEST, lambda tmp: tmp.write_bytes(manifest_bytes))
+    stats = _bundle_stats(out)
+    # a stray bundle file (an obsm_*.f64 of an older bundle) joins the digest
+    if stats.keys() == {MANIFEST, *texts, *arrays}:
+        _written[key] = (outcome[0], stats)
 
 
 def write_raw_bundle(table: RawTable, out_dir: str | Path) -> None:
-    obs_text = _tsv_text(table.obs)
-    var_text = _tsv_text({"index": table.var_index, **table.var_columns})
-    out = _start_write(out_dir)
     manifest = {
         "kind": "raw",
         "n_cells": table.n_cells,
@@ -199,12 +269,12 @@ def write_raw_bundle(table: RawTable, out_dir: str | Path) -> None:
         "var_index_name": "index",
         "obsm": {k: int(v.shape[1]) for k, v in table.obsm.items()},
     }
-    write_text_atomic(out / "obs.tsv", obs_text)
-    write_text_atomic(out / "var.tsv", var_text)
-    _write_matrix(out / "X.f64", table.X, "<f8")
-    for name, m in table.obsm.items():
-        _write_matrix(out / f"obsm_{name}.f64", m, "<f8")
-    _write_manifest(out, manifest)
+    _write_bundle(
+        out_dir,
+        manifest,
+        {"obs.tsv": table.obs, "var.tsv": {"index": table.var_index, **table.var_columns}},
+        {"X.f64": table.X, **{f"obsm_{name}.f64": m for name, m in table.obsm.items()}},
+    )
 
 
 def read_raw_bundle(path: str | Path) -> RawTable:
@@ -218,8 +288,11 @@ def read_raw_bundle(path: str | Path) -> RawTable:
     )
     obsm_widths = _field(
         root, manifest, "obsm",
-        lambda v: type(v) is dict and all(type(k) is int and k >= 0 for k in v.values()),
-        "an object from name to a column count", default={},
+        lambda v: type(v) is dict and all(
+            is_file_name_part(name) and type(k) is int and k >= 0 for name, k in v.items()
+        ),
+        "an object from name to a column count, each name a plain file-name part",
+        default={},
     )
     raw_obs = _read_tsv(root / "obs.tsv")
     obs = {
@@ -239,9 +312,6 @@ def read_raw_bundle(path: str | Path) -> RawTable:
 
 
 def write_canonical_bundle(ds: CanonicalDataset, out_dir: str | Path) -> None:
-    obs_text = _tsv_text(ds.obs_columns())
-    var_text = _tsv_text({"ensembl_id": ds.ensembl_id, "gene_symbol": ds.gene_symbol})
-    out = _start_write(out_dir)
     manifest = {
         "kind": "canonical",
         "format": CANONICAL_FORMAT,
@@ -253,13 +323,20 @@ def write_canonical_bundle(ds: CanonicalDataset, out_dir: str | Path) -> None:
         "pert_vocab": list(ds.pert_vocab),
         "extra_obs": sorted(ds.extra_obs),
     }
-    write_text_atomic(out / "obs.tsv", obs_text)
-    write_text_atomic(out / "var.tsv", var_text)
-    _write_matrix(out / "X.f64", ds.X, "<f8")
-    _write_matrix(out / "pert_indptr.i64", ds.pert_indptr, "<i8")
-    _write_matrix(out / "pert_indices.i64", ds.pert_indices, "<i8")
-    _write_matrix(out / "pert_dose.f64", ds.pert_values, "<f8")
-    _write_manifest(out, manifest)
+    _write_bundle(
+        out_dir,
+        manifest,
+        {
+            "obs.tsv": ds.obs_columns(),
+            "var.tsv": {"ensembl_id": ds.ensembl_id, "gene_symbol": ds.gene_symbol},
+        },
+        {
+            "X.f64": ds.X,
+            "pert_indptr.i64": ds.pert_indptr,
+            "pert_indices.i64": ds.pert_indices,
+            "pert_dose.f64": ds.pert_values,
+        },
+    )
 
 
 def read_canonical_bundle(path: str | Path) -> CanonicalDataset:
@@ -353,20 +430,39 @@ def _is_bundle_file(name: str) -> bool:
     ) or (name.startswith("obsm_") and name.endswith(".f64"))
 
 
+def _bundle_stats(root: Path) -> dict[str, tuple[int, int, int, int, int]]:
+    """Each bundle file in ``root`` with the stat keys that a change to it moves."""
+    stats = {}
+    with os.scandir(root) as entries:
+        for entry in entries:
+            if _is_bundle_file(entry.name) and entry.is_file():
+                st = entry.stat()
+                stats[entry.name] = (
+                    st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
+                )
+    return stats
+
+
 def bundle_digest(path: str | Path) -> str:
     """Stable content hash over the bundle's defined files.
 
     Sidecars such as run manifests or ground-truth records living in the
-    same directory do not affect the digest.
+    same directory do not affect the digest. A bundle this process wrote
+    is not read again while its files keep the stat keys they had after
+    the write.
     """
     root = Path(path)
+    stats = _bundle_stats(root)
+    kept = _written.get(os.path.realpath(root))
+    if kept is not None and kept[1] == stats:
+        return kept[0]
     h = hashlib.sha256()
     buf = bytearray(_DIGEST_CHUNK)
     view = memoryview(buf)
-    for f in sorted(p for p in root.iterdir() if p.is_file() and _is_bundle_file(p.name)):
-        h.update(f.name.encode())
+    for name in sorted(stats):
+        h.update(name.encode())
         h.update(b"\0")
-        with open(f, "rb") as fh:
+        with open(root / name, "rb") as fh:
             while n := fh.readinto(buf):
                 h.update(view[:n])
         h.update(b"\0")

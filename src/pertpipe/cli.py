@@ -239,6 +239,8 @@ def search(bundle, out_dir, evaluator_spec, mode, kb_path, seed, fail_rate,
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # an earlier run's manifest never describes this run's artifacts
+    (out / "run_manifest.json").unlink(missing_ok=True)
     bundle_io.write_text_atomic(out / "trajectory.jsonl", result.trajectory_jsonl())
     bundle_io.write_text_atomic(out / "tree.json", result.tree_json() + "\n")
     if retrieval is not None:
@@ -254,8 +256,11 @@ def search(bundle, out_dir, evaluator_spec, mode, kb_path, seed, fail_rate,
             )
             + "\n"
         )
+    else:
+        (out / "retrieval.json").unlink(missing_ok=True)
 
     if not result.found_valid:
+        (out / "best_candidate.json").unlink(missing_ok=True)
         manifest.finish(status="no_valid_candidate", n_iterations=result.n_iterations)
         manifest.write(out)
         _fail("no_valid_candidate",

@@ -34,6 +34,13 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def is_file_name_part(name) -> bool:
+    """Whether ``name`` can stand in a file name without naming another directory."""
+    return (
+        type(name) is str and name not in ("", ".", "..") and "/" not in name and "\0" not in name
+    )
+
+
 @dataclass(frozen=True)
 class RawTable:
     """An unharmonized dataset: per-cell metadata columns plus expression.
@@ -83,6 +90,11 @@ class RawTable:
                     f"var column {name!r} has length {col.shape[0]}, expected {n_genes}"
                 )
         for name, m in self.obsm.items():
+            if not is_file_name_part(name):
+                raise ValidationError(
+                    f"obsm name {name!r} is not a plain file-name part: a string, "
+                    "non-empty, not '.' or '..', holding no '/' or NUL"
+                )
             if m.ndim != 2 or m.shape[0] != n_cells:
                 raise ValidationError(
                     f"obsm matrix {name!r} has shape {m.shape}, expected ({n_cells}, k)"
@@ -320,7 +332,8 @@ def normalize_log1p(
     the scaling step is skipped but log1p still applies. Rows summing to
     zero pass through unscaled (empty droplets must not abort a batch job);
     the same applies to rows so close to zero that the scale factor would
-    overflow.
+    overflow. A row whose sum overflows float64 raises ``ValidationError``
+    naming the row.
     """
     X = np.asarray(X, dtype=np.float64)
     if not 0 < target_sum < math.inf:
@@ -341,7 +354,15 @@ def normalize_log1p(
         return X
     if not normalization_required:
         return np.log1p(X)
-    sums = X.sum(axis=1)
+    with np.errstate(over="ignore"):
+        sums = X.sum(axis=1)
+    # every value is finite, so an infinite sum is an overflow
+    overflow = np.flatnonzero(np.isinf(sums))
+    if overflow.size:
+        raise ValidationError(
+            f"expression row X[{overflow[0]}] sums past the float64 range; "
+            f"{overflow.size} row(s) cannot be normalized"
+        )
     with np.errstate(over="ignore", divide="ignore"):
         scale = np.divide(target_sum, sums, out=np.zeros_like(sums), where=sums > 0)
     usable = (sums > 0) & np.isfinite(scale)

@@ -42,7 +42,7 @@ from pertpipe.data import (
     ValidationIssue,
     pseudo_bulk,
 )
-from pertpipe.errors import BundleFormatError
+from pertpipe.errors import BundleFormatError, ValidationError
 from pertpipe.evaluators import (
     _FAMILY_COST,
     _HUBER_C,
@@ -494,7 +494,14 @@ def reference_normalize_log1p(X, target_sum, is_already_log1p, normalization_req
         return X
     out = X.copy()
     if normalization_required:
-        sums = out.sum(axis=1)
+        with np.errstate(over="ignore"):
+            sums = out.sum(axis=1)
+        overflowed = [i for i, total in enumerate(sums) if total == np.inf]
+        if overflowed:
+            raise ValidationError(
+                f"expression row X[{overflowed[0]}] sums past the float64 range; "
+                f"{len(overflowed)} row(s) cannot be normalized"
+            )
         with np.errstate(over="ignore", divide="ignore"):
             scale = np.divide(target_sum, sums, out=np.zeros_like(sums), where=sums > 0)
         usable = (sums > 0) & np.isfinite(scale)

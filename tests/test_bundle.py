@@ -3,7 +3,9 @@ from __future__ import annotations
 import hashlib
 import json
 import mmap
+import os
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +22,8 @@ from pertpipe.bundle import (
     write_canonical_bundle,
     write_raw_bundle,
 )
-from pertpipe.data import RawTable
-from pertpipe.errors import BundleFormatError
+from pertpipe.data import CanonicalDataset, RawTable
+from pertpipe.errors import BundleFormatError, ValidationError
 
 
 @pytest.fixture
@@ -365,3 +367,226 @@ class TestMappedReads:
         obs.write_text(obs.read_text().replace("name\tdose", "name\tname", 1))
         with pytest.raises(BundleFormatError, match="names column 'name' more than once"):
             read_raw_bundle(tmp_path / "raw")
+
+
+class TestObsmNames:
+    """An obsm name becomes part of a file name, so it may name no other path."""
+
+    BAD = ["", ".", "..", "../emb", "a/b", "a\0b"]
+
+    @pytest.mark.parametrize("name", BAD, ids=repr)
+    def test_raw_table_refuses_the_name(self, raw_table, name):
+        with pytest.raises(ValidationError, match="not a plain file-name part"):
+            RawTable(obs=raw_table.obs, var_index=raw_table.var_index,
+                     X=raw_table.X, obsm={name: raw_table.obsm["emb"]})
+
+    @pytest.mark.parametrize("name", BAD, ids=repr)
+    def test_reader_refuses_the_manifest_key(self, raw_table, tmp_path, name):
+        root = tmp_path / "raw"
+        write_raw_bundle(raw_table, root)
+        manifest = json.loads((root / "manifest.json").read_text())
+        manifest["obsm"] = {name: 3}
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        target = root / f"obsm_{name}.f64"
+        if "\0" not in name:  # a file the name would reach, of the right size
+            target.parent.mkdir(exist_ok=True)
+            target.write_bytes(bytes(3 * 3 * 8))
+        with pytest.raises(BundleFormatError, match="each name a plain file-name part"):
+            read_raw_bundle(root)
+
+
+_SHA256 = hashlib.sha256  # not the counting stand-in of TestKeptDigest
+
+
+def _fresh_digest(root: Path) -> str:
+    """The digest of the bundle files as they are on disk now."""
+    h = _SHA256()
+    for f in sorted(root.iterdir()):
+        if bundle._is_bundle_file(f.name):
+            h.update(f.name.encode() + b"\0" + f.read_bytes() + b"\0")
+    return h.hexdigest()
+
+
+_VALUES = st.sampled_from([0.0, -0.0, 1.5, 1e300, 5e-324, np.nan])
+
+
+@st.composite
+def _written_bundles(draw):
+    """A raw table or canonical dataset in the layouts a writer may be handed."""
+    n, g = draw(st.integers(0, 4)), draw(st.integers(1, 3))
+    base = np.array(draw(st.lists(_VALUES, min_size=2 * n * g, max_size=2 * n * g)))
+    base = base.reshape(n, 2 * g)
+    X = draw(st.sampled_from([
+        np.ascontiguousarray(base[:, :g]), np.asfortranarray(base[:, :g]), base[:, ::2],
+    ]))
+    cells = np.array([f"c{i}" for i in range(n)], dtype=object)
+    genes = np.array([f"g{j}" for j in range(g)], dtype=object)
+    if draw(st.booleans()):
+        widths = draw(st.dictionaries(st.text("ab_", min_size=1, max_size=2),
+                                      st.integers(0, 2), max_size=2))
+        obsm = {
+            name: np.arange(n * k, dtype=draw(st.sampled_from(["<f8", ">f8", "<i4"])))
+            .reshape(n, k)
+            for name, k in widths.items()
+        }
+        return write_raw_bundle, RawTable(obs={"name": cells}, var_index=genes, X=X, obsm=obsm)
+    rows = [sorted(draw(st.sets(st.integers(0, 2), max_size=2))) for _ in range(n)]
+    indptr = np.cumsum([0] + [len(r) for r in rows]).tolist()
+    indices = [j for r in rows for j in r]
+    as_given = draw(st.sampled_from([list, lambda a: np.array(a, dtype=np.int32),
+                                     lambda a: np.array(a, dtype=np.int64)]))
+    ds = CanonicalDataset(
+        cell_type=["T"] * n, batch_id=["b"] * n, donor_id=["d"] * n, pert_type=["drug"] * n,
+        is_control=[not r for r in rows], condition_name=cells, X=X,
+        pert_indptr=as_given(indptr), pert_indices=as_given(indices),
+        pert_values=[float(j) for j in indices], ensembl_id=genes, gene_symbol=genes,
+        pert_vocab=("p0", "p1", "p2"),
+    )
+    return write_canonical_bundle, ds
+
+
+@given(case=_written_bundles())
+@settings(max_examples=80, deadline=None)
+@example(case=(write_canonical_bundle, small_canonical({"control": [[1.0, 0.5]]})))
+def test_writers_keep_the_digest_of_the_bytes_they_wrote(case):
+    write, data = case
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "b"
+        write(data, out)
+        kept, _ = bundle._written[os.path.realpath(out)]
+        assert kept == _fresh_digest(out)
+        assert bundle_digest(out) == kept
+
+
+class TestKeptDigest:
+    """``bundle_digest`` returns a writer's digest only while the files are as written."""
+
+    @pytest.fixture
+    def hashes(self, monkeypatch):
+        """Count the files ``bundle_digest`` reads and hashes."""
+        calls = []
+        real = hashlib.sha256
+        monkeypatch.setattr(bundle.hashlib, "sha256", lambda *a: calls.append(1) or real(*a))
+        return calls
+
+    def _dataset(self, x=1.0):
+        return small_canonical({"control": [[x, 0.5]], "A": [[2.0, 0.25]]}, doses={"A": 10.0})
+
+    def test_a_bundle_as_written_is_not_read_again(self, tmp_path, hashes):
+        write_canonical_bundle(self._dataset(), tmp_path / "c")
+        hashes.clear()  # the writer hashed once
+        assert bundle_digest(tmp_path / "c") == _fresh_digest(tmp_path / "c")
+        assert hashes == []
+
+    def test_a_same_size_edit_with_the_mtime_restored_is_hashed(self, tmp_path, hashes):
+        write_canonical_bundle(self._dataset(), tmp_path / "c")
+        kept = bundle_digest(tmp_path / "c")
+        path = tmp_path / "c" / "X.f64"
+        st_before = path.stat()
+        with open(path, "r+b") as fh:
+            fh.write(b"\x01")
+        os.utime(path, ns=(st_before.st_atime_ns, st_before.st_mtime_ns))
+        assert path.stat().st_mtime_ns == st_before.st_mtime_ns
+        hashes.clear()
+        assert bundle_digest(tmp_path / "c") == _fresh_digest(tmp_path / "c") != kept
+        assert hashes == [1]
+
+    def test_a_file_replaced_by_rename_is_hashed(self, tmp_path, hashes):
+        write_canonical_bundle(self._dataset(), tmp_path / "c")
+        kept = bundle_digest(tmp_path / "c")
+        obs = tmp_path / "c" / "obs.tsv"
+        (tmp_path / "new").write_text(obs.read_text().replace("T0", "T1"))
+        os.replace(tmp_path / "new", obs)
+        hashes.clear()
+        assert bundle_digest(tmp_path / "c") == _fresh_digest(tmp_path / "c") != kept
+        assert hashes == [1]
+
+    def test_an_obsm_file_added_or_removed_is_hashed(self, raw_table, tmp_path, hashes):
+        write_raw_bundle(raw_table, tmp_path / "raw")
+        kept = bundle_digest(tmp_path / "raw")
+        (tmp_path / "raw" / "obsm_emb.f64").unlink()
+        hashes.clear()
+        assert bundle_digest(tmp_path / "raw") == _fresh_digest(tmp_path / "raw") != kept
+        assert hashes == [1]
+        write_canonical_bundle(self._dataset(), tmp_path / "c")
+        kept = bundle_digest(tmp_path / "c")
+        (tmp_path / "c" / "obsm_old.f64").write_bytes(bytes(8))
+        hashes.clear()
+        assert bundle_digest(tmp_path / "c") == _fresh_digest(tmp_path / "c") != kept
+        assert hashes == [1]
+
+    def test_a_stray_obsm_file_at_write_time_is_hashed_with_the_bundle(self, tmp_path):
+        (tmp_path / "c").mkdir()
+        (tmp_path / "c" / "obsm_old.f64").write_bytes(bytes(8))
+        write_canonical_bundle(self._dataset(), tmp_path / "c")
+        write_canonical_bundle(self._dataset(), tmp_path / "clean")
+        assert bundle_digest(tmp_path / "c") == _fresh_digest(tmp_path / "c")
+        assert bundle_digest(tmp_path / "c") != bundle_digest(tmp_path / "clean")
+
+    def test_a_refused_rewrite_is_hashed(self, tmp_path, hashes):
+        from dataclasses import replace
+
+        write_canonical_bundle(self._dataset(), tmp_path / "c")
+        kept = bundle_digest(tmp_path / "c")
+        refused = replace(self._dataset(), batch_id=np.array(["b\t", "b"], dtype=object))
+        with pytest.raises(BundleFormatError, match="tab/newline"):
+            write_canonical_bundle(refused, tmp_path / "c")
+        hashes.clear()
+        assert bundle_digest(tmp_path / "c") == _fresh_digest(tmp_path / "c") == kept
+        assert hashes == [1]
+
+    def test_a_rewrite_cut_by_a_matrix_write_error_is_hashed(self, tmp_path, hashes,
+                                                             monkeypatch):
+        write_canonical_bundle(self._dataset(), tmp_path / "c")
+        kept = bundle_digest(tmp_path / "c")
+        real = bundle._write_matrix
+
+        def failing(path, a, dtype):
+            if path.name == "pert_dose.f64":
+                raise OSError("disk full")
+            real(path, a, dtype)
+
+        monkeypatch.setattr(bundle, "_write_matrix", failing)
+        with pytest.raises(OSError, match="disk full"):
+            write_canonical_bundle(self._dataset(x=3.0), tmp_path / "c")
+        hashes.clear()
+        assert bundle_digest(tmp_path / "c") == _fresh_digest(tmp_path / "c") != kept
+        assert hashes == [1]
+
+
+class TestWriterThread:
+    """An error on either thread of a write reaches the caller; no thread outlives it."""
+
+    def _dataset(self):
+        return small_canonical({"control": [[1.0, 0.5]], "A": [[2.0, 0.25]]})
+
+    def test_a_refused_table(self, tmp_path):
+        from dataclasses import replace
+
+        ds = replace(self._dataset(), donor_id=np.array(["d\n", "d"], dtype=object))
+        before = threading.active_count()
+        with pytest.raises(BundleFormatError, match="tab/newline"):
+            write_canonical_bundle(ds, tmp_path / "c")
+        assert threading.active_count() == before
+
+    def test_a_hashing_error(self, tmp_path, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("no digest")
+
+        monkeypatch.setattr(bundle.hashlib, "sha256", broken)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="no digest"):
+            write_canonical_bundle(self._dataset(), tmp_path / "c")
+        assert threading.active_count() == before
+        # the write did not finish, so readers refuse the directory
+        assert not (tmp_path / "c" / "manifest.json").exists()
+
+    def test_a_file_write_error(self, tmp_path, monkeypatch):
+        def failing(path, a, dtype):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(bundle, "_write_matrix", failing)
+        before = threading.active_count()
+        with pytest.raises(OSError, match="disk full"):
+            write_canonical_bundle(self._dataset(), tmp_path / "c")
+        assert threading.active_count() == before

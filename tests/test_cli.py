@@ -357,6 +357,34 @@ class TestSearchCommand:
         assert result.exit_code == 4
         assert _stderr_error(result)["error"]["code"] == "no_valid_candidate"
 
+    def test_rerun_without_kb_removes_the_earlier_retrieval(
+        self, runner, synthetic_bundle, tmp_path
+    ):
+        out = tmp_path / "run"
+        args = ["search", str(synthetic_bundle), "--out", str(out),
+                "--evaluator", "landscape:funnel", "--set", "search.n_sim=6"]
+        result = runner.invoke(main, [*args, "--kb", str(tmp_path / "kb.jsonl")])
+        assert result.exit_code == 0, result.output + result.stderr
+        assert (out / "retrieval.json").is_file()
+        result = runner.invoke(main, [*args, "--seed", "1"])
+        assert result.exit_code == 0, result.output + result.stderr
+        assert "kb" not in _read_manifest(out)["input_digests"]
+        assert not (out / "retrieval.json").exists()
+
+    def test_run_without_a_candidate_removes_the_earlier_best(
+        self, runner, synthetic_bundle, tmp_path
+    ):
+        out = tmp_path / "run"
+        args = ["search", str(synthetic_bundle), "--out", str(out),
+                "--evaluator", "landscape:funnel", "--set", "search.n_sim=6"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output + result.stderr
+        assert (out / "best_candidate.json").is_file()
+        result = runner.invoke(main, [*args, "--fail-rate", "1", "--no-fail-fixable"])
+        assert result.exit_code == 4, result.output + result.stderr
+        assert _read_manifest(out)["outcome"]["status"] == "no_valid_candidate"
+        assert not (out / "best_candidate.json").exists()
+
     def test_non_finite_bundle_exits_4(self, runner, synthetic_bundle, tmp_path):
         n_genes = len(read_canonical_bundle(synthetic_bundle).ensembl_id)
         X = np.memmap(synthetic_bundle / "X.f64", dtype="<f8", mode="r+").reshape(-1, n_genes)
@@ -1013,6 +1041,19 @@ def _one_gene_bundle(path: Path) -> None:
     write_canonical_bundle(ds, path)
 
 
+def _raw_with_a_row_sum_past_float64(path: Path) -> None:
+    X = np.ones((2, 3))
+    X[1, :2] = 1e308  # finite values whose sum is not
+    table = RawTable(obs={"drug_id": np.array(["DMSO", "drugA"], dtype=object)},
+                     var_index=np.array(["g0", "g1", "g2"], dtype=object), X=X)
+    write_raw_bundle(table, path)
+    (path / "mapping.json").write_text(json.dumps({
+        "perturbation_type": "drug",
+        "perturbation_name": "drug_id",
+        "control_status": "df['drug_id'] == 'DMSO'",
+    }))
+
+
 # (outside file as bytes or a function that writes it, command reading it,
 # exit code, error code)
 OUTSIDE_INPUTS = {
@@ -1076,6 +1117,10 @@ OUTSIDE_INPUTS = {
     "kb_empty_path": (
         (_KB_HEADER + '{"profile_text": "p", "action_path": [], '
          '"reward": 0.5, "created_at": 0.0}\n').encode(), _SEARCH_KB, 2, "kb"
+    ),
+    "raw_row_sum_past_float64": (
+        _raw_with_a_row_sum_past_float64,
+        ["unify", "{file}", "{out}", "--mapping", "{file}/mapping.json"], 2, "apply_mapping",
     ),
     # a shift correlation needs two genes, so no candidate can be scored
     "bundle_with_one_gene": (
@@ -1297,7 +1342,12 @@ class TestArtifactWrites:
         monkeypatch.setattr(Path, "write_text", torn)
         result = runner.invoke(main, args)
         assert isinstance(result.exception, OSError)
-        assert (out / artifact).read_bytes() == old
+        if (command, artifact) == ("search", "run_manifest.json"):
+            # search removes the earlier run's manifest before its first write,
+            # so the new artifacts are left without a manifest, not beside the old one
+            assert not (out / artifact).exists()
+        else:
+            assert (out / artifact).read_bytes() == old
         assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
 
 

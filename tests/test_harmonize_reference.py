@@ -47,7 +47,7 @@ from pertpipe.data import (
     normalize_log1p,
     validate_canonical,
 )
-from pertpipe.errors import BundleFormatError, MappingError
+from pertpipe.errors import BundleFormatError, MappingError, ValidationError
 from pertpipe.unifier import MappingSpec, apply_mapping, merge_datasets
 
 _FLOATS = st.sampled_from([0.0, -0.0, 1.0, 0.1, -2.5, 1e300, 5e-324, np.nan, np.inf, -np.inf])
@@ -160,7 +160,7 @@ def test_tsv_reader_matches_reference(text):
 
 @given(
     rows=st.lists(
-        st.lists(st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 0.5, 3.0, 1e6, 1e300]),
+        st.lists(st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 0.5, 3.0, 1e6, 1e300, 1e308]),
                  min_size=3, max_size=3),
         min_size=1, max_size=5,
     ),
@@ -169,10 +169,19 @@ def test_tsv_reader_matches_reference(text):
     normalize=st.booleans(),
 )
 @settings(max_examples=150, deadline=None)
+@example(rows=[[1e308, 1e308, 5.0]], target=1e4, already=False, normalize=True)
 def test_normalize_log1p_matches_reference(rows, target, already, normalize):
+    # two 1e308 entries in a row sum past the float64 range, which is refused
     X = np.array(rows)
+    try:
+        expected = reference_normalize_log1p(X, target, already, normalize)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as info:
+            normalize_log1p(X, target, already, normalize)
+        assert str(info.value) == str(exc)
+        return
     out = normalize_log1p(X, target, already, normalize)
-    assert _same_bytes(out, reference_normalize_log1p(X, target, already, normalize))
+    assert _same_bytes(out, expected)
 
 
 # --------------------------------------------------------------------------
