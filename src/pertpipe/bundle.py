@@ -14,7 +14,9 @@ into place, and write the manifest last, so a write cut short leaves a
 directory that readers reject rather than a mix of old and new files.
 Bundle files are replaced by rename and never edited in place.
 
-Writers hash what they write: a worker thread feeds the bytes of each
+A bundle's digest covers the files its manifest names, so a stray
+``obsm_*.f64`` beside them leaves it unchanged. Writers hash what they
+write: a worker thread feeds the bytes of each
 file to the digest while the writing thread formats the tables and writes
 the files, so the digest is known when the write ends. For each directory
 written in this process, the module keeps that digest with each bundle
@@ -251,10 +253,7 @@ def _write_bundle(
     if isinstance(outcome[0], BaseException):
         raise outcome[0]
     _replace_file(out / MANIFEST, lambda tmp: tmp.write_bytes(manifest_bytes))
-    stats = _bundle_stats(out)
-    # a stray bundle file (an obsm_*.f64 of an older bundle) joins the digest
-    if stats.keys() == {MANIFEST, *texts, *arrays}:
-        _written[key] = (outcome[0], stats)
+    _written[key] = (outcome[0], _bundle_stats(out))
 
 
 def write_raw_bundle(table: RawTable, out_dir: str | Path) -> None:
@@ -418,24 +417,46 @@ def _count(root: Path, manifest: dict, key: str) -> int:
     return _field(root, manifest, key, lambda v: type(v) is int and v >= 0, "a count")
 
 
+_RAW_FILES = (MANIFEST, "obs.tsv", "var.tsv", "X.f64")
+_CANONICAL_FILES = (*_RAW_FILES, "pert_indptr.i64", "pert_indices.i64", "pert_dose.f64")
+
+
 def _is_bundle_file(name: str) -> bool:
-    return name in (
-        MANIFEST,
-        "obs.tsv",
-        "var.tsv",
-        "X.f64",
-        "pert_indptr.i64",
-        "pert_indices.i64",
-        "pert_dose.f64",
-    ) or (name.startswith("obsm_") and name.endswith(".f64"))
+    return name in _CANONICAL_FILES or (name.startswith("obsm_") and name.endswith(".f64"))
+
+
+def _named_files(root: Path) -> frozenset[str] | None:
+    """The bundle files that ``root``'s manifest names.
+
+    A canonical bundle names its fixed set; a raw bundle names its own plus
+    ``obsm_<name>.f64`` for each key of its ``obsm``. None when there is no
+    manifest that parses to either.
+    """
+    try:
+        manifest = json.loads((root / MANIFEST).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError):
+        return None
+    kind = manifest.get("kind") if isinstance(manifest, dict) else None
+    if kind == "canonical":
+        return frozenset(_CANONICAL_FILES)
+    obsm = manifest.get("obsm", {}) if kind == "raw" else None
+    if isinstance(obsm, dict):
+        return frozenset([*_RAW_FILES, *(f"obsm_{name}.f64" for name in obsm)])
+    return None
 
 
 def _bundle_stats(root: Path) -> dict[str, tuple[int, int, int, int, int]]:
-    """Each bundle file in ``root`` with the stat keys that a change to it moves."""
+    """Each bundle file in ``root`` with the stat keys that a change to it moves.
+
+    The bundle files are those the manifest names or, without a manifest
+    that parses, every file a bundle of either kind could hold.
+    """
+    names = _named_files(root)
     stats = {}
     with os.scandir(root) as entries:
         for entry in entries:
-            if _is_bundle_file(entry.name) and entry.is_file():
+            named = _is_bundle_file(entry.name) if names is None else entry.name in names
+            if named and entry.is_file():
                 st = entry.stat()
                 stats[entry.name] = (
                     st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
@@ -444,10 +465,11 @@ def _bundle_stats(root: Path) -> dict[str, tuple[int, int, int, int, int]]:
 
 
 def bundle_digest(path: str | Path) -> str:
-    """Stable content hash over the bundle's defined files.
+    """Stable content hash over the bundle files that its manifest names.
 
     Sidecars such as run manifests or ground-truth records living in the
-    same directory do not affect the digest. A bundle this process wrote
+    same directory do not affect the digest, nor does a stray
+    ``obsm_*.f64`` that the manifest does not name. A bundle this process wrote
     is not read again while its files keep the stat keys they had after
     the write.
     """

@@ -9,6 +9,7 @@ containers are frozen after construction; every operation here is pure.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -289,16 +290,49 @@ def _first_true(bad: np.ndarray) -> tuple[int, int, int] | None:
     return int(i), int(j), int(np.count_nonzero(bad))
 
 
-def _first_non_finite(a: np.ndarray) -> tuple[int, int, int] | None:
-    """``_first_true`` of the NaN/inf entries of ``a``.
+def _row_halves(n: int, work) -> list:
+    """``[work(0, n // 2), work(n // 2, n)]``, the first on a worker thread.
 
-    NaN and inf propagate through a sum, so a finite sum proves every entry
-    finite without allocating a mask; only otherwise are entries tested.
+    The second half runs on the calling thread, so two cores share a
+    memory-bound pass over rows. The worker is joined before this returns,
+    and its error is raised here. ``work`` sets any ``np.errstate`` it
+    needs itself: the caller's does not reach the worker thread.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        if np.isfinite(a.sum()):
-            return None
-    return _first_true(~np.isfinite(a))
+    mid = n // 2
+    first: list = []
+
+    def run_first() -> None:
+        try:
+            first.append(work(0, mid))
+        except BaseException as exc:  # raised again on the calling thread
+            first.append(exc)
+
+    worker = threading.Thread(target=run_first, name="row-half")
+    worker.start()
+    try:
+        second = work(mid, n)
+    finally:
+        worker.join()
+    if isinstance(first[0], BaseException):
+        raise first[0]
+    return [first[0], second]
+
+
+def _min_and_row_sums(X: np.ndarray) -> tuple[float, np.ndarray]:
+    """The least non-NaN entry of 2-D ``X`` (0.0 if none is negative) and its row sums.
+
+    A negative entry makes the minimum negative; a NaN or infinite entry,
+    or a row past the float64 range, makes its row's sum non-finite. So a
+    caller builds the n x g mask that names an offending cell only then.
+    """
+    sums = np.empty(X.shape[0])
+
+    def scan(lo: int, hi: int) -> float:
+        with np.errstate(over="ignore", invalid="ignore"):
+            X[lo:hi].sum(axis=1, out=sums[lo:hi])
+            return float(np.fmin.reduce(X[lo:hi], axis=None, initial=0.0))
+
+    return min(_row_halves(X.shape[0], scan)), sums
 
 
 def first_pattern_rows(indptr: np.ndarray, indices: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -334,17 +368,26 @@ def normalize_log1p(
     the same applies to rows so close to zero that the scale factor would
     overflow. A row whose sum overflows float64 raises ``ValidationError``
     naming the row.
+
+    The checks and the transform each split the rows in two halves, one on
+    a worker thread and one on the calling thread. Every step is per row or
+    per entry, so the result does not depend on the split; on one core the
+    two halves take turns and the pass costs what one thread's would.
     """
-    X = np.asarray(X, dtype=np.float64)
+    # in C order each row adds up the same way whichever half it falls in
+    X = np.ascontiguousarray(X, dtype=np.float64)
     if not 0 < target_sum < math.inf:
         raise ParameterError(f"target_sum must be finite and positive, got {target_sum}")
-    neg = _first_true(X < 0)
-    if neg:
-        i, j, _ = neg
+    least, sums = _min_and_row_sums(X)
+    if least < 0:
+        i, j, _ = _first_true(X < 0)
         raise ValidationError(
             f"negative expression value {X[i, j]} at cell X[{i}, {j}]"
         )
-    nonfinite = _first_non_finite(X)
+    # NaN and inf propagate through a row's sum; an infinite sum of finite
+    # values is an overflow, which only the scaling below refuses
+    finite_sums = np.isfinite(sums)
+    nonfinite = None if finite_sums.all() else _first_true(~np.isfinite(X))
     if nonfinite:
         i, j, _ = nonfinite
         raise ValidationError(
@@ -352,23 +395,30 @@ def normalize_log1p(
         )
     if is_already_log1p:
         return X
-    if not normalization_required:
-        return np.log1p(X)
-    with np.errstate(over="ignore"):
-        sums = X.sum(axis=1)
-    # every value is finite, so an infinite sum is an overflow
-    overflow = np.flatnonzero(np.isinf(sums))
-    if overflow.size:
-        raise ValidationError(
-            f"expression row X[{overflow[0]}] sums past the float64 range; "
-            f"{overflow.size} row(s) cannot be normalized"
-        )
-    with np.errstate(over="ignore", divide="ignore"):
-        scale = np.divide(target_sum, sums, out=np.zeros_like(sums), where=sums > 0)
-    usable = (sums > 0) & np.isfinite(scale)
-    # unusable rows are scaled by exactly 1.0, which leaves their bits unchanged
-    out = X * np.where(usable, scale, 1.0)[:, None]
-    return np.log1p(out, out=out)
+    factor = None
+    if normalization_required:
+        overflow = np.flatnonzero(~finite_sums)
+        if overflow.size:
+            raise ValidationError(
+                f"expression row X[{overflow[0]}] sums past the float64 range; "
+                f"{overflow.size} row(s) cannot be normalized"
+            )
+        with np.errstate(over="ignore", divide="ignore"):
+            scale = np.divide(target_sum, sums, out=np.zeros_like(sums), where=sums > 0)
+        # unusable rows are scaled by exactly 1.0, which leaves their bits unchanged
+        factor = np.where((sums > 0) & np.isfinite(scale), scale, 1.0)[:, None]
+    out = np.empty_like(X)
+
+    def transform(lo: int, hi: int) -> None:
+        rows = out[lo:hi]
+        if factor is None:
+            np.log1p(X[lo:hi], out=rows)
+        else:
+            np.multiply(X[lo:hi], factor[lo:hi], out=rows)
+            np.log1p(rows, out=rows)
+
+    _row_halves(len(X), transform)
+    return out
 
 
 def pseudo_bulk(
@@ -485,7 +535,13 @@ def split_unseen_cell(
 
 
 def validate_canonical(ds: CanonicalDataset) -> ValidationReport:
-    """Check every canonical-schema invariant; violations become report entries."""
+    """Check every canonical-schema invariant; violations become report entries.
+
+    The negative and non-finite checks of ``X`` take one scan that splits
+    the rows in two halves, one on a worker thread and one on the calling
+    thread; the masks that name an offending cell are built only when the
+    scan finds one.
+    """
     first = first_pattern_rows(ds.pert_indptr, ds.pert_indices, ds.pert_values)
     return _canonical_report(ds, first)
 
@@ -524,9 +580,9 @@ def _canonical_report(ds: CanonicalDataset, first: np.ndarray) -> ValidationRepo
         message = f"control cell {i} has a nonzero pert_mask row"
         issues.append(ValidationIssue("control_with_mask", message))
 
-    neg_x = _first_true(ds.X < 0)
-    if neg_x:
-        i, j, count = neg_x
+    least, sums = _min_and_row_sums(ds.X)
+    if least < 0:
+        i, j, count = _first_true(ds.X < 0)
         issues.append(
             ValidationIssue(
                 "negative_expression",
@@ -534,7 +590,8 @@ def _canonical_report(ds: CanonicalDataset, first: np.ndarray) -> ValidationRepo
             )
         )
 
-    nonfinite = _first_non_finite(ds.X)
+    # NaN and inf propagate through a row's sum, so finite sums prove X finite
+    nonfinite = None if np.isfinite(sums).all() else _first_true(~np.isfinite(ds.X))
     if nonfinite:
         i, j, count = nonfinite
         issues.append(

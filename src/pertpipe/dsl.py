@@ -542,6 +542,11 @@ def _cast(value, target: str):
         if isinstance(value, np.ndarray):
             if _kind(value) != "str":
                 return value.astype(np.float64)
+            try:
+                return np.array(list(map(float, value.tolist())), dtype=np.float64)
+            except (TypeError, ValueError):
+                pass
+            # only a column that does not cast takes the per-row loop, which names the row
             out = np.empty(len(value), dtype=np.float64)
             for i, v in enumerate(value):
                 try:

@@ -25,6 +25,7 @@ from .data import (
     PERT_TYPES,
     RawTable,
     _canonical_report,
+    _row_halves,
     entry_rows,
     first_pattern_rows,
     normalize_log1p,
@@ -604,6 +605,10 @@ def merge_datasets(parts: list[CanonicalDataset]) -> MergeResult:
     provenance. Identical mask/dose patterns that carry different condition
     names across parts are renamed to the first-seen name so the merged
     dataset stays canonical.
+
+    The merged ``X`` is copied in two halves of its rows, one on a worker
+    thread and one on the calling thread, as slice copies per run of
+    consecutive source columns.
     """
     if len(parts) < 2:
         raise ParameterError(f"need at least 2 datasets to merge, got {len(parts)}")
@@ -631,18 +636,28 @@ def merge_datasets(parts: list[CanonicalDataset]) -> MergeResult:
     vocab_index = {name: j for j, name in enumerate(vocab)}
 
     n_total = sum(part.n_cells for part in parts)
-    X = np.empty((n_total, len(gene_order)), dtype=np.float64)
-    starts = np.cumsum([0] + [part.n_cells for part in parts])
+    starts = np.cumsum([0] + [part.n_cells for part in parts]).tolist()
+    # per part, (first column, end column, first source column) of each run
+    # of consecutive source columns: one slice copy per run beats a gather
+    runs = []
     renumbered = []
-    for part, start, stop in zip(parts, starts, starts[1:]):
+    for part in parts:
         col_of = {eid: j for j, eid in enumerate(part.ensembl_id.tolist())}
-        src = np.array([col_of[g] for g in gene_order], dtype=np.int64)
-        # one slice copy per run of consecutive source columns
+        src = [col_of[g] for g in gene_order]
         bounds = [0, *(np.flatnonzero(np.diff(src) != 1) + 1).tolist(), len(src)]
-        for lo, hi in zip(bounds, bounds[1:]):
-            X[start:stop, lo:hi] = part.X[:, src[lo] : src[lo] + hi - lo]
+        runs.append([(lo, hi, src[lo]) for lo, hi in zip(bounds, bounds[1:])])
         cols = np.array([vocab_index[name] for name in part.pert_vocab], dtype=np.int64)
         renumbered.append(cols[part.pert_indices])
+    X = np.empty((n_total, len(gene_order)), dtype=np.float64)
+
+    def copy_rows(lo: int, hi: int) -> None:
+        for part, start, part_runs in zip(parts, starts, runs):
+            a, b = max(lo, start), min(hi, start + part.n_cells)
+            if a < b:
+                for c, d, s in part_runs:
+                    X[a:b, c:d] = part.X[a - start : b - start, s : s + d - c]
+
+    _row_halves(n_total, copy_rows)
     counts = np.concatenate([np.diff(part.pert_indptr) for part in parts])
     indptr = np.concatenate(([0], np.cumsum(counts)))
     indices = np.concatenate(renumbered)

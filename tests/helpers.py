@@ -488,8 +488,13 @@ def reference_str_compare(op, lhs, rhs) -> np.ndarray:
 
 
 def reference_normalize_log1p(X, target_sum, is_already_log1p, normalization_required):
-    """Row normalization and log1p through a boolean-indexed copy, as before."""
+    """Full-matrix checks, then row normalization and log1p through a boolean-indexed copy."""
     X = np.asarray(X, dtype=np.float64)
+    for bad, what in ((X < 0, "negative"), (~np.isfinite(X), "non-finite")):
+        cells = np.argwhere(bad)
+        if cells.size:
+            i, j = cells[0]
+            raise ValidationError(f"{what} expression value {X[i, j]} at cell X[{i}, {j}]")
     if is_already_log1p:
         return X
     out = X.copy()

@@ -399,11 +399,24 @@ _SHA256 = hashlib.sha256  # not the counting stand-in of TestKeptDigest
 
 
 def _fresh_digest(root: Path) -> str:
-    """The digest of the bundle files as they are on disk now."""
+    """The digest of the files the manifest names, as they are on disk now.
+
+    Without a manifest, every file a bundle could hold is hashed.
+    """
+    names = {"manifest.json", "obs.tsv", "var.tsv", "X.f64"}
+    try:
+        manifest = json.loads((root / "manifest.json").read_text())
+    except FileNotFoundError:
+        names = {f.name for f in root.iterdir() if bundle._is_bundle_file(f.name)}
+    else:
+        if manifest["kind"] == "canonical":
+            names |= {"pert_indptr.i64", "pert_indices.i64", "pert_dose.f64"}
+        else:
+            names |= {f"obsm_{name}.f64" for name in manifest.get("obsm", {})}
     h = _SHA256()
-    for f in sorted(root.iterdir()):
-        if bundle._is_bundle_file(f.name):
-            h.update(f.name.encode() + b"\0" + f.read_bytes() + b"\0")
+    for name in sorted(names):
+        if (root / name).is_file():
+            h.update(name.encode() + b"\0" + (root / name).read_bytes() + b"\0")
     return h.hexdigest()
 
 
@@ -501,27 +514,50 @@ class TestKeptDigest:
         assert bundle_digest(tmp_path / "c") == _fresh_digest(tmp_path / "c") != kept
         assert hashes == [1]
 
-    def test_an_obsm_file_added_or_removed_is_hashed(self, raw_table, tmp_path, hashes):
+    def test_a_named_obsm_file_removed_is_hashed(self, raw_table, tmp_path, hashes):
         write_raw_bundle(raw_table, tmp_path / "raw")
         kept = bundle_digest(tmp_path / "raw")
         (tmp_path / "raw" / "obsm_emb.f64").unlink()
         hashes.clear()
         assert bundle_digest(tmp_path / "raw") == _fresh_digest(tmp_path / "raw") != kept
         assert hashes == [1]
-        write_canonical_bundle(self._dataset(), tmp_path / "c")
-        kept = bundle_digest(tmp_path / "c")
-        (tmp_path / "c" / "obsm_old.f64").write_bytes(bytes(8))
+
+    def test_an_edited_named_obsm_file_is_hashed(self, raw_table, tmp_path, hashes):
+        write_raw_bundle(raw_table, tmp_path / "raw")
+        kept = bundle_digest(tmp_path / "raw")
+        path = tmp_path / "raw" / "obsm_emb.f64"
+        (tmp_path / "new").write_bytes(b"\x01" + path.read_bytes()[1:])
+        os.replace(tmp_path / "new", path)
         hashes.clear()
-        assert bundle_digest(tmp_path / "c") == _fresh_digest(tmp_path / "c") != kept
+        assert bundle_digest(tmp_path / "raw") == _fresh_digest(tmp_path / "raw") != kept
         assert hashes == [1]
 
-    def test_a_stray_obsm_file_at_write_time_is_hashed_with_the_bundle(self, tmp_path):
+    @pytest.mark.parametrize("kind", ["raw", "canonical"])
+    def test_an_unnamed_obsm_file_leaves_the_digest(self, raw_table, tmp_path, hashes,
+                                                    monkeypatch, kind):
+        out = tmp_path / kind
+        if kind == "raw":
+            write_raw_bundle(raw_table, out)
+        else:
+            write_canonical_bundle(self._dataset(), out)
+        kept = bundle_digest(out)
+        (out / "obsm_old.f64").write_bytes(bytes(8))
+        hashes.clear()
+        assert bundle_digest(out) == _fresh_digest(out) == kept
+        assert hashes == []
+        # a process that did not write the bundle hashes the same files
+        monkeypatch.setattr(bundle, "_written", {})
+        assert bundle_digest(out) == kept
+
+    def test_a_stray_obsm_file_at_write_time_is_left_out_of_the_digest(self, tmp_path, hashes):
         (tmp_path / "c").mkdir()
         (tmp_path / "c" / "obsm_old.f64").write_bytes(bytes(8))
         write_canonical_bundle(self._dataset(), tmp_path / "c")
         write_canonical_bundle(self._dataset(), tmp_path / "clean")
+        hashes.clear()
         assert bundle_digest(tmp_path / "c") == _fresh_digest(tmp_path / "c")
-        assert bundle_digest(tmp_path / "c") != bundle_digest(tmp_path / "clean")
+        assert bundle_digest(tmp_path / "c") == bundle_digest(tmp_path / "clean")
+        assert hashes == []
 
     def test_a_refused_rewrite_is_hashed(self, tmp_path, hashes):
         from dataclasses import replace

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import csr_from_dense, small_canonical
+from pertpipe import data, unifier
 from pertpipe.data import (
     first_pattern_rows,
     normalize_log1p,
@@ -18,6 +20,56 @@ from pertpipe.data import (
     validate_canonical,
 )
 from pertpipe.errors import ParameterError, ValidationError
+
+
+class TestRowHalves:
+    """A pass split in two row halves: the first on one worker thread, the
+    second on the caller. An error in either reaches the caller, and no
+    thread outlives the call."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    def test_each_row_is_in_one_half(self, n):
+        threads = []
+
+        def work(lo, hi):
+            threads.append(threading.current_thread())
+            return lo, hi
+
+        assert data._row_halves(n, work) == [(0, n // 2), (n // 2, n)]
+        assert sorted(t is threading.current_thread() for t in threads) == [False, True]
+
+    def _dataset(self):
+        return small_canonical({"control": [[1.0, 0.5], [2.0, 0.0]], "A": [[2.0, 0.25]]})
+
+    @pytest.mark.parametrize("half", ["worker", "caller"])
+    @pytest.mark.parametrize("call", ["normalize_log1p", "validate_canonical", "merge_datasets"])
+    def test_an_error_in_either_half_reaches_the_caller(self, monkeypatch, half, call):
+        real = data._row_halves
+        caller = threading.current_thread()
+        counts = []
+
+        def failing(n, work):
+            def half_work(lo, hi):
+                counts.append(threading.active_count())
+                on_caller = threading.current_thread() is caller
+                if on_caller == (half == "caller"):
+                    raise RuntimeError(f"{half} half failed")
+                return work(lo, hi)
+
+            return real(n, half_work)
+
+        monkeypatch.setattr(data, "_row_halves", failing)
+        monkeypatch.setattr(unifier, "_row_halves", failing)
+        run = {
+            "normalize_log1p": lambda: normalize_log1p(np.ones((5, 3)), 1e4, False, True),
+            "validate_canonical": lambda: validate_canonical(self._dataset()),
+            "merge_datasets": lambda: unifier.merge_datasets([self._dataset()] * 2),
+        }[call]
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"{half} half failed"):
+            run()
+        assert threading.active_count() == before
+        assert counts and max(counts) <= before + 1
 
 
 class TestNormalizeLog1p:

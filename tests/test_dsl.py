@@ -366,6 +366,21 @@ class TestEvaluate:
         with pytest.raises(DslEvalError, match="row 1"):
             evaluate(parse("df['a'].astype(float)"), cols)
 
+    @pytest.mark.parametrize("dtype", [object, str])
+    def test_cast_float_reads_each_value_as_float_does(self, dtype):
+        cols = {"a": np.array([" 1e3 ", "-0", "nan", "2.5"], dtype=dtype)}
+        out = evaluate(parse("df['a'].astype(float)"), cols)
+        assert out.dtype == np.float64
+        assert [v.hex() for v in out.tolist()] == [
+            (1000.0).hex(), (-0.0).hex(), float("nan").hex(), (2.5).hex()
+        ]
+        bad = np.array([" 1e3 ", "-0", "nan", "1,5", "x"], dtype=dtype)
+        with pytest.raises(DslEvalError) as info:
+            evaluate(parse("df['a'].astype(float)"), {"a": bad})
+        assert str(info.value) == f"cannot cast value {bad[3]!r} at row 3 to float"
+        empty = evaluate(parse("df['a'].astype(float)"), {"a": np.array([], dtype=dtype)})
+        assert empty.dtype == np.float64 and empty.shape == (0,)
+
     def test_numeric_equality_after_cast(self):
         cols = {"a": np.array(["2", "3"], dtype=object)}
         out = evaluate(parse("df['a'].astype(float) == 2"), cols)

@@ -29,7 +29,7 @@ from helpers import (
     reference_tsv_text,
     reference_validation_issues,
 )
-from pertpipe import dsl, unifier
+from pertpipe import data, dsl, unifier
 from pertpipe.bundle import (
     _read_tsv,
     _tsv_text,
@@ -162,17 +162,32 @@ def test_tsv_reader_matches_reference(text):
     rows=st.lists(
         st.lists(st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 0.5, 3.0, 1e6, 1e300, 1e308]),
                  min_size=3, max_size=3),
-        min_size=1, max_size=5,
+        min_size=0, max_size=7,
+    ),
+    offenders=st.lists(
+        st.tuples(st.integers(0, 6), st.integers(0, 2),
+                  st.sampled_from([-1.0, -np.inf, np.nan, np.inf])),
+        max_size=2,
     ),
     target=st.sampled_from([1.0, 1e4, 1e300]),
     already=st.booleans(),
     normalize=st.booleans(),
 )
-@settings(max_examples=150, deadline=None)
-@example(rows=[[1e308, 1e308, 5.0]], target=1e4, already=False, normalize=True)
-def test_normalize_log1p_matches_reference(rows, target, already, normalize):
-    # two 1e308 entries in a row sum past the float64 range, which is refused
-    X = np.array(rows)
+@settings(max_examples=200, deadline=None)
+@example(rows=[[1e308, 1e308, 5.0]], offenders=[], target=1e4, already=False, normalize=True)
+@example(rows=[[1.0] * 3] * 5, offenders=[(1, 0, np.nan), (3, 2, -1.0)], target=1e4,
+         already=False, normalize=True)
+@example(rows=[[1.0] * 3] * 4, offenders=[(3, 0, -np.inf), (1, 2, -1.0)], target=1e4,
+         already=True, normalize=True)
+def test_normalize_log1p_matches_reference(rows, offenders, target, already, normalize):
+    # two 1e308 entries in a row sum past the float64 range, which is refused;
+    # the rows split in two halves at len(rows) // 2, and offenders land in
+    # either: the first negative cell in row-major order is named even after
+    # a NaN in the first half
+    X = np.array(rows, dtype=np.float64).reshape(len(rows), 3)
+    for i, j, value in offenders:
+        if i < len(X):
+            X[i, j] = value
     try:
         expected = reference_normalize_log1p(X, target, already, normalize)
     except ValidationError as exc:
@@ -438,12 +453,15 @@ def gene_layouts(draw):
     return layouts
 
 
-@given(gene_layouts(), st.integers(0, 3), st.integers(0, 2**32 - 1))
+@given(gene_layouts(), st.lists(st.integers(0, 3), min_size=3, max_size=3),
+       st.integers(0, 2**32 - 1))
 @settings(max_examples=200, deadline=None)
-def test_merged_x_matches_per_cell_reference(layouts, n, seed):
+def test_merged_x_matches_per_cell_reference(layouts, counts, seed):
+    # parts of 0 to 3 cells each, so the merged rows split in two halves
+    # at a part boundary, inside a part or with one half empty
     rng = np.random.default_rng(seed)
     parts = []
-    for genes in layouts:
+    for genes, n in zip(layouts, counts):
         ctrl = np.full(n, "control", dtype=object)
         parts.append(CanonicalDataset(
             cell_type=ctrl, batch_id=ctrl, donor_id=ctrl, pert_type=ctrl,
@@ -456,12 +474,14 @@ def test_merged_x_matches_per_cell_reference(layouts, n, seed):
         ))
     merged = merge_datasets(parts).dataset
     gene_order = merged.ensembl_id.tolist()
-    expected = np.empty((len(parts) * n, len(gene_order)))
-    for p, part in enumerate(parts):
+    expected = np.empty((sum(part.n_cells for part in parts), len(gene_order)))
+    row = 0
+    for part in parts:
         col_of = {g: j for j, g in enumerate(part.ensembl_id.tolist())}
-        for i in range(n):
+        for i in range(part.n_cells):
             for j, g in enumerate(gene_order):
-                expected[p * n + i, j] = part.X[i, col_of[g]]
+                expected[row, j] = part.X[i, col_of[g]]
+            row += 1
     assert sorted(gene_order) == sorted(g for g in layouts[0] if g.startswith("S"))
     assert merged.X.tobytes() == expected.tobytes()
 
@@ -524,18 +544,26 @@ def _two_conflicts_out_of_order() -> CanonicalDataset:
 @settings(max_examples=200, deadline=None)
 @example(_two_conflicts_out_of_order())
 def test_validation_issues_match_reference(ds):
-    issues = validate_canonical(ds).issues
+    report = validate_canonical(ds)
+    issues = report.issues
     assert [i for i in issues if i.code != "non_finite"] == reference_validation_issues(ds)
     flagged = {i.message.split("[")[0] for i in issues if i.code == "non_finite"}
     expected = {name for name in ("X", "pert_dose")
                 if not np.isfinite(getattr(ds, name)).all()}
     assert flagged == expected
-    # the dose message names the first offender of the dense view
-    bad = np.argwhere(~np.isfinite(ds.pert_dose))
-    if bad.size:
-        i, j = bad[0]
-        message = f"pert_dose[{i}, {j}] = {ds.pert_dose[i, j]} is not finite ({len(bad)} entries)"
-        assert message in [x.message for x in issues if x.code == "non_finite"]
+    # each message names the first offender in row-major order of the dense
+    # view, wherever the rows of X split in two halves
+    for name in ("X", "pert_dose"):
+        a = getattr(ds, name)
+        bad = np.argwhere(~np.isfinite(a))
+        if bad.size:
+            i, j = bad[0]
+            message = f"{name}[{i}, {j}] = {a[i, j]} is not finite ({len(bad)} entries)"
+            assert message in [x.message for x in issues if x.code == "non_finite"]
+    # one pass over all rows on the calling thread reports the same
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "_row_halves", lambda n, work: [work(0, n)])
+        assert validate_canonical(ds) == report
 
 
 # --------------------------------------------------------------------------
