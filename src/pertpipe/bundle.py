@@ -9,10 +9,11 @@ dense mask and dose matrices) and any binary file of the wrong size.
 
 Writers first format the TSV tables, refusing a cell the reader would
 split, so a refused write leaves an old bundle untouched. Then they remove
-any old manifest, write each file under a temporary name and rename it
-into place, and write the manifest last, so a write cut short leaves a
-directory that readers reject rather than a mix of old and new files.
-Bundle files are replaced by rename and never edited in place.
+any old manifest (and the files a caller names as describing the old
+bundle, such as a run manifest), write each file under a temporary name
+and rename it into place, and write the manifest last, so a write cut
+short leaves a directory that readers reject rather than a mix of old and
+new files. Bundle files are replaced by rename and never edited in place.
 
 A bundle's digest covers the files its manifest names, so a stray
 ``obsm_*.f64`` beside them leaves it unchanged. Writers hash what they
@@ -192,15 +193,21 @@ def _parse_obs_column(name: str, values: list[str], tag: str) -> np.ndarray:
 
 
 def _write_bundle(
-    out_dir: str | Path, manifest: dict, tables: dict[str, dict], matrices: dict[str, object]
+    out_dir: str | Path,
+    manifest: dict,
+    tables: dict[str, dict],
+    matrices: dict[str, object],
+    stale: tuple[str, ...] = (),
 ) -> None:
     """Write one bundle and keep the digest of the bytes it wrote.
 
     ``tables`` maps a file name to the columns of its TSV table, ``matrices``
     a file name to an array stored as little-endian float64 (``.f64``) or
-    int64 (``.i64``). A worker thread hashes the files in ``bundle_digest``'s
-    order while this thread formats the tables and writes the files; the
-    tables reach the worker once formatted. An error on either thread is
+    int64 (``.i64``). ``stale`` names other files in ``out_dir`` that
+    describe an old bundle; they go with its manifest, once the tables are
+    formatted and before the first file is replaced. A worker thread hashes
+    the files in ``bundle_digest``'s order while this thread formats the
+    tables and writes the files; the tables reach the worker once formatted. An error on either thread is
     raised here, and the worker is joined before this returns.
     """
     out = Path(out_dir)
@@ -243,7 +250,8 @@ def _write_bundle(
         finally:
             formatted.set()
         out.mkdir(parents=True, exist_ok=True)
-        (out / MANIFEST).unlink(missing_ok=True)
+        for name in (MANIFEST, *stale):
+            (out / name).unlink(missing_ok=True)
         for name, data in texts.items():
             _replace_file(out / name, lambda tmp: tmp.write_bytes(data))
         for name, a in arrays.items():
@@ -310,7 +318,9 @@ def read_raw_bundle(path: str | Path) -> RawTable:
     return RawTable(obs=obs, var_index=var_index, var_columns=var_columns, X=X, obsm=obsm)
 
 
-def write_canonical_bundle(ds: CanonicalDataset, out_dir: str | Path) -> None:
+def write_canonical_bundle(
+    ds: CanonicalDataset, out_dir: str | Path, stale: tuple[str, ...] = ()
+) -> None:
     manifest = {
         "kind": "canonical",
         "format": CANONICAL_FORMAT,
@@ -335,6 +345,7 @@ def write_canonical_bundle(ds: CanonicalDataset, out_dir: str | Path) -> None:
             "pert_indices.i64": ds.pert_indices,
             "pert_dose.f64": ds.pert_values,
         },
+        stale,
     )
 
 

@@ -143,7 +143,8 @@ def unify(raw_bundle, out_dir, mapping_file, induce, llm_transport, replay_file,
 
     out = Path(out_dir)
     try:
-        bundle_io.write_canonical_bundle(ds, out)
+        # an earlier run's manifest never describes this run's bundle
+        bundle_io.write_canonical_bundle(ds, out, stale=("run_manifest.json",))
     except BundleFormatError as exc:  # a mapped value the bundle cannot store
         _fail("apply_mapping", str(exc), EXIT_VALIDATION)
     bundle_io.write_text_atomic(
@@ -417,7 +418,7 @@ def gen_synthetic(out_dir, n_genes, n_perts, cells_per_condition, noise_sigma,
     except (ParameterError, ValidationError) as exc:
         _fail("gen_synthetic", str(exc), EXIT_VALIDATION)
     out = Path(out_dir)
-    bundle_io.write_canonical_bundle(ds, out)
+    bundle_io.write_canonical_bundle(ds, out, stale=("run_manifest.json",))
     bundle_io.write_text_atomic(out / "ground_truth.json", truth.to_json() + "\n")
     manifest = RunManifest(
         command="gen-synthetic",

@@ -534,19 +534,23 @@ def split_unseen_cell(
     return SplitAssignment(labels=labels)
 
 
-def validate_canonical(ds: CanonicalDataset) -> ValidationReport:
+def validate_canonical(ds: CanonicalDataset, *, x_checked: bool = False) -> ValidationReport:
     """Check every canonical-schema invariant; violations become report entries.
 
     The negative and non-finite checks of ``X`` take one scan that splits
     the rows in two halves, one on a worker thread and one on the calling
     thread; the masks that name an offending cell are built only when the
-    scan finds one.
+    scan finds one. ``x_checked`` skips that scan, for an ``X`` returned by
+    ``normalize_log1p``: it refuses what the scan would report, and its
+    log1p of finite non-negative values is finite and non-negative.
     """
     first = first_pattern_rows(ds.pert_indptr, ds.pert_indices, ds.pert_values)
-    return _canonical_report(ds, first)
+    return _canonical_report(ds, first, x_checked)
 
 
-def _canonical_report(ds: CanonicalDataset, first: np.ndarray) -> ValidationReport:
+def _canonical_report(
+    ds: CanonicalDataset, first: np.ndarray, x_checked: bool = False
+) -> ValidationReport:
     """``validate_canonical`` given ``first_pattern_rows`` of ``ds``'s perturbations."""
     issues: list[ValidationIssue] = []
 
@@ -580,25 +584,25 @@ def _canonical_report(ds: CanonicalDataset, first: np.ndarray) -> ValidationRepo
         message = f"control cell {i} has a nonzero pert_mask row"
         issues.append(ValidationIssue("control_with_mask", message))
 
-    least, sums = _min_and_row_sums(ds.X)
-    if least < 0:
-        i, j, count = _first_true(ds.X < 0)
-        issues.append(
-            ValidationIssue(
-                "negative_expression",
-                f"X[{i}, {j}] = {ds.X[i, j]} is negative ({count} entries)",
+    if not x_checked:
+        least, sums = _min_and_row_sums(ds.X)
+        if least < 0:
+            i, j, count = _first_true(ds.X < 0)
+            issues.append(
+                ValidationIssue(
+                    "negative_expression",
+                    f"X[{i}, {j}] = {ds.X[i, j]} is negative ({count} entries)",
+                )
             )
-        )
-
-    # NaN and inf propagate through a row's sum, so finite sums prove X finite
-    nonfinite = None if np.isfinite(sums).all() else _first_true(~np.isfinite(ds.X))
-    if nonfinite:
-        i, j, count = nonfinite
-        issues.append(
-            ValidationIssue(
-                "non_finite", f"X[{i}, {j}] = {ds.X[i, j]} is not finite ({count} entries)"
+        # NaN and inf propagate through a row's sum, so finite sums prove X finite
+        nonfinite = None if np.isfinite(sums).all() else _first_true(~np.isfinite(ds.X))
+        if nonfinite:
+            i, j, count = nonfinite
+            issues.append(
+                ValidationIssue(
+                    "non_finite", f"X[{i}, {j}] = {ds.X[i, j]} is not finite ({count} entries)"
+                )
             )
-        )
     nonfinite = np.flatnonzero(~np.isfinite(doses))
     if nonfinite.size:
         k = nonfinite[0]

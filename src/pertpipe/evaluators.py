@@ -31,7 +31,7 @@ from .data import (
 from .errors import ParameterError, ValidationError
 # delta_pcc is not called here; the benchmark's tracer (perfbench/tracing.py)
 # patches it through this module's namespace
-from .metrics import UndefinedMetric, delta_pcc, pcc_of_sides, pcc_side  # noqa: F401
+from .metrics import delta_pcc, pcc_side  # noqa: F401
 from .search import EvalOutcome
 
 PATHWAY_FRACTION = 0.25
@@ -169,7 +169,7 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[CanonicalDataset, GroundTr
         gene_symbol=symbols,
         pert_vocab=pert_names,
     )
-    report = validate_canonical(ds)
+    report = validate_canonical(ds, x_checked=True)
     if not report.ok:
         raise ValidationError(f"synthetic dataset failed validation:\n{report}")
     truth = GroundTruth(
@@ -190,7 +190,11 @@ class _SplitStats:
     counts: np.ndarray  # (m,) cells per train condition
     y_ctrl: np.ndarray  # train control mean
     index_of: dict[str, int]  # sorted train condition names -> row
-    val_sides: tuple[tuple[str, tuple], ...]  # (condition, pcc_side of its truth shift)
+    # per val condition, in pseudo_bulk order: the condition if train has it,
+    # else None, the key of the one prediction every other condition shares
+    val_keys: tuple[str | None, ...]
+    val_truth: np.ndarray  # (k, g) read-only, each row pcc_side's centred truth shift
+    val_squares: np.ndarray  # (k,) read-only, each row's sum of squares
     gene_mask: np.ndarray  # pathway_gene_mask of the dataset
 
 
@@ -295,12 +299,20 @@ def _prepare(ds: CanonicalDataset, split: SplitAssignment):
     if not all(np.isfinite(delta).all() for _, delta in val_deltas):
         return non_finite("val")
     names, codes = np.unique(ds.condition_name[train_pert], return_inverse=True)
+    index_of = {c: i for i, c in enumerate(names.tolist())}
+    truth, squares = zip(*(pcc_side(delta) for _, delta in val_deltas))
+    # C order, so each row adds up as the 1-D sum of that row would
+    val_truth, val_squares = np.stack(truth), np.array(squares)
+    for shared in (val_truth, val_squares):
+        shared.setflags(write=False)
     stats = _SplitStats(
         rows=train_pert[np.argsort(codes, kind="stable")],
         counts=np.bincount(codes),
         y_ctrl=y_ctrl,
-        index_of={c: i for i, c in enumerate(names.tolist())},
-        val_sides=tuple((condition, pcc_side(delta)) for condition, delta in val_deltas),
+        index_of=index_of,
+        val_keys=tuple(c if c in index_of else None for c, _ in val_deltas),
+        val_truth=val_truth,
+        val_squares=val_squares,
         gene_mask=pathway_gene_mask(ds.ensembl_id),
     )
     with np.errstate(invalid="ignore"):  # inf - inf in a variance is reported below
@@ -321,9 +333,10 @@ class SurrogateEvaluator:
 
     Every family fits from per-condition sufficient statistics, built on a
     background thread from construction; the first ``evaluate`` waits for
-    it. They are the split views, the train control mean and each val
-    condition's truth shift, centred with its sum of squares (the truth's
-    half of the Pearson correlation), then per loss the per-condition
+    it. They are the split views, the train control mean and the val
+    conditions' truth shifts, centred and stacked in one read-only k x g
+    matrix with their sums of squares (the truth's half of the Pearson
+    correlation), then per loss the per-condition
     counts, sums, means and variances of the train shifts, gathered one
     condition block at a time (the huber clip bounds are pooled from the
     mse statistics), and flow matching's mean direction and norm. An error
@@ -331,9 +344,11 @@ class SurrogateEvaluator:
 
     A candidate costs O(m * g) for its fit (the ridge families solve the
     one-hot ridge in closed form over counts, so no n x g shift matrix is
-    ever held), one prediction for all val conditions outside train and one
-    for each val condition in train (the ``unseen_cell`` split), each
-    prepared once, and an O(g) product sum per val condition.
+    ever held; its intercept is computed once per loss and regularization
+    and shared by both ridge families), one prediction for all val
+    conditions outside train and one for each val condition in train (the
+    ``unseen_cell`` split), each prepared once, and one O(k * g) product
+    sum that scores all k val conditions at once.
 
     Inputs that are degenerate (fewer than 2 genes, which no correlation is
     defined on, or a split without the cells a fit needs) or not finite (NaN
@@ -344,6 +359,7 @@ class SurrogateEvaluator:
     def __init__(self, dataset: CanonicalDataset, split: SplitAssignment):
         self.dataset = dataset
         self.split = split
+        self._ridges: dict[tuple[str, float], tuple[np.ndarray, np.ndarray]] = {}
         # not a daemon, so interpreter exit waits for it instead of stopping
         # it inside a numpy call
         self._thread = threading.Thread(
@@ -367,21 +383,20 @@ class SurrogateEvaluator:
             return EvalOutcome(m_val=None, t_exec=sim_time, error=prepared)
         stats, views = prepared
         reg = candidate.hyperparams.reg_strength * (1.0 + candidate.hyperparams.dropout)
-        predict = self._fit_family(candidate.backbone, stats, views[candidate.loss], reg)
-        # every condition outside train gets one prediction, whose side (key
-        # None) is prepared once; a train condition gets its own
-        sides = {}
-        scores = []
-        for condition, truth in stats.val_sides:
-            key = condition if condition in stats.index_of else None
-            if key not in sides:
-                sides[key] = pcc_side(predict(condition))
-            try:
-                scores.append(pcc_of_sides(truth, sides[key]))
-            except UndefinedMetric:
-                continue
-        if not scores:
+        predict = self._fit_family(candidate.backbone, candidate.loss, reg, stats, views)
+        # each side is prepared once: a train condition's own, and the one
+        # every condition outside train shares (key None, which train lacks)
+        sides = {key: pcc_side(predict(key)) for key in dict.fromkeys(stats.val_keys)}
+        centred, squares = zip(*(sides[key] for key in stats.val_keys))
+        predicted = centred[0] if len(sides) == 1 else np.stack(centred)
+        # every step below is per row, so each condition's correlation keeps
+        # the bits of one pcc_of_sides call; a zero-variance side is skipped
+        products = (stats.val_truth * predicted).sum(axis=1)
+        denom = np.sqrt(stats.val_squares) * np.sqrt(np.array(squares))
+        defined = denom != 0
+        if not defined.any():
             return EvalOutcome(m_val=None, t_exec=sim_time, error=None)
+        scores = np.clip(products[defined] / denom[defined], -1.0, 1.0)
         return EvalOutcome(m_val=max(0.0, float(np.mean(scores))), t_exec=sim_time)
 
     def _simulated_time(self, candidate: Candidate) -> float:
@@ -395,7 +410,8 @@ class SurrogateEvaluator:
             t *= 1.05
         return t
 
-    def _fit_family(self, backbone, stats: _SplitStats, view: _LossView, reg):
+    def _fit_family(self, backbone, loss: str, reg: float, stats: _SplitStats, views):
+        view = views[loss]
         index_of = stats.index_of
         cond_means = view.cond_means
         grand = view.grand
@@ -406,8 +422,14 @@ class SurrogateEvaluator:
             # system whose solution is, with shrink_i = 1 / (c_i + reg),
             #   intercept = sum_i shrink_i S_i / (1 + sum_i c_i shrink_i)
             #   beta_i + intercept = shrink_i (S_i + reg * intercept)
-            shrink = 1.0 / (stats.counts + reg)
-            intercept = (shrink @ view.sums) / (1.0 + float(stats.counts @ shrink))
+            # both families share it, so it is solved once per (loss, reg)
+            if (loss, reg) not in self._ridges:
+                shrink = 1.0 / (stats.counts + reg)
+                intercept = (shrink @ view.sums) / (1.0 + float(stats.counts @ shrink))
+                shrink.setflags(write=False)
+                intercept.setflags(write=False)
+                self._ridges[loss, reg] = shrink, intercept
+            shrink, intercept = self._ridges[loss, reg]
             mask = stats.gene_mask if backbone == "pathway_masked" else None
 
             def predict(cond: str) -> np.ndarray:

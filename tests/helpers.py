@@ -7,10 +7,9 @@ derivation space, so every generated tree is reachable by the parser. The
 surrogate reference recomputes everything per candidate from the full
 n x g shift matrix, with a dense ridge solve and a direct winsorization,
 the way the evaluator did before it fitted from per-condition sufficient
-statistics; the scoring reference calls ``delta_pcc`` once per val
-condition, as the evaluator did before it prepared the truth side of each
-condition once and shared one prediction side among unseen conditions; the
-loss-view reference takes each block's variance with
+statistics; the scoring reference calls ``pcc_of_sides`` once per val
+condition, as the evaluator did before it scored every condition in one
+array pass; the loss-view reference takes each block's variance with
 ``np.var`` and clips with ``np.clip``, as the evaluator did before it
 reused the block sum and clipped by maximum then minimum. The harmonize
 references keep the per-cell loops that bundle writes, mapping
@@ -52,7 +51,7 @@ from pertpipe.evaluators import (
     pathway_gene_mask,
 )
 from pertpipe.knowledge import RetrievalResult, composite_weight
-from pertpipe.metrics import UndefinedMetric, delta_pcc
+from pertpipe.metrics import UndefinedMetric, delta_pcc, pcc_of_sides, pcc_side
 from pertpipe.search import EvalOutcome
 
 
@@ -357,9 +356,11 @@ def reference_surrogate_evaluate(ds, split, candidate) -> EvalOutcome:
 
 def reference_scored_m_val(ev, candidate) -> float | None:
     """``ev``'s ``m_val`` for ``candidate``, scored the way ``evaluate`` did
-    before it shared candidate-invariant work: its own fit, then one
-    ``delta_pcc`` call per val condition on the truth shift and that
-    condition's prediction. ``ev``'s split must not be degenerate."""
+    before it scored every val condition in one array pass: its own fit,
+    then, for each val condition on its own, the truth side, the side of
+    that condition's prediction and one ``pcc_of_sides`` call. ``delta_pcc``
+    takes the same steps, so these are also the bits of one ``delta_pcc``
+    call per condition. ``ev``'s split must not be degenerate."""
     ds, split = ev.dataset, ev.split
     ev._thread.join()
     stats, views = ev._prepared
@@ -367,12 +368,12 @@ def reference_scored_m_val(ev, candidate) -> float | None:
     val_ctrl = val[ds.is_control[val]]
     y_ctrl_val = ds.X[val_ctrl].mean(axis=0) if val_ctrl.size else stats.y_ctrl
     reg = candidate.hyperparams.reg_strength * (1.0 + candidate.hyperparams.dropout)
-    predict = ev._fit_family(candidate.backbone, stats, views[candidate.loss], reg)
+    predict = ev._fit_family(candidate.backbone, candidate.loss, reg, stats, views)
     scores = []
     for profile in pseudo_bulk(ds, val[~ds.is_control[val]]):
-        truth = profile.mean_expr - y_ctrl_val
+        truth = pcc_side(profile.mean_expr - y_ctrl_val)
         try:
-            scores.append(delta_pcc(truth, predict(profile.condition_name)))
+            scores.append(pcc_of_sides(truth, pcc_side(predict(profile.condition_name))))
         except UndefinedMetric:
             continue
     return max(0.0, float(np.mean(scores))) if scores else None

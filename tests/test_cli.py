@@ -1166,6 +1166,9 @@ class TestOutsideInputs:
         result = _invoke_on(runner, argv, contents, raw_bundle_dir, None, tmp_path)
         assert result.exit_code == 2, result.output
         assert bundle_digest(out) == digest  # the manifest is hashed too
+        # the previous run is left whole, its run manifest included
+        run = json.loads((out / "run_manifest.json").read_text())
+        assert run["outcome"]["canonical_digest"] == digest
 
 
 _SEARCH = ["search", "{bundle}", "--out", "{out}"]
@@ -1349,6 +1352,41 @@ class TestArtifactWrites:
         else:
             assert (out / artifact).read_bytes() == old
         assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
+
+
+    @pytest.mark.parametrize("command", ["unify", "gen-synthetic"])
+    def test_crash_at_any_rename_leaves_no_earlier_manifest(
+        self, runner, raw_bundle_dir, mapping_file, tmp_path, monkeypatch, command
+    ):
+        # the bundle is written before run_manifest.json, so a crash between
+        # them must not leave the new files beside the earlier run's manifest
+        out = tmp_path / "out"
+        args = {
+            "unify": ["unify", str(raw_bundle_dir), str(out), "--mapping", str(mapping_file)],
+            "gen-synthetic": ["gen-synthetic", "--out", str(out), "--n-genes", "20",
+                              "--n-perts", "3", "--cells-per-condition", "4"],
+        }[command]
+        earlier = [*args, "--set", "unify.sample_size=3"] if command == "unify" else [
+            *args, "--seed", "1"]
+        real = os.replace
+        renames = []
+        monkeypatch.setattr(os, "replace", lambda *a: renames.append(a) or real(*a))
+        assert runner.invoke(main, args).exit_code == 0
+        for k in range(len(renames)):
+            monkeypatch.setattr(os, "replace", real)
+            assert runner.invoke(main, earlier).exit_code == 0
+            assert (out / "run_manifest.json").is_file()
+            calls = iter(range(len(renames)))
+
+            def crash(*a):
+                if next(calls) == k:
+                    raise OSError(f"crash at rename {k}")
+                return real(*a)
+
+            monkeypatch.setattr(os, "replace", crash)
+            result = runner.invoke(main, args)
+            assert isinstance(result.exception, OSError), (k, result.output)
+            assert not (out / "run_manifest.json").exists(), k
 
 
 def test_import_leaves_the_http_client_unloaded():

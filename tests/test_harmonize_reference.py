@@ -249,7 +249,7 @@ def test_apply_mapping_matrices_match_reference(case):
     table, delimiter, with_pert, with_dose = case
     with pytest.MonkeyPatch.context() as mp:
         # compare the construction alone; validation has its own reference test
-        mp.setattr(unifier, "validate_canonical", lambda ds: ValidationReport(issues=()))
+        mp.setattr(unifier, "validate_canonical", lambda ds, **_: ValidationReport(issues=()))
         ds = apply_mapping(table, _flat_spec(with_pert, with_dose), combo_delimiter=delimiter)
     vocab, mask, dose = reference_perturbation_matrices(
         table.obs["pert"] if with_pert else None,

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from pertpipe import data
 from pertpipe.data import RawTable, validate_canonical
 from pertpipe.errors import LlmReplyError, MappingError, ParameterError, TransportError
 from pertpipe.llm import LlmClient
@@ -427,6 +428,20 @@ class TestApplyMapping:
         )
         with pytest.raises(MappingError, match="boolean"):
             apply_mapping(drug_raw_table, spec)
+
+    @pytest.mark.parametrize("already_log1p", [False, True])
+    def test_x_is_scanned_once(self, drug_raw_table, flat_form_mapping, monkeypatch,
+                               already_log1p):
+        # normalize_log1p scans X, and the report that follows trusts that scan
+        scanned = []
+        real = data._min_and_row_sums
+        monkeypatch.setattr(data, "_min_and_row_sums",
+                            lambda X: scanned.append(X.shape) or real(X))
+        spec = MappingSpec.from_dict({**flat_form_mapping, "is_already_log1p": already_log1p})
+        ds = apply_mapping(drug_raw_table, spec)
+        assert scanned == [drug_raw_table.X.shape]
+        assert validate_canonical(ds).ok
+        assert scanned == [drug_raw_table.X.shape] * 2
 
     def test_pure_function_of_inputs(self, drug_raw_table, flat_form_mapping):
         spec = MappingSpec.from_dict(flat_form_mapping)
