@@ -17,15 +17,16 @@ new files. Bundle files are replaced by rename and never edited in place.
 
 A bundle's digest covers the files its manifest names, so a stray
 ``obsm_*.f64`` beside them leaves it unchanged. Writers hash what they
-write: a worker thread feeds the bytes of each
-file to the digest while the writing thread formats the tables and writes
-the files, so the digest is known when the write ends. For each directory
-written in this process, the module keeps that digest with each bundle
-file's stat keys (device, inode, size, mtime and ctime in nanoseconds)
-taken after the write. ``bundle_digest`` returns the kept digest while the
-directory holds the same bundle files with the same keys, and reads and
-hashes the files otherwise. Nothing about a digest is written to disk, so
-another process always hashes.
+write: the one worker thread of an executor feeds the bytes of each file
+to the digest while the writing thread formats the tables and writes the
+files, so the digest is known when the write ends. The worker is joined
+before the write returns, whether it finished, failed or was refused. For
+each directory written in this process, the module keeps that digest with
+each bundle file's stat keys (device, inode, size, mtime and ctime in
+nanoseconds) taken after the write. ``bundle_digest`` returns the kept
+digest while the directory holds the same bundle files with the same keys,
+and reads and hashes the files otherwise. Nothing about a digest is
+written to disk, so another process always hashes.
 
 Readers map each binary file read-only and return read-only arrays over the
 mapping, so nothing is copied at read time. A live dataset holds one file
@@ -47,6 +48,7 @@ import json
 import mmap
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from itertools import repeat
 from pathlib import Path
 
@@ -207,8 +209,9 @@ def _write_bundle(
     describe an old bundle; they go with its manifest, once the tables are
     formatted and before the first file is replaced. A worker thread hashes
     the files in ``bundle_digest``'s order while this thread formats the
-    tables and writes the files; the tables reach the worker once formatted. An error on either thread is
-    raised here, and the worker is joined before this returns.
+    tables and writes the files; the tables reach the worker once
+    formatted. The worker is joined before this returns, and an error on
+    either thread is raised here, before the manifest is renamed into place.
     """
     out = Path(out_dir)
     key = os.path.realpath(out)
@@ -219,31 +222,26 @@ def _write_bundle(
     manifest_bytes = _dump_json(manifest).encode()
     texts: dict[str, bytes] = {}
     formatted = threading.Event()
-    outcome: list = []
 
-    def hash_files() -> None:
-        try:
-            h = hashlib.sha256()
-            for name in sorted([MANIFEST, *tables, *arrays]):
-                if name in arrays:
-                    data = arrays[name].reshape(-1).view(np.uint8)
-                elif name == MANIFEST:
-                    data = manifest_bytes
-                else:
-                    formatted.wait()
-                    if name not in texts:  # a table was refused
-                        return
-                    data = texts[name]
-                h.update(name.encode() + b"\0")
-                h.update(data)
-                h.update(b"\0")
-            outcome.append(h.hexdigest())
-        except BaseException as exc:  # raised again on the writing thread
-            outcome.append(exc)
+    def hash_files() -> str | None:
+        h = hashlib.sha256()
+        for name in sorted([MANIFEST, *tables, *arrays]):
+            if name in arrays:
+                data = arrays[name].reshape(-1).view(np.uint8)
+            elif name == MANIFEST:
+                data = manifest_bytes
+            else:
+                formatted.wait()
+                if name not in texts:  # a table was refused
+                    return None
+                data = texts[name]
+            h.update(name.encode() + b"\0")
+            h.update(data)
+            h.update(b"\0")
+        return h.hexdigest()
 
-    worker = threading.Thread(target=hash_files, name="bundle-digest")
-    worker.start()
-    try:
+    with ThreadPoolExecutor(1, thread_name_prefix="bundle-digest") as pool:
+        hashed = pool.submit(hash_files)
         try:
             # a refused cell raises before any file of an old bundle changes
             texts.update({name: _tsv_text(columns).encode() for name, columns in tables.items()})
@@ -256,12 +254,9 @@ def _write_bundle(
             _replace_file(out / name, lambda tmp: tmp.write_bytes(data))
         for name, a in arrays.items():
             _write_matrix(out / name, a, a.dtype)
-    finally:
-        worker.join()
-    if isinstance(outcome[0], BaseException):
-        raise outcome[0]
+    digest = hashed.result()
     _replace_file(out / MANIFEST, lambda tmp: tmp.write_bytes(manifest_bytes))
-    _written[key] = (outcome[0], _bundle_stats(out))
+    _written[key] = (digest, _bundle_stats(out))
 
 
 def write_raw_bundle(table: RawTable, out_dir: str | Path) -> None:

@@ -10,7 +10,6 @@ the output directory.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import sys
 from pathlib import Path
@@ -200,10 +199,11 @@ def search(bundle, out_dir, evaluator_spec, mode, kb_path, seed, fail_rate,
         _fail("bundle", str(exc), EXIT_VALIDATION)
 
     try:
-        evaluator, split_used = _make_evaluator(evaluator_spec, ds, config, seed)
+        scored, split_used = _make_evaluator(evaluator_spec, ds, config, seed)
+        evaluator = scored
         if fail_rate != 0:  # the injector refuses a rate outside [0, 1], NaN too
             evaluator = FailureInjectingEvaluator(
-                evaluator, failure_rate=fail_rate, fix_succeeds=fail_fixable
+                scored, failure_rate=fail_rate, fix_succeeds=fail_fixable
             )
     except (ParameterError, OSError) as exc:
         _fail("evaluator", str(exc), EXIT_USAGE)
@@ -220,9 +220,8 @@ def search(bundle, out_dir, evaluator_spec, mode, kb_path, seed, fail_rate,
 
     search_config = to_search_config(config, seed)
     input_digests = {"bundle": bundle_io.bundle_digest(bundle)}
-    if evaluator_spec.startswith("landscape:"):
-        table = _landscape_path(evaluator_spec).read_bytes()
-        input_digests["landscape"] = hashlib.sha256(table).hexdigest()
+    if isinstance(scored, LandscapeEvaluator):
+        input_digests["landscape"] = scored.digest  # of the table it parsed
     if kb_path:
         input_digests["kb"] = kb.digest
     manifest = RunManifest(
@@ -303,16 +302,13 @@ def _make_evaluator(spec: str, ds, config, seed):
             split = split_unseen_cell(ds, types[-1], 0.5, seed)
         return SurrogateEvaluator(ds, split), kind
     if spec.startswith("landscape:"):
-        return LandscapeEvaluator.from_file(_landscape_path(spec)), None
+        ref = Path(spec.split(":", 1)[1])
+        path = ref if ref.is_file() else builtin_landscape_path(str(ref))
+        return LandscapeEvaluator.from_file(path), None
     raise ParameterError(
         f"unknown evaluator {spec!r}; use 'surrogate' or 'landscape:<table.json>' "
         f"(builtin tables: funnel, funnel_jitter, ablation)"
     )
-
-
-def _landscape_path(spec: str) -> Path:
-    ref = Path(spec.split(":", 1)[1])
-    return ref if ref.is_file() else builtin_landscape_path(str(ref))
 
 
 def _profile_text(ds, config, evaluator_spec) -> str:

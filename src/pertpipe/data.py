@@ -9,7 +9,7 @@ containers are frozen after construction; every operation here is pure.
 from __future__ import annotations
 
 import math
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -294,28 +294,15 @@ def _row_halves(n: int, work) -> list:
     """``[work(0, n // 2), work(n // 2, n)]``, the first on a worker thread.
 
     The second half runs on the calling thread, so two cores share a
-    memory-bound pass over rows. The worker is joined before this returns,
-    and its error is raised here. ``work`` sets any ``np.errstate`` it
+    memory-bound pass over rows. Leaving the executor joins the worker, and
+    ``result()`` raises its error here. ``work`` sets any ``np.errstate`` it
     needs itself: the caller's does not reach the worker thread.
     """
     mid = n // 2
-    first: list = []
-
-    def run_first() -> None:
-        try:
-            first.append(work(0, mid))
-        except BaseException as exc:  # raised again on the calling thread
-            first.append(exc)
-
-    worker = threading.Thread(target=run_first, name="row-half")
-    worker.start()
-    try:
+    with ThreadPoolExecutor(1, thread_name_prefix="row-half") as pool:
+        first = pool.submit(work, 0, mid)
         second = work(mid, n)
-    finally:
-        worker.join()
-    if isinstance(first[0], BaseException):
-        raise first[0]
-    return [first[0], second]
+    return [first.result(), second]
 
 
 def _min_and_row_sums(X: np.ndarray) -> tuple[float, np.ndarray]:

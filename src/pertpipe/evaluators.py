@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -331,16 +331,17 @@ class SurrogateEvaluator:
     the clamped mean DeltaPCC. Execution time is a deterministic per-family
     cost table scaled by data size, never the wall clock.
 
-    Every family fits from per-condition sufficient statistics, built on a
-    background thread from construction; the first ``evaluate`` waits for
-    it. They are the split views, the train control mean and the val
-    conditions' truth shifts, centred and stacked in one read-only k x g
-    matrix with their sums of squares (the truth's half of the Pearson
-    correlation), then per loss the per-condition
-    counts, sums, means and variances of the train shifts, gathered one
-    condition block at a time (the huber clip bounds are pooled from the
-    mse statistics), and flow matching's mean direction and norm. An error
-    raised while building them is raised again by every ``evaluate``.
+    Every family fits from per-condition sufficient statistics, built from
+    construction on the one worker thread of an executor; the first
+    ``evaluate`` joins that thread, so none outlives it. They are the split
+    views, the train control mean and the val conditions' truth shifts,
+    centred and stacked in one read-only k x g matrix with their sums of
+    squares (the truth's half of the Pearson correlation), then per loss the
+    per-condition counts, sums, means and variances of the train shifts,
+    gathered one condition block at a time (the huber clip bounds are pooled
+    from the mse statistics), and flow matching's mean direction and norm.
+    An error raised while building them is raised again by every
+    ``evaluate``.
 
     A candidate costs O(m * g) for its fit (the ridge families solve the
     one-hot ridge in closed form over counts, so no n x g shift matrix is
@@ -360,25 +361,16 @@ class SurrogateEvaluator:
         self.dataset = dataset
         self.split = split
         self._ridges: dict[tuple[str, float], tuple[np.ndarray, np.ndarray]] = {}
-        # not a daemon, so interpreter exit waits for it instead of stopping
-        # it inside a numpy call
-        self._thread = threading.Thread(
-            target=self._prepare_in_background, name="surrogate-prepare"
-        )
-        self._thread.start()
-
-    def _prepare_in_background(self) -> None:
-        try:
-            self._prepared = _prepare(self.dataset, self.split)
-        except BaseException as exc:  # raised again by evaluate, not printed here
-            self._prepared = exc
+        # the executor's worker is not a daemon, so interpreter exit waits for
+        # it instead of stopping it inside a numpy call; it is handed the
+        # inputs, not self, so a dropped evaluator is collected
+        self._pool = ThreadPoolExecutor(1, thread_name_prefix="surrogate-prepare")
+        self._prepared = self._pool.submit(_prepare, dataset, split)
 
     def evaluate(self, candidate: Candidate, seed: int) -> EvalOutcome:
         sim_time = self._simulated_time(candidate)
-        self._thread.join()  # every read of the prepared state waits here
-        prepared = self._prepared
-        if isinstance(prepared, BaseException):
-            raise prepared
+        self._pool.shutdown()  # joins the worker; once it has ended this is cheap
+        prepared = self._prepared.result()  # an error in _prepare is raised here
         if isinstance(prepared, str):
             return EvalOutcome(m_val=None, t_exec=sim_time, error=prepared)
         stats, views = prepared
@@ -497,6 +489,7 @@ class LandscapeEvaluator:
     def __init__(self, table: dict[str, dict], t_exec: float = 10.0):
         self.table = dict(table)
         self.t_exec = t_exec
+        self.digest: str | None = None  # sha256 of the bytes from_file parsed
 
     @classmethod
     def from_file(cls, path: str | Path) -> "LandscapeEvaluator":
@@ -505,10 +498,12 @@ class LandscapeEvaluator:
         The file is a UTF-8 JSON object. Its ``leaves`` object holds a row
         for every candidate key, each with a finite ``mean`` and, if it has
         one, a finite ``jitter_bound``; a ``t_exec`` is a finite number.
+        Sets ``digest`` to the sha256 of the bytes it read.
         """
+        data = Path(path).read_bytes()
         try:
             # integers read as floats, so one finiteness check covers both
-            doc = json.loads(Path(path).read_text(encoding="utf-8"), parse_int=float)
+            doc = json.loads(data.decode("utf-8"), parse_int=float)
         except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise ParameterError(f"landscape table {path} is not UTF-8 JSON: {exc}") from None
         leaves = doc.get("leaves") if isinstance(doc, dict) else None
@@ -533,7 +528,9 @@ class LandscapeEvaluator:
         t_exec = doc.get("t_exec", 10.0)
         if not _finite(t_exec):
             raise ParameterError(f"landscape table {path} has t_exec {t_exec!r}, not a number")
-        return cls(leaves, t_exec=t_exec)
+        evaluator = cls(leaves, t_exec=t_exec)
+        evaluator.digest = hashlib.sha256(data).hexdigest()
+        return evaluator
 
     def evaluate(self, candidate: Candidate, seed: int) -> EvalOutcome:
         key = candidate.key().removesuffix("/fixed")

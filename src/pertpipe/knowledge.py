@@ -282,23 +282,21 @@ class KnowledgeBase:
             raise ValidationError(
                 f"cannot append to knowledge base {self.path}: {exc.strerror}"
             ) from None
+        # closing the only descriptor releases the lock, after the fsync
         with fh:
             _flock(fh)
-            try:
-                # decided under the lock: a torn tail is cut off, and only the
-                # first writer adds a header
-                size = os.fstat(fh.fileno()).st_size
-                complete = _complete_length(fh, size)
-                if complete < size:
-                    fh.truncate(complete)
-                text = entry.to_json() + "\n"
-                if complete == 0:
-                    text = json.dumps({"kb_version": KB_VERSION, "dim": EMBED_DIM}) + "\n" + text
-                fh.write(text.encode())
-                fh.flush()
-                os.fsync(fh.fileno())
-            finally:
-                _funlock(fh)
+            # decided under the lock: a torn tail is cut off, and only the
+            # first writer adds a header
+            size = os.fstat(fh.fileno()).st_size
+            complete = _complete_length(fh, size)
+            if complete < size:
+                fh.truncate(complete)
+            text = entry.to_json() + "\n"
+            if complete == 0:
+                text = json.dumps({"kb_version": KB_VERSION, "dim": EMBED_DIM}) + "\n" + text
+            fh.write(text.encode())
+            fh.flush()
+            os.fsync(fh.fileno())
 
 
 def _complete_length(fh, size: int) -> int:
@@ -317,15 +315,6 @@ def _flock(fh) -> None:
         import fcntl
 
         fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
-    except (ImportError, OSError):
-        pass
-
-
-def _funlock(fh) -> None:
-    try:
-        import fcntl
-
-        fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
     except (ImportError, OSError):
         pass
 

@@ -17,6 +17,7 @@ from .errors import TransportError
 
 ENDPOINT_ENV = "HC_LLM_ENDPOINT"
 KEY_ENV = "HC_LLM_KEY"
+TIMEOUT_S = 60.0  # per live request
 
 
 class LlmClient:
@@ -28,13 +29,11 @@ class LlmClient:
         self._cursor = 0
 
     @classmethod
-    def live(cls, model: str, endpoint: str | None = None, timeout: float = 60.0):
-        endpoint = endpoint or os.environ.get(ENDPOINT_ENV)
+    def live(cls, model: str):
+        endpoint = os.environ.get(ENDPOINT_ENV)
         if not endpoint:
-            raise TransportError(
-                f"no endpoint configured; set {ENDPOINT_ENV} or pass endpoint="
-            )
-        return cls("live", model=model, endpoint=endpoint, timeout=timeout)
+            raise TransportError(f"no endpoint configured; set {ENDPOINT_ENV}")
+        return cls("live", model=model, endpoint=endpoint)
 
     @classmethod
     def replay(cls, path: str | Path):
@@ -87,9 +86,7 @@ class LlmClient:
             self._kwargs["endpoint"], data=body, headers=headers, method="POST"
         )
         try:
-            with urllib.request.urlopen(
-                request, timeout=self._kwargs["timeout"]
-            ) as resp:
+            with urllib.request.urlopen(request, timeout=TIMEOUT_S) as resp:
                 payload = resp.read().decode()
         except urllib.error.URLError as exc:
             raise TransportError(f"LLM endpoint request failed: {exc}") from exc

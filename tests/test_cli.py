@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,12 @@ from pertpipe.bundle import (
 from pertpipe.actions import materialize, validate_action_path
 from pertpipe.cli import _profile_text, main
 from pertpipe.data import RawTable, pseudo_bulk
-from pertpipe.evaluators import SyntheticConfig, builtin_landscape_path, generate_synthetic
+from pertpipe.evaluators import (
+    LandscapeEvaluator,
+    SyntheticConfig,
+    builtin_landscape_path,
+    generate_synthetic,
+)
 from pertpipe.knowledge import KnowledgeBase, make_entry
 from pertpipe.manifest import CONFIG_DEFAULTS, parse_config_file, resolve_config
 
@@ -945,6 +951,33 @@ class TestManifests:
             ids.append(_read_manifest(out)["run_id"])
         assert ids[0] != ids[1]
 
+    def test_landscape_digest_is_of_the_table_that_was_scored(
+        self, runner, synthetic_bundle, tmp_path, monkeypatch
+    ):
+        # the table changes on disk right after it is parsed: the manifest
+        # names the bytes the search scored, not the ones there afterwards
+        table = tmp_path / "table.json"
+        scored = builtin_landscape_path("funnel").read_bytes()
+        table.write_bytes(scored)
+        parse = LandscapeEvaluator.from_file.__func__
+
+        def parse_then_rewrite(cls, path):
+            evaluator = parse(cls, path)
+            table.write_bytes(builtin_landscape_path("ablation").read_bytes())
+            return evaluator
+
+        monkeypatch.setattr(LandscapeEvaluator, "from_file", classmethod(parse_then_rewrite))
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main,
+            ["search", str(synthetic_bundle), "--out", str(out),
+             "--evaluator", f"landscape:{table}", "--set", "search.n_sim=8"],
+        )
+        assert result.exit_code == 0, result.output + result.stderr
+        assert table.read_bytes() != scored
+        digest = _read_manifest(out)["input_digests"]["landscape"]
+        assert digest == hashlib.sha256(scored).hexdigest()
+
     def test_rerun_from_manifest_reproduces_output(self, runner, synthetic_bundle, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         for out in (out1, out2):
@@ -1354,17 +1387,23 @@ class TestArtifactWrites:
         assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
 
 
-    @pytest.mark.parametrize("command", ["unify", "gen-synthetic"])
+    @pytest.mark.parametrize("command", ["unify", "gen-synthetic", "search"])
     def test_crash_at_any_rename_leaves_no_earlier_manifest(
-        self, runner, raw_bundle_dir, mapping_file, tmp_path, monkeypatch, command
+        self, runner, synthetic_bundle, raw_bundle_dir, mapping_file, tmp_path, monkeypatch,
+        command,
     ):
-        # the bundle is written before run_manifest.json, so a crash between
-        # them must not leave the new files beside the earlier run's manifest
+        # the bundle (or the search artifacts) is written before
+        # run_manifest.json, so a crash between them must not leave the new
+        # files beside the earlier run's manifest
         out = tmp_path / "out"
         args = {
             "unify": ["unify", str(raw_bundle_dir), str(out), "--mapping", str(mapping_file)],
             "gen-synthetic": ["gen-synthetic", "--out", str(out), "--n-genes", "20",
                               "--n-perts", "3", "--cells-per-condition", "4"],
+            # with --kb, retrieval.json is among the renames
+            "search": ["search", str(synthetic_bundle), "--out", str(out),
+                       "--evaluator", "landscape:funnel", "--set", "search.n_sim=8",
+                       "--kb", str(tmp_path / "kb.jsonl")],
         }[command]
         earlier = [*args, "--set", "unify.sample_size=3"] if command == "unify" else [
             *args, "--seed", "1"]
@@ -1372,6 +1411,8 @@ class TestArtifactWrites:
         renames = []
         monkeypatch.setattr(os, "replace", lambda *a: renames.append(a) or real(*a))
         assert runner.invoke(main, args).exit_code == 0
+        if command == "search":
+            assert "retrieval.json" in [Path(dst).name for _, dst in renames]
         for k in range(len(renames)):
             monkeypatch.setattr(os, "replace", real)
             assert runner.invoke(main, earlier).exit_code == 0
@@ -1387,6 +1428,26 @@ class TestArtifactWrites:
             result = runner.invoke(main, args)
             assert isinstance(result.exception, OSError), (k, result.output)
             assert not (out / "run_manifest.json").exists(), k
+
+
+def test_no_worker_thread_outlives_a_command(runner, raw_bundle_dir, mapping_file, tmp_path):
+    # unify and gen-synthetic split passes over X and hash while writing;
+    # search prepares the surrogate's statistics beside its set-up
+    synthetic = ["gen-synthetic", "--out", str(tmp_path / "syn"), "--n-genes", "20",
+                 "--n-perts", "3", "--cells-per-condition", "4"]
+    for args in (
+        ["unify", str(raw_bundle_dir), str(tmp_path / "unified"), "--mapping", str(mapping_file)],
+        synthetic,
+        ["search", str(tmp_path / "syn"), "--out", str(tmp_path / "search"),
+         "--evaluator", "surrogate", "--set", "search.n_sim=4"],
+    ):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output + result.stderr
+        workers = [
+            t.name for t in threading.enumerate()
+            if t.name.startswith(("row-half", "bundle-digest", "surrogate-prepare"))
+        ]
+        assert workers == [], args[0]
 
 
 def test_import_leaves_the_http_client_unloaded():

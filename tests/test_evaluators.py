@@ -460,7 +460,7 @@ def test_m_val_keeps_the_bits_of_one_pcc_of_sides_per_condition(
         assert _hex(ev.evaluate(candidate, 0).m_val) == _hex(expected), candidate.key()
         if zeroed in ("all", "train"):
             assert expected is None
-    stats, _ = ev._prepared
+    stats, _ = ev._prepared.result()
     assert (0.0 in stats.val_squares) == bool(zero)
 
 
@@ -471,7 +471,7 @@ class TestSharedState:
         ds, split, _ = noisy_bundle
         ev = SurrogateEvaluator(ds, split)
         assert ev.evaluate(_ridge("resnet"), 0).ok
-        stats, _ = ev._prepared
+        stats, _ = ev._prepared.result()
         assert stats.val_truth.flags.c_contiguous
         assert stats.val_truth.shape == (len(stats.val_keys), ds.n_genes)
         for array in (stats.val_truth, stats.val_squares):
@@ -507,26 +507,38 @@ class TestSharedState:
         assert not np.array_equal(a, b)
 
 
+def _new_preparing_thread(before: list) -> threading.Thread:
+    """The one preparation worker that is running now and was not in ``before``."""
+    [thread] = [
+        t for t in threading.enumerate()
+        if t.name.startswith("surrogate-prepare") and t not in before
+    ]
+    return thread
+
+
 class TestPreparation:
     """The statistics are built on a background thread from construction."""
 
     def test_no_thread_alive_after_first_evaluate(self, noisy_bundle):
         ds, split, _ = noisy_bundle
+        before = threading.enumerate()
         ev = SurrogateEvaluator(ds, split)
-        assert not ev._thread.daemon  # interpreter exit waits for it
+        thread = _new_preparing_thread(before)
+        assert not thread.daemon  # interpreter exit waits for it
         assert ev.evaluate(_ridge("resnet"), 0).ok
-        assert not ev._thread.is_alive()
-        assert ev._thread not in threading.enumerate()
+        assert not thread.is_alive()
+        assert thread not in threading.enumerate()
 
     def test_dropped_evaluator_leaves_no_thread(self, noisy_bundle):
         ds, split, _ = noisy_bundle
+        before = threading.enumerate()
         ev = SurrogateEvaluator(ds, split)
-        thread, ref = ev._thread, weakref.ref(ev)
+        thread, ref = _new_preparing_thread(before), weakref.ref(ev)
         del ev
         thread.join(timeout=60)
         assert not thread.is_alive()
         assert thread not in threading.enumerate()
-        assert ref() is None  # the finished thread holds no reference to it
+        assert ref() is None  # the worker holds no reference to it
 
     def test_preparation_error_raised_by_every_evaluate(self, noisy_bundle, monkeypatch):
         ds, split, _ = noisy_bundle
@@ -537,11 +549,13 @@ class TestPreparation:
             raise MemoryError("no room for the loss view")
 
         monkeypatch.setattr(evaluators, "_loss_view", broken)
+        before = threading.enumerate()
         ev = SurrogateEvaluator(ds, split)
+        thread = _new_preparing_thread(before)
         for candidate in (_ridge("resnet"), _ridge("gated_mlp", loss="huber")):
             with pytest.raises(MemoryError, match="^no room for the loss view$"):
                 ev.evaluate(candidate, 0)
-        assert not ev._thread.is_alive()
+        assert not thread.is_alive()
         assert hooked == []
 
     def test_preparing_thread_ignores_invalid_values(self, noisy_bundle):
