@@ -9,11 +9,11 @@ dense mask and dose matrices) and any binary file of the wrong size.
 
 Writers first format the TSV tables, refusing a cell the reader would
 split, so a refused write leaves an old bundle untouched. Then they remove
-any old manifest (and the files a caller names as describing the old
-bundle, such as a run manifest), write each file under a temporary name
-and rename it into place, and write the manifest last, so a write cut
-short leaves a directory that readers reject rather than a mix of old and
-new files. Bundle files are replaced by rename and never edited in place.
+any old run manifest (`run_manifest.json`, which describes the old bundle)
+and then the old manifest, write each file under a temporary name and
+rename it into place, and write the manifest last, so a write cut short
+leaves a directory that readers reject rather than a mix of old and new
+files. Bundle files are replaced by rename and never edited in place.
 
 A bundle's digest covers the files its manifest names, so a stray
 ``obsm_*.f64`` beside them leaves it unchanged. Writers hash what they
@@ -59,6 +59,7 @@ from .dsl import DslEvalError, _cast, _kind
 from .errors import BundleFormatError
 
 MANIFEST = "manifest.json"
+RUN_MANIFEST = "run_manifest.json"  # a command's record of the run that wrote a directory
 _OBS_TYPES = ("bool", "float", "str", "categorical")
 CANONICAL_FORMAT = 2
 _DIGEST_CHUNK = 1 << 20
@@ -66,10 +67,6 @@ _DTYPES = {".f64": "<f8", ".i64": "<i8"}
 # real path of each bundle directory this process wrote -> (digest, _bundle_stats
 # right after the write)
 _written: dict[str, tuple[str, dict]] = {}
-
-
-def _dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _format_cell(value) -> str:
@@ -151,10 +148,6 @@ def _read_tsv(path: Path) -> dict[str, list[str]]:
     return {name: fields[j::k] for j, name in enumerate(names)}
 
 
-def _write_matrix(path: Path, a: np.ndarray, dtype: str) -> None:
-    _replace_file(path, np.ascontiguousarray(a, dtype=dtype).tofile)
-
-
 def _read_matrix(path: Path, shape: tuple[int, ...], dtype: str) -> np.ndarray:
     """A read-only array over a read-only mapping of ``path``; nothing is copied."""
     expected = int(np.prod(shape)) * np.dtype(dtype).itemsize
@@ -199,19 +192,19 @@ def _write_bundle(
     manifest: dict,
     tables: dict[str, dict],
     matrices: dict[str, object],
-    stale: tuple[str, ...] = (),
 ) -> None:
     """Write one bundle and keep the digest of the bytes it wrote.
 
     ``tables`` maps a file name to the columns of its TSV table, ``matrices``
     a file name to an array stored as little-endian float64 (``.f64``) or
-    int64 (``.i64``). ``stale`` names other files in ``out_dir`` that
-    describe an old bundle; they go with its manifest, once the tables are
-    formatted and before the first file is replaced. A worker thread hashes
-    the files in ``bundle_digest``'s order while this thread formats the
-    tables and writes the files; the tables reach the worker once
-    formatted. The worker is joined before this returns, and an error on
-    either thread is raised here, before the manifest is renamed into place.
+    int64 (``.i64``). Once the tables are formatted, the run manifest and
+    then the manifest of an old bundle go, before the first file is
+    replaced, so a crash never leaves a run manifest beside a bundle that
+    lacks its manifest. A worker thread hashes the files in
+    ``bundle_digest``'s order while this thread formats the tables and
+    writes the files; the tables reach the worker once formatted. The worker
+    is joined before this returns, and an error on either thread is raised
+    here, before the manifest is renamed into place.
     """
     out = Path(out_dir)
     key = os.path.realpath(out)
@@ -219,7 +212,7 @@ def _write_bundle(
     arrays = {
         name: np.ascontiguousarray(a, dtype=_DTYPES[name[-4:]]) for name, a in matrices.items()
     }
-    manifest_bytes = _dump_json(manifest).encode()
+    manifest_bytes = (json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n").encode()
     texts: dict[str, bytes] = {}
     formatted = threading.Event()
 
@@ -248,12 +241,12 @@ def _write_bundle(
         finally:
             formatted.set()
         out.mkdir(parents=True, exist_ok=True)
-        for name in (MANIFEST, *stale):
+        for name in (RUN_MANIFEST, MANIFEST):
             (out / name).unlink(missing_ok=True)
         for name, data in texts.items():
             _replace_file(out / name, lambda tmp: tmp.write_bytes(data))
         for name, a in arrays.items():
-            _write_matrix(out / name, a, a.dtype)
+            _replace_file(out / name, a.tofile)
     digest = hashed.result()
     _replace_file(out / MANIFEST, lambda tmp: tmp.write_bytes(manifest_bytes))
     _written[key] = (digest, _bundle_stats(out))
@@ -313,9 +306,7 @@ def read_raw_bundle(path: str | Path) -> RawTable:
     return RawTable(obs=obs, var_index=var_index, var_columns=var_columns, X=X, obsm=obsm)
 
 
-def write_canonical_bundle(
-    ds: CanonicalDataset, out_dir: str | Path, stale: tuple[str, ...] = ()
-) -> None:
+def write_canonical_bundle(ds: CanonicalDataset, out_dir: str | Path) -> None:
     manifest = {
         "kind": "canonical",
         "format": CANONICAL_FORMAT,
@@ -340,7 +331,6 @@ def write_canonical_bundle(
             "pert_indices.i64": ds.pert_indices,
             "pert_dose.f64": ds.pert_values,
         },
-        stale,
     )
 
 

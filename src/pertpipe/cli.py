@@ -142,13 +142,9 @@ def unify(raw_bundle, out_dir, mapping_file, induce, llm_transport, replay_file,
 
     out = Path(out_dir)
     try:
-        # an earlier run's manifest never describes this run's bundle
-        bundle_io.write_canonical_bundle(ds, out, stale=("run_manifest.json",))
+        bundle_io.write_canonical_bundle(ds, out)
     except BundleFormatError as exc:  # a mapped value the bundle cannot store
         _fail("apply_mapping", str(exc), EXIT_VALIDATION)
-    bundle_io.write_text_atomic(
-        out / "validation_report.json", json.dumps({"issues": []}) + "\n"
-    )
     manifest.finish(
         status="ok",
         canonical_digest=bundle_io.bundle_digest(out),
@@ -156,7 +152,10 @@ def unify(raw_bundle, out_dir, mapping_file, induce, llm_transport, replay_file,
         n_genes=ds.n_genes,
         p=ds.n_perts,
     )
-    manifest.write(out)
+    manifest.write(
+        out,
+        {"validation_report.json": json.dumps({"issues": []}) + "\n", "ground_truth.json": None},
+    )
     click.echo(json.dumps({"out": str(out), "n_cells": ds.n_cells, "p": ds.n_perts}))
 
 
@@ -198,6 +197,12 @@ def search(bundle, out_dir, evaluator_spec, mode, kb_path, seed, fail_rate,
     except (BundleFormatError, ValidationError) as exc:
         _fail("bundle", str(exc), EXIT_VALIDATION)
 
+    if kb_path:  # a store that fails to load ends the run before any preparation
+        kb = KnowledgeBase(kb_path)
+        try:
+            entries = kb.load()
+        except ValidationError as exc:
+            _fail("kb", str(exc), EXIT_VALIDATION)
     try:
         scored, split_used = _make_evaluator(evaluator_spec, ds, config, seed)
         evaluator = scored
@@ -211,11 +216,6 @@ def search(bundle, out_dir, evaluator_spec, mode, kb_path, seed, fail_rate,
     profile_text = _profile_text(ds, config, evaluator_spec)
     retrieval = None
     if kb_path:
-        kb = KnowledgeBase(kb_path)
-        try:
-            entries = kb.load()
-        except ValidationError as exc:
-            _fail("kb", str(exc), EXIT_VALIDATION)
         retrieval = retrieve(profile_text, entries, to_retrieval_params(config))
 
     search_config = to_search_config(config, seed)
@@ -237,32 +237,23 @@ def search(bundle, out_dir, evaluator_spec, mode, kb_path, seed, fail_rate,
     )
     result = run_search(search_config, evaluator, retrieval=retrieval)
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    # an earlier run's manifest never describes this run's artifacts
-    (out / "run_manifest.json").unlink(missing_ok=True)
-    bundle_io.write_text_atomic(out / "trajectory.jsonl", result.trajectory_jsonl())
-    bundle_io.write_text_atomic(out / "tree.json", result.tree_json() + "\n")
-    if retrieval is not None:
-        bundle_io.write_text_atomic(
-            out / "retrieval.json",
-            json.dumps(
-                {
-                    "rho": None if retrieval.rho == float("-inf") else retrieval.rho,
-                    "mode": retrieval.mode,
-                    "epsilon0": list(retrieval.epsilon0) if retrieval.epsilon0 else None,
-                },
-                sort_keys=True,
-            )
-            + "\n"
-        )
-    else:
-        (out / "retrieval.json").unlink(missing_ok=True)
-
+    # search owns these names: one this run does not write is removed
+    files = {
+        "trajectory.jsonl": result.trajectory_jsonl(),
+        "tree.json": result.tree_json() + "\n",
+        "retrieval.json": None if retrieval is None else json.dumps(
+            {
+                "rho": None if retrieval.rho == float("-inf") else retrieval.rho,
+                "mode": retrieval.mode,
+                "epsilon0": list(retrieval.epsilon0) if retrieval.epsilon0 else None,
+            },
+            sort_keys=True,
+        ) + "\n",
+        "best_candidate.json": None,
+    }
     if not result.found_valid:
-        (out / "best_candidate.json").unlink(missing_ok=True)
         manifest.finish(status="no_valid_candidate", n_iterations=result.n_iterations)
-        manifest.write(out)
+        manifest.write(out_dir, files)
         _fail("no_valid_candidate",
               "search finished without any successful simulation", EXIT_NO_CANDIDATE)
 
@@ -274,11 +265,9 @@ def search(bundle, out_dir, evaluator_spec, mode, kb_path, seed, fail_rate,
         "split": split_used,
         "mode": search_config.mode,
     }
-    bundle_io.write_text_atomic(
-        out / "best_candidate.json", json.dumps(best, indent=2, sort_keys=True) + "\n"
-    )
+    files["best_candidate.json"] = json.dumps(best, indent=2, sort_keys=True) + "\n"
     manifest.finish(status="ok", **{k: best[k] for k in ("candidate", "reward", "m_val")})
-    manifest.write(out)
+    manifest.write(out_dir, files)
 
     if kb_path:
         # stored paths must be hierarchy-legal; a flat-mode path is reordered
@@ -414,8 +403,7 @@ def gen_synthetic(out_dir, n_genes, n_perts, cells_per_condition, noise_sigma,
     except (ParameterError, ValidationError) as exc:
         _fail("gen_synthetic", str(exc), EXIT_VALIDATION)
     out = Path(out_dir)
-    bundle_io.write_canonical_bundle(ds, out, stale=("run_manifest.json",))
-    bundle_io.write_text_atomic(out / "ground_truth.json", truth.to_json() + "\n")
+    bundle_io.write_canonical_bundle(ds, out)
     manifest = RunManifest(
         command="gen-synthetic",
         config={
@@ -430,7 +418,9 @@ def gen_synthetic(out_dir, n_genes, n_perts, cells_per_condition, noise_sigma,
     )
     digest = bundle_io.bundle_digest(out)
     manifest.finish(status="ok", bundle_digest=digest)
-    manifest.write(out)
+    manifest.write(
+        out, {"ground_truth.json": truth.to_json() + "\n", "validation_report.json": None}
+    )
     click.echo(json.dumps({"out": str(out), "digest": digest}))
 
 

@@ -48,7 +48,7 @@ class LlmClient:
             raise TransportError(
                 f"replay file {path} must hold a JSON array of response strings"
             )
-        return cls("replay", responses=responses, path=str(path))
+        return cls("replay", responses=responses)
 
     @classmethod
     def mock(cls, response: str | list[str]):

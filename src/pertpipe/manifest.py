@@ -16,10 +16,10 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from .bundle import write_text_atomic
+from .bundle import RUN_MANIFEST, write_text_atomic
 from .errors import ParameterError
 from .knowledge import RetrievalParams
 from .search import SearchConfig
@@ -140,28 +140,23 @@ class RunManifest:
         self.finished_at = time.time()
         self.outcome.update(outcome)
 
-    def write(self, out_dir: str | Path) -> Path:
+    def write(self, out_dir: str | Path, files: dict[str, str | None] | None = None) -> Path:
+        """Write this run's files into ``out_dir``, then this manifest.
+
+        ``files`` maps each file name the command owns to its text, or to None
+        for one that this run does not write. In order: remove the earlier
+        run's manifest, remove each name mapped to None, write each text by
+        rename, and write the manifest last. So a crash leaves the earlier
+        run whole or no manifest at all. Other files in ``out_dir`` stay.
+        """
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        path = out / "run_manifest.json"
-        write_text_atomic(
-            path,
-            json.dumps(
-                {
-                    "run_id": self.run_id,
-                    "command": self.command,
-                    "config": self.config,
-                    "input_digests": self.input_digests,
-                    "options": self.options,
-                    "seed": self.seed,
-                    "tool_version": self.tool_version,
-                    "started_at": self.started_at,
-                    "finished_at": self.finished_at,
-                    "outcome": self.outcome,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n"
-        )
+        path = out / RUN_MANIFEST
+        files = files or {}
+        for name in (RUN_MANIFEST, *(name for name, text in files.items() if text is None)):
+            (out / name).unlink(missing_ok=True)
+        for name, text in files.items():
+            if text is not None:
+                write_text_atomic(out / name, text)
+        write_text_atomic(path, json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
         return path

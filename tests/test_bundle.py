@@ -222,14 +222,14 @@ class TestCrashSafeWrites:
     def test_failed_overwrite_is_rejected_not_mixed(self, tmp_path, monkeypatch):
         old, new = self._datasets()
         write_canonical_bundle(old, tmp_path / "c")
-        real = bundle._write_matrix
+        real = bundle._replace_file
 
-        def failing(path, a, dtype):
+        def failing(path, write):
             if path.name == "pert_dose.f64":
                 raise OSError("disk full")
-            real(path, a, dtype)
+            real(path, write)
 
-        monkeypatch.setattr(bundle, "_write_matrix", failing)
+        monkeypatch.setattr(bundle, "_replace_file", failing)
         with pytest.raises(OSError, match="disk full"):
             write_canonical_bundle(new, tmp_path / "c")
         # X is already new and pert_dose still old: the reader must refuse
@@ -575,14 +575,14 @@ class TestKeptDigest:
                                                              monkeypatch):
         write_canonical_bundle(self._dataset(), tmp_path / "c")
         kept = bundle_digest(tmp_path / "c")
-        real = bundle._write_matrix
+        real = bundle._replace_file
 
-        def failing(path, a, dtype):
+        def failing(path, write):
             if path.name == "pert_dose.f64":
                 raise OSError("disk full")
-            real(path, a, dtype)
+            real(path, write)
 
-        monkeypatch.setattr(bundle, "_write_matrix", failing)
+        monkeypatch.setattr(bundle, "_replace_file", failing)
         with pytest.raises(OSError, match="disk full"):
             write_canonical_bundle(self._dataset(x=3.0), tmp_path / "c")
         hashes.clear()
@@ -618,10 +618,10 @@ class TestWriterThread:
         assert not (tmp_path / "c" / "manifest.json").exists()
 
     def test_a_file_write_error(self, tmp_path, monkeypatch):
-        def failing(path, a, dtype):
+        def failing(path, write):
             raise OSError("disk full")
 
-        monkeypatch.setattr(bundle, "_write_matrix", failing)
+        monkeypatch.setattr(bundle, "_replace_file", failing)
         before = threading.active_count()
         with pytest.raises(OSError, match="disk full"):
             write_canonical_bundle(self._dataset(), tmp_path / "c")

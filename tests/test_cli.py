@@ -801,6 +801,22 @@ class TestKnowledgeBaseFlags:
         assert error["code"] == "kb"
         assert f"{kb}:3 " in error["message"]
 
+    def test_a_bad_store_ends_search_before_any_preparation(
+        self, runner, synthetic_bundle, tmp_path, monkeypatch
+    ):
+        kb = tmp_path / "kb.jsonl"
+        KnowledgeBase(kb).record(make_entry("x", ("paradigm:generative",), 0.5))
+        with open(kb, "a") as fh:
+            fh.write('{"torn\n')
+        built = []
+        monkeypatch.setattr("pertpipe.cli.SurrogateEvaluator", lambda *a: built.append(a))
+        result = runner.invoke(
+            main, ["search", str(synthetic_bundle), "--out", str(tmp_path / "o"), "--kb", str(kb)]
+        )
+        assert result.exit_code == 2, result.output
+        assert _stderr_error(result)["error"]["code"] == "kb"
+        assert built == []
+
 
     def test_search_after_a_crash_mid_append(self, runner, synthetic_bundle, tmp_path):
         kb = tmp_path / "kb.jsonl"
@@ -1338,6 +1354,29 @@ def test_random_config_runs_or_ends_in_config_error(fuzz_bundles, values):
         assert (result.exit_code, error["code"]) == (1, "config")
 
 
+# argv of each command that writes a run into an output directory {out}
+_WRITER_ARGS = {
+    "unify": ["unify", "{raw}", "{out}", "--mapping", "{mapping}"],
+    "gen-synthetic": ["gen-synthetic", "--out", "{out}", "--n-genes", "20", "--n-perts", "3",
+                      "--cells-per-condition", "4"],
+    # with --kb, retrieval.json is among the renames
+    "search": ["search", "{bundle}", "--out", "{out}", "--evaluator", "landscape:funnel",
+               "--set", "search.n_sim=8", "--kb", "{kb}"],
+}
+
+
+@pytest.fixture
+def writer_args(synthetic_bundle, raw_bundle_dir, mapping_file, tmp_path):
+    """The argv of ``command`` writing into ``out``, over this test's inputs."""
+    inputs = {"bundle": synthetic_bundle, "raw": raw_bundle_dir, "mapping": mapping_file,
+              "kb": tmp_path / "kb.jsonl"}
+    return lambda command, out: [a.format(out=out, **inputs) for a in _WRITER_ARGS[command]]
+
+
+def _dir_bytes(path: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in path.iterdir()}
+
+
 class TestArtifactWrites:
     @pytest.mark.parametrize(
         "command,artifact",
@@ -1352,18 +1391,10 @@ class TestArtifactWrites:
         ],
     )
     def test_failed_write_keeps_the_old_artifact(
-        self, runner, synthetic_bundle, raw_bundle_dir, mapping_file, tmp_path, monkeypatch,
-        command, artifact,
+        self, runner, writer_args, tmp_path, monkeypatch, command, artifact
     ):
         out = tmp_path / "out"
-        args = {
-            "search": ["search", str(synthetic_bundle), "--out", str(out),
-                       "--evaluator", "landscape:funnel", "--set", "search.n_sim=8",
-                       "--kb", str(tmp_path / "kb.jsonl")],
-            "unify": ["unify", str(raw_bundle_dir), str(out), "--mapping", str(mapping_file)],
-            "gen-synthetic": ["gen-synthetic", "--out", str(out), "--n-genes", "20",
-                              "--n-perts", "3", "--cells-per-condition", "4"],
-        }[command]
+        args = writer_args(command, out)
         assert runner.invoke(main, args).exit_code == 0
         old = (out / artifact).read_bytes()
 
@@ -1386,48 +1417,60 @@ class TestArtifactWrites:
             assert (out / artifact).read_bytes() == old
         assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
 
-
     @pytest.mark.parametrize("command", ["unify", "gen-synthetic", "search"])
     def test_crash_at_any_rename_leaves_no_earlier_manifest(
-        self, runner, synthetic_bundle, raw_bundle_dir, mapping_file, tmp_path, monkeypatch,
-        command,
+        self, runner, writer_args, tmp_path, monkeypatch, command
     ):
         # the bundle (or the search artifacts) is written before
-        # run_manifest.json, so a crash between them must not leave the new
-        # files beside the earlier run's manifest
+        # run_manifest.json, so a crash at a rename must not leave the new
+        # files beside the earlier run's manifest; a crash at a removal
+        # leaves the earlier run whole or no manifest
         out = tmp_path / "out"
-        args = {
-            "unify": ["unify", str(raw_bundle_dir), str(out), "--mapping", str(mapping_file)],
-            "gen-synthetic": ["gen-synthetic", "--out", str(out), "--n-genes", "20",
-                              "--n-perts", "3", "--cells-per-condition", "4"],
-            # with --kb, retrieval.json is among the renames
-            "search": ["search", str(synthetic_bundle), "--out", str(out),
-                       "--evaluator", "landscape:funnel", "--set", "search.n_sim=8",
-                       "--kb", str(tmp_path / "kb.jsonl")],
-        }[command]
+        args = writer_args(command, out)
         earlier = [*args, "--set", "unify.sample_size=3"] if command == "unify" else [
             *args, "--seed", "1"]
-        real = os.replace
-        renames = []
-        monkeypatch.setattr(os, "replace", lambda *a: renames.append(a) or real(*a))
+        real = {"replace": os.replace, "unlink": os.unlink}
+        calls = {name: [] for name in real}
+        for name, call in real.items():
+            monkeypatch.setattr(os, name, lambda *a, n=name, f=call: calls[n].append(a) or f(*a))
         assert runner.invoke(main, args).exit_code == 0
         if command == "search":
-            assert "retrieval.json" in [Path(dst).name for _, dst in renames]
-        for k in range(len(renames)):
-            monkeypatch.setattr(os, "replace", real)
+            assert "retrieval.json" in [Path(dst).name for _, dst in calls["replace"]]
+        assert "run_manifest.json" in [Path(a[0]).name for a in calls["unlink"]]
+        for name, k in [(name, k) for name in real for k in range(len(calls[name]))]:
+            for restored, call in real.items():
+                monkeypatch.setattr(os, restored, call)
             assert runner.invoke(main, earlier).exit_code == 0
-            assert (out / "run_manifest.json").is_file()
-            calls = iter(range(len(renames)))
+            before = _dir_bytes(out)
+            assert "run_manifest.json" in before
+            seen = iter(range(len(calls[name])))
 
             def crash(*a):
-                if next(calls) == k:
-                    raise OSError(f"crash at rename {k}")
-                return real(*a)
+                if next(seen) == k:
+                    raise OSError(f"crash at {name} {k}")
+                return real[name](*a)
 
-            monkeypatch.setattr(os, "replace", crash)
+            monkeypatch.setattr(os, name, crash)
             result = runner.invoke(main, args)
-            assert isinstance(result.exception, OSError), (k, result.output)
-            assert not (out / "run_manifest.json").exists(), k
+            assert isinstance(result.exception, OSError), (name, k, result.output)
+            if name == "replace":
+                assert not (out / "run_manifest.json").exists(), (name, k)
+            elif (out / "run_manifest.json").exists():
+                assert _dir_bytes(out) == before, (name, k)
+
+    @pytest.mark.parametrize("first,second", [("gen-synthetic", "unify"),
+                                              ("unify", "gen-synthetic")])
+    def test_a_run_removes_the_other_commands_sidecar(
+        self, runner, writer_args, tmp_path, first, second
+    ):
+        # unify writes validation_report.json and gen-synthetic ground_truth.json
+        # into the same kind of bundle directory
+        alone = tmp_path / "alone"
+        assert runner.invoke(main, writer_args(second, alone)).exit_code == 0
+        out = tmp_path / "out"
+        for command in (first, second):
+            assert runner.invoke(main, writer_args(command, out)).exit_code == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in alone.iterdir())
 
 
 def test_no_worker_thread_outlives_a_command(runner, raw_bundle_dir, mapping_file, tmp_path):
