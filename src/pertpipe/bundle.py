@@ -54,8 +54,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import CANONICAL_OBS_KEYS, CanonicalDataset, RawTable, is_file_name_part
-from .dsl import DslEvalError, _cast, _kind
+from .data import (
+    CANONICAL_OBS_KEYS,
+    CanonicalDataset,
+    RawTable,
+    cast_column,
+    column_kind,
+    is_file_name_part,
+)
 from .errors import BundleFormatError
 
 MANIFEST = "manifest.json"
@@ -181,8 +187,8 @@ def _parse_obs_column(name: str, values: list[str], tag: str) -> np.ndarray:
         return np.array([v == "true" for v in values], dtype=bool)
     if tag == "float":
         try:
-            return _cast(np.array(values, dtype=object), "float")
-        except DslEvalError as exc:
+            return cast_column(np.array(values, dtype=object), "float")
+        except ValueError as exc:
             raise BundleFormatError(f"float obs column {name!r}: {exc}") from None
     return np.array(values, dtype=object)
 
@@ -260,7 +266,7 @@ def write_raw_bundle(table: RawTable, out_dir: str | Path) -> None:
         "p": 0,
         "flags": {},
         "pert_vocab": [],
-        "obs_types": {k: _kind(v) for k, v in table.obs.items()},
+        "obs_types": {k: column_kind(v) for k, v in table.obs.items()},
         "var_index_name": "index",
         "obsm": {k: int(v.shape[1]) for k, v in table.obsm.items()},
     }
@@ -343,6 +349,8 @@ def read_canonical_bundle(path: str | Path) -> CanonicalDataset:
         root, manifest, "pert_vocab",
         lambda v: type(v) is list and all(type(name) is str for name in v), "a list of names",
     )
+    _field(root, manifest, "p", lambda v: type(v) is int and v == len(pert_vocab),
+           f"the length of pert_vocab, {len(pert_vocab)}")
     obs = _read_tsv(root / "obs.tsv")
     missing = [k for k in CANONICAL_OBS_KEYS if k not in obs]
     if missing:

@@ -5,7 +5,8 @@ induction), ``search`` (pipeline search over a canonical bundle),
 ``evaluate`` (score a predictions file), ``gen-synthetic`` (benchmark
 generator), and ``kb`` (knowledge-base inspection). Every failure writes a
 machine-readable JSON object to stderr; primary results go to stdout or
-the output directory.
+the output directory. Each command imports the modules it runs inside its
+function, so a process loads only what its command needs.
 """
 
 from __future__ import annotations
@@ -17,9 +18,6 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import bundle as bundle_io
-from .actions import hierarchical_path
-from .data import PseudoBulkProfile, pseudo_bulk, split_unseen_cell, split_unseen_perturbation
 from .errors import (
     BundleFormatError,
     LlmReplyError,
@@ -28,26 +26,6 @@ from .errors import (
     TransportError,
     ValidationError,
 )
-from .evaluators import (
-    FailureInjectingEvaluator,
-    LandscapeEvaluator,
-    SurrogateEvaluator,
-    SyntheticConfig,
-    builtin_landscape_path,
-    generate_synthetic,
-)
-from .knowledge import KnowledgeBase, make_entry, retrieve
-from .llm import LlmClient
-from .manifest import (
-    RunManifest,
-    parse_config_file,
-    resolve_config,
-    to_retrieval_params,
-    to_search_config,
-)
-from .metrics import evaluate_predictions
-from .search import run_search
-from .unifier import MappingSpec, apply_mapping, induce_mapping, preview_schema
 
 click.UsageError.exit_code = 1
 
@@ -67,6 +45,8 @@ def _fail(code: str, message: str, exit_code: int, **details):
 
 
 def _resolved_config(config_path, sets, mode=None):
+    from .manifest import parse_config_file, resolve_config
+
     file_values = parse_config_file(config_path) if config_path else None
     overrides = {}
     for item in sets:
@@ -100,6 +80,10 @@ def main():
 def unify(raw_bundle, out_dir, mapping_file, induce, llm_transport, replay_file,
           mock_response, model, config_path, sets):
     """Project a raw bundle onto the canonical schema."""
+    from .bundle import bundle_digest, read_raw_bundle, write_canonical_bundle
+    from .manifest import RunManifest
+    from .unifier import MappingSpec, apply_mapping, induce_mapping, preview_schema
+
     if bool(mapping_file) == bool(induce):
         _fail("usage", "exactly one of --mapping or --induce is required", EXIT_USAGE)
     try:
@@ -107,14 +91,14 @@ def unify(raw_bundle, out_dir, mapping_file, induce, llm_transport, replay_file,
     except (ParameterError, OSError) as exc:
         _fail("config", str(exc), EXIT_USAGE)
     try:
-        table = bundle_io.read_raw_bundle(raw_bundle)
+        table = read_raw_bundle(raw_bundle)
     except (BundleFormatError, ValidationError) as exc:
         _fail("bundle", str(exc), EXIT_VALIDATION)
 
     manifest = RunManifest(
         command="unify",
         config=dict(config),
-        input_digests={"raw_bundle": bundle_io.bundle_digest(raw_bundle)},
+        input_digests={"raw_bundle": bundle_digest(raw_bundle)},
         seed=0,
     )
     if mapping_file:
@@ -142,12 +126,12 @@ def unify(raw_bundle, out_dir, mapping_file, induce, llm_transport, replay_file,
 
     out = Path(out_dir)
     try:
-        bundle_io.write_canonical_bundle(ds, out)
+        write_canonical_bundle(ds, out)
     except BundleFormatError as exc:  # a mapped value the bundle cannot store
         _fail("apply_mapping", str(exc), EXIT_VALIDATION)
     manifest.finish(
         status="ok",
-        canonical_digest=bundle_io.bundle_digest(out),
+        canonical_digest=bundle_digest(out),
         n_cells=ds.n_cells,
         n_genes=ds.n_genes,
         p=ds.n_perts,
@@ -159,7 +143,9 @@ def unify(raw_bundle, out_dir, mapping_file, induce, llm_transport, replay_file,
     click.echo(json.dumps({"out": str(out), "n_cells": ds.n_cells, "p": ds.n_perts}))
 
 
-def _make_client(transport, replay_file, mock_response, model, config) -> LlmClient:
+def _make_client(transport, replay_file, mock_response, model, config):
+    from .llm import LlmClient
+
     if transport == "replay":
         if not replay_file:
             raise TransportError("replay transport needs --replay-file")
@@ -188,12 +174,19 @@ def _make_client(transport, replay_file, mock_response, model, config) -> LlmCli
 def search(bundle, out_dir, evaluator_spec, mode, kb_path, seed, fail_rate,
            fail_fixable, config_path, sets):
     """Search for the best modeling pipeline on a canonical bundle."""
+    from .actions import hierarchical_path
+    from .bundle import bundle_digest, read_canonical_bundle
+    from .evaluators import FailureInjectingEvaluator, LandscapeEvaluator
+    from .knowledge import KnowledgeBase, make_entry, retrieve
+    from .manifest import RunManifest, to_retrieval_params, to_search_config
+    from .search import run_search
+
     try:
         config = _resolved_config(config_path, sets, mode)
     except (ParameterError, OSError) as exc:
         _fail("config", str(exc), EXIT_USAGE)
     try:
-        ds = bundle_io.read_canonical_bundle(bundle)
+        ds = read_canonical_bundle(bundle)
     except (BundleFormatError, ValidationError) as exc:
         _fail("bundle", str(exc), EXIT_VALIDATION)
 
@@ -219,7 +212,7 @@ def search(bundle, out_dir, evaluator_spec, mode, kb_path, seed, fail_rate,
         retrieval = retrieve(profile_text, entries, to_retrieval_params(config))
 
     search_config = to_search_config(config, seed)
-    input_digests = {"bundle": bundle_io.bundle_digest(bundle)}
+    input_digests = {"bundle": bundle_digest(bundle)}
     if isinstance(scored, LandscapeEvaluator):
         input_digests["landscape"] = scored.digest  # of the table it parsed
     if kb_path:
@@ -282,6 +275,9 @@ def search(bundle, out_dir, evaluator_spec, mode, kb_path, seed, fail_rate,
 
 
 def _make_evaluator(spec: str, ds, config, seed):
+    from .data import split_unseen_cell, split_unseen_perturbation
+    from .evaluators import LandscapeEvaluator, SurrogateEvaluator, builtin_landscape_path
+
     if spec == "surrogate":
         kind = config["split.kind"]
         if kind == "unseen_perturbation":
@@ -315,8 +311,12 @@ def _profile_text(ds, config, evaluator_spec) -> str:
               help="Condition name of the control profile (default: the bundle's control rows).")
 def evaluate(bundle, predictions, control_name):
     """Score a JSON predictions file against a bundle's pseudo-bulk truth."""
+    from .bundle import read_canonical_bundle
+    from .data import PseudoBulkProfile, pseudo_bulk
+    from .metrics import evaluate_predictions
+
     try:
-        ds = bundle_io.read_canonical_bundle(bundle)
+        ds = read_canonical_bundle(bundle)
     except (BundleFormatError, ValidationError) as exc:
         _fail("bundle", str(exc), EXIT_VALIDATION)
     try:
@@ -390,6 +390,10 @@ def _json_vector(vec) -> np.ndarray:
 def gen_synthetic(out_dir, n_genes, n_perts, cells_per_condition, noise_sigma,
                   effect_sparsity, seed):
     """Generate a synthetic canonical bundle with a ground-truth sidecar."""
+    from .bundle import bundle_digest, write_canonical_bundle
+    from .evaluators import SyntheticConfig, generate_synthetic
+    from .manifest import RunManifest
+
     try:
         cfg = SyntheticConfig(
             n_genes=n_genes,
@@ -403,7 +407,7 @@ def gen_synthetic(out_dir, n_genes, n_perts, cells_per_condition, noise_sigma,
     except (ParameterError, ValidationError) as exc:
         _fail("gen_synthetic", str(exc), EXIT_VALIDATION)
     out = Path(out_dir)
-    bundle_io.write_canonical_bundle(ds, out)
+    write_canonical_bundle(ds, out)
     manifest = RunManifest(
         command="gen-synthetic",
         config={
@@ -416,7 +420,7 @@ def gen_synthetic(out_dir, n_genes, n_perts, cells_per_condition, noise_sigma,
         input_digests={},
         seed=seed,
     )
-    digest = bundle_io.bundle_digest(out)
+    digest = bundle_digest(out)
     manifest.finish(status="ok", bundle_digest=digest)
     manifest.write(
         out, {"ground_truth.json": truth.to_json() + "\n", "validation_report.json": None}
@@ -475,6 +479,8 @@ def kb_show(index, kb_path):
 @click.option("--path", "path_text", required=True,
               help="Comma-separated action path, e.g. 'paradigm:generative,backbone:conditional_vae'.")
 def kb_add(kb_path, profile, reward, path_text):
+    from .knowledge import KnowledgeBase, make_entry
+
     actions = tuple(a.strip() for a in path_text.split(",") if a.strip())
     entry = make_entry(profile_text=profile, action_path=actions, reward=reward)
     try:
@@ -485,6 +491,8 @@ def kb_add(kb_path, profile, reward, path_text):
 
 
 def _load_kb_entries(kb_path):
+    from .knowledge import KnowledgeBase
+
     try:
         return KnowledgeBase(kb_path).load()
     except ValidationError as exc:

@@ -42,6 +42,47 @@ def is_file_name_part(name) -> bool:
     )
 
 
+_KINDS = {"b": "bool", "f": "float", "i": "float", "u": "float"}
+
+
+def column_kind(column: np.ndarray) -> str:
+    """A column's value type as mapping expressions and raw bundles name it."""
+    return _KINDS.get(column.dtype.kind, "str")
+
+
+def cast_column(value, target: str):
+    """Cast a column, or the scalar value of a mapping constant, to "float" or "str".
+
+    A value that does not read as a float raises ``ValueError`` naming it,
+    and for a column its row.
+    """
+    if target == "float":
+        if isinstance(value, np.ndarray):
+            if column_kind(value) != "str":
+                return value.astype(np.float64)
+            try:
+                return np.array(list(map(float, value.tolist())), dtype=np.float64)
+            except (TypeError, ValueError):
+                pass
+            # only a column that does not cast takes the per-row loop, which names the row
+            out = np.empty(len(value), dtype=np.float64)
+            for i, v in enumerate(value):
+                try:
+                    out[i] = float(v)
+                except (TypeError, ValueError):
+                    raise ValueError(f"cannot cast value {v!r} at row {i} to float") from None
+            return out
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            raise ValueError(f"cannot cast value {value!r} to float") from None
+    if target == "str":
+        if isinstance(value, np.ndarray):
+            return np.array(list(map(str, value.tolist())), dtype=object)
+        return str(value)
+    raise ValueError(f"unknown cast target {target!r}")
+
+
 @dataclass(frozen=True)
 class RawTable:
     """An unharmonized dataset: per-cell metadata columns plus expression.
@@ -147,6 +188,9 @@ class CanonicalDataset:
             {k: _freeze(np.asarray(v, dtype=object)) for k, v in self.extra_obs.items()},
         )
         p = len(self.pert_vocab)
+        if len(set(self.pert_vocab)) != p:
+            twice = next(name for name in self.pert_vocab if self.pert_vocab.count(name) > 1)
+            raise ValidationError(f"pert_vocab names {twice!r} twice")
         g = self.X.shape[1] if self.X.ndim == 2 else -1
         if self.X.ndim != 2 or self.X.shape[0] != n:
             raise ValidationError(f"X has shape {self.X.shape}, expected ({n}, genes)")

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import cast_column, column_kind
 from .errors import PertpipeError
 
 # --------------------------------------------------------------------------
@@ -477,7 +478,6 @@ def _format_postfix_operand(e: Expr) -> str:
 
 # the dtype of the column a literal stands for
 _LITERAL_DTYPES = {StrLit: object, NumLit: np.float64, BoolLit: bool}
-_KINDS = {"b": "bool", "f": "float", "i": "float", "u": "float"}
 
 
 def _table_columns(table) -> tuple[dict[str, np.ndarray], int]:
@@ -488,10 +488,6 @@ def _table_columns(table) -> tuple[dict[str, np.ndarray], int]:
     if obs is not table:
         return obs, table.n_cells
     return obs, len(next(iter(obs.values()), ()))
-
-
-def _kind(column: np.ndarray) -> str:
-    return _KINDS.get(column.dtype.kind, "str")
 
 
 def evaluate(expr: Expr, table) -> np.ndarray:
@@ -523,7 +519,11 @@ def evaluate(expr: Expr, table) -> np.ndarray:
         if isinstance(node, ListLit):
             raise DslEvalError("a bare list literal has no column value")
         if isinstance(node, Cast):
-            return _cast(ev(node.operand), node.target)
+            operand = ev(node.operand)
+            try:
+                return cast_column(operand, node.target)
+            except ValueError as exc:
+                raise DslEvalError(str(exc)) from None
         if isinstance(node, IsIn):
             return _isin(ev(node.operand), node.items)
         if isinstance(node, BinOp):
@@ -536,40 +536,9 @@ def evaluate(expr: Expr, table) -> np.ndarray:
         raise DslEvalError("expression nested too deeply to evaluate") from None
 
 
-def _cast(value, target: str):
-    """Cast a column, or the scalar value of a mapping constant."""
-    if target == "float":
-        if isinstance(value, np.ndarray):
-            if _kind(value) != "str":
-                return value.astype(np.float64)
-            try:
-                return np.array(list(map(float, value.tolist())), dtype=np.float64)
-            except (TypeError, ValueError):
-                pass
-            # only a column that does not cast takes the per-row loop, which names the row
-            out = np.empty(len(value), dtype=np.float64)
-            for i, v in enumerate(value):
-                try:
-                    out[i] = float(v)
-                except (TypeError, ValueError):
-                    raise DslEvalError(
-                        f"cannot cast value {v!r} at row {i} to float"
-                    ) from None
-            return out
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            raise DslEvalError(f"cannot cast value {value!r} to float") from None
-    if target == "str":
-        if isinstance(value, np.ndarray):
-            return np.array(list(map(str, value.tolist())), dtype=object)
-        return str(value)
-    raise DslEvalError(f"unknown cast target {target!r}")
-
-
 def _isin(operand: np.ndarray, items: ListLit) -> np.ndarray:
     if items.items:
-        element_kind, op_kind = _kind(np.array(items.items[:1])), _kind(operand)
+        element_kind, op_kind = column_kind(np.array(items.items[:1])), column_kind(operand)
         if op_kind != element_kind:
             raise DslEvalError(
                 f"type mismatch: isin over {element_kind} literals applied to "
@@ -583,7 +552,7 @@ _ARITHMETIC = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.true_div
 
 
 def _binop(op: str, lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    lk, rk = _kind(lhs), _kind(rhs)
+    lk, rk = column_kind(lhs), column_kind(rhs)
     if op in ("and", "or"):
         if lk != "bool" or rk != "bool":
             raise DslEvalError(

@@ -19,12 +19,11 @@ import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
+from . import __version__
 from .bundle import RUN_MANIFEST, write_text_atomic
 from .errors import ParameterError
 from .knowledge import RetrievalParams
 from .search import SearchConfig
-
-TOOL_VERSION = "0.1.0"
 
 # config key -> field of the dataclass that holds the key's default and range check;
 # the seed and strict mode are set by each run, not by config
@@ -117,7 +116,7 @@ class RunManifest:
     seed: int
     options: dict = field(default_factory=dict)  # settings given outside config
     run_id: str = ""
-    tool_version: str = TOOL_VERSION
+    tool_version: str = __version__
     started_at: float = field(default_factory=time.time)
     finished_at: float | None = None
     outcome: dict = field(default_factory=dict)

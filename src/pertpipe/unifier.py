@@ -26,6 +26,8 @@ from .data import (
     RawTable,
     _canonical_report,
     _row_halves,
+    cast_column,
+    column_kind,
     entry_rows,
     first_pattern_rows,
     normalize_log1p,
@@ -344,7 +346,7 @@ def preview_schema(table: RawTable, sample_size: int) -> SchemaPreview:
     for name, col in table.obs.items():
         columns.append(
             ColumnPreview(
-                name=name, dtype=dsl._kind(col), samples=_first_distinct(col, sample_size)
+                name=name, dtype=column_kind(col), samples=_first_distinct(col, sample_size)
             )
         )
     x_min = float(table.X.min()) if table.X.size else 0.0
@@ -450,15 +452,16 @@ def _as_str_column(value, n: int) -> np.ndarray:
     # assign, not np.full: np.full passes a string through numpy's unicode
     # dtype, which drops trailing NULs
     column = np.empty(n, dtype=object)
-    column[:] = dsl._cast(value, "str")
+    column[:] = cast_column(value, "str")
     return column
 
 
 def _as_float_column(value, n: int, key: str) -> np.ndarray:
     try:
-        return np.full(n, dsl._cast(value, "float"), dtype=np.float64)
-    except dsl.DslError as exc:
+        value = cast_column(value, "float")
+    except ValueError as exc:
         raise MappingError(f"{key}: {exc}") from None
+    return np.full(n, value, dtype=np.float64)
 
 
 def _as_bool_column(value, n: int, key: str) -> np.ndarray:
@@ -551,14 +554,14 @@ def apply_mapping(
         normalization_required=spec.normalization_required,
     )
 
-    ensembl = dsl._cast(table.var_index, "str")
+    ensembl = cast_column(table.var_index, "str")
     if spec.gene_symbol_col is not None:
         if spec.gene_symbol_col not in table.var_columns:
             raise MappingError(
                 f"gene_symbol_col {spec.gene_symbol_col!r} not in var columns; "
                 f"available: {sorted(table.var_columns)}"
             )
-        symbols = dsl._cast(table.var_columns[spec.gene_symbol_col], "str")
+        symbols = cast_column(table.var_columns[spec.gene_symbol_col], "str")
     else:
         symbols = ensembl.copy()
 

@@ -9,8 +9,10 @@ import re
 import subprocess
 import sys
 import threading
+import tomllib
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -35,7 +37,7 @@ from pertpipe.evaluators import (
     generate_synthetic,
 )
 from pertpipe.knowledge import KnowledgeBase, make_entry
-from pertpipe.manifest import CONFIG_DEFAULTS, parse_config_file, resolve_config
+from pertpipe.manifest import CONFIG_DEFAULTS, RunManifest, parse_config_file, resolve_config
 
 
 @pytest.fixture
@@ -560,6 +562,28 @@ class TestCanonicalBundleFormat:
         assert error["code"] == "bundle"
         assert message in error["message"]
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"pert_vocab": ["PERT_000"] * 6}, "pert_vocab names 'PERT_000' twice"),
+            ({"p": 9}, "has p 9, expected the length of pert_vocab, 6"),
+        ],
+        ids=["vocab_names_one_perturbation_twice", "p_is_not_the_vocab_length"],
+    )
+    def test_manifest_vocabulary_that_no_writer_produces_exits_2(
+        self, runner, synthetic_bundle, tmp_path, edit, message
+    ):
+        manifest_path = synthetic_bundle / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert len(manifest["pert_vocab"]) == manifest["p"] == 6
+        manifest.update(edit)
+        manifest_path.write_text(json.dumps(manifest))
+        result = runner.invoke(main, ["search", str(synthetic_bundle), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2, result.output
+        error = _stderr_error(result)["error"]
+        assert error["code"] == "bundle"
+        assert message in error["message"]
+
 
 class TestIncompleteBundles:
     """A bundle missing a file or a manifest key exits 2 naming it, not with a traceback."""
@@ -809,7 +833,7 @@ class TestKnowledgeBaseFlags:
         with open(kb, "a") as fh:
             fh.write('{"torn\n')
         built = []
-        monkeypatch.setattr("pertpipe.cli.SurrogateEvaluator", lambda *a: built.append(a))
+        monkeypatch.setattr("pertpipe.evaluators.SurrogateEvaluator", lambda *a: built.append(a))
         result = runner.invoke(
             main, ["search", str(synthetic_bundle), "--out", str(tmp_path / "o"), "--kb", str(kb)]
         )
@@ -903,6 +927,11 @@ class TestKnowledgeBaseFlags:
 
 
 class TestManifests:
+    def test_one_version_string(self):
+        pyproject = Path(__file__).parents[1] / "pyproject.toml"
+        assert pertpipe.__version__ == tomllib.loads(pyproject.read_text())["project"]["version"]
+        assert RunManifest("c", {}, {}, 0).tool_version == pertpipe.__version__
+
     def test_run_id_content_addressed(self, runner, synthetic_bundle, tmp_path):
         ids = []
         for name in ("a", "b"):
@@ -1493,15 +1522,71 @@ def test_no_worker_thread_outlives_a_command(runner, raw_bundle_dir, mapping_fil
         assert workers == [], args[0]
 
 
-def test_import_leaves_the_http_client_unloaded():
-    # only the live LLM transport needs urllib.request, which loads http.client and ssl
+# each case: what a fresh interpreter runs (a statement, or a command line) and
+# the modules it must leave unloaded; only the live LLM transport needs
+# urllib.request, which loads http.client and ssl, so no case may load either
+_HTTP = ("urllib.request", "http.client")
+_SUBMODULES = tuple(sorted(
+    f"pertpipe.{p.stem}" for p in Path(pertpipe.__file__).parent.glob("*.py")
+    if p.stem != "__init__"
+))
+
+
+@pytest.mark.parametrize(
+    "run, unloaded",
+    [
+        ("import pertpipe.cli", _HTTP),
+        ("import pertpipe", _SUBMODULES),
+        ("import pertpipe.bundle", ("pertpipe.dsl",)),
+        (["search", "{bundle}", "--out", "{out}", "--set", "search.n_sim=4"],
+         ("pertpipe.unifier", "pertpipe.dsl", "pertpipe.llm")),
+        (["unify", "{raw}", "{out}", "--mapping", "{mapping}"],
+         ("pertpipe.evaluators", "pertpipe.metrics")),
+        (["kb", "list", "--kb", "{kb}"],
+         ("pertpipe.evaluators", "pertpipe.unifier", "pertpipe.dsl")),
+    ],
+    ids=["cli", "package", "bundle", "search", "unify", "kb_list"],
+)
+def test_a_command_loads_only_what_it_runs(
+    run, unloaded, synthetic_bundle, raw_bundle_dir, mapping_file, tmp_path
+):
+    kb = tmp_path / "kb.jsonl"
+    KnowledgeBase(kb).record(make_entry("x", ("paradigm:generative",), 0.5))
+    if isinstance(run, list):
+        paths = {"bundle": synthetic_bundle, "raw": raw_bundle_dir, "mapping": mapping_file,
+                 "kb": kb, "out": tmp_path / "o"}
+        argv = [arg.format(**paths) for arg in run]
+        # not standalone: a command that fails raises SystemExit past main
+        run = f"from pertpipe.cli import main\nmain({argv!r}, standalone_mode=False)"
+    code = f"import sys\n{run}\nprint(' '.join(sorted(sys.modules)))"
     src = str(Path(pertpipe.__file__).parents[1])
-    code = (
-        "import sys, pertpipe.cli; "
-        "print(sorted({'urllib.request', 'http.client'} & sys.modules.keys()))"
-    )
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
     )
-    assert out.stdout.strip() == "[]"
+    loaded = set(out.stdout.splitlines()[-1].split())
+    assert sorted(loaded & {*unloaded, *_HTTP}) == []
+
+
+@pytest.mark.parametrize("module", ["pertpipe", *_SUBMODULES])
+def test_each_module_imports_alone(module):
+    # nothing fixes the load order, so an import cycle fails here
+    src = str(Path(pertpipe.__file__).parents[1])
+    subprocess.run(
+        [sys.executable, "-c", f"import {module}"],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+    )
+
+
+def _command_lines(group, prefix=()):
+    for name, command in group.commands.items():
+        yield [*prefix, name]
+        if isinstance(command, click.Group):
+            yield from _command_lines(command, (*prefix, name))
+
+
+@pytest.mark.parametrize("argv", list(_command_lines(main)), ids=" ".join)
+def test_every_command_has_help(runner, argv):
+    result = runner.invoke(main, [*argv, "--help"])
+    assert result.exit_code == 0, result.output
+    assert "Usage:" in result.output

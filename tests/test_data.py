@@ -330,6 +330,11 @@ class TestCanonicalCsr:
             replace(ds, pert_indptr=indptr, pert_indices=indices,
                     pert_values=np.zeros(len(indices)))
 
+    def test_a_perturbation_named_twice_is_rejected(self):
+        ds = small_canonical({"control": [[1.0]], "A": [[2.0]]}, vocab=("A", "B"))
+        with pytest.raises(ValidationError, match="pert_vocab names 'B' twice"):
+            replace(ds, pert_vocab=("B", "A", "B"))
+
     def test_rows_may_restart_lower_and_skip(self):
         ds = small_canonical({"control": [[1.0]] * 2, "A": [[2.0]]}, vocab=("A", "B"))
         ds = replace(ds, pert_indptr=[0, 2, 2, 3], pert_indices=[0, 1, 0],
