@@ -15,15 +15,16 @@ rename it into place, and write the manifest last, so a write cut short
 leaves a directory that readers reject rather than a mix of old and new
 files. Bundle files are replaced by rename and never edited in place.
 
-A bundle's digest covers the files its manifest names, so a stray
-``obsm_*.f64`` beside them leaves it unchanged. Writers hash what they
-write: the one worker thread of an executor feeds the bytes of each file
-to the digest while the writing thread formats the tables and writes the
-files, so the digest is known when the write ends. The worker is joined
-before the write returns, whether it finished, failed or was refused. For
-each directory written in this process, the module keeps that digest with
-each bundle file's stat keys (device, inode, size, mtime and ctime in
-nanoseconds) taken after the write. ``bundle_digest`` returns the kept
+Each kind of bundle has a fixed set of files, and its digest covers only
+those, so other files beside them (a run manifest, a ground-truth record)
+leave it unchanged. Writers hash what they write: the one worker thread of
+an executor feeds the bytes of each file to the digest while the writing
+thread formats the tables and writes the files, so the digest is known
+when the write ends. The worker is joined before the write returns,
+whether it finished, failed or was refused. For each directory written in
+this process, the module keeps that digest with each bundle file's stat
+keys (device, inode, size, mtime and ctime in nanoseconds) taken after the
+write. ``bundle_digest`` returns the kept
 digest while the directory holds the same bundle files with the same keys,
 and reads and hashes the files otherwise. Nothing about a digest is
 written to disk, so another process always hashes.
@@ -60,7 +61,6 @@ from .data import (
     RawTable,
     cast_column,
     column_kind,
-    is_file_name_part,
 )
 from .errors import BundleFormatError
 
@@ -268,13 +268,12 @@ def write_raw_bundle(table: RawTable, out_dir: str | Path) -> None:
         "pert_vocab": [],
         "obs_types": {k: column_kind(v) for k, v in table.obs.items()},
         "var_index_name": "index",
-        "obsm": {k: int(v.shape[1]) for k, v in table.obsm.items()},
     }
     _write_bundle(
         out_dir,
         manifest,
         {"obs.tsv": table.obs, "var.tsv": {"index": table.var_index, **table.var_columns}},
-        {"X.f64": table.X, **{f"obsm_{name}.f64": m for name, m in table.obsm.items()}},
+        {"X.f64": table.X},
     )
 
 
@@ -287,14 +286,6 @@ def read_raw_bundle(path: str | Path) -> RawTable:
         lambda v: type(v) is dict and all(tag in _OBS_TYPES for tag in v.values()),
         f"an object from column name to one of {list(_OBS_TYPES)}", default={},
     )
-    obsm_widths = _field(
-        root, manifest, "obsm",
-        lambda v: type(v) is dict and all(
-            is_file_name_part(name) and type(k) is int and k >= 0 for name, k in v.items()
-        ),
-        "an object from name to a column count, each name a plain file-name part",
-        default={},
-    )
     raw_obs = _read_tsv(root / "obs.tsv")
     obs = {
         name: _parse_obs_column(name, values, obs_types.get(name, "str"))
@@ -305,11 +296,7 @@ def read_raw_bundle(path: str | Path) -> RawTable:
     var_index = np.array(var[var_names[0]], dtype=object)
     var_columns = {name: np.array(var[name], dtype=object) for name in var_names[1:]}
     X = _read_matrix(root / "X.f64", (n_cells, n_genes), "<f8")
-    obsm = {
-        name: _read_matrix(root / f"obsm_{name}.f64", (n_cells, k), "<f8")
-        for name, k in obsm_widths.items()
-    }
-    return RawTable(obs=obs, var_index=var_index, var_columns=var_columns, X=X, obsm=obsm)
+    return RawTable(obs=obs, var_index=var_index, var_columns=var_columns, X=X)
 
 
 def write_canonical_bundle(ds: CanonicalDataset, out_dir: str | Path) -> None:
@@ -425,42 +412,27 @@ _RAW_FILES = (MANIFEST, "obs.tsv", "var.tsv", "X.f64")
 _CANONICAL_FILES = (*_RAW_FILES, "pert_indptr.i64", "pert_indices.i64", "pert_dose.f64")
 
 
-def _is_bundle_file(name: str) -> bool:
-    return name in _CANONICAL_FILES or (name.startswith("obsm_") and name.endswith(".f64"))
+def _bundle_files(root: Path) -> tuple[str, ...]:
+    """The files of a bundle of ``root``'s kind.
 
-
-def _named_files(root: Path) -> frozenset[str] | None:
-    """The bundle files that ``root``'s manifest names.
-
-    A canonical bundle names its fixed set; a raw bundle names its own plus
-    ``obsm_<name>.f64`` for each key of its ``obsm``. None when there is no
-    manifest that parses to either.
+    Without a raw manifest that parses, every file a bundle of either kind
+    could hold.
     """
     try:
         manifest = json.loads((root / MANIFEST).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError):
-        return None
-    kind = manifest.get("kind") if isinstance(manifest, dict) else None
-    if kind == "canonical":
-        return frozenset(_CANONICAL_FILES)
-    obsm = manifest.get("obsm", {}) if kind == "raw" else None
-    if isinstance(obsm, dict):
-        return frozenset([*_RAW_FILES, *(f"obsm_{name}.f64" for name in obsm)])
-    return None
+        return _CANONICAL_FILES
+    raw = isinstance(manifest, dict) and manifest.get("kind") == "raw"
+    return _RAW_FILES if raw else _CANONICAL_FILES
 
 
 def _bundle_stats(root: Path) -> dict[str, tuple[int, int, int, int, int]]:
-    """Each bundle file in ``root`` with the stat keys that a change to it moves.
-
-    The bundle files are those the manifest names or, without a manifest
-    that parses, every file a bundle of either kind could hold.
-    """
-    names = _named_files(root)
+    """Each bundle file in ``root`` with the stat keys that a change to it moves."""
+    names = _bundle_files(root)
     stats = {}
     with os.scandir(root) as entries:
         for entry in entries:
-            named = _is_bundle_file(entry.name) if names is None else entry.name in names
-            if named and entry.is_file():
+            if entry.name in names and entry.is_file():
                 st = entry.stat()
                 stats[entry.name] = (
                     st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
@@ -469,11 +441,10 @@ def _bundle_stats(root: Path) -> dict[str, tuple[int, int, int, int, int]]:
 
 
 def bundle_digest(path: str | Path) -> str:
-    """Stable content hash over the bundle files that its manifest names.
+    """Stable content hash over the files of a bundle of its kind.
 
     Sidecars such as run manifests or ground-truth records living in the
-    same directory do not affect the digest, nor does a stray
-    ``obsm_*.f64`` that the manifest does not name. A bundle this process wrote
+    same directory do not affect the digest. A bundle this process wrote
     is not read again while its files keep the stat keys they had after
     the write.
     """

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -42,6 +43,15 @@ def _fail(code: str, message: str, exit_code: int, **details):
         payload["error"]["details"] = details
     click.echo(json.dumps(payload), err=True)
     sys.exit(exit_code)
+
+
+@contextmanager
+def _writing(out):
+    """End the command with the JSON error ``output`` on an OSError while writing ``out``."""
+    try:
+        yield
+    except OSError as exc:
+        _fail("output", f"cannot write {out}: {exc.strerror or exc}", EXIT_VALIDATION)
 
 
 def _resolved_config(config_path, sets, mode=None):
@@ -125,21 +135,23 @@ def unify(raw_bundle, out_dir, mapping_file, induce, llm_transport, replay_file,
         _fail("apply_mapping", str(exc), EXIT_VALIDATION)
 
     out = Path(out_dir)
-    try:
-        write_canonical_bundle(ds, out)
-    except BundleFormatError as exc:  # a mapped value the bundle cannot store
-        _fail("apply_mapping", str(exc), EXIT_VALIDATION)
-    manifest.finish(
-        status="ok",
-        canonical_digest=bundle_digest(out),
-        n_cells=ds.n_cells,
-        n_genes=ds.n_genes,
-        p=ds.n_perts,
-    )
-    manifest.write(
-        out,
-        {"validation_report.json": json.dumps({"issues": []}) + "\n", "ground_truth.json": None},
-    )
+    with _writing(out):
+        try:
+            write_canonical_bundle(ds, out)
+        except BundleFormatError as exc:  # a mapped value the bundle cannot store
+            _fail("apply_mapping", str(exc), EXIT_VALIDATION)
+        manifest.finish(
+            status="ok",
+            canonical_digest=bundle_digest(out),
+            n_cells=ds.n_cells,
+            n_genes=ds.n_genes,
+            p=ds.n_perts,
+        )
+        manifest.write(
+            out,
+            {"validation_report.json": json.dumps({"issues": []}) + "\n",
+             "ground_truth.json": None},
+        )
     click.echo(json.dumps({"out": str(out), "n_cells": ds.n_cells, "p": ds.n_perts}))
 
 
@@ -246,7 +258,8 @@ def search(bundle, out_dir, evaluator_spec, mode, kb_path, seed, fail_rate,
     }
     if not result.found_valid:
         manifest.finish(status="no_valid_candidate", n_iterations=result.n_iterations)
-        manifest.write(out_dir, files)
+        with _writing(out_dir):
+            manifest.write(out_dir, files)
         _fail("no_valid_candidate",
               "search finished without any successful simulation", EXIT_NO_CANDIDATE)
 
@@ -260,7 +273,8 @@ def search(bundle, out_dir, evaluator_spec, mode, kb_path, seed, fail_rate,
     }
     files["best_candidate.json"] = json.dumps(best, indent=2, sort_keys=True) + "\n"
     manifest.finish(status="ok", **{k: best[k] for k in ("candidate", "reward", "m_val")})
-    manifest.write(out_dir, files)
+    with _writing(out_dir):
+        manifest.write(out_dir, files)
 
     if kb_path:
         # stored paths must be hierarchy-legal; a flat-mode path is reordered
@@ -270,7 +284,10 @@ def search(bundle, out_dir, evaluator_spec, mode, kb_path, seed, fail_rate,
             action_path=hierarchical_path(result.best_path),
             reward=min(1.0, max(0.0, result.best_reward)),
         )
-        KnowledgeBase(kb_path).record(entry)
+        try:
+            kb.record(entry)
+        except ValidationError as exc:
+            _fail("kb", str(exc), EXIT_VALIDATION)
     click.echo(json.dumps(best))
 
 
@@ -407,7 +424,6 @@ def gen_synthetic(out_dir, n_genes, n_perts, cells_per_condition, noise_sigma,
     except (ParameterError, ValidationError) as exc:
         _fail("gen_synthetic", str(exc), EXIT_VALIDATION)
     out = Path(out_dir)
-    write_canonical_bundle(ds, out)
     manifest = RunManifest(
         command="gen-synthetic",
         config={
@@ -420,11 +436,13 @@ def gen_synthetic(out_dir, n_genes, n_perts, cells_per_condition, noise_sigma,
         input_digests={},
         seed=seed,
     )
-    digest = bundle_digest(out)
-    manifest.finish(status="ok", bundle_digest=digest)
-    manifest.write(
-        out, {"ground_truth.json": truth.to_json() + "\n", "validation_report.json": None}
-    )
+    with _writing(out):
+        write_canonical_bundle(ds, out)
+        digest = bundle_digest(out)
+        manifest.finish(status="ok", bundle_digest=digest)
+        manifest.write(
+            out, {"ground_truth.json": truth.to_json() + "\n", "validation_report.json": None}
+        )
     click.echo(json.dumps({"out": str(out), "digest": digest}))
 
 

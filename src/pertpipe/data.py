@@ -35,13 +35,6 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def is_file_name_part(name) -> bool:
-    """Whether ``name`` can stand in a file name without naming another directory."""
-    return (
-        type(name) is str and name not in ("", ".", "..") and "/" not in name and "\0" not in name
-    )
-
-
 _KINDS = {"b": "bool", "f": "float", "i": "float", "u": "float"}
 
 
@@ -89,15 +82,13 @@ class RawTable:
 
     ``obs`` maps column name to a 1-D array (string, float, or bool) of
     length n_cells. ``var_index`` holds the gene identifier column;
-    ``var_columns`` holds any further gene metadata. ``obsm`` holds optional
-    named per-cell matrices.
+    ``var_columns`` holds any further gene metadata.
     """
 
     obs: dict[str, np.ndarray]
     var_index: np.ndarray
     var_columns: dict[str, np.ndarray] = field(default_factory=dict)
     X: np.ndarray = None  # type: ignore[assignment]
-    obsm: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.X is None:
@@ -113,9 +104,6 @@ class RawTable:
             "var_columns",
             {k: _freeze(np.asarray(v)) for k, v in self.var_columns.items()},
         )
-        object.__setattr__(
-            self, "obsm", {k: _freeze(np.asarray(v)) for k, v in self.obsm.items()}
-        )
         n_cells, n_genes = self.X.shape
         for name, col in self.obs.items():
             if col.shape != (n_cells,):
@@ -130,16 +118,6 @@ class RawTable:
             if col.shape != (n_genes,):
                 raise ValidationError(
                     f"var column {name!r} has length {col.shape[0]}, expected {n_genes}"
-                )
-        for name, m in self.obsm.items():
-            if not is_file_name_part(name):
-                raise ValidationError(
-                    f"obsm name {name!r} is not a plain file-name part: a string, "
-                    "non-empty, not '.' or '..', holding no '/' or NUL"
-                )
-            if m.ndim != 2 or m.shape[0] != n_cells:
-                raise ValidationError(
-                    f"obsm matrix {name!r} has shape {m.shape}, expected ({n_cells}, k)"
                 )
 
     @property

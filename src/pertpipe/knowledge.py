@@ -17,20 +17,20 @@ version-2 lines.
 
 A final line without a trailing newline is an append that was cut short
 (or one still being written): ``load`` ignores it, and ``record`` truncates
-it under the lock before it appends. Any other line that does not decode,
-holds an empty or illegal action path, a reward or creation time that is
-not a finite number or a reward outside [0, 1], and a header of another
-version or dimension, is rejected at load with its ``path:line``. A store
-that cannot be opened is rejected with its path.
+it under the lock before it appends. Any other line that breaks a rule of
+``_parse_line``, and a header of another version or dimension, is rejected
+at load with its ``path:line``; ``record`` checks the line it would append
+against the same rules. A store that cannot be read or appended to is
+rejected with its path.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import re
+import sys
 import time
 from dataclasses import dataclass
 from itertools import chain
@@ -81,13 +81,6 @@ class KnowledgeEntry:
 
     def __post_init__(self):
         object.__setattr__(self, "action_path", tuple(self.action_path))
-
-    def validate(self) -> None:
-        if not (0.0 <= self.reward <= 1.0):
-            raise ValidationError(f"entry reward {self.reward} outside [0, 1]")
-        if not math.isfinite(self.created_at):
-            raise ValidationError(f"entry created_at {self.created_at} is not finite")
-        validate_action_path(self.action_path)
 
     def to_json(self) -> str:
         """The stored line."""
@@ -200,11 +193,9 @@ class KnowledgeBase:
     def load(self) -> list[KnowledgeEntry]:
         """Read every complete line.
 
-        A line that does not decode, names an empty or illegal action path,
-        a reward outside [0, 1] or a creation time that is not a finite
-        number is rejected by number; a final line without a newline is
-        ignored. Sets ``digest`` to the sha256 of the file's bytes (of no
-        bytes when the file does not exist).
+        A line that ``_parse_line`` refuses is rejected by number; a final
+        line without a newline is ignored. Sets ``digest`` to the sha256 of
+        the file's bytes (of no bytes when the file does not exist).
         """
         try:
             data = self.path.read_bytes()
@@ -230,26 +221,9 @@ class KnowledgeBase:
         legal_paths: set[tuple] = set()
         for i, line in lines[1:]:
             try:
-                doc = json.loads(line)
-                text, path = doc["profile_text"], tuple(doc["action_path"])
-                reward, created_at = doc["reward"], doc["created_at"]
-                if not isinstance(text, str):
-                    raise TypeError(f"profile_text is a {type(text).__name__}, not a string")
-                if {type(reward), type(created_at)} - {int, float}:  # bool and str included
-                    raise TypeError("reward and created_at must be JSON numbers")
-                if not math.isfinite(created_at):  # OverflowError past the float range
-                    raise ValueError(f"created_at {created_at} is not finite")
-                if path not in legal_paths:
-                    validate_action_path(path)
-                    legal_paths.add(path)
-            except (ValueError, KeyError, TypeError, OverflowError, ValidationError,
-                    RecursionError) as exc:
-                raise ValidationError(
-                    f"{self.path}:{i} is not a valid knowledge-base line: {exc}"
-                ) from None
-            if not 0.0 <= reward <= 1.0:
-                raise ValidationError(f"{self.path}:{i} entry reward {reward} outside [0, 1]")
-            entries.append(KnowledgeEntry(text, path, float(reward), float(created_at)))
+                entries.append(_parse_line(line, legal_paths))
+            except ValidationError as exc:
+                raise ValidationError(f"{self.path}:{i} {exc}") from None
         return entries
 
     def _check_header(self, lineno: int, line: str) -> None:
@@ -273,30 +247,70 @@ class KnowledgeBase:
             )
 
     def record(self, entry: KnowledgeEntry) -> None:
-        """Validate and durably append one entry."""
-        entry.validate()
+        """Durably append one entry, refusing one whose line ``load`` would refuse.
+
+        A refused entry leaves the store untouched; any OSError of the
+        append is raised as a ``ValidationError`` naming the store.
+        """
+        try:
+            line = entry.to_json()
+        except (TypeError, ValueError, RecursionError) as exc:
+            raise ValidationError(f"entry cannot be stored as JSON: {exc}") from None
+        _parse_line(line, set())
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            fh = open(self.path, "ab+")
+            # closing the only descriptor releases the lock, after the fsync
+            with open(self.path, "ab+") as fh:
+                _flock(fh)
+                # decided under the lock: a torn tail is cut off, and only the
+                # first writer adds a header
+                size = os.fstat(fh.fileno()).st_size
+                complete = _complete_length(fh, size)
+                if complete < size:
+                    fh.truncate(complete)
+                text = line + "\n"
+                if complete == 0:
+                    text = json.dumps({"kb_version": KB_VERSION, "dim": EMBED_DIM}) + "\n" + text
+                fh.write(text.encode())
+                fh.flush()
+                os.fsync(fh.fileno())
         except OSError as exc:
             raise ValidationError(
-                f"cannot append to knowledge base {self.path}: {exc.strerror}"
+                f"cannot append to knowledge base {self.path}: {exc.strerror or exc}"
             ) from None
-        # closing the only descriptor releases the lock, after the fsync
-        with fh:
-            _flock(fh)
-            # decided under the lock: a torn tail is cut off, and only the
-            # first writer adds a header
-            size = os.fstat(fh.fileno()).st_size
-            complete = _complete_length(fh, size)
-            if complete < size:
-                fh.truncate(complete)
-            text = entry.to_json() + "\n"
-            if complete == 0:
-                text = json.dumps({"kb_version": KB_VERSION, "dim": EMBED_DIM}) + "\n" + text
-            fh.write(text.encode())
-            fh.flush()
-            os.fsync(fh.fileno())
+
+
+def _parse_line(line: str, legal_paths: set[tuple]) -> KnowledgeEntry:
+    """The entry a stored line holds; ``ValidationError`` names the rule it breaks.
+
+    A line is a JSON object whose ``profile_text`` is a string, whose
+    ``action_path`` is a list of names forming a hierarchy-legal path
+    without debug actions, whose ``reward`` is a JSON number in [0, 1] and
+    whose ``created_at`` is a finite JSON number (``true`` and ``"0.5"``
+    are not numbers). ``legal_paths`` holds the paths already found legal,
+    so each distinct path is checked once.
+    """
+    try:
+        doc = json.loads(line)
+        text, path = doc["profile_text"], doc["action_path"]
+        reward, created_at = doc["reward"], doc["created_at"]
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        raise ValidationError(f"is not a valid knowledge-base line: {exc}") from None
+    if type(text) is not str:
+        raise ValidationError(f"profile_text is a {type(text).__name__}, not a string")
+    if type(path) is not list or any(type(action) is not str for action in path):
+        raise ValidationError(f"action_path {path!r} is not a list of names")
+    if {type(reward), type(created_at)} - {int, float}:  # bool and str included
+        raise ValidationError("reward and created_at must be JSON numbers")
+    if not (abs(created_at) <= sys.float_info.max):  # NaN, the infinities and larger integers
+        raise ValidationError(f"created_at {created_at} is not finite")
+    path = tuple(path)
+    if path not in legal_paths:
+        validate_action_path(path)
+        legal_paths.add(path)
+    if not 0.0 <= reward <= 1.0:
+        raise ValidationError(f"entry reward {reward} outside [0, 1]")
+    return KnowledgeEntry(text, path, float(reward), float(created_at))
 
 
 def _complete_length(fh, size: int) -> int:

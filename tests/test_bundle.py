@@ -23,7 +23,7 @@ from pertpipe.bundle import (
     write_raw_bundle,
 )
 from pertpipe.data import CanonicalDataset, RawTable
-from pertpipe.errors import BundleFormatError, ValidationError
+from pertpipe.errors import BundleFormatError
 
 
 @pytest.fixture
@@ -37,7 +37,6 @@ def raw_table():
         var_index=np.array(["g1", "g2"], dtype=object),
         var_columns={"sym": np.array(["S1", "S2"], dtype=object)},
         X=np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
-        obsm={"emb": np.array([[0.1, 0.2, 0.3]] * 3)},
     )
 
 
@@ -51,7 +50,9 @@ class TestRawBundle:
         assert back.obs["flagged"].dtype == bool
         assert back.var_index.tolist() == ["g1", "g2"]
         assert back.var_columns["sym"].tolist() == ["S1", "S2"]
-        assert np.array_equal(back.obsm["emb"], raw_table.obsm["emb"])
+        assert sorted(p.name for p in (tmp_path / "raw").iterdir()) == [
+            "X.f64", "manifest.json", "obs.tsv", "var.tsv",
+        ]
 
     @pytest.mark.parametrize(
         "names", [["a", "", "c"], [""], ["", ""], ["a", "b", ""]], ids=repr
@@ -292,7 +293,6 @@ class TestMappedReads:
         canon = read_canonical_bundle(tmp_path / "canon")
         return {
             "raw/X.f64": (raw.X, "<f8"),
-            "raw/obsm_emb.f64": (raw.obsm["emb"], "<f8"),
             "canon/X.f64": (canon.X, "<f8"),
             "canon/pert_indptr.i64": (canon.pert_indptr, "<i8"),
             "canon/pert_indices.i64": (canon.pert_indices, "<i8"),
@@ -369,37 +369,11 @@ class TestMappedReads:
             read_raw_bundle(tmp_path / "raw")
 
 
-class TestObsmNames:
-    """An obsm name becomes part of a file name, so it may name no other path."""
-
-    BAD = ["", ".", "..", "../emb", "a/b", "a\0b"]
-
-    @pytest.mark.parametrize("name", BAD, ids=repr)
-    def test_raw_table_refuses_the_name(self, raw_table, name):
-        with pytest.raises(ValidationError, match="not a plain file-name part"):
-            RawTable(obs=raw_table.obs, var_index=raw_table.var_index,
-                     X=raw_table.X, obsm={name: raw_table.obsm["emb"]})
-
-    @pytest.mark.parametrize("name", BAD, ids=repr)
-    def test_reader_refuses_the_manifest_key(self, raw_table, tmp_path, name):
-        root = tmp_path / "raw"
-        write_raw_bundle(raw_table, root)
-        manifest = json.loads((root / "manifest.json").read_text())
-        manifest["obsm"] = {name: 3}
-        (root / "manifest.json").write_text(json.dumps(manifest))
-        target = root / f"obsm_{name}.f64"
-        if "\0" not in name:  # a file the name would reach, of the right size
-            target.parent.mkdir(exist_ok=True)
-            target.write_bytes(bytes(3 * 3 * 8))
-        with pytest.raises(BundleFormatError, match="each name a plain file-name part"):
-            read_raw_bundle(root)
-
-
 _SHA256 = hashlib.sha256  # not the counting stand-in of TestKeptDigest
 
 
 def _fresh_digest(root: Path) -> str:
-    """The digest of the files the manifest names, as they are on disk now.
+    """The digest of the files of a bundle of its kind, as they are on disk now.
 
     Without a manifest, every file a bundle could hold is hashed.
     """
@@ -407,12 +381,9 @@ def _fresh_digest(root: Path) -> str:
     try:
         manifest = json.loads((root / "manifest.json").read_text())
     except FileNotFoundError:
-        names = {f.name for f in root.iterdir() if bundle._is_bundle_file(f.name)}
-    else:
-        if manifest["kind"] == "canonical":
-            names |= {"pert_indptr.i64", "pert_indices.i64", "pert_dose.f64"}
-        else:
-            names |= {f"obsm_{name}.f64" for name in manifest.get("obsm", {})}
+        manifest = {"kind": "canonical"}
+    if manifest["kind"] == "canonical":
+        names |= {"pert_indptr.i64", "pert_indices.i64", "pert_dose.f64"}
     h = _SHA256()
     for name in sorted(names):
         if (root / name).is_file():
@@ -435,14 +406,7 @@ def _written_bundles(draw):
     cells = np.array([f"c{i}" for i in range(n)], dtype=object)
     genes = np.array([f"g{j}" for j in range(g)], dtype=object)
     if draw(st.booleans()):
-        widths = draw(st.dictionaries(st.text("ab_", min_size=1, max_size=2),
-                                      st.integers(0, 2), max_size=2))
-        obsm = {
-            name: np.arange(n * k, dtype=draw(st.sampled_from(["<f8", ">f8", "<i4"])))
-            .reshape(n, k)
-            for name, k in widths.items()
-        }
-        return write_raw_bundle, RawTable(obs={"name": cells}, var_index=genes, X=X, obsm=obsm)
+        return write_raw_bundle, RawTable(obs={"name": cells}, var_index=genes, X=X)
     rows = [sorted(draw(st.sets(st.integers(0, 2), max_size=2))) for _ in range(n)]
     indptr = np.cumsum([0] + [len(r) for r in rows]).tolist()
     indices = [j for r in rows for j in r]
@@ -512,24 +476,6 @@ class TestKeptDigest:
         os.replace(tmp_path / "new", obs)
         hashes.clear()
         assert bundle_digest(tmp_path / "c") == _fresh_digest(tmp_path / "c") != kept
-        assert hashes == [1]
-
-    def test_a_named_obsm_file_removed_is_hashed(self, raw_table, tmp_path, hashes):
-        write_raw_bundle(raw_table, tmp_path / "raw")
-        kept = bundle_digest(tmp_path / "raw")
-        (tmp_path / "raw" / "obsm_emb.f64").unlink()
-        hashes.clear()
-        assert bundle_digest(tmp_path / "raw") == _fresh_digest(tmp_path / "raw") != kept
-        assert hashes == [1]
-
-    def test_an_edited_named_obsm_file_is_hashed(self, raw_table, tmp_path, hashes):
-        write_raw_bundle(raw_table, tmp_path / "raw")
-        kept = bundle_digest(tmp_path / "raw")
-        path = tmp_path / "raw" / "obsm_emb.f64"
-        (tmp_path / "new").write_bytes(b"\x01" + path.read_bytes()[1:])
-        os.replace(tmp_path / "new", path)
-        hashes.clear()
-        assert bundle_digest(tmp_path / "raw") == _fresh_digest(tmp_path / "raw") != kept
         assert hashes == [1]
 
     @pytest.mark.parametrize("kind", ["raw", "canonical"])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import builtins
+import errno
 import hashlib
 import io
 import json
@@ -37,6 +38,7 @@ from pertpipe.evaluators import (
     generate_synthetic,
 )
 from pertpipe.knowledge import KnowledgeBase, make_entry
+from pertpipe import manifest as manifest_module
 from pertpipe.manifest import CONFIG_DEFAULTS, RunManifest, parse_config_file, resolve_config
 
 
@@ -110,6 +112,28 @@ class TestUnify:
         a = ds.pert_vocab.index("drugA")
         assert 10000.0 in set(ds.pert_dose[:, a].tolist())
         assert _read_manifest(out)["command"] == "unify"
+
+    @pytest.mark.parametrize("fault", ["out_under_a_file", "disk_full"])
+    def test_an_output_that_cannot_be_written_exits_2(
+        self, runner, raw_bundle_dir, mapping_file, tmp_path, monkeypatch, fault
+    ):
+        out = tmp_path / "canon"
+        reason = "No space left on device"
+        if fault == "out_under_a_file":
+            out, reason = raw_bundle_dir / "manifest.json" / "canon", "Not a directory"
+        else:
+            def full(path, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+            monkeypatch.setattr(manifest_module, "write_text_atomic", full)
+        result = runner.invoke(
+            main, ["unify", str(raw_bundle_dir), str(out), "--mapping", str(mapping_file)]
+        )
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == 2, result.output
+        error = _stderr_error(result)["error"]
+        assert error == {"code": "output", "message": f"cannot write {out}: {reason}"}
+        assert not (out / "run_manifest.json").exists()
 
     def test_non_ascii_value_round_trips_under_the_c_locale(
         self, drug_raw_table, mapping_file, tmp_path
@@ -685,17 +709,14 @@ class TestIncompleteBundles:
     @pytest.mark.parametrize(
         "manifest_edit, message",
         [
-            ({"obsm": {"emb": "two"}}, "has obsm {'emb': 'two'}, expected an object from name"),
-            ({"obsm": ["emb"]}, "has obsm ['emb'], expected an object from name"),
-            ({"obsm": {"emb": -1}}, "has obsm {'emb': -1}, expected an object from name"),
             ({"obs_types": ["str"]}, "has obs_types ['str'], expected an object from column"),
             ({"obs_types": {"drug_id": "text"}}, "has obs_types {'drug_id': 'text'}"),
             ({"obs_types": {"drug_id": "float"}},
              "float obs column 'drug_id': cannot cast value 'DMSO' at row 0 to float"),
             ({"obs_types": {"drug_id": "bool"}}, "bool obs column 'drug_id' contains 'DMSO'"),
         ],
-        ids=["obsm_width_string", "obsm_list", "obsm_negative", "obs_types_list",
-             "obs_types_unknown_tag", "float_cell_not_a_number", "bool_cell_not_a_bool"],
+        ids=["obs_types_list", "obs_types_unknown_tag", "float_cell_not_a_number",
+             "bool_cell_not_a_bool"],
     )
     def test_raw_manifest_types_exit_2(self, runner, raw_bundle_dir, mapping_file, tmp_path,
                                        manifest_edit, message):
@@ -710,6 +731,49 @@ class TestIncompleteBundles:
         error = _stderr_error(result)["error"]
         assert error["code"] == "bundle"
         assert message in error["message"]
+
+    @pytest.mark.parametrize(
+        "obsm", [{}, {"emb": 2}, {"../emb": 2}, ["emb"]],
+        ids=["empty", "names_a_file", "names_a_path", "malformed"],
+    )
+    def test_raw_manifest_with_an_obsm_key_unifies_as_without(
+        self, runner, raw_bundle_dir, mapping_file, tmp_path, monkeypatch, obsm
+    ):
+        # raw manifests of earlier writers hold "obsm": {}; the key and any
+        # obsm_*.f64 file are ignored
+        args = ["unify", str(raw_bundle_dir), str(tmp_path / "plain"), "--mapping",
+                str(mapping_file)]
+        assert runner.invoke(main, args).exit_code == 0
+        plain = bundle_digest(tmp_path / "plain")
+        manifest_path = raw_bundle_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["obsm"] = obsm
+        manifest_path.write_text(json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n")
+        digest = bundle_digest(raw_bundle_dir)
+        stray = raw_bundle_dir / "obsm_emb.f64"
+        stray.write_bytes(bytes(manifest["n_cells"] * 2 * 8))
+        assert bundle_digest(raw_bundle_dir) == digest
+        opened = []
+
+        def recording(real):
+            def wrapper(file, *args, **kwargs):
+                if isinstance(file, (str, os.PathLike)):
+                    opened.append(Path(file).resolve())
+                return real(file, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(builtins, "open", recording(builtins.open))
+        monkeypatch.setattr(io, "open", recording(io.open))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["unify", str(raw_bundle_dir), str(out), "--mapping",
+                                      str(mapping_file)])
+        assert result.exit_code == 0, result.output + result.stderr
+        read = [p for p in opened if p.parent != out.resolve()]
+        assert bundle_digest(out) == plain
+        assert _read_manifest(out)["input_digests"]["raw_bundle"] == digest
+        raw = raw_bundle_dir.resolve()
+        assert stray.resolve() not in read
+        assert [p for p in read if p.parent != raw and p != mapping_file.resolve()] == []
 
 
 class TestGenSyntheticAndKb:
@@ -770,6 +834,32 @@ class TestGenSyntheticAndKb:
              "--reward", "0.5", "--path", "backbone:resnet"],
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "command",
+        [["search", "{bundle}", "--out", "{out}", "--evaluator", "landscape:funnel",
+          "--kb", "{kb}"],
+         ["kb", "add", "--kb", "{kb}", "--profile", "p", "--reward", "0.5",
+          "--path", "paradigm:generative"]],
+        ids=["search", "kb_add"],
+    )
+    def test_a_failed_kb_append_exits_2(self, runner, synthetic_bundle, tmp_path, monkeypatch,
+                                        command):
+        kb = tmp_path / "kb.jsonl"
+
+        def full(fd):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "fsync", full)
+        argv = [a.format(bundle=synthetic_bundle, out=tmp_path / "o", kb=kb) for a in command]
+        result = runner.invoke(main, argv)
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == 2, result.output
+        error = _stderr_error(result)["error"]
+        assert error["code"] == "kb"
+        assert error["message"] == (
+            f"cannot append to knowledge base {kb}: No space left on device"
+        )
 
 
 class TestKnowledgeBaseFlags:
@@ -1272,6 +1362,15 @@ BAD_OPTIONS = {
     "noise_sigma_negative": (
         [*_GEN_SYNTHETIC, "--noise-sigma", "-1"], 2, "gen_synthetic", "noise_sigma"
     ),
+    # an output directory under a regular file cannot be made
+    "search_out_under_a_file": (
+        ["search", "{bundle}", "--out", "{bundle}/manifest.json/run", "--evaluator",
+         "landscape:funnel"], 2, "output", "manifest.json/run: Not a directory",
+    ),
+    "gen_synthetic_out_under_a_file": (
+        ["gen-synthetic", "--out", "{bundle}/manifest.json/run"], 2, "output",
+        "manifest.json/run: Not a directory",
+    ),
     # an empty stored path would gate a search into a warm start that injects nothing
     "kb_add_empty_path": (
         ["kb", "add", "--kb", "{out}/kb.jsonl", "--profile", "p", "--reward", "0.5",
@@ -1437,7 +1536,11 @@ class TestArtifactWrites:
 
         monkeypatch.setattr(Path, "write_text", torn)
         result = runner.invoke(main, args)
-        assert isinstance(result.exception, OSError)
+        assert isinstance(result.exception, SystemExit), result.exception
+        error = _stderr_error(result)["error"]
+        assert (result.exit_code, error["code"]) == (2, "output")
+        assert error["message"] == f"cannot write {out}: disk full while writing " + (
+            f".{artifact}.tmp")
         if (command, artifact) == ("search", "run_manifest.json"):
             # search removes the earlier run's manifest before its first write,
             # so the new artifacts are left without a manifest, not beside the old one
@@ -1481,7 +1584,11 @@ class TestArtifactWrites:
 
             monkeypatch.setattr(os, name, crash)
             result = runner.invoke(main, args)
-            assert isinstance(result.exception, OSError), (name, k, result.output)
+            assert isinstance(result.exception, SystemExit), (name, k, result.exception)
+            assert result.exit_code == 2, (name, k, result.output)
+            assert _stderr_error(result)["error"] == {
+                "code": "output", "message": f"cannot write {out}: crash at {name} {k}"
+            }, (name, k)
             if name == "replace":
                 assert not (out / "run_manifest.json").exists(), (name, k)
             elif (out / "run_manifest.json").exists():

@@ -614,13 +614,11 @@ def raw_tables(draw):
             )
     g = draw(st.integers(1, 3))
     X = np.array(draw(st.lists(_FLOATS, min_size=n * g, max_size=n * g))).reshape(n, g)
-    obsm = {"emb": X[:, :1] * 2} if draw(st.booleans()) else {}
     return RawTable(
         obs=obs,
         var_index=np.array([f"E{j}" for j in range(g)], dtype=object),
         var_columns={"sym": np.array([f"S{j}" for j in range(g)], dtype=object)},
         X=X,
-        obsm=obsm,
     )
 
 
@@ -639,8 +637,5 @@ def test_raw_bundle_round_trip_and_stable_digest(table):
             else:
                 assert _same_bytes(back.obs[key], col)
         assert _same_bytes(back.X, table.X)
-        assert back.obsm.keys() == table.obsm.keys()
-        for key, m in table.obsm.items():
-            assert _same_bytes(back.obsm[key], m)
         write_raw_bundle(back, again)
         assert bundle_digest(one) == bundle_digest(again)

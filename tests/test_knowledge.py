@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import errno
 import multiprocessing
+import os
 import re
 
 import numpy as np
@@ -298,6 +300,66 @@ class TestKnowledgeBase:
         kb = KnowledgeBase(tmp_path / "kb.jsonl")
         with pytest.raises(ValidationError, match="reward"):
             kb.record(make_entry("x", LEGAL_PATH, 1.5))
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            make_entry("x", LEGAL_PATH, True),
+            make_entry("x", LEGAL_PATH, "0.5"),
+            make_entry("x", LEGAL_PATH, float("nan")),
+            make_entry(7, LEGAL_PATH, 0.5),
+            make_entry("x", LEGAL_PATH, 0.5, created_at=True),
+            make_entry("x", LEGAL_PATH, 0.5, created_at=10**400),
+            make_entry("x", (1, 2), 0.5),
+            make_entry({"x"}, LEGAL_PATH, 0.5),
+        ],
+        ids=["bool_reward", "string_reward", "nan_reward", "numeric_profile", "bool_created_at",
+             "created_at_past_float_range", "numeric_actions", "profile_not_json"],
+    )
+    def test_record_refuses_what_load_would_refuse(self, tmp_path, entry):
+        path = tmp_path / "kb.jsonl"
+        KnowledgeBase(path).record(make_entry("x", LEGAL_PATH, 0.5))
+        before = path.read_bytes()
+        with pytest.raises(ValidationError):
+            KnowledgeBase(path).record(entry)
+        assert path.read_bytes() == before
+        assert len(KnowledgeBase(path).load()) == 1
+
+    @pytest.mark.parametrize("call", ["open", "truncate", "write", "fsync"])
+    def test_a_failed_append_names_the_store(self, tmp_path, monkeypatch, call):
+        path = tmp_path / "kb.jsonl"
+        KnowledgeBase(path).record(make_entry("x", LEGAL_PATH, 0.5))
+        with open(path, "a") as fh:
+            fh.write('{"torn')  # so the append truncates
+
+        def full(*args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        if call == "open":
+            monkeypatch.setattr(knowledge, "open", full, raising=False)
+        elif call == "fsync":
+            monkeypatch.setattr(knowledge.os, "fsync", full)
+        else:
+            real_open = open
+
+            class Failing:
+                def __init__(self, fh):
+                    self._fh = fh
+
+                def __getattr__(self, name):
+                    return full if name == call else getattr(self._fh, name)
+
+                def __enter__(self):
+                    return self
+
+                def __exit__(self, *exc):
+                    self._fh.close()
+
+            monkeypatch.setattr(knowledge, "open", lambda *a: Failing(real_open(*a)),
+                                raising=False)
+        named = re.escape(f"cannot append to knowledge base {path}: No space left on device")
+        with pytest.raises(ValidationError, match=named):
+            KnowledgeBase(path).record(make_entry("y", LEGAL_PATH, 0.5))
 
     @pytest.mark.parametrize("reward", [float("nan"), 1.5, -0.25])
     def test_reward_range_checked_at_load(self, tmp_path, reward):
