@@ -28,8 +28,6 @@ from .errors import (
     ValidationError,
 )
 
-click.UsageError.exit_code = 1
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
@@ -54,7 +52,7 @@ def _writing(out):
         _fail("output", f"cannot write {out}: {exc.strerror or exc}", EXIT_VALIDATION)
 
 
-def _resolved_config(config_path, sets, mode=None):
+def _resolved_config(config_path, sets, mode=None, model=None):
     from .manifest import parse_config_file, resolve_config
 
     file_values = parse_config_file(config_path) if config_path else None
@@ -64,12 +62,40 @@ def _resolved_config(config_path, sets, mode=None):
             _fail("usage", f"--set expects key=value, got {item!r}", EXIT_USAGE)
         key, _, value = item.partition("=")
         overrides[key.strip()] = value.strip()
-    if mode:  # --mode beats the config file and --set
+    if mode:  # --mode and --model beat the config file and --set
         overrides["search.mode"] = "flat_ablation" if mode == "flat" else "hierarchical"
+    if model:
+        overrides["unify.model"] = model
     return resolve_config(file_values, overrides)
 
 
-@click.group()
+# click < 8.2 shows the help of a bare group and exits 0 instead of raising
+_NO_ARGS = getattr(click.exceptions, "NoArgsIsHelpError", ())
+
+
+class _JsonErrors(click.Group):
+    """Ends click's own errors (a bad option, path or value) as JSON ``usage`` errors.
+
+    Only in standalone mode: a caller that passes ``standalone_mode=False``
+    gets click's exceptions, as with any click command.
+    """
+
+    def main(self, *args, standalone_mode=True, **kwargs):
+        if not standalone_mode:
+            return super().main(*args, standalone_mode=False, **kwargs)
+        try:
+            # returns the exit code of --help, None after a command
+            sys.exit(super().main(*args, standalone_mode=False, **kwargs))
+        except _NO_ARGS as exc:  # bare `pertpipe` or `pertpipe kb`: the help, then the error
+            click.echo(exc.format_message(), err=True)
+            _fail("usage", "missing command", EXIT_USAGE)
+        except click.ClickException as exc:
+            _fail("usage", exc.format_message(), EXIT_USAGE)
+        except click.Abort:
+            _fail("usage", "aborted", EXIT_USAGE)
+
+
+@click.group(cls=_JsonErrors)
 def main():
     """Dataset harmonization and pipeline search."""
 
@@ -84,7 +110,8 @@ def main():
 @click.option("--replay-file", type=click.Path(exists=True, dir_okay=False),
               help="Recorded responses for the replay transport.")
 @click.option("--mock-response", type=str, default=None, help="Fixed response for the mock transport.")
-@click.option("--model", type=str, default=None, help="Model name for the live transport.")
+@click.option("--model", type=str, default=None,
+              help="Model name for the live transport (sets unify.model).")
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--set", "sets", multiple=True, help="Config override key=value.")
 def unify(raw_bundle, out_dir, mapping_file, induce, llm_transport, replay_file,
@@ -97,7 +124,7 @@ def unify(raw_bundle, out_dir, mapping_file, induce, llm_transport, replay_file,
     if bool(mapping_file) == bool(induce):
         _fail("usage", "exactly one of --mapping or --induce is required", EXIT_USAGE)
     try:
-        config = _resolved_config(config_path, sets)
+        config = _resolved_config(config_path, sets, model=model)
     except (ParameterError, OSError) as exc:
         _fail("config", str(exc), EXIT_USAGE)
     try:
@@ -105,12 +132,6 @@ def unify(raw_bundle, out_dir, mapping_file, induce, llm_transport, replay_file,
     except (BundleFormatError, ValidationError) as exc:
         _fail("bundle", str(exc), EXIT_VALIDATION)
 
-    manifest = RunManifest(
-        command="unify",
-        config=dict(config),
-        input_digests={"raw_bundle": bundle_digest(raw_bundle)},
-        seed=0,
-    )
     if mapping_file:
         try:
             spec = MappingSpec.from_json(Path(mapping_file).read_text(encoding="utf-8"))
@@ -121,7 +142,7 @@ def unify(raw_bundle, out_dir, mapping_file, induce, llm_transport, replay_file,
     else:
         preview = preview_schema(table, sample_size=config["unify.sample_size"])
         try:
-            client = _make_client(llm_transport, replay_file, mock_response, model, config)
+            client = _make_client(llm_transport, replay_file, mock_response, config)
             spec = induce_mapping(preview, client)
         except TransportError as exc:
             _fail("transport", str(exc), EXIT_TRANSPORT)
@@ -129,6 +150,12 @@ def unify(raw_bundle, out_dir, mapping_file, induce, llm_transport, replay_file,
             _fail("llm_response", str(exc), EXIT_TRANSPORT)
         except MappingError as exc:
             _fail("mapping_spec", str(exc), EXIT_VALIDATION)
+    manifest = RunManifest(
+        command="unify",
+        config=dict(config),
+        input_digests={"raw_bundle": bundle_digest(raw_bundle), "mapping": spec.digest},
+        seed=0,
+    )
     try:
         ds = apply_mapping(table, spec, combo_delimiter=config["unify.combo_delimiter"])
     except (MappingError, ValidationError) as exc:
@@ -155,7 +182,7 @@ def unify(raw_bundle, out_dir, mapping_file, induce, llm_transport, replay_file,
     click.echo(json.dumps({"out": str(out), "n_cells": ds.n_cells, "p": ds.n_perts}))
 
 
-def _make_client(transport, replay_file, mock_response, model, config):
+def _make_client(transport, replay_file, mock_response, config):
     from .llm import LlmClient
 
     if transport == "replay":
@@ -166,7 +193,7 @@ def _make_client(transport, replay_file, mock_response, model, config):
         if mock_response is None:
             raise TransportError("mock transport needs --mock-response")
         return LlmClient.mock(mock_response)
-    return LlmClient.live(model=model or config["unify.model"])
+    return LlmClient.live(model=config["unify.model"])
 
 
 @main.command()
@@ -271,12 +298,7 @@ def search(bundle, out_dir, evaluator_spec, mode, kb_path, seed, fail_rate,
         "split": split_used,
         "mode": search_config.mode,
     }
-    files["best_candidate.json"] = json.dumps(best, indent=2, sort_keys=True) + "\n"
-    manifest.finish(status="ok", **{k: best[k] for k in ("candidate", "reward", "m_val")})
-    with _writing(out_dir):
-        manifest.write(out_dir, files)
-
-    if kb_path:
+    if kb_path:  # appended first, so a failed append leaves OUT_DIR as it was
         # stored paths must be hierarchy-legal; a flat-mode path is reordered
         # into the hierarchical path that materializes to the same candidate
         entry = make_entry(
@@ -288,6 +310,10 @@ def search(bundle, out_dir, evaluator_spec, mode, kb_path, seed, fail_rate,
             kb.record(entry)
         except ValidationError as exc:
             _fail("kb", str(exc), EXIT_VALIDATION)
+    files["best_candidate.json"] = json.dumps(best, indent=2, sort_keys=True) + "\n"
+    manifest.finish(status="ok", **{k: best[k] for k in ("candidate", "reward", "m_val")})
+    with _writing(out_dir):
+        manifest.write(out_dir, files)
     click.echo(json.dumps(best))
 
 
@@ -301,7 +327,7 @@ def _make_evaluator(spec: str, ds, config, seed):
             split = split_unseen_perturbation(ds, train_frac=config["split.train_frac"], seed=seed)
         else:  # unseen_cell
             types = sorted(set(ds.cell_type.tolist()))
-            split = split_unseen_cell(ds, types[-1], 0.5, seed)
+            split = split_unseen_cell(ds, types[-1], seed)
         return SurrogateEvaluator(ds, split), kind
     if spec.startswith("landscape:"):
         ref = Path(spec.split(":", 1)[1])
@@ -473,6 +499,8 @@ def kb_list(kb_path):
 @click.option("--kb", "kb_path", required=True, type=click.Path(dir_okay=False))
 def kb_show(index, kb_path):
     entries = _load_kb_entries(kb_path)
+    if not entries:
+        _fail("kb", f"knowledge base {kb_path} is empty", EXIT_USAGE)
     if not (0 <= index < len(entries)):
         _fail("kb", f"index {index} out of range (0..{len(entries) - 1})", EXIT_USAGE)
     e = entries[index]

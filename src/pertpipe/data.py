@@ -514,17 +514,8 @@ def split_unseen_perturbation(
     return SplitAssignment(labels=labels)
 
 
-def split_unseen_cell(
-    ds: CanonicalDataset,
-    holdout_cell_type: str,
-    val_frac_of_holdout: float,
-    seed: int,
-) -> SplitAssignment:
-    """Reserve one cell type entirely for validation and test."""
-    if not (0 < val_frac_of_holdout < 1):
-        raise ParameterError(
-            f"val_frac_of_holdout must be in (0, 1), got {val_frac_of_holdout}"
-        )
+def split_unseen_cell(ds: CanonicalDataset, holdout_cell_type: str, seed: int) -> SplitAssignment:
+    """Reserve one cell type entirely for validation and test, half each (val rounds up)."""
     holdout = ds.cell_type == holdout_cell_type
     n_hold = int(holdout.sum())
     if n_hold == 0:
@@ -537,7 +528,7 @@ def split_unseen_cell(
     labels[~holdout] = "train"
     hold_idx = np.flatnonzero(holdout)
     shuffled = hold_idx[rng.permutation(n_hold)]
-    n_val = int(math.floor(val_frac_of_holdout * n_hold + 0.5))
+    n_val = (n_hold + 1) // 2
     labels[shuffled[:n_val]] = "val"
     labels[shuffled[n_val:]] = "test"
     return SplitAssignment(labels=labels)

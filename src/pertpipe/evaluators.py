@@ -52,14 +52,19 @@ def _hash_frac(text: str) -> float:
     return int.from_bytes(digest[:8], "big") / 2**64
 
 
-def pathway_gene_mask(ensembl_ids, fraction: float = PATHWAY_FRACTION) -> np.ndarray:
+def _pathway_fracs(ensembl_ids) -> np.ndarray:
+    """Each gene's stable hash in [0, 1), which ranks it for the pathway."""
+    return np.array([_hash_frac(f"pathway|{g}") for g in ensembl_ids], dtype=np.float64)
+
+
+def pathway_gene_mask(ensembl_ids) -> np.ndarray:
     """Deterministic, identity-based gene subset playing the role of a pathway.
 
     Derived from a stable hash of each gene id, so it is invariant to gene
     reordering and shared between the synthetic generator and the
     pathway-masked surrogate family.
     """
-    return np.array([_hash_frac(f"pathway|{g}") < fraction for g in ensembl_ids])
+    return _pathway_fracs(ensembl_ids) < PATHWAY_FRACTION
 
 
 # --------------------------------------------------------------------------
@@ -125,8 +130,7 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[CanonicalDataset, GroundTr
 
     x0 = rng.uniform(1.0, 5.0, size=g)
     k = math.ceil(cfg.effect_sparsity * g)
-    fracs = np.array([_hash_frac(f"pathway|{e}") for e in ensembl])
-    support = np.sort(np.argsort(fracs)[:k]) if k > 0 else np.array([], dtype=int)
+    support = np.sort(np.argsort(_pathway_fracs(ensembl))[:k])
 
     direction = np.zeros(g)
     if k > 0:
@@ -554,17 +558,17 @@ class LandscapeEvaluator:
 class FailureInjectingEvaluator:
     """Deterministically fails a fraction of candidates until debug-fixed."""
 
-    def __init__(self, inner, failure_rate: float, salt: int = 0, fix_succeeds: bool = True):
+    def __init__(self, inner, failure_rate: float, fix_succeeds: bool = True):
         if not (0.0 <= failure_rate <= 1.0):
             raise ParameterError("failure_rate must be in [0, 1]")
         self.inner = inner
         self.failure_rate = failure_rate
-        self.salt = salt
         self.fix_succeeds = fix_succeeds
 
     def is_injected(self, candidate: Candidate) -> bool:
         base = candidate.key().removesuffix("/fixed")
-        return _hash_frac(f"fail|{self.salt}|{base}") < self.failure_rate
+        # any change to this text moves every --fail-rate trajectory
+        return _hash_frac(f"fail|0|{base}") < self.failure_rate
 
     def evaluate(self, candidate: Candidate, seed: int) -> EvalOutcome:
         outcome = self.inner.evaluate(candidate, seed)

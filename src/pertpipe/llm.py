@@ -23,9 +23,11 @@ TIMEOUT_S = 60.0  # per live request
 class LlmClient:
     """Chat-completion client; construct via the classmethods."""
 
-    def __init__(self, transport: str, **kwargs):
+    def __init__(self, transport: str, responses=(), model=None, endpoint=None):
         self._transport = transport
-        self._kwargs = kwargs
+        self._responses = responses  # scripted replies of replay and mock, in order
+        self._model = model  # live only
+        self._endpoint = endpoint  # live only
         self._cursor = 0
 
     @classmethod
@@ -51,20 +53,18 @@ class LlmClient:
         return cls("replay", responses=responses)
 
     @classmethod
-    def mock(cls, response: str | list[str]):
-        responses = [response] if isinstance(response, str) else list(response)
-        return cls("mock", responses=responses)
+    def mock(cls, response: str):
+        return cls("mock", responses=[response])
 
     def complete(self, messages: list[dict[str, str]]) -> str:
         """Send a chat message list, return the assistant text."""
         if self._transport in ("replay", "mock"):
-            responses = self._kwargs["responses"]
-            if self._cursor >= len(responses):
+            if self._cursor >= len(self._responses):
                 raise TransportError(
                     f"{self._transport} transport exhausted after "
-                    f"{len(responses)} responses"
+                    f"{len(self._responses)} responses"
                 )
-            out = responses[self._cursor]
+            out = self._responses[self._cursor]
             self._cursor += 1
             return out
         return self._complete_live(messages)
@@ -75,15 +75,13 @@ class LlmClient:
         import urllib.error
         import urllib.request
 
-        body = json.dumps(
-            {"model": self._kwargs["model"], "messages": messages}
-        ).encode()
+        body = json.dumps({"model": self._model, "messages": messages}).encode()
         headers = {"Content-Type": "application/json"}
         key = os.environ.get(KEY_ENV)
         if key:
             headers["Authorization"] = f"Bearer {key}"
         request = urllib.request.Request(
-            self._kwargs["endpoint"], data=body, headers=headers, method="POST"
+            self._endpoint, data=body, headers=headers, method="POST"
         )
         try:
             with urllib.request.urlopen(request, timeout=TIMEOUT_S) as resp:

@@ -26,9 +26,9 @@ from .knowledge import RetrievalParams
 from .search import SearchConfig
 
 # config key -> field of the dataclass that holds the key's default and range check;
-# the seed and strict mode are set by each run, not by config
+# the seed is set by each run, not by config
 _SEARCH_FIELDS, _RETRIEVAL_FIELDS = (
-    {f"{section}.{f.name.lower()}": f for f in fields(cls) if f.name not in ("seed", "strict")}
+    {f"{section}.{f.name.lower()}": f for f in fields(cls) if f.name != "seed"}
     for section, cls in (("search", SearchConfig), ("retrieval", RetrievalParams))
 )
 
@@ -115,25 +115,25 @@ class RunManifest:
     input_digests: dict[str, str]
     seed: int
     options: dict = field(default_factory=dict)  # settings given outside config
-    run_id: str = ""
-    tool_version: str = __version__
-    started_at: float = field(default_factory=time.time)
-    finished_at: float | None = None
-    outcome: dict = field(default_factory=dict)
+    # derived, never passed: the run id from the fields above, the rest by the run
+    run_id: str = field(init=False)
+    tool_version: str = field(init=False, default=__version__)
+    started_at: float = field(init=False, default_factory=time.time)
+    finished_at: float | None = field(init=False, default=None)
+    outcome: dict = field(init=False, default_factory=dict)
 
     def __post_init__(self):
-        if not self.run_id:
-            payload = json.dumps(
-                {
-                    "command": self.command,
-                    "config": self.config,
-                    "inputs": self.input_digests,
-                    "options": self.options,
-                    "seed": self.seed,
-                },
-                sort_keys=True,
-            )
-            self.run_id = hashlib.sha256(payload.encode()).hexdigest()[:16]
+        payload = json.dumps(
+            {
+                "command": self.command,
+                "config": self.config,
+                "inputs": self.input_digests,
+                "options": self.options,
+                "seed": self.seed,
+            },
+            sort_keys=True,
+        )
+        self.run_id = hashlib.sha256(payload.encode()).hexdigest()[:16]
 
     def finish(self, **outcome) -> None:
         self.finished_at = time.time()

@@ -16,8 +16,7 @@ paradigm alone and the paradigm plus its default backbone both fill in to
 the same pipeline). The engine keeps a per-run table from each materialized
 candidate to its first outcome, so each distinct candidate is evaluated at
 most once per run; a hit reuses that outcome, its ``t_exec`` included, and
-only ``t_ratio`` is recomputed against the current baseline. Strict mode
-re-evaluates only on a miss.
+only ``t_ratio`` is recomputed against the current baseline.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from .actions import (
     materialize,
     validate_action_path,
 )
-from .errors import ParameterError, PertpipeError
+from .errors import ParameterError
 from .knowledge import RetrievalResult
 
 
@@ -65,7 +64,6 @@ class SearchConfig:
     wall_clock_budget: float = 5 * 3600.0
     seed: int = 0
     mode: str = "hierarchical"
-    strict: bool = False
 
     def __post_init__(self):
         if self.w_p < 0 or self.w_e < 0:
@@ -256,13 +254,6 @@ class _Engine:
         outcome = self.outcomes.get(candidate)
         if outcome is None:
             outcome = self.evaluator.evaluate(candidate, self.config.seed)
-            if self.config.strict:
-                again = self.evaluator.evaluate(candidate, self.config.seed)
-                if again != outcome:
-                    raise PertpipeError(
-                        f"evaluator is not pure: {candidate.key()} returned two "
-                        f"different outcomes for one seed"
-                    )
             self.outcomes[candidate] = outcome
         t_ratio = outcome.t_exec / self.t_root if self.t_root else 1.0
         if outcome.ok and self.t_root is None:

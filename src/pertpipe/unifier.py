@@ -10,6 +10,7 @@ flat per-key layout) and normalized into one entry model.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 import sys
@@ -100,9 +101,12 @@ class MappingSpec:
     normalization_required: bool
     target_sum: float
     data_summary: str = ""
+    # sha256 of the text from_json parsed; None for a spec built another way
+    digest: str | None = field(default=None, init=False, compare=False)
 
     @classmethod
     def from_json(cls, text: str, raw_response: str | None = None) -> "MappingSpec":
+        """Parse and check a mapping; sets ``digest`` to the sha256 of ``text``."""
         try:
             doc = json.loads(text)
         except (json.JSONDecodeError, RecursionError) as exc:
@@ -110,7 +114,11 @@ class MappingSpec:
             raise error(f"mapping is not valid JSON: {exc}", raw_response) from exc
         if not isinstance(doc, dict):
             raise MappingError("mapping JSON must be an object", raw_response)
-        return cls.from_dict(doc, raw_response)
+        spec = cls.from_dict(doc, raw_response)
+        # surrogatepass: an LLM reply may hold a lone surrogate that JSON escaped
+        data = text.encode("utf-8", "surrogatepass")
+        object.__setattr__(spec, "digest", hashlib.sha256(data).hexdigest())
+        return spec
 
     @classmethod
     def from_dict(cls, doc: dict, raw_response: str | None = None) -> "MappingSpec":

@@ -40,6 +40,7 @@ from pertpipe.evaluators import (
 from pertpipe.knowledge import KnowledgeBase, make_entry
 from pertpipe import manifest as manifest_module
 from pertpipe.manifest import CONFIG_DEFAULTS, RunManifest, parse_config_file, resolve_config
+from pertpipe.unifier import extract_json_block
 
 
 @pytest.fixture
@@ -112,6 +113,46 @@ class TestUnify:
         a = ds.pert_vocab.index("drugA")
         assert 10000.0 in set(ds.pert_dose[:, a].tolist())
         assert _read_manifest(out)["command"] == "unify"
+
+    def test_run_id_covers_the_mapping(self, runner, raw_bundle_dir, flat_form_mapping,
+                                       tmp_path):
+        def run_id(name, mapping):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(mapping))
+            out = tmp_path / name
+            result = runner.invoke(
+                main, ["unify", str(raw_bundle_dir), str(out), "--mapping", str(path)]
+            )
+            assert result.exit_code == 0, result.output + result.stderr
+            manifest = _read_manifest(out)
+            assert manifest["input_digests"]["mapping"] == hashlib.sha256(
+                path.read_bytes()
+            ).hexdigest()
+            return manifest["run_id"]
+
+        other = {**flat_form_mapping, "perturbation_type": "crispr"}
+        assert run_id("a", flat_form_mapping) == run_id("b", flat_form_mapping)
+        assert run_id("c", other) != run_id("a", flat_form_mapping)
+
+    def test_induced_mapping_and_model_are_recorded(self, runner, raw_bundle_dir, tmp_path):
+        # a reply may hold a lone surrogate (a JSON replay file can escape one)
+        reply = _nested_mapping_response().replace("drugs on", "drugs \ud800 on")
+        block = extract_json_block(reply).encode("utf-8", "surrogatepass")
+        induced = hashlib.sha256(block).hexdigest()
+        ids = []
+        for model in ("model-a", "model-b"):
+            out = tmp_path / model
+            result = runner.invoke(
+                main,
+                ["unify", str(raw_bundle_dir), str(out), "--induce", "--llm-transport", "mock",
+                 "--mock-response", reply, "--model", model],
+            )
+            assert result.exit_code == 0, result.output + result.stderr
+            manifest = _read_manifest(out)
+            assert manifest["config"]["unify.model"] == model
+            assert manifest["input_digests"]["mapping"] == induced
+            ids.append(manifest["run_id"])
+        assert ids[0] != ids[1]
 
     @pytest.mark.parametrize("fault", ["out_under_a_file", "disk_full"])
     def test_an_output_that_cannot_be_written_exits_2(
@@ -861,6 +902,32 @@ class TestGenSyntheticAndKb:
             f"cannot append to knowledge base {kb}: No space left on device"
         )
 
+    def test_a_failed_kb_append_leaves_the_run_directory_as_it_was(
+        self, runner, synthetic_bundle, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "o"
+        argv = ["search", str(synthetic_bundle), "--out", str(out), "--evaluator",
+                "landscape:funnel"]
+        assert runner.invoke(main, argv).exit_code == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+
+        def full(fd):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "fsync", full)
+        result = runner.invoke(main, [*argv, "--seed", "1", "--kb", str(tmp_path / "kb.jsonl")])
+        assert result.exit_code == 2, result.output
+        assert _stderr_error(result)["error"]["code"] == "kb"
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    def test_kb_show_on_an_empty_store(self, runner, tmp_path):
+        kb = tmp_path / "kb.jsonl"
+        result = runner.invoke(main, ["kb", "show", "0", "--kb", str(kb)])
+        assert result.exit_code == 1
+        assert _stderr_error(result)["error"] == {
+            "code": "kb", "message": f"knowledge base {kb} is empty"
+        }
+
 
 class TestKnowledgeBaseFlags:
     def test_flat_mode_records_hierarchy_legal_path(self, runner, tmp_path):
@@ -1345,11 +1412,11 @@ _GEN_SYNTHETIC = ["gen-synthetic", "--out", "{out}"]
 # (command line, exit code, error code or None where click refuses the option
 # itself, text the error names)
 BAD_OPTIONS = {
-    "search_negative_seed": ([*_SEARCH, "--seed", "-1"], 1, None, "--seed"),
+    "search_negative_seed": ([*_SEARCH, "--seed", "-1"], 1, "usage", "--seed"),
     "search_landscape_negative_seed": (
-        [*_SEARCH, "--evaluator", "landscape:funnel", "--seed", "-1"], 1, None, "--seed"
+        [*_SEARCH, "--evaluator", "landscape:funnel", "--seed", "-1"], 1, "usage", "--seed"
     ),
-    "gen_synthetic_negative_seed": ([*_GEN_SYNTHETIC, "--seed", "-1"], 1, None, "--seed"),
+    "gen_synthetic_negative_seed": ([*_GEN_SYNTHETIC, "--seed", "-1"], 1, "usage", "--seed"),
     "fail_rate_nan": ([*_SEARCH, "--fail-rate", "nan"], 1, "evaluator", "failure_rate"),
     "fail_rate_negative": ([*_SEARCH, "--fail-rate", "-0.5"], 1, "evaluator", "failure_rate"),
     "fail_rate_above_one": ([*_SEARCH, "--fail-rate", "1.5"], 1, "evaluator", "failure_rate"),
@@ -1396,6 +1463,32 @@ class TestBadOptions:
         if code is not None:
             assert _stderr_error(result)["error"]["code"] == code
         assert not (out / "run_manifest.json").exists()
+
+
+class TestClickUsageErrors:
+    """What click itself refuses ends as a JSON ``usage`` error with exit 1."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["search", "{missing}", "--out", "{out}"],
+         ["search", "{bundle}", "--out", "{out}", "--seed", "-3"],
+         ["search", "{bundle}", "--out", "{out}", "--no-such-option"],
+         ["kb", "show", "-1", "--kb", "{out}/kb.jsonl"]],
+        ids=["missing_path", "negative_seed", "unknown_option", "kb_show_negative_index"],
+    )
+    def test_exits_1_with_json_error(self, runner, synthetic_bundle, tmp_path, argv):
+        paths = {"missing": tmp_path / "missing", "bundle": synthetic_bundle,
+                 "out": tmp_path / "o"}
+        result = runner.invoke(main, [a.format(**paths) for a in argv])
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == 1, result.output
+        assert _stderr_error(result)["error"]["code"] == "usage"
+
+    def test_bare_group_shows_help_then_json_error(self, runner):
+        result = runner.invoke(main, ["kb"])
+        assert result.exit_code == 1
+        assert "Commands:" in result.stderr
+        assert _stderr_error(result)["error"] == {"code": "usage", "message": "missing command"}
 
 
 def _fuzz_bytes(valid: bytes):

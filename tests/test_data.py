@@ -285,27 +285,27 @@ class TestSplitUnseenCell:
 
     def test_other_types_all_train(self):
         ds = self._dataset()
-        split = split_unseen_cell(ds, "A549", 0.5, seed=1)
+        split = split_unseen_cell(ds, "A549", seed=1)
         others = ds.cell_type != "A549"
         assert set(split.labels[others].tolist()) == {"train"}
 
     def test_holdout_half_val_half_test(self):
         ds = self._dataset()
-        split = split_unseen_cell(ds, "A549", 0.5, seed=1)
+        split = split_unseen_cell(ds, "A549", seed=1)
         holdout = split.labels[ds.cell_type == "A549"]
         assert int(np.sum(holdout == "val")) == 5
         assert int(np.sum(holdout == "test")) == 5
 
     def test_deterministic(self):
         ds = self._dataset()
-        a = split_unseen_cell(ds, "A549", 0.3, seed=8)
-        b = split_unseen_cell(ds, "A549", 0.3, seed=8)
+        a = split_unseen_cell(ds, "A549", seed=8)
+        b = split_unseen_cell(ds, "A549", seed=8)
         assert np.array_equal(a.labels, b.labels)
 
     def test_unknown_cell_type(self):
         ds = self._dataset()
         with pytest.raises(ParameterError, match="HEK293"):
-            split_unseen_cell(ds, "HEK293", 0.5, seed=0)
+            split_unseen_cell(ds, "HEK293", seed=0)
 
 
 class TestCanonicalCsr:

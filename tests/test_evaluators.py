@@ -254,7 +254,7 @@ def _reference_case(noise, split_kind):
         return ds, split_unseen_perturbation(ds, 0.8, seed=1)
     lines = np.where(np.arange(ds.n_cells) % 2 == 0, "LINE_0", "LINE_1").astype(object)
     ds = replace(ds, cell_type=lines)
-    return ds, split_unseen_cell(ds, "LINE_1", 0.5, seed=1)
+    return ds, split_unseen_cell(ds, "LINE_1", seed=1)
 
 
 class TestSurrogateMatchesReference:
@@ -438,7 +438,7 @@ def test_m_val_keeps_the_bits_of_one_pcc_of_sides_per_condition(
     if split_kind == "unseen_cell":
         ds = replace(ds, cell_type=np.resize(np.array(["LINE_0", "LINE_1"], dtype=object),
                                              ds.n_cells))
-        split = split_unseen_cell(ds, "LINE_1", 0.5, seed=seed)
+        split = split_unseen_cell(ds, "LINE_1", seed=seed)
     else:
         split = split_unseen_perturbation(ds, 0.6, seed=seed)
     val_conditions = sorted(set(ds.condition_name[split.labels == "val"]) - {"control"})
@@ -694,9 +694,7 @@ class TestFailureInjection:
         assert ev.evaluate(c, 0) == inner.evaluate(c, 0)
 
     def test_fraction_roughly_respected(self):
-        ev = FailureInjectingEvaluator(
-            builtin_landscape("funnel"), failure_rate=0.5, salt=7
-        )
+        ev = FailureInjectingEvaluator(builtin_landscape("funnel"), failure_rate=0.5)
         failed = sum(
             0 if ev.evaluate(c, 0).ok else 1 for c in enumerate_candidates()
         )
