@@ -9,25 +9,34 @@ dense mask and dose matrices) and any binary file of the wrong size.
 
 Writers first format the TSV tables, refusing a cell the reader would
 split, so a refused write leaves an old bundle untouched. Then they remove
-any old run manifest (`run_manifest.json`, which describes the old bundle)
-and then the old manifest, write each file under a temporary name and
-rename it into place, and write the manifest last, so a write cut short
-leaves a directory that readers reject rather than a mix of old and new
-files. Bundle files are replaced by rename and never edited in place.
+any old run manifest (`run_manifest.json`, which describes the old
+bundle), the old digest record and then the old manifest, write each file
+under a temporary name and rename it into place, and write the manifest
+last, so a write cut short leaves a directory that readers reject rather
+than a mix of old and new files. Bundle files are replaced by rename and
+never edited in place.
 
 Each kind of bundle has a fixed set of files, and its digest covers only
-those, so other files beside them (a run manifest, a ground-truth record)
-leave it unchanged. Writers hash what they write: the one worker thread of
-an executor feeds the bytes of each file to the digest while the writing
-thread formats the tables and writes the files, so the digest is known
-when the write ends. The worker is joined before the write returns,
-whether it finished, failed or was refused. For each directory written in
-this process, the module keeps that digest with each bundle file's stat
-keys (device, inode, size, mtime and ctime in nanoseconds) taken after the
-write. ``bundle_digest`` returns the kept
-digest while the directory holds the same bundle files with the same keys,
-and reads and hashes the files otherwise. Nothing about a digest is
-written to disk, so another process always hashes.
+those, so other files beside them (a run manifest, a ground-truth record,
+the digest record) leave it unchanged. Writers hash what they write: the
+one worker thread of an executor feeds the bytes of each file to the
+digest while the writing thread formats the tables and writes the files,
+so the digest is known when the write ends. The worker is joined before
+the write returns, whether it finished, failed or was refused. After the
+manifest, the writer records that digest in `bundle_digest.json` with each
+bundle file's stat keys (device, inode, size, mtime and ctime in
+nanoseconds). ``bundle_digest`` returns the recorded digest while the
+directory holds the same bundle files with the same keys and the record's
+own ctime is later than each of theirs, and reads and hashes the files
+otherwise; it never writes into the directory it reads. A rename, a copy of
+the directory or an edit after the record moves a key. A file changed in
+the clock tick of its recorded ctime could keep every key, so, as git does
+with racy index entries, a record whose ctime is not strictly later than
+every file's is not trusted. Where one tick of a filesystem's ctime clock
+holds both the manifest's rename and the record's write, the record is
+therefore never trusted and every reader hashes, as it does for a bundle
+copied or written before the record existed. A record that cannot be
+written is left out.
 
 Readers map each binary file read-only and return read-only arrays over the
 mapping, so nothing is copied at read time. A live dataset holds one file
@@ -35,11 +44,11 @@ descriptor per matrix until its arrays are dropped; because a rewrite
 renames new files into place, that dataset keeps the old contents while a
 new read sees the new ones. Do not overwrite a bundle file in place (as
 `cp` onto it or `rsync --inplace` do) while any process has the bundle
-open or wrote it: an open dataset would change under its process, or the
-process would die of SIGBUS if the file shrank, and the writing process
-would keep the old digest if the edit left every stat key as it was (a
-same-size edit within one tick of a filesystem's coarse clock). Replace
-files by rename or write a new directory.
+open: an open dataset would change under its process, or the process would
+die of SIGBUS if the file shrank. Nor edit a bundle file while it is being
+written: a same-size edit between the writer's stat and its record, within
+one tick of a filesystem's coarse clock, leaves every stat key and so the
+old digest. Replace files by rename or write a new directory.
 """
 
 from __future__ import annotations
@@ -66,13 +75,11 @@ from .errors import BundleFormatError
 
 MANIFEST = "manifest.json"
 RUN_MANIFEST = "run_manifest.json"  # a command's record of the run that wrote a directory
+DIGEST_RECORD = "bundle_digest.json"  # the writer's digest and the stat keys it covers
 _OBS_TYPES = ("bool", "float", "str", "categorical")
 CANONICAL_FORMAT = 2
 _DIGEST_CHUNK = 1 << 20
 _DTYPES = {".f64": "<f8", ".i64": "<i8"}
-# real path of each bundle directory this process wrote -> (digest, _bundle_stats
-# right after the write)
-_written: dict[str, tuple[str, dict]] = {}
 
 
 def _format_cell(value) -> str:
@@ -124,11 +131,18 @@ def _tsv_text(columns: dict[str, np.ndarray]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _unreadable(path: Path, exc: OSError) -> BundleFormatError:
+    """The error for a bundle file that cannot be opened and read as a file."""
+    if isinstance(exc, FileNotFoundError):
+        return BundleFormatError(f"bundle file {path} is missing")
+    return BundleFormatError(f"cannot read bundle file {path}: {exc.strerror or exc}")
+
+
 def _read_tsv(path: Path) -> dict[str, list[str]]:
     try:
         lines = path.read_text(encoding="utf-8").removesuffix("\n").split("\n")
-    except FileNotFoundError:
-        raise BundleFormatError(f"bundle file {path} is missing") from None
+    except OSError as exc:
+        raise _unreadable(path, exc) from None
     except UnicodeDecodeError as exc:
         raise BundleFormatError(f"{path} is not UTF-8 text: {exc}") from None
     if lines[0] == "":
@@ -159,8 +173,8 @@ def _read_matrix(path: Path, shape: tuple[int, ...], dtype: str) -> np.ndarray:
     expected = int(np.prod(shape)) * np.dtype(dtype).itemsize
     try:
         fh = open(path, "rb")
-    except FileNotFoundError:
-        raise BundleFormatError(f"bundle file {path} is missing") from None
+    except OSError as exc:
+        raise _unreadable(path, exc) from None
     with fh:
         # size and mapping come from one descriptor, so they see one file
         size = os.fstat(fh.fileno()).st_size
@@ -199,22 +213,21 @@ def _write_bundle(
     tables: dict[str, dict],
     matrices: dict[str, object],
 ) -> None:
-    """Write one bundle and keep the digest of the bytes it wrote.
+    """Write one bundle and record the digest of the bytes it wrote.
 
     ``tables`` maps a file name to the columns of its TSV table, ``matrices``
     a file name to an array stored as little-endian float64 (``.f64``) or
-    int64 (``.i64``). Once the tables are formatted, the run manifest and
-    then the manifest of an old bundle go, before the first file is
-    replaced, so a crash never leaves a run manifest beside a bundle that
-    lacks its manifest. A worker thread hashes the files in
+    int64 (``.i64``). Once the tables are formatted, the run manifest, the
+    digest record and then the manifest of an old bundle go, before the
+    first file is replaced, so a crash never leaves a run manifest beside a
+    bundle that lacks its manifest. A worker thread hashes the files in
     ``bundle_digest``'s order while this thread formats the tables and
     writes the files; the tables reach the worker once formatted. The worker
     is joined before this returns, and an error on either thread is raised
-    here, before the manifest is renamed into place.
+    here, before the manifest is renamed into place. The digest record is
+    written last.
     """
     out = Path(out_dir)
-    key = os.path.realpath(out)
-    _written.pop(key, None)
     arrays = {
         name: np.ascontiguousarray(a, dtype=_DTYPES[name[-4:]]) for name, a in matrices.items()
     }
@@ -247,7 +260,7 @@ def _write_bundle(
         finally:
             formatted.set()
         out.mkdir(parents=True, exist_ok=True)
-        for name in (RUN_MANIFEST, MANIFEST):
+        for name in (RUN_MANIFEST, DIGEST_RECORD, MANIFEST):
             (out / name).unlink(missing_ok=True)
         for name, data in texts.items():
             _replace_file(out / name, lambda tmp: tmp.write_bytes(data))
@@ -255,7 +268,39 @@ def _write_bundle(
             _replace_file(out / name, a.tofile)
     digest = hashed.result()
     _replace_file(out / MANIFEST, lambda tmp: tmp.write_bytes(manifest_bytes))
-    _written[key] = (digest, _bundle_stats(out))
+    _write_digest_record(out, digest)
+
+
+def _write_digest_record(out: Path, digest: str) -> None:
+    """Record ``digest`` with the stat keys of the bundle files in ``out``.
+
+    The record is only a cache and the old one is gone by now, so a failed
+    write leaves no record and readers hash the files.
+    """
+    try:
+        text = json.dumps({"digest": digest, "files": _bundle_stats(out)}, sort_keys=True)
+        write_text_atomic(out / DIGEST_RECORD, text + "\n")
+    except OSError:
+        pass
+
+
+def _recorded_digest(root: Path, stats: dict) -> str | None:
+    """The digest of ``root``'s record if it covers exactly ``stats`` and is
+    newer than each of those files, else None."""
+    try:
+        with open(root / DIGEST_RECORD, "rb") as fh:
+            ctime_ns = os.fstat(fh.fileno()).st_ctime_ns
+            record = json.loads(fh.read())
+    except (OSError, ValueError, RecursionError):  # missing, unreadable or torn
+        return None
+    if not (
+        isinstance(record, dict)
+        and type(record.get("digest")) is str
+        and record.get("files") == {name: list(key) for name, key in stats.items()}
+        and all(key[4] < ctime_ns for key in stats.values())
+    ):
+        return None
+    return record["digest"]
 
 
 def write_raw_bundle(table: RawTable, out_dir: str | Path) -> None:
@@ -375,6 +420,8 @@ def _load_manifest(root: Path, expected_kind: str) -> dict:
         raise BundleFormatError(f"no {MANIFEST} in {root}")
     try:
         manifest = json.loads(mpath.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise _unreadable(mpath, exc) from None
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise BundleFormatError(f"{mpath} is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(manifest, dict):
@@ -444,15 +491,14 @@ def bundle_digest(path: str | Path) -> str:
     """Stable content hash over the files of a bundle of its kind.
 
     Sidecars such as run manifests or ground-truth records living in the
-    same directory do not affect the digest. A bundle this process wrote
-    is not read again while its files keep the stat keys they had after
-    the write.
+    same directory do not affect the digest. A bundle is not read again
+    while its writer's digest record holds (see the module docstring).
     """
     root = Path(path)
     stats = _bundle_stats(root)
-    kept = _written.get(os.path.realpath(root))
-    if kept is not None and kept[1] == stats:
-        return kept[0]
+    recorded = _recorded_digest(root, stats)
+    if recorded is not None:
+        return recorded
     h = hashlib.sha256()
     buf = bytearray(_DIGEST_CHUNK)
     view = memoryview(buf)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,6 +23,7 @@ from .actions import Candidate, enumerate_candidates
 from .data import (
     CanonicalDataset,
     SplitAssignment,
+    _row_halves,
     normalize_log1p,
     pseudo_bulk,
     validate_canonical,
@@ -223,23 +223,32 @@ def _loss_view(X: np.ndarray, stats: _SplitStats, clip=None) -> _LossView:
     mean, clipped per gene to ``clip = (lo, hi)`` for the robust loss, so
     no n x g shift matrix is ever held. The variances take ``np.var``'s
     steps in place and reuse the block's sum, so they keep its bits. The
-    mean direction and norm are flow matching's unseen-condition statistics.
+    conditions are split in two halves, one on a worker thread, each under
+    the caller's numpy error state. The mean direction and norm are flow
+    matching's unseen-condition statistics.
     """
     m, g = stats.counts.size, X.shape[1]
     sums = np.empty((m, g))
     cond_vars = np.empty((m, g))
-    start = 0
-    for i, end in enumerate(np.cumsum(stats.counts).tolist()):
-        block = X[stats.rows[start:end]]
-        block -= stats.y_ctrl
-        if clip is not None:
-            np.maximum(block, clip[0], out=block)
-            np.minimum(block, clip[1], out=block)
-        block.sum(axis=0, out=sums[i])
-        block -= sums[i] / (end - start)
-        np.square(block, out=block)
-        block.sum(axis=0, out=cond_vars[i])
-        start = end
+    ends = np.cumsum(stats.counts).tolist()
+    errors = np.geterr()
+
+    def blocks(lo: int, hi: int) -> None:
+        with np.errstate(**errors):  # the caller's state does not reach the worker
+            start = ends[lo - 1] if lo else 0
+            for i in range(lo, hi):
+                block = X[stats.rows[start:ends[i]]]
+                block -= stats.y_ctrl
+                if clip is not None:
+                    np.maximum(block, clip[0], out=block)
+                    np.minimum(block, clip[1], out=block)
+                block.sum(axis=0, out=sums[i])
+                block -= sums[i] / (ends[i] - start)
+                np.square(block, out=block)
+                block.sum(axis=0, out=cond_vars[i])
+                start = ends[i]
+
+    _row_halves(m, blocks)
     cond_vars /= stats.counts[:, None]
     cond_means = sums / stats.counts[:, None]
     norms = np.linalg.norm(cond_means, axis=1)
@@ -335,17 +344,16 @@ class SurrogateEvaluator:
     the clamped mean DeltaPCC. Execution time is a deterministic per-family
     cost table scaled by data size, never the wall clock.
 
-    Every family fits from per-condition sufficient statistics, built from
-    construction on the one worker thread of an executor; the first
-    ``evaluate`` joins that thread, so none outlives it. They are the split
-    views, the train control mean and the val conditions' truth shifts,
-    centred and stacked in one read-only k x g matrix with their sums of
-    squares (the truth's half of the Pearson correlation), then per loss the
-    per-condition counts, sums, means and variances of the train shifts,
-    gathered one condition block at a time (the huber clip bounds are pooled
-    from the mse statistics), and flow matching's mean direction and norm.
-    An error raised while building them is raised again by every
-    ``evaluate``.
+    Every family fits from per-condition sufficient statistics, which the
+    constructor builds. They are the split views, the train control mean
+    and the val conditions' truth shifts, centred and stacked in one
+    read-only k x g matrix with their sums of squares (the truth's half of
+    the Pearson correlation), then per loss the per-condition counts, sums,
+    means and variances of the train shifts, gathered one condition block
+    at a time with the blocks split over two cores (the huber clip bounds
+    are pooled from the mse statistics), and flow matching's mean direction
+    and norm. An error raised while building them is raised by the
+    constructor.
 
     A candidate costs O(m * g) for its fit (the ridge families solve the
     one-hot ridge in closed form over counts, so no n x g shift matrix is
@@ -365,19 +373,13 @@ class SurrogateEvaluator:
         self.dataset = dataset
         self.split = split
         self._ridges: dict[tuple[str, float], tuple[np.ndarray, np.ndarray]] = {}
-        # the executor's worker is not a daemon, so interpreter exit waits for
-        # it instead of stopping it inside a numpy call; it is handed the
-        # inputs, not self, so a dropped evaluator is collected
-        self._pool = ThreadPoolExecutor(1, thread_name_prefix="surrogate-prepare")
-        self._prepared = self._pool.submit(_prepare, dataset, split)
+        self._prepared = _prepare(dataset, split)
 
     def evaluate(self, candidate: Candidate, seed: int) -> EvalOutcome:
         sim_time = self._simulated_time(candidate)
-        self._pool.shutdown()  # joins the worker; once it has ended this is cheap
-        prepared = self._prepared.result()  # an error in _prepare is raised here
-        if isinstance(prepared, str):
-            return EvalOutcome(m_val=None, t_exec=sim_time, error=prepared)
-        stats, views = prepared
+        if isinstance(self._prepared, str):
+            return EvalOutcome(m_val=None, t_exec=sim_time, error=self._prepared)
+        stats, views = self._prepared
         reg = candidate.hyperparams.reg_strength * (1.0 + candidate.hyperparams.dropout)
         predict = self._fit_family(candidate.backbone, candidate.loss, reg, stats, views)
         # each side is prepared once: a train condition's own, and the one

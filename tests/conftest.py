@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,19 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from pertpipe.data import RawTable
+
+# pertpipe starts threads only through executors that each call joins before
+# it returns, and names them with these prefixes
+_WORKER_PREFIXES = ("row-half_", "bundle-digest_")
+
+
+@pytest.fixture(autouse=True)
+def no_worker_thread_left():
+    """Fail a test that leaves one of pertpipe's worker threads alive."""
+    yield
+    left = [t.name for t in threading.enumerate() if t.name.startswith(_WORKER_PREFIXES)]
+    if left:
+        pytest.fail(f"worker threads left alive: {left}")
 
 
 @pytest.fixture

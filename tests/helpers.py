@@ -362,7 +362,7 @@ def reference_scored_m_val(ev, candidate) -> float | None:
     takes the same steps, so these are also the bits of one ``delta_pcc``
     call per condition. ``ev``'s split must not be degenerate."""
     ds, split = ev.dataset, ev.split
-    stats, views = ev._prepared.result()
+    stats, views = ev._prepared
     val = split.indices("val")
     val_ctrl = val[ds.is_control[val]]
     y_ctrl_val = ds.X[val_ctrl].mean(axis=0) if val_ctrl.size else stats.y_ctrl

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import mmap
 import os
+import shutil
 import tempfile
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -51,7 +54,7 @@ class TestRawBundle:
         assert back.var_index.tolist() == ["g1", "g2"]
         assert back.var_columns["sym"].tolist() == ["S1", "S2"]
         assert sorted(p.name for p in (tmp_path / "raw").iterdir()) == [
-            "X.f64", "manifest.json", "obs.tsv", "var.tsv",
+            "X.f64", "bundle_digest.json", "manifest.json", "obs.tsv", "var.tsv",
         ]
 
     @pytest.mark.parametrize(
@@ -150,8 +153,8 @@ class TestCanonicalBundle:
         manifest = json.loads((tmp_path / "one" / "manifest.json").read_text())
         assert (manifest["format"], manifest["nnz"]) == (2, 3)
         assert sorted(f.name for f in (tmp_path / "one").iterdir()) == [
-            "X.f64", "manifest.json", "obs.tsv", "pert_dose.f64", "pert_indices.i64",
-            "pert_indptr.i64", "var.tsv",
+            "X.f64", "bundle_digest.json", "manifest.json", "obs.tsv", "pert_dose.f64",
+            "pert_indices.i64", "pert_indptr.i64", "var.tsv",
         ]
         back = read_canonical_bundle(tmp_path / "one")
         for name in ("pert_indptr", "pert_indices", "pert_values"):
@@ -248,7 +251,8 @@ class TestCrashSafeWrites:
 
         monkeypatch.setattr(bundle.os, "replace", recording)
         write_canonical_bundle(old, tmp_path / "c")
-        assert order[-1] == "manifest.json"
+        # the digest record follows the bundle's last file
+        assert order[-2:] == ["manifest.json", "bundle_digest.json"]
         assert sorted(order) == sorted(p.name for p in (tmp_path / "c").iterdir())
 
     def test_failed_file_write_keeps_old_file_and_no_temporary(self, tmp_path):
@@ -275,6 +279,8 @@ def test_digest_hashes_large_files_in_chunks(tmp_path):
     write_raw_bundle(table, tmp_path / "raw")
     h = hashlib.sha256()
     for f in sorted((tmp_path / "raw").iterdir()):
+        if f.name == "bundle_digest.json":
+            continue
         h.update(f.name.encode() + b"\0" + f.read_bytes() + b"\0")
     assert bundle_digest(tmp_path / "raw") == h.hexdigest()
 
@@ -430,13 +436,15 @@ def test_writers_keep_the_digest_of_the_bytes_they_wrote(case):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "b"
         write(data, out)
-        kept, _ = bundle._written[os.path.realpath(out)]
+        kept = json.loads((out / "bundle_digest.json").read_text())["digest"]
         assert kept == _fresh_digest(out)
+        assert bundle_digest(out) == kept
+        (out / "bundle_digest.json").unlink()
         assert bundle_digest(out) == kept
 
 
 class TestKeptDigest:
-    """``bundle_digest`` returns a writer's digest only while the files are as written."""
+    """``bundle_digest`` returns a writer's recorded digest only while the files are as written."""
 
     @pytest.fixture
     def hashes(self, monkeypatch):
@@ -479,8 +487,7 @@ class TestKeptDigest:
         assert hashes == [1]
 
     @pytest.mark.parametrize("kind", ["raw", "canonical"])
-    def test_an_unnamed_obsm_file_leaves_the_digest(self, raw_table, tmp_path, hashes,
-                                                    monkeypatch, kind):
+    def test_an_unnamed_obsm_file_leaves_the_digest(self, raw_table, tmp_path, hashes, kind):
         out = tmp_path / kind
         if kind == "raw":
             write_raw_bundle(raw_table, out)
@@ -491,8 +498,8 @@ class TestKeptDigest:
         hashes.clear()
         assert bundle_digest(out) == _fresh_digest(out) == kept
         assert hashes == []
-        # a process that did not write the bundle hashes the same files
-        monkeypatch.setattr(bundle, "_written", {})
+        # without the record the same files are hashed
+        (out / "bundle_digest.json").unlink()
         assert bundle_digest(out) == kept
 
     def test_a_stray_obsm_file_at_write_time_is_left_out_of_the_digest(self, tmp_path, hashes):
@@ -505,7 +512,7 @@ class TestKeptDigest:
         assert bundle_digest(tmp_path / "c") == bundle_digest(tmp_path / "clean")
         assert hashes == []
 
-    def test_a_refused_rewrite_is_hashed(self, tmp_path, hashes):
+    def test_a_refused_rewrite_keeps_the_record(self, tmp_path, hashes):
         from dataclasses import replace
 
         write_canonical_bundle(self._dataset(), tmp_path / "c")
@@ -514,8 +521,9 @@ class TestKeptDigest:
         with pytest.raises(BundleFormatError, match="tab/newline"):
             write_canonical_bundle(refused, tmp_path / "c")
         hashes.clear()
+        # the refusal came before any file changed, so the record still holds
         assert bundle_digest(tmp_path / "c") == _fresh_digest(tmp_path / "c") == kept
-        assert hashes == [1]
+        assert hashes == []
 
     def test_a_rewrite_cut_by_a_matrix_write_error_is_hashed(self, tmp_path, hashes,
                                                              monkeypatch):
@@ -534,6 +542,118 @@ class TestKeptDigest:
         hashes.clear()
         assert bundle_digest(tmp_path / "c") == _fresh_digest(tmp_path / "c") != kept
         assert hashes == [1]
+
+
+    def test_a_copied_directory_is_hashed(self, tmp_path, hashes):
+        write_canonical_bundle(self._dataset(), tmp_path / "c")
+        kept = bundle_digest(tmp_path / "c")
+        shutil.copytree(tmp_path / "c", tmp_path / "copy")
+        assert (tmp_path / "copy" / "bundle_digest.json").is_file()
+        hashes.clear()
+        assert bundle_digest(tmp_path / "copy") == kept
+        assert hashes == [1]
+
+    @pytest.mark.parametrize("name", ["manifest.json", "obs.tsv", "X.f64"])
+    def test_a_removed_bundle_file_is_hashed(self, tmp_path, hashes, name):
+        write_canonical_bundle(self._dataset(), tmp_path / "c")
+        kept = bundle_digest(tmp_path / "c")
+        (tmp_path / "c" / name).unlink()
+        hashes.clear()
+        assert bundle_digest(tmp_path / "c") == _fresh_digest(tmp_path / "c") != kept
+        assert hashes == [1]
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda text: None,
+            lambda text: text[: len(text) // 2].encode(),
+            lambda text: b"\xff" + text.encode(),
+            lambda text: b"[]",
+            lambda text: json.dumps({**json.loads(text), "digest": 1}).encode(),
+            lambda text: json.dumps({**json.loads(text), "files": {}}).encode(),
+        ],
+        ids=["deleted", "torn", "not_utf8", "not_an_object", "digest_not_a_string",
+             "no_files"],
+    )
+    def test_a_missing_or_malformed_record_is_hashed(self, tmp_path, hashes, damage):
+        write_canonical_bundle(self._dataset(), tmp_path / "c")
+        kept = bundle_digest(tmp_path / "c")
+        record = tmp_path / "c" / "bundle_digest.json"
+        damaged = damage(record.read_text())
+        record.unlink()
+        if damaged is not None:
+            record.write_bytes(damaged)
+        hashes.clear()
+        assert bundle_digest(tmp_path / "c") == kept
+        assert hashes == [1]
+
+    def test_a_record_copied_from_another_bundle_is_hashed(self, tmp_path, hashes):
+        write_canonical_bundle(self._dataset(), tmp_path / "c")
+        write_canonical_bundle(self._dataset(x=3.0), tmp_path / "other")
+        kept = bundle_digest(tmp_path / "c")
+        shutil.copyfile(tmp_path / "other" / "bundle_digest.json",
+                        tmp_path / "c" / "bundle_digest.json")
+        hashes.clear()
+        assert bundle_digest(tmp_path / "c") == _fresh_digest(tmp_path / "c") == kept
+        assert hashes == [1]
+
+    @pytest.mark.parametrize("offset, trusted", [(-1, False), (0, False), (1, True)])
+    def test_a_record_not_newer_than_every_file_is_hashed(self, tmp_path, hashes, monkeypatch,
+                                                           offset, trusted):
+        # git's racy-entry rule: a file changed in the tick of the record
+        # could keep every stat key, so the record must be strictly newer
+        write_canonical_bundle(self._dataset(), tmp_path / "c")
+        newest = max(key[4] for key in bundle._bundle_stats(tmp_path / "c").values())
+        monkeypatch.setattr(bundle.os, "fstat",
+                            lambda fd: SimpleNamespace(st_ctime_ns=newest + offset))
+        hashes.clear()
+        assert bundle_digest(tmp_path / "c") == _fresh_digest(tmp_path / "c")
+        assert hashes == ([] if trusted else [1])
+
+    def test_a_record_that_cannot_be_written_is_left_out(self, tmp_path, hashes,
+                                                         monkeypatch):
+        write_canonical_bundle(self._dataset(), tmp_path / "c")
+        real = bundle._replace_file
+
+        def failing(path, write):
+            if path.name == "bundle_digest.json":
+                raise OSError(errno.ENOSPC, "No space left on device")
+            real(path, write)
+
+        monkeypatch.setattr(bundle, "_replace_file", failing)
+        write_canonical_bundle(self._dataset(x=3.0), tmp_path / "c")
+        assert "bundle_digest.json" not in {p.name for p in (tmp_path / "c").iterdir()}
+        hashes.clear()
+        assert bundle_digest(tmp_path / "c") == _fresh_digest(tmp_path / "c")
+        assert hashes == [1]
+        assert read_canonical_bundle(tmp_path / "c").X[0, 0] == 3.0
+        assert not list((tmp_path / "c").glob(".*.tmp"))
+
+    @pytest.mark.parametrize("with_record", [True, False])
+    def test_a_digest_changes_nothing_in_the_directory(self, tmp_path, with_record):
+        def snapshot(root):
+            return {
+                p.name: (p.read_bytes(), p.stat().st_ino, p.stat().st_mtime_ns,
+                         p.stat().st_ctime_ns)
+                for p in root.iterdir()
+            }
+
+        write_canonical_bundle(self._dataset(), tmp_path / "c")
+        if not with_record:
+            (tmp_path / "c" / "bundle_digest.json").unlink()
+        before = snapshot(tmp_path / "c")
+        bundle_digest(tmp_path / "c")
+        assert snapshot(tmp_path / "c") == before
+
+
+@pytest.mark.parametrize("name", ["obs.tsv", "var.tsv", "X.f64", "pert_dose.f64"])
+def test_a_bundle_file_that_cannot_be_opened_is_a_format_error(tmp_path, name):
+    write_canonical_bundle(small_canonical({"control": [[1.0, 0.5]], "A": [[2.0, 0.25]]}),
+                           tmp_path / "c")
+    (tmp_path / "c" / name).unlink()
+    (tmp_path / "c" / name).mkdir()
+    with pytest.raises(BundleFormatError, match=f"^cannot read bundle file .*{name}: "):
+        read_canonical_bundle(tmp_path / "c")
 
 
 class TestWriterThread:

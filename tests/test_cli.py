@@ -7,6 +7,7 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import threading
@@ -21,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pertpipe
+import pertpipe.bundle
 from helpers import small_canonical
 from pertpipe.bundle import (
     bundle_digest,
@@ -747,6 +749,30 @@ class TestIncompleteBundles:
         assert message in error["message"]
 
 
+    @pytest.mark.parametrize("command", ["search", "evaluate", "unify"])
+    @pytest.mark.parametrize("name", ["X.f64", "obs.tsv"])
+    def test_a_bundle_file_that_is_a_directory_exits_2(
+        self, runner, synthetic_bundle, raw_bundle_dir, mapping_file, tmp_path, command, name
+    ):
+        bundle = raw_bundle_dir if command == "unify" else synthetic_bundle
+        (bundle / name).unlink()
+        (bundle / name).mkdir()
+        predictions = tmp_path / "pred.json"
+        predictions.write_text("{}")
+        argv = {
+            "search": ["search", str(bundle), "--out", str(tmp_path / "o"),
+                       "--evaluator", "landscape:funnel"],
+            "evaluate": ["evaluate", str(bundle), str(predictions)],
+            "unify": ["unify", str(bundle), str(tmp_path / "o"), "--mapping", str(mapping_file)],
+        }[command]
+        result = runner.invoke(main, argv)
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == 2, result.output
+        assert _stderr_error(result)["error"] == {
+            "code": "bundle",
+            "message": f"cannot read bundle file {bundle / name}: Is a directory",
+        }
+
     @pytest.mark.parametrize(
         "manifest_edit, message",
         [
@@ -815,6 +841,75 @@ class TestIncompleteBundles:
         raw = raw_bundle_dir.resolve()
         assert stray.resolve() not in read
         assert [p for p in read if p.parent != raw and p != mapping_file.resolve()] == []
+
+
+# taken before bundles carried a digest record: with the record, without
+# it and in a copy of the directory, every digest and run id stays
+_IDENTITY_PINS = {
+    "gen-synthetic": {
+        "digest": "9959b8b7c4ffdeea88dd7afa6661343e129d5c9ac1d7a0dfd252c38fc7d8de96",
+    },
+    "unify": {
+        "canonical_digest": "f451c5d5d0e5f93c3bb01845845fb1c2a364bf7b486cdd06123912ffc08010d3",
+        "run_id": "4e29b9e56e11a0e8",
+    },
+    "search": {
+        "run_id": "66fe81bea554ad4b",
+        "input_digests": {
+            "bundle": "3f4cf9b902411b4cadf79b031e2a7f4bc561269f6ada382116f0157b021a0892",
+            "kb": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "landscape": "d01593cb151f1d9c5104f88cf7ba954ec03cd787ea2fc4c408b90247b4cc634c",
+        },
+    },
+}
+
+
+def _record_states(bundle_dir: Path, tmp_path: Path):
+    """``bundle_dir`` as written, a ``shutil.copytree`` copy, then itself without its record."""
+    copy = tmp_path / f"{bundle_dir.name}_copy"
+    shutil.copytree(bundle_dir, copy)
+    for state, path in [("recorded", bundle_dir), ("copied", copy)]:
+        # the writer's record holds only where the writer left it
+        trusted = pertpipe.bundle._recorded_digest(path, pertpipe.bundle._bundle_stats(path))
+        assert (trusted is not None) == (state == "recorded"), state
+        yield state, path
+    (bundle_dir / "bundle_digest.json").unlink()
+    yield "unrecorded", bundle_dir
+
+
+class TestDigestRecordMovesNoIdentity:
+    def test_gen_synthetic_digest(self, runner, tmp_path):
+        out = tmp_path / "syn"
+        result = runner.invoke(main, ["gen-synthetic", "--out", str(out), "--seed", "7",
+                                      "--n-genes", "20", "--n-perts", "3",
+                                      "--cells-per-condition", "4"])
+        assert result.exit_code == 0, result.output + result.stderr
+        assert {"digest": json.loads(result.output)["digest"]} == _IDENTITY_PINS["gen-synthetic"]
+        for state, path in _record_states(out, tmp_path):
+            assert {"digest": bundle_digest(path)} == _IDENTITY_PINS["gen-synthetic"], state
+
+    def test_unify_digest_and_run_id(self, runner, raw_bundle_dir, mapping_file, tmp_path):
+        for state, path in _record_states(raw_bundle_dir, tmp_path):
+            out = tmp_path / f"unified_{state}"
+            result = runner.invoke(main, ["unify", str(path), str(out), "--mapping",
+                                          str(mapping_file)])
+            assert result.exit_code == 0, result.output + result.stderr
+            manifest = _read_manifest(out)
+            got = {"canonical_digest": manifest["outcome"]["canonical_digest"],
+                   "run_id": manifest["run_id"]}
+            assert got == _IDENTITY_PINS["unify"], state
+
+    def test_search_run_id_and_input_digests(self, runner, synthetic_bundle, tmp_path):
+        for state, path in _record_states(synthetic_bundle, tmp_path):
+            out = tmp_path / f"search_{state}"
+            result = runner.invoke(main, [
+                "search", str(path), "--out", str(out), "--evaluator", "landscape:funnel",
+                "--set", "search.n_sim=8", "--kb", str(tmp_path / f"kb_{state}.jsonl"),
+            ])
+            assert result.exit_code == 0, result.output + result.stderr
+            manifest = _read_manifest(out)
+            got = {"run_id": manifest["run_id"], "input_digests": manifest["input_digests"]}
+            assert got == _IDENTITY_PINS["search"], state
 
 
 class TestGenSyntheticAndKb:
@@ -1677,6 +1772,12 @@ class TestArtifactWrites:
 
             monkeypatch.setattr(os, name, crash)
             result = runner.invoke(main, args)
+            if name == "replace" and Path(calls[name][k][1]).name == "bundle_digest.json":
+                # the digest record is a cache: the run goes on without it
+                assert result.exit_code == 0, (name, k, result.output)
+                assert not (out / "bundle_digest.json").exists(), (name, k)
+                assert (out / "run_manifest.json").exists(), (name, k)
+                continue
             assert isinstance(result.exception, SystemExit), (name, k, result.exception)
             assert result.exit_code == 2, (name, k, result.output)
             assert _stderr_error(result)["error"] == {
@@ -1704,7 +1805,7 @@ class TestArtifactWrites:
 
 def test_no_worker_thread_outlives_a_command(runner, raw_bundle_dir, mapping_file, tmp_path):
     # unify and gen-synthetic split passes over X and hash while writing;
-    # search prepares the surrogate's statistics beside its set-up
+    # search splits the surrogate's preparation over two cores
     synthetic = ["gen-synthetic", "--out", str(tmp_path / "syn"), "--n-genes", "20",
                  "--n-perts", "3", "--cells-per-condition", "4"]
     for args in (
@@ -1717,7 +1818,7 @@ def test_no_worker_thread_outlives_a_command(runner, raw_bundle_dir, mapping_fil
         assert result.exit_code == 0, result.output + result.stderr
         workers = [
             t.name for t in threading.enumerate()
-            if t.name.startswith(("row-half", "bundle-digest", "surrogate-prepare"))
+            if t.name.startswith(("row-half", "bundle-digest"))
         ]
         assert workers == [], args[0]
 

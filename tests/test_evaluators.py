@@ -4,7 +4,6 @@ import math
 import itertools
 import threading
 import warnings
-import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -460,7 +459,7 @@ def test_m_val_keeps_the_bits_of_one_pcc_of_sides_per_condition(
         assert _hex(ev.evaluate(candidate, 0).m_val) == _hex(expected), candidate.key()
         if zeroed in ("all", "train"):
             assert expected is None
-    stats, _ = ev._prepared.result()
+    stats, _ = ev._prepared
     assert (0.0 in stats.val_squares) == bool(zero)
 
 
@@ -471,7 +470,7 @@ class TestSharedState:
         ds, split, _ = noisy_bundle
         ev = SurrogateEvaluator(ds, split)
         assert ev.evaluate(_ridge("resnet"), 0).ok
-        stats, _ = ev._prepared.result()
+        stats, _ = ev._prepared
         assert stats.val_truth.flags.c_contiguous
         assert stats.val_truth.shape == (len(stats.val_keys), ds.n_genes)
         for array in (stats.val_truth, stats.val_squares):
@@ -507,40 +506,17 @@ class TestSharedState:
         assert not np.array_equal(a, b)
 
 
-def _new_preparing_thread(before: list) -> threading.Thread:
-    """The one preparation worker that is running now and was not in ``before``."""
-    [thread] = [
-        t for t in threading.enumerate()
-        if t.name.startswith("surrogate-prepare") and t not in before
-    ]
-    return thread
-
-
 class TestPreparation:
-    """The statistics are built on a background thread from construction."""
+    """The constructor builds the statistics, its condition blocks split over two cores."""
 
-    def test_no_thread_alive_after_first_evaluate(self, noisy_bundle):
+    def test_construction_leaves_no_thread(self, noisy_bundle):
         ds, split, _ = noisy_bundle
         before = threading.enumerate()
         ev = SurrogateEvaluator(ds, split)
-        thread = _new_preparing_thread(before)
-        assert not thread.daemon  # interpreter exit waits for it
+        assert threading.enumerate() == before
         assert ev.evaluate(_ridge("resnet"), 0).ok
-        assert not thread.is_alive()
-        assert thread not in threading.enumerate()
 
-    def test_dropped_evaluator_leaves_no_thread(self, noisy_bundle):
-        ds, split, _ = noisy_bundle
-        before = threading.enumerate()
-        ev = SurrogateEvaluator(ds, split)
-        thread, ref = _new_preparing_thread(before), weakref.ref(ev)
-        del ev
-        thread.join(timeout=60)
-        assert not thread.is_alive()
-        assert thread not in threading.enumerate()
-        assert ref() is None  # the worker holds no reference to it
-
-    def test_preparation_error_raised_by_every_evaluate(self, noisy_bundle, monkeypatch):
+    def test_preparation_error_raised_by_the_constructor(self, noisy_bundle, monkeypatch):
         ds, split, _ = noisy_bundle
         hooked = []
         monkeypatch.setattr(threading, "excepthook", hooked.append)
@@ -549,22 +525,22 @@ class TestPreparation:
             raise MemoryError("no room for the loss view")
 
         monkeypatch.setattr(evaluators, "_loss_view", broken)
-        before = threading.enumerate()
-        ev = SurrogateEvaluator(ds, split)
-        thread = _new_preparing_thread(before)
-        for candidate in (_ridge("resnet"), _ridge("gated_mlp", loss="huber")):
-            with pytest.raises(MemoryError, match="^no room for the loss view$"):
-                ev.evaluate(candidate, 0)
-        assert not thread.is_alive()
+        with pytest.raises(MemoryError, match="^no room for the loss view$"):
+            SurrogateEvaluator(ds, split)
         assert hooked == []
 
-    def test_preparing_thread_ignores_invalid_values(self, noisy_bundle):
+    @pytest.mark.parametrize("half", ["first", "second"])
+    def test_both_halves_ignore_invalid_values(self, noisy_bundle, half):
         # numpy's error state is per thread and a new one starts at the
-        # defaults, so inf - inf in a variance would warn there unless the
-        # thread sets its own; it is left to the finiteness check
+        # defaults, so inf - inf in a variance would warn on the worker half
+        # unless it takes the caller's; it is left to the finiteness check
         ds, split, _ = noisy_bundle
+        train = np.flatnonzero((split.labels == "train") & ~ds.is_control)
+        names = sorted(set(ds.condition_name[train]))
+        assert len(names) >= 2
+        name = names[0] if half == "first" else names[-1]
         X = ds.X.copy()
-        X[np.flatnonzero((split.labels == "train") & ~ds.is_control)[0], 3] = np.inf
+        X[train[ds.condition_name[train] == name][0], 3] = np.inf
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             out = SurrogateEvaluator(replace(ds, X=X), split).evaluate(_ridge("resnet"), 0)

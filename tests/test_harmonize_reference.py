@@ -593,8 +593,8 @@ def test_canonical_bundle_round_trip_and_stable_digest(ds):
         write_canonical_bundle(back, again)
         assert bundle_digest(one) == bundle_digest(two) == bundle_digest(again)
         assert sorted(p.name for p in one.iterdir()) == [
-            "X.f64", "manifest.json", "obs.tsv", "pert_dose.f64", "pert_indices.i64",
-            "pert_indptr.i64", "var.tsv",
+            "X.f64", "bundle_digest.json", "manifest.json", "obs.tsv", "pert_dose.f64",
+            "pert_indices.i64", "pert_indptr.i64", "var.tsv",
         ]
 
 
