@@ -7,14 +7,14 @@ little-endian CSR arrays: `pert_indptr.i64`, `pert_indices.i64` and
 `pert_dose.f64`. Readers reject other canonical formats (format 1 held
 dense mask and dose matrices) and any binary file of the wrong size.
 
-Writers first format the TSV tables, refusing a cell the reader would
-split, so a refused write leaves an old bundle untouched. Then they remove
-any old run manifest (`run_manifest.json`, which describes the old
-bundle), the old digest record and then the old manifest, write each file
-under a temporary name and rename it into place, and write the manifest
-last, so a write cut short leaves a directory that readers reject rather
-than a mix of old and new files. Bundle files are replaced by rename and
-never edited in place.
+Writers first format the TSV tables, refusing a cell or column name the
+reader would split or read as no table, so a refused write leaves an old
+bundle untouched. Then they remove any old run manifest
+(`run_manifest.json`, which describes the old bundle), the old digest
+record and then the old manifest, write each file under a temporary name
+and rename it into place, and write the manifest last, so a write cut
+short leaves a directory that readers reject rather than a mix of old and
+new files. Bundle files are replaced by rename and never edited in place.
 
 Each kind of bundle has a fixed set of files, and its digest covers only
 those, so other files beside them (a run manifest, a ground-truth record,
@@ -97,7 +97,10 @@ def _format_column(col: np.ndarray) -> list[str]:
     if col.dtype.kind == "f":
         return list(map(repr, col.astype(np.float64).tolist()))
     if col.dtype.kind in "OUiu":
-        return [v if type(v) is str else _format_cell(v) for v in col.tolist()]
+        cells = col.tolist()
+        if set(map(type, cells)) <= {str}:
+            return cells
+        return [v if type(v) is str else _format_cell(v) for v in cells]
     return [_format_cell(v) for v in col]
 
 
@@ -123,12 +126,26 @@ def _has_tab_or_newline(text: str) -> bool:
 
 
 def _tsv_text(columns: dict[str, np.ndarray]) -> str:
+    """The TSV table of ``columns``, refusing a name or cell that the reader
+    would not read back as it was written."""
+    if "" in columns:
+        # a lone empty name makes an empty header line, which reads as no table
+        raise BundleFormatError(f"tsv column name is empty: {list(columns)!r}")
     cells = [_format_column(col) for col in columns.values()]
-    if any(_has_tab_or_newline("".join(text)) for text in cells):
+    lines = ["\t".join(columns), *map("\t".join, zip(*cells))]
+    text = "\n".join(lines) + "\n"
+    # only a tab or newline inside a name or cell adds to the separators
+    if (
+        text.count("\t") != max(len(columns) - 1, 0) * len(lines)
+        or text.count("\n") != len(lines)
+        or "\r" in text
+    ):
+        bad = next((name for name in columns if _has_tab_or_newline(name)), None)
+        if bad is not None:
+            raise BundleFormatError(f"tsv column name contains tab/newline: {bad!r}")
         bad = next(t for row in zip(*cells) for t in row if _has_tab_or_newline(t))
         raise BundleFormatError(f"tsv cell value contains tab/newline: {bad!r}")
-    lines = ["\t".join(columns), *map("\t".join, zip(*cells))]
-    return "\n".join(lines) + "\n"
+    return text
 
 
 def _unreadable(path: Path, exc: OSError) -> BundleFormatError:

@@ -71,9 +71,26 @@ def cast_column(value, target: str):
             raise ValueError(f"cannot cast value {value!r} to float") from None
     if target == "str":
         if isinstance(value, np.ndarray):
-            return np.array(list(map(str, value.tolist())), dtype=object)
+            cells = value.tolist()
+            if value.dtype == object and set(map(type, cells)) <= {str}:
+                return value.copy()
+            return np.array(list(map(str, cells)), dtype=object)
         return str(value)
     raise ValueError(f"unknown cast target {target!r}")
+
+
+def factorize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values, and each value's index into them.
+
+    Equals ``np.unique(values, return_inverse=True)`` for a 1-D object array
+    of ``str``, but sorts only the distinct values and looks each value up
+    in a dict, where ``np.unique`` sorts every value with Python comparisons.
+    """
+    cells = values.tolist()
+    labels = sorted(dict.fromkeys(cells))
+    code_of = {label: i for i, label in enumerate(labels)}
+    codes = np.fromiter(map(code_of.__getitem__, cells), dtype=np.intp, count=len(cells))
+    return np.array(labels, dtype=object), codes
 
 
 @dataclass(frozen=True)
@@ -179,6 +196,8 @@ class CanonicalDataset:
         if len(self.ensembl_id) != g or len(self.gene_symbol) != g:
             raise ValidationError("var columns do not match gene count")
         for name, col in self.extra_obs.items():
+            if name in CANONICAL_OBS_KEYS:
+                raise ValidationError(f"extra obs column {name!r} is a canonical obs column")
             if len(col) != n:
                 raise ValidationError(f"extra obs column {name!r} length mismatch")
 
@@ -446,10 +465,12 @@ def pseudo_bulk(
         cells = np.flatnonzero(cells)
     if cells.size == 0:
         raise ParameterError("cell subset is empty")
-    names = ds.condition_name[cells]
+    names, codes = factorize(ds.condition_name[cells])
+    # a stable sort keeps each condition's cells in their order in ``cells``
+    grouped = cells[np.argsort(codes, kind="stable")]
+    members = np.split(grouped, np.cumsum(np.bincount(codes))[:-1])
     profiles = []
-    for cond in sorted(set(names.tolist())):
-        member = cells[names == cond]
+    for cond, member in zip(names.tolist(), members):
         mean = ds.X[member].mean(axis=0)
         profiles.append(
             PseudoBulkProfile(condition_name=cond, mean_expr=mean, n_cells=member.size)
@@ -488,7 +509,7 @@ def split_unseen_perturbation(
     rng = np.random.default_rng(seed)
     control = ds.is_control
     noncontrol = np.flatnonzero(~control)
-    conds, codes = np.unique(ds.condition_name[noncontrol], return_inverse=True)
+    conds, codes = factorize(ds.condition_name[noncontrol])
     if conds.size < 2:
         raise ParameterError(
             f"need at least 2 non-control conditions, found {conds.size}"

@@ -24,6 +24,7 @@ from .data import (
     CanonicalDataset,
     SplitAssignment,
     _row_halves,
+    factorize,
     normalize_log1p,
     pseudo_bulk,
     validate_canonical,
@@ -311,7 +312,7 @@ def _prepare(ds: CanonicalDataset, split: SplitAssignment):
         return non_finite("train control")
     if not all(np.isfinite(delta).all() for _, delta in val_deltas):
         return non_finite("val")
-    names, codes = np.unique(ds.condition_name[train_pert], return_inverse=True)
+    names, codes = factorize(ds.condition_name[train_pert])
     index_of = {c: i for i, c in enumerate(names.tolist())}
     truth, squares = zip(*(pcc_side(delta) for _, delta in val_deltas))
     # C order, so each row adds up as the 1-D sum of that row would

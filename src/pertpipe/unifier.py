@@ -30,6 +30,7 @@ from .data import (
     cast_column,
     column_kind,
     entry_rows,
+    factorize,
     first_pattern_rows,
     normalize_log1p,
     validate_canonical,
@@ -528,7 +529,7 @@ def apply_mapping(
     indices = np.zeros(0, dtype=np.int64)
     if pert_values is not None:
         perturbed = np.flatnonzero(~is_control)
-        labels, label_of_cell = np.unique(pert_values[perturbed], return_inverse=True)
+        labels, label_of_cell = factorize(pert_values[perturbed])
         label_parts = [
             [part for part in (p.strip() for p in label.split(combo_delimiter)) if part]
             for label in labels.tolist()

@@ -14,8 +14,9 @@ array pass; the loss-view reference takes each block's variance with
 reused the block sum and clipped by maximum then minimum. The harmonize
 references keep the per-cell loops that bundle writes, mapping
 application, merging, validation and the DSL's string comparison ran
-before they were vectorized, and the bundle TSV reader that split and
-appended one line at a time. The knowledge-base references
+before they were vectorized, the bundle TSV reader that split and
+appended one line at a time, and pseudo-bulk's one mask over the cells per
+condition. The knowledge-base references
 embed one text at a time and score one entry at a time, the way retrieval
 did before it embedded and scored in batches. The exhaustive oracle
 evaluates every hierarchy-legal candidate once; it is the reference the
@@ -449,6 +450,19 @@ def reference_tsv_text(columns: dict[str, np.ndarray]) -> str:
     for i in range(n):
         lines.append("\t".join(_reference_format_cell(columns[name][i]) for name in names))
     return "\n".join(lines) + "\n"
+
+
+def reference_pseudo_bulk(ds: CanonicalDataset, cells: np.ndarray) -> list[tuple]:
+    """``pseudo_bulk`` as it was before it grouped by codes: one mask over
+    ``cells`` per condition, conditions in sorted order. The mask compares
+    with Python's ``==``; numpy's ``names == cond`` drops a trailing NUL of
+    ``cond``."""
+    names = ds.condition_name[cells].tolist()
+    out = []
+    for cond in sorted(set(names)):
+        member = cells[np.array([name == cond for name in names], dtype=bool)]
+        out.append((cond, member.size, ds.X[member].mean(axis=0)))
+    return out
 
 
 def reference_read_tsv(path) -> dict[str, list[str]]:

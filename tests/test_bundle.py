@@ -5,6 +5,7 @@ import hashlib
 import json
 import mmap
 import os
+import re
 import shutil
 import tempfile
 import threading
@@ -107,13 +108,17 @@ class TestRawBundle:
 @given(
     cells=st.lists(st.text(alphabet="x \t\n\r", max_size=3), min_size=1, max_size=4),
     wide=st.booleans(),
+    name=st.text(alphabet="a \t\n\r", max_size=2),
 )
 @settings(max_examples=200, deadline=None)
-@example(cells=["x\ry", "z"], wide=False)
-@example(cells=["x\ry", "z"], wide=True)
-def test_tsv_cells_read_back_or_are_refused(cells, wide):
-    # a cell the reader would split into two lines or fields is never written
-    columns = {"a": np.array(cells, dtype=object)}
+@example(cells=["x\ry", "z"], wide=False, name="a")
+@example(cells=["x\ry", "z"], wide=True, name="a")
+@example(cells=["x"], wide=False, name="")
+@example(cells=["x"], wide=True, name="a\rb")
+def test_tsv_cells_read_back_or_are_refused(cells, wide, name):
+    # a cell or column name the reader would split into two lines or fields,
+    # or an empty name, which alone makes an empty header, is never written
+    columns = {name: np.array(cells, dtype=object)}
     if wide:
         columns["b"] = np.array(["1"] * len(cells), dtype=object)
     with tempfile.TemporaryDirectory() as tmp:
@@ -121,9 +126,58 @@ def test_tsv_cells_read_back_or_are_refused(cells, wide):
         try:
             path.write_text(bundle._tsv_text(columns))
         except BundleFormatError:
-            assert any(c in cell for cell in cells for c in "\t\n\r")
+            assert name == "" or any(c in text for text in [name, *cells] for c in "\t\n\r")
             return
         assert bundle._read_tsv(path) == {k: v.tolist() for k, v in columns.items()}
+
+
+class TestColumnNames:
+    """A column name the reader would not read back is refused, naming it,
+    before any file of an old bundle changes."""
+
+    @staticmethod
+    def _files(path: Path) -> dict[str, bytes]:
+        return {p.name: p.read_bytes() for p in path.iterdir()}
+
+    @pytest.mark.parametrize("name", ["a\tb", "a\nb", "a\rb", "\t"], ids=repr)
+    def test_a_raw_obs_name(self, raw_table, name, tmp_path):
+        write_raw_bundle(raw_table, tmp_path / "raw")
+        before = self._files(tmp_path / "raw")
+        bad = RawTable(obs={"ok": raw_table.obs["name"], name: raw_table.obs["dose"]},
+                       var_index=raw_table.var_index, X=raw_table.X)
+        with pytest.raises(BundleFormatError,
+                           match=re.escape(f"column name contains tab/newline: {name!r}")):
+            write_raw_bundle(bad, tmp_path / "raw")
+        assert self._files(tmp_path / "raw") == before
+
+    def test_a_var_column_name(self, raw_table, tmp_path):
+        bad = RawTable(obs=raw_table.obs, var_index=raw_table.var_index,
+                       var_columns={"s\ny": raw_table.var_columns["sym"]}, X=raw_table.X)
+        message = "column name contains tab/newline: 's\\ny'"
+        with pytest.raises(BundleFormatError, match=re.escape(message)):
+            write_raw_bundle(bad, tmp_path / "raw")
+        assert not (tmp_path / "raw").exists()
+
+    def test_a_lone_empty_name(self, raw_table, tmp_path):
+        write_raw_bundle(raw_table, tmp_path / "raw")
+        before = self._files(tmp_path / "raw")
+        bad = RawTable(obs={"": raw_table.obs["name"]}, var_index=raw_table.var_index,
+                       X=raw_table.X)
+        with pytest.raises(BundleFormatError, match=re.escape("tsv column name is empty: ['']")):
+            write_raw_bundle(bad, tmp_path / "raw")
+        assert self._files(tmp_path / "raw") == before
+
+    def test_an_extra_obs_name(self, tmp_path):
+        from dataclasses import replace
+
+        ds = small_canonical({"control": [[1.0, 0.5]], "A": [[2.0, 0.25]]})
+        write_canonical_bundle(ds, tmp_path / "c")
+        before = self._files(tmp_path / "c")
+        bad = replace(ds, extra_obs={"a\tb": np.array(["x", "y"], dtype=object)})
+        message = "column name contains tab/newline: 'a\\tb'"
+        with pytest.raises(BundleFormatError, match=re.escape(message)):
+            write_canonical_bundle(bad, tmp_path / "c")
+        assert self._files(tmp_path / "c") == before
 
 
 class TestCanonicalBundle:

@@ -912,6 +912,24 @@ class TestDigestRecordMovesNoIdentity:
             assert got == _IDENTITY_PINS["search"], state
 
 
+def test_unify_artifacts_do_not_depend_on_the_hash_seed(raw_bundle_dir, mapping_file, tmp_path):
+    # grouping by dict and set must not carry the string hash order into an artifact
+    src = str(Path(pertpipe.__file__).parents[1])
+    got = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"unified_{seed}"
+        subprocess.run(
+            [sys.executable, "-m", "pertpipe.cli", "unify", str(raw_bundle_dir), str(out),
+             "--mapping", str(mapping_file)],
+            capture_output=True, check=True,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+        )
+        manifest = _read_manifest(out)
+        got.append({"canonical_digest": manifest["outcome"]["canonical_digest"],
+                    "run_id": manifest["run_id"]})
+    assert got == [_IDENTITY_PINS["unify"]] * 2
+
+
 class TestGenSyntheticAndKb:
     def test_same_seed_same_digest(self, runner, tmp_path):
         digests = []

@@ -6,12 +6,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import csr_from_dense, small_canonical
+from helpers import csr_from_dense, reference_pseudo_bulk, small_canonical
 from pertpipe import data, unifier
 from pertpipe.data import (
+    cast_column,
+    factorize,
     first_pattern_rows,
     normalize_log1p,
     pseudo_bulk,
@@ -207,6 +209,62 @@ class TestPseudoBulk:
             combined /= n_a + n_b
             assert np.allclose(combined, p.mean_expr, atol=1e-12)
 
+    def test_shuffled_cells_keep_the_bits_of_a_mask_per_condition(self):
+        rng = np.random.default_rng(3)
+        # magnitudes spread over 16 decades, so a sum in another order moves bits
+        conditions = {
+            name: (rng.standard_normal((n, 7)) * 10.0 ** rng.uniform(-8, 8, (n, 7))).tolist()
+            for name, n in (("control", 30), ("B", 25), ("A", 1), ("C\x00", 40), ("", 12))
+        }
+        ds = small_canonical(conditions)
+        cells = rng.permutation(ds.n_cells)[: ds.n_cells - 9]
+        got = [(p.condition_name, p.n_cells, list(map(float.hex, p.mean_expr.tolist())))
+               for p in pseudo_bulk(ds, cells)]
+        want = [(name, n, list(map(float.hex, mean.tolist())))
+                for name, n, mean in reference_pseudo_bulk(ds, cells)]
+        assert got == want
+
+
+_LABELS = ("", "a", "ab", "b", "\x00", "a\x00", "\r", "a\r", "\u00e9", "\u6f22", "\U0001f600")
+
+
+class TestFactorize:
+    @given(st.lists(st.sampled_from(_LABELS) | st.text(max_size=3), max_size=60))
+    @settings(max_examples=300, deadline=None)
+    @example([])
+    @example(["b", "a"] * 20)
+    def test_equals_np_unique(self, values):
+        col = np.empty(len(values), dtype=object)
+        col[:] = values
+        labels, codes = factorize(col)
+        want_labels, want_codes = np.unique(col, return_inverse=True)
+        assert labels.dtype == object and labels.tolist() == want_labels.tolist()
+        assert codes.dtype == want_codes.dtype and np.array_equal(codes, want_codes)
+
+
+class TestCastColumnToStr:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            ["a", np.str_("b"), 1, 2.5, True, None],
+            [np.str_("x"), np.str_("y\x00")],
+            [float("nan"), -0.0, np.float64(1e300), np.int64(3), np.bool_(False), 10**30],
+            ["a", "", "a\x00", "\u00e9"],  # only str: copied, not cast cell by cell
+            [],
+        ],
+        ids=repr,
+    )
+    def test_equals_str_of_each_cell(self, values):
+        col = np.empty(len(values), dtype=object)
+        col[:] = values
+        col.setflags(write=False)
+        got = cast_column(col, "str")
+        want = np.array(list(map(str, col.tolist())), dtype=object)
+        assert got is not col and not np.shares_memory(got, col)
+        assert got.dtype == object and got.shape == want.shape
+        assert got.tolist() == want.tolist()
+        assert [type(v) for v in got.tolist()] == [str] * len(values)
+
 
 def _split_fixture(n_conditions: int, cells_per: int = 3, n_control: int = 12):
     conditions = {"control": [[float(i), 1.0] for i in range(n_control)]}
@@ -329,6 +387,12 @@ class TestCanonicalCsr:
         with pytest.raises(ValidationError, match=message):
             replace(ds, pert_indptr=indptr, pert_indices=indices,
                     pert_values=np.zeros(len(indices)))
+
+    def test_an_extra_column_may_not_name_a_canonical_one(self):
+        ds = small_canonical({"control": [[1.0]], "A": [[2.0]]})
+        extra = {"cell_type": np.array(["OTHER", "OTHER"], dtype=object)}
+        with pytest.raises(ValidationError, match="extra obs column 'cell_type' is a canonical"):
+            replace(ds, extra_obs=extra)
 
     def test_a_perturbation_named_twice_is_rejected(self):
         ds = small_canonical({"control": [[1.0]], "A": [[2.0]]}, vocab=("A", "B"))
