@@ -8,13 +8,14 @@ little-endian CSR arrays: `pert_indptr.i64`, `pert_indices.i64` and
 dense mask and dose matrices) and any binary file of the wrong size.
 
 Writers first format the TSV tables, refusing a cell or column name the
-reader would split or read as no table, so a refused write leaves an old
-bundle untouched. Then they remove any old run manifest
-(`run_manifest.json`, which describes the old bundle), the old digest
-record and then the old manifest, write each file under a temporary name
-and rename it into place, and write the manifest last, so a write cut
-short leaves a directory that readers reject rather than a mix of old and
-new files. Bundle files are replaced by rename and never edited in place.
+reader would split or read as no table, and a raw table without obs
+columns, so a refused write leaves an old bundle untouched. Then they
+remove any old run manifest (`run_manifest.json`, which describes the old
+bundle), the old digest record and then the old manifest, write each file
+under a temporary name and rename it into place, and write the manifest
+last, so a write cut short leaves a directory that readers reject rather
+than a mix of old and new files. Bundle files are replaced by rename and
+never edited in place.
 
 Each kind of bundle has a fixed set of files, and its digest covers only
 those, so other files beside them (a run manifest, a ground-truth record,
@@ -321,6 +322,9 @@ def _recorded_digest(root: Path, stats: dict) -> str | None:
 
 
 def write_raw_bundle(table: RawTable, out_dir: str | Path) -> None:
+    if not table.obs:
+        # its obs.tsv would hold only a newline, which reads as no table
+        raise BundleFormatError("a raw bundle needs at least one obs column")
     manifest = {
         "kind": "raw",
         "n_cells": table.n_cells,

@@ -537,13 +537,15 @@ def split_unseen_perturbation(
 
 def split_unseen_cell(ds: CanonicalDataset, holdout_cell_type: str, seed: int) -> SplitAssignment:
     """Reserve one cell type entirely for validation and test, half each (val rounds up)."""
-    holdout = ds.cell_type == holdout_cell_type
-    n_hold = int(holdout.sum())
-    if n_hold == 0:
-        known = sorted(set(ds.cell_type.tolist()))
+    # by factorize, not ==: numpy's unicode dtype drops a trailing NUL
+    types, codes = factorize(ds.cell_type)
+    known = types.tolist()
+    if holdout_cell_type not in known:
         raise ParameterError(
             f"cell type {holdout_cell_type!r} not present; known types: {known}"
         )
+    holdout = codes == known.index(holdout_cell_type)
+    n_hold = int(holdout.sum())
     rng = np.random.default_rng(seed)
     labels = np.empty(ds.n_cells, dtype=object)
     labels[~holdout] = "train"

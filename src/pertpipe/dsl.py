@@ -12,10 +12,11 @@ Grammar (whitespace-insensitive)::
     postfix    → atom (".astype(" type ")" | ".isin(" list ")")*
     atom       → column | literal | "(" expression ")"
 
-``_PRECEDENCE`` is the single precedence table: the parser climbs it and
-``format_expr`` reads it to place parentheses. From loosest to tightest the
-binary operators are ``or``, ``and``, ``==``/``!=``, ``+``/``-`` and
-``*``/``/``. All associate left, except that comparisons do not chain.
+The parser climbs the precedence table ``_PRECEDENCE``. From loosest to
+tightest the binary operators are ``or``, ``and``, ``==``/``!=``,
+``+``/``-`` and ``*``/``/``. All associate left, except that comparisons do
+not chain. The tree holds only what ``evaluate`` reads: ``(e)`` parses to
+the tree of ``e``, and the items of ``isin`` are a tuple of literal values.
 
 Columns are written ``df['name']`` or ``adata.obs['name']``. Literals are
 single- or double-quoted strings, numbers (float64, optional leading
@@ -24,8 +25,8 @@ in every row, so every expression evaluates to a column of the table's
 length. Any other Python construct (method calls, slicing,
 lambdas, comparison chains, extra operators) is rejected with an
 "unsupported construct" error rather than approximated, and so is nesting
-deeper than Python's recursion limit lets ``parse`` follow; ``evaluate`` and
-``format_expr`` refuse such a tree with a ``DslError`` as well.
+deeper than Python's recursion limit lets ``parse`` follow; ``evaluate``
+refuses such a tree with a ``DslError`` as well.
 """
 
 from __future__ import annotations
@@ -92,11 +93,6 @@ class BoolLit:
 
 
 @dataclass(frozen=True)
-class ListLit:
-    items: tuple
-
-
-@dataclass(frozen=True)
 class Cast:
     target: str  # "float" or "str"
     operand: "Expr"
@@ -105,7 +101,7 @@ class Cast:
 @dataclass(frozen=True)
 class IsIn:
     operand: "Expr"
-    items: ListLit
+    items: tuple  # literal values of one type
 
 
 @dataclass(frozen=True)
@@ -115,12 +111,7 @@ class BinOp:
     rhs: "Expr"
 
 
-@dataclass(frozen=True)
-class Paren:
-    inner: "Expr"
-
-
-Expr = ColumnRef | StrLit | NumLit | BoolLit | ListLit | Cast | IsIn | BinOp | Paren
+Expr = ColumnRef | StrLit | NumLit | BoolLit | Cast | IsIn | BinOp
 
 CAST_TARGETS = ("float", "str")
 
@@ -191,8 +182,7 @@ def _tokenize(text: str) -> list[_Token]:
 # --------------------------------------------------------------------------
 # parser
 
-# binding strength of each binary operator: the grammar and the formatter
-# both read this table
+# binding strength of each binary operator, from loosest to tightest
 _PRECEDENCE = {"or": 1, "and": 2, "==": 3, "!=": 3, "+": 4, "-": 4, "*": 5, "/": 5}
 _COMPARISONS = ("==", "!=")
 _LITERAL_NODES = {str: StrLit, float: NumLit, bool: BoolLit}
@@ -300,7 +290,7 @@ class _Parser:
             else:
                 return node
 
-    def list_literal(self) -> ListLit:
+    def list_literal(self) -> tuple:
         open_tok = self.peek()
         if not self.at("["):
             raise UnsupportedConstructError(
@@ -318,7 +308,7 @@ class _Parser:
             raise DslSyntaxError(
                 "list literal mixes element types", open_tok.offset
             )
-        return ListLit(tuple(items))
+        return tuple(items)
 
     def _literal_value(self):
         tok = self.peek()
@@ -351,7 +341,7 @@ class _Parser:
             self.advance()
             inner = self.expression()
             self.expect_op(")")
-            return Paren(inner)
+            return inner
         if self.at("["):
             raise UnsupportedConstructError("list literal outside isin", tok.offset)
         if tok.kind == "NAME" and tok.value not in ("True", "False"):
@@ -413,67 +403,6 @@ def parse(text: str) -> Expr:
 
 
 # --------------------------------------------------------------------------
-# formatter
-
-
-def _node_precedence(e: Expr) -> int:
-    if isinstance(e, BinOp):
-        return _PRECEDENCE[e.op]
-    return 9
-
-
-def format_expr(e: Expr) -> str:
-    """Render an AST back to canonical text; parse(format_expr(e)) == e."""
-    try:
-        return _format(e)
-    except RecursionError:
-        raise DslError("expression nested too deeply to format") from None
-
-
-def _format(e: Expr) -> str:
-    if isinstance(e, ColumnRef):
-        return f"df['{e.name}']"
-    if isinstance(e, (StrLit, NumLit, BoolLit)):
-        return _format_literal(e.value)
-    if isinstance(e, ListLit):
-        return "[" + ", ".join(_format_literal(v) for v in e.items) + "]"
-    if isinstance(e, Cast):
-        return f"{_format_postfix_operand(e.operand)}.astype({e.target})"
-    if isinstance(e, IsIn):
-        return f"{_format_postfix_operand(e.operand)}.isin({_format(e.items)})"
-    if isinstance(e, Paren):
-        return f"({_format(e.inner)})"
-    if isinstance(e, BinOp):
-        p = _PRECEDENCE[e.op]
-        # comparisons are non-associative; others associate left
-        lhs_min = p + 1 if e.op in _COMPARISONS else p
-        lhs = _format(e.lhs)
-        if _node_precedence(e.lhs) < lhs_min:
-            lhs = f"({lhs})"
-        rhs = _format(e.rhs)
-        if _node_precedence(e.rhs) <= p:
-            rhs = f"({rhs})"
-        return f"{lhs} {e.op} {rhs}"
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def _format_literal(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "True" if v else "False"
-    if isinstance(v, (int, float, np.number)):
-        return repr(float(v))
-    escaped = str(v).replace("\\", "\\\\").replace("'", "\\'")
-    return f"'{escaped}'"
-
-
-def _format_postfix_operand(e: Expr) -> str:
-    text = _format(e)
-    if isinstance(e, BinOp):
-        return f"({text})"
-    return text
-
-
-# --------------------------------------------------------------------------
 # evaluator
 
 # the dtype of the column a literal stands for
@@ -514,10 +443,6 @@ def evaluate(expr: Expr, table) -> np.ndarray:
             column = np.empty(n, dtype=_LITERAL_DTYPES[type(node)])
             column.fill(node.value)
             return column
-        if isinstance(node, Paren):
-            return ev(node.inner)
-        if isinstance(node, ListLit):
-            raise DslEvalError("a bare list literal has no column value")
         if isinstance(node, Cast):
             operand = ev(node.operand)
             try:
@@ -536,15 +461,15 @@ def evaluate(expr: Expr, table) -> np.ndarray:
         raise DslEvalError("expression nested too deeply to evaluate") from None
 
 
-def _isin(operand: np.ndarray, items: ListLit) -> np.ndarray:
-    if items.items:
-        element_kind, op_kind = column_kind(np.array(items.items[:1])), column_kind(operand)
+def _isin(operand: np.ndarray, items: tuple) -> np.ndarray:
+    if items:
+        element_kind, op_kind = column_kind(np.array(items[:1])), column_kind(operand)
         if op_kind != element_kind:
             raise DslEvalError(
                 f"type mismatch: isin over {element_kind} literals applied to "
                 f"{op_kind} values"
             )
-    wanted = set(items.items)
+    wanted = set(items)
     return np.array([v in wanted for v in operand.tolist()], dtype=bool)
 
 

@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .actions import validate_action_path
-from .errors import ParameterError, ValidationError
+from .errors import ParameterError, RetrievalParams, ValidationError
 
 KB_VERSION = 2
 _READABLE_VERSIONS = (1, 2)
@@ -93,20 +93,6 @@ class KnowledgeEntry:
             },
             sort_keys=True,
         )
-
-
-@dataclass(frozen=True)
-class RetrievalParams:
-    tau_filter: float = 0.3
-    m: int = 3
-    alpha_retrieval: float = 0.5
-    # minimum peak similarity before a stored path is trusted as a warm start;
-    # configurable, surfaced in docs because no single value suits every corpus
-    tau: float = 0.5
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ParameterError(f"m must be >= 1, got {self.m}")
 
 
 @dataclass(frozen=True)

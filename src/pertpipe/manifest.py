@@ -21,9 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .bundle import RUN_MANIFEST, write_text_atomic
-from .errors import ParameterError
-from .knowledge import RetrievalParams
-from .search import SearchConfig
+from .errors import ParameterError, RetrievalParams, SearchConfig
 
 # config key -> field of the dataclass that holds the key's default and range check;
 # the seed is set by each run, not by config

@@ -35,7 +35,7 @@ from .actions import (
     materialize,
     validate_action_path,
 )
-from .errors import ParameterError
+from .errors import ParameterError, SearchConfig
 from .knowledge import RetrievalResult
 
 
@@ -51,29 +51,6 @@ class EvalOutcome:
     @property
     def ok(self) -> bool:
         return self.error is None
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    C: float = 1.0
-    alpha_qmix: float = 0.7
-    uct_epsilon: float = 1e-6
-    n_sim: int = 32
-    w_p: float = 0.8
-    w_e: float = 0.2
-    wall_clock_budget: float = 5 * 3600.0
-    seed: int = 0
-    mode: str = "hierarchical"
-
-    def __post_init__(self):
-        if self.w_p < 0 or self.w_e < 0:
-            raise ParameterError("reward weights must be nonnegative")
-        if self.n_sim < 1:
-            raise ParameterError(f"n_sim must be >= 1, got {self.n_sim}")
-        if self.mode not in ("hierarchical", "flat_ablation"):
-            raise ParameterError(f"unknown mode {self.mode!r}")
-        if self.uct_epsilon <= 0:  # UCT divides by visits + uct_epsilon
-            raise ParameterError(f"uct_epsilon must be > 0, got {self.uct_epsilon}")
 
 
 class Node:

@@ -2,8 +2,8 @@
 
 The metric oracle here is a deliberately naive pure-Python reimplementation
 (no shared code with the package) used to cross-check the vectorized
-implementations. The expression generator draws ASTs from the grammar's
-derivation space, so every generated tree is reachable by the parser. The
+implementations. The expression generator derives mapping-logic text from
+the grammar together with the tree the parser must return for it. The
 surrogate reference recomputes everything per candidate from the full
 n x g shift matrix, with a dense ridge solve and a direct winsorization,
 the way the evaluator did before it fitted from per-condition sufficient
@@ -110,84 +110,74 @@ def oracle_condition_metrics(y_true, y_pred, y_ctrl):
 
 
 _COLUMNS = ["drug_id", "conc_um", "cell_line", "guide", "dose", "batch"]
-_STRINGS = ["DMSO", "Ctrl", "KRAS knockdown", "a_b", "x 1", ""]
+_STRINGS = ["DMSO", "Ctrl", "KRAS knockdown", "a_b", "x 1", "", "it's", 'say "hi"', "a\\b", "x\x00"]
+_NUMBERS = ["0", "1", "10", "1000", "-5", "2.5", ".125", "1e3", "-2.5E-1"]
+# binary operators from loosest to tightest, each with how many to chain
+_LEVELS = [(["or"], [0, 0, 1]), (["and"], [0, 0, 1]), (["==", "!="], [0, 0, 0, 1, 1]),
+           (["+", "-"], [0, 0, 1, 2]), (["*", "/"], [0, 0, 1])]
+_LITERAL_NODES = {"str": dsl.StrLit, "num": dsl.NumLit, "bool": dsl.BoolLit}
 
 
-def random_expr(rng: random.Random, depth: int = 6) -> dsl.Expr:
-    return _gen_or(rng, depth)
+def random_expr(rng: random.Random, depth: int = 6) -> tuple[str, dsl.Expr]:
+    """Mapping-logic text and the tree ``dsl.parse`` must return for it."""
+    return _gen_level(rng, depth, 0)
 
 
-def _gen_or(rng, depth):
-    node = _gen_and(rng, depth)
-    for _ in range(rng.choice([0, 0, 1]) if depth > 1 else 0):
-        node = dsl.BinOp("or", node, _gen_and(rng, depth - 1))
-    return node
-
-
-def _gen_and(rng, depth):
-    node = _gen_cmp(rng, depth)
-    for _ in range(rng.choice([0, 0, 1]) if depth > 1 else 0):
-        node = dsl.BinOp("and", node, _gen_cmp(rng, depth - 1))
-    return node
-
-
-def _gen_cmp(rng, depth):
-    node = _gen_sum(rng, depth)
-    if depth > 1 and rng.random() < 0.4:
-        node = dsl.BinOp(rng.choice(["==", "!="]), node, _gen_sum(rng, depth - 1))
-    return node
-
-
-def _gen_sum(rng, depth):
-    node = _gen_term(rng, depth)
-    for _ in range(rng.choice([0, 0, 1, 2]) if depth > 1 else 0):
-        node = dsl.BinOp(rng.choice(["+", "-"]), node, _gen_term(rng, depth - 1))
-    return node
-
-
-def _gen_term(rng, depth):
-    node = _gen_postfix(rng, depth)
-    for _ in range(rng.choice([0, 0, 1]) if depth > 1 else 0):
-        node = dsl.BinOp(rng.choice(["*", "/"]), node, _gen_postfix(rng, depth - 1))
-    return node
+def _gen_level(rng, depth, level):
+    if level == len(_LEVELS):
+        return _gen_postfix(rng, depth)
+    ops, chain = _LEVELS[level]
+    text, tree = _gen_level(rng, depth, level + 1)
+    for _ in range(rng.choice(chain) if depth > 1 else 0):
+        op = rng.choice(ops)
+        rhs_text, rhs_tree = _gen_level(rng, depth - 1, level + 1)
+        space = rng.choice([" ", "  ", "\n"] if op.isalpha() else ["", " ", "\t"])
+        text, tree = f"{text}{space}{op}{space}{rhs_text}", dsl.BinOp(op, tree, rhs_tree)
+    return text, tree
 
 
 def _gen_postfix(rng, depth):
-    node = _gen_atom(rng, depth)
+    text, tree = _gen_atom(rng, depth)
     for _ in range(rng.choice([0, 0, 0, 1]) if depth > 0 else 0):
         if rng.random() < 0.6:
-            node = dsl.Cast(rng.choice(["float", "str"]), node)
+            target = rng.choice(dsl.CAST_TARGETS)
+            text, tree = f"{text}.astype({target})", dsl.Cast(target, tree)
         else:
-            node = dsl.IsIn(node, _gen_list(rng))
-    return node
-
-
-def _gen_list(rng):
-    kind = rng.choice(["str", "num", "bool"])
-    n = rng.randint(1, 3)
-    if kind == "str":
-        items = tuple(rng.choice(_STRINGS) for _ in range(n))
-    elif kind == "num":
-        items = tuple(float(rng.randint(-50, 1000)) for _ in range(n))
-    else:
-        items = tuple(rng.choice([True, False]) for _ in range(n))
-    return dsl.ListLit(items)
+            kind = rng.choice(list(_LITERAL_NODES))
+            items = [_gen_literal(rng, kind) for _ in range(rng.randint(1, 3))]
+            item_text = ", ".join(item for item, _ in items)
+            text, tree = f"{text}.isin([{item_text}])", dsl.IsIn(tree, tuple(v for _, v in items))
+    return text, tree
 
 
 def _gen_atom(rng, depth):
-    choices = ["column", "str", "num", "bool"]
-    if depth > 1:
-        choices.append("paren")
-    kind = rng.choice(choices)
+    kind = rng.choice(["column", *_LITERAL_NODES] + (["paren"] if depth > 1 else []))
     if kind == "column":
-        return dsl.ColumnRef(rng.choice(_COLUMNS))
+        name = rng.choice(_COLUMNS)
+        return f"{rng.choice(['df', 'adata.obs'])}[{_quote(rng, name)}]", dsl.ColumnRef(name)
+    if kind == "paren":
+        text, tree = _gen_level(rng, depth - 1, 0)
+        return f"({text})", tree
+    text, value = _gen_literal(rng, kind)
+    return text, _LITERAL_NODES[kind](value)
+
+
+def _gen_literal(rng, kind):
     if kind == "str":
-        return dsl.StrLit(rng.choice(_STRINGS))
+        value = rng.choice(_STRINGS)
+        return _quote(rng, value), value
     if kind == "num":
-        return dsl.NumLit(float(rng.choice([0, 1, 10, 1000, -5, 2.5, 0.125])))
-    if kind == "bool":
-        return dsl.BoolLit(rng.choice([True, False]))
-    return dsl.Paren(_gen_or(rng, depth - 1))
+        text = rng.choice(_NUMBERS)
+        return text, float(text)
+    value = rng.choice([True, False])
+    return str(value), value
+
+
+def _quote(rng, value):
+    # a backslash escapes any character, and must escape the quote and itself
+    quote = rng.choice("'\"")
+    escape = lambda c: c in (quote, "\\") or rng.random() < 0.1  # noqa: E731
+    return quote + "".join("\\" + c if escape(c) else c for c in value) + quote
 
 
 # --------------------------------------------------------------------------

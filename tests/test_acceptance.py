@@ -253,24 +253,17 @@ def test_07_unifier_fidelity(tmp_path, drug_raw_table, flat_form_mapping):
         assert len(set(digests)) == 1
 
 
-def test_08_dsl_round_trip_and_rejection():
-    with criterion(8, "expression round trip and rejection", 5.0):
-        for text in (
-            "adata.obs['col'] == 'control'",
-            "df['conc_um'].astype(float) * 1000",
-            "adata.obs['A'].astype(str) + '_' + adata.obs['B'].astype(str)",
-        ):
-            parsed = dsl.parse(text)
-            rendered = dsl.format_expr(parsed)
-            assert dsl.parse(rendered) == parsed
-            assert dsl.format_expr(dsl.parse(rendered)) == rendered
+def test_08_dsl_parse_fidelity_and_rejection():
+    with criterion(8, "expression parse fidelity and rejection", 5.0):
+        from test_dsl import NEGATIVE_CORPUS, REFERENCE_EXPRESSIONS
+
+        for text, tree in REFERENCE_EXPRESSIONS.items():
+            assert dsl.parse(text) == tree
 
         rng = random.Random(777)
         for _ in range(1000):
-            expr = random_expr(rng, depth=6)
-            assert dsl.parse(dsl.format_expr(expr)) == expr
-
-        from test_dsl import NEGATIVE_CORPUS
+            text, tree = random_expr(rng, depth=6)
+            assert dsl.parse(text) == tree, text
 
         assert len(NEGATIVE_CORPUS) == 20
         for bad in NEGATIVE_CORPUS:

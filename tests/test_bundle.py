@@ -132,8 +132,8 @@ def test_tsv_cells_read_back_or_are_refused(cells, wide, name):
 
 
 class TestColumnNames:
-    """A column name the reader would not read back is refused, naming it,
-    before any file of an old bundle changes."""
+    """A column name the reader would not read back, or a raw table without
+    obs columns, is refused before any file of an old bundle changes."""
 
     @staticmethod
     def _files(path: Path) -> dict[str, bytes]:
@@ -164,6 +164,14 @@ class TestColumnNames:
         bad = RawTable(obs={"": raw_table.obs["name"]}, var_index=raw_table.var_index,
                        X=raw_table.X)
         with pytest.raises(BundleFormatError, match=re.escape("tsv column name is empty: ['']")):
+            write_raw_bundle(bad, tmp_path / "raw")
+        assert self._files(tmp_path / "raw") == before
+
+    def test_no_obs_columns(self, raw_table, tmp_path):
+        write_raw_bundle(raw_table, tmp_path / "raw")
+        before = self._files(tmp_path / "raw")
+        bad = RawTable(obs={}, var_index=raw_table.var_index, X=raw_table.X)
+        with pytest.raises(BundleFormatError, match="needs at least one obs column"):
             write_raw_bundle(bad, tmp_path / "raw")
         assert self._files(tmp_path / "raw") == before
 

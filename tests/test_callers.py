@@ -1,0 +1,107 @@
+"""Every function, class and method in ``src/pertpipe`` has a caller outside
+the tests: its name occurs in code of ``src/``, ``perfbench/`` (its tests
+aside), or a code span of ``README.md`` or ``docs/``, outside its own
+definition. Docstrings, comments and prose strings do not count. Dunders,
+which Python calls, and click commands, which click calls, are exempt.
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "pertpipe"
+_IDENT = re.compile(r"[^\W\d]\w*")
+_DOTTED = re.compile(r"[^\W\d]\w*(?:\.[^\W\d]\w*)*")
+_CODE_SPAN = re.compile(r"```.*?```|`[^`\n]+`", re.DOTALL)
+
+
+def _is_docstring(node: ast.AST, parent: ast.AST) -> bool:
+    body = getattr(parent, "body", None)
+    return (
+        isinstance(body, list) and body and body[0] is node
+        and isinstance(parent, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+        and isinstance(node.value.value, str)
+    )
+
+
+def _uses(tree: ast.AST) -> Counter:
+    """Identifiers the code of ``tree`` names, each counted outside the
+    definitions of that name that enclose it."""
+    uses: Counter = Counter()
+
+    def visit(node: ast.AST, enclosing: frozenset) -> None:
+        names: list[str] = []
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.alias):
+            names = node.name.split(".")
+        elif isinstance(node, ast.keyword) and node.arg:
+            names = [node.arg]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            # a name in a string, as getattr and patch tables spell it; not prose
+            names = node.value.split(".") if _DOTTED.fullmatch(node.value) else []
+        uses.update(name for name in names if name not in enclosing)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        for child in ast.iter_child_nodes(node):
+            if not _is_docstring(child, node):
+                visit(child, enclosing)
+
+    visit(tree, frozenset())
+    return uses
+
+
+def _is_click_command(node: ast.AST) -> bool:
+    return any(
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+        and d.func.attr in ("command", "group")
+        for d in getattr(node, "decorator_list", ())
+    )
+
+
+def _definitions():
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                dunder = node.name.startswith("__") and node.name.endswith("__")
+                if not dunder and not _is_click_command(node):
+                    yield f"{path.name}:{node.lineno}", node.name
+
+
+def _corpus() -> Counter:
+    uses: Counter = Counter()
+    sources = [*(ROOT / "src").rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")]
+    for path in sources:
+        if "tests" not in path.relative_to(ROOT).parts:
+            uses += _uses(ast.parse(path.read_text(encoding="utf-8")))
+    for path in [ROOT / "README.md", *(ROOT / "docs").rglob("*.md")]:
+        for span in _CODE_SPAN.findall(path.read_text(encoding="utf-8")):
+            uses.update(_IDENT.findall(span))
+    return uses
+
+
+def test_each_definition_has_a_caller_outside_the_tests():
+    uses = _corpus()
+    unused = [f"{where} {name}" for where, name in _definitions() if not uses[name]]
+    assert unused == []
+
+
+def test_a_name_used_only_in_its_own_body_or_docstring_is_unused():
+    tree = ast.parse(
+        '"""helper() in a docstring"""\n'
+        "def helper(n):\n"
+        "    # helper() in a comment\n"
+        "    return helper(n - 1) if n else 0\n"
+        "def caller():\n"
+        "    return cache.lookup('pertpipe.x'), 'no helper here'\n"
+    )
+    uses = _uses(tree)
+    assert uses["helper"] == 0 and uses["n"] == 2
+    assert uses["lookup"] == 1 and uses["x"] == 1 and uses["caller"] == 0

@@ -1850,6 +1850,10 @@ _SUBMODULES = tuple(sorted(
     if p.stem != "__init__"
 ))
 
+# a kb command reads and writes the store alone: no bundle, engine or mapping code
+_KB_UNLOADED = ("pertpipe.evaluators", "pertpipe.unifier", "pertpipe.dsl", "pertpipe.search",
+                "pertpipe.manifest", "pertpipe.bundle", "pertpipe.data")
+
 
 @pytest.mark.parametrize(
     "run, unloaded",
@@ -1860,11 +1864,20 @@ _SUBMODULES = tuple(sorted(
         (["search", "{bundle}", "--out", "{out}", "--set", "search.n_sim=4"],
          ("pertpipe.unifier", "pertpipe.dsl", "pertpipe.llm")),
         (["unify", "{raw}", "{out}", "--mapping", "{mapping}"],
-         ("pertpipe.evaluators", "pertpipe.metrics")),
+         ("pertpipe.evaluators", "pertpipe.metrics", "pertpipe.search", "pertpipe.knowledge",
+          "pertpipe.actions")),
         (["kb", "list", "--kb", "{kb}"],
          ("pertpipe.evaluators", "pertpipe.unifier", "pertpipe.dsl")),
+        # the settings classes live beside ParameterError, so resolving a config
+        # loads neither the engine nor the store
+        ("import pertpipe.manifest",
+         ("pertpipe.search", "pertpipe.knowledge", "pertpipe.actions")),
+        (["kb", "show", "0", "--kb", "{kb}"], _KB_UNLOADED),
+        (["kb", "add", "--kb", "{kb}", "--profile", "p", "--reward", "0.5",
+          "--path", "paradigm:generative"], _KB_UNLOADED),
     ],
-    ids=["cli", "package", "bundle", "search", "unify", "kb_list"],
+    ids=["cli", "package", "bundle", "search", "unify", "kb_list", "manifest", "kb_show",
+         "kb_add"],
 )
 def test_a_command_loads_only_what_it_runs(
     run, unloaded, synthetic_bundle, raw_bundle_dir, mapping_file, tmp_path

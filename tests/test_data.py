@@ -365,6 +365,15 @@ class TestSplitUnseenCell:
         with pytest.raises(ParameterError, match="HEK293"):
             split_unseen_cell(ds, "HEK293", seed=0)
 
+    @pytest.mark.parametrize("held_out", ["T\x00", "T"])
+    def test_a_type_ending_in_nul_is_its_own_type(self, held_out):
+        ds = small_canonical({"control": [[1.0, 1.0]] * 2, "A": [[2.0, 2.0]] * 2})
+        cell_type = np.array(["T\x00", "T", "T", "T\x00"], dtype=object)
+        split = split_unseen_cell(replace(ds, cell_type=cell_type), held_out, seed=0)
+        held = np.array([t == held_out for t in cell_type.tolist()])
+        assert set(split.labels[~held].tolist()) == {"train"}
+        assert sorted(split.labels[held].tolist()) == ["test", "val"]
+
 
 class TestCanonicalCsr:
     """The perturbation arrays must be CSR over the vocabulary."""

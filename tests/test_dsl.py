@@ -22,12 +22,10 @@ from pertpipe.dsl import (
     DslEvalError,
     DslSyntaxError,
     IsIn,
-    ListLit,
     NumLit,
     StrLit,
     UnsupportedConstructError,
     evaluate,
-    format_expr,
     parse,
 )
 
@@ -84,12 +82,22 @@ class TestParse:
 
     def test_isin_list(self):
         assert parse("df['a'].isin(['Ctrl', 'DMSO'])") == IsIn(
-            ColumnRef("a"), ListLit(("Ctrl", "DMSO"))
+            ColumnRef("a"), ("Ctrl", "DMSO")
         )
 
-    def test_parens_preserved(self):
-        expr = parse("(df['a'] == 'x') and df['b'] == 'y'")
-        assert isinstance(expr.lhs, dsl.Paren)
+    def test_parentheses_group_without_a_node(self):
+        assert parse("((df['a']))") == ColumnRef("a")
+        assert parse("(df['a'] == 'x') and df['b'] == 'y'") == BinOp(
+            "and",
+            BinOp("==", ColumnRef("a"), StrLit("x")),
+            BinOp("==", ColumnRef("b"), StrLit("y")),
+        )
+        assert parse("2 * (df['a'] - 1)") == BinOp(
+            "*", NumLit(2.0), BinOp("-", ColumnRef("a"), NumLit(1.0))
+        )
+        assert parse("df['a'] - (1 - 2)") == BinOp(
+            "-", ColumnRef("a"), BinOp("-", NumLit(1.0), NumLit(2.0))
+        )
 
     def test_negative_number_literal(self):
         assert parse("-5 * 2") == BinOp("*", NumLit(-5.0), NumLit(2.0))
@@ -198,7 +206,7 @@ def _nested(levels: int, core: str = "df['d'] == 'a'") -> str:
 
 class TestNesting:
     """Nesting too deep for Python's stack is refused, not a ``RecursionError``;
-    everything shallower still parses, evaluates and formats."""
+    everything shallower still parses and evaluates."""
 
     WORKING = {
         "or_chain": (
@@ -214,24 +222,21 @@ class TestNesting:
     }
 
     @pytest.mark.parametrize("shape", sorted(WORKING))
-    def test_deep_trees_parse_evaluate_and_format(self, shape):
+    def test_deep_trees_parse_and_evaluate(self, shape):
         text, columns, value = self.WORKING[shape]
         expr = parse(text)
         assert evaluate(expr, columns).tolist() == value
-        assert parse(format_expr(expr)) == expr
 
     @pytest.mark.parametrize("levels", [400, 5000])
     def test_deep_parentheses_are_unsupported(self, levels):
         with pytest.raises(UnsupportedConstructError, match="nested too deeply"):
             parse(_nested(levels))
 
-    def test_chain_too_long_to_evaluate_or_format(self):
-        # the parser loops over a chain, evaluate and format_expr recurse on it
+    def test_chain_too_long_to_evaluate(self):
+        # the parser loops over a chain, evaluate recurses on it
         expr = parse(" + ".join(["df['x']"] * 5000))
         with pytest.raises(DslEvalError, match="nested too deeply to evaluate"):
             evaluate(expr, {"x": np.array([1.0])})
-        with pytest.raises(dsl.DslError, match="nested too deeply to format"):
-            format_expr(expr)
 
     # control_status text and the error code: parse refuses deep parentheses,
     # a chain parses but is too deep to evaluate
@@ -256,48 +261,41 @@ class TestNesting:
         assert "nested too deeply" in error["message"]
 
 
-class TestFormat:
-    def test_column_canonical_spelling(self):
-        assert format_expr(ColumnRef("x")) == "df['x']"
+REFERENCE_EXPRESSIONS = {
+    "adata.obs['col'] == 'control'": BinOp("==", ColumnRef("col"), StrLit("control")),
+    "df['conc_um'].astype(float) * 1000": BinOp(
+        "*", Cast("float", ColumnRef("conc_um")), NumLit(1000.0)
+    ),
+    "adata.obs['A'].astype(str) + '_' + adata.obs['B'].astype(str)": BinOp(
+        "+",
+        BinOp("+", Cast("str", ColumnRef("A")), StrLit("_")),
+        Cast("str", ColumnRef("B")),
+    ),
+}
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "adata.obs['col'] == 'control'",
-            "df['conc_um'].astype(float) * 1000",
-            "adata.obs['A'].astype(str) + '_' + adata.obs['B'].astype(str)",
-        ],
-    )
-    def test_reference_expressions_reach_fixpoint(self, text):
-        once = parse(text)
-        rendered = format_expr(once)
-        again = parse(rendered)
-        assert once == again
-        assert format_expr(again) == rendered
 
-    def test_right_nested_binop_gets_parentheses(self):
-        expr = BinOp("+", NumLit(1.0), BinOp("+", NumLit(2.0), NumLit(3.0)))
-        assert format_expr(expr) == "1.0 + (2.0 + 3.0)"
+class TestParseFidelity:
+    """Text derived from the grammar parses to the tree derived with it."""
 
-    @pytest.mark.parametrize("value", [5, 5.0, np.float64(5.0), np.int64(5)])
-    def test_any_number_renders_as_float(self, value):
-        assert format_expr(NumLit(value)) == "5.0"
-        assert format_expr(ListLit((value,))) == "[5.0]"
+    @pytest.mark.parametrize("text", sorted(REFERENCE_EXPRESSIONS))
+    def test_reference_expressions_in_either_spelling(self, text):
+        tree = REFERENCE_EXPRESSIONS[text]
+        assert parse(text) == tree
+        respelled = text.replace("adata.obs[", "df[").replace("'", '"')
+        assert respelled != text and parse(respelled) == tree
 
-    def test_literal_nodes_render_like_list_items(self):
-        assert format_expr(BoolLit(False)) == "False"
-        assert format_expr(StrLit("a\\b'c")) == "'a\\\\b\\'c'"
-        assert parse(format_expr(StrLit("a\\b'c"))) == StrLit("a\\b'c")
+    def test_escaped_source_text(self):
+        assert parse(r"'it\'s'") == StrLit("it's")
+        assert parse(r'''"it\"s" + 'a\\b' ''') == BinOp("+", StrLit('it"s'), StrLit("a\\b"))
+        assert parse(r"df['d\r\'ug'] == '\x'") == BinOp(
+            "==", ColumnRef("dr'ug"), StrLit("x")
+        )
 
-    def test_escaped_quote_round_trip(self):
-        lit = StrLit("it's")
-        assert parse(format_expr(lit)) == lit
-
-    def test_random_ast_round_trip(self):
+    def test_random_text_parses_to_its_tree(self):
         rng = random.Random(2024)
         for _ in range(300):
-            expr = random_expr(rng, depth=6)
-            assert parse(format_expr(expr)) == expr
+            text, tree = random_expr(rng, depth=6)
+            assert parse(text) == tree, text
 
 
 class TestEvaluate:
@@ -429,7 +427,7 @@ def test_random_expr_evaluates_row_by_row(seed, table):
     rows = [{name: column[i : i + 1] for name, column in table.items()} for i in range(n)]
     rng = random.Random(seed)
     for _ in range(20):
-        expr = random_expr(rng)
+        _, expr = random_expr(rng)
         try:
             out = evaluate(expr, table)
         except DslEvalError:
