@@ -366,18 +366,48 @@ def _min_and_row_sums(X: np.ndarray) -> tuple[float, np.ndarray]:
 def first_pattern_rows(indptr: np.ndarray, indices: np.ndarray, values: np.ndarray) -> np.ndarray:
     """For each CSR row, the index of the first row with the same entries.
 
-    A row is keyed by the bytes of its (column, dose) pairs, so 0.0 and
-    -0.0 doses are different patterns; this is the grouping of the rows'
-    dense mask and dose bytes.
+    A row is keyed by its (column, dose bits) pairs, so 0.0 and -0.0 doses,
+    and NaNs of different payloads, are different patterns; this is the
+    grouping of the rows' dense mask and dose bytes. Rows are grouped by
+    length, and the rows of one length by an int64 key that packs the codes
+    of their entries' pairs (dose code times column count plus column,
+    which fits, as columns index a vocabulary). The key is re-densified
+    before each further entry, so it stays below the row count times the
+    number of pair codes; where that product could pass int64, the pairs
+    are re-coded below the entry count first.
     """
-    pairs = np.rec.fromarrays([indices, values], dtype=[("j", "<i8"), ("v", "<f8")])
-    keys = pairs.tobytes()
-    bounds = (indptr * pairs.itemsize).tolist()
-    first: dict[bytes, int] = {}
-    return np.array(
-        [first.setdefault(keys[a:b], i) for i, (a, b) in enumerate(zip(bounds, bounds[1:]))],
-        dtype=np.intp,
-    )
+    indptr = np.asarray(indptr, dtype=np.int64)
+    indices = np.asarray(indices, dtype=np.int64)
+    n = len(indptr) - 1
+    dose = _dense_codes(np.asarray(values, dtype=np.float64).view(np.int64))
+    n_cols = int(indices.max(initial=-1)) + 1
+    pair = dose * n_cols + indices
+    n_pairs = (int(dose.max(initial=-1)) + 1) * n_cols
+    if n * n_pairs >= 2**63:
+        pair, n_pairs = _dense_codes(pair), len(pair)
+    lengths = np.diff(indptr)
+    first = np.empty(n, dtype=np.intp)
+    for length in np.unique(lengths).tolist():
+        rows = np.flatnonzero(lengths == length)
+        at = indptr[rows]
+        key = pair[at] if length else np.zeros(len(rows), dtype=np.int64)
+        for k in range(1, length):
+            key = _dense_codes(key) * n_pairs + pair[at + k]
+        group = _dense_codes(key)
+        group_first = np.full(len(rows), n, dtype=np.intp)
+        np.minimum.at(group_first, group, rows)
+        first[rows] = group_first[group]
+    return first
+
+
+def _dense_codes(x: np.ndarray) -> np.ndarray:
+    """Each value's index among the sorted distinct values of int64 ``x``."""
+    order = np.argsort(x)
+    ordered = x[order]
+    codes = np.empty(len(x), dtype=np.int64)
+    codes[order[:1]] = 0
+    codes[order[1:]] = np.cumsum(ordered[1:] != ordered[:-1])
+    return codes
 
 
 def normalize_log1p(

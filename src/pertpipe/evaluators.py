@@ -54,8 +54,13 @@ def _hash_frac(text: str) -> float:
 
 
 def _pathway_fracs(ensembl_ids) -> np.ndarray:
-    """Each gene's stable hash in [0, 1), which ranks it for the pathway."""
-    return np.array([_hash_frac(f"pathway|{g}") for g in ensembl_ids], dtype=np.float64)
+    """Each gene's stable hash in [0, 1), which ranks it for the pathway.
+
+    ``_hash_frac`` of each ``pathway|<id>``: the digests are joined and
+    their first 8 bytes read as big-endian integers in one pass.
+    """
+    blob = b"".join([hashlib.sha256(f"pathway|{g}".encode()).digest() for g in ensembl_ids])
+    return np.frombuffer(blob, dtype=">u8")[::4] / 2.0**64
 
 
 def pathway_gene_mask(ensembl_ids) -> np.ndarray:

@@ -2,10 +2,12 @@
 
 Each entry holds a task profile text, the action path of a previously
 successful pipeline, its reward and its creation time. Retrieval embeds
-the query and every profile in one batch, filters by raw cosine
-similarity, ranks the survivors by a composite weight mixing normalized
-similarity with normalized reward, and gates between warm-start (inject
-the top path) and ab-initio search on the peak similarity.
+the query and each distinct profile text once, in one batch, filters by
+raw cosine similarity, ranks the survivors by a composite weight mixing
+normalized similarity with normalized reward, and gates between
+warm-start (inject the top path) and ab-initio search on the peak
+similarity. A store that repeated searches of one task wrote holds few
+distinct texts, however many lines it has.
 
 The store is an append-only JSON-lines file under a version header
 ``{"kb_version": 2, "dim": 256}``. Its lines keep only what cannot be
@@ -21,7 +23,9 @@ it under the lock before it appends. Any other line that breaks a rule of
 ``_parse_line``, and a header of another version or dimension, is rejected
 at load with its ``path:line``; ``record`` checks the line it would append
 against the same rules. A store that cannot be read or appended to is
-rejected with its path.
+rejected with its path. Each line is read by the JSON decoder's C scanner;
+only a line it does not read whole goes through ``json.loads``, so the
+lines accepted and the errors raised are ``json.loads``'s.
 """
 
 from __future__ import annotations
@@ -29,11 +33,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import re
 import sys
 import time
 from dataclasses import dataclass
 from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -44,32 +48,62 @@ from .errors import ParameterError, RetrievalParams, ValidationError
 KB_VERSION = 2
 _READABLE_VERSIONS = (1, 2)
 EMBED_DIM = 256
+_NUMBER_TYPES = (int, float)
+_FLOAT_MAX = sys.float_info.max
+# the decoder ``json.loads`` uses, without its whitespace and BOM handling
+_scan_once = json.JSONDecoder().scan_once
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+# every byte but a-z and 0-9 becomes a space, which ends a token
+_TOKEN_TABLE = bytes(
+    c if c in b"abcdefghijklmnopqrstuvwxyz0123456789" else 0x20 for c in range(256)
+)
 
 
 def embed(texts) -> np.ndarray:
     """Embed each text into one row of an ``(len(texts), EMBED_DIM)`` matrix.
 
-    A deterministic token-hash term-frequency embedding, fully offline:
-    text is lowercased and split on non-alphanumerics, each distinct token
-    is hashed once (sha256, stable across platforms and processes) into a
-    bucket, and each row is L2-normalized. Case and repeated whitespace
-    never change a row. The counts are integers, so the rows do not depend
-    on which texts share the batch.
+    A deterministic token-hash term-frequency embedding, fully offline: a
+    token is a run of ``a-z0-9`` in the lowercased text, each distinct
+    token is hashed once (sha256, stable across platforms and processes)
+    into a bucket, and each row is L2-normalized. Case and repeated
+    whitespace never change a row. The counts are integers, so the rows do
+    not depend on which texts share the batch.
+
+    Each distinct text is tokenized once, and a repeated text shares its
+    row. Tokenizing runs in C: the lowercased text is encoded as UTF-8, a
+    256-byte table turns every byte but ``a-z0-9`` into a space, and
+    ``bytes.split`` cuts the runs. This equals
+    ``re.findall("[a-z0-9]+", text.lower())``, as every other code point,
+    a lone surrogate included (hence ``surrogatepass``), encodes to bytes
+    of 0x80 and above.
     """
-    tokens = [_TOKEN_RE.findall(text.lower()) for text in texts]
-    bucket = {
-        token: int.from_bytes(hashlib.sha256(token.encode()).digest()[:8], "big") % EMBED_DIM
-        for token in set(chain.from_iterable(tokens))
-    }
-    cols = np.fromiter((bucket[t] for row in tokens for t in row), dtype=np.int64)
-    rows = np.repeat(np.arange(len(tokens)), [len(row) for row in tokens])
+    distinct, inverse = _first_seen(texts)
+    tokens = [
+        text.lower().encode("utf-8", "surrogatepass").translate(_TOKEN_TABLE).split()
+        for text in distinct
+    ]
+    cols = np.fromiter(map(_Buckets().__getitem__, chain.from_iterable(tokens)), dtype=np.int64)
+    rows = np.repeat(np.arange(len(tokens)), list(map(len, tokens)))
     counts = np.bincount(rows * EMBED_DIM + cols, minlength=len(tokens) * EMBED_DIM)
     vecs = counts.reshape(len(tokens), EMBED_DIM).astype(np.float64)
     norms = np.linalg.norm(vecs, axis=1, keepdims=True)
     np.divide(vecs, norms, out=vecs, where=norms > 0)
-    return vecs
+    return vecs if len(distinct) == len(inverse) else vecs[inverse]
+
+
+class _Buckets(dict):
+    """Token to bucket; a token is hashed when first looked up, so once."""
+
+    def __missing__(self, token: bytes) -> int:
+        self[token] = bucket = int.from_bytes(hashlib.sha256(token).digest()[:8], "big") % EMBED_DIM
+        return bucket
+
+
+def _first_seen(items) -> tuple[list, list[int]]:
+    """The distinct items in first-seen order, and each item's index into them."""
+    index: dict = {}
+    inverse = [index.setdefault(item, len(index)) for item in items]
+    return list(index), inverse
 
 
 @dataclass(frozen=True)
@@ -104,20 +138,22 @@ class RetrievalResult:
 
 
 def composite_weight(
-    s_k: float,
-    r_k: float,
+    s_k: float | np.ndarray,
+    r_k: float | np.ndarray,
     r_min: float,
     r_max: float,
     tau_filter: float = RetrievalParams.tau_filter,
     alpha_retrieval: float = RetrievalParams.alpha_retrieval,
-) -> float:
+) -> float | np.ndarray:
     """Mix normalized similarity and normalized reward into a ranking weight.
 
-    With a degenerate reward range (r_max == r_min) the normalized reward
-    term is defined as 1.0: a uniform-reward candidate set should not be
-    penalized by an arbitrary zero.
+    ``s_k`` and ``r_k`` are floats or arrays of one shape; each weight
+    takes the same float operations either way. With a degenerate reward
+    range (r_max == r_min) the normalized reward term is defined as 1.0: a
+    uniform-reward candidate set should not be penalized by an arbitrary
+    zero.
     """
-    if s_k <= tau_filter:
+    if np.min(s_k) <= tau_filter:
         raise ParameterError(
             f"similarity {s_k} must exceed tau_filter {tau_filter}; filter first"
         )
@@ -134,33 +170,40 @@ def retrieve(
     entries: list[KnowledgeEntry],
     params: RetrievalParams = RetrievalParams(),
 ) -> RetrievalResult:
-    """Embed the query and every stored profile in one batch, then ``rank``."""
-    query, *rows = embed([query_text, *(e.profile_text for e in entries)])
-    # one dot per entry: a single matrix-vector product sums in another order
-    # and moves some similarities by an ulp
-    sims = np.clip([np.dot(query, row) for row in rows], -1.0, 1.0).tolist()
-    return rank(entries, sims, params)
+    """Embed the query and every distinct stored profile in one batch, then ``rank``."""
+    distinct, inverse = _first_seen([query_text, *(e.profile_text for e in entries)])
+    vecs = embed(distinct)
+    query = vecs[0]
+    # one dot per distinct text: a single matrix-vector product sums in
+    # another order and moves some similarities by an ulp
+    sims = np.clip([np.dot(query, row) for row in vecs], -1.0, 1.0)
+    return rank(entries, sims[inverse[1:]], params)
 
 
-def rank(
-    entries: list[KnowledgeEntry], sims: list[float], params: RetrievalParams
-) -> RetrievalResult:
+def rank(entries: list[KnowledgeEntry], sims, params: RetrievalParams) -> RetrievalResult:
     """Rank stored tasks by their query similarities and gate warm-start vs ab-initio."""
-    rho = max(sims, default=float("-inf"))
-    survivors = [
-        (e, s) for e, s in zip(entries, sims) if s > params.tau_filter
-    ]
-    if rho <= params.tau or not survivors:
+    sims = np.asarray(sims, dtype=np.float64)
+    rho = float(sims.max()) if len(sims) else float("-inf")
+    survivors = np.flatnonzero(sims > params.tau_filter)
+    if rho <= params.tau or not len(survivors):
         return RetrievalResult(rho=rho, mode="ab_initio", ranked=(), epsilon0=None)
-    rewards = [e.reward for e, _ in survivors]
-    r_min, r_max = min(rewards), max(rewards)
-    weighted = [
-        (e, s, composite_weight(s, e.reward, r_min, r_max, params.tau_filter, params.alpha_retrieval))
-        for e, s in survivors
-    ]
-    # weight descending; equal weights break toward the newer entry
-    weighted.sort(key=lambda item: (-item[2], -item[0].created_at))
-    ranked = tuple(weighted[: params.m])
+    rewards, created = (
+        np.fromiter(map(attrgetter(name), entries), np.float64, len(entries))[survivors]
+        for name in ("reward", "created_at")
+    )
+    weights = composite_weight(
+        sims[survivors], rewards, rewards.min(), rewards.max(),
+        params.tau_filter, params.alpha_retrieval,
+    )
+    # weight descending; equal weights break toward the newer entry, then
+    # keep store order
+    top = np.lexsort((-created, -weights))[: params.m]
+    ranked = tuple(
+        (entries[i], s, w)
+        for i, s, w in zip(
+            survivors[top].tolist(), sims[survivors[top]].tolist(), weights[top].tolist()
+        )
+    )
     return RetrievalResult(
         rho=rho,
         mode="warm_start",
@@ -199,7 +242,10 @@ class KnowledgeBase:
         except UnicodeDecodeError as exc:
             lineno = data.count(b"\n", 0, exc.start) + 1
             raise ValidationError(f"{self.path}:{lineno} is not valid UTF-8: {exc}") from None
-        lines = [(i, ln) for i, ln in enumerate(content.split("\n")[:-1], start=1) if ln.strip()]
+        lines = [
+            (i, ln) for i, ln in enumerate(content.split("\n")[:-1], start=1)
+            if ln and not ln.isspace()  # ln.strip(), without the copy
+        ]
         if not lines:
             return []
         self._check_header(*lines[0])
@@ -277,26 +323,52 @@ def _parse_line(line: str, legal_paths: set[tuple]) -> KnowledgeEntry:
     so each distinct path is checked once.
     """
     try:
-        doc = json.loads(line)
+        doc = _decode(line)
         text, path = doc["profile_text"], doc["action_path"]
         reward, created_at = doc["reward"], doc["created_at"]
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise ValidationError(f"is not a valid knowledge-base line: {exc}") from None
     if type(text) is not str:
         raise ValidationError(f"profile_text is a {type(text).__name__}, not a string")
-    if type(path) is not list or any(type(action) is not str for action in path):
+    if type(path) is not list:
         raise ValidationError(f"action_path {path!r} is not a list of names")
-    if {type(reward), type(created_at)} - {int, float}:  # bool and str included
-        raise ValidationError("reward and created_at must be JSON numbers")
-    if not (abs(created_at) <= sys.float_info.max):  # NaN, the infinities and larger integers
+    key = tuple(path)
+    try:
+        known = key in legal_paths  # so its actions are names
+    except TypeError:  # an array or object among them
+        known = False
+    if not known and any(type(action) is not str for action in path):
+        raise ValidationError(f"action_path {path!r} is not a list of names")
+    if type(reward) not in _NUMBER_TYPES or type(created_at) not in _NUMBER_TYPES:
+        raise ValidationError("reward and created_at must be JSON numbers")  # bool and str too
+    if not (abs(created_at) <= _FLOAT_MAX):  # NaN, the infinities and larger integers
         raise ValidationError(f"created_at {created_at} is not finite")
-    path = tuple(path)
-    if path not in legal_paths:
-        validate_action_path(path)
-        legal_paths.add(path)
+    if not known:
+        validate_action_path(key)
+        legal_paths.add(key)
     if not 0.0 <= reward <= 1.0:
         raise ValidationError(f"entry reward {reward} outside [0, 1]")
-    return KnowledgeEntry(text, path, float(reward), float(created_at))
+    # the fields are checked and of their final types, so __init__'s
+    # per-field setattr and __post_init__'s tuple() are skipped
+    entry = object.__new__(KnowledgeEntry)
+    entry.__dict__.update(
+        profile_text=text, action_path=key, reward=float(reward), created_at=float(created_at)
+    )
+    return entry
+
+
+def _decode(line: str):
+    """``json.loads(line)``, by the C scanner alone when one value spans the line.
+
+    Any other line (whitespace around the value, a BOM, trailing data, an
+    error) goes to ``json.loads``, which accepts or refuses it as it
+    always did, with the same error.
+    """
+    try:
+        doc, end = _scan_once(line, 0)
+    except (StopIteration, ValueError, RecursionError):
+        return json.loads(line)
+    return doc if end == len(line) else json.loads(line)
 
 
 def _complete_length(fh, size: int) -> int:

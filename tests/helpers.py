@@ -13,10 +13,10 @@ array pass; the loss-view reference takes each block's variance with
 ``np.var`` and clips with ``np.clip``, as the evaluator did before it
 reused the block sum and clipped by maximum then minimum. The harmonize
 references keep the per-cell loops that bundle writes, mapping
-application, merging, validation and the DSL's string comparison ran
-before they were vectorized, the bundle TSV reader that split and
-appended one line at a time, and pseudo-bulk's one mask over the cells per
-condition. The knowledge-base references
+application, merging, validation, CSR row grouping and the DSL's string
+comparison ran before they were vectorized, the bundle TSV reader that
+split and appended one line at a time, and pseudo-bulk's one mask over the
+cells per condition. The knowledge-base references
 embed one text at a time and score one entry at a time, the way retrieval
 did before it embedded and scored in batches. The exhaustive oracle
 evaluates every hierarchy-legal candidate once; it is the reference the
@@ -636,6 +636,18 @@ def reference_merge_fields(parts: list[CanonicalDataset]) -> tuple[dict, list[st
         extra_obs=extra_obs,
     )
     return fields, warnings
+
+
+def reference_first_pattern_rows(indptr, indices, values) -> np.ndarray:
+    """Each CSR row's first row with the same (column, dose bytes) entries, one dict per row."""
+    pairs = np.rec.fromarrays([indices, values], dtype=[("j", "<i8"), ("v", "<f8")])
+    keys = pairs.tobytes()
+    bounds = (np.asarray(indptr) * pairs.itemsize).tolist()
+    first: dict[bytes, int] = {}
+    return np.array(
+        [first.setdefault(keys[a:b], i) for i, (a, b) in enumerate(zip(bounds, bounds[1:]))],
+        dtype=np.intp,
+    )
 
 
 def reference_validation_issues(ds: CanonicalDataset) -> list[ValidationIssue]:

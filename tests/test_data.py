@@ -9,7 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import csr_from_dense, reference_pseudo_bulk, small_canonical
+from helpers import (
+    csr_from_dense,
+    reference_first_pattern_rows,
+    reference_pseudo_bulk,
+    small_canonical,
+)
 from pertpipe import data, unifier
 from pertpipe.data import (
     cast_column,
@@ -375,6 +380,11 @@ class TestSplitUnseenCell:
         assert sorted(split.labels[held].tolist()) == ["test", "val"]
 
 
+# 0.0, -0.0, 1.0, and NaNs of three payloads
+_DOSE_BITS = [0, 0x8000_0000_0000_0000, 0x3FF0_0000_0000_0000,
+              0x7FF8_0000_0000_0000, 0x7FF8_0000_0000_0001, 0xFFF8_0000_0000_0000]
+
+
 class TestCanonicalCsr:
     """The perturbation arrays must be CSR over the vocabulary."""
 
@@ -422,6 +432,40 @@ class TestCanonicalCsr:
             np.array([0.0, -0.0, 0.0, 0.0, 0.0]),
         )
         assert rows.tolist() == [0, 1, 0, 3, 4]
+
+    @given(
+        rows=st.lists(
+            st.lists(st.tuples(st.integers(0, 3), st.integers(0, len(_DOSE_BITS) - 1)),
+                     max_size=3),
+            max_size=40,
+        ),
+        huge_columns=st.booleans(),
+    )
+    @example(rows=[], huge_columns=False)
+    @example(rows=[[(j, d), (0, d)] for j in range(4) for d in range(len(_DOSE_BITS))],
+             huge_columns=True)
+    @settings(max_examples=300, deadline=None)
+    def test_pattern_rows_match_the_per_row_dict(self, rows, huge_columns):
+        # columns near 2**59 put rows * pair codes past int64, so the pairs are re-coded
+        offset = 2**59 if huge_columns else 0
+        indptr = np.cumsum([0] + [len(row) for row in rows])
+        indices = np.array([offset + j for row in rows for j, _ in row], dtype=np.int64)
+        values = np.array([_DOSE_BITS[d] for row in rows for _, d in row],
+                          dtype=np.uint64).view(np.float64)
+        want = reference_first_pattern_rows(indptr, indices, values)
+        got = first_pattern_rows(indptr, indices, values)
+        assert got.dtype == np.intp and got.tolist() == want.tolist()
+
+    def test_pattern_keys_that_would_wrap_are_recoded(self):
+        # two doses and 2**62 columns give 2**63 pair codes, so packing each
+        # row's second entry onto its first would wrap rows 0 and 2 onto one key
+        top = 2**62 - 1
+        indptr = np.array([0, 2, 4, 6, 8, 9])
+        indices = np.array([top - 3, top, top - 2, top, top - 1, top, top, top, top])
+        values = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0])
+        rows = first_pattern_rows(indptr, indices, values)
+        assert rows.tolist() == reference_first_pattern_rows(indptr, indices, values).tolist()
+        assert rows.tolist() == [0, 1, 2, 3, 4]
 
 
 class TestValidateCanonical:

@@ -96,6 +96,15 @@ class TestGenerateSynthetic:
         mask = pathway_gene_mask(ds.ensembl_id)
         assert np.all(mask[truth.support])
 
+    def test_pathway_fracs_equal_each_gene_hash(self):
+        ids = np.array([f"ENSG{i:011d}" for i in range(300)]
+                       + ["", "é", "中文", "\U0001F600", "a|b", "\x00"], dtype=object)
+        want = [evaluators._hash_frac(f"pathway|{g}") for g in ids]
+        got = evaluators._pathway_fracs(ids)
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
+        assert evaluators._pathway_fracs([]).shape == (0,)
+
     def test_output_is_canonical(self):
         ds, _ = generate_synthetic(SyntheticConfig(25, 3, 4, 0.5, 0.3, seed=8))
         assert validate_canonical(ds).ok

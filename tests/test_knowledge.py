@@ -9,6 +9,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import reference_embed, reference_retrieve
 from pertpipe import knowledge
@@ -26,6 +28,11 @@ from pertpipe.knowledge import (
 
 LEGAL_PATH = ("paradigm:generative", "backbone:conditional_vae")
 OTHER_PATH = ("paradigm:discriminative", "backbone:resnet")
+# any code point, lone surrogates included, and more often those that try
+# the tokenizer: KELVIN SIGN lowers to "k", and "İ" to "i" + U+0307
+_EMBED_CHARS = st.characters(exclude_categories=()) | st.sampled_from(
+    ["\ud800", "\udfff", "\u212a", "İ", "\x00", "\t", "\r", "\n", " ", "K", "k", "9", "_"]
+)
 
 
 class TestCompositeWeight:
@@ -155,6 +162,18 @@ class TestEmbed:
 
     def test_empty_batch(self):
         assert embed([]).shape == (0, 256)
+
+    @given(st.lists(st.text(alphabet=_EMBED_CHARS, max_size=30), max_size=8))
+    @example(["", " \t\r\n ", "\ud800ab\udfff", "\u212aelvin KELVIN", "İstanbul i\u0307",
+              "a\x00b", "x\ty\rz\nw", "MiXeD 42 caSe"])
+    @settings(max_examples=200, deadline=None)
+    def test_rows_equal_the_regex_reference_bit_for_bit(self, texts):
+        batch_texts = texts + texts[::-1]  # each text twice
+        batch = embed(batch_texts)
+        assert batch.shape == (len(batch_texts), knowledge.EMBED_DIM)
+        for text, row in zip(batch_texts, batch):
+            want = reference_embed(text).tobytes()
+            assert row.tobytes() == want == embed([text])[0].tobytes()
 
 
 def _profiles(rng, n: int) -> list[str]:
@@ -403,6 +422,57 @@ class TestKnowledgeBase:
             path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValidationError, match=f"kb.jsonl:{bad_line} "):
             KnowledgeBase(path).load()
+
+
+def _loads_error(line: str) -> str:
+    """What ``json.loads`` says about a line it refuses."""
+    try:
+        json.loads(line)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError(f"json.loads accepts {line!r}")
+
+
+class TestLineDecoding:
+    """Lines are read by the JSON decoder's C scanner, yet accepted and refused
+    exactly as a per-line ``json.loads`` accepts and refuses them."""
+
+    HEADER = '{"kb_version": 2, "dim": 256}'
+
+    @pytest.mark.parametrize("pad", [(" ", " "), ("\t ", ""), ("", "\r"), ("", " \t\r")],
+                             ids=["spaces", "leading_tab", "crlf", "trailing_mixed"])
+    def test_a_whitespace_padded_line_is_accepted(self, tmp_path, pad):
+        path = tmp_path / "kb.jsonl"
+        path.write_text("\n".join([self.HEADER, pad[0] + _line(profile_text="a") + pad[1],
+                                    _line(profile_text="b")]) + "\n")
+        loaded = KnowledgeBase(path).load()
+        assert [(e.profile_text, e.action_path, e.reward) for e in loaded] == [
+            ("a", LEGAL_PATH, 0.5), ("b", LEGAL_PATH, 0.5)
+        ]
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            ["\ufeff" + _line()],
+            [_line() + " {}"],
+            [_line() + "x"],
+            # each line is invalid alone, but the two join into one array of two entries
+            [_line() + ', {"profile_text": "y", "action_path": ["paradigm:generative"], '
+             '"reward": 0.5, "created_at": 0.0, "z": [{}', "{}]}"],
+        ],
+        ids=["leading_bom", "trailing_value", "trailing_garbage", "valid_only_when_joined"],
+    )
+    def test_load_refuses_what_json_loads_refuses_with_its_text(self, tmp_path, lines):
+        path = tmp_path / "kb.jsonl"
+        path.write_text("\n".join([self.HEADER, _line(), *lines, _line()]) + "\n")
+        message = f"{path}:3 is not a valid knowledge-base line: {_loads_error(lines[0])}"
+        with pytest.raises(ValidationError) as info:
+            KnowledgeBase(path).load()
+        assert str(info.value) == message
+        # the rules record() checks its line against refuse it the same way
+        for line in lines:
+            with pytest.raises(ValidationError, match="is not a valid knowledge-base line"):
+                knowledge._parse_line(line, set())
 
 
 class TestStoreFormat:
