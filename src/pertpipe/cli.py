@@ -44,29 +44,40 @@ def _fail(code: str, message: str, exit_code: int, **details):
 
 
 @contextmanager
-def _writing(out):
-    """End the command with the JSON error ``output`` on an OSError while writing ``out``."""
+def _failing(code: str, exit_code: int, *errors, message=str):
+    """End the command with the JSON error ``code`` when one of ``errors`` is raised inside.
+
+    ``message`` words the error from the exception. Nested blocks catch
+    innermost first, as the ``except`` clauses of one ``try`` catch top first.
+    """
     try:
         yield
-    except OSError as exc:
-        _fail("output", f"cannot write {out}: {exc.strerror or exc}", EXIT_VALIDATION)
+    except errors as exc:
+        _fail(code, message(exc), exit_code)
+
+
+def _writing(out):
+    """End the command with the JSON error ``output`` on an OSError while writing ``out``."""
+    return _failing("output", EXIT_VALIDATION, OSError,
+                    message=lambda exc: f"cannot write {out}: {exc.strerror or exc}")
 
 
 def _resolved_config(config_path, sets, mode=None, model=None):
     from .manifest import parse_config_file, resolve_config
 
-    file_values = parse_config_file(config_path) if config_path else None
-    overrides = {}
-    for item in sets:
-        if "=" not in item:
-            _fail("usage", f"--set expects key=value, got {item!r}", EXIT_USAGE)
-        key, _, value = item.partition("=")
-        overrides[key.strip()] = value.strip()
-    if mode:  # --mode and --model beat the config file and --set
-        overrides["search.mode"] = "flat_ablation" if mode == "flat" else "hierarchical"
-    if model:
-        overrides["unify.model"] = model
-    return resolve_config(file_values, overrides)
+    with _failing("config", EXIT_USAGE, ParameterError, OSError):
+        file_values = parse_config_file(config_path) if config_path else None
+        overrides = {}
+        for item in sets:
+            if "=" not in item:
+                _fail("usage", f"--set expects key=value, got {item!r}", EXIT_USAGE)
+            key, _, value = item.partition("=")
+            overrides[key.strip()] = value.strip()
+        if mode:  # --mode and --model beat the config file and --set
+            overrides["search.mode"] = "flat_ablation" if mode == "flat" else "hierarchical"
+        if model:
+            overrides["unify.model"] = model
+        return resolve_config(file_values, overrides)
 
 
 # click < 8.2 shows the help of a bare group and exits 0 instead of raising
@@ -123,50 +134,39 @@ def unify(raw_bundle, out_dir, mapping_file, induce, llm_transport, replay_file,
 
     if bool(mapping_file) == bool(induce):
         _fail("usage", "exactly one of --mapping or --induce is required", EXIT_USAGE)
-    try:
-        config = _resolved_config(config_path, sets, model=model)
-    except (ParameterError, OSError) as exc:
-        _fail("config", str(exc), EXIT_USAGE)
-    try:
+    config = _resolved_config(config_path, sets, model=model)
+    with _failing("bundle", EXIT_VALIDATION, BundleFormatError, ValidationError):
         table = read_raw_bundle(raw_bundle)
-    except (BundleFormatError, ValidationError) as exc:
-        _fail("bundle", str(exc), EXIT_VALIDATION)
 
     if mapping_file:
-        try:
+        with (
+            _failing("mapping_spec", EXIT_VALIDATION, MappingError, OSError),
+            _failing("mapping_spec", EXIT_VALIDATION, UnicodeDecodeError,
+                     message=lambda exc: f"mapping file is not UTF-8 text: {exc}"),
+        ):
             spec = MappingSpec.from_json(Path(mapping_file).read_text(encoding="utf-8"))
-        except UnicodeDecodeError as exc:
-            _fail("mapping_spec", f"mapping file is not UTF-8 text: {exc}", EXIT_VALIDATION)
-        except MappingError as exc:
-            _fail("mapping_spec", str(exc), EXIT_VALIDATION)
     else:
         preview = preview_schema(table, sample_size=config["unify.sample_size"])
-        try:
+        with (
+            _failing("mapping_spec", EXIT_VALIDATION, MappingError),
+            _failing("llm_response", EXIT_TRANSPORT, LlmReplyError),
+            _failing("transport", EXIT_TRANSPORT, TransportError),
+        ):
             client = _make_client(llm_transport, replay_file, mock_response, config)
             spec = induce_mapping(preview, client)
-        except TransportError as exc:
-            _fail("transport", str(exc), EXIT_TRANSPORT)
-        except LlmReplyError as exc:
-            _fail("llm_response", str(exc), EXIT_TRANSPORT)
-        except MappingError as exc:
-            _fail("mapping_spec", str(exc), EXIT_VALIDATION)
     manifest = RunManifest(
         command="unify",
         config=dict(config),
         input_digests={"raw_bundle": bundle_digest(raw_bundle), "mapping": spec.digest},
         seed=0,
     )
-    try:
+    with _failing("apply_mapping", EXIT_VALIDATION, MappingError, ValidationError):
         ds = apply_mapping(table, spec, combo_delimiter=config["unify.combo_delimiter"])
-    except (MappingError, ValidationError) as exc:
-        _fail("apply_mapping", str(exc), EXIT_VALIDATION)
 
     out = Path(out_dir)
     with _writing(out):
-        try:
+        with _failing("apply_mapping", EXIT_VALIDATION, BundleFormatError):  # an unstorable value
             write_canonical_bundle(ds, out)
-        except BundleFormatError as exc:  # a mapped value the bundle cannot store
-            _fail("apply_mapping", str(exc), EXIT_VALIDATION)
         manifest.finish(
             status="ok",
             canonical_digest=bundle_digest(out),
@@ -220,30 +220,21 @@ def search(bundle, out_dir, evaluator_spec, mode, kb_path, seed, fail_rate,
     from .manifest import RunManifest, to_retrieval_params, to_search_config
     from .search import run_search
 
-    try:
-        config = _resolved_config(config_path, sets, mode)
-    except (ParameterError, OSError) as exc:
-        _fail("config", str(exc), EXIT_USAGE)
-    try:
+    config = _resolved_config(config_path, sets, mode)
+    with _failing("bundle", EXIT_VALIDATION, BundleFormatError, ValidationError):
         ds = read_canonical_bundle(bundle)
-    except (BundleFormatError, ValidationError) as exc:
-        _fail("bundle", str(exc), EXIT_VALIDATION)
 
     if kb_path:  # a store that fails to load ends the run before any preparation
         kb = KnowledgeBase(kb_path)
-        try:
+        with _failing("kb", EXIT_VALIDATION, ValidationError):
             entries = kb.load()
-        except ValidationError as exc:
-            _fail("kb", str(exc), EXIT_VALIDATION)
-    try:
+    with _failing("evaluator", EXIT_USAGE, ParameterError, OSError):
         scored, split_used = _make_evaluator(evaluator_spec, ds, config, seed)
         evaluator = scored
         if fail_rate != 0:  # the injector refuses a rate outside [0, 1], NaN too
             evaluator = FailureInjectingEvaluator(
                 scored, failure_rate=fail_rate, fix_succeeds=fail_fixable
             )
-    except (ParameterError, OSError) as exc:
-        _fail("evaluator", str(exc), EXIT_USAGE)
 
     profile_text = _profile_text(ds, config, evaluator_spec)
     retrieval = None
@@ -306,10 +297,8 @@ def search(bundle, out_dir, evaluator_spec, mode, kb_path, seed, fail_rate,
             action_path=hierarchical_path(result.best_path),
             reward=min(1.0, max(0.0, result.best_reward)),
         )
-        try:
+        with _failing("kb", EXIT_VALIDATION, ValidationError):
             kb.record(entry)
-        except ValidationError as exc:
-            _fail("kb", str(exc), EXIT_VALIDATION)
     files["best_candidate.json"] = json.dumps(best, indent=2, sort_keys=True) + "\n"
     manifest.finish(status="ok", **{k: best[k] for k in ("candidate", "reward", "m_val")})
     with _writing(out_dir):
@@ -325,8 +314,10 @@ def _make_evaluator(spec: str, ds, config, seed):
         kind = config["split.kind"]
         if kind == "unseen_perturbation":
             split = split_unseen_perturbation(ds, train_frac=config["split.train_frac"], seed=seed)
-        else:  # unseen_cell
+        else:  # unseen_cell: the last cell type in sorted order is held out
             types = sorted(set(ds.cell_type.tolist()))
+            if not types:
+                raise ParameterError("the unseen_cell split needs cells; the bundle has none")
             split = split_unseen_cell(ds, types[-1], seed)
         return SurrogateEvaluator(ds, split), kind
     if spec.startswith("landscape:"):
@@ -358,20 +349,21 @@ def evaluate(bundle, predictions, control_name):
     from .data import PseudoBulkProfile, pseudo_bulk
     from .metrics import evaluate_predictions
 
-    try:
+    with _failing("bundle", EXIT_VALIDATION, BundleFormatError, ValidationError):
         ds = read_canonical_bundle(bundle)
-    except (BundleFormatError, ValidationError) as exc:
-        _fail("bundle", str(exc), EXIT_VALIDATION)
-    try:
+    with (
+        _failing("predictions", EXIT_VALIDATION, OSError),
+        _failing("predictions", EXIT_VALIDATION, UnicodeDecodeError,
+                 message=lambda exc: f"predictions file is not UTF-8 text: {exc}"),
+        _failing("predictions", EXIT_VALIDATION, json.JSONDecodeError, RecursionError,
+                 message=lambda exc: f"predictions file is not valid JSON: {exc}"),
+    ):
         doc = json.loads(Path(predictions).read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        _fail("predictions", f"predictions file is not UTF-8 text: {exc}", EXIT_VALIDATION)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        _fail("predictions", f"predictions file is not valid JSON: {exc}", EXIT_VALIDATION)
     if not isinstance(doc, dict):
         _fail("predictions", "predictions file must map condition -> vector", EXIT_VALIDATION)
 
-    truth = pseudo_bulk(ds)
+    with _failing("evaluate", EXIT_VALIDATION, ParameterError):  # a bundle of no cells
+        truth = pseudo_bulk(ds)
     if control_name is None:
         control_rows = np.flatnonzero(ds.is_control)
         if control_rows.size == 0:
@@ -383,11 +375,9 @@ def evaluate(bundle, predictions, control_name):
 
     predicted = []
     for cond, vec in doc.items():
-        try:
+        with _failing("predictions", EXIT_VALIDATION, ValueError, OverflowError,
+                      message=lambda exc: f"condition {cond!r} is not a vector of numbers: {exc}"):
             arr = _json_vector(vec)
-        except (ValueError, OverflowError) as exc:
-            _fail("predictions", f"condition {cond!r} is not a vector of numbers: {exc}",
-                  EXIT_VALIDATION)
         if arr.shape != (ds.n_genes,):
             _fail(
                 "shape",
@@ -405,10 +395,8 @@ def evaluate(bundle, predictions, control_name):
                 EXIT_VALIDATION,
             )
         predicted.append(PseudoBulkProfile(condition_name=cond, mean_expr=arr, n_cells=0))
-    try:
+    with _failing("evaluate", EXIT_VALIDATION, ParameterError, ValidationError):
         report = evaluate_predictions(truth, predicted, control)
-    except (ParameterError, ValidationError) as exc:
-        _fail("evaluate", str(exc), EXIT_VALIDATION)
     click.echo(report.to_json())
 
 
@@ -437,18 +425,15 @@ def gen_synthetic(out_dir, n_genes, n_perts, cells_per_condition, noise_sigma,
     from .evaluators import SyntheticConfig, generate_synthetic
     from .manifest import RunManifest
 
-    try:
-        cfg = SyntheticConfig(
+    with _failing("gen_synthetic", EXIT_VALIDATION, ParameterError, ValidationError):
+        ds, truth = generate_synthetic(SyntheticConfig(
             n_genes=n_genes,
             n_perts=n_perts,
             cells_per_condition=cells_per_condition,
             noise_sigma=noise_sigma,
             effect_sparsity=effect_sparsity,
             seed=seed,
-        )
-        ds, truth = generate_synthetic(cfg)
-    except (ParameterError, ValidationError) as exc:
-        _fail("gen_synthetic", str(exc), EXIT_VALIDATION)
+        ))
     out = Path(out_dir)
     manifest = RunManifest(
         command="gen-synthetic",
@@ -480,7 +465,10 @@ def kb():
 @kb.command("list")
 @click.option("--kb", "kb_path", required=True, type=click.Path(dir_okay=False))
 def kb_list(kb_path):
-    entries = _load_kb_entries(kb_path)
+    from .knowledge import KnowledgeBase
+
+    with _failing("kb", EXIT_VALIDATION, ValidationError):
+        entries = KnowledgeBase(kb_path).load()
     rows = [
         {
             "index": i,
@@ -498,7 +486,10 @@ def kb_list(kb_path):
 @click.argument("index", type=int)
 @click.option("--kb", "kb_path", required=True, type=click.Path(dir_okay=False))
 def kb_show(index, kb_path):
-    entries = _load_kb_entries(kb_path)
+    from .knowledge import KnowledgeBase
+
+    with _failing("kb", EXIT_VALIDATION, ValidationError):
+        entries = KnowledgeBase(kb_path).load()
     if not entries:
         _fail("kb", f"knowledge base {kb_path} is empty", EXIT_USAGE)
     if not (0 <= index < len(entries)):
@@ -529,20 +520,9 @@ def kb_add(kb_path, profile, reward, path_text):
 
     actions = tuple(a.strip() for a in path_text.split(",") if a.strip())
     entry = make_entry(profile_text=profile, action_path=actions, reward=reward)
-    try:
+    with _failing("kb", EXIT_VALIDATION, ValidationError):
         KnowledgeBase(kb_path).record(entry)
-    except ValidationError as exc:
-        _fail("kb", str(exc), EXIT_VALIDATION)
     click.echo(json.dumps({"recorded": True, "path": list(actions)}))
-
-
-def _load_kb_entries(kb_path):
-    from .knowledge import KnowledgeBase
-
-    try:
-        return KnowledgeBase(kb_path).load()
-    except ValidationError as exc:
-        _fail("kb", str(exc), EXIT_VALIDATION)
 
 
 if __name__ == "__main__":

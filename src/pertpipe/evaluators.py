@@ -145,10 +145,10 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[CanonicalDataset, GroundTr
         direction[support] = signs * magnitude * x0[support] * 0.5
 
     amplitudes = rng.uniform(0.6, 1.0, size=p)
-    wiggle = rng.normal(0.0, 0.05, size=(p, g))
-    effects = np.zeros((p, g))
-    for i in range(p):
-        effects[i] = amplitudes[i] * direction * (1.0 + wiggle[i])
+    # amplitude * direction * (1 + wiggle), in place to hold no third p x g array
+    effects = rng.normal(0.0, 0.05, size=(p, g))  # the wiggle
+    effects += 1.0
+    effects *= amplitudes[:, None] * direction
     effects[:, np.setdiff1d(np.arange(g), support)] = 0.0
 
     pert_names = tuple(f"PERT_{i:03d}" for i in range(p))

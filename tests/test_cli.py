@@ -1604,6 +1604,137 @@ class TestClickUsageErrors:
         assert _stderr_error(result)["error"] == {"code": "usage", "message": "missing command"}
 
 
+_INDUCE = ["unify", "{raw}", "{out}", "--induce", "--llm-transport"]
+
+# (command line, exit code, JSON error) of exits that no other test reaches
+DOCUMENTED_EXITS = {
+    "set_without_equals": (
+        [*_SEARCH, "--set", "search.n_sim"], 1,
+        {"code": "usage", "message": "--set expects key=value, got 'search.n_sim'"},
+    ),
+    "replay_without_a_file": (
+        [*_INDUCE, "replay"], 3,
+        {"code": "transport", "message": "replay transport needs --replay-file"},
+    ),
+    "mock_without_a_response": (
+        [*_INDUCE, "mock"], 3,
+        {"code": "transport", "message": "mock transport needs --mock-response"},
+    ),
+    "predictions_an_array": (
+        ["evaluate", "{bundle}", "{array}"], 2,
+        {"code": "predictions", "message": "predictions file must map condition -> vector"},
+    ),
+    "bundle_without_controls": (
+        ["evaluate", "{no_controls}", "{empty}"], 2,
+        {"code": "predictions", "message": "bundle has no control cells; pass --control"},
+    ),
+    "control_not_in_the_bundle": (
+        ["evaluate", "{bundle}", "{empty}", "--control", "ghost"], 2,
+        {"code": "predictions", "message": "control condition 'ghost' not in bundle"},
+    ),
+    "predicted_condition_not_in_the_bundle": (
+        ["evaluate", "{bundle}", "{ghost}"], 2,
+        {"code": "evaluate",
+         "message": "predicted condition 'ghost' has no matching truth condition"},
+    ),
+    "kb_show_past_the_end": (
+        ["kb", "show", "1", "--kb", "{kb}"], 1,
+        {"code": "kb", "message": "index 1 out of range (0..0)"},
+    ),
+}
+
+
+class TestDocumentedExits:
+    @pytest.mark.parametrize(
+        "argv, exit_code, error", DOCUMENTED_EXITS.values(), ids=DOCUMENTED_EXITS.keys()
+    )
+    def test_exits_with_its_json_error(self, runner, synthetic_bundle, raw_bundle_dir,
+                                       tmp_path, argv, exit_code, error):
+        paths = {"bundle": synthetic_bundle, "raw": raw_bundle_dir, "out": tmp_path / "out",
+                 "no_controls": tmp_path / "no_controls", "kb": tmp_path / "kb.jsonl"}
+        n_genes = read_canonical_bundle(synthetic_bundle).n_genes
+        for name, doc in [("array", []), ("empty", {}), ("ghost", {"ghost": [0.0] * n_genes})]:
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(doc))
+        no_controls = small_canonical({"A": [[1.0, 2.0]], "B": [[2.0, 1.0]]}, control_name="-")
+        write_canonical_bundle(no_controls, paths["no_controls"])
+        KnowledgeBase(paths["kb"]).record(make_entry("p", ("paradigm:generative",), 0.5))
+        result = runner.invoke(main, [a.format(**paths) for a in argv])
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == exit_code, result.output
+        assert _stderr_error(result)["error"] == error
+        assert result.stdout == ""
+
+
+@pytest.fixture
+def cell_free_bundle(runner, tmp_path):
+    """A canonical bundle of zero cells, unified from a raw bundle of zero cells."""
+    raw = tmp_path / "raw0"
+    table = RawTable(obs={"drug_id": np.array([], dtype=object)},
+                     var_index=np.array(["g0", "g1"], dtype=object), X=np.zeros((0, 2)))
+    write_raw_bundle(table, raw)
+    mapping = tmp_path / "mapping0.json"
+    mapping.write_text(json.dumps({"perturbation_type": "drug", "perturbation_name": "drug_id",
+                                   "control_status": "df['drug_id'] == 'DMSO'"}))
+    out = tmp_path / "canon0"
+    result = runner.invoke(main, ["unify", str(raw), str(out), "--mapping", str(mapping)])
+    assert result.exit_code == 0, result.output + result.stderr
+    assert json.loads(result.output)["n_cells"] == 0
+    return out
+
+
+class TestInputsThatRaisedPastTheCli:
+    """Inputs that once ended in a traceback end with a JSON error."""
+
+    def test_evaluate_on_a_bundle_without_cells_exits_2(self, runner, cell_free_bundle,
+                                                         tmp_path):
+        predictions = tmp_path / "pred.json"
+        predictions.write_text("{}")
+        result = runner.invoke(main, ["evaluate", str(cell_free_bundle), str(predictions)])
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == 2, result.output
+        assert _stderr_error(result)["error"] == {
+            "code": "evaluate", "message": "cell subset is empty"
+        }
+
+    @pytest.mark.parametrize("kind", ["unseen_cell", "unseen_perturbation"])
+    def test_search_on_a_bundle_without_cells_exits_1(self, runner, cell_free_bundle,
+                                                      tmp_path, kind):
+        result = runner.invoke(main, ["search", str(cell_free_bundle), "--out",
+                                      str(tmp_path / "run"), "--set", f"split.kind={kind}"])
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == 1, result.output
+        assert _stderr_error(result)["error"]["code"] == "evaluator"
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["unify", "{raw}", "{out}", "--mapping", "{file}"], "mapping_spec"),
+         (["evaluate", "{bundle}", "{file}"], "predictions")],
+        ids=["mapping", "predictions"],
+    )
+    def test_a_file_that_cannot_be_read_exits_2(self, runner, raw_bundle_dir, synthetic_bundle,
+                                                tmp_path, monkeypatch, argv, code):
+        unreadable = tmp_path / "input.json"
+        unreadable.write_text("{}")
+        real = Path.read_text
+
+        def denied(path, *args, **kwargs):
+            if path == unreadable:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", denied)
+        paths = {"raw": raw_bundle_dir, "bundle": synthetic_bundle, "file": unreadable,
+                 "out": tmp_path / "out"}
+        result = runner.invoke(main, [a.format(**paths) for a in argv])
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == 2, result.output
+        assert _stderr_error(result)["error"] == {
+            "code": code, "message": f"[Errno 13] Permission denied: '{unreadable}'"
+        }
+
+
 def _fuzz_bytes(valid: bytes):
     """Random bytes, text with a byte that is never UTF-8, and cut-short valid files."""
     return st.one_of(

@@ -168,10 +168,12 @@ class TestMappingSpecLoading:
             ({"var": ["x"]}, "'var' block must be an object"),
             ({"var": {"gene_symbol_col": ["x"]}},
              "var.gene_symbol_col ['x'] is not a column name"),
+            ({"var": {"index_type": "Entrez ID"}}, "var.index_type 'Entrez ID' not recognized"),
         ],
         ids=["log1p_string", "normalization_string", "log1p_int", "target_nan",
              "target_inf_string", "target_numeric_string", "target_bool", "target_huge_int",
-             "target_zero", "numerical_list", "var_list", "symbol_col_list"],
+             "target_zero", "numerical_list", "var_list", "symbol_col_list",
+             "index_type_unknown"],
     )
     @pytest.mark.parametrize("form", ["flat", "nested"])
     def test_numerical_and_var_blocks_are_typed(self, flat_form_mapping, extra, message, form):
@@ -226,6 +228,24 @@ class TestMappingSpecLoading:
             }
         }
         assert MappingSpec.from_dict(flat) == MappingSpec.from_dict(nested)
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"perturbation_name": {"type": "constant"}},
+             "perturbation_name: constant entry missing value"),
+            ({"perturbation_name": {"type": "logic"}},
+             "perturbation_name: logic entry missing expression"),
+            ({"perturbation_name": 42}, "perturbation_name: cannot interpret entry 42"),
+            ({"uscp_mapping": ["obs"]}, "uscp_mapping must be an object"),
+        ],
+        ids=["constant_without_value", "logic_without_expression", "bare_number",
+             "nested_body_a_list"],
+    )
+    def test_malformed_entries_are_violations(self, doc, message):
+        with pytest.raises(MappingError) as err:
+            MappingSpec.from_dict(doc)
+        assert f"- {message}\n" in str(err.value) + "\n"
 
     def test_from_json_rejects_non_json(self):
         with pytest.raises(MappingError, match="not valid JSON") as err:
@@ -385,6 +405,33 @@ class TestApplyMapping:
         ctrl = ds.is_control
         assert ds.pert_mask[ctrl].sum() == 0
         assert ds.pert_dose[ctrl].sum() == 0
+
+    def test_absent_control_status_perturbs_every_cell(self, drug_raw_table):
+        ds = apply_mapping(drug_raw_table, MappingSpec.from_dict({"perturbation_name": "drug_id"}))
+        assert not ds.is_control.any()
+        assert ds.pert_vocab == ("DMSO", "drugA", "drugB")
+        assert np.array_equal(ds.pert_indptr, np.arange(drug_raw_table.n_cells + 1))
+
+    def test_constant_true_control_status_makes_every_cell_a_control(self, drug_raw_table):
+        spec = MappingSpec.from_dict({
+            "perturbation_name": "drug_id",
+            "control_status": {"type": "constant", "value": True},
+            # one name, as cells of one mask/dose pattern must share it
+            "condition_name": {"type": "constant", "value": "vehicle"},
+        })
+        ds = apply_mapping(drug_raw_table, spec)
+        assert ds.is_control.all()
+        assert set(ds.condition_name.tolist()) == {"vehicle"}
+        assert (ds.pert_vocab, ds.pert_indices.size) == ((), 0)
+
+    def test_constant_dose_reaches_every_perturbed_cell(self, drug_raw_table,
+                                                         flat_form_mapping):
+        doc = {**flat_form_mapping, "dose_value": {"type": "constant", "value": 250}}
+        ds = apply_mapping(drug_raw_table, MappingSpec.from_dict(doc))
+        perturbed = ~ds.is_control
+        assert ds.pert_values.dtype == np.float64
+        assert ds.pert_values.tolist() == [250.0] * int(perturbed.sum())
+        assert (ds.pert_dose[perturbed].max(axis=1) == 250.0).all()
 
     def test_missing_source_column_names_it(self, drug_raw_table):
         spec = MappingSpec.from_dict(
