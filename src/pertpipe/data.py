@@ -56,15 +56,13 @@ def cast_column(value, target: str):
             try:
                 return np.array(list(map(float, value.tolist())), dtype=np.float64)
             except (TypeError, ValueError):
-                pass
-            # only a column that does not cast takes the per-row loop, which names the row
-            out = np.empty(len(value), dtype=np.float64)
-            for i, v in enumerate(value):
-                try:
-                    out[i] = float(v)
-                except (TypeError, ValueError):
-                    raise ValueError(f"cannot cast value {v!r} at row {i} to float") from None
-            return out
+                # a column that does not cast: find and name the first such row
+                for i, v in enumerate(value):
+                    try:
+                        float(v)
+                    except (TypeError, ValueError):
+                        raise ValueError(f"cannot cast value {v!r} at row {i} to float") from None
+                raise
         try:
             return float(value)
         except (TypeError, ValueError):
@@ -484,15 +482,13 @@ def pseudo_bulk(
 ) -> list[PseudoBulkProfile]:
     """Per-condition mean expression profiles over a cell subset.
 
-    Returns one profile per distinct condition_name present in the subset
-    (control conditions included, labeled by their own condition name).
-    Profiles come back sorted by condition name for determinism.
+    ``cells`` is an array of cell indices, every cell by default. Returns
+    one profile per distinct condition_name present in the subset (control
+    conditions included, labeled by their own condition name). Profiles
+    come back sorted by condition name for determinism.
     """
     if cells is None:
         cells = np.arange(ds.n_cells)
-    cells = np.asarray(cells)
-    if cells.dtype == bool:
-        cells = np.flatnonzero(cells)
     if cells.size == 0:
         raise ParameterError("cell subset is empty")
     names, codes = factorize(ds.condition_name[cells])

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import cast_column, column_kind
+from .data import RawTable, cast_column, column_kind
 from .errors import PertpipeError
 
 # --------------------------------------------------------------------------
@@ -409,17 +409,7 @@ def parse(text: str) -> Expr:
 _LITERAL_DTYPES = {StrLit: object, NumLit: np.float64, BoolLit: bool}
 
 
-def _table_columns(table) -> tuple[dict[str, np.ndarray], int]:
-    """The obs columns of a table or column dict, and their length."""
-    obs = getattr(table, "obs", table)
-    if not isinstance(obs, dict):
-        raise DslEvalError(f"cannot evaluate against {type(table).__name__}")
-    if obs is not table:
-        return obs, table.n_cells
-    return obs, len(next(iter(obs.values()), ()))
-
-
-def evaluate(expr: Expr, table) -> np.ndarray:
+def evaluate(expr: Expr, table: RawTable) -> np.ndarray:
     """Evaluate an AST against a table's obs columns.
 
     Returns a column of length n_cells. A literal stands for the column
@@ -427,7 +417,7 @@ def evaluate(expr: Expr, table) -> np.ndarray:
     Both operands of ``and``/``or`` always evaluate (columns have no
     short-circuit semantics). Never executes arbitrary code.
     """
-    columns, n = _table_columns(table)
+    columns, n = table.obs, table.n_cells
 
     def ev(node: Expr) -> np.ndarray:
         if isinstance(node, ColumnRef):

@@ -105,15 +105,14 @@ class GroundTruth:
     effects: np.ndarray  # (n_perts, n_genes), linear space
     pert_names: tuple[str, ...]
     support: np.ndarray  # gene indices carrying the effects
-    linear_X: np.ndarray  # pre-log expression, same row order as the dataset
 
     def to_json(self) -> str:
         return json.dumps(
             {
-                "x0": [float(v) for v in self.x0],
-                "effects": [[float(v) for v in row] for row in self.effects],
+                "x0": self.x0.tolist(),
+                "effects": self.effects.tolist(),
                 "pert_names": list(self.pert_names),
-                "support": [int(i) for i in self.support],
+                "support": self.support.tolist(),
             },
             sort_keys=True,
         )
@@ -182,10 +181,7 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[CanonicalDataset, GroundTr
     report = validate_canonical(ds, x_checked=True)
     if not report.ok:
         raise ValidationError(f"synthetic dataset failed validation:\n{report}")
-    truth = GroundTruth(
-        x0=x0, effects=effects, pert_names=pert_names, support=support, linear_X=linear
-    )
-    return ds, truth
+    return ds, GroundTruth(x0=x0, effects=effects, pert_names=pert_names, support=support)
 
 
 # --------------------------------------------------------------------------
@@ -376,8 +372,7 @@ class SurrogateEvaluator:
     """
 
     def __init__(self, dataset: CanonicalDataset, split: SplitAssignment):
-        self.dataset = dataset
-        self.split = split
+        self._size = dataset.n_cells * dataset.n_genes / 5e4
         self._ridges: dict[tuple[str, float], tuple[np.ndarray, np.ndarray]] = {}
         self._prepared = _prepare(dataset, split)
 
@@ -404,8 +399,7 @@ class SurrogateEvaluator:
         return EvalOutcome(m_val=max(0.0, float(np.mean(scores))), t_exec=sim_time)
 
     def _simulated_time(self, candidate: Candidate) -> float:
-        size = self.dataset.n_cells * self.dataset.n_genes / 5e4
-        t = _FAMILY_COST[candidate.backbone] * (0.5 + size)
+        t = _FAMILY_COST[candidate.backbone] * (0.5 + self._size)
         if candidate.hyperparams.learning_rate < 1e-2:
             t *= 1.3
         if candidate.loss == "huber":

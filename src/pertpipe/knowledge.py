@@ -69,18 +69,17 @@ def embed(texts) -> np.ndarray:
     whitespace never change a row. The counts are integers, so the rows do
     not depend on which texts share the batch.
 
-    Each distinct text is tokenized once, and a repeated text shares its
-    row. Tokenizing runs in C: the lowercased text is encoded as UTF-8, a
+    A repeated text is tokenized again: ``retrieve`` passes distinct texts.
+    Tokenizing runs in C: the lowercased text is encoded as UTF-8, a
     256-byte table turns every byte but ``a-z0-9`` into a space, and
     ``bytes.split`` cuts the runs. This equals
     ``re.findall("[a-z0-9]+", text.lower())``, as every other code point,
     a lone surrogate included (hence ``surrogatepass``), encodes to bytes
     of 0x80 and above.
     """
-    distinct, inverse = _first_seen(texts)
     tokens = [
         text.lower().encode("utf-8", "surrogatepass").translate(_TOKEN_TABLE).split()
-        for text in distinct
+        for text in texts
     ]
     cols = np.fromiter(map(_Buckets().__getitem__, chain.from_iterable(tokens)), dtype=np.int64)
     rows = np.repeat(np.arange(len(tokens)), list(map(len, tokens)))
@@ -88,7 +87,7 @@ def embed(texts) -> np.ndarray:
     vecs = counts.reshape(len(tokens), EMBED_DIM).astype(np.float64)
     norms = np.linalg.norm(vecs, axis=1, keepdims=True)
     np.divide(vecs, norms, out=vecs, where=norms > 0)
-    return vecs if len(distinct) == len(inverse) else vecs[inverse]
+    return vecs
 
 
 class _Buckets(dict):

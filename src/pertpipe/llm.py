@@ -72,7 +72,7 @@ class LlmClient:
     def _complete_live(self, messages: list[dict[str, str]]) -> str:
         # imported here: urllib.request loads http.client, ssl and email, which
         # every process importing pertpipe would otherwise pay for
-        import urllib.error
+        import http.client
         import urllib.request
 
         body = json.dumps({"model": self._model, "messages": messages}).encode()
@@ -80,13 +80,15 @@ class LlmClient:
         key = os.environ.get(KEY_ENV)
         if key:
             headers["Authorization"] = f"Bearer {key}"
-        request = urllib.request.Request(
-            self._endpoint, data=body, headers=headers, method="POST"
-        )
+        # OSError covers URLError and timeouts; ValueError an endpoint without a
+        # scheme and a body that is not UTF-8
         try:
+            request = urllib.request.Request(
+                self._endpoint, data=body, headers=headers, method="POST"
+            )
             with urllib.request.urlopen(request, timeout=TIMEOUT_S) as resp:
                 payload = resp.read().decode()
-        except urllib.error.URLError as exc:
+        except (OSError, ValueError, http.client.HTTPException) as exc:
             raise TransportError(f"LLM endpoint request failed: {exc}") from exc
         return _extract_chat_text(payload)
 
@@ -98,11 +100,10 @@ def _extract_chat_text(payload: str) -> str:
         return payload
     if isinstance(doc, dict):
         choices = doc.get("choices")
-        if isinstance(choices, list) and choices:
-            message = choices[0].get("message", {})
-            content = message.get("content")
-            if isinstance(content, str):
-                return content
+        if isinstance(choices, list) and choices and isinstance(choices[0], dict):
+            message = choices[0].get("message")
+            if isinstance(message, dict) and isinstance(message.get("content"), str):
+                return message["content"]
         content = doc.get("content")
         if isinstance(content, str):
             return content

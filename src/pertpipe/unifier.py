@@ -317,24 +317,8 @@ def _finish_spec(
 # schema previewing
 
 
-@dataclass(frozen=True)
-class ColumnPreview:
-    name: str
-    dtype: str
-    samples: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class SchemaPreview:
-    obs_columns: tuple[ColumnPreview, ...]
-    var_index_samples: tuple[str, ...]
-    x_stats: tuple[float, float, float]  # min, max, mean
-    n_cells: int
-    n_genes: int
-    notes: tuple[str, ...]
-
-
-def _first_distinct(values, limit: int) -> tuple[str, ...]:
+def _first_distinct(values, limit: int) -> str:
+    """The first ``limit`` distinct values of ``values`` as text, each repr'd."""
     out: list[str] = []
     seen: set[str] = set()
     for v in values:
@@ -344,51 +328,32 @@ def _first_distinct(values, limit: int) -> tuple[str, ...]:
             out.append(s)
             if len(out) >= limit:
                 break
-    return tuple(out)
+    return ", ".join(map(repr, out))
 
 
-def preview_schema(table: RawTable, sample_size: int) -> SchemaPreview:
-    """Deterministic schema fingerprint used to prompt for a mapping."""
+def preview_schema(table: RawTable, sample_size: int) -> str:
+    """The schema preview that prompts for a mapping, as deterministic text.
+
+    It gives the table's shape, the min, max and mean of ``X`` (0 for an
+    empty matrix) with a note when the maximum looks like raw counts, each
+    obs column's kind and first ``sample_size`` distinct values, and as many
+    var index values.
+    """
     if sample_size < 1:
         raise ParameterError(f"sample_size must be >= 1, got {sample_size}")
-    columns = []
-    for name, col in table.obs.items():
-        columns.append(
-            ColumnPreview(
-                name=name, dtype=column_kind(col), samples=_first_distinct(col, sample_size)
-            )
-        )
-    x_min = float(table.X.min()) if table.X.size else 0.0
-    x_max = float(table.X.max()) if table.X.size else 0.0
-    x_mean = float(table.X.mean()) if table.X.size else 0.0
-    notes = []
-    if x_max > RAW_COUNTS_THRESHOLD:
-        notes.append("likely raw counts")
-    return SchemaPreview(
-        obs_columns=tuple(columns),
-        var_index_samples=_first_distinct(table.var_index, sample_size),
-        x_stats=(x_min, x_max, x_mean),
-        n_cells=table.n_cells,
-        n_genes=table.n_genes,
-        notes=tuple(notes),
-    )
-
-
-def render_preview_text(preview: SchemaPreview) -> str:
+    X = table.X
+    stats = [float(f()) for f in (X.min, X.max, X.mean)] if X.size else [0.0] * 3
     lines = [
-        f"cells: {preview.n_cells}",
-        f"genes: {preview.n_genes}",
-        "expression stats: min={:.6g} max={:.6g} mean={:.6g}".format(*preview.x_stats),
+        f"cells: {table.n_cells}",
+        f"genes: {table.n_genes}",
+        "expression stats: min={:.6g} max={:.6g} mean={:.6g}".format(*stats),
     ]
-    for note in preview.notes:
-        lines.append(f"note: {note}")
+    if stats[1] > RAW_COUNTS_THRESHOLD:
+        lines.append("note: likely raw counts")
     lines.append("obs columns:")
-    for col in preview.obs_columns:
-        sample_text = ", ".join(repr(s) for s in col.samples)
-        lines.append(f"  - {col.name} ({col.dtype}): [{sample_text}]")
-    lines.append(
-        "var index samples: " + ", ".join(repr(s) for s in preview.var_index_samples)
-    )
+    for name, col in table.obs.items():
+        lines.append(f"  - {name} ({column_kind(col)}): [{_first_distinct(col, sample_size)}]")
+    lines.append("var index samples: " + _first_distinct(table.var_index, sample_size))
     return "\n".join(lines)
 
 
@@ -410,19 +375,17 @@ def load_prompt_template(name: str) -> str:
     return (resources.files("pertpipe") / "prompts" / name).read_text()
 
 
-def build_mapping_messages(preview: SchemaPreview) -> list[dict[str, str]]:
+def build_mapping_messages(preview: str) -> list[dict[str, str]]:
     system = load_prompt_template("unify_system.txt")
-    user = load_prompt_template("unify_user.txt").replace(
-        "{schema_preview}", render_preview_text(preview)
-    )
+    user = load_prompt_template("unify_user.txt").replace("{schema_preview}", preview)
     return [
         {"role": "system", "content": system},
         {"role": "user", "content": user},
     ]
 
 
-def induce_mapping(preview: SchemaPreview, client: LlmClient) -> MappingSpec:
-    """Prompt the client with a schema preview and validate its mapping reply."""
+def induce_mapping(preview: str, client: LlmClient) -> MappingSpec:
+    """Prompt the client with a schema preview's text and validate its mapping reply."""
     response = client.complete(build_mapping_messages(preview))
     block = extract_json_block(response)
     return MappingSpec.from_json(block, raw_response=response)

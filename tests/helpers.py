@@ -39,6 +39,7 @@ from pertpipe.data import (
     CANONICAL_OBS_KEYS,
     PERT_TYPES,
     CanonicalDataset,
+    RawTable,
     ValidationIssue,
     pseudo_bulk,
 )
@@ -204,6 +205,16 @@ def csr_from_dense(mask, dose) -> dict[str, np.ndarray]:
     }
 
 
+def obs_table(columns: dict[str, np.ndarray], n_cells: int | None = None) -> RawTable:
+    """A ``RawTable`` of these obs columns and no genes, for ``dsl.evaluate``.
+
+    ``n_cells`` defaults to the length of the first column.
+    """
+    if n_cells is None:
+        n_cells = len(next(iter(columns.values())))
+    return RawTable(obs=columns, var_index=np.array([], dtype=object), X=np.zeros((n_cells, 0)))
+
+
 def dataset_from_fields(fields: dict) -> CanonicalDataset:
     """A ``CanonicalDataset`` from fields that hold dense ``pert_mask``/``pert_dose``."""
     fields = dict(fields)
@@ -345,14 +356,14 @@ def reference_surrogate_evaluate(ds, split, candidate) -> EvalOutcome:
     return EvalOutcome(m_val=max(0.0, float(np.mean(scores))), t_exec=sim_time)
 
 
-def reference_scored_m_val(ev, candidate) -> float | None:
+def reference_scored_m_val(ev, ds, split, candidate) -> float | None:
     """``ev``'s ``m_val`` for ``candidate``, scored the way ``evaluate`` did
     before it scored every val condition in one array pass: its own fit,
     then, for each val condition on its own, the truth side, the side of
     that condition's prediction and one ``pcc_of_sides`` call. ``delta_pcc``
     takes the same steps, so these are also the bits of one ``delta_pcc``
-    call per condition. ``ev``'s split must not be degenerate."""
-    ds, split = ev.dataset, ev.split
+    call per condition. ``ev`` is built on ``ds`` and ``split``, which must
+    not be degenerate."""
     stats, views = ev._prepared
     val = split.indices("val")
     val_ctrl = val[ds.is_control[val]]

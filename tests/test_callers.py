@@ -3,6 +3,12 @@ the tests: its name occurs in code of ``src/``, ``perfbench/`` (its tests
 aside), or a code span of ``README.md`` or ``docs/``, outside its own
 definition. Docstrings, comments and prose strings do not count. Dunders,
 which Python calls, and click commands, which click calls, are exempt.
+
+Every dataclass field in ``src/pertpipe`` is read by code of ``src/`` or
+``perfbench/`` (its tests aside): an attribute load or a string naming it,
+as ``getattr`` spells it; setting a field or passing it to the constructor
+is no read. Every field of a class whose instances ``dataclasses.asdict``
+serializes counts as read.
 """
 
 from __future__ import annotations
@@ -105,3 +111,85 @@ def test_a_name_used_only_in_its_own_body_or_docstring_is_unused():
     uses = _uses(tree)
     assert uses["helper"] == 0 and uses["n"] == 2
     assert uses["lookup"] == 1 and uses["x"] == 1 and uses["caller"] == 0
+
+
+# fields that only the tests read, each kept for the reason given
+_FIELDS_READ_BY_TESTS = {
+    "RetrievalResult.ranked":
+        "the ranking that retrieve returns, pinned by the retrieval tests",
+    "MappingSpec.var_index_type":
+        "the checked var.index_type, which the docs say is not translated",
+}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    targets = (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)
+    return any(isinstance(t, ast.Name) and t.id == "dataclass" for t in targets)
+
+
+def _fields():
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                        yield f"{path.name}:{stmt.lineno}", node.name, stmt.target.id
+
+
+def _reads(tree: ast.AST) -> tuple[set, set]:
+    """Attribute names that the code of ``tree`` loads or spells in a string,
+    and the classes whose instances it passes to ``dataclasses.asdict``."""
+    reads, whole = set(), set()
+
+    def visit(node: ast.AST, cls: str | None) -> None:
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if _DOTTED.fullmatch(node.value):
+                reads.update(node.value.split("."))
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "asdict":
+            arg = node.args[0]
+            if isinstance(arg, ast.Name) and arg.id == "self":
+                whole.add(cls)
+            elif isinstance(arg, ast.Call) and isinstance(arg.func, ast.Name):
+                whole.add(arg.func.id)
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        for child in ast.iter_child_nodes(node):
+            if not _is_docstring(child, node):
+                visit(child, cls)
+
+    visit(tree, None)
+    return reads, whole
+
+
+def test_each_dataclass_field_is_read_outside_the_tests():
+    reads, whole = set(), set()
+    for path in [*(ROOT / "src").rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")]:
+        if "tests" not in path.relative_to(ROOT).parts:
+            more_reads, more_whole = _reads(ast.parse(path.read_text(encoding="utf-8")))
+            reads |= more_reads
+            whole |= more_whole
+    unread = {
+        f"{cls}.{name}": where
+        for where, cls, name in _fields()
+        if name not in reads and cls not in whole
+    }
+    assert sorted(f"{where} {key}" for key, where in unread.items()
+                  if key not in _FIELDS_READ_BY_TESTS) == []
+    # an allowed field that code now reads, or that is gone, leaves the list
+    assert sorted(_FIELDS_READ_BY_TESTS.keys() - unread.keys()) == []
+
+
+def test_a_field_set_or_passed_by_keyword_is_unread():
+    reads, whole = _reads(ast.parse(
+        "class Manifest:\n"
+        "    def write(self):\n"
+        "        return asdict(self)\n"
+        "def build(row):\n"
+        "    row.stored = Row(kept=1)\n"
+        "    return row.loaded, getattr(row, 'named'), asdict(Other(x=2))\n"
+    ))
+    assert {"loaded", "named"} <= reads
+    assert not {"stored", "kept", "x"} & reads
+    assert whole == {"Manifest", "Other"}

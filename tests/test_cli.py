@@ -1734,6 +1734,36 @@ class TestInputsThatRaisedPastTheCli:
             "code": code, "message": f"[Errno 13] Permission denied: '{unreadable}'"
         }
 
+    @pytest.mark.parametrize(
+        "endpoint, reply, code, message",
+        [
+            ("llm.invalid/v1", b"", "transport",
+             "LLM endpoint request failed: unknown url type: 'llm.invalid/v1'"),
+            ("http://llm.invalid/v1", TimeoutError("timed out"), "transport",
+             "LLM endpoint request failed: timed out"),
+            ("http://llm.invalid/v1", b'{"choices": ["x"]}', "llm_response",
+             "no fenced JSON block found in response"),
+        ],
+        ids=["endpoint_without_scheme", "read_timeout", "choice_not_an_object"],
+    )
+    def test_a_live_transport_failure_exits_3(self, runner, raw_bundle_dir, tmp_path,
+                                              monkeypatch, endpoint, reply, code, message):
+        import urllib.request
+
+        def urlopen(request, timeout):
+            if isinstance(reply, Exception):
+                raise reply
+            return io.BytesIO(reply)
+
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        monkeypatch.setenv("HC_LLM_ENDPOINT", endpoint)
+        result = runner.invoke(main, ["unify", str(raw_bundle_dir), str(tmp_path / "out"),
+                                      "--induce", "--llm-transport", "live"])
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == 3, result.output
+        assert _stderr_error(result)["error"] == {"code": code, "message": message}
+        assert not (tmp_path / "out").exists()
+
 
 def _fuzz_bytes(valid: bytes):
     """Random bytes, text with a byte that is never UTF-8, and cut-short valid files."""

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_expr
+from helpers import obs_table, random_expr
 from pertpipe.bundle import write_raw_bundle
 from pertpipe.cli import main
 from pertpipe import dsl
@@ -225,7 +225,7 @@ class TestNesting:
     def test_deep_trees_parse_and_evaluate(self, shape):
         text, columns, value = self.WORKING[shape]
         expr = parse(text)
-        assert evaluate(expr, columns).tolist() == value
+        assert evaluate(expr, obs_table(columns)).tolist() == value
 
     @pytest.mark.parametrize("levels", [400, 5000])
     def test_deep_parentheses_are_unsupported(self, levels):
@@ -236,7 +236,7 @@ class TestNesting:
         # the parser loops over a chain, evaluate recurses on it
         expr = parse(" + ".join(["df['x']"] * 5000))
         with pytest.raises(DslEvalError, match="nested too deeply to evaluate"):
-            evaluate(expr, {"x": np.array([1.0])})
+            evaluate(expr, obs_table({"x": np.array([1.0])}))
 
     # control_status text and the error code: parse refuses deep parentheses,
     # a chain parses but is too deep to evaluate
@@ -300,99 +300,100 @@ class TestParseFidelity:
 
 class TestEvaluate:
     def test_equality_elementwise(self):
-        cols = {"drug_id": np.array(["DMSO", "X", "DMSO"], dtype=object)}
-        out = evaluate(parse("df['drug_id'] == 'DMSO'"), cols)
+        table = obs_table({"drug_id": np.array(["DMSO", "X", "DMSO"], dtype=object)})
+        out = evaluate(parse("df['drug_id'] == 'DMSO'"), table)
         assert out.tolist() == [True, False, True]
 
     def test_cast_float_and_scale(self):
-        cols = {"conc_um": np.array(["10"], dtype=object)}
-        out = evaluate(parse("df['conc_um'].astype(float) * 1000"), cols)
+        table = obs_table({"conc_um": np.array(["10"], dtype=object)})
+        out = evaluate(parse("df['conc_um'].astype(float) * 1000"), table)
         assert out.tolist() == [10000.0]
 
     def test_isin(self):
-        cols = {"a": np.array(["Ctrl", "Drug"], dtype=object)}
-        out = evaluate(parse("df['a'].isin(['Ctrl', 'DMSO'])"), cols)
+        table = obs_table({"a": np.array(["Ctrl", "Drug"], dtype=object)})
+        out = evaluate(parse("df['a'].isin(['Ctrl', 'DMSO'])"), table)
         assert out.tolist() == [True, False]
 
     def test_string_concat(self):
-        cols = {
+        table = obs_table({
             "A": np.array(["g1", "g2"], dtype=object),
             "B": np.array(["x", "y"], dtype=object),
-        }
+        })
         out = evaluate(
             parse("adata.obs['A'].astype(str) + '_' + adata.obs['B'].astype(str)"),
-            cols,
+            table,
         )
         assert out.tolist() == ["g1_x", "g2_y"]
 
     def test_missing_column_lists_available(self):
         with pytest.raises(DslEvalError) as err:
-            evaluate(parse("df['nope']"), {"a": np.array([1.0]), "b": np.array([2.0])})
+            evaluate(parse("df['nope']"), obs_table({"a": np.array([1.0]), "b": np.array([2.0])}))
         message = str(err.value)
         assert "'nope'" in message and "a" in message and "b" in message
 
     def test_type_mismatch_string_times_number(self):
         with pytest.raises(DslEvalError, match="type mismatch"):
-            evaluate(parse("df['a'] * 2"), {"a": np.array(["x"], dtype=object)})
+            evaluate(parse("df['a'] * 2"), obs_table({"a": np.array(["x"], dtype=object)}))
 
     def test_division_by_zero_names_row(self):
-        cols = {"a": np.array([1.0, 2.0]), "b": np.array([1.0, 0.0])}
+        table = obs_table({"a": np.array([1.0, 2.0]), "b": np.array([1.0, 0.0])})
         with pytest.raises(DslEvalError, match="row 1"):
-            evaluate(parse("df['a'] / df['b']"), cols)
+            evaluate(parse("df['a'] / df['b']"), table)
 
     def test_and_or_elementwise_both_operands(self):
-        cols = {
+        table = obs_table({
             "a": np.array([True, True, False]),
             "b": np.array([True, False, False]),
-        }
-        assert evaluate(parse("df['a'] and df['b']"), cols).tolist() == [True, False, False]
-        assert evaluate(parse("df['a'] or df['b']"), cols).tolist() == [True, True, False]
+        })
+        assert evaluate(parse("df['a'] and df['b']"), table).tolist() == [True, False, False]
+        assert evaluate(parse("df['a'] or df['b']"), table).tolist() == [True, True, False]
 
     def test_boolean_op_requires_booleans(self):
-        cols = {"a": np.array([1.0, 2.0])}
+        table = obs_table({"a": np.array([1.0, 2.0])})
         with pytest.raises(DslEvalError, match="type mismatch"):
-            evaluate(parse("df['a'] and df['a']"), cols)
+            evaluate(parse("df['a'] and df['a']"), table)
 
     def test_scalar_broadcast_result(self):
         # a pure-literal expression evaluates to a column of the table's length
-        out = evaluate(parse("2 * 3"), {"a": np.array([0.0, 1.0])})
+        out = evaluate(parse("2 * 3"), obs_table({"a": np.array([0.0, 1.0])}))
         assert isinstance(out, np.ndarray) and out.dtype == np.float64
         assert out.tolist() == [6.0, 6.0]
 
     def test_cast_float_failure_names_row(self):
-        cols = {"a": np.array(["1.5", "oops"], dtype=object)}
+        table = obs_table({"a": np.array(["1.5", "oops"], dtype=object)})
         with pytest.raises(DslEvalError, match="row 1"):
-            evaluate(parse("df['a'].astype(float)"), cols)
+            evaluate(parse("df['a'].astype(float)"), table)
 
     @pytest.mark.parametrize("dtype", [object, str])
     def test_cast_float_reads_each_value_as_float_does(self, dtype):
-        cols = {"a": np.array([" 1e3 ", "-0", "nan", "2.5"], dtype=dtype)}
-        out = evaluate(parse("df['a'].astype(float)"), cols)
+        table = obs_table({"a": np.array([" 1e3 ", "-0", "nan", "2.5"], dtype=dtype)})
+        out = evaluate(parse("df['a'].astype(float)"), table)
         assert out.dtype == np.float64
         assert [v.hex() for v in out.tolist()] == [
             (1000.0).hex(), (-0.0).hex(), float("nan").hex(), (2.5).hex()
         ]
         bad = np.array([" 1e3 ", "-0", "nan", "1,5", "x"], dtype=dtype)
         with pytest.raises(DslEvalError) as info:
-            evaluate(parse("df['a'].astype(float)"), {"a": bad})
+            evaluate(parse("df['a'].astype(float)"), obs_table({"a": bad}))
         assert str(info.value) == f"cannot cast value {bad[3]!r} at row 3 to float"
-        empty = evaluate(parse("df['a'].astype(float)"), {"a": np.array([], dtype=dtype)})
+        empty = obs_table({"a": np.array([], dtype=dtype)})
+        empty = evaluate(parse("df['a'].astype(float)"), empty)
         assert empty.dtype == np.float64 and empty.shape == (0,)
 
     def test_numeric_equality_after_cast(self):
-        cols = {"a": np.array(["2", "3"], dtype=object)}
-        out = evaluate(parse("df['a'].astype(float) == 2"), cols)
+        table = obs_table({"a": np.array(["2", "3"], dtype=object)})
+        out = evaluate(parse("df['a'].astype(float) == 2"), table)
         assert out.tolist() == [True, False]
 
     def test_comparing_mismatched_kinds_fails(self):
-        cols = {"a": np.array([1.0, 2.0])}
+        table = obs_table({"a": np.array([1.0, 2.0])})
         with pytest.raises(DslEvalError, match="compare"):
-            evaluate(parse("df['a'] == 'x'"), cols)
+            evaluate(parse("df['a'] == 'x'"), table)
 
     def test_determinism(self):
-        cols = {"a": np.array(["u", "v"], dtype=object)}
+        table = obs_table({"a": np.array(["u", "v"], dtype=object)})
         expr = parse("df['a'] != 'u'")
-        assert evaluate(expr, cols).tolist() == evaluate(expr, cols).tolist()
+        assert evaluate(expr, table).tolist() == evaluate(expr, table).tolist()
 
 
 def _column(values, dtype):
@@ -408,14 +409,14 @@ def random_tables(draw):
     draw_list = lambda pool: draw(  # noqa: E731
         st.lists(st.sampled_from(pool), min_size=n, max_size=n)
     )
-    return {
+    return obs_table({
         "drug_id": _column(draw_list(["DMSO", "Ctrl", "a_b", "", "x\x00"]), object),
         "conc_um": _column(draw_list(["1.5", "0", "1000", "x"]), object),
         "cell_line": np.array(draw_list(["KRAS knockdown", "x 1", "a"]), dtype=str),
         "guide": _column(draw_list(["a_b", "", "DMSO"]), object),
         "dose": np.array(draw_list([0.0, -0.0, 1.0, 2.5, -5.0]), dtype=np.float64),
         "batch": np.array(draw_list([True, False]), dtype=bool),
-    }
+    })
 
 
 @given(st.integers(0, 2**32 - 1), random_tables())
@@ -423,8 +424,11 @@ def random_tables(draw):
 def test_random_expr_evaluates_row_by_row(seed, table):
     # a literal is a column, so every row of a result depends on that row alone;
     # most random expressions mix kinds and fail, so each example tries twenty
-    n = len(table["dose"])
-    rows = [{name: column[i : i + 1] for name, column in table.items()} for i in range(n)]
+    n = table.n_cells
+    rows = [
+        obs_table({name: column[i : i + 1] for name, column in table.obs.items()})
+        for i in range(n)
+    ]
     rng = random.Random(seed)
     for _ in range(20):
         _, expr = random_expr(rng)

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from helpers import (
     csr_from_dense,
     dataset_from_fields,
+    obs_table,
     reference_merge_fields,
     reference_normalize_log1p,
     reference_perturbation_matrices,
@@ -307,16 +308,15 @@ def str_operands(draw, n):
 @settings(max_examples=200, deadline=None)
 def test_str_comparison_matches_reference(data, n, op):
     lhs, rhs = data.draw(str_operands(n)), data.draw(str_operands(n))
-    table = {"rows": np.zeros(n)}  # the length of a literal's column
-    nodes = []
+    columns, nodes = {}, []
     for name, operand in (("l", lhs), ("r", rhs)):
         if isinstance(operand, np.ndarray):
-            table[name] = operand
+            columns[name] = operand
             nodes.append(dsl.ColumnRef(name))
         else:
             nodes.append(dsl.StrLit(operand))
-    got = dsl.evaluate(dsl.BinOp(op, *nodes), table)
-    if len(table) == 1:  # two literals: a column of one repeated answer
+    got = dsl.evaluate(dsl.BinOp(op, *nodes), obs_table(columns, n))
+    if not columns:  # two literals: a column of one repeated answer
         assert got.dtype == bool and got.tolist() == [(lhs == rhs) == (op == "==")] * n
         return
     expected = reference_str_compare(op, lhs, rhs)

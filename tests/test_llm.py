@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import http.client
 import io
 import json
 import urllib.error
@@ -71,8 +72,11 @@ def test_a_key_is_sent_as_a_bearer_token(endpoint, monkeypatch):
         ("not JSON at all", "not JSON at all"),
         ({"id": "x", "choices": []}, '{"id": "x", "choices": []}'),
         (["content"], '["content"]'),
+        ({"choices": ["x"]}, '{"choices": ["x"]}'),
+        ({"choices": [{"message": "x"}], "content": "top level"}, "top level"),
     ],
-    ids=["choices", "content", "choices_without_text", "not_json", "no_content", "array"],
+    ids=["choices", "content", "choices_without_text", "not_json", "no_content", "array",
+         "choice_not_an_object", "message_not_an_object"],
 )
 def test_the_reply_text_is_extracted(endpoint, payload, text):
     _, reply_with = endpoint
@@ -89,3 +93,38 @@ def test_a_failed_request_is_a_transport_error(endpoint, monkeypatch):
         LlmClient.live(model="m").complete(_MESSAGES)
     assert str(err.value) == "LLM endpoint request failed: <urlopen error connection refused>"
     assert isinstance(err.value.__cause__, urllib.error.URLError)
+
+
+@pytest.mark.parametrize(
+    "failure, message",
+    [
+        (TimeoutError("timed out"), "timed out"),
+        (http.client.RemoteDisconnected("closed early"), "closed early"),
+    ],
+    ids=["read_timeout", "http_exception"],
+)
+def test_a_failed_read_is_a_transport_error(endpoint, monkeypatch, failure, message):
+    def fail(request, timeout):
+        raise failure
+
+    monkeypatch.setattr(urllib.request, "urlopen", fail)
+    with pytest.raises(TransportError) as err:
+        LlmClient.live(model="m").complete(_MESSAGES)
+    assert str(err.value) == f"LLM endpoint request failed: {message}"
+    assert err.value.__cause__ is failure
+
+
+def test_a_reply_that_is_not_utf8_is_a_transport_error(endpoint):
+    _, reply_with = endpoint
+    reply_with(b"\xff\xfe")
+    with pytest.raises(TransportError, match="LLM endpoint request failed: 'utf-8' codec"):
+        LlmClient.live(model="m").complete(_MESSAGES)
+
+
+def test_an_endpoint_without_a_scheme_is_a_transport_error(endpoint, monkeypatch):
+    sent, _ = endpoint
+    monkeypatch.setenv(ENDPOINT_ENV, "llm.invalid/v1")
+    with pytest.raises(TransportError) as err:
+        LlmClient.live(model="m").complete(_MESSAGES)
+    assert str(err.value) == "LLM endpoint request failed: unknown url type: 'llm.invalid/v1'"
+    assert sent == []

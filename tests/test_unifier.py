@@ -21,21 +21,18 @@ from pertpipe.unifier import (
     induce_mapping,
     merge_datasets,
     preview_schema,
-    render_preview_text,
 )
 
 
 class TestPreviewSchema:
     def test_first_distinct_sample_rule(self, drug_raw_table):
-        preview = preview_schema(drug_raw_table, sample_size=5)
-        cols = {c.name: c for c in preview.obs_columns}
-        assert cols["drug_id"].samples == ("DMSO", "drugA", "drugB")
-        assert cols["conc_um"].samples == ("0", "10", "5")
+        lines = preview_schema(drug_raw_table, sample_size=5).splitlines()
+        assert "  - drug_id (str): ['DMSO', 'drugA', 'drugB']" in lines
+        assert "  - conc_um (str): ['0', '10', '5']" in lines
 
     def test_sample_size_truncates(self, drug_raw_table):
-        preview = preview_schema(drug_raw_table, sample_size=2)
-        cols = {c.name: c for c in preview.obs_columns}
-        assert cols["drug_id"].samples == ("DMSO", "drugA")
+        lines = preview_schema(drug_raw_table, sample_size=2).splitlines()
+        assert "  - drug_id (str): ['DMSO', 'drugA']" in lines
 
     def test_all_zero_matrix_stats(self):
         table = RawTable(
@@ -44,12 +41,11 @@ class TestPreviewSchema:
             X=np.zeros((2, 1)),
         )
         preview = preview_schema(table, 3)
-        assert preview.x_stats == (0.0, 0.0, 0.0)
-        assert preview.notes == ()
+        assert "expression stats: min=0 max=0 mean=0" in preview.splitlines()
+        assert "note:" not in preview
 
     def test_raw_counts_note_above_threshold(self, drug_raw_table):
-        preview = preview_schema(drug_raw_table, 3)
-        assert "likely raw counts" in preview.notes
+        assert "note: likely raw counts" in preview_schema(drug_raw_table, 3).splitlines()
 
     def test_no_note_for_log_scale_data(self):
         table = RawTable(
@@ -57,16 +53,58 @@ class TestPreviewSchema:
             var_index=np.array(["g"], dtype=object),
             X=np.array([[5.0]]),
         )
-        assert preview_schema(table, 3).notes == ()
+        assert "note:" not in preview_schema(table, 3)
 
     def test_sample_size_validated(self, drug_raw_table):
         with pytest.raises(ParameterError):
             preview_schema(drug_raw_table, 0)
 
-    def test_render_is_deterministic(self, drug_raw_table):
-        a = render_preview_text(preview_schema(drug_raw_table, 4))
-        b = render_preview_text(preview_schema(drug_raw_table, 4))
-        assert a == b and "drug_id" in a
+    def test_prompt_text_pinned(self, drug_raw_table):
+        """The user prompt, byte for byte, for a small table and a zero-cell one."""
+        empty = RawTable(
+            obs={
+                "drug_id": np.array([], dtype=object),
+                "dose": np.array([], dtype=np.float64),
+            },
+            var_index=np.array(["ENSG1", "ENSG2"], dtype=object),
+            X=np.zeros((0, 2)),
+        )
+        head = (
+            "Data audit preview (original column names, inferred types, sampled values,\n"
+            "and expression statistics):\n\n"
+        )
+        tail = (
+            "\n\nProduce the canonical mapping JSON for this dataset now. Remember: exactly\n"
+            'one ```json code block, use "None" for fields with no corresponding column,\n'
+            "and keep every expression inside the allowed operation set.\n"
+        )
+        drug = (
+            "cells: 12\n"
+            "genes: 6\n"
+            "expression stats: min=0.588982 max=78.0498 mean=40.8893\n"
+            "note: likely raw counts\n"
+            "obs columns:\n"
+            "  - drug_id (str): ['DMSO', 'drugA']\n"
+            "  - conc_um (str): ['0', '10']\n"
+            "  - cell_type_annotation (str): ['A549']\n"
+            "var index samples: 'ENSG00000000000', 'ENSG00000000001'"
+        )
+        zero = (
+            "cells: 0\n"
+            "genes: 2\n"
+            "expression stats: min=0 max=0 mean=0\n"
+            "obs columns:\n"
+            "  - drug_id (str): []\n"
+            "  - dose (float): []\n"
+            "var index samples: 'ENSG1', 'ENSG2'"
+        )
+        for table, preview in ((drug_raw_table, drug), (empty, zero)):
+            messages = build_mapping_messages(preview_schema(table, 2))
+            assert messages[1]["content"] == head + preview + tail
+
+    def test_preview_is_deterministic(self, drug_raw_table):
+        a = preview_schema(drug_raw_table, 4)
+        assert a == preview_schema(drug_raw_table, 4) and "drug_id" in a
 
 
 class TestMappingSpecLoading:
