@@ -156,7 +156,8 @@ def _unreadable(path: Path, exc: OSError) -> BundleFormatError:
     return BundleFormatError(f"cannot read bundle file {path}: {exc.strerror or exc}")
 
 
-def _read_tsv(path: Path) -> dict[str, list[str]]:
+def _read_tsv(path: Path, n_rows: int) -> dict[str, list[str]]:
+    """The columns of a table of ``n_rows`` rows; any other count names the file."""
     try:
         lines = path.read_text(encoding="utf-8").removesuffix("\n").split("\n")
     except OSError as exc:
@@ -177,6 +178,8 @@ def _read_tsv(path: Path) -> dict[str, list[str]]:
         if i is not None:
             raise BundleFormatError(f"{path}:{i + 2} has {tabs[i] + 1} fields, expected {k}")
         body = list(filter(None, body))
+    if len(body) != n_rows:
+        raise BundleFormatError(f"{path} has {len(body)} rows, expected {n_rows}")
     if len(set(names)) < k:
         dup = next(name for name in names if names.count(name) > 1)
         raise BundleFormatError(f"{path} names column {dup!r} more than once")
@@ -352,12 +355,12 @@ def read_raw_bundle(path: str | Path) -> RawTable:
         lambda v: type(v) is dict and all(tag in _OBS_TYPES for tag in v.values()),
         f"an object from column name to one of {list(_OBS_TYPES)}", default={},
     )
-    raw_obs = _read_tsv(root / "obs.tsv")
+    raw_obs = _read_tsv(root / "obs.tsv", n_cells)
     obs = {
         name: _parse_obs_column(name, values, obs_types.get(name, "str"))
         for name, values in raw_obs.items()
     }
-    var = _read_tsv(root / "var.tsv")
+    var = _read_tsv(root / "var.tsv", n_genes)
     var_names = list(var)
     var_index = np.array(var[var_names[0]], dtype=object)
     var_columns = {name: np.array(var[name], dtype=object) for name in var_names[1:]}
@@ -404,11 +407,11 @@ def read_canonical_bundle(path: str | Path) -> CanonicalDataset:
     )
     _field(root, manifest, "p", lambda v: type(v) is int and v == len(pert_vocab),
            f"the length of pert_vocab, {len(pert_vocab)}")
-    obs = _read_tsv(root / "obs.tsv")
+    obs = _read_tsv(root / "obs.tsv", n_cells)
     missing = [k for k in CANONICAL_OBS_KEYS if k not in obs]
     if missing:
         raise BundleFormatError(f"obs.tsv missing canonical columns: {missing}")
-    var = _read_tsv(root / "var.tsv")
+    var = _read_tsv(root / "var.tsv", n_genes)
     for col in ("ensembl_id", "gene_symbol"):
         if col not in var:
             raise BundleFormatError(f"var.tsv missing column {col!r}")

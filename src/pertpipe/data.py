@@ -62,7 +62,6 @@ def cast_column(value, target: str):
                         float(v)
                     except (TypeError, ValueError):
                         raise ValueError(f"cannot cast value {v!r} at row {i} to float") from None
-                raise
         try:
             return float(value)
         except (TypeError, ValueError):
@@ -279,8 +278,6 @@ class ValidationReport:
         return not self.issues
 
     def __str__(self) -> str:
-        if self.ok:
-            return "ok"
         return "\n".join(f"[{i.code}] {i.message}" for i in self.issues)
 
 
@@ -317,18 +314,6 @@ def entry_rows(indptr: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
 
 
-def _first_true(bad: np.ndarray) -> tuple[int, int, int] | None:
-    """Row, column and count of the True entries of a 2-D mask, or None if none.
-
-    The cheap ``any()`` test runs first; positions are looked up only when
-    it finds an offender.
-    """
-    if not bad.any():
-        return None
-    i, j = np.unravel_index(np.argmax(bad), bad.shape)
-    return int(i), int(j), int(np.count_nonzero(bad))
-
-
 def _row_halves(n: int, work) -> list:
     """``[work(0, n // 2), work(n // 2, n)]``, the first on a worker thread.
 
@@ -344,12 +329,14 @@ def _row_halves(n: int, work) -> list:
     return [first.result(), second]
 
 
-def _min_and_row_sums(X: np.ndarray) -> tuple[float, np.ndarray]:
-    """The least non-NaN entry of 2-D ``X`` (0.0 if none is negative) and its row sums.
+def _x_faults(X: np.ndarray):
+    """The first negative cell of 2-D ``X``, its first non-finite cell, and its row sums.
 
-    A negative entry makes the minimum negative; a NaN or infinite entry,
-    or a row past the float64 range, makes its row's sum non-finite. So a
-    caller builds the n x g mask that names an offending cell only then.
+    A cell is ``(row, column, count of such cells)``, or ``None`` if there
+    is none. One scan over two halves of the rows takes the least non-NaN
+    entry and the row sums: a negative entry makes the least one negative,
+    and a NaN or infinite entry, or a row past the float64 range, makes its
+    row's sum non-finite. The n x g mask that names a cell is built only then.
     """
     sums = np.empty(X.shape[0])
 
@@ -358,7 +345,15 @@ def _min_and_row_sums(X: np.ndarray) -> tuple[float, np.ndarray]:
             X[lo:hi].sum(axis=1, out=sums[lo:hi])
             return float(np.fmin.reduce(X[lo:hi], axis=None, initial=0.0))
 
-    return min(_row_halves(X.shape[0], scan)), sums
+    def first(bad: np.ndarray) -> tuple[int, int, int] | None:
+        if not bad.any():
+            return None
+        i, j = np.unravel_index(np.argmax(bad), bad.shape)
+        return int(i), int(j), int(np.count_nonzero(bad))
+
+    negative = first(X < 0) if min(_row_halves(X.shape[0], scan)) < 0 else None
+    nonfinite = None if np.isfinite(sums).all() else first(~np.isfinite(X))
+    return negative, nonfinite, sums
 
 
 def first_pattern_rows(indptr: np.ndarray, indices: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -425,25 +420,22 @@ def normalize_log1p(
     overflow. A row whose sum overflows float64 raises ``ValidationError``
     naming the row.
 
-    The checks and the transform each split the rows in two halves, one on
-    a worker thread and one on the calling thread. Every step is per row or
-    per entry, so the result does not depend on the split; on one core the
-    two halves take turns and the pass costs what one thread's would.
+    The checks (one ``_x_faults`` scan) and the transform each split the
+    rows in two halves, one on a worker thread and one on the calling
+    thread. Every step is per row or per entry, so the result does not
+    depend on the split; on one core the two halves take turns and the pass
+    costs what one thread's would.
     """
     # in C order each row adds up the same way whichever half it falls in
     X = np.ascontiguousarray(X, dtype=np.float64)
     if not 0 < target_sum < math.inf:
         raise ParameterError(f"target_sum must be finite and positive, got {target_sum}")
-    least, sums = _min_and_row_sums(X)
-    if least < 0:
-        i, j, _ = _first_true(X < 0)
+    negative, nonfinite, sums = _x_faults(X)
+    if negative:
+        i, j, _ = negative
         raise ValidationError(
             f"negative expression value {X[i, j]} at cell X[{i}, {j}]"
         )
-    # NaN and inf propagate through a row's sum; an infinite sum of finite
-    # values is an overflow, which only the scaling below refuses
-    finite_sums = np.isfinite(sums)
-    nonfinite = None if finite_sums.all() else _first_true(~np.isfinite(X))
     if nonfinite:
         i, j, _ = nonfinite
         raise ValidationError(
@@ -453,7 +445,8 @@ def normalize_log1p(
         return X
     factor = None
     if normalization_required:
-        overflow = np.flatnonzero(~finite_sums)
+        # an infinite sum of finite values is an overflow, which only scaling refuses
+        overflow = np.flatnonzero(~np.isfinite(sums))
         if overflow.size:
             raise ValidationError(
                 f"expression row X[{overflow[0]}] sums past the float64 range; "
@@ -586,12 +579,11 @@ def split_unseen_cell(ds: CanonicalDataset, holdout_cell_type: str, seed: int) -
 def validate_canonical(ds: CanonicalDataset, *, x_checked: bool = False) -> ValidationReport:
     """Check every canonical-schema invariant; violations become report entries.
 
-    The negative and non-finite checks of ``X`` take one scan that splits
-    the rows in two halves, one on a worker thread and one on the calling
-    thread; the masks that name an offending cell are built only when the
-    scan finds one. ``x_checked`` skips that scan, for an ``X`` returned by
-    ``normalize_log1p``: it refuses what the scan would report, and its
-    log1p of finite non-negative values is finite and non-negative.
+    The negative and non-finite checks of ``X`` are the one ``_x_faults``
+    scan that ``normalize_log1p`` makes too. ``x_checked`` skips it, for an
+    ``X`` returned by ``normalize_log1p``: it refuses what the scan would
+    report, and its log1p of finite non-negative values is finite and
+    non-negative.
     """
     first = first_pattern_rows(ds.pert_indptr, ds.pert_indices, ds.pert_values)
     return _canonical_report(ds, first, x_checked)
@@ -634,17 +626,15 @@ def _canonical_report(
         issues.append(ValidationIssue("control_with_mask", message))
 
     if not x_checked:
-        least, sums = _min_and_row_sums(ds.X)
-        if least < 0:
-            i, j, count = _first_true(ds.X < 0)
+        negative, nonfinite, _ = _x_faults(ds.X)
+        if negative:
+            i, j, count = negative
             issues.append(
                 ValidationIssue(
                     "negative_expression",
                     f"X[{i}, {j}] = {ds.X[i, j]} is negative ({count} entries)",
                 )
             )
-        # NaN and inf propagate through a row's sum, so finite sums prove X finite
-        nonfinite = None if np.isfinite(sums).all() else _first_true(~np.isfinite(ds.X))
         if nonfinite:
             i, j, count = nonfinite
             issues.append(

@@ -223,8 +223,6 @@ class _Parser:
         if tok.kind != "EOF":
             if tok.kind == "UNSUP":
                 raise UnsupportedConstructError(tok.value, tok.offset)
-            if self.at("("):
-                raise UnsupportedConstructError("call on expression", tok.offset)
             if tok.kind == "NAME" and tok.value in _UNSUPPORTED_KEYWORDS:
                 raise UnsupportedConstructError(f"keyword {tok.value!r}", tok.offset)
             raise DslSyntaxError(

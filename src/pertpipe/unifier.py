@@ -1,11 +1,15 @@
 """Schema harmonization: previewing, mapping induction, application, merging.
 
 A mapping specification describes how one raw table projects onto the
-canonical schema: direct column aliases, logic expressions in the mapping
-DSL, constants, or absent entries that fall back to documented defaults.
-Specifications are induced by an LLM from a schema preview, or loaded from
-JSON files; two surface forms are accepted (a nested block layout and a
-flat per-key layout) and normalized into one entry model.
+canonical schema: each entry is a direct column alias, the parsed tree of
+a logic expression in the mapping DSL, a constant, or ``None`` for an
+absent entry that falls back to its documented default. Specifications are
+induced by an LLM from a schema preview, or loaded from JSON files; two
+surface forms are accepted (a nested block layout and a flat per-key
+layout) and normalized into one entry model. The specification keeps only
+what ``apply_mapping`` reads: a logic entry's description and the
+document's data summary are accepted and dropped, and ``var.index_type``
+is checked, not kept.
 """
 
 from __future__ import annotations
@@ -70,23 +74,12 @@ class Direct:
 
 
 @dataclass(frozen=True)
-class Logic:
-    expression: str
-    parsed: dsl.Expr = field(compare=False, repr=False)
-    description: str | None = None
-
-
-@dataclass(frozen=True)
 class Constant:
     value: object
 
 
-@dataclass(frozen=True)
-class Absent:
-    pass
-
-
-MappingEntry = Direct | Logic | Constant | Absent
+# None is an absent entry, which takes its key's default
+MappingEntry = Direct | dsl.Expr | Constant | None
 
 
 @dataclass(frozen=True)
@@ -96,12 +89,10 @@ class MappingSpec:
     obs_entries: dict[str, MappingEntry]
     pert_mask_source: MappingEntry
     pert_dose_source: MappingEntry
-    var_index_type: str  # "ensembl" | "symbol"
     gene_symbol_col: str | None
     is_already_log1p: bool
     normalization_required: bool
     target_sum: float
-    data_summary: str = ""
     # sha256 of the text from_json parsed; None for a spec built another way
     digest: str | None = field(default=None, init=False, compare=False)
 
@@ -146,45 +137,42 @@ class MappingSpec:
 def _entry_from_value(value, key: str, violations: list[str]) -> MappingEntry:
     """Interpret one mapping value: dict forms, column names, or absence markers."""
     if value is None:
-        return Absent()
+        return None
     if isinstance(value, dict):
         etype = value.get("type")
         if etype == "direct":
             source = value.get("source_key")
             if not isinstance(source, str) or not source:
                 violations.append(f"{key}: direct entry missing source_key")
-                return Absent()
+                return None
             return Direct(source)
         if etype == "logic":
             expression = value.get("expression")
             if not isinstance(expression, str) or not expression:
                 violations.append(f"{key}: logic entry missing expression")
-                return Absent()
-            return _logic_entry(expression, value.get("description"), key, violations)
+                return None
+            return _logic_entry(expression, key, violations)
         if etype == "constant":
             if "value" not in value:
                 violations.append(f"{key}: constant entry missing value")
-                return Absent()
+                return None
             return Constant(value["value"])
         violations.append(f"{key}: unknown entry type {etype!r}")
-        return Absent()
+        return None
     if isinstance(value, str):
         if value in ("None", "", "unknown"):
-            return Absent()
+            return None
         return Direct(value)
     violations.append(f"{key}: cannot interpret entry {value!r}")
-    return Absent()
+    return None
 
 
-def _logic_entry(
-    expression: str, description, key: str, violations: list[str]
-) -> MappingEntry:
+def _logic_entry(expression: str, key: str, violations: list[str]) -> MappingEntry:
     try:
-        parsed = dsl.parse(expression)
+        return dsl.parse(expression)
     except dsl.DslError as exc:
         violations.append(f"{key}: {exc}")
-        return Absent()
-    return Logic(expression=expression, parsed=parsed, description=description)
+        return None
 
 
 def _obs_entry(target: str, value, label: str, violations: list[str]) -> MappingEntry:
@@ -196,10 +184,10 @@ def _obs_entry(target: str, value, label: str, violations: list[str]) -> Mapping
     if isinstance(value, dict) or target not in ("pert_type", *_BARE_LOGIC):
         return _entry_from_value(value, label, violations)
     if value in (None, "None") or (value == "" and target != "pert_type"):
-        return Absent()
+        return None
     if target == "pert_type":
         return Constant(value)
-    return _logic_entry(str(value), None, label, violations)
+    return _logic_entry(str(value), label, violations)
 
 
 def _block(doc: dict, name: str, violations: list[str]) -> dict:
@@ -235,13 +223,12 @@ def _parse_nested(doc: dict, violations: list[str]) -> MappingSpec:
         dose_entry,
         _block(body, "var", violations),
         _block(body, "numerical", violations),
-        doc.get("data_summary", body.get("data_summary", "")),
         violations,
     )
 
 
 def _parse_flat(doc: dict, violations: list[str]) -> MappingSpec:
-    obs_entries: dict[str, MappingEntry] = {k: Absent() for k in CANONICAL_OBS_KEYS}
+    obs_entries: dict[str, MappingEntry] = dict.fromkeys(CANONICAL_OBS_KEYS)
     sources: dict[str, MappingEntry] = {}  # mask and dose sources, cell line
     for key, value in doc.items():
         target = _FLAT_ALIASES.get(key)
@@ -253,35 +240,29 @@ def _parse_flat(doc: dict, violations: list[str]) -> MappingSpec:
         # a cell-line column identifies the donor; reuse it for cell_type
         # only when nothing better was mapped
         obs_entries["donor_id"] = sources["cell_line"]
-        if isinstance(obs_entries["cell_type"], Absent):
+        if obs_entries["cell_type"] is None:
             obs_entries["cell_type"] = sources["cell_line"]
     return _finish_spec(
         obs_entries,
-        sources.get("pert_mask_source", Absent()),
-        sources.get("pert_dose_source", Absent()),
+        sources.get("pert_mask_source"),
+        sources.get("pert_dose_source"),
         _block(doc, "var", violations),
         _block(doc, "numerical", violations),
-        doc.get("data_summary", ""),
         violations,
     )
 
 
 def _finish_spec(
-    obs_entries, mask_entry, dose_entry, var, numerical, summary, violations
+    obs_entries, mask_entry, dose_entry, var, numerical, violations
 ) -> MappingSpec:
     pert_type_entry = obs_entries["pert_type"]
     if isinstance(pert_type_entry, Constant) and pert_type_entry.value not in PERT_TYPES:
         violations.append(
             f"pert_type constant {pert_type_entry.value!r} not in {list(PERT_TYPES)}"
         )
-    index_type_raw = str(var.get("index_type", "ensembl")).strip().lower()
-    if "ensembl" in index_type_raw:
-        index_type = "ensembl"
-    elif "symbol" in index_type_raw:
-        index_type = "symbol"
-    else:
+    index_type = str(var.get("index_type", "ensembl")).strip().lower()
+    if "ensembl" not in index_type and "symbol" not in index_type:
         violations.append(f"var.index_type {var.get('index_type')!r} not recognized")
-        index_type = "ensembl"
     symbol_col = var.get("gene_symbol_col")
     if symbol_col in (None, "None", ""):
         symbol_col = None
@@ -304,12 +285,10 @@ def _finish_spec(
         obs_entries=obs_entries,
         pert_mask_source=mask_entry,
         pert_dose_source=dose_entry,
-        var_index_type=index_type,
         gene_symbol_col=symbol_col,
         is_already_log1p=flags["is_already_log1p"],
         normalization_required=flags["normalization_required"],
         target_sum=float(target_sum),
-        data_summary=str(summary or ""),
     )
 
 
@@ -402,7 +381,10 @@ _OBS_DEFAULTS = {
 }
 
 
-def _resolve_entry(entry: MappingEntry, table: RawTable, key: str):
+def _resolve_entry(entry: MappingEntry, table: RawTable, key: str, default=None):
+    """The column or scalar value that ``entry`` gives; ``default`` for an absent one."""
+    if entry is None:
+        return default
     if isinstance(entry, Direct):
         if entry.source_key not in table.obs:
             raise MappingError(
@@ -410,14 +392,12 @@ def _resolve_entry(entry: MappingEntry, table: RawTable, key: str):
                 f"available columns: {sorted(table.obs)}"
             )
         return table.obs[entry.source_key]
-    if isinstance(entry, Logic):
-        try:
-            return dsl.evaluate(entry.parsed, table)
-        except dsl.DslError as exc:
-            raise MappingError(f"{key}: {exc}") from exc
     if isinstance(entry, Constant):
         return entry.value
-    raise MappingError(f"{key}: entry is absent and has no evaluation")
+    try:
+        return dsl.evaluate(entry, table)
+    except dsl.DslError as exc:
+        raise MappingError(f"{key}: {exc}") from exc
 
 
 def _as_str_column(value, n: int) -> np.ndarray:
@@ -461,17 +441,14 @@ def apply_mapping(
     """
     n = table.n_cells
 
-    if isinstance(spec.obs_entries["is_control"], Absent):
-        is_control = np.zeros(n, dtype=bool)
-    else:
-        is_control = _as_bool_column(
-            _resolve_entry(spec.obs_entries["is_control"], table, "is_control"),
-            n,
-            "is_control",
-        )
+    is_control = _as_bool_column(
+        _resolve_entry(spec.obs_entries["is_control"], table, "is_control", False),
+        n,
+        "is_control",
+    )
 
     pert_values = None
-    if not isinstance(spec.pert_mask_source, Absent):
+    if spec.pert_mask_source is not None:
         pert_values = _as_str_column(
             _resolve_entry(spec.pert_mask_source, table, "pert_mask_source"), n
         )
@@ -481,9 +458,7 @@ def apply_mapping(
     labels = "unknown" if pert_values is None else pert_values
     defaults = {**_OBS_DEFAULTS, "condition_name": labels}
     for key, default in defaults.items():
-        entry = spec.obs_entries[key]
-        value = default if isinstance(entry, Absent) else _resolve_entry(entry, table, key)
-        obs[key] = _as_str_column(value, n)
+        obs[key] = _as_str_column(_resolve_entry(spec.obs_entries[key], table, key, default), n)
 
     # vocabulary over the distinct non-control perturbation labels, combos
     # split apart; each label's sorted columns are repeated for its cells
@@ -511,7 +486,7 @@ def apply_mapping(
     indptr = np.concatenate(([0], np.cumsum(counts)))
 
     values = np.zeros(len(indices), dtype=np.float64)
-    if not isinstance(spec.pert_dose_source, Absent) and vocab:
+    if spec.pert_dose_source is not None and vocab:
         dose_col = _as_float_column(
             _resolve_entry(spec.pert_dose_source, table, "pert_dose_source"),
             n,

@@ -85,7 +85,7 @@ class TestRawBundle:
         path = tmp_path / "t.tsv"
         path.write_text("a\tb\n\n1\t2\n\n3\n")
         with pytest.raises(BundleFormatError, match=r"t\.tsv:5 has 1 fields, expected 2$"):
-            bundle._read_tsv(path)
+            bundle._read_tsv(path, 2)
 
     def test_size_mismatch_reports_expected_bytes(self, raw_table, tmp_path):
         write_raw_bundle(raw_table, tmp_path / "raw")
@@ -128,7 +128,7 @@ def test_tsv_cells_read_back_or_are_refused(cells, wide, name):
         except BundleFormatError:
             assert name == "" or any(c in text for text in [name, *cells] for c in "\t\n\r")
             return
-        assert bundle._read_tsv(path) == {k: v.tolist() for k, v in columns.items()}
+        assert bundle._read_tsv(path, len(cells)) == {k: v.tolist() for k, v in columns.items()}
 
 
 class TestColumnNames:

@@ -7,7 +7,8 @@ which Python calls, and click commands, which click calls, are exempt.
 Every dataclass field in ``src/pertpipe`` is read by code of ``src/`` or
 ``perfbench/`` (its tests aside): an attribute load or a string naming it,
 as ``getattr`` spells it; setting a field or passing it to the constructor
-is no read. Every field of a class whose instances ``dataclasses.asdict``
+is no read, and neither is calling a method of its name or a string used as
+a dict key. Every field of a class whose instances ``dataclasses.asdict``
 serializes counts as read.
 """
 
@@ -117,8 +118,6 @@ def test_a_name_used_only_in_its_own_body_or_docstring_is_unused():
 _FIELDS_READ_BY_TESTS = {
     "RetrievalResult.ranked":
         "the ranking that retrieve returns, pinned by the retrieval tests",
-    "MappingSpec.var_index_type":
-        "the checked var.index_type, which the docs say is not translated",
 }
 
 
@@ -138,11 +137,19 @@ def _fields():
 
 def _reads(tree: ast.AST) -> tuple[set, set]:
     """Attribute names that the code of ``tree`` loads or spells in a string,
-    and the classes whose instances it passes to ``dataclasses.asdict``."""
+    and the classes whose instances it passes to ``dataclasses.asdict``.
+
+    A called attribute is a method, and a string that is a dict key (of a
+    dict literal, a subscript, or ``.get``/``.pop``/``.setdefault``) names
+    an item: neither reads a field.
+    """
     reads, whole = set(), set()
+    not_reads: set[int] = set()  # ids of the nodes just described
 
     def visit(node: ast.AST, cls: str | None) -> None:
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        if id(node) in not_reads:
+            pass
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             reads.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if _DOTTED.fullmatch(node.value):
@@ -153,6 +160,16 @@ def _reads(tree: ast.AST) -> tuple[set, set]:
                 whole.add(cls)
             elif isinstance(arg, ast.Call) and isinstance(arg.func, ast.Name):
                 whole.add(arg.func.id)
+        keys = []
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            not_reads.add(id(node.func))
+            if node.func.attr in ("get", "pop", "setdefault"):
+                keys = node.args[:1]
+        elif isinstance(node, ast.Dict):
+            keys = node.keys
+        elif isinstance(node, ast.Subscript):
+            keys = [node.slice]
+        not_reads.update(id(key) for key in keys if isinstance(key, ast.Constant))
         if isinstance(node, ast.ClassDef):
             cls = node.name
         for child in ast.iter_child_nodes(node):
@@ -188,8 +205,15 @@ def test_a_field_set_or_passed_by_keyword_is_unread():
         "        return asdict(self)\n"
         "def build(row):\n"
         "    row.stored = Row(kept=1)\n"
+        "    row.called(row.passed)\n"
+        "    cells = {'literal_key': 1, row.key_field: 2}\n"
+        "    cells['subscript_key'], cells.get('get_key'), cells.pop('pop_key')\n"
+        "    cells[row.index_field], cells.get(row.get_field)\n"
+        "    cells.setdefault('default_key', 0), cells.find('searched')\n"
         "    return row.loaded, getattr(row, 'named'), asdict(Other(x=2))\n"
     ))
-    assert {"loaded", "named"} <= reads
-    assert not {"stored", "kept", "x"} & reads
+    assert {"loaded", "named", "passed", "searched", "key_field", "index_field",
+            "get_field"} <= reads
+    assert not {"stored", "kept", "x", "called", "literal_key", "subscript_key", "get_key",
+                "pop_key", "default_key"} & reads
     assert whole == {"Manifest", "Other"}

@@ -669,6 +669,11 @@ class TestIncompleteBundles:
             ("manifest.json not UTF-8", "manifest.json is not valid UTF-8 JSON"),
             ("obs.tsv not UTF-8", "obs.tsv is not UTF-8 text"),
             ("var.tsv not UTF-8", "var.tsv is not UTF-8 text"),
+            ("obs.tsv without cell_type", "obs.tsv missing canonical columns: ['cell_type']"),
+            ("var.tsv without gene_symbol", "var.tsv missing column 'gene_symbol'"),
+            ("manifest.json holding []", "manifest.json is not a JSON object"),
+            ("obs.tsv torn", "obs.tsv has 55 rows, expected 56"),
+            ("var.tsv torn", "var.tsv has 39 rows, expected 40"),
         ],
     )
     def test_canonical_bundle_exits_2(self, runner, synthetic_bundle, tmp_path,
@@ -678,6 +683,16 @@ class TestIncompleteBundles:
         if defect.endswith(" not UTF-8"):
             path = synthetic_bundle / defect.removesuffix(" not UTF-8")
             path.write_bytes(path.read_bytes() + b"\xff")
+        elif defect.endswith(" torn"):
+            _tear_last_row(synthetic_bundle / defect.removesuffix(" torn"))
+        elif " without " in defect:
+            name, column = defect.split(" without ")
+            path = synthetic_bundle / name
+            rows = [line.split("\t") for line in path.read_text().splitlines()]
+            j = rows[0].index(column)
+            path.write_text("".join("\t".join(row[:j] + row[j + 1:]) + "\n" for row in rows))
+        elif defect == "manifest.json holding []":
+            manifest_path.write_text("[]")
         elif defect in manifest:
             del manifest[defect]
             manifest_path.write_text(json.dumps(manifest))
@@ -1402,6 +1417,44 @@ def _raw_with_a_row_sum_past_float64(path: Path) -> None:
     }))
 
 
+def _tear_last_row(path: Path) -> None:
+    path.write_text(path.read_text().removesuffix("\n").rsplit("\n", 1)[0] + "\n")
+
+
+_DRUG_MAPPING = {
+    "perturbation_type": "drug",
+    "perturbation_name": "drug_id",
+    "control_status": "df['drug_id'] == 'DMSO'",
+}
+
+
+def _four_cell_raw(mapping: dict, torn: str | None = None):
+    """A writer of a four-cell raw bundle with ``mapping`` as its mapping.json,
+    and with the last row of its file ``torn`` cut off."""
+    def write(path: Path) -> None:
+        table = RawTable(
+            obs={"drug_id": np.array(["DMSO", "drugA", "drugB", "drugA"], dtype=object),
+                 "dose": np.array(["0", "10", "10uM", "5"], dtype=object)},
+            var_index=np.array(["g0", "g1", "g2"], dtype=object), X=np.ones((4, 3)),
+        )
+        write_raw_bundle(table, path)
+        (path / "mapping.json").write_text(json.dumps(mapping))
+        if torn:
+            _tear_last_row(path / torn)
+    return write
+
+
+def _mapping(**entries) -> bytes:
+    return json.dumps({**_DRUG_MAPPING, **entries}).encode()
+
+
+def _kb_line(action_path: str) -> bytes:
+    return (_KB_HEADER + '{"profile_text": "p", "action_path": ' + action_path
+            + ', "reward": 0.5, "created_at": 0.0}\n').encode()
+
+
+_UNIFY_OWN_MAPPING = ["unify", "{file}", "{out}", "--mapping", "{file}/mapping.json"]
+
 # (outside file as bytes or a function that writes it, command reading it,
 # exit code, error code)
 OUTSIDE_INPUTS = {
@@ -1475,6 +1528,41 @@ OUTSIDE_INPUTS = {
         _one_gene_bundle, ["search", "{file}", "--out", "{out}", "--set", "search.n_sim=4"],
         4, "no_valid_candidate",
     ),
+    "dose_not_a_number": (
+        _four_cell_raw({**_DRUG_MAPPING, "dose_value": "dose"}), _UNIFY_OWN_MAPPING,
+        2, "apply_mapping",
+    ),
+    "gene_symbol_col_not_a_column": (
+        _mapping(var={"gene_symbol_col": "nope"}), _UNIFY_MAPPING, 2, "apply_mapping",
+    ),
+    "control_status_constant_not_a_bool": (
+        _mapping(control_status={"type": "constant", "value": "yes"}), _UNIFY_MAPPING,
+        2, "apply_mapping",
+    ),
+    "control_status_unknown_column": (
+        _mapping(control_status="df['nope'] == 'x'"), _UNIFY_MAPPING, 2, "apply_mapping",
+    ),
+    "mapping_a_list": (b"[]", _UNIFY_MAPPING, 2, "mapping_spec"),
+    "raw_obs_torn": (_four_cell_raw(_DRUG_MAPPING, "obs.tsv"), _UNIFY_OWN_MAPPING, 2, "bundle"),
+    "raw_var_torn": (_four_cell_raw(_DRUG_MAPPING, "var.tsv"), _UNIFY_OWN_MAPPING, 2, "bundle"),
+    "kb_path_a_string": (_kb_line('"paradigm:generative"'), _KB_LIST, 2, "kb"),
+    "kb_path_holds_a_list": (_kb_line('[["paradigm:generative"]]'), _KB_LIST, 2, "kb"),
+}
+
+# the error message of an outside input, with {file} its path
+OUTSIDE_MESSAGES = {
+    "dose_not_a_number": "pert_dose_source: cannot cast value '10uM' at row 2 to float",
+    "gene_symbol_col_not_a_column":
+        "gene_symbol_col 'nope' not in var columns; available: ['symbol']",
+    "control_status_constant_not_a_bool": "is_control: expected a boolean value, got 'yes'",
+    "control_status_unknown_column": "is_control: unknown column 'nope'; available columns: "
+                                     "['cell_type_annotation', 'conc_um', 'drug_id']",
+    "mapping_a_list": "mapping JSON must be an object",
+    "raw_obs_torn": "{file}/obs.tsv has 3 rows, expected 4",
+    "raw_var_torn": "{file}/var.tsv has 2 rows, expected 3",
+    "kb_path_a_string": "{file}:2 action_path 'paradigm:generative' is not a list of names",
+    "kb_path_holds_a_list":
+        "{file}:2 action_path [['paradigm:generative']] is not a list of names",
 }
 
 
@@ -1502,6 +1590,13 @@ class TestOutsideInputs:
         assert result.exit_code == exit_code, result.output
         assert _stderr_error(result)["error"]["code"] == code
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("name", OUTSIDE_MESSAGES)
+    def test_names_the_fault(self, runner, raw_bundle_dir, synthetic_bundle, tmp_path, name):
+        contents, argv, _, _ = OUTSIDE_INPUTS[name]
+        result = _invoke_on(runner, argv, contents, raw_bundle_dir, synthetic_bundle, tmp_path)
+        message = OUTSIDE_MESSAGES[name].format(file=tmp_path / "input")
+        assert _stderr_error(result)["error"]["message"] == message
 
     def test_refused_mapped_value_keeps_the_previous_bundle(
         self, runner, raw_bundle_dir, mapping_file, tmp_path

@@ -134,6 +134,33 @@ class TestParse:
             parse(text)
         assert "unsupported construct" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("df['a'] df['b']",
+             "unexpected trailing token 'df' at offset 8 (expected one of: <end>)"),
+            ("df['a'].astype(float",
+             "unexpected token '<end>' at offset 20 (expected one of: ))"),
+            ("df['a'].",
+             "expected method name after '.' at offset 8 (expected one of: astype, isin)"),
+            ("(df['a'])(1)", "unsupported construct: call on expression at offset 9"),
+            ("df['a'].isin([1,", "expected a literal, got '<end>' at offset 16 "
+                                 "(expected one of: False, True, number, string)"),
+            ("df['a'].isin([1 <])", "unsupported construct: operator '<' at offset 16"),
+            ("df['a'] == [1]", "unsupported construct: list literal outside isin at offset 11"),
+            ("adata", "unsupported construct: bare identifier 'adata' at offset 0"),
+            ("df[1]", "column subscript must be a string literal at offset 3 "
+                      "(expected one of: string)"),
+        ],
+        ids=["trailing_token", "unclosed_astype", "no_method_name", "call_on_expression",
+             "unclosed_list", "operator_in_list", "list_outside_isin", "bare_identifier",
+             "numeric_subscript"],
+    )
+    def test_refusal_messages(self, text, message):
+        with pytest.raises(dsl.DslError) as err:
+            parse(text)
+        assert str(err.value) == message
+
 
 class TestTokenize:
     @pytest.mark.parametrize(

@@ -148,10 +148,13 @@ def test_tsv_reader_matches_reference(text):
         except BundleFormatError as exc:
             expected, error = None, str(exc)
         if error is None:
-            assert _read_tsv(path) == expected
+            n_rows = len(next(iter(expected.values())))
+            assert _read_tsv(path, n_rows) == expected
+            with pytest.raises(BundleFormatError, match=f"has {n_rows} rows, expected"):
+                _read_tsv(path, n_rows + 1)
         else:
             with pytest.raises(BundleFormatError) as info:
-                _read_tsv(path)
+                _read_tsv(path, 0)  # a refused file is refused before its rows are counted
             assert str(info.value) == error
 
 

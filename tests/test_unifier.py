@@ -5,15 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from pertpipe import data
+from pertpipe import data, dsl
 from pertpipe.data import RawTable, validate_canonical
 from pertpipe.errors import LlmReplyError, MappingError, ParameterError, TransportError
 from pertpipe.llm import LlmClient
 from pertpipe.unifier import (
-    Absent,
     Constant,
     Direct,
-    Logic,
     MappingSpec,
     apply_mapping,
     build_mapping_messages,
@@ -110,10 +108,9 @@ class TestPreviewSchema:
 class TestMappingSpecLoading:
     def test_flat_form_per_key_entries(self, flat_form_mapping):
         spec = MappingSpec.from_dict(flat_form_mapping)
-        assert isinstance(spec.pert_dose_source, Logic)
-        assert spec.pert_dose_source.expression == "df['conc_um'].astype(float) * 1000"
+        assert spec.pert_dose_source == dsl.parse("df['conc_um'].astype(float) * 1000")
         assert spec.obs_entries["pert_type"] == Constant("drug")
-        assert isinstance(spec.obs_entries["is_control"], Logic)
+        assert spec.obs_entries["is_control"] == dsl.parse("df['drug_id'] == 'DMSO'")
         assert spec.pert_mask_source == Direct("drug_id")
         # cell_line maps to donor_id and doubles as cell_type when unmapped
         assert spec.obs_entries["donor_id"] == Direct("cell_type_annotation")
@@ -142,12 +139,13 @@ class TestMappingSpecLoading:
         }
         spec = MappingSpec.from_dict(doc)
         assert spec.obs_entries["cell_type"] == Direct("celltype")
-        assert isinstance(spec.obs_entries["batch_id"], Absent)
-        assert isinstance(spec.obs_entries["donor_id"], Absent)
+        assert spec.obs_entries["batch_id"] is None
+        assert spec.obs_entries["donor_id"] is None
+        assert spec.obs_entries["is_control"] == dsl.parse("df['guide'] == 'ctrl'")
+        assert spec.obs_entries["condition_name"] == dsl.parse("df['guide'].astype(str)")
+        assert spec.pert_dose_source is None
         assert spec.is_already_log1p is True
-        assert spec.var_index_type == "ensembl"
         assert spec.gene_symbol_col == "sym"
-        assert spec.data_summary == "guides"
 
     def test_missing_obs_block_names_obs(self):
         with pytest.raises(MappingError, match="obs"):
@@ -331,8 +329,7 @@ class TestInduceMapping:
     def test_induce_parses_logic_entries(self, drug_raw_table):
         client = LlmClient.mock(self._nested_response())
         spec = induce_mapping(preview_schema(drug_raw_table, 5), client)
-        assert isinstance(spec.obs_entries["is_control"], Logic)
-        assert spec.obs_entries["is_control"].parsed is not None
+        assert spec.obs_entries["is_control"] == dsl.parse("df['drug_id'] == 'DMSO'")
 
     def test_replay_transport_is_deterministic(self, drug_raw_table, tmp_path):
         replay = tmp_path / "responses.json"
@@ -519,8 +516,8 @@ class TestApplyMapping:
                                already_log1p):
         # normalize_log1p scans X, and the report that follows trusts that scan
         scanned = []
-        real = data._min_and_row_sums
-        monkeypatch.setattr(data, "_min_and_row_sums",
+        real = data._x_faults
+        monkeypatch.setattr(data, "_x_faults",
                             lambda X: scanned.append(X.shape) or real(X))
         spec = MappingSpec.from_dict({**flat_form_mapping, "is_already_log1p": already_log1p})
         ds = apply_mapping(drug_raw_table, spec)
