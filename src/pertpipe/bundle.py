@@ -9,7 +9,10 @@ dense mask and dose matrices) and any binary file of the wrong size.
 
 Writers first format the TSV tables, refusing a cell or column name the
 reader would split or read as no table, and a raw table without obs
-columns, so a refused write leaves an old bundle untouched. Then they
+columns, so a refused write leaves an old bundle untouched. A table is
+formatted and encoded in runs of ``_CHUNK_ROWS`` rows, and only the bytes
+of the runs are kept, so it takes about the memory of its file. Readers
+return one string object per distinct value of a table column. Then they
 remove any old run manifest (`run_manifest.json`, which describes the old
 bundle), the old digest record and then the old manifest, write each file
 under a temporary name and rename it into place, and write the manifest
@@ -80,6 +83,7 @@ DIGEST_RECORD = "bundle_digest.json"  # the writer's digest and the stat keys it
 _OBS_TYPES = ("bool", "float", "str", "categorical")
 CANONICAL_FORMAT = 2
 _DIGEST_CHUNK = 1 << 20
+_CHUNK_ROWS = 8192  # table rows formatted and encoded at a time
 _DTYPES = {".f64": "<f8", ".i64": "<i8"}
 
 
@@ -91,10 +95,14 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+_BOOL_CELLS = np.array(["false", "true"], dtype=object)
+
+
 def _format_column(col: np.ndarray) -> list[str]:
     """The TSV text of each cell, formatted per dtype rather than per cell."""
     if col.dtype == bool:
-        return np.where(col, "true", "false").tolist()
+        # every cell shares one of two strings
+        return _BOOL_CELLS[col.astype(np.intp)].tolist()
     if col.dtype.kind == "f":
         return list(map(repr, col.astype(np.float64).tolist()))
     if col.dtype.kind in "OUiu":
@@ -126,14 +134,17 @@ def _has_tab_or_newline(text: str) -> bool:
     return "\t" in text or "\n" in text or "\r" in text
 
 
-def _tsv_text(columns: dict[str, np.ndarray]) -> str:
-    """The TSV table of ``columns``, refusing a name or cell that the reader
-    would not read back as it was written."""
+def _tsv_text(columns: dict[str, np.ndarray], header: bool = True) -> str:
+    """The TSV lines of ``columns``: the names line unless ``header`` is
+    false, then one line per row. A name or cell that the reader would not
+    read back as it was written is refused: the first such name, else the
+    first such cell in row order, is named."""
     if "" in columns:
         # a lone empty name makes an empty header line, which reads as no table
         raise BundleFormatError(f"tsv column name is empty: {list(columns)!r}")
     cells = [_format_column(col) for col in columns.values()]
-    lines = ["\t".join(columns), *map("\t".join, zip(*cells))]
+    lines = ["\t".join(columns)] if header else []
+    lines.extend(map("\t".join, zip(*cells)))
     text = "\n".join(lines) + "\n"
     # only a tab or newline inside a name or cell adds to the separators
     if (
@@ -147,6 +158,28 @@ def _tsv_text(columns: dict[str, np.ndarray]) -> str:
         bad = next(t for row in zip(*cells) for t in row if _has_tab_or_newline(t))
         raise BundleFormatError(f"tsv cell value contains tab/newline: {bad!r}")
     return text
+
+
+def _tsv_chunks(columns: dict[str, np.ndarray]) -> list[bytes]:
+    """The UTF-8 bytes of ``_tsv_text(columns)``, formatted and encoded one
+    run of ``_CHUNK_ROWS`` rows at a time; the first run holds the names line.
+
+    Only one run is held as text at once, so the table takes about the
+    memory of its bytes. Runs are formatted in order, so a refusal names
+    what ``_tsv_text`` of the whole table would.
+    """
+    n = len(next(iter(columns.values()))) if columns else 0
+    return [
+        _tsv_text(
+            {name: col[lo : lo + _CHUNK_ROWS] for name, col in columns.items()}, header=lo == 0
+        ).encode()
+        for lo in range(0, max(n, 1), _CHUNK_ROWS)
+    ]
+
+
+def _write_chunks(path: Path, chunks: list[bytes]) -> None:
+    with open(path, "wb") as fh:
+        fh.writelines(chunks)
 
 
 def _unreadable(path: Path, exc: OSError) -> BundleFormatError:
@@ -184,9 +217,16 @@ def _read_tsv(path: Path, n_rows: int) -> dict[str, list[str]]:
         dup = next(name for name in names if names.count(name) > 1)
         raise BundleFormatError(f"{path} names column {dup!r} more than once")
     # every line holds k fields, so one split of the joined body lays the
-    # cells out row-major and column j is every k-th cell from j
+    # cells out row-major and column j is every k-th cell from j; each
+    # column keeps one string object per distinct value
     fields = "\t".join(body).split("\t") if body else []
-    return {name: fields[j::k] for j, name in enumerate(names)}
+    return {name: _shared(fields[j::k]) for j, name in enumerate(names)}
+
+
+def _shared(values: list[str]) -> list[str]:
+    """``values`` with each repeated value replaced by its first occurrence."""
+    seen: dict[str, str] = {}
+    return list(map(seen.setdefault, values, values))
 
 
 def _read_matrix(path: Path, shape: tuple[int, ...], dtype: str) -> np.ndarray:
@@ -253,23 +293,24 @@ def _write_bundle(
         name: np.ascontiguousarray(a, dtype=_DTYPES[name[-4:]]) for name, a in matrices.items()
     }
     manifest_bytes = (json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n").encode()
-    texts: dict[str, bytes] = {}
+    texts: dict[str, list[bytes]] = {}
     formatted = threading.Event()
 
     def hash_files() -> str | None:
         h = hashlib.sha256()
         for name in sorted([MANIFEST, *tables, *arrays]):
             if name in arrays:
-                data = arrays[name].reshape(-1).view(np.uint8)
+                chunks = [arrays[name].reshape(-1).view(np.uint8)]
             elif name == MANIFEST:
-                data = manifest_bytes
+                chunks = [manifest_bytes]
             else:
                 formatted.wait()
                 if name not in texts:  # a table was refused
                     return None
-                data = texts[name]
+                chunks = texts[name]
             h.update(name.encode() + b"\0")
-            h.update(data)
+            for chunk in chunks:
+                h.update(chunk)
             h.update(b"\0")
         return h.hexdigest()
 
@@ -277,14 +318,14 @@ def _write_bundle(
         hashed = pool.submit(hash_files)
         try:
             # a refused cell raises before any file of an old bundle changes
-            texts.update({name: _tsv_text(columns).encode() for name, columns in tables.items()})
+            texts.update({name: _tsv_chunks(columns) for name, columns in tables.items()})
         finally:
             formatted.set()
         out.mkdir(parents=True, exist_ok=True)
         for name in (RUN_MANIFEST, DIGEST_RECORD, MANIFEST):
             (out / name).unlink(missing_ok=True)
-        for name, data in texts.items():
-            _replace_file(out / name, lambda tmp: tmp.write_bytes(data))
+        for name, chunks in texts.items():
+            _replace_file(out / name, lambda tmp: _write_chunks(tmp, chunks))
         for name, a in arrays.items():
             _replace_file(out / name, a.tofile)
     digest = hashed.result()

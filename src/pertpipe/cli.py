@@ -394,7 +394,7 @@ def evaluate(bundle, predictions, control_name):
                 f"{bad[0]} ({bad.size} values)",
                 EXIT_VALIDATION,
             )
-        predicted.append(PseudoBulkProfile(condition_name=cond, mean_expr=arr, n_cells=0))
+        predicted.append(PseudoBulkProfile(condition_name=cond, mean_expr=arr))
     with _failing("evaluate", EXIT_VALIDATION, ParameterError, ValidationError):
         report = evaluate_predictions(truth, predicted, control)
     click.echo(report.to_json())

@@ -238,7 +238,6 @@ class PseudoBulkProfile:
 
     condition_name: str
     mean_expr: np.ndarray
-    n_cells: int
 
     def __post_init__(self):
         object.__setattr__(
@@ -372,20 +371,26 @@ def first_pattern_rows(indptr: np.ndarray, indices: np.ndarray, values: np.ndarr
     indptr = np.asarray(indptr, dtype=np.int64)
     indices = np.asarray(indices, dtype=np.int64)
     n = len(indptr) - 1
-    dose = _dense_codes(np.asarray(values, dtype=np.float64).view(np.int64))
+    # a copy of the dose bits, coded in place, then made the pair codes
+    pair = _dense_codes(np.array(values, dtype=np.float64).view(np.int64))
     n_cols = int(indices.max(initial=-1)) + 1
-    pair = dose * n_cols + indices
-    n_pairs = (int(dose.max(initial=-1)) + 1) * n_cols
+    n_pairs = (int(pair.max(initial=-1)) + 1) * n_cols
+    pair *= n_cols
+    pair += indices
     if n * n_pairs >= 2**63:
         pair, n_pairs = _dense_codes(pair), len(pair)
     lengths = np.diff(indptr)
     first = np.empty(n, dtype=np.intp)
     for length in np.unique(lengths).tolist():
         rows = np.flatnonzero(lengths == length)
-        at = indptr[rows]
+        at = indptr[rows]  # each row's next entry
         key = pair[at] if length else np.zeros(len(rows), dtype=np.int64)
-        for k in range(1, length):
-            key = _dense_codes(key) * n_pairs + pair[at + k]
+        for _ in range(1, length):
+            at += 1
+            key = _dense_codes(key)
+            key *= n_pairs
+            key += pair[at]
+        del at
         group = _dense_codes(key)
         group_first = np.full(len(rows), n, dtype=np.intp)
         np.minimum.at(group_first, group, rows)
@@ -394,13 +399,15 @@ def first_pattern_rows(indptr: np.ndarray, indices: np.ndarray, values: np.ndarr
 
 
 def _dense_codes(x: np.ndarray) -> np.ndarray:
-    """Each value's index among the sorted distinct values of int64 ``x``."""
+    """Int64 ``x`` with each value replaced in place by its index among
+    the sorted distinct values of ``x``; returns ``x``."""
     order = np.argsort(x)
     ordered = x[order]
-    codes = np.empty(len(x), dtype=np.int64)
-    codes[order[:1]] = 0
-    codes[order[1:]] = np.cumsum(ordered[1:] != ordered[:-1])
-    return codes
+    # the code of each sorted value, written over the sorted values
+    np.cumsum(ordered[1:] != ordered[:-1], out=ordered[1:])
+    ordered[:1] = 0
+    x[order] = ordered
+    return x
 
 
 def normalize_log1p(
@@ -488,13 +495,10 @@ def pseudo_bulk(
     # a stable sort keeps each condition's cells in their order in ``cells``
     grouped = cells[np.argsort(codes, kind="stable")]
     members = np.split(grouped, np.cumsum(np.bincount(codes))[:-1])
-    profiles = []
-    for cond, member in zip(names.tolist(), members):
-        mean = ds.X[member].mean(axis=0)
-        profiles.append(
-            PseudoBulkProfile(condition_name=cond, mean_expr=mean, n_cells=member.size)
-        )
-    return profiles
+    return [
+        PseudoBulkProfile(condition_name=cond, mean_expr=ds.X[member].mean(axis=0))
+        for cond, member in zip(names.tolist(), members)
+    ]
 
 
 def _partition_by_cumulative_ratio(

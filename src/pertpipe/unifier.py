@@ -310,6 +310,11 @@ def _first_distinct(values, limit: int) -> str:
     return ", ".join(map(repr, out))
 
 
+def _min_max(X: np.ndarray) -> tuple | None:
+    """``(X.min(), X.max())``, or None for an empty ``X``."""
+    return (X.min(), X.max()) if X.size else None
+
+
 def preview_schema(table: RawTable, sample_size: int) -> str:
     """The schema preview that prompts for a mapping, as deterministic text.
 
@@ -321,7 +326,13 @@ def preview_schema(table: RawTable, sample_size: int) -> str:
     if sample_size < 1:
         raise ParameterError(f"sample_size must be >= 1, got {sample_size}")
     X = table.X
-    stats = [float(f()) for f in (X.min, X.max, X.mean)] if X.size else [0.0] * 3
+    stats = [0.0] * 3
+    if X.size:
+        # min and max over two halves of the rows at once; numpy's min and
+        # max of the halves' results carry a NaN through as X.min() does
+        halves = _row_halves(len(X), lambda lo, hi: _min_max(X[lo:hi]))
+        lows, highs = zip(*filter(None, halves))
+        stats = [float(np.min(lows)), float(np.max(highs)), float(X.mean())]
     lines = [
         f"cells: {table.n_cells}",
         f"genes: {table.n_genes}",
@@ -624,16 +635,11 @@ def merge_datasets(parts: list[CanonicalDataset]) -> MergeResult:
         {k for part in parts for k in part.extra_obs} - {"source_dataset"}
     )
     extra_obs = {
-        k: np.concatenate(
-            [
-                part.extra_obs.get(k, np.full(part.n_cells, "unknown", dtype=object))
-                for part in parts
-            ]
-        )
+        k: _by_part(starts, [part.extra_obs.get(k, "unknown") for part in parts])
         for k in extra_keys
     }
-    extra_obs["source_dataset"] = np.concatenate(
-        [np.full(part.n_cells, f"dataset_{i}", dtype=object) for i, part in enumerate(parts)]
+    extra_obs["source_dataset"] = _by_part(
+        starts, [f"dataset_{i}" for i in range(len(parts))]
     )
 
     # same pattern, one name: first-seen wins
@@ -663,3 +669,15 @@ def merge_datasets(parts: list[CanonicalDataset]) -> MergeResult:
     if not report.ok:
         raise MappingError("merged dataset violates canonical invariants:\n" + str(report))
     return MergeResult(dataset=merged, warnings=tuple(warnings))
+
+
+def _by_part(starts: list[int], fills: list) -> np.ndarray:
+    """An object column whose rows ``starts[i]:starts[i + 1]`` take ``fills[i]``.
+
+    A fill is a part's column or one value, which every row of the part
+    then shares as one object.
+    """
+    column = np.empty(starts[-1], dtype=object)
+    for lo, hi, fill in zip(starts, starts[1:], fills):
+        column[lo:hi] = fill
+    return column

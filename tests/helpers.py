@@ -462,7 +462,7 @@ def reference_pseudo_bulk(ds: CanonicalDataset, cells: np.ndarray) -> list[tuple
     out = []
     for cond in sorted(set(names)):
         member = cells[np.array([name == cond for name in names], dtype=bool)]
-        out.append((cond, member.size, ds.X[member].mean(axis=0)))
+        out.append((cond, ds.X[member].mean(axis=0)))
     return out
 
 

@@ -109,13 +109,13 @@ def test_03_metrics_oracle_equivalence():
             g = int(rng.integers(3, 51))
             n_cond = int(rng.integers(1, 11))
             y_ctrl = rng.uniform(0, 3, g)
-            control = PseudoBulkProfile("control", y_ctrl, 5)
+            control = PseudoBulkProfile("control", y_ctrl)
             truth, preds = [control], []
             for c in range(n_cond):
                 y_t = rng.uniform(0, 3, g)
                 y_p = rng.uniform(0, 3, g)
-                truth.append(PseudoBulkProfile(f"c{c}", y_t, 3))
-                preds.append(PseudoBulkProfile(f"c{c}", y_p, 3))
+                truth.append(PseudoBulkProfile(f"c{c}", y_t))
+                preds.append(PseudoBulkProfile(f"c{c}", y_p))
             report = evaluate_predictions(truth, preds, control)
             for p in preds:
                 y_t = next(t for t in truth if t.condition_name == p.condition_name)

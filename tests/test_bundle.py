@@ -9,6 +9,7 @@ import re
 import shutil
 import tempfile
 import threading
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import small_canonical
+from helpers import reference_tsv_text, small_canonical
 from pertpipe import bundle
 from pertpipe.bundle import (
     bundle_digest,
@@ -129,6 +130,85 @@ def test_tsv_cells_read_back_or_are_refused(cells, wide, name):
             assert name == "" or any(c in text for text in [name, *cells] for c in "\t\n\r")
             return
         assert bundle._read_tsv(path, len(cells)) == {k: v.tolist() for k, v in columns.items()}
+
+
+def _distinct_objects(values) -> int:
+    return len({id(v) for v in values})
+
+
+class TestSharedCells:
+    """Readers return one string object per distinct value of a table column."""
+
+    def test_a_read_column_holds_one_object_per_distinct_value(self, tmp_path):
+        values = ["a", "a\x00", "b", "a", "a\x00", "a"]
+        path = tmp_path / "t.tsv"
+        path.write_text("c\td\n" + "".join(f"{v}\t{v}\n" for v in values))
+        columns = bundle._read_tsv(path, len(values))
+        # "a" and "a\x00" stay apart
+        assert columns == {"c": values, "d": values}
+        assert [_distinct_objects(col) for col in columns.values()] == [3, 3]
+
+    def test_raw_and_canonical_reads_share_their_obs_strings(self, tmp_path):
+        names = np.array(["x", "y", "x", "x\x00", "y", "x"], dtype=object)
+        table = RawTable(obs={"name": names, "flag": np.array([True, False] * 3)},
+                         var_index=np.array(["g1"], dtype=object), X=np.ones((6, 1)))
+        write_raw_bundle(table, tmp_path / "raw")
+        back = read_raw_bundle(tmp_path / "raw").obs["name"]
+        assert back.tolist() == names.tolist() and _distinct_objects(back) == 3
+        ds = small_canonical({"control": [[1.0]] * 3, "A": [[2.0]] * 4})
+        write_canonical_bundle(ds, tmp_path / "canon")
+        canon = read_canonical_bundle(tmp_path / "canon")
+        assert canon.condition_name.tolist() == ds.condition_name.tolist()
+        assert _distinct_objects(canon.condition_name) == 2
+        assert _distinct_objects(canon.cell_type) == 1
+
+
+_CHUNK = bundle._CHUNK_ROWS
+
+
+class TestTableChunks:
+    """Writers format and encode tables one run of rows at a time."""
+
+    @pytest.mark.parametrize("n", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+    def test_chunks_join_to_the_one_table_text(self, n):
+        rng = np.random.default_rng(n)
+        columns = {
+            "s": np.array([f"v{i % 7}" for i in range(n)], dtype=object),
+            "b": rng.random(n) < 0.5,
+            "f": rng.uniform(-1.0, 1.0, n),
+            "i": rng.integers(0, 9, n),
+            "u": np.array(["\u00e9", "\u6f22", "x"] * n, dtype=object)[:n],
+        }
+        chunks = bundle._tsv_chunks(columns)
+        assert len(chunks) == max(1, -(-n // _CHUNK))
+        assert b"".join(chunks) == reference_tsv_text(columns).encode()
+
+    def test_a_bad_cell_of_a_later_run_is_named(self):
+        n = 2 * _CHUNK + 1
+        cells = np.array(["ok"] * n, dtype=object)
+        cells[_CHUNK + 3] = "x\ty"
+        cells[2 * _CHUNK] = "z\nw"  # a later bad cell, not the one named
+        columns = {"a": np.zeros(n), "b": cells}
+        with pytest.raises(BundleFormatError) as ref:
+            reference_tsv_text(columns)
+        with pytest.raises(BundleFormatError) as info:
+            bundle._tsv_chunks(columns)
+        assert str(info.value) == str(ref.value) == "tsv cell value contains tab/newline: 'x\\ty'"
+
+    def test_formatting_holds_about_the_bytes_of_the_table(self):
+        # 60 000 rows of five str columns of repeated values and two bool columns
+        n = 60_000
+        rng = np.random.default_rng(0)
+        values = np.array([f"value_{j}" for j in range(300)], dtype=object)
+        columns = {f"s{k}": values[rng.integers(0, 300, n)] for k in range(5)}
+        columns.update(b0=rng.random(n) < 0.5, b1=rng.random(n) < 0.1)
+        tracemalloc.start()
+        try:
+            chunks = bundle._tsv_chunks(columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * sum(map(len, chunks))
 
 
 class TestColumnNames:

@@ -113,8 +113,8 @@ class TestDeltaPcc:
         d, d_hat = [1e308, 1e308, 0.0], [1.0, 2.0, 3.0]
         assert delta_pcc(d, d_hat) == pytest.approx(-PCC_REF, abs=1e-12)
         assert delta_pcc(d_hat, d) == pytest.approx(-PCC_REF, abs=1e-12)
-        truth = [PseudoBulkProfile("ctrl", np.zeros(3), 1), PseudoBulkProfile("A", d, 1)]
-        report = evaluate_predictions(truth, [PseudoBulkProfile("A", d_hat, 0)], truth[0])
+        truth = [PseudoBulkProfile("ctrl", np.zeros(3)), PseudoBulkProfile("A", d)]
+        report = evaluate_predictions(truth, [PseudoBulkProfile("A", d_hat)], truth[0])
         assert report.per_condition["A"]["delta_pcc"] == pytest.approx(-PCC_REF, abs=1e-12)
         assert report.skipped["delta_pcc"] == []
 
@@ -171,8 +171,8 @@ class TestCosLogfc:
         assert abs(cos_logfc(a, b) - cos_logfc(b, a)) < 1e-15
 
 
-def _profile(name, values, n=1):
-    return PseudoBulkProfile(condition_name=name, mean_expr=np.array(values), n_cells=n)
+def _profile(name, values):
+    return PseudoBulkProfile(condition_name=name, mean_expr=np.array(values))
 
 
 class TestEvaluatePredictions:

@@ -53,6 +53,20 @@ class TestPreviewSchema:
         )
         assert "note:" not in preview_schema(table, 3)
 
+    @pytest.mark.parametrize("row", [0, 2, 4])
+    def test_stats_of_one_call_each(self, row):
+        # min and max are taken over two halves of the rows; a NaN in either
+        # half, or a one-row matrix with an empty first half, prints as one
+        # call over the whole matrix does
+        X = np.arange(10.0).reshape(5, 2)
+        X[row, 1] = np.nan
+        for x in (X, X[:1], X[3:4] * 200.0):
+            table = RawTable(obs={"c": np.array(["x"] * len(x), dtype=object)},
+                             var_index=np.array(["g1", "g2"], dtype=object), X=x)
+            want = "expression stats: min={:.6g} max={:.6g} mean={:.6g}".format(
+                float(x.min()), float(x.max()), float(x.mean()))
+            assert want in preview_schema(table, 3).splitlines()
+
     def test_sample_size_validated(self, drug_raw_table):
         with pytest.raises(ParameterError):
             preview_schema(drug_raw_table, 0)
@@ -641,6 +655,19 @@ class TestMergeDatasets:
         assert merged.extra_obs["source_dataset"].tolist() == [
             "dataset_0", "dataset_0", "dataset_1", "dataset_1",
         ]
+
+    def test_filled_columns_share_one_object_per_part(self):
+        from dataclasses import replace
+
+        part = _mini_canonical(["g1"], ["A"], [("ctrl", True, [0], [1.0]), ("A", False, [1], [2.0])])
+        plates = np.array(["p1", "p2"], dtype=object)
+        merged = merge_datasets([replace(part, extra_obs={"plate": plates}), part, part]).dataset
+        source = merged.extra_obs["source_dataset"]
+        assert source.tolist() == ["dataset_0"] * 2 + ["dataset_1"] * 2 + ["dataset_2"] * 2
+        assert len({id(v) for v in source}) == 3
+        plate = merged.extra_obs["plate"]
+        assert plate.tolist() == ["p1", "p2"] + ["unknown"] * 4
+        assert plate[0] is plates[0] and plate[2] is plate[3] and plate[4] is plate[5]
 
     def test_control_name_collision_resolved_first_seen(self):
         part1 = _mini_canonical(["g1"], ["A"], [("ctrl", True, [0], [1.0]), ("A", False, [1], [2.0])])
