@@ -8,10 +8,11 @@ little-endian CSR arrays: `pert_indptr.i64`, `pert_indices.i64` and
 dense mask and dose matrices) and any binary file of the wrong size.
 
 Writers first format the TSV tables, refusing a cell or column name the
-reader would split or read as no table, and a raw table without obs
-columns, so a refused write leaves an old bundle untouched. A table is
-formatted and encoded in runs of ``_CHUNK_ROWS`` rows, and only the bytes
-of the runs are kept, so it takes about the memory of its file. Readers
+reader would split or read as no table or that UTF-8 cannot encode, and a
+raw table without obs columns, so a refused write leaves an old bundle
+untouched. A table is formatted and encoded in runs of ``_CHUNK_ROWS``
+rows, and only the bytes of the runs are kept, so it takes about the
+memory of its file. Readers
 return one string object per distinct value of a table column. Then they
 remove any old run manifest (`run_manifest.json`, which describes the old
 bundle), the old digest record and then the old manifest, write each file
@@ -134,11 +135,12 @@ def _has_tab_or_newline(text: str) -> bool:
     return "\t" in text or "\n" in text or "\r" in text
 
 
-def _tsv_text(columns: dict[str, np.ndarray], header: bool = True) -> str:
-    """The TSV lines of ``columns``: the names line unless ``header`` is
-    false, then one line per row. A name or cell that the reader would not
-    read back as it was written is refused: the first such name, else the
-    first such cell in row order, is named."""
+def _tsv_bytes(columns: dict[str, np.ndarray], header: bool = True) -> bytes:
+    """The UTF-8 bytes of the TSV lines of ``columns``: the names line unless
+    ``header`` is false, then one line per row. A name or cell that the
+    reader would not read back as it was written, or that UTF-8 cannot
+    encode (a lone surrogate), is refused: for each of the two faults, the
+    first such name, else the first such cell in row order, is named."""
     if "" in columns:
         # a lone empty name makes an empty header line, which reads as no table
         raise BundleFormatError(f"tsv column name is empty: {list(columns)!r}")
@@ -157,22 +159,30 @@ def _tsv_text(columns: dict[str, np.ndarray], header: bool = True) -> str:
             raise BundleFormatError(f"tsv column name contains tab/newline: {bad!r}")
         bad = next(t for row in zip(*cells) for t in row if _has_tab_or_newline(t))
         raise BundleFormatError(f"tsv cell value contains tab/newline: {bad!r}")
-    return text
+    try:
+        return text.encode()
+    except UnicodeEncodeError as exc:
+        # the separators are exact, so they locate the first unencodable character
+        line = text.rfind("\n", 0, exc.start) + 1
+        field = text.count("\t", line, exc.start)
+        bad = text[line : text.index("\n", exc.start)].split("\t")[field]
+    what = "column name" if header and line == 0 else "cell value"
+    raise BundleFormatError(f"tsv {what} is not encodable as UTF-8: {bad!r}")
 
 
 def _tsv_chunks(columns: dict[str, np.ndarray]) -> list[bytes]:
-    """The UTF-8 bytes of ``_tsv_text(columns)``, formatted and encoded one
-    run of ``_CHUNK_ROWS`` rows at a time; the first run holds the names line.
+    """``_tsv_bytes(columns)``, formatted and encoded one run of
+    ``_CHUNK_ROWS`` rows at a time; the first run holds the names line.
 
     Only one run is held as text at once, so the table takes about the
     memory of its bytes. Runs are formatted in order, so a refusal names
-    what ``_tsv_text`` of the whole table would.
+    what ``_tsv_bytes`` of the whole table would.
     """
     n = len(next(iter(columns.values()))) if columns else 0
     return [
-        _tsv_text(
+        _tsv_bytes(
             {name: col[lo : lo + _CHUNK_ROWS] for name, col in columns.items()}, header=lo == 0
-        ).encode()
+        )
         for lo in range(0, max(n, 1), _CHUNK_ROWS)
     ]
 

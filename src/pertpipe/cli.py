@@ -346,7 +346,7 @@ def _profile_text(ds, config, evaluator_spec) -> str:
 def evaluate(bundle, predictions, control_name):
     """Score a JSON predictions file against a bundle's pseudo-bulk truth."""
     from .bundle import read_canonical_bundle
-    from .data import PseudoBulkProfile, pseudo_bulk
+    from .data import pseudo_bulk
     from .metrics import evaluate_predictions
 
     with _failing("bundle", EXIT_VALIDATION, BundleFormatError, ValidationError):
@@ -369,11 +369,10 @@ def evaluate(bundle, predictions, control_name):
         if control_rows.size == 0:
             _fail("predictions", "bundle has no control cells; pass --control", EXIT_VALIDATION)
         control_name = ds.condition_name[control_rows[0]]
-    control = next((p for p in truth if p.condition_name == control_name), None)
-    if control is None:
+    if control_name not in truth:
         _fail("predictions", f"control condition {control_name!r} not in bundle", EXIT_VALIDATION)
 
-    predicted = []
+    predicted = {}
     for cond, vec in doc.items():
         with _failing("predictions", EXIT_VALIDATION, ValueError, OverflowError,
                       message=lambda exc: f"condition {cond!r} is not a vector of numbers: {exc}"):
@@ -394,10 +393,10 @@ def evaluate(bundle, predictions, control_name):
                 f"{bad[0]} ({bad.size} values)",
                 EXIT_VALIDATION,
             )
-        predicted.append(PseudoBulkProfile(condition_name=cond, mean_expr=arr))
-    with _failing("evaluate", EXIT_VALIDATION, ParameterError, ValidationError):
-        report = evaluate_predictions(truth, predicted, control)
-    click.echo(report.to_json())
+        predicted[cond] = arr
+    with _failing("evaluate", EXIT_VALIDATION, ParameterError):
+        report = evaluate_predictions(truth, predicted, control_name)
+    click.echo(json.dumps(report, indent=2))
 
 
 def _json_vector(vec) -> np.ndarray:

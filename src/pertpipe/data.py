@@ -233,19 +233,6 @@ class CanonicalDataset:
 
 
 @dataclass(frozen=True)
-class PseudoBulkProfile:
-    """Mean expression over all cells of one condition."""
-
-    condition_name: str
-    mean_expr: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "mean_expr", _freeze(np.asarray(self.mean_expr, dtype=np.float64))
-        )
-
-
-@dataclass(frozen=True)
 class SplitAssignment:
     """Per-cell train/val/test labels."""
 
@@ -424,8 +411,8 @@ def normalize_log1p(
     the scaling step is skipped but log1p still applies. Rows summing to
     zero pass through unscaled (empty droplets must not abort a batch job);
     the same applies to rows so close to zero that the scale factor would
-    overflow. A row whose sum overflows float64 raises ``ValidationError``
-    naming the row.
+    overflow. A row whose sum, or whose sum scaled to ``target_sum``,
+    overflows float64 raises ``ValidationError`` naming the row.
 
     The checks (one ``_x_faults`` scan) and the transform each split the
     rows in two halves, one on a worker thread and one on the calling
@@ -462,7 +449,16 @@ def normalize_log1p(
         with np.errstate(over="ignore", divide="ignore"):
             scale = np.divide(target_sum, sums, out=np.zeros_like(sums), where=sums > 0)
         # unusable rows are scaled by exactly 1.0, which leaves their bits unchanged
-        factor = np.where((sums > 0) & np.isfinite(scale), scale, 1.0)[:, None]
+        factor = np.where((sums > 0) & np.isfinite(scale), scale, 1.0)
+        # no entry of a row scales past its scaled sum, so the sums are the whole check
+        with np.errstate(over="ignore"):
+            overflow = np.flatnonzero(np.isinf(sums * factor))
+        if overflow.size:
+            raise ValidationError(
+                f"expression row X[{overflow[0]}] scaled to target_sum {target_sum} passes "
+                f"the float64 range; {overflow.size} row(s) cannot be normalized"
+            )
+        factor = factor[:, None]
     out = np.empty_like(X)
 
     def transform(lo: int, hi: int) -> None:
@@ -479,13 +475,13 @@ def normalize_log1p(
 
 def pseudo_bulk(
     ds: CanonicalDataset, cells: np.ndarray | None = None
-) -> list[PseudoBulkProfile]:
+) -> dict[str, np.ndarray]:
     """Per-condition mean expression profiles over a cell subset.
 
     ``cells`` is an array of cell indices, every cell by default. Returns
-    one profile per distinct condition_name present in the subset (control
-    conditions included, labeled by their own condition name). Profiles
-    come back sorted by condition name for determinism.
+    the mean expression of each distinct condition_name present in the
+    subset (control conditions included, under their own condition name),
+    keyed by that name in sorted name order for determinism.
     """
     if cells is None:
         cells = np.arange(ds.n_cells)
@@ -495,10 +491,7 @@ def pseudo_bulk(
     # a stable sort keeps each condition's cells in their order in ``cells``
     grouped = cells[np.argsort(codes, kind="stable")]
     members = np.split(grouped, np.cumsum(np.bincount(codes))[:-1])
-    return [
-        PseudoBulkProfile(condition_name=cond, mean_expr=ds.X[member].mean(axis=0))
-        for cond, member in zip(names.tolist(), members)
-    ]
+    return {cond: ds.X[member].mean(axis=0) for cond, member in zip(names.tolist(), members)}
 
 
 def _partition_by_cumulative_ratio(

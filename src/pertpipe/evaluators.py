@@ -306,7 +306,7 @@ def _prepare(ds: CanonicalDataset, split: SplitAssignment):
     # independent of the fitted shift; falls back to the train control
     # when the val split carries no control cells
     y_ctrl_val = ds.X[val_ctrl].mean(axis=0) if val_ctrl.size else y_ctrl
-    val_deltas = [(p.condition_name, p.mean_expr - y_ctrl_val) for p in pseudo_bulk(ds, val_pert)]
+    val_deltas = [(c, mean - y_ctrl_val) for c, mean in pseudo_bulk(ds, val_pert).items()]
     # NaN and inf survive every sum, so these aggregates see each cell read
     non_finite = "non-finite input: X holds NaN or inf in the {} cells".format
     if not np.isfinite(y_ctrl).all():

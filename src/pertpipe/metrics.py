@@ -1,19 +1,17 @@
 """Pseudo-bulk evaluation metrics: RMSE, shift-vector Pearson, shift cosine.
 
 Shift vectors are condition means minus the control mean. Conditions where
-a metric is undefined (zero variance or zero norm) are reported as skipped
-rather than coerced to a number; only the search layer maps "undefined" to
-a zero reward.
+a metric is undefined (zero variance or zero norm) or past the float range
+are reported as skipped rather than coerced to a number; only the search
+layer maps "undefined" to a zero reward.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
-from .data import PseudoBulkProfile
 from .errors import ParameterError, PertpipeError
 
 METRIC_NAMES = ("rmse", "delta_pcc", "cos_logfc")
@@ -30,11 +28,25 @@ def _check_lengths(a: np.ndarray, b: np.ndarray, minimum: int = 1) -> None:
         raise ParameterError(f"need at least {minimum} components, got {a.shape[0]}")
 
 
+def _without_overflow(f, v: np.ndarray):
+    """``f(v)`` for an ``f`` that scales with ``v`` (a mean, a root mean
+    square); when that overflows, ``v`` is divided by its largest magnitude
+    first and the result scaled back, so it overflows only if it must."""
+    with np.errstate(over="ignore"):
+        out = f(v)
+    if np.isinf(out):
+        peak = np.abs(v).max()
+        if peak < np.inf:
+            out = peak * f(v / peak)
+    return out
+
+
 def rmse(y: np.ndarray, y_hat: np.ndarray) -> float:
+    """Root mean squared error, rescaled when the squares overflow."""
     y = np.asarray(y, dtype=np.float64)
     y_hat = np.asarray(y_hat, dtype=np.float64)
     _check_lengths(y, y_hat)
-    return float(np.sqrt(np.mean((y - y_hat) ** 2)))
+    return float(_without_overflow(lambda d: np.sqrt(np.mean(d**2)), y - y_hat))
 
 
 # sums of squares that stay normal floats, so their square roots keep full precision
@@ -114,81 +126,59 @@ def cos_logfc(delta: np.ndarray, delta_hat: np.ndarray) -> float:
     return float(np.clip(np.dot(delta, delta_hat) / denom, -1.0, 1.0))
 
 
-@dataclass(frozen=True)
-class MetricReport:
-    per_condition: dict[str, dict[str, float | None]]
-    aggregate: dict[str, float | None]
-    skipped: dict[str, list[str]]
-    n_conditions: int
-
-    def to_json(self) -> str:
-        payload = {
-            "n_conditions": self.n_conditions,
-            "aggregate": {k: self.aggregate[k] for k in METRIC_NAMES},
-            "per_condition": {
-                cond: {k: vals[k] for k in METRIC_NAMES}
-                for cond, vals in sorted(self.per_condition.items())
-            },
-            "skipped": {k: sorted(self.skipped[k]) for k in METRIC_NAMES},
-        }
-        return json.dumps(payload, indent=2, sort_keys=False)
-
-
+# a metric past the float range is reported as null, not warned about
+@np.errstate(over="ignore")
 def evaluate_predictions(
-    truth: list[PseudoBulkProfile],
-    predicted: list[PseudoBulkProfile],
-    control: PseudoBulkProfile,
-) -> MetricReport:
+    truth: dict[str, np.ndarray],
+    predicted: dict[str, np.ndarray],
+    control_name: str,
+) -> dict:
     """Score predicted condition profiles against truth at the pseudo-bulk level.
 
-    Every predicted condition must exist in the truth list; the control
-    condition itself is never scored. Undefined per-condition metrics are
-    excluded from aggregates and listed under ``skipped``.
+    ``truth`` and ``predicted`` map a condition name to its mean expression,
+    and ``truth`` holds ``control_name``. Every predicted condition must
+    exist in ``truth``; the control condition itself is never scored.
+    Returns the report ``pertpipe evaluate`` prints: ``n_conditions``,
+    ``aggregate``, then ``per_condition`` and ``skipped``, both in name
+    order. A per-condition metric that is undefined, or too large for a
+    float, is null, left out of the aggregates and listed under ``skipped``.
     """
-    truth_by_name = {p.condition_name: p for p in truth}
-    y_ctrl = control.mean_expr
+    y_ctrl = truth[control_name]
     skipped: dict[str, list[str]] = {name: [] for name in METRIC_NAMES}
     per_condition: dict[str, dict[str, float | None]] = {}
-
-    for pred in sorted(predicted, key=lambda p: p.condition_name):
-        cond = pred.condition_name
-        if cond == control.condition_name:
+    for cond in sorted(predicted):
+        if cond == control_name:
             continue
-        if cond not in truth_by_name:
+        if cond not in truth:
             raise ParameterError(
                 f"predicted condition {cond!r} has no matching truth condition"
             )
-        y_p = truth_by_name[cond].mean_expr
-        y_hat = pred.mean_expr
+        y_p, y_hat = truth[cond], predicted[cond]
         if y_p.shape != y_hat.shape:
             raise ParameterError(
                 f"condition {cond!r}: truth has {y_p.shape[0]} genes, "
                 f"prediction has {y_hat.shape[0]}"
             )
-        d = y_p - y_ctrl
-        d_hat = y_hat - y_ctrl
+        d, d_hat = y_p - y_ctrl, y_hat - y_ctrl
         values: dict[str, float | None] = {"rmse": rmse(y_p, y_hat)}
-        try:
-            values["delta_pcc"] = delta_pcc(d, d_hat)
-        except UndefinedMetric:
-            values["delta_pcc"] = None
-            skipped["delta_pcc"].append(cond)
-        try:
-            values["cos_logfc"] = cos_logfc(d, d_hat)
-        except UndefinedMetric:
-            values["cos_logfc"] = None
-            skipped["cos_logfc"].append(cond)
+        for name, metric in (("delta_pcc", delta_pcc), ("cos_logfc", cos_logfc)):
+            try:
+                values[name] = metric(d, d_hat)
+            except UndefinedMetric:
+                values[name] = None
+        for name, value in values.items():
+            if value is None or not math.isfinite(value):
+                values[name] = None
+                skipped[name].append(cond)
         per_condition[cond] = values
 
     aggregate: dict[str, float | None] = {}
     for name in METRIC_NAMES:
-        defined = [
-            v[name] for v in per_condition.values() if v[name] is not None
-        ]
-        aggregate[name] = float(np.mean(defined)) if defined else None
-    return MetricReport(
-        per_condition=per_condition,
-        aggregate=aggregate,
-        skipped=skipped,
-        n_conditions=len(per_condition),
-    )
+        defined = [v[name] for v in per_condition.values() if v[name] is not None]
+        aggregate[name] = float(_without_overflow(np.mean, np.array(defined))) if defined else None
+    return {
+        "n_conditions": len(per_condition),
+        "aggregate": aggregate,
+        "per_condition": per_condition,
+        "skipped": skipped,
+    }

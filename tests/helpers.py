@@ -345,10 +345,9 @@ def reference_surrogate_evaluate(ds, split, candidate) -> EvalOutcome:
     predict = _reference_fit(ds, candidate.backbone, D, train_conds, cond_names, cond_means, reg)
 
     scores = []
-    for profile in pseudo_bulk(ds, val_pert):
-        true_delta = profile.mean_expr - y_ctrl_val
+    for cond, mean in pseudo_bulk(ds, val_pert).items():
         try:
-            scores.append(delta_pcc(true_delta, predict(profile.condition_name)))
+            scores.append(delta_pcc(mean - y_ctrl_val, predict(cond)))
         except UndefinedMetric:
             continue
     if not scores:
@@ -371,10 +370,10 @@ def reference_scored_m_val(ev, ds, split, candidate) -> float | None:
     reg = candidate.hyperparams.reg_strength * (1.0 + candidate.hyperparams.dropout)
     predict = ev._fit_family(candidate.backbone, candidate.loss, reg, stats, views)
     scores = []
-    for profile in pseudo_bulk(ds, val[~ds.is_control[val]]):
-        truth = pcc_side(profile.mean_expr - y_ctrl_val)
+    for cond, mean in pseudo_bulk(ds, val[~ds.is_control[val]]).items():
+        truth = pcc_side(mean - y_ctrl_val)
         try:
-            scores.append(pcc_of_sides(truth, pcc_side(predict(profile.condition_name))))
+            scores.append(pcc_of_sides(truth, pcc_side(predict(cond))))
         except UndefinedMetric:
             continue
     return max(0.0, float(np.mean(scores))) if scores else None

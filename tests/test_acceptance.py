@@ -17,11 +17,7 @@ from helpers import builtin_landscape, exhaustive_best, oracle_condition_metrics
 from pertpipe import dsl
 from pertpipe.actions import materialize
 from pertpipe.bundle import bundle_digest
-from pertpipe.data import (
-    PseudoBulkProfile,
-    split_unseen_perturbation,
-    validate_canonical,
-)
+from pertpipe.data import split_unseen_perturbation, validate_canonical
 from pertpipe.evaluators import (
     SurrogateEvaluator,
     SyntheticConfig,
@@ -109,20 +105,16 @@ def test_03_metrics_oracle_equivalence():
             g = int(rng.integers(3, 51))
             n_cond = int(rng.integers(1, 11))
             y_ctrl = rng.uniform(0, 3, g)
-            control = PseudoBulkProfile("control", y_ctrl)
-            truth, preds = [control], []
+            truth, preds = {"control": y_ctrl}, {}
             for c in range(n_cond):
-                y_t = rng.uniform(0, 3, g)
-                y_p = rng.uniform(0, 3, g)
-                truth.append(PseudoBulkProfile(f"c{c}", y_t))
-                preds.append(PseudoBulkProfile(f"c{c}", y_p))
-            report = evaluate_predictions(truth, preds, control)
-            for p in preds:
-                y_t = next(t for t in truth if t.condition_name == p.condition_name)
+                truth[f"c{c}"] = rng.uniform(0, 3, g)
+                preds[f"c{c}"] = rng.uniform(0, 3, g)
+            report = evaluate_predictions(truth, preds, "control")
+            for cond, y_p in preds.items():
                 expected = oracle_condition_metrics(
-                    y_t.mean_expr.tolist(), p.mean_expr.tolist(), y_ctrl.tolist()
+                    truth[cond].tolist(), y_p.tolist(), y_ctrl.tolist()
                 )
-                got = report.per_condition[p.condition_name]
+                got = report["per_condition"][cond]
                 for key, ref in expected.items():
                     if ref is None:
                         assert got[key] is None

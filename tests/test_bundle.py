@@ -125,7 +125,7 @@ def test_tsv_cells_read_back_or_are_refused(cells, wide, name):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "obs.tsv"
         try:
-            path.write_text(bundle._tsv_text(columns))
+            path.write_bytes(bundle._tsv_bytes(columns))
         except BundleFormatError:
             assert name == "" or any(c in text for text in [name, *cells] for c in "\t\n\r")
             return
@@ -266,6 +266,42 @@ class TestColumnNames:
         with pytest.raises(BundleFormatError, match=re.escape(message)):
             write_canonical_bundle(bad, tmp_path / "c")
         assert self._files(tmp_path / "c") == before
+
+
+class TestLoneSurrogates:
+    """A name or cell holding a lone surrogate, which UTF-8 cannot encode, is
+    refused by name before any file of an old bundle changes."""
+
+    @staticmethod
+    def _refused(table: RawTable, path: Path, message: str) -> None:
+        before = TestColumnNames._files(path)
+        with pytest.raises(BundleFormatError, match=f"^{re.escape(message)}$"):
+            write_raw_bundle(table, path)
+        assert TestColumnNames._files(path) == before
+
+    def test_the_first_cell_in_row_order(self, raw_table, tmp_path):
+        write_raw_bundle(raw_table, tmp_path / "raw")
+        # the first column's bad cell is in a later row than the last column's
+        obs = {**raw_table.obs, "name": np.array(["a", "b", "\udc00"], dtype=object),
+               "tag": np.array(["x", "y\ud800z", "w"], dtype=object)}
+        bad = RawTable(obs=obs, var_index=raw_table.var_index, X=raw_table.X)
+        self._refused(bad, tmp_path / "raw", "tsv cell value is not encodable as UTF-8: 'y\\ud800z'")
+
+    def test_a_name_before_any_cell(self, raw_table, tmp_path):
+        write_raw_bundle(raw_table, tmp_path / "raw")
+        obs = {"name": np.array(["\ud800", "b", "c"], dtype=object),
+               "n\udfff": raw_table.obs["dose"]}
+        bad = RawTable(obs=obs, var_index=raw_table.var_index, X=raw_table.X)
+        self._refused(bad, tmp_path / "raw",
+                      "tsv column name is not encodable as UTF-8: 'n\\udfff'")
+
+    def test_a_cell_of_a_later_run(self):
+        n = 2 * _CHUNK + 1
+        cells = np.array(["ok"] * n, dtype=object)
+        cells[_CHUNK + 3] = "\udfff"
+        cells[2 * _CHUNK] = "x\ud800"  # a later bad cell, not the one named
+        with pytest.raises(BundleFormatError, match=re.escape("UTF-8: '\\udfff'")):
+            bundle._tsv_chunks({"a": np.zeros(n), "b": cells})
 
 
 class TestCanonicalBundle:

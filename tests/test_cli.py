@@ -5,6 +5,7 @@ import errno
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import shutil
@@ -500,14 +501,114 @@ class TestSearchCommand:
         assert result.exit_code == 1
 
 
+# (options, predictions, report) per case; ``pertpipe evaluate`` must print
+# exactly ``json.dumps(report, indent=2)``: these keys in this order, these bits
+EVALUATE_PINS = {
+    "default_control": (
+        [], {"B": [0.4, 2.5, 1.4], "A": [2.1, 1.3, 0.2], "C": [1.5, 1.0, 3.0]},
+        {"n_conditions": 3,
+         "aggregate": {"rmse": 0.44531128441248885, "delta_pcc": 0.8286123845836403,
+                       "cos_logfc": 0.9282685027290422},
+         "per_condition": {
+             "A": {"rmse": 0.09574271077563377, "delta_pcc": 0.9980079926036591,
+                   "cos_logfc": 0.9971471788702646},
+             "B": {"rmse": 0.3741657386773941, "delta_pcc": 0.987829161147262,
+                   "cos_logfc": 0.9876583293168623},
+             "C": {"rmse": 0.8660254037844386, "delta_pcc": 0.4999999999999999,
+                   "cos_logfc": 0.7999999999999998}},
+         "skipped": {"rmse": [], "delta_pcc": [], "cos_logfc": []}},
+    ),
+    "named_control": (
+        ["--control", "B"], {"A": [2.1, 1.3, 0.2], "control": [1.1, 0.9, 2.2]},
+        {"n_conditions": 2,
+         "aggregate": {"rmse": 0.1185820335064717, "delta_pcc": 0.9998917080514333,
+                       "cos_logfc": 0.9986068684582742},
+         "per_condition": {
+             "A": {"rmse": 0.09574271077563377, "delta_pcc": 0.9999008674099177,
+                   "cos_logfc": 0.9989405556803542},
+             "control": {"rmse": 0.14142135623730961, "delta_pcc": 0.9998825486929489,
+                         "cos_logfc": 0.9982731812361941}},
+         "skipped": {"rmse": [], "delta_pcc": [], "cos_logfc": []}},
+    ),
+    # A's shift is constant and B's is zero
+    "constant_prediction": (
+        [], {"A": [1.5, 1.5, 2.5], "B": [1.0, 1.0, 2.0], "C": [0.4, 2.5, 1.4]},
+        {"n_conditions": 3,
+         "aggregate": {"rmse": 1.4223813394738845, "delta_pcc": -4.578482586627533e-17,
+                       "cos_logfc": 0.005591613874742787},
+         "per_condition": {
+             "A": {"rmse": 1.3768926368215255, "delta_pcc": None,
+                   "cos_logfc": -0.06666666666666667},
+             "B": {"rmse": 1.3228756555322954, "delta_pcc": None, "cos_logfc": None},
+             "C": {"rmse": 1.5673757260678332, "delta_pcc": -4.578482586627533e-17,
+                   "cos_logfc": 0.07784989441615224}},
+         "skipped": {"rmse": [], "delta_pcc": ["A", "B"], "cos_logfc": ["B"]}},
+    ),
+    "control_predicted": (
+        [], {"control": [1.0, 1.0, 2.0], "A": [2.1, 1.3, 0.2]},
+        {"n_conditions": 1,
+         "aggregate": {"rmse": 0.09574271077563377, "delta_pcc": 0.9980079926036591,
+                       "cos_logfc": 0.9971471788702646},
+         "per_condition": {
+             "A": {"rmse": 0.09574271077563377, "delta_pcc": 0.9980079926036591,
+                   "cos_logfc": 0.9971471788702646}},
+         "skipped": {"rmse": [], "delta_pcc": [], "cos_logfc": []}},
+    ),
+}
+
+
+def _strict_json(text: str):
+    """``json.loads`` that refuses the NaN and Infinity of Python's json."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
 class TestEvaluateCommand:
+    @pytest.mark.parametrize("case", EVALUATE_PINS)
+    def test_report_text_is_pinned(self, runner, tmp_path, case):
+        options, predictions, report = EVALUATE_PINS[case]
+        ds = small_canonical({"control": [[1.0, 0.5, 2.0], [1.0, 1.5, 2.0]],
+                              "A": [[2.0, 1.0, 0.0], [2.5, 1.5, 0.5]],
+                              "B": [[0.5, 3.0, 1.0]], "C": [[1.0, 2.0, 4.0]]})
+        write_canonical_bundle(ds, tmp_path / "b")
+        pred_file = tmp_path / "pred.json"
+        pred_file.write_text(json.dumps(predictions))
+        result = runner.invoke(main, ["evaluate", str(tmp_path / "b"), str(pred_file), *options])
+        assert result.exit_code == 0, result.output + result.stderr
+        assert result.stdout == json.dumps(report, indent=2) + "\n"
+        assert result.stderr == ""
+
+    def test_huge_predictions_print_strict_json_and_no_warning(self, runner, tmp_path):
+        bundle = tmp_path / "b"
+        result = runner.invoke(main, [
+            "gen-synthetic", "--out", str(bundle), "--n-genes", "3", "--n-perts", "2",
+            "--cells-per-condition", "2", "--effect-sparsity", "1", "--seed", "1",
+        ])
+        assert result.exit_code == 0, result.output + result.stderr
+        pred_file = tmp_path / "pred.json"
+        pred_file.write_text(json.dumps({"PERT_000": [1e200, -1e200, 3e199]}))
+        # a process of its own, so numpy's warnings reach its stderr as they would a user's
+        env = {**os.environ, "PYTHONPATH": str(Path(pertpipe.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "pertpipe.cli", "evaluate", str(bundle), str(pred_file)],
+            capture_output=True, text=True, env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        report = _strict_json(done.stdout)
+        assert report["skipped"] == {"rmse": [], "delta_pcc": [], "cos_logfc": []}
+        assert report["per_condition"]["PERT_000"]["rmse"] == pytest.approx(
+            1e200 * math.sqrt(2.09 / 3), rel=1e-6
+        )
+
     def test_perfect_predictions(self, runner, tmp_path):
         ds = small_canonical(
             {"control": [[1.0, 1.0, 1.0]], "A": [[2.0, 1.0, 0.5]], "B": [[0.5, 2.0, 1.5]]}
         )
         bundle = tmp_path / "b"
         write_canonical_bundle(ds, bundle)
-        profiles = {p.condition_name: p.mean_expr.tolist() for p in pseudo_bulk(ds)}
+        profiles = {c: mean.tolist() for c, mean in pseudo_bulk(ds).items()}
         pred_file = tmp_path / "pred.json"
         pred_file.write_text(
             json.dumps({c: v for c, v in profiles.items() if c != "control"})
@@ -1417,6 +1518,17 @@ def _raw_with_a_row_sum_past_float64(path: Path) -> None:
     }))
 
 
+def _raw_with_a_scaled_sum_past_float64(path: Path) -> None:
+    # rows 0 and 3 scaled to the largest float sum past it
+    table = RawTable(obs={"drug_id": np.array(["DMSO", "drugA", "drugB", "drugA"], dtype=object)},
+                     var_index=np.array(["g0", "g1"], dtype=object),
+                     X=np.array([[3.0, 0.0], [1.0, 1.0], [2.0, 2.0], [7.0, 0.0]]))
+    write_raw_bundle(table, path)
+    (path / "mapping.json").write_text(json.dumps({
+        **_DRUG_MAPPING, "numerical": {"target_sum": np.finfo(np.float64).max.item()},
+    }))
+
+
 def _tear_last_row(path: Path) -> None:
     path.write_text(path.read_text().removesuffix("\n").rsplit("\n", 1)[0] + "\n")
 
@@ -1519,6 +1631,13 @@ OUTSIDE_INPUTS = {
         (_KB_HEADER + '{"profile_text": "p", "action_path": [], '
          '"reward": 0.5, "created_at": 0.0}\n').encode(), _SEARCH_KB, 2, "kb"
     ),
+    "lone_surrogate_in_mapped_value": (
+        _mapping(batch_id={"type": "constant", "value": "\ud800"}), _UNIFY_MAPPING,
+        2, "apply_mapping",
+    ),
+    "target_sum_scales_a_row_past_float64": (
+        _raw_with_a_scaled_sum_past_float64, _UNIFY_OWN_MAPPING, 2, "apply_mapping",
+    ),
     "raw_row_sum_past_float64": (
         _raw_with_a_row_sum_past_float64,
         ["unify", "{file}", "{out}", "--mapping", "{file}/mapping.json"], 2, "apply_mapping",
@@ -1558,6 +1677,10 @@ OUTSIDE_MESSAGES = {
     "control_status_unknown_column": "is_control: unknown column 'nope'; available columns: "
                                      "['cell_type_annotation', 'conc_um', 'drug_id']",
     "mapping_a_list": "mapping JSON must be an object",
+    "lone_surrogate_in_mapped_value": "tsv cell value is not encodable as UTF-8: '\\ud800'",
+    "target_sum_scales_a_row_past_float64":
+        "expression row X[0] scaled to target_sum 1.7976931348623157e+308 passes the "
+        "float64 range; 2 row(s) cannot be normalized",
     "raw_obs_torn": "{file}/obs.tsv has 3 rows, expected 4",
     "raw_var_torn": "{file}/var.tsv has 2 rows, expected 3",
     "kb_path_a_string": "{file}:2 action_path 'paradigm:generative' is not a list of names",

@@ -81,14 +81,11 @@ class TestGenerateSynthetic:
         cfg = SyntheticConfig(30, 3, 4, 0.0, 0.0, seed=1)
         ds, truth = generate_synthetic(cfg)
         assert truth.effects.sum() == 0.0
-        profiles = {p.condition_name: p for p in pseudo_bulk(ds)}
-        control = profiles["control"]
+        profiles = pseudo_bulk(ds)
         report = evaluate_predictions(
-            [profiles[n] for n in truth.pert_names] + [control],
-            [profiles[n] for n in truth.pert_names],
-            control,
+            profiles, {n: profiles[n] for n in truth.pert_names}, "control"
         )
-        assert set(report.skipped["delta_pcc"]) == set(truth.pert_names)
+        assert report["skipped"]["delta_pcc"] == sorted(truth.pert_names)
 
     def test_support_lies_inside_pathway_mask(self):
         cfg = SyntheticConfig(80, 4, 4, 0.2, 0.1, seed=3)
@@ -111,14 +108,12 @@ class TestGenerateSynthetic:
 
     def test_truth_against_itself_scores_perfectly(self):
         ds, truth = generate_synthetic(SyntheticConfig(30, 4, 5, 0.0, 0.3, seed=4))
-        profiles = {p.condition_name: p for p in pseudo_bulk(ds)}
-        control = profiles["control"]
-        truth_profiles = [profiles[n] for n in truth.pert_names]
+        profiles = pseudo_bulk(ds)
         report = evaluate_predictions(
-            truth_profiles + [control], truth_profiles, control
+            profiles, {n: profiles[n] for n in truth.pert_names}, "control"
         )
-        assert report.aggregate["rmse"] == 0.0
-        assert abs(report.aggregate["delta_pcc"] - 1.0) < 1e-12
+        assert report["aggregate"]["rmse"] == 0.0
+        assert abs(report["aggregate"]["delta_pcc"] - 1.0) < 1e-12
 
     def test_config_validation(self):
         with pytest.raises(ParameterError):

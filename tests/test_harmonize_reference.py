@@ -33,7 +33,7 @@ from helpers import (
 from pertpipe import data, dsl, unifier
 from pertpipe.bundle import (
     _read_tsv,
-    _tsv_text,
+    _tsv_bytes,
     bundle_digest,
     read_canonical_bundle,
     read_raw_bundle,
@@ -109,10 +109,10 @@ def test_tsv_text_matches_reference(columns):
         expected, error = None, str(exc)
     if error is not None:
         with pytest.raises(BundleFormatError) as info:
-            _tsv_text(columns)
+            _tsv_bytes(columns)
         assert str(info.value) == error
     else:
-        assert _tsv_text(columns) == expected
+        assert _tsv_bytes(columns) == expected.encode()
 
 
 _CELL = st.text(alphabet="ab \r", max_size=2)

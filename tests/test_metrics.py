@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -9,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import oracle_condition_metrics
-from pertpipe.data import PseudoBulkProfile
 from pertpipe.errors import ParameterError
 from pertpipe.metrics import (
     UndefinedMetric,
@@ -42,6 +40,25 @@ class TestRmse:
 
     def test_zero_iff_equal(self):
         assert rmse([1.0, 2.0 + 1e-12], [1.0, 2.0]) > 0.0
+
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e307])
+    def test_squares_past_float64_keep_the_rmse(self, scale):
+        # the squares overflow, the root mean square does not
+        assert rmse([scale, -scale, 0.3 * scale], [0.0, 0.0, 0.0]) == pytest.approx(
+            scale * math.sqrt(2.09 / 3), rel=1e-15
+        )
+        assert rmse([scale] * 4, [-scale] * 4) == 2 * scale
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in subtract:RuntimeWarning")
+    def test_a_difference_past_float64_is_infinite(self):
+        assert rmse([1.7e308, 0.0], [-1.7e308, 0.0]) == math.inf
+
+    def test_ordinary_inputs_keep_their_bits(self):
+        rng = np.random.default_rng(5)
+        for _ in range(500):
+            n = int(rng.integers(1, 30))
+            y, y_hat = rng.normal(size=(2, n)) * 10.0 ** rng.uniform(-100, 100)
+            assert rmse(y, y_hat) == float(np.sqrt(np.mean((y - y_hat) ** 2)))
 
 
 class TestDeltaPcc:
@@ -105,18 +122,17 @@ class TestDeltaPcc:
         a, b = np.array([1.0, 4.0, 2.0]), np.array([0.5, 1.0, 3.0])
         assert abs(delta_pcc(a, b) - delta_pcc(b, a)) < 1e-15
 
-    # the mean's sum overflows before the vector is scaled down, and rmse squares 1e308
+    # the mean's sum overflows before the vector is scaled down
     @pytest.mark.filterwarnings("ignore:overflow encountered in reduce:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:overflow encountered in square:RuntimeWarning")
     def test_overflowing_sum_keeps_the_correlation(self):
         # [1, 1, 0] against [1, 2, 3] correlates at -sqrt(3)/2
         d, d_hat = [1e308, 1e308, 0.0], [1.0, 2.0, 3.0]
         assert delta_pcc(d, d_hat) == pytest.approx(-PCC_REF, abs=1e-12)
         assert delta_pcc(d_hat, d) == pytest.approx(-PCC_REF, abs=1e-12)
-        truth = [PseudoBulkProfile("ctrl", np.zeros(3)), PseudoBulkProfile("A", d)]
-        report = evaluate_predictions(truth, [PseudoBulkProfile("A", d_hat)], truth[0])
-        assert report.per_condition["A"]["delta_pcc"] == pytest.approx(-PCC_REF, abs=1e-12)
-        assert report.skipped["delta_pcc"] == []
+        truth = {"ctrl": np.zeros(3), "A": np.array(d)}
+        report = evaluate_predictions(truth, {"A": np.array(d_hat)}, "ctrl")
+        assert report["per_condition"]["A"]["delta_pcc"] == pytest.approx(-PCC_REF, abs=1e-12)
+        assert report["skipped"]["delta_pcc"] == []
 
     def test_ordinary_inputs_keep_their_bits(self):
         # the centring as it was before sums that overflow were handled
@@ -171,47 +187,38 @@ class TestCosLogfc:
         assert abs(cos_logfc(a, b) - cos_logfc(b, a)) < 1e-15
 
 
-def _profile(name, values):
-    return PseudoBulkProfile(condition_name=name, mean_expr=np.array(values))
+def _profiles(**values) -> dict[str, np.ndarray]:
+    return {name: np.array(v, dtype=np.float64) for name, v in values.items()}
 
 
 class TestEvaluatePredictions:
     def test_perfect_predictions(self):
-        control = _profile("control", [1.0, 1.0, 1.0])
-        truth = [control, _profile("A", [2.0, 1.0, 0.5]), _profile("B", [0.0, 3.0, 1.0])]
-        report = evaluate_predictions(truth, truth, control)
-        assert report.aggregate["rmse"] == 0.0
-        assert abs(report.aggregate["delta_pcc"] - 1.0) < 1e-12
-        assert abs(report.aggregate["cos_logfc"] - 1.0) < 1e-12
-        assert report.n_conditions == 2
+        truth = _profiles(control=[1.0, 1.0, 1.0], A=[2.0, 1.0, 0.5], B=[0.0, 3.0, 1.0])
+        report = evaluate_predictions(truth, truth, "control")
+        assert report["aggregate"]["rmse"] == 0.0
+        assert abs(report["aggregate"]["delta_pcc"] - 1.0) < 1e-12
+        assert abs(report["aggregate"]["cos_logfc"] - 1.0) < 1e-12
+        assert report["n_conditions"] == 2
 
     def test_constant_delta_skips_pcc_only(self):
-        control = _profile("control", [1.0, 1.0])
-        truth = [control, _profile("A", [2.0, 2.0])]
-        pred = [_profile("A", [2.5, 2.5])]
-        report = evaluate_predictions(truth, pred, control)
-        values = report.per_condition["A"]
+        truth = _profiles(control=[1.0, 1.0], A=[2.0, 2.0])
+        report = evaluate_predictions(truth, _profiles(A=[2.5, 2.5]), "control")
+        values = report["per_condition"]["A"]
         assert values["delta_pcc"] is None
         assert values["rmse"] is not None and values["cos_logfc"] is not None
-        assert report.skipped["delta_pcc"] == ["A"]
-        assert report.aggregate["delta_pcc"] is None
+        assert report["skipped"]["delta_pcc"] == ["A"]
+        assert report["aggregate"]["delta_pcc"] is None
 
     def test_matches_brute_force_oracle_on_fixture(self):
         rng = np.random.default_rng(17)
-        control = _profile("control", rng.uniform(0, 2, 6))
-        truth = [control] + [
-            _profile(c, rng.uniform(0, 2, 6)) for c in ("A", "B")
-        ]
-        pred = [_profile(c, rng.uniform(0, 2, 6)) for c in ("A", "B")]
-        report = evaluate_predictions(truth, pred, control)
-        for p in pred:
-            y_true = next(t for t in truth if t.condition_name == p.condition_name)
+        truth = {c: rng.uniform(0, 2, 6) for c in ("control", "A", "B")}
+        pred = {c: rng.uniform(0, 2, 6) for c in ("A", "B")}
+        report = evaluate_predictions(truth, pred, "control")
+        for cond, y_hat in pred.items():
             expected = oracle_condition_metrics(
-                y_true.mean_expr.tolist(),
-                p.mean_expr.tolist(),
-                control.mean_expr.tolist(),
+                truth[cond].tolist(), y_hat.tolist(), truth["control"].tolist()
             )
-            got = report.per_condition[p.condition_name]
+            got = report["per_condition"][cond]
             for key, exp in expected.items():
                 if exp is None:
                     assert got[key] is None
@@ -219,41 +226,53 @@ class TestEvaluatePredictions:
                     assert abs(got[key] - exp) < 1e-9
 
     def test_unmatched_condition_rejected(self):
-        control = _profile("control", [1.0, 1.0])
-        truth = [control, _profile("A", [2.0, 1.0])]
+        truth = _profiles(control=[1.0, 1.0], A=[2.0, 1.0])
         with pytest.raises(ParameterError, match="ghost"):
-            evaluate_predictions(truth, [_profile("ghost", [1.0, 2.0])], control)
+            evaluate_predictions(truth, _profiles(ghost=[1.0, 2.0]), "control")
 
     def test_control_prediction_ignored(self):
-        control = _profile("control", [1.0, 2.0])
-        truth = [control, _profile("A", [2.0, 1.0])]
-        pred = [control, _profile("A", [2.0, 1.0])]
-        report = evaluate_predictions(truth, pred, control)
-        assert "control" not in report.per_condition
+        truth = _profiles(control=[1.0, 2.0], A=[2.0, 1.0])
+        report = evaluate_predictions(truth, truth, "control")
+        assert "control" not in report["per_condition"]
 
     def test_gene_count_mismatch(self):
-        control = _profile("control", [1.0, 1.0])
-        truth = [control, _profile("A", [2.0, 1.0])]
+        truth = _profiles(control=[1.0, 1.0], A=[2.0, 1.0])
         with pytest.raises(ParameterError, match="genes"):
-            evaluate_predictions(truth, [_profile("A", [1.0, 2.0, 3.0])], control)
-
-    def test_json_serialization_fixed_key_order(self):
-        control = _profile("control", [1.0, 1.0, 2.0])
-        truth = [control, _profile("A", [2.0, 1.0, 0.0])]
-        report = evaluate_predictions(truth, [_profile("A", [1.9, 1.2, 0.1])], control)
-        doc = json.loads(report.to_json())
-        assert list(doc) == ["n_conditions", "aggregate", "per_condition", "skipped"]
-        assert report.to_json() == evaluate_predictions(
-            truth, [_profile("A", [1.9, 1.2, 0.1])], control
-        ).to_json()
+            evaluate_predictions(truth, _profiles(A=[1.0, 2.0, 3.0]), "control")
 
     def test_aggregates_are_unweighted_means(self):
-        control = _profile("control", [0.0, 0.0, 0.0])
-        truth = [control, _profile("A", [1.0, 2.0, 3.0]), _profile("B", [3.0, 1.0, 2.0])]
-        pred = [_profile("A", [1.0, 1.0, 3.0]), _profile("B", [2.0, 2.0, 2.0])]
-        report = evaluate_predictions(truth, pred, control)
+        truth = _profiles(control=[0.0, 0.0, 0.0], A=[1.0, 2.0, 3.0], B=[3.0, 1.0, 2.0])
+        pred = _profiles(A=[1.0, 1.0, 3.0], B=[2.0, 2.0, 2.0])
+        report = evaluate_predictions(truth, pred, "control")
         for key in ("rmse", "delta_pcc", "cos_logfc"):
             defined = [
-                v[key] for v in report.per_condition.values() if v[key] is not None
+                v[key] for v in report["per_condition"].values() if v[key] is not None
             ]
-            assert abs(report.aggregate[key] - float(np.mean(defined))) < 1e-15
+            assert abs(report["aggregate"][key] - float(np.mean(defined))) < 1e-15
+
+    def test_report_lists_conditions_in_name_order(self):
+        truth = _profiles(control=[0.0, 0.0], B=[1.0, 2.0], A=[2.0, 1.0], C=[1.0, 1.0])
+        pred = _profiles(C=[3.0, 3.0], B=[1.0, 2.0], A=[1.0, 1.0])
+        report = evaluate_predictions(truth, pred, "control")
+        assert list(report) == ["n_conditions", "aggregate", "per_condition", "skipped"]
+        assert list(report["per_condition"]) == ["A", "B", "C"]
+        assert report["skipped"]["delta_pcc"] == ["A", "C"]
+
+    def test_rmse_past_float64_is_skipped(self):
+        # A's difference overflows, B's and C's squares do, and so would the sum of their rmse
+        truth = _profiles(control=[0.0, 0.0], A=[1.7e308, 0.0], B=[1.7e308, 0.0],
+                          C=[1.7e308, 0.0])
+        pred = _profiles(A=[-1.7e308, 1.0], B=[0.0, 1.0], C=[0.0, 2.0])
+        report = evaluate_predictions(truth, pred, "control")
+        rmse_b = 1.7e308 * math.sqrt(0.5)
+        assert report["per_condition"]["A"]["rmse"] is None
+        assert report["per_condition"]["B"]["rmse"] == pytest.approx(rmse_b, rel=1e-15)
+        assert report["skipped"]["rmse"] == ["A"]
+        assert report["aggregate"]["rmse"] == pytest.approx(rmse_b, rel=1e-15)
+        assert report["per_condition"]["A"]["delta_pcc"] == pytest.approx(-1.0)
+
+    def test_reports_without_a_warning(self, recwarn):
+        truth = _profiles(control=[0.0, 0.0, 0.0], A=[1.0, 2.0, 3.0])
+        report = evaluate_predictions(truth, _profiles(A=[1e200, -1e200, 3e199]), "control")
+        assert report["skipped"] == {"rmse": [], "delta_pcc": [], "cos_logfc": []}
+        assert recwarn.list == []
