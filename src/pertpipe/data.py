@@ -473,6 +473,20 @@ def normalize_log1p(
     return out
 
 
+def column_means(X: np.ndarray) -> np.ndarray:
+    """``X.mean(axis=0)`` of a matrix with rows; a column whose sum overflows
+    is divided by its largest magnitude first and its mean scaled back, so
+    the mean of finite values is finite. NaN and inf pass through."""
+    with np.errstate(over="ignore"):
+        means = X.mean(axis=0)
+    bad = np.flatnonzero(~np.isfinite(means))
+    if bad.size:
+        peak = np.abs(X[:, bad]).max(axis=0)
+        cols, peak = bad[np.isfinite(peak)], peak[np.isfinite(peak)]
+        means[cols] = peak * (X[:, cols] / peak).mean(axis=0)
+    return means
+
+
 def pseudo_bulk(
     ds: CanonicalDataset, cells: np.ndarray | None = None
 ) -> dict[str, np.ndarray]:
@@ -481,7 +495,8 @@ def pseudo_bulk(
     ``cells`` is an array of cell indices, every cell by default. Returns
     the mean expression of each distinct condition_name present in the
     subset (control conditions included, under their own condition name),
-    keyed by that name in sorted name order for determinism.
+    keyed by that name in sorted name order for determinism. A mean is
+    taken by ``column_means``, so finite cells give a finite mean.
     """
     if cells is None:
         cells = np.arange(ds.n_cells)
@@ -491,7 +506,7 @@ def pseudo_bulk(
     # a stable sort keeps each condition's cells in their order in ``cells``
     grouped = cells[np.argsort(codes, kind="stable")]
     members = np.split(grouped, np.cumsum(np.bincount(codes))[:-1])
-    return {cond: ds.X[member].mean(axis=0) for cond, member in zip(names.tolist(), members)}
+    return {cond: column_means(ds.X[member]) for cond, member in zip(names.tolist(), members)}
 
 
 def _partition_by_cumulative_ratio(

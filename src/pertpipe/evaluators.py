@@ -24,6 +24,7 @@ from .data import (
     CanonicalDataset,
     SplitAssignment,
     _row_halves,
+    column_means,
     factorize,
     normalize_log1p,
     pseudo_bulk,
@@ -301,23 +302,29 @@ def _prepare(ds: CanonicalDataset, split: SplitAssignment):
             "and val needs perturbed cells"
         )
 
-    y_ctrl = ds.X[train_ctrl].mean(axis=0)
+    y_ctrl = column_means(ds.X[train_ctrl])
     # truth shifts reference the val split's own control so their noise is
     # independent of the fitted shift; falls back to the train control
     # when the val split carries no control cells
-    y_ctrl_val = ds.X[val_ctrl].mean(axis=0) if val_ctrl.size else y_ctrl
-    val_deltas = [(c, mean - y_ctrl_val) for c, mean in pseudo_bulk(ds, val_pert).items()]
-    # NaN and inf survive every sum, so these aggregates see each cell read
+    y_ctrl_val = column_means(ds.X[val_ctrl]) if val_ctrl.size else y_ctrl
+    val_means = pseudo_bulk(ds, val_pert)
+    # NaN and inf survive every sum, so these means see each cell read; the
+    # means of finite cells are finite, but a shift or its square may not be
     non_finite = "non-finite input: X holds NaN or inf in the {} cells".format
+    overflow = ("overflow: shifts from the control mean in the {} cells "
+                "pass the float64 range").format
     if not np.isfinite(y_ctrl).all():
         return non_finite("train control")
-    if not all(np.isfinite(delta).all() for _, delta in val_deltas):
+    if not all(np.isfinite(mean).all() for mean in (y_ctrl_val, *val_means.values())):
         return non_finite("val")
-    names, codes = factorize(ds.condition_name[train_pert])
-    index_of = {c: i for i, c in enumerate(names.tolist())}
-    truth, squares = zip(*(pcc_side(delta) for _, delta in val_deltas))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        truth, squares = zip(*(pcc_side(mean - y_ctrl_val) for mean in val_means.values()))
     # C order, so each row adds up as the 1-D sum of that row would
     val_truth, val_squares = np.stack(truth), np.array(squares)
+    if not np.isfinite(val_squares).all():
+        return overflow("val")
+    names, codes = factorize(ds.condition_name[train_pert])
+    index_of = {c: i for i, c in enumerate(names.tolist())}
     for shared in (val_truth, val_squares):
         shared.setflags(write=False)
     stats = _SplitStats(
@@ -325,15 +332,16 @@ def _prepare(ds: CanonicalDataset, split: SplitAssignment):
         counts=np.bincount(codes),
         y_ctrl=y_ctrl,
         index_of=index_of,
-        val_keys=tuple(c if c in index_of else None for c, _ in val_deltas),
+        val_keys=tuple(c if c in index_of else None for c in val_means),
         val_truth=val_truth,
         val_squares=val_squares,
         gene_mask=pathway_gene_mask(ds.ensembl_id),
     )
-    with np.errstate(invalid="ignore"):  # inf - inf in a variance is reported below
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
         mse = _loss_view(ds.X, stats)
-    if not np.isfinite(mse.sums).all():
-        return non_finite("perturbed train")
+    if not (np.isfinite(mse.sums).all() and np.isfinite(mse.cond_vars).all()):
+        cells_finite = np.isfinite(ds.X[train_pert]).all()
+        return (overflow if cells_finite else non_finite)("perturbed train")
     huber = _loss_view(ds.X, stats, _huber_bounds(stats, mse))
     return stats, {"mse": mse, "huber": huber}
 

@@ -21,11 +21,11 @@ class UndefinedMetric(PertpipeError):
     """The metric has no value on this input (zero variance or zero norm)."""
 
 
-def _check_lengths(a: np.ndarray, b: np.ndarray, minimum: int = 1) -> None:
+def _check_lengths(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape != b.shape or a.ndim != 1:
         raise ParameterError(f"vector shapes differ: {a.shape} vs {b.shape}")
-    if a.shape[0] < minimum:
-        raise ParameterError(f"need at least {minimum} components, got {a.shape[0]}")
+    if a.size == 0:
+        raise ParameterError("need at least 1 component, got 0")
 
 
 def _without_overflow(f, v: np.ndarray):
@@ -98,11 +98,12 @@ def delta_pcc(delta: np.ndarray, delta_hat: np.ndarray) -> float:
 
     A vector whose sum overflows is scaled down before it is centred, and a
     centred vector whose sum of squares leaves the normal float range (a
-    tiny but nonzero spread, say) is rescaled by its largest magnitude.
+    tiny but nonzero spread, say) is rescaled by its largest magnitude. A
+    vector of one component has zero variance, so it is undefined.
     """
     delta = np.asarray(delta, dtype=np.float64)
     delta_hat = np.asarray(delta_hat, dtype=np.float64)
-    _check_lengths(delta, delta_hat, minimum=2)
+    _check_lengths(delta, delta_hat)
     return pcc_of_sides(pcc_side(delta), pcc_side(delta_hat))
 
 

@@ -1,9 +1,10 @@
 """Schema harmonization: previewing, mapping induction, application, merging.
 
 A mapping specification describes how one raw table projects onto the
-canonical schema: each entry is a direct column alias, the parsed tree of
-a logic expression in the mapping DSL, a constant, or ``None`` for an
-absent entry that falls back to its documented default. Specifications are
+canonical schema: one table from each target to its entry, which is the
+parsed tree of a mapping DSL expression (a bare column name is the
+expression ``df['name']``), a constant, or ``None`` for an absent entry
+that falls back to its documented default. Specifications are
 induced by an LLM from a schema preview, or loaded from JSON files; two
 surface forms are accepted (a nested block layout and a flat per-key
 layout) and normalized into one entry model. The specification keeps only
@@ -62,15 +63,12 @@ _FLAT_ALIASES = {
 }
 # obs keys whose bare value is a mapping expression ("<key>_logic" when nested)
 _BARE_LOGIC = ("is_control", "condition_name")
+# the targets beside the obs keys: where perturbation names and doses come from
+_SOURCES = ("pert_mask_source", "pert_dose_source")
 
 
 # --------------------------------------------------------------------------
 # mapping entries
-
-
-@dataclass(frozen=True)
-class Direct:
-    source_key: str
 
 
 @dataclass(frozen=True)
@@ -79,16 +77,15 @@ class Constant:
 
 
 # None is an absent entry, which takes its key's default
-MappingEntry = Direct | dsl.Expr | Constant | None
+MappingEntry = dsl.Expr | Constant | None
 
 
 @dataclass(frozen=True)
 class MappingSpec:
     """Normalized mapping from one raw schema to the canonical schema."""
 
-    obs_entries: dict[str, MappingEntry]
-    pert_mask_source: MappingEntry
-    pert_dose_source: MappingEntry
+    # an entry per canonical obs key, then pert_mask_source and pert_dose_source
+    entries: dict[str, MappingEntry]
     gene_symbol_col: str | None
     is_already_log1p: bool
     normalization_required: bool
@@ -145,7 +142,7 @@ def _entry_from_value(value, key: str, violations: list[str]) -> MappingEntry:
             if not isinstance(source, str) or not source:
                 violations.append(f"{key}: direct entry missing source_key")
                 return None
-            return Direct(source)
+            return dsl.ColumnRef(source)
         if etype == "logic":
             expression = value.get("expression")
             if not isinstance(expression, str) or not expression:
@@ -162,7 +159,7 @@ def _entry_from_value(value, key: str, violations: list[str]) -> MappingEntry:
     if isinstance(value, str):
         if value in ("None", "", "unknown"):
             return None
-        return Direct(value)
+        return dsl.ColumnRef(value)
     violations.append(f"{key}: cannot interpret entry {value!r}")
     return None
 
@@ -175,11 +172,11 @@ def _logic_entry(expression: str, key: str, violations: list[str]) -> MappingEnt
         return None
 
 
-def _obs_entry(target: str, value, label: str, violations: list[str]) -> MappingEntry:
-    """One obs entry of either surface form.
+def _entry(target: str, value, label: str, violations: list[str]) -> MappingEntry:
+    """The entry for ``target`` in either surface form.
 
     A bare value is a constant for ``pert_type``, a mapping expression for
-    ``is_control`` and ``condition_name``, and a column name otherwise.
+    ``is_control`` and ``condition_name``, and a column reference otherwise.
     """
     if isinstance(value, dict) or target not in ("pert_type", *_BARE_LOGIC):
         return _entry_from_value(value, label, violations)
@@ -207,20 +204,16 @@ def _parse_nested(doc: dict, violations: list[str]) -> MappingSpec:
     if not isinstance(obs, dict):
         violations.append("missing or invalid 'obs' block")
         obs = {}
-    obs_entries: dict[str, MappingEntry] = {}
+    entries: dict[str, MappingEntry] = {}
     for key in CANONICAL_OBS_KEYS:
         name = f"{key}_logic" if key in _BARE_LOGIC else key
         value = obs.get(name, obs.get(key))
-        obs_entries[key] = _obs_entry(key, value, f"obs.{name}", violations)
+        entries[key] = _entry(key, value, f"obs.{name}", violations)
     obsm = _block(body, "obsm", violations)
-    mask_entry, dose_entry = (
-        _entry_from_value(obsm.get(key), f"obsm.{key}", violations)
-        for key in ("pert_mask_source", "pert_dose_source")
-    )
+    for key in _SOURCES:
+        entries[key] = _entry(key, obsm.get(key), f"obsm.{key}", violations)
     return _finish_spec(
-        obs_entries,
-        mask_entry,
-        dose_entry,
+        entries,
         _block(body, "var", violations),
         _block(body, "numerical", violations),
         violations,
@@ -228,34 +221,28 @@ def _parse_nested(doc: dict, violations: list[str]) -> MappingSpec:
 
 
 def _parse_flat(doc: dict, violations: list[str]) -> MappingSpec:
-    obs_entries: dict[str, MappingEntry] = dict.fromkeys(CANONICAL_OBS_KEYS)
-    sources: dict[str, MappingEntry] = {}  # mask and dose sources, cell line
+    entries: dict[str, MappingEntry] = dict.fromkeys((*CANONICAL_OBS_KEYS, *_SOURCES))
     for key, value in doc.items():
         target = _FLAT_ALIASES.get(key)
-        if target in CANONICAL_OBS_KEYS:
-            obs_entries[target] = _obs_entry(target, value, key, violations)
-        elif target is not None:
-            sources[target] = _entry_from_value(value, key, violations)
-    if "cell_line" in sources:
+        if target is not None:
+            entries[target] = _entry(target, value, key, violations)
+    cell_line = entries.pop("cell_line", None)
+    if cell_line is not None:
         # a cell-line column identifies the donor; reuse it for cell_type
         # only when nothing better was mapped
-        obs_entries["donor_id"] = sources["cell_line"]
-        if obs_entries["cell_type"] is None:
-            obs_entries["cell_type"] = sources["cell_line"]
+        entries["donor_id"] = cell_line
+        if entries["cell_type"] is None:
+            entries["cell_type"] = cell_line
     return _finish_spec(
-        obs_entries,
-        sources.get("pert_mask_source"),
-        sources.get("pert_dose_source"),
+        entries,
         _block(doc, "var", violations),
         _block(doc, "numerical", violations),
         violations,
     )
 
 
-def _finish_spec(
-    obs_entries, mask_entry, dose_entry, var, numerical, violations
-) -> MappingSpec:
-    pert_type_entry = obs_entries["pert_type"]
+def _finish_spec(entries, var, numerical, violations) -> MappingSpec:
+    pert_type_entry = entries["pert_type"]
     if isinstance(pert_type_entry, Constant) and pert_type_entry.value not in PERT_TYPES:
         violations.append(
             f"pert_type constant {pert_type_entry.value!r} not in {list(PERT_TYPES)}"
@@ -282,9 +269,7 @@ def _finish_spec(
         )
         target_sum = 1e4
     return MappingSpec(
-        obs_entries=obs_entries,
-        pert_mask_source=mask_entry,
-        pert_dose_source=dose_entry,
+        entries=entries,
         gene_symbol_col=symbol_col,
         is_already_log1p=flags["is_already_log1p"],
         normalization_required=flags["normalization_required"],
@@ -392,17 +377,11 @@ _OBS_DEFAULTS = {
 }
 
 
-def _resolve_entry(entry: MappingEntry, table: RawTable, key: str, default=None):
-    """The column or scalar value that ``entry`` gives; ``default`` for an absent one."""
+def _resolve_entry(spec: MappingSpec, table: RawTable, key: str, default=None):
+    """The column or scalar value of ``key``'s entry; ``default`` for an absent one."""
+    entry = spec.entries[key]
     if entry is None:
         return default
-    if isinstance(entry, Direct):
-        if entry.source_key not in table.obs:
-            raise MappingError(
-                f"{key}: source column {entry.source_key!r} not in table; "
-                f"available columns: {sorted(table.obs)}"
-            )
-        return table.obs[entry.source_key]
     if isinstance(entry, Constant):
         return entry.value
     try:
@@ -453,23 +432,19 @@ def apply_mapping(
     n = table.n_cells
 
     is_control = _as_bool_column(
-        _resolve_entry(spec.obs_entries["is_control"], table, "is_control", False),
-        n,
-        "is_control",
+        _resolve_entry(spec, table, "is_control", False), n, "is_control"
     )
 
     pert_values = None
-    if spec.pert_mask_source is not None:
-        pert_values = _as_str_column(
-            _resolve_entry(spec.pert_mask_source, table, "pert_mask_source"), n
-        )
+    if spec.entries["pert_mask_source"] is not None:
+        pert_values = _as_str_column(_resolve_entry(spec, table, "pert_mask_source"), n)
 
     obs: dict[str, np.ndarray] = {"is_control": is_control}
     # an absent condition_name takes the perturbation labels verbatim
     labels = "unknown" if pert_values is None else pert_values
     defaults = {**_OBS_DEFAULTS, "condition_name": labels}
     for key, default in defaults.items():
-        obs[key] = _as_str_column(_resolve_entry(spec.obs_entries[key], table, key, default), n)
+        obs[key] = _as_str_column(_resolve_entry(spec, table, key, default), n)
 
     # vocabulary over the distinct non-control perturbation labels, combos
     # split apart; each label's sorted columns are repeated for its cells
@@ -497,11 +472,9 @@ def apply_mapping(
     indptr = np.concatenate(([0], np.cumsum(counts)))
 
     values = np.zeros(len(indices), dtype=np.float64)
-    if spec.pert_dose_source is not None and vocab:
+    if spec.entries["pert_dose_source"] is not None and vocab:
         dose_col = _as_float_column(
-            _resolve_entry(spec.pert_dose_source, table, "pert_dose_source"),
-            n,
-            "pert_dose_source",
+            _resolve_entry(spec, table, "pert_dose_source"), n, "pert_dose_source"
         )
         values = np.repeat(dose_col, counts)
 
@@ -524,12 +497,7 @@ def apply_mapping(
         symbols = ensembl.copy()
 
     ds = CanonicalDataset(
-        cell_type=obs["cell_type"],
-        batch_id=obs["batch_id"],
-        donor_id=obs["donor_id"],
-        pert_type=obs["pert_type"],
-        is_control=is_control,
-        condition_name=obs["condition_name"],
+        **obs,
         X=X,
         pert_indptr=indptr,
         pert_indices=indices,

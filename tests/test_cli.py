@@ -65,8 +65,8 @@ def mapping_file(tmp_path, flat_form_mapping):
     return path
 
 
-def _nested_mapping_response() -> str:
-    doc = {
+def _nested_mapping() -> dict:
+    return {
         "uscp_mapping": {
             "obs": {
                 "cell_type": "cell_type_annotation",
@@ -86,7 +86,10 @@ def _nested_mapping_response() -> str:
         },
         "data_summary": "drugs on A549",
     }
-    return "```json\n" + json.dumps(doc) + "\n```"
+
+
+def _nested_mapping_response() -> str:
+    return "```json\n" + json.dumps(_nested_mapping()) + "\n```"
 
 
 def _stderr_error(result) -> dict:
@@ -579,16 +582,12 @@ class TestEvaluateCommand:
         assert result.stdout == json.dumps(report, indent=2) + "\n"
         assert result.stderr == ""
 
-    def test_huge_predictions_print_strict_json_and_no_warning(self, runner, tmp_path):
-        bundle = tmp_path / "b"
-        result = runner.invoke(main, [
-            "gen-synthetic", "--out", str(bundle), "--n-genes", "3", "--n-perts", "2",
-            "--cells-per-condition", "2", "--effect-sparsity", "1", "--seed", "1",
-        ])
-        assert result.exit_code == 0, result.output + result.stderr
+    @staticmethod
+    def _evaluate_in_a_process(bundle: Path, predictions: dict, tmp_path: Path) -> dict:
+        """The report of ``evaluate`` run in a process of its own, so numpy's
+        warnings reach its stderr as they would a user's; that stderr is empty."""
         pred_file = tmp_path / "pred.json"
-        pred_file.write_text(json.dumps({"PERT_000": [1e200, -1e200, 3e199]}))
-        # a process of its own, so numpy's warnings reach its stderr as they would a user's
+        pred_file.write_text(json.dumps(predictions))
         env = {**os.environ, "PYTHONPATH": str(Path(pertpipe.__file__).parents[1])}
         done = subprocess.run(
             [sys.executable, "-m", "pertpipe.cli", "evaluate", str(bundle), str(pred_file)],
@@ -596,11 +595,45 @@ class TestEvaluateCommand:
         )
         assert done.returncode == 0, done.stderr
         assert done.stderr == ""
-        report = _strict_json(done.stdout)
+        return _strict_json(done.stdout)
+
+    def test_huge_predictions_print_strict_json_and_no_warning(self, runner, tmp_path):
+        bundle = tmp_path / "b"
+        result = runner.invoke(main, [
+            "gen-synthetic", "--out", str(bundle), "--n-genes", "3", "--n-perts", "2",
+            "--cells-per-condition", "2", "--effect-sparsity", "1", "--seed", "1",
+        ])
+        assert result.exit_code == 0, result.output + result.stderr
+        predictions = {"PERT_000": [1e200, -1e200, 3e199]}
+        report = self._evaluate_in_a_process(bundle, predictions, tmp_path)
         assert report["skipped"] == {"rmse": [], "delta_pcc": [], "cos_logfc": []}
         assert report["per_condition"]["PERT_000"]["rmse"] == pytest.approx(
             1e200 * math.sqrt(2.09 / 3), rel=1e-6
         )
+
+    def test_cells_near_the_float64_maximum_give_a_finite_report(self, tmp_path):
+        X = np.random.default_rng(0).uniform(0, 1, (24, 6)) * 1.7e308
+        conditions = {"control": X[:8].tolist()}
+        conditions.update((c, X[8 + 4 * k:12 + 4 * k].tolist()) for k, c in enumerate("ABCD"))
+        write_canonical_bundle(small_canonical(conditions), tmp_path / "b")
+        predictions = {c: (0.9 * X[8 + 4 * k]).tolist() for k, c in enumerate("ABCD")}
+        report = self._evaluate_in_a_process(tmp_path / "b", predictions, tmp_path)
+        assert report["skipped"] == {"rmse": [], "delta_pcc": [], "cos_logfc": []}
+        assert all(v is not None for v in report["aggregate"].values())
+
+    def test_one_gene_bundle_skips_delta_pcc(self, runner, tmp_path):
+        # a centred one-gene shift has zero variance; rmse and cosine are defined
+        bundle = tmp_path / "b"
+        result = runner.invoke(main, [
+            "gen-synthetic", "--out", str(bundle), "--n-genes", "1", "--n-perts", "2",
+            "--cells-per-condition", "2", "--seed", "1",
+        ])
+        assert result.exit_code == 0, result.output + result.stderr
+        report = self._evaluate_in_a_process(bundle, {"PERT_000": [1.5]}, tmp_path)
+        assert report["skipped"] == {"rmse": [], "delta_pcc": ["PERT_000"], "cos_logfc": []}
+        values = report["per_condition"]["PERT_000"]
+        assert values["delta_pcc"] is None
+        assert values["rmse"] > 0 and values["cos_logfc"] == 1.0
 
     def test_perfect_predictions(self, runner, tmp_path):
         ds = small_canonical(
@@ -1505,6 +1538,11 @@ def _one_gene_bundle(path: Path) -> None:
     write_canonical_bundle(ds, path)
 
 
+def _bundle_of_no_genes(path: Path) -> None:
+    write_canonical_bundle(small_canonical({"control": [[]], "A": [[]]}), path)
+    (path / "pred.json").write_text('{"A": []}')
+
+
 def _raw_with_a_row_sum_past_float64(path: Path) -> None:
     X = np.ones((2, 3))
     X[1, :2] = 1e308  # finite values whose sum is not
@@ -1558,6 +1596,13 @@ def _four_cell_raw(mapping: dict, torn: str | None = None):
 
 def _mapping(**entries) -> bytes:
     return json.dumps({**_DRUG_MAPPING, **entries}).encode()
+
+
+def _nested_with(block: str, **entries) -> bytes:
+    """The nested mapping with ``entries`` replacing those of its ``block``."""
+    doc = _nested_mapping()
+    doc["uscp_mapping"][block].update(entries)
+    return json.dumps(doc).encode()
 
 
 def _kb_line(action_path: str) -> bytes:
@@ -1647,6 +1692,9 @@ OUTSIDE_INPUTS = {
         _one_gene_bundle, ["search", "{file}", "--out", "{out}", "--set", "search.n_sim=4"],
         4, "no_valid_candidate",
     ),
+    "bundle_with_no_genes": (
+        _bundle_of_no_genes, ["evaluate", "{file}", "{file}/pred.json"], 2, "evaluate",
+    ),
     "dose_not_a_number": (
         _four_cell_raw({**_DRUG_MAPPING, "dose_value": "dose"}), _UNIFY_OWN_MAPPING,
         2, "apply_mapping",
@@ -1661,6 +1709,17 @@ OUTSIDE_INPUTS = {
     "control_status_unknown_column": (
         _mapping(control_status="df['nope'] == 'x'"), _UNIFY_MAPPING, 2, "apply_mapping",
     ),
+    # a column name, bare or as a direct entry, is the column reference df['name']
+    "flat_bare_name_unknown_column": (
+        _mapping(perturbation_name="nope"), _UNIFY_MAPPING, 2, "apply_mapping",
+    ),
+    "nested_obsm_direct_unknown_column": (
+        _nested_with("obsm", pert_mask_source={"type": "direct", "source_key": "nope"}),
+        _UNIFY_MAPPING, 2, "apply_mapping",
+    ),
+    "nested_obs_bare_name_unknown_column": (
+        _nested_with("obs", cell_type="nope"), _UNIFY_MAPPING, 2, "apply_mapping",
+    ),
     "mapping_a_list": (b"[]", _UNIFY_MAPPING, 2, "mapping_spec"),
     "raw_obs_torn": (_four_cell_raw(_DRUG_MAPPING, "obs.tsv"), _UNIFY_OWN_MAPPING, 2, "bundle"),
     "raw_var_torn": (_four_cell_raw(_DRUG_MAPPING, "var.tsv"), _UNIFY_OWN_MAPPING, 2, "bundle"),
@@ -1670,12 +1729,19 @@ OUTSIDE_INPUTS = {
 
 # the error message of an outside input, with {file} its path
 OUTSIDE_MESSAGES = {
+    "bundle_with_no_genes": "need at least 1 component, got 0",
     "dose_not_a_number": "pert_dose_source: cannot cast value '10uM' at row 2 to float",
     "gene_symbol_col_not_a_column":
         "gene_symbol_col 'nope' not in var columns; available: ['symbol']",
     "control_status_constant_not_a_bool": "is_control: expected a boolean value, got 'yes'",
     "control_status_unknown_column": "is_control: unknown column 'nope'; available columns: "
                                      "['cell_type_annotation', 'conc_um', 'drug_id']",
+    "flat_bare_name_unknown_column": "pert_mask_source: unknown column 'nope'; available "
+                                     "columns: ['cell_type_annotation', 'conc_um', 'drug_id']",
+    "nested_obsm_direct_unknown_column": "pert_mask_source: unknown column 'nope'; available "
+                                         "columns: ['cell_type_annotation', 'conc_um', 'drug_id']",
+    "nested_obs_bare_name_unknown_column": "cell_type: unknown column 'nope'; available "
+                                           "columns: ['cell_type_annotation', 'conc_um', 'drug_id']",
     "mapping_a_list": "mapping JSON must be an object",
     "lone_surrogate_in_mapped_value": "tsv cell value is not encodable as UTF-8: '\\ud800'",
     "target_sum_scales_a_row_past_float64":

@@ -194,6 +194,17 @@ class TestPseudoBulk:
         ds = small_canonical({"control": [[1.0, 1.0]], "B": [[2.0, 2.0]], "A": [[3.0, 3.0]]})
         assert list(pseudo_bulk(ds)) == ["A", "B", "control"]
 
+    def test_means_near_the_float64_maximum_are_finite(self):
+        # a plain mean's sum overflows; an overflow warning fails the test
+        rows = np.random.default_rng(0).uniform(0, 1, (4, 3)) * 1.7e308
+        ds = small_canonical({"control": [[0.0] * 3], "A": rows.tolist()})
+        assert np.allclose(pseudo_bulk(ds)["A"], (rows / 4).sum(axis=0), rtol=1e-12)
+
+    def test_column_means_pass_nan_and_inf_through(self):
+        X = np.array([[np.inf, np.nan, 1e308, 1.0], [1.0, 1.0, 1e308, 2.0]])
+        means = data.column_means(X)
+        assert np.array_equal(means, [np.inf, np.nan, 1e308, 1.5], equal_nan=True)
+
     def test_empty_subset_rejected(self):
         ds = small_canonical({"control": [[1.0, 1.0]], "A": [[2.0, 2.0]]})
         with pytest.raises(ParameterError):

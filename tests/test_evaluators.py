@@ -22,6 +22,7 @@ from helpers import (
     reference_loss_view,
     reference_scored_m_val,
     reference_surrogate_evaluate,
+    small_canonical,
 )
 from pertpipe.data import (
     SplitAssignment,
@@ -549,6 +550,22 @@ class TestPreparation:
             warnings.simplefilter("always")
             out = SurrogateEvaluator(replace(ds, X=X), split).evaluate(_ridge("resnet"), 0)
         assert out.error == "non-finite input: X holds NaN or inf in the perturbed train cells"
+        assert [str(w.message) for w in caught] == []
+
+
+    @pytest.mark.parametrize("val_sign, cells", [(1.0, "perturbed train"), (-1.0, "val")])
+    def test_huge_finite_cells_name_the_overflow(self, val_sign, cells):
+        # the means of these cells are finite; the shifts from the control mean
+        # (val, negated) or their squares (perturbed train) are not
+        u = np.random.default_rng(0).uniform(0.5, 1.0, (12, 6)) * 1.7e308
+        ds = small_canonical({"control": u[:4].tolist(), "A": u[4:8].tolist(),
+                              "B": (val_sign * u[8:]).tolist()})
+        split = SplitAssignment(["train", "train", "val", "val"] + ["train"] * 4 + ["val"] * 4)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = SurrogateEvaluator(ds, split).evaluate(_ridge("resnet"), 0)
+        assert out.error == (f"overflow: shifts from the control mean in the {cells} cells "
+                             f"pass the float64 range")
         assert [str(w.message) for w in caught] == []
 
 

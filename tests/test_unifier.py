@@ -11,7 +11,6 @@ from pertpipe.errors import LlmReplyError, MappingError, ParameterError, Transpo
 from pertpipe.llm import LlmClient
 from pertpipe.unifier import (
     Constant,
-    Direct,
     MappingSpec,
     apply_mapping,
     build_mapping_messages,
@@ -122,13 +121,23 @@ class TestPreviewSchema:
 class TestMappingSpecLoading:
     def test_flat_form_per_key_entries(self, flat_form_mapping):
         spec = MappingSpec.from_dict(flat_form_mapping)
-        assert spec.pert_dose_source == dsl.parse("df['conc_um'].astype(float) * 1000")
-        assert spec.obs_entries["pert_type"] == Constant("drug")
-        assert spec.obs_entries["is_control"] == dsl.parse("df['drug_id'] == 'DMSO'")
-        assert spec.pert_mask_source == Direct("drug_id")
+        assert spec.entries["pert_dose_source"] == dsl.parse("df['conc_um'].astype(float) * 1000")
+        assert spec.entries["pert_type"] == Constant("drug")
+        assert spec.entries["is_control"] == dsl.parse("df['drug_id'] == 'DMSO'")
+        assert spec.entries["pert_mask_source"] == dsl.ColumnRef("drug_id")
         # cell_line maps to donor_id and doubles as cell_type when unmapped
-        assert spec.obs_entries["donor_id"] == Direct("cell_type_annotation")
-        assert spec.obs_entries["cell_type"] == Direct("cell_type_annotation")
+        assert spec.entries["donor_id"] == dsl.ColumnRef("cell_type_annotation")
+        assert spec.entries["cell_type"] == dsl.ColumnRef("cell_type_annotation")
+
+    @pytest.mark.parametrize(
+        "absent", ["None", "", "unknown", None], ids=["None", "empty", "unknown", "null"]
+    )
+    def test_absent_cell_line_keeps_the_donor(self, absent):
+        spec = MappingSpec.from_dict(
+            {"perturbation_name": "drug", "donor_id": "donor", "cell_line": absent}
+        )
+        assert spec.entries["donor_id"] == dsl.ColumnRef("donor")
+        assert spec.entries["cell_type"] is None
 
     def test_nested_form(self):
         doc = {
@@ -152,12 +161,12 @@ class TestMappingSpecLoading:
             "data_summary": "guides",
         }
         spec = MappingSpec.from_dict(doc)
-        assert spec.obs_entries["cell_type"] == Direct("celltype")
-        assert spec.obs_entries["batch_id"] is None
-        assert spec.obs_entries["donor_id"] is None
-        assert spec.obs_entries["is_control"] == dsl.parse("df['guide'] == 'ctrl'")
-        assert spec.obs_entries["condition_name"] == dsl.parse("df['guide'].astype(str)")
-        assert spec.pert_dose_source is None
+        assert spec.entries["cell_type"] == dsl.ColumnRef("celltype")
+        assert spec.entries["batch_id"] is None
+        assert spec.entries["donor_id"] is None
+        assert spec.entries["is_control"] == dsl.parse("df['guide'] == 'ctrl'")
+        assert spec.entries["condition_name"] == dsl.parse("df['guide'].astype(str)")
+        assert spec.entries["pert_dose_source"] is None
         assert spec.is_already_log1p is True
         assert spec.gene_symbol_col == "sym"
 
@@ -343,7 +352,7 @@ class TestInduceMapping:
     def test_induce_parses_logic_entries(self, drug_raw_table):
         client = LlmClient.mock(self._nested_response())
         spec = induce_mapping(preview_schema(drug_raw_table, 5), client)
-        assert spec.obs_entries["is_control"] == dsl.parse("df['drug_id'] == 'DMSO'")
+        assert spec.entries["is_control"] == dsl.parse("df['drug_id'] == 'DMSO'")
 
     def test_replay_transport_is_deterministic(self, drug_raw_table, tmp_path):
         replay = tmp_path / "responses.json"
