@@ -44,7 +44,11 @@ copied or written before the record existed. A record that cannot be
 written is left out.
 
 Readers map each binary file read-only and return read-only arrays over the
-mapping, so nothing is copied at read time. A live dataset holds one file
+mapping, so nothing is copied at read time. Pages read through a mapping
+stay in the process's resident set until ``release_pages`` lets go of them;
+``unifier.apply_mapping`` does so for the raw matrix once it has normalized
+it. A later read maps the pages again from the page cache, so values never
+change, only memory does. A live dataset holds one file
 descriptor per matrix until its arrays are dropped; because a rewrite
 renames new files into place, that dataset keeps the old contents while a
 new read sees the new ones. Do not overwrite a bundle file in place (as
@@ -262,6 +266,30 @@ def _read_matrix(path: Path, shape: tuple[int, ...], dtype: str) -> np.ndarray:
         # array that views it is dropped
         mapped = mmap.mmap(fh.fileno(), size, access=mmap.ACCESS_READ)
     return np.frombuffer(mapped, dtype=dtype).reshape(shape)
+
+
+def release_pages(a: np.ndarray) -> None:
+    """Let go of the resident pages of the matrix ``a`` that ``_read_matrix`` mapped.
+
+    The mapping is shared and read-only, so a later read of ``a`` maps its
+    pages again from the page cache: values never change, only the memory
+    the process holds. Any other array (one in memory, the unmapped
+    zero-size matrix, a slice of a mapped matrix) is left alone, as is every
+    array where ``mmap`` cannot advise ``MADV_DONTNEED``.
+    """
+    advice = getattr(mmap, "MADV_DONTNEED", None)
+    base = a.base
+    while isinstance(base, np.ndarray):
+        base = base.base
+    # np.frombuffer keeps a memoryview of the mapping it was given
+    if (
+        advice is not None
+        and isinstance(base, memoryview)
+        and base.readonly
+        and isinstance(base.obj, mmap.mmap)
+        and a.nbytes == len(base.obj)
+    ):
+        base.obj.madvise(advice)
 
 
 def _parse_obs_column(name: str, values: list[str], tag: str) -> np.ndarray:

@@ -282,6 +282,19 @@ def _huber_bounds(stats: _SplitStats, mse: _LossView) -> tuple[np.ndarray, np.nd
     return mu - _HUBER_C * sigma, mu + _HUBER_C * sigma
 
 
+def _in_range(view: _LossView, counts: np.ndarray) -> bool:
+    """Whether the fits from ``view`` and their scores stay in the float64 range.
+
+    The total sum of squares of the train shifts, sum_i (S_i . m_i + c_i
+    sum of v_i), bounds every condition mean's squared norm, and each
+    family's prediction lies within three such norms of zero, so a
+    prediction's sum of squares is at most 9 times the total. The total
+    times 16 must be finite, which NaN or inf in the statistics fails.
+    """
+    total = np.vdot(view.sums, view.cond_means) + (counts @ view.cond_vars).sum()
+    return bool(np.isfinite(16.0 * total))
+
+
 def _prepare(ds: CanonicalDataset, split: SplitAssignment):
     """Candidate-invariant split statistics and the view of each loss, or
     why no candidate can be scored."""
@@ -339,10 +352,11 @@ def _prepare(ds: CanonicalDataset, split: SplitAssignment):
     )
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         mse = _loss_view(ds.X, stats)
-    if not (np.isfinite(mse.sums).all() and np.isfinite(mse.cond_vars).all()):
+        huber = _loss_view(ds.X, stats, _huber_bounds(stats, mse))
+        in_range = all(_in_range(view, stats.counts) for view in (mse, huber))
+    if not in_range:
         cells_finite = np.isfinite(ds.X[train_pert]).all()
         return (overflow if cells_finite else non_finite)("perturbed train")
-    huber = _loss_view(ds.X, stats, _huber_bounds(stats, mse))
     return stats, {"mse": mse, "huber": huber}
 
 

@@ -25,6 +25,7 @@ from importlib import resources
 import numpy as np
 
 from . import dsl
+from .bundle import release_pages
 from .data import (
     CANONICAL_OBS_KEYS,
     CanonicalDataset,
@@ -428,6 +429,11 @@ def apply_mapping(
     A per-cell scalar dose broadcasts across that cell's set mask bits.
     The result is validated before being returned; a spec that produces an
     invalid dataset is rejected.
+
+    Once normalized, a raw ``X`` mapped from a bundle lets go of its
+    resident pages (``bundle.release_pages``). Reading it again, as the
+    canonical ``X`` that ``is_already_log1p`` keeps is read when written,
+    maps them back from the page cache with the same values.
     """
     n = table.n_cells
 
@@ -484,6 +490,7 @@ def apply_mapping(
         is_already_log1p=spec.is_already_log1p,
         normalization_required=spec.normalization_required,
     )
+    release_pages(table.X)
 
     ensembl = cast_column(table.var_index, "str")
     if spec.gene_symbol_col is not None:

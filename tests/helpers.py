@@ -272,6 +272,15 @@ def small_canonical(
 # per-candidate surrogate reference (no state shared between candidates)
 
 
+def huge_constant_shifts() -> CanonicalDataset:
+    """Control rows of 0 and conditions A, B, C of 4 equal rows ``[v, 2v, v/2]``
+    for v = 1e200, -1e200, 3e199: finite means whose squares overflow."""
+    conditions = {"control": [[0.0, 0.0, 0.0]] * 4}
+    for name, v in (("A", 1e200), ("B", -1e200), ("C", 3e199)):
+        conditions[name] = [[v, 2 * v, 0.5 * v]] * 4
+    return small_canonical(conditions)
+
+
 def _winsorize(D: np.ndarray) -> np.ndarray:
     """One-pass per-gene clipping at 1.345 sigma: the robust-loss analog."""
     mu = D.mean(axis=0)

@@ -24,6 +24,7 @@ from pertpipe.bundle import (
     bundle_digest,
     read_canonical_bundle,
     read_raw_bundle,
+    release_pages,
     write_canonical_bundle,
     write_raw_bundle,
 )
@@ -551,6 +552,76 @@ class TestMappedReads:
         obs.write_text(obs.read_text().replace("name\tdose", "name\tname", 1))
         with pytest.raises(BundleFormatError, match="names column 'name' more than once"):
             read_raw_bundle(tmp_path / "raw")
+
+
+def _mapping_rss_kb(a: np.ndarray) -> int:
+    """The resident kB of the mapping that holds ``a``'s first byte."""
+    address = a.ctypes.data
+    inside = False
+    for line in Path("/proc/self/smaps").read_text().splitlines():
+        field = line.split()[0]
+        if not field.endswith(":"):  # a mapping's "start-end perms ..." line
+            start, end = (int(x, 16) for x in field.split("-"))
+            inside = start <= address < end
+        elif inside and field == "Rss:":
+            return int(line.split()[1])
+    raise AssertionError("no mapping holds the array")
+
+
+_SMAPS = pytest.mark.skipif(
+    not Path("/proc/self/smaps").is_file() or not hasattr(mmap, "MADV_DONTNEED"),
+    reason="needs /proc/self/smaps and MADV_DONTNEED",
+)
+
+
+class TestReleasePages:
+    """release_pages drops the resident pages of a whole mapped matrix only."""
+
+    def _mapped(self, tmp_path) -> np.ndarray:
+        # 256 x 512 float64: 1 MiB, every page touched
+        X = np.random.default_rng(0).uniform(0.0, 9.0, (256, 512))
+        X.tofile(tmp_path / "X.f64")
+        mapped = bundle._read_matrix(tmp_path / "X.f64", X.shape, "<f8")
+        assert np.array_equal(mapped, X)
+        return mapped
+
+    def test_an_array_in_memory_is_left_alone(self):
+        a = np.arange(12.0).reshape(3, 4)
+        for view in (a, a[1:], a.T):
+            release_pages(view)
+        assert np.array_equal(a, np.arange(12.0).reshape(3, 4))
+
+    def test_the_unmapped_zero_size_matrix_is_left_alone(self, tmp_path):
+        (tmp_path / "X.f64").write_bytes(b"")
+        a = bundle._read_matrix(tmp_path / "X.f64", (0, 3), "<f8")
+        release_pages(a)
+        assert a.shape == (0, 3) and not a.flags.writeable
+
+    def test_values_after_release_equal_a_copy(self, tmp_path):
+        mapped = self._mapped(tmp_path)
+        before = mapped.copy()
+        release_pages(mapped)
+        assert mapped.tobytes() == before.tobytes()
+
+    @_SMAPS
+    def test_only_a_whole_matrix_releases_its_pages(self, tmp_path):
+        mapped = self._mapped(tmp_path)
+        full = mapped.nbytes // 1024
+        assert _mapping_rss_kb(mapped) == full
+        release_pages(mapped[1:])
+        release_pages(mapped[:, :256])
+        assert _mapping_rss_kb(mapped) == full
+        release_pages(mapped)
+        assert _mapping_rss_kb(mapped) == 0
+        mapped.sum()  # a read maps the pages again
+        assert _mapping_rss_kb(mapped) == full
+
+    @_SMAPS
+    def test_without_madv_dontneed_nothing_is_released(self, tmp_path, monkeypatch):
+        mapped = self._mapped(tmp_path)
+        monkeypatch.delattr(mmap, "MADV_DONTNEED")
+        release_pages(mapped)
+        assert _mapping_rss_kb(mapped) == mapped.nbytes // 1024
 
 
 _SHA256 = hashlib.sha256  # not the counting stand-in of TestKeptDigest

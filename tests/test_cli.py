@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 import pertpipe
 import pertpipe.bundle
-from helpers import small_canonical
+from helpers import huge_constant_shifts, small_canonical
 from pertpipe.bundle import (
     bundle_digest,
     read_canonical_bundle,
@@ -481,6 +481,21 @@ class TestSearchCommand:
         assert _stderr_error(result)["error"]["code"] == "no_valid_candidate"
         for line in (tmp_path / "run" / "trajectory.jsonl").read_text().splitlines():
             assert json.loads(line)["failed"].startswith("non-finite input")
+
+    def test_huge_constant_shifts_exit_4(self, runner, tmp_path):
+        write_canonical_bundle(huge_constant_shifts(), tmp_path / "bundle")
+        result = runner.invoke(
+            main,
+            [
+                "search", str(tmp_path / "bundle"), "--out", str(tmp_path / "run"),
+                "--evaluator", "surrogate", "--seed", "0", "--set", "search.n_sim=6",
+                "--set", "split.train_frac=0.67",
+            ],
+        )
+        assert result.exit_code == 4, result.output + result.stderr
+        assert _stderr_error(result)["error"]["code"] == "no_valid_candidate"
+        for line in (tmp_path / "run" / "trajectory.jsonl").read_text().splitlines():
+            assert json.loads(line)["failed"].startswith("overflow: shifts from the control mean")
 
     def test_degenerate_split_exits_4(self, runner, synthetic_bundle, tmp_path):
         # one cell line, held out whole: train has no cells

@@ -19,6 +19,7 @@ from helpers import (
     builtin_landscape,
     csr_from_dense,
     exhaustive_best,
+    huge_constant_shifts,
     reference_loss_view,
     reference_scored_m_val,
     reference_surrogate_evaluate,
@@ -566,6 +567,21 @@ class TestPreparation:
             out = SurrogateEvaluator(ds, split).evaluate(_ridge("resnet"), 0)
         assert out.error == (f"overflow: shifts from the control mean in the {cells} cells "
                              f"pass the float64 range")
+        assert [str(w.message) for w in caught] == []
+
+    def test_huge_constant_shifts_name_the_overflow(self):
+        # each condition's rows are equal, so every within-condition variance
+        # is 0; the means are finite, but the squares every fit takes are not
+        ds = huge_constant_shifts()
+        split = split_unseen_perturbation(ds, train_frac=0.67, seed=0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ev = SurrogateEvaluator(ds, split)
+            outs = [ev.evaluate(c, 0) for c in enumerate_candidates()]
+        assert {(out.m_val, out.error) for out in outs} == {
+            (None, "overflow: shifts from the control mean in the perturbed train cells "
+                   "pass the float64 range")
+        }
         assert [str(w.message) for w in caught] == []
 
 

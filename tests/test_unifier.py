@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -555,6 +557,57 @@ class TestApplyMapping:
         assert np.array_equal(a.X, b.X)
         assert a.pert_vocab == b.pert_vocab
         assert np.array_equal(a.pert_dose, b.pert_dose)
+
+
+def _rss_file_kb() -> int:
+    status = Path("/proc/self/status").read_text()
+    return int(re.search(r"^RssFile:\s+(\d+) kB$", status, re.M).group(1))
+
+
+class TestMappedRawMatrix:
+    """apply_mapping lets go of a mapped raw X's pages, and of nothing it needs."""
+
+    SPEC = {
+        "perturbation_type": "drug",
+        "perturbation_name": {"type": "direct", "source_key": "pert"},
+        "control_status": {"type": "direct", "source_key": "ctrl"},
+    }
+
+    @pytest.mark.parametrize("log1p", [False, True])
+    def test_canonical_bundle_equals_the_one_from_memory(self, tmp_path, log1p):
+        from pertpipe.bundle import (
+            bundle_digest, read_raw_bundle, write_canonical_bundle, write_raw_bundle,
+        )
+
+        labels = [f"D{i % 5}" if i % 6 else "DMSO" for i in range(60)]
+        table = _screen(np.random.default_rng(1), labels, [lab == "DMSO" for lab in labels],
+                        range(30))
+        write_raw_bundle(table, tmp_path / "raw")
+        mapped = read_raw_bundle(tmp_path / "raw")
+        spec = MappingSpec.from_dict({**self.SPEC, "numerical": {"is_already_log1p": log1p}})
+        write_canonical_bundle(apply_mapping(mapped, spec), tmp_path / "mapped")
+        write_canonical_bundle(apply_mapping(table, spec), tmp_path / "memory")
+        assert bundle_digest(tmp_path / "mapped") == bundle_digest(tmp_path / "memory")
+        assert np.array_equal(mapped.X, table.X)
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/status").is_file(), reason="needs /proc/self/status"
+    )
+    def test_raw_pages_leave_the_resident_set(self, tmp_path):
+        from pertpipe.bundle import read_raw_bundle, write_raw_bundle
+
+        # 4096 x 512 float64: 16 MiB of file pages once touched
+        labels = [f"D{i % 7}" if i % 8 else "DMSO" for i in range(4096)]
+        write_raw_bundle(
+            _screen(np.random.default_rng(2), labels, [lab == "DMSO" for lab in labels],
+                    range(512)),
+            tmp_path / "raw",
+        )
+        table = read_raw_bundle(tmp_path / "raw")
+        table.X.sum()
+        before = _rss_file_kb()
+        apply_mapping(table, MappingSpec.from_dict(self.SPEC))
+        assert before - _rss_file_kb() >= 0.9 * table.X.nbytes / 1024
 
 
 def _mini_canonical(genes, vocab, conditions, symbols=None):
