@@ -525,7 +525,7 @@ def _load_manifest(root: Path, expected_kind: str) -> dict:
         manifest = json.loads(mpath.read_text(encoding="utf-8"))
     except OSError as exc:
         raise _unreadable(mpath, exc) from None
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
         raise BundleFormatError(f"{mpath} is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(manifest, dict):
         raise BundleFormatError(f"{mpath} is not a JSON object")
@@ -570,7 +570,7 @@ def _bundle_files(root: Path) -> tuple[str, ...]:
     """
     try:
         manifest = json.loads((root / MANIFEST).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError):
+    except (OSError, ValueError, RecursionError):
         return _CANONICAL_FILES
     raw = isinstance(manifest, dict) and manifest.get("kind") == "raw"
     return _RAW_FILES if raw else _CANONICAL_FILES

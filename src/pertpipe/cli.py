@@ -353,10 +353,12 @@ def evaluate(bundle, predictions, control_name):
         ds = read_canonical_bundle(bundle)
     with (
         _failing("predictions", EXIT_VALIDATION, OSError),
+        # an over-long integer is a ValueError, and so is a UnicodeDecodeError,
+        # which the inner block words first
+        _failing("predictions", EXIT_VALIDATION, ValueError, RecursionError,
+                 message=lambda exc: f"predictions file is not valid JSON: {exc}"),
         _failing("predictions", EXIT_VALIDATION, UnicodeDecodeError,
                  message=lambda exc: f"predictions file is not UTF-8 text: {exc}"),
-        _failing("predictions", EXIT_VALIDATION, json.JSONDecodeError, RecursionError,
-                 message=lambda exc: f"predictions file is not valid JSON: {exc}"),
     ):
         doc = json.loads(Path(predictions).read_text(encoding="utf-8"))
     if not isinstance(doc, dict):

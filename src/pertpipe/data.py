@@ -43,36 +43,30 @@ def column_kind(column: np.ndarray) -> str:
     return _KINDS.get(column.dtype.kind, "str")
 
 
-def cast_column(value, target: str):
-    """Cast a column, or the scalar value of a mapping constant, to "float" or "str".
+def cast_column(column: np.ndarray, target: str) -> np.ndarray:
+    """Cast a column to "float" or "str" values.
 
-    A value that does not read as a float raises ``ValueError`` naming it,
-    and for a column its row.
+    A str column whose value does not read as a float raises ``ValueError``
+    naming the value and its row. A column of Python strings casts to "str"
+    as a copy; any other becomes the object column of each value's ``str``.
     """
     if target == "float":
-        if isinstance(value, np.ndarray):
-            if column_kind(value) != "str":
-                return value.astype(np.float64)
-            try:
-                return np.array(list(map(float, value.tolist())), dtype=np.float64)
-            except (TypeError, ValueError):
-                # a column that does not cast: find and name the first such row
-                for i, v in enumerate(value):
-                    try:
-                        float(v)
-                    except (TypeError, ValueError):
-                        raise ValueError(f"cannot cast value {v!r} at row {i} to float") from None
+        if column_kind(column) != "str":
+            return column.astype(np.float64)
         try:
-            return float(value)
+            return np.array(list(map(float, column.tolist())), dtype=np.float64)
         except (TypeError, ValueError):
-            raise ValueError(f"cannot cast value {value!r} to float") from None
+            # find and name the first row that does not cast
+            for i, v in enumerate(column):
+                try:
+                    float(v)
+                except (TypeError, ValueError):
+                    raise ValueError(f"cannot cast value {v!r} at row {i} to float") from None
     if target == "str":
-        if isinstance(value, np.ndarray):
-            cells = value.tolist()
-            if value.dtype == object and set(map(type, cells)) <= {str}:
-                return value.copy()
-            return np.array(list(map(str, cells)), dtype=object)
-        return str(value)
+        cells = column.tolist()
+        if column.dtype == object and set(map(type, cells)) <= {str}:
+            return column.copy()
+        return np.array(list(map(str, cells)), dtype=object)
     raise ValueError(f"unknown cast target {target!r}")
 
 

@@ -472,23 +472,22 @@ def _binop(op: str, lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
                 f"type mismatch: cannot apply {op!r} to {lk} and {rk}"
             )
         return np.logical_and(lhs, rhs) if op == "and" else np.logical_or(lhs, rhs)
+    if lk == rk == "str":
+        # Python objects: numpy's unicode dtype drops trailing NULs
+        lhs, rhs = np.asarray(lhs, dtype=object), np.asarray(rhs, dtype=object)
     if op in ("==", "!="):
         if lk != rk:
             raise DslEvalError(
                 f"type mismatch: cannot compare {lk} with {rk}"
             )
-        if lk == "str":
-            # compare Python objects: numpy's unicode dtype drops trailing NULs
-            lhs, rhs = np.asarray(lhs, dtype=object), np.asarray(rhs, dtype=object)
         result = np.equal(lhs, rhs)
         return result if op == "==" else ~result
     if op not in _ARITHMETIC:
         raise DslEvalError(f"unknown operator {op!r}")
-    if op == "+" and lk == rk == "str":
-        return np.array([a + b for a, b in zip(lhs.tolist(), rhs.tolist())], dtype=object)
-    if lk != "float" or rk != "float":
+    if not (lk == rk == "float" or (op == "+" and lk == rk == "str")):
         raise DslEvalError(f"type mismatch: cannot apply {op!r} to {lk} and {rk}")
     zero_rows = np.flatnonzero(rhs == 0) if op == "/" else ()
     if len(zero_rows) > 0:
         raise DslEvalError(f"division by zero at row {int(zero_rows[0])}")
     return _ARITHMETIC[op](lhs, rhs)
+

@@ -42,7 +42,7 @@ class LlmClient:
         path = Path(path)
         try:
             responses = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise TransportError(f"cannot load replay file {path}: {exc}") from exc
         if not isinstance(responses, list) or not all(
             isinstance(r, str) for r in responses
@@ -96,7 +96,7 @@ class LlmClient:
 def _extract_chat_text(payload: str) -> str:
     try:
         doc = json.loads(payload)
-    except (json.JSONDecodeError, RecursionError):
+    except (ValueError, RecursionError):
         return payload
     if isinstance(doc, dict):
         choices = doc.get("choices")

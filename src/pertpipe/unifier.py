@@ -2,15 +2,18 @@
 
 A mapping specification describes how one raw table projects onto the
 canonical schema: one table from each target to its entry, which is the
-parsed tree of a mapping DSL expression (a bare column name is the
-expression ``df['name']``), a constant, or ``None`` for an absent entry
-that falls back to its documented default. Specifications are
-induced by an LLM from a schema preview, or loaded from JSON files; two
-surface forms are accepted (a nested block layout and a flat per-key
-layout) and normalized into one entry model. The specification keeps only
-what ``apply_mapping`` reads: a logic entry's description and the
-document's data summary are accepted and dropped, and ``var.index_type``
-is checked, not kept.
+parsed tree of a mapping DSL expression, or ``None`` for an absent entry
+that takes its documented default, itself a DSL literal. A bare column
+name is the expression ``df['name']``, and a constant is a literal: the
+text ``str(value)`` for a text target, and a string, boolean or number
+literal for ``is_control`` and ``pert_dose_source``. So ``dsl.evaluate``
+turns every target into a column. Specifications are induced by an LLM
+from a schema preview, or loaded from JSON files; two surface forms are
+accepted (a nested block layout and a flat per-key layout) and
+normalized into one entry model. The specification keeps only what
+``apply_mapping`` reads: a logic entry's description and the document's
+data summary are accepted and dropped, and ``var.index_type`` is
+checked, not kept.
 """
 
 from __future__ import annotations
@@ -71,14 +74,8 @@ _SOURCES = ("pert_mask_source", "pert_dose_source")
 # --------------------------------------------------------------------------
 # mapping entries
 
-
-@dataclass(frozen=True)
-class Constant:
-    value: object
-
-
 # None is an absent entry, which takes its key's default
-MappingEntry = dsl.Expr | Constant | None
+MappingEntry = dsl.Expr | None
 
 
 @dataclass(frozen=True)
@@ -99,7 +96,7 @@ class MappingSpec:
         """Parse and check a mapping; sets ``digest`` to the sha256 of ``text``."""
         try:
             doc = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError or an over-long integer
             error = MappingError if raw_response is None else LlmReplyError
             raise error(f"mapping is not valid JSON: {exc}", raw_response) from exc
         if not isinstance(doc, dict):
@@ -132,60 +129,91 @@ class MappingSpec:
         return spec
 
 
-def _entry_from_value(value, key: str, violations: list[str]) -> MappingEntry:
-    """Interpret one mapping value: dict forms, column names, or absence markers."""
-    if value is None:
-        return None
-    if isinstance(value, dict):
-        etype = value.get("type")
-        if etype == "direct":
-            source = value.get("source_key")
-            if not isinstance(source, str) or not source:
-                violations.append(f"{key}: direct entry missing source_key")
-                return None
-            return dsl.ColumnRef(source)
-        if etype == "logic":
-            expression = value.get("expression")
-            if not isinstance(expression, str) or not expression:
-                violations.append(f"{key}: logic entry missing expression")
-                return None
-            return _logic_entry(expression, key, violations)
-        if etype == "constant":
-            if "value" not in value:
-                violations.append(f"{key}: constant entry missing value")
-                return None
-            return Constant(value["value"])
-        violations.append(f"{key}: unknown entry type {etype!r}")
-        return None
-    if isinstance(value, str):
-        if value in ("None", "", "unknown"):
-            return None
-        return dsl.ColumnRef(value)
-    violations.append(f"{key}: cannot interpret entry {value!r}")
-    return None
-
-
-def _logic_entry(expression: str, key: str, violations: list[str]) -> MappingEntry:
-    try:
-        return dsl.parse(expression)
-    except dsl.DslError as exc:
-        violations.append(f"{key}: {exc}")
-        return None
-
-
 def _entry(target: str, value, label: str, violations: list[str]) -> MappingEntry:
     """The entry for ``target`` in either surface form.
 
     A bare value is a constant for ``pert_type``, a mapping expression for
     ``is_control`` and ``condition_name``, and a column reference otherwise.
     """
-    if isinstance(value, dict) or target not in ("pert_type", *_BARE_LOGIC):
-        return _entry_from_value(value, label, violations)
+    if isinstance(value, dict):
+        etype = value.get("type")
+        if etype == "direct":
+            source = value.get("source_key")
+            if not isinstance(source, str) or not source:
+                violations.append(f"{label}: direct entry missing source_key")
+                return None
+            return dsl.ColumnRef(source)
+        if etype == "logic":
+            expression = value.get("expression")
+            if not isinstance(expression, str) or not expression:
+                violations.append(f"{label}: logic entry missing expression")
+                return None
+            return _logic_entry(expression, label, violations)
+        if etype == "constant":
+            if "value" not in value:
+                violations.append(f"{label}: constant entry missing value")
+                return None
+            return _literal(target, value["value"], label, violations)
+        violations.append(f"{label}: unknown entry type {etype!r}")
+        return None
     if value in (None, "None") or (value == "" and target != "pert_type"):
         return None
     if target == "pert_type":
-        return Constant(value)
-    return _logic_entry(str(value), label, violations)
+        return _literal(target, value, label, violations)
+    if target in _BARE_LOGIC:
+        return _logic_entry(str(value), label, violations)
+    if isinstance(value, str):
+        return None if value == "unknown" else dsl.ColumnRef(value)
+    violations.append(f"{label}: cannot interpret entry {value!r}")
+    return None
+
+
+def _logic_entry(expression: str, label: str, violations: list[str]) -> MappingEntry:
+    try:
+        return dsl.parse(expression)
+    except dsl.DslError as exc:
+        violations.append(f"{label}: {exc}")
+        return None
+
+
+def _literal(target: str, value, label: str, violations: list[str]) -> MappingEntry:
+    """The DSL literal that a constant ``value`` of ``target`` loads as.
+
+    A text target's constant is the text ``str(value)``. An ``is_control``
+    or ``pert_dose_source`` constant keeps its JSON type: a string, a
+    boolean or a number in the float range.
+    """
+    if target not in ("is_control", "pert_dose_source"):
+        if target == "pert_type" and value not in PERT_TYPES:
+            violations.append(f"pert_type constant {value!r} not in {list(PERT_TYPES)}")
+        return dsl.StrLit(str(value))
+    if isinstance(value, str):
+        return dsl.StrLit(value)
+    if isinstance(value, bool):
+        return dsl.BoolLit(value)
+    if isinstance(value, (int, float)):
+        try:
+            return dsl.NumLit(float(value))
+        except OverflowError:
+            violations.append(f"{label}: constant {value} is past the float range")
+            return None
+    violations.append(f"{label}: constant {value!r} is not a string, a boolean or a number")
+    return None
+
+
+def _bind(entries: dict, keys: dict, target: str, key: str, value, violations: list[str]) -> None:
+    """Bind ``target`` to the entry that ``key`` holds as ``value``.
+
+    An absent entry yields to a present one, and two keys may bind one
+    target to equal entries; two different entries are a violation.
+    """
+    entry = _entry(target, value, key, violations)
+    if entry is None:
+        return
+    if entries.get(target) not in (None, entry):
+        violations.append(f"{target}: {keys[target]} and {key} give different entries")
+        return
+    entries[target], keys[target] = entry, key
 
 
 def _block(doc: dict, name: str, violations: list[str]) -> dict:
@@ -205,14 +233,15 @@ def _parse_nested(doc: dict, violations: list[str]) -> MappingSpec:
     if not isinstance(obs, dict):
         violations.append("missing or invalid 'obs' block")
         obs = {}
-    entries: dict[str, MappingEntry] = {}
-    for key in CANONICAL_OBS_KEYS:
-        name = f"{key}_logic" if key in _BARE_LOGIC else key
-        value = obs.get(name, obs.get(key))
-        entries[key] = _entry(key, value, f"obs.{name}", violations)
+    entries: dict[str, MappingEntry] = dict.fromkeys((*CANONICAL_OBS_KEYS, *_SOURCES))
+    keys: dict[str, str] = {}
+    for target in CANONICAL_OBS_KEYS:
+        names = (f"{target}_logic", target) if target in _BARE_LOGIC else (target,)
+        for name in names:
+            _bind(entries, keys, target, f"obs.{name}", obs.get(name), violations)
     obsm = _block(body, "obsm", violations)
-    for key in _SOURCES:
-        entries[key] = _entry(key, obsm.get(key), f"obsm.{key}", violations)
+    for target in _SOURCES:
+        _bind(entries, keys, target, f"obsm.{target}", obsm.get(target), violations)
     return _finish_spec(
         entries,
         _block(body, "var", violations),
@@ -223,10 +252,11 @@ def _parse_nested(doc: dict, violations: list[str]) -> MappingSpec:
 
 def _parse_flat(doc: dict, violations: list[str]) -> MappingSpec:
     entries: dict[str, MappingEntry] = dict.fromkeys((*CANONICAL_OBS_KEYS, *_SOURCES))
+    keys: dict[str, str] = {}
     for key, value in doc.items():
         target = _FLAT_ALIASES.get(key)
         if target is not None:
-            entries[target] = _entry(target, value, key, violations)
+            _bind(entries, keys, target, key, value, violations)
     cell_line = entries.pop("cell_line", None)
     if cell_line is not None:
         # a cell-line column identifies the donor; reuse it for cell_type
@@ -243,11 +273,6 @@ def _parse_flat(doc: dict, violations: list[str]) -> MappingSpec:
 
 
 def _finish_spec(entries, var, numerical, violations) -> MappingSpec:
-    pert_type_entry = entries["pert_type"]
-    if isinstance(pert_type_entry, Constant) and pert_type_entry.value not in PERT_TYPES:
-        violations.append(
-            f"pert_type constant {pert_type_entry.value!r} not in {list(PERT_TYPES)}"
-        )
     index_type = str(var.get("index_type", "ensembl")).strip().lower()
     if "ensembl" not in index_type and "symbol" not in index_type:
         violations.append(f"var.index_type {var.get('index_type')!r} not recognized")
@@ -370,53 +395,26 @@ def induce_mapping(preview: str, client: LlmClient) -> MappingSpec:
 # --------------------------------------------------------------------------
 # mapping application
 
-_OBS_DEFAULTS = {
-    "cell_type": "unknown",
-    "batch_id": "unknown",
-    "donor_id": "unknown",
-    "pert_type": "mixed",
+# the entry an absent one stands for; an absent condition_name takes the
+# perturbation labels when there are any
+_DEFAULTS = {
+    "is_control": dsl.BoolLit(False),
+    "cell_type": dsl.StrLit("unknown"),
+    "batch_id": dsl.StrLit("unknown"),
+    "donor_id": dsl.StrLit("unknown"),
+    "pert_type": dsl.StrLit("mixed"),
+    "condition_name": dsl.StrLit("unknown"),
 }
 
 
-def _resolve_entry(spec: MappingSpec, table: RawTable, key: str, default=None):
-    """The column or scalar value of ``key``'s entry; ``default`` for an absent one."""
+def _column(spec: MappingSpec, table: RawTable, key: str, cast: str | None = None):
+    """The column of ``key``'s entry, or of its default, cast to ``cast`` if given."""
     entry = spec.entries[key]
-    if entry is None:
-        return default
-    if isinstance(entry, Constant):
-        return entry.value
     try:
-        return dsl.evaluate(entry, table)
-    except dsl.DslError as exc:
+        column = dsl.evaluate(_DEFAULTS[key] if entry is None else entry, table)
+        return column if cast is None else cast_column(column, cast)
+    except (dsl.DslError, ValueError) as exc:
         raise MappingError(f"{key}: {exc}") from exc
-
-
-def _as_str_column(value, n: int) -> np.ndarray:
-    # assign, not np.full: np.full passes a string through numpy's unicode
-    # dtype, which drops trailing NULs
-    column = np.empty(n, dtype=object)
-    column[:] = cast_column(value, "str")
-    return column
-
-
-def _as_float_column(value, n: int, key: str) -> np.ndarray:
-    try:
-        value = cast_column(value, "float")
-    except ValueError as exc:
-        raise MappingError(f"{key}: {exc}") from None
-    return np.full(n, value, dtype=np.float64)
-
-
-def _as_bool_column(value, n: int, key: str) -> np.ndarray:
-    if isinstance(value, np.ndarray):
-        if value.dtype != bool:
-            raise MappingError(
-                f"{key}: expected a boolean column, got dtype {value.dtype}"
-            )
-        return value.astype(bool)
-    if isinstance(value, bool):
-        return np.full(n, value, dtype=bool)
-    raise MappingError(f"{key}: expected a boolean value, got {value!r}")
 
 
 def apply_mapping(
@@ -437,20 +435,22 @@ def apply_mapping(
     """
     n = table.n_cells
 
-    is_control = _as_bool_column(
-        _resolve_entry(spec, table, "is_control", False), n, "is_control"
-    )
+    is_control = _column(spec, table, "is_control")
+    if is_control.dtype != bool:
+        got = repr(is_control.tolist()[0]) if n else f"an empty {column_kind(is_control)} column"
+        raise MappingError(f"is_control: expected a boolean value, got {got}")
 
     pert_values = None
     if spec.entries["pert_mask_source"] is not None:
-        pert_values = _as_str_column(_resolve_entry(spec, table, "pert_mask_source"), n)
+        pert_values = _column(spec, table, "pert_mask_source", "str")
 
-    obs: dict[str, np.ndarray] = {"is_control": is_control}
-    # an absent condition_name takes the perturbation labels verbatim
-    labels = "unknown" if pert_values is None else pert_values
-    defaults = {**_OBS_DEFAULTS, "condition_name": labels}
-    for key, default in defaults.items():
-        obs[key] = _as_str_column(_resolve_entry(spec, table, key, default), n)
+    obs = {"is_control": is_control}
+    for key in ("cell_type", "batch_id", "donor_id", "pert_type"):
+        obs[key] = _column(spec, table, key, "str")
+    if spec.entries["condition_name"] is None and pert_values is not None:
+        obs["condition_name"] = pert_values
+    else:
+        obs["condition_name"] = _column(spec, table, "condition_name", "str")
 
     # vocabulary over the distinct non-control perturbation labels, combos
     # split apart; each label's sorted columns are repeated for its cells
@@ -479,10 +479,7 @@ def apply_mapping(
 
     values = np.zeros(len(indices), dtype=np.float64)
     if spec.entries["pert_dose_source"] is not None and vocab:
-        dose_col = _as_float_column(
-            _resolve_entry(spec, table, "pert_dose_source"), n, "pert_dose_source"
-        )
-        values = np.repeat(dose_col, counts)
+        values = np.repeat(_column(spec, table, "pert_dose_source", "float"), counts)
 
     X = normalize_log1p(
         table.X,

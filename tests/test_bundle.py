@@ -380,6 +380,17 @@ class TestCanonicalBundle:
         path.write_bytes(bytes(data))
         assert bundle_digest(tmp_path / "c") != before
 
+    def test_a_manifest_integer_past_the_digit_limit(self, tmp_path):
+        # json.loads refuses an integer of more than 4300 digits with a ValueError:
+        # the digest covers every file either kind could hold, and a read refuses it
+        ds = small_canonical({"control": [[1.0, 0.5]], "A": [[2.0, 0.25]]})
+        write_canonical_bundle(ds, tmp_path / "c")
+        manifest = tmp_path / "c" / "manifest.json"
+        manifest.write_text('{"x":' + "1" * 5000 + "," + manifest.read_text()[1:])
+        assert len(bundle_digest(tmp_path / "c")) == 64
+        with pytest.raises(BundleFormatError, match="is not valid UTF-8 JSON"):
+            read_canonical_bundle(tmp_path / "c")
+
     @pytest.mark.parametrize(
         "name, expected",
         [("pert_indptr.i64", 24), ("pert_indices.i64", 8), ("pert_dose.f64", 8)],

@@ -1582,6 +1582,16 @@ def _raw_with_a_scaled_sum_past_float64(path: Path) -> None:
     }))
 
 
+# json.loads refuses an integer of more than 4300 digits with a ValueError
+_INT_PAST_THE_DIGIT_LIMIT = b"1" * 5000
+
+
+def _bundle_with_a_long_manifest_integer(path: Path) -> None:
+    _one_gene_bundle(path)
+    manifest = (path / "manifest.json").read_bytes()
+    (path / "manifest.json").write_bytes(b'{"x":' + _INT_PAST_THE_DIGIT_LIMIT + b"," + manifest[1:])
+
+
 def _tear_last_row(path: Path) -> None:
     path.write_text(path.read_text().removesuffix("\n").rsplit("\n", 1)[0] + "\n")
 
@@ -1740,6 +1750,24 @@ OUTSIDE_INPUTS = {
     "raw_var_torn": (_four_cell_raw(_DRUG_MAPPING, "var.tsv"), _UNIFY_OWN_MAPPING, 2, "bundle"),
     "kb_path_a_string": (_kb_line('"paradigm:generative"'), _KB_LIST, 2, "kb"),
     "kb_path_holds_a_list": (_kb_line('[["paradigm:generative"]]'), _KB_LIST, 2, "kb"),
+    "mapping_integer_past_the_digit_limit": (
+        b'{"perturbation_type": "drug", "x": ' + _INT_PAST_THE_DIGIT_LIMIT + b"}",
+        _UNIFY_MAPPING, 2, "mapping_spec",
+    ),
+    "predictions_integer_past_the_digit_limit": (
+        b'{"A": [' + _INT_PAST_THE_DIGIT_LIMIT + b"]}", _EVALUATE, 2, "predictions",
+    ),
+    "replay_integer_past_the_digit_limit": (
+        b"[" + _INT_PAST_THE_DIGIT_LIMIT + b"]", _UNIFY_REPLAY, 3, "transport",
+    ),
+    "manifest_integer_past_the_digit_limit": (
+        _bundle_with_a_long_manifest_integer,
+        ["search", "{file}", "--out", "{out}", "--set", "search.n_sim=4"], 2, "bundle",
+    ),
+    "dose_constant_past_the_float_range": (
+        _mapping(dose_value={"type": "constant", "value": 10**400}), _UNIFY_MAPPING,
+        2, "mapping_spec",
+    ),
 }
 
 # the error message of an outside input, with {file} its path
@@ -1767,6 +1795,8 @@ OUTSIDE_MESSAGES = {
     "kb_path_a_string": "{file}:2 action_path 'paradigm:generative' is not a list of names",
     "kb_path_holds_a_list":
         "{file}:2 action_path [['paradigm:generative']] is not a list of names",
+    "dose_constant_past_the_float_range": "mapping specification invalid:\n- dose_value: "
+                                          f"constant {10**400} is past the float range",
 }
 
 

@@ -282,9 +282,14 @@ def test_str_columns_match_reference(values, kind):
         col = np.array([float(v) if kind == "f8" else bool(v) for v in values
                         if not isinstance(v, str) and v is not None], dtype=kind)
     expected = [_reference_scalar_str(v) for v in col.tolist()]
-    assert unifier._as_str_column(col, len(col)).tolist() == expected
+    assert data.cast_column(col, "str").tolist() == expected
+    # a text target's constant is one such value in every cell
+    table = _table(["a", "b", "a"], [False, True, False], [1.0, 1.0, 1.0])
     for v in [*values, "a\x00"]:  # numpy's unicode dtype drops trailing NULs
-        assert unifier._as_str_column(v, 2).tolist() == [_reference_scalar_str(v)] * 2
+        spec = MappingSpec.from_dict(
+            {"perturbation_type": "drug", "batch_id": {"type": "constant", "value": v}}
+        )
+        assert apply_mapping(table, spec).batch_id.tolist() == [_reference_scalar_str(v)] * 3
 
 
 # trailing NULs, which numpy's unicode dtype drops, but Python strings keep

@@ -74,9 +74,11 @@ def test_a_key_is_sent_as_a_bearer_token(endpoint, monkeypatch):
         (["content"], '["content"]'),
         ({"choices": ["x"]}, '{"choices": ["x"]}'),
         ({"choices": [{"message": "x"}], "content": "top level"}, "top level"),
+        # json.loads refuses an integer of more than 4300 digits with a ValueError
+        ('{"n": ' + "1" * 5000 + "}", '{"n": ' + "1" * 5000 + "}"),
     ],
     ids=["choices", "content", "choices_without_text", "not_json", "no_content", "array",
-         "choice_not_an_object", "message_not_an_object"],
+         "choice_not_an_object", "message_not_an_object", "integer_past_the_digit_limit"],
 )
 def test_the_reply_text_is_extracted(endpoint, payload, text):
     _, reply_with = endpoint

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from pertpipe import data, dsl
+from pertpipe.bundle import bundle_digest, write_canonical_bundle
 from pertpipe.data import RawTable, validate_canonical
 from pertpipe.errors import LlmReplyError, MappingError, ParameterError, TransportError
 from pertpipe.llm import LlmClient
 from pertpipe.unifier import (
-    Constant,
     MappingSpec,
     apply_mapping,
     build_mapping_messages,
@@ -124,7 +124,7 @@ class TestMappingSpecLoading:
     def test_flat_form_per_key_entries(self, flat_form_mapping):
         spec = MappingSpec.from_dict(flat_form_mapping)
         assert spec.entries["pert_dose_source"] == dsl.parse("df['conc_um'].astype(float) * 1000")
-        assert spec.entries["pert_type"] == Constant("drug")
+        assert spec.entries["pert_type"] == dsl.StrLit("drug")
         assert spec.entries["is_control"] == dsl.parse("df['drug_id'] == 'DMSO'")
         assert spec.entries["pert_mask_source"] == dsl.ColumnRef("drug_id")
         # cell_line maps to donor_id and doubles as cell_type when unmapped
@@ -308,6 +308,78 @@ class TestMappingSpecLoading:
             MappingSpec.from_dict(doc)
         assert f"- {message}\n" in str(err.value) + "\n"
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"perturbation_type": "drug", "pert_type": "crispr"},
+             "pert_type: perturbation_type and pert_type give different entries"),
+            ({"is_control": "df['a'] == 'b'", "control_status": "df['a'] == 'c'"},
+             "is_control: is_control and control_status give different entries"),
+            ({"obs": {"is_control_logic": "df['a'] == 'b'", "is_control": "df['a'] == 'c'"}},
+             "is_control: obs.is_control_logic and obs.is_control give different entries"),
+        ],
+        ids=["flat_pert_type", "flat_is_control", "nested_is_control"],
+    )
+    def test_two_keys_for_one_target_must_agree(self, doc, message):
+        with pytest.raises(MappingError) as err:
+            MappingSpec.from_dict(doc)
+        assert f"- {message}\n" in str(err.value) + "\n"
+
+    @pytest.mark.parametrize(
+        "doc, target, entry",
+        [
+            ({"perturbation_type": "drug", "pert_type": {"type": "constant", "value": "drug"}},
+             "pert_type", dsl.StrLit("drug")),
+            ({"control_status": "None", "is_control": "df['a'] == 'b'"},
+             "is_control", dsl.parse("df['a'] == 'b'")),
+            ({"is_control": "df['a'] == 'b'", "control_status": None},
+             "is_control", dsl.parse("df['a'] == 'b'")),
+            ({"obs": {"is_control_logic": "None", "is_control": "df['a'] == 'b'"}},
+             "is_control", dsl.parse("df['a'] == 'b'")),
+        ],
+        ids=["equal_entries", "absent_first", "absent_second", "nested_absent_logic"],
+    )
+    def test_two_keys_that_agree_bind_one_entry(self, doc, target, entry):
+        assert MappingSpec.from_dict(doc).entries[target] == entry
+
+    @pytest.mark.parametrize(
+        "target, value, entry",
+        [
+            ("batch_id", 3, dsl.StrLit("3")),
+            ("batch_id", 1.5, dsl.StrLit("1.5")),
+            ("batch_id", True, dsl.StrLit("True")),
+            ("batch_id", None, dsl.StrLit("None")),
+            ("batch_id", [1, "a"], dsl.StrLit("[1, 'a']")),
+            ("batch_id", "a\x00", dsl.StrLit("a\x00")),
+            ("control_status", "yes", dsl.StrLit("yes")),
+            ("control_status", True, dsl.BoolLit(True)),
+            ("control_status", 1, dsl.NumLit(1.0)),
+            ("dose_value", 250, dsl.NumLit(250.0)),
+            ("dose_value", "2.5", dsl.StrLit("2.5")),
+        ],
+    )
+    def test_a_constant_loads_as_a_literal(self, target, value, entry):
+        doc = {"perturbation_type": "drug", target: {"type": "constant", "value": value}}
+        key = {"control_status": "is_control", "dose_value": "pert_dose_source"}.get(target, target)
+        assert MappingSpec.from_dict(doc).entries[key] == entry
+
+    @pytest.mark.parametrize(
+        "target, value, message",
+        [
+            ("control_status", None, "constant None is not a string, a boolean or a number"),
+            ("dose_value", [1], "constant [1] is not a string, a boolean or a number"),
+            ("dose_value", {"a": 1}, "constant {'a': 1} is not a string, a boolean or a number"),
+            ("dose_value", 10**400, f"constant {10**400} is past the float range"),
+            ("perturbation_type", "drugs",
+             "pert_type constant 'drugs' not in ['drug', 'crispr', 'mixed', 'control']"),
+        ],
+        ids=["null", "array", "object", "past_the_float_range", "unknown_pert_type"],
+    )
+    def test_a_constant_of_no_literal_is_a_violation(self, target, value, message):
+        with pytest.raises(MappingError) as err:
+            MappingSpec.from_dict({target: {"type": "constant", "value": value}})
+        assert message in str(err.value)
+
     def test_from_json_rejects_non_json(self):
         with pytest.raises(MappingError, match="not valid JSON") as err:
             MappingSpec.from_json("{broken")
@@ -399,6 +471,53 @@ class TestInduceMapping:
 
 
 class TestApplyMapping:
+    @pytest.mark.parametrize(
+        "key, constant, expression",
+        [("perturbation_type", "drug", "'drug'"), ("control_status", False, "False"),
+         ("dose_value", 250, "250")],
+    )
+    def test_a_constant_is_its_logic_literal(self, drug_raw_table, tmp_path, key, constant,
+                                              expression):
+        digests = []
+        for i, entry in enumerate([{"type": "constant", "value": constant},
+                                   {"type": "logic", "expression": expression}]):
+            doc = {"perturbation_type": "drug", "perturbation_name": "drug_id",
+                   "control_status": "df['drug_id'] == 'DMSO'", key: entry}
+            write_canonical_bundle(apply_mapping(drug_raw_table, MappingSpec.from_dict(doc)),
+                                   tmp_path / str(i))
+            digests.append(bundle_digest(tmp_path / str(i)))
+        assert digests[0] == digests[1]
+
+    @pytest.mark.parametrize(
+        "entry, error",
+        [({"type": "constant", "value": True}, None), ("df['ctrl']", None),
+         ({"type": "constant", "value": "yes"}, "an empty str column"),
+         ({"type": "direct", "source_key": "drug_id"}, "an empty str column"),
+         ({"type": "constant", "value": 1}, "an empty float column")],
+        ids=["bool_constant", "bool_column", "str_constant", "str_column", "number_constant"],
+    )
+    def test_is_control_of_a_zero_cell_table(self, entry, error):
+        table = RawTable(
+            obs={"drug_id": np.array([], dtype=object), "ctrl": np.array([], dtype=bool)},
+            var_index=np.array(["g0", "g1"], dtype=object), X=np.zeros((0, 2)),
+        )
+        spec = MappingSpec.from_dict({"perturbation_name": "drug_id", "control_status": entry})
+        if error is None:
+            assert apply_mapping(table, spec).n_cells == 0
+        else:
+            with pytest.raises(MappingError) as err:
+                apply_mapping(table, spec)
+            assert str(err.value) == f"is_control: expected a boolean value, got {error}"
+
+    @pytest.mark.parametrize("form", ["nested", "flat"])
+    def test_the_documented_examples_apply(self, drug_raw_table, form):
+        doc = (Path(__file__).parents[1] / "docs" / "mapping-spec.md").read_text()
+        nested, flat = re.findall(r"```json\n(.*?)```", doc, re.DOTALL)
+        spec = MappingSpec.from_json(nested if form == "nested" else flat)
+        ds = apply_mapping(drug_raw_table, spec)
+        assert ds.pert_vocab == ("drugA", "drugB")
+        assert ds.pert_type.tolist() == ["drug"] * drug_raw_table.n_cells
+
     def test_listing_fixture_end_to_end(self, drug_raw_table, flat_form_mapping):
         spec = MappingSpec.from_dict(flat_form_mapping)
         ds = apply_mapping(drug_raw_table, spec)
