@@ -44,16 +44,20 @@ copied or written before the record existed. A record that cannot be
 written is left out.
 
 Readers map each binary file read-only and return read-only arrays over the
-mapping, so nothing is copied at read time. Pages read through a mapping
-stay in the process's resident set until ``release_pages`` lets go of them;
-``unifier.apply_mapping`` does so for the raw matrix once it has normalized
-it. A later read maps the pages again from the page cache, so values never
-change, only memory does. A live dataset holds one file
-descriptor per matrix until its arrays are dropped; because a rewrite
-renames new files into place, that dataset keeps the old contents while a
-new read sees the new ones. Do not overwrite a bundle file in place (as
-`cp` onto it or `rsync --inplace` do) while any process has the bundle
-open: an open dataset would change under its process, or the process would
+mapping, so nothing is copied at read time. A written canonical dataset is
+backed by its bundle the same way: once the digest record is written,
+``write_canonical_bundle`` points the dataset's ``X`` at a read-only mapping
+of the ``X.f64`` it wrote, and the copy in memory goes. Pages read through a
+mapping stay in the process's resident set until ``data.release_pages``
+lets go of them; ``data.normalize_log1p`` and ``unifier.merge_datasets`` do
+so for each block of rows they have read. A later read maps the pages again
+from the page cache, so values never change, only memory does. A live
+dataset, read or written, holds one file descriptor per mapped matrix until
+its arrays are dropped; because a rewrite renames new files into place,
+that dataset keeps the old contents while a new read sees the new ones. Do
+not overwrite a bundle file in place (as `cp` onto it or `rsync --inplace`
+do) while any process has the bundle open or holds a dataset it wrote
+there: that dataset would change under its process, or the process would
 die of SIGBUS if the file shrank. Nor edit a bundle file while it is being
 written: a same-size edit between the writer's stat and its record, within
 one tick of a filesystem's coarse clock, leaves every stat key and so the
@@ -268,30 +272,6 @@ def _read_matrix(path: Path, shape: tuple[int, ...], dtype: str) -> np.ndarray:
     return np.frombuffer(mapped, dtype=dtype).reshape(shape)
 
 
-def release_pages(a: np.ndarray) -> None:
-    """Let go of the resident pages of the matrix ``a`` that ``_read_matrix`` mapped.
-
-    The mapping is shared and read-only, so a later read of ``a`` maps its
-    pages again from the page cache: values never change, only the memory
-    the process holds. Any other array (one in memory, the unmapped
-    zero-size matrix, a slice of a mapped matrix) is left alone, as is every
-    array where ``mmap`` cannot advise ``MADV_DONTNEED``.
-    """
-    advice = getattr(mmap, "MADV_DONTNEED", None)
-    base = a.base
-    while isinstance(base, np.ndarray):
-        base = base.base
-    # np.frombuffer keeps a memoryview of the mapping it was given
-    if (
-        advice is not None
-        and isinstance(base, memoryview)
-        and base.readonly
-        and isinstance(base.obj, mmap.mmap)
-        and a.nbytes == len(base.obj)
-    ):
-        base.obj.madvise(advice)
-
-
 def _parse_obs_column(name: str, values: list[str], tag: str) -> np.ndarray:
     if tag == "bool":
         bad = [v for v in values if v not in ("true", "false")]
@@ -448,6 +428,14 @@ def read_raw_bundle(path: str | Path) -> RawTable:
 
 
 def write_canonical_bundle(ds: CanonicalDataset, out_dir: str | Path) -> None:
+    """Write ``ds`` as a canonical bundle in ``out_dir``, then back ``ds.X`` by it.
+
+    Once the digest record is written, ``ds.X`` is rebound to a read-only
+    mapping of the ``X.f64`` just written: the same bits, without the copy
+    in memory. So the module's warning against overwriting a bundle file in
+    place covers a dataset written here too. A write that raises leaves
+    ``ds`` as it was.
+    """
     manifest = {
         "kind": "canonical",
         "format": CANONICAL_FORMAT,
@@ -473,6 +461,9 @@ def write_canonical_bundle(ds: CanonicalDataset, out_dir: str | Path) -> None:
             "pert_dose.f64": ds.pert_values,
         },
     )
+    # the file holds X's bits: map it, and the copy in memory goes
+    X = _read_matrix(Path(out_dir) / "X.f64", ds.X.shape, "<f8")
+    object.__setattr__(ds, "X", X)
 
 
 def read_canonical_bundle(path: str | Path) -> CanonicalDataset:

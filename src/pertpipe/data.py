@@ -9,6 +9,7 @@ containers are frozen after construction; every operation here is pure.
 from __future__ import annotations
 
 import math
+import mmap
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -18,6 +19,7 @@ from .errors import ParameterError, ValidationError
 
 PERT_TYPES = ("drug", "crispr", "mixed", "control")
 SPLIT_LABELS = ("train", "val", "test")
+_BLOCK_BYTES = 1 << 20  # about the bytes of rows a blocked pass visits at a time
 
 CANONICAL_OBS_KEYS = (
     "cell_type",
@@ -48,7 +50,8 @@ def cast_column(column: np.ndarray, target: str) -> np.ndarray:
 
     A str column whose value does not read as a float raises ``ValueError``
     naming the value and its row. A column of Python strings casts to "str"
-    as a copy; any other becomes the object column of each value's ``str``.
+    as itself, with no copy; any other becomes the object column of each
+    value's ``str``.
     """
     if target == "float":
         if column_kind(column) != "str":
@@ -65,7 +68,7 @@ def cast_column(column: np.ndarray, target: str) -> np.ndarray:
     if target == "str":
         cells = column.tolist()
         if column.dtype == object and set(map(type, cells)) <= {str}:
-            return column.copy()
+            return column
         return np.array(list(map(str, cells)), dtype=object)
     raise ValueError(f"unknown cast target {target!r}")
 
@@ -309,21 +312,74 @@ def _row_halves(n: int, work) -> list:
     return [first.result(), second]
 
 
-def _x_faults(X: np.ndarray):
-    """The first negative cell of 2-D ``X``, its first non-finite cell, and its row sums.
+def _row_blocks(X: np.ndarray, visit) -> None:
+    """``visit(lo, hi)`` on each block of about ``_BLOCK_BYTES`` of the rows of
+    2-D ``X``, in row order within each of the ``_row_halves``."""
+    step = max(1, _BLOCK_BYTES // max(1, X[:1].nbytes))
 
-    A cell is ``(row, column, count of such cells)``, or ``None`` if there
-    is none. One scan over two halves of the rows takes the least non-NaN
-    entry and the row sums: a negative entry makes the least one negative,
-    and a NaN or infinite entry, or a row past the float64 range, makes its
-    row's sum non-finite. The n x g mask that names a cell is built only then.
+    def half(lo: int, hi: int) -> None:
+        for b in range(lo, hi, step):
+            visit(b, min(b + step, hi))
+
+    _row_halves(len(X), half)
+
+
+def release_pages(a: np.ndarray) -> None:
+    """Let go of the resident pages that lie wholly inside ``a``, an array
+    over a read-only mapping such as ``bundle`` readers return.
+
+    ``a`` may be the whole mapped matrix or any C-contiguous range of its
+    rows; the pages it shares with the rows around it are kept. The mapping
+    is shared and read-only, so a later read maps the pages again from the
+    page cache: values never change, only the memory the process holds. Any
+    other array (one in memory, the unmapped zero-size matrix, a column
+    slice) is left alone, as is every array where ``mmap`` cannot advise
+    ``MADV_DONTNEED``.
+    """
+    advice = getattr(mmap, "MADV_DONTNEED", None)
+    base = a.base
+    while isinstance(base, np.ndarray):
+        base = base.base
+    # np.frombuffer keeps a memoryview of the mapping it was given
+    if not (
+        advice is not None
+        and isinstance(base, memoryview)
+        and base.readonly
+        and isinstance(base.obj, mmap.mmap)
+        and a.flags.c_contiguous
+    ):
+        return
+    mapped = base.obj
+    offset = a.ctypes.data - np.frombuffer(base, np.uint8).ctypes.data
+    start = -(-offset // mmap.PAGESIZE) * mmap.PAGESIZE
+    end = offset + a.nbytes
+    if end < len(mapped):  # the mapping's last page holds nothing after it
+        end -= end % mmap.PAGESIZE
+    if start < end:
+        mapped.madvise(advice, start, end - start)
+
+
+def _x_faults(X: np.ndarray):
+    """A scan of 2-D ``X`` for its first negative cell, its first non-finite
+    cell, and its row sums, as ``(scan, faults)``.
+
+    ``scan(lo, hi)`` scans rows ``lo:hi`` and returns their sums; the blocks
+    of one scan may run on two threads. Once every row is scanned,
+    ``faults()`` returns ``(negative, nonfinite, sums)``, where a cell is
+    ``(row, column, count of such cells)``, or ``None`` if there is none.
+    A block's scan takes its least non-NaN entry and its row sums: a
+    negative entry makes the least one negative, and a NaN or infinite
+    entry, or a row past the float64 range, makes its row's sum non-finite.
+    The n x g mask that names a cell is built only then.
     """
     sums = np.empty(X.shape[0])
+    least: list[float] = [0.0]
 
-    def scan(lo: int, hi: int) -> float:
+    def scan(lo: int, hi: int) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             X[lo:hi].sum(axis=1, out=sums[lo:hi])
-            return float(np.fmin.reduce(X[lo:hi], axis=None, initial=0.0))
+            least.append(float(np.fmin.reduce(X[lo:hi], axis=None, initial=0.0)))
+        return sums[lo:hi]
 
     def first(bad: np.ndarray) -> tuple[int, int, int] | None:
         if not bad.any():
@@ -331,9 +387,12 @@ def _x_faults(X: np.ndarray):
         i, j = np.unravel_index(np.argmax(bad), bad.shape)
         return int(i), int(j), int(np.count_nonzero(bad))
 
-    negative = first(X < 0) if min(_row_halves(X.shape[0], scan)) < 0 else None
-    nonfinite = None if np.isfinite(sums).all() else first(~np.isfinite(X))
-    return negative, nonfinite, sums
+    def faults():
+        negative = first(X < 0) if min(least) < 0 else None
+        nonfinite = None if np.isfinite(sums).all() else first(~np.isfinite(X))
+        return negative, nonfinite, sums
+
+    return scan, faults
 
 
 def first_pattern_rows(indptr: np.ndarray, indices: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -408,17 +467,41 @@ def normalize_log1p(
     overflow. A row whose sum, or whose sum scaled to ``target_sum``,
     overflows float64 raises ``ValidationError`` naming the row.
 
-    The checks (one ``_x_faults`` scan) and the transform each split the
-    rows in two halves, one on a worker thread and one on the calling
-    thread. Every step is per row or per entry, so the result does not
-    depend on the split; on one core the two halves take turns and the pass
-    costs what one thread's would.
+    One pass visits the rows in blocks (``_row_blocks``), half of them on a
+    worker thread: each block is scanned (one ``_x_faults`` scan covers
+    them all), transformed into the output, and then lets go of its pages
+    if ``X`` is mapped from a bundle (``release_pages``), so a mapped ``X``
+    is never resident beside the whole output. The errors are raised after
+    the pass. Every step is per row or per entry, so the result does not
+    depend on the blocks; on one core the two halves take turns and the
+    pass costs what one thread's would.
     """
-    # in C order each row adds up the same way whichever half it falls in
+    # in C order each row adds up the same way whichever block it falls in
     X = np.ascontiguousarray(X, dtype=np.float64)
     if not 0 < target_sum < math.inf:
         raise ParameterError(f"target_sum must be finite and positive, got {target_sum}")
-    negative, nonfinite, sums = _x_faults(X)
+    scan, faults = _x_faults(X)
+    out = X if is_already_log1p else np.empty_like(X)
+    factor = np.ones(len(X))
+
+    def visit(lo: int, hi: int) -> None:
+        sums = scan(lo, hi)
+        if not is_already_log1p:
+            rows = out[lo:hi]
+            # a faulty block's values are dropped when the pass raises
+            with np.errstate(all="ignore"):
+                if normalization_required:
+                    scale = np.divide(target_sum, sums, out=np.zeros_like(sums), where=sums > 0)
+                    # unusable rows are scaled by exactly 1.0, which leaves their bits unchanged
+                    factor[lo:hi] = np.where((sums > 0) & np.isfinite(scale), scale, 1.0)
+                    np.multiply(X[lo:hi], factor[lo:hi, None], out=rows)
+                    np.log1p(rows, out=rows)
+                else:
+                    np.log1p(X[lo:hi], out=rows)
+        release_pages(X[lo:hi])
+
+    _row_blocks(X, visit)
+    negative, nonfinite, sums = faults()
     if negative:
         i, j, _ = negative
         raise ValidationError(
@@ -429,10 +512,7 @@ def normalize_log1p(
         raise ValidationError(
             f"non-finite expression value {X[i, j]} at cell X[{i}, {j}]"
         )
-    if is_already_log1p:
-        return X
-    factor = None
-    if normalization_required:
+    if normalization_required and not is_already_log1p:
         # an infinite sum of finite values is an overflow, which only scaling refuses
         overflow = np.flatnonzero(~np.isfinite(sums))
         if overflow.size:
@@ -440,10 +520,6 @@ def normalize_log1p(
                 f"expression row X[{overflow[0]}] sums past the float64 range; "
                 f"{overflow.size} row(s) cannot be normalized"
             )
-        with np.errstate(over="ignore", divide="ignore"):
-            scale = np.divide(target_sum, sums, out=np.zeros_like(sums), where=sums > 0)
-        # unusable rows are scaled by exactly 1.0, which leaves their bits unchanged
-        factor = np.where((sums > 0) & np.isfinite(scale), scale, 1.0)
         # no entry of a row scales past its scaled sum, so the sums are the whole check
         with np.errstate(over="ignore"):
             overflow = np.flatnonzero(np.isinf(sums * factor))
@@ -452,18 +528,6 @@ def normalize_log1p(
                 f"expression row X[{overflow[0]}] scaled to target_sum {target_sum} passes "
                 f"the float64 range; {overflow.size} row(s) cannot be normalized"
             )
-        factor = factor[:, None]
-    out = np.empty_like(X)
-
-    def transform(lo: int, hi: int) -> None:
-        rows = out[lo:hi]
-        if factor is None:
-            np.log1p(X[lo:hi], out=rows)
-        else:
-            np.multiply(X[lo:hi], factor[lo:hi], out=rows)
-            np.log1p(rows, out=rows)
-
-    _row_halves(len(X), transform)
     return out
 
 
@@ -632,7 +696,9 @@ def _canonical_report(
         issues.append(ValidationIssue("control_with_mask", message))
 
     if not x_checked:
-        negative, nonfinite, _ = _x_faults(ds.X)
+        scan, faults = _x_faults(ds.X)
+        _row_blocks(ds.X, scan)
+        negative, nonfinite, _ = faults()
         if negative:
             i, j, count = negative
             issues.append(

@@ -28,13 +28,13 @@ from importlib import resources
 import numpy as np
 
 from . import dsl
-from .bundle import release_pages
 from .data import (
     CANONICAL_OBS_KEYS,
     CanonicalDataset,
     PERT_TYPES,
     RawTable,
     _canonical_report,
+    _row_blocks,
     _row_halves,
     cast_column,
     column_kind,
@@ -42,6 +42,7 @@ from .data import (
     factorize,
     first_pattern_rows,
     normalize_log1p,
+    release_pages,
     validate_canonical,
 )
 from .errors import LlmReplyError, MappingError, ParameterError
@@ -428,10 +429,13 @@ def apply_mapping(
     The result is validated before being returned; a spec that produces an
     invalid dataset is rejected.
 
-    Once normalized, a raw ``X`` mapped from a bundle lets go of its
-    resident pages (``bundle.release_pages``). Reading it again, as the
-    canonical ``X`` that ``is_already_log1p`` keeps is read when written,
-    maps them back from the page cache with the same values.
+    A raw ``X`` mapped from a bundle lets go of the resident pages of each
+    block of rows once ``normalize_log1p`` has normalized it
+    (``data.release_pages``), so it is never resident beside the whole
+    canonical ``X``. Reading it again, as the canonical ``X`` that
+    ``is_already_log1p`` keeps is read when written, maps them back from
+    the page cache with the same values. Text columns that already hold
+    only ``str`` are shared with the raw table, not copied.
     """
     n = table.n_cells
 
@@ -487,7 +491,6 @@ def apply_mapping(
         is_already_log1p=spec.is_already_log1p,
         normalization_required=spec.normalization_required,
     )
-    release_pages(table.X)
 
     ensembl = cast_column(table.var_index, "str")
     if spec.gene_symbol_col is not None:
@@ -540,9 +543,11 @@ def merge_datasets(parts: list[CanonicalDataset]) -> MergeResult:
     names across parts are renamed to the first-seen name so the merged
     dataset stays canonical.
 
-    The merged ``X`` is copied in two halves of its rows, one on a worker
-    thread and one on the calling thread, as slice copies per run of
-    consecutive source columns.
+    The merged ``X`` is copied in blocks of rows (``data._row_blocks``),
+    half of them on a worker thread, as slice copies per run of consecutive
+    source columns. A part's ``X`` mapped from a bundle, as one read or
+    written there is, lets go of each block's pages once they are copied
+    (``data.release_pages``), so the merge holds one whole ``X``, its own.
     """
     if len(parts) < 2:
         raise ParameterError(f"need at least 2 datasets to merge, got {len(parts)}")
@@ -588,10 +593,12 @@ def merge_datasets(parts: list[CanonicalDataset]) -> MergeResult:
         for part, start, part_runs in zip(parts, starts, runs):
             a, b = max(lo, start), min(hi, start + part.n_cells)
             if a < b:
+                rows = part.X[a - start : b - start]
                 for c, d, s in part_runs:
-                    X[a:b, c:d] = part.X[a - start : b - start, s : s + d - c]
+                    X[a:b, c:d] = rows[:, s : s + d - c]
+                release_pages(rows)
 
-    _row_halves(n_total, copy_rows)
+    _row_blocks(X, copy_rows)
     counts = np.concatenate([np.diff(part.pert_indptr) for part in parts])
     indptr = np.concatenate(([0], np.cumsum(counts)))
     indices = np.concatenate(renumbered)

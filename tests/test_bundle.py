@@ -24,11 +24,10 @@ from pertpipe.bundle import (
     bundle_digest,
     read_canonical_bundle,
     read_raw_bundle,
-    release_pages,
     write_canonical_bundle,
     write_raw_bundle,
 )
-from pertpipe.data import CanonicalDataset, RawTable
+from pertpipe.data import CanonicalDataset, RawTable, release_pages
 from pertpipe.errors import BundleFormatError
 
 
@@ -459,6 +458,132 @@ class TestCrashSafeWrites:
         assert [p.name for p in tmp_path.iterdir()] == ["X.f64"]
 
 
+def _mapped_inode(a: np.ndarray) -> int:
+    """The inode of the file whose mapping holds ``a``'s first byte."""
+    address = a.ctypes.data
+    for line in Path("/proc/self/maps").read_text().splitlines():
+        fields = line.split()
+        start, end = (int(x, 16) for x in fields[0].split("-"))
+        if start <= address < end:
+            return int(fields[4])
+    raise AssertionError("no mapping holds the array")
+
+
+class _Crash(BaseException):
+    """A write cut short at one step, as a crash would cut it."""
+
+
+class TestWrittenDatasetIsBacked:
+    """write_canonical_bundle backs the dataset's X by the X.f64 it wrote."""
+
+    @pytest.mark.skipif(not Path("/proc/self/maps").is_file(), reason="needs /proc/self/maps")
+    def test_x_maps_the_written_file(self, tmp_path):
+        ds, _ = TestCrashSafeWrites()._datasets()
+        before = ds.X.copy()
+        write_canonical_bundle(ds, tmp_path / "c")
+        assert _mapped_inode(ds.X) == (tmp_path / "c" / "X.f64").stat().st_ino
+        assert not ds.X.flags.writeable
+        assert ds.X.dtype == before.dtype and ds.X.tobytes() == before.tobytes()
+
+    def test_a_write_into_its_own_bundle_keeps_the_digest(self, tmp_path):
+        ds, _ = TestCrashSafeWrites()._datasets()
+        write_canonical_bundle(ds, tmp_path / "c")
+        digest, backing = bundle_digest(tmp_path / "c"), ds.X
+        write_canonical_bundle(ds, tmp_path / "c")
+        assert bundle_digest(tmp_path / "c") == _fresh_digest(tmp_path / "c") == digest
+        # the renamed-over file stays mapped and readable
+        back = read_canonical_bundle(tmp_path / "c")
+        assert backing.tobytes() == ds.X.tobytes() == back.X.tobytes()
+
+    @pytest.mark.parametrize("failure", ["refused cell", "manifest rename"])
+    def test_a_write_that_raises_leaves_x(self, tmp_path, monkeypatch, failure):
+        if failure == "refused cell":
+            ds = small_canonical({"control": [[1.0, 0.5]], "A\tB": [[2.0, 0.25]]})
+            error = BundleFormatError
+        else:
+            ds, _ = TestCrashSafeWrites()._datasets()
+            error = OSError
+            real = bundle.os.replace
+
+            def replace(src, dst):
+                if Path(dst).name == "manifest.json":
+                    raise OSError("disk full")
+                real(src, dst)
+
+            monkeypatch.setattr(bundle.os, "replace", replace)
+        X = ds.X
+        with pytest.raises(error):
+            write_canonical_bundle(ds, tmp_path / "c")
+        assert ds.X is X
+
+    def test_each_step_of_an_overwrite_leaves_the_old_or_a_refused_bundle(
+        self, tmp_path, monkeypatch
+    ):
+        old, new = TestCrashSafeWrites()._datasets()
+        old_files = {"X": old.X.copy(), "pert_values": old.pert_values.copy()}
+
+        def write_new(root: Path, crash_at: int | None) -> list[str]:
+            """Overwrite ``root`` with ``new``; raise at step ``crash_at`` of its
+            unlinks, renames and file writes; return the steps taken."""
+            steps: list[str] = []
+
+            def step(label: str) -> None:
+                steps.append(label)
+                if len(steps) - 1 == crash_at:
+                    raise _Crash(label)
+
+            real_unlink, real_replace, real_file = Path.unlink, os.replace, bundle._replace_file
+
+            def unlink(path, missing_ok=False):
+                step(f"unlink {path.name}")
+                real_unlink(path, missing_ok=missing_ok)
+
+            def replace(src, dst):
+                step(f"rename {Path(dst).name}")
+                real_replace(src, dst)
+
+            def replace_file(path, write):
+                def counted(tmp):
+                    step(f"write {path.name}")
+                    write(tmp)
+
+                real_file(path, counted)
+
+            with monkeypatch.context() as m:
+                m.setattr(Path, "unlink", unlink)
+                m.setattr(os, "replace", replace)
+                m.setattr(bundle, "_replace_file", replace_file)
+                write_canonical_bundle(new, root)
+            return steps
+
+        def old_bundle(root: Path) -> str:
+            write_canonical_bundle(old, root)
+            (root / "run_manifest.json").write_text("{}\n")
+            return bundle_digest(root)
+
+        steps = write_new(tmp_path / "count", None)
+        assert len(steps) == 3 + 2 * 6 + 2 * 2  # unlinks, then each bundle file and the record
+        X = new.X
+        for k, label in enumerate(steps):
+            root = tmp_path / str(k)
+            old_digest = old_bundle(root)
+            with pytest.raises(_Crash):
+                write_new(root, k)
+            assert new.X is X, label
+            try:
+                back = read_canonical_bundle(root)
+            except BundleFormatError:
+                continue  # a directory that readers refuse
+            if k > steps.index("rename manifest.json"):
+                # the new bundle is whole; only its digest record is missing
+                assert np.array_equal(back.X, new.X), label
+                assert bundle_digest(root) == _fresh_digest(root) != old_digest, label
+            else:
+                assert np.array_equal(back.X, old_files["X"]), label
+                assert np.array_equal(back.pert_values, old_files["pert_values"]), label
+                assert bundle_digest(root) == _fresh_digest(root) == old_digest, label
+
+
 def test_digest_hashes_large_files_in_chunks(tmp_path):
     rng = np.random.default_rng(0)
     table = RawTable(
@@ -586,7 +711,7 @@ _SMAPS = pytest.mark.skipif(
 
 
 class TestReleasePages:
-    """release_pages drops the resident pages of a whole mapped matrix only."""
+    """release_pages drops the resident pages inside a mapped matrix or a range of its rows."""
 
     def _mapped(self, tmp_path) -> np.ndarray:
         # 256 x 512 float64: 1 MiB, every page touched
@@ -615,17 +740,29 @@ class TestReleasePages:
         assert mapped.tobytes() == before.tobytes()
 
     @_SMAPS
-    def test_only_a_whole_matrix_releases_its_pages(self, tmp_path):
-        mapped = self._mapped(tmp_path)
-        full = mapped.nbytes // 1024
-        assert _mapping_rss_kb(mapped) == full
-        release_pages(mapped[1:])
-        release_pages(mapped[:, :256])
-        assert _mapping_rss_kb(mapped) == full
+    def test_whole_pages_inside_rows_are_released(self, tmp_path):
+        # 101 x 384 float64: rows of 3 KiB, so most row ranges, and the
+        # file, end inside a page
+        X = np.random.default_rng(0).uniform(0.0, 9.0, (101, 384))
+        X.tofile(tmp_path / "X.f64")
+        mapped = bundle._read_matrix(tmp_path / "X.f64", X.shape, "<f8")
+        page = mmap.PAGESIZE
+        pages = -(-mapped.nbytes // page)
+        assert mapped.sum() == X.sum()
+        assert _mapping_rss_kb(mapped) == pages * page // 1024
+        release_pages(mapped[:, :256])  # a column slice is left alone
+        release_pages(mapped[::2])
+        assert _mapping_rss_kb(mapped) == pages * page // 1024
+        # the whole pages inside rows 5:41 go, the two they share with rows 4 and 41 stay
+        lo, hi = 5 * mapped[0].nbytes, 41 * mapped[0].nbytes
+        assert lo % page and hi % page and mapped.nbytes % page
+        release_pages(mapped[5:41])
+        inside = hi // page - -(-lo // page)
+        assert _mapping_rss_kb(mapped) == (pages - inside) * page // 1024
         release_pages(mapped)
         assert _mapping_rss_kb(mapped) == 0
-        mapped.sum()  # a read maps the pages again
-        assert _mapping_rss_kb(mapped) == full
+        assert mapped.tobytes() == X.tobytes()  # a read maps the pages again
+        assert _mapping_rss_kb(mapped) == pages * page // 1024
 
     @_SMAPS
     def test_without_madv_dontneed_nothing_is_released(self, tmp_path, monkeypatch):

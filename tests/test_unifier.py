@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -471,6 +474,19 @@ class TestInduceMapping:
 
 
 class TestApplyMapping:
+    def test_str_columns_are_shared_with_the_raw_table(self, drug_raw_table, flat_form_mapping,
+                                                       tmp_path):
+        spec = MappingSpec.from_dict({**flat_form_mapping, "batch_id": "conc_um"})
+        ds = apply_mapping(drug_raw_table, spec)
+        # both tables are frozen, so the canonical columns are the raw ones
+        assert ds.cell_type is drug_raw_table.obs["cell_type_annotation"]
+        assert ds.batch_id is drug_raw_table.obs["conc_um"]
+        write_canonical_bundle(ds, tmp_path / "c")
+        # the digest of the bundle written from copies of the columns
+        assert bundle_digest(tmp_path / "c") == (
+            "980a3efe25bdb74deccba43ec4fd71126681f989cfd462cb27989d643cf1262d"
+        )
+
     @pytest.mark.parametrize(
         "key, constant, expression",
         [("perturbation_type", "drug", "'drug'"), ("control_status", False, "False"),
@@ -727,6 +743,64 @@ class TestMappedRawMatrix:
         before = _rss_file_kb()
         apply_mapping(table, MappingSpec.from_dict(self.SPEC))
         assert before - _rss_file_kb() >= 0.9 * table.X.nbytes / 1024
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/status").is_file(), reason="needs /proc/self/status"
+    )
+    def test_merge_lets_go_of_the_parts_pages(self, tmp_path):
+        # two 2048 x 512 float64 parts: 16 MiB of file pages once touched
+        labels = [f"D{i % 7}" if i % 8 else "DMSO" for i in range(2048)]
+        parts = []
+        for i in range(2):
+            table = _screen(np.random.default_rng(i), labels, [lab == "DMSO" for lab in labels],
+                            range(512))
+            part = apply_mapping(table, MappingSpec.from_dict(self.SPEC))
+            write_canonical_bundle(part, tmp_path / str(i))  # part.X now maps its file
+            part.X.sum()
+            parts.append(part)
+        before = _rss_file_kb()
+        merged = merge_datasets(parts).dataset
+        assert before - _rss_file_kb() >= 0.9 * sum(part.X.nbytes for part in parts) / 1024
+        assert np.array_equal(merged.X, np.concatenate([part.X for part in parts]))
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/status").is_file(), reason="needs /proc/self/status"
+    )
+    def test_unify_never_holds_the_raw_and_the_normalized_matrix(self, tmp_path):
+        from pertpipe.bundle import write_raw_bundle
+
+        # 1024 x 3072 float64: a 24 MiB raw X
+        labels = [f"D{i % 7}" if i % 8 else "DMSO" for i in range(1024)]
+        write_raw_bundle(
+            _screen(np.random.default_rng(3), labels, [lab == "DMSO" for lab in labels],
+                    range(3072)),
+            tmp_path / "raw",
+        )
+        (tmp_path / "spec.json").write_text(json.dumps(self.SPEC))
+        # the child reads its own high-water mark: ru_maxrss would start at
+        # this process's peak, which a child inherits
+        code = (
+            "import re, sys\n"
+            "from pathlib import Path\n"
+            "import numpy, pertpipe.bundle, pertpipe.unifier\n"
+            "from pertpipe.cli import main\n"
+            "def kb(key):\n"
+            "    status = Path('/proc/self/status').read_text()\n"
+            "    return int(re.search(rf'^{key}:\\s+(\\d+) kB', status, re.M).group(1))\n"
+            "before = kb('VmRSS')\n"
+            "main(['unify', *sys.argv[1:]], standalone_mode=False)\n"
+            "print(before, kb('VmHWM'))\n"
+        )
+        src = str(Path(data.__file__).parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "raw"), str(tmp_path / "canon"),
+             "--mapping", str(tmp_path / "spec.json")],
+            capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        before, peak = map(int, done.stdout.split()[-2:])
+        x_kb = (tmp_path / "raw" / "X.f64").stat().st_size / 1024
+        # the raw and the normalized X together would add 2 * x_kb
+        assert peak - before < 1.5 * x_kb
 
 
 def _mini_canonical(genes, vocab, conditions, symbols=None):
