@@ -312,10 +312,15 @@ def _row_halves(n: int, work) -> list:
     return [first.result(), second]
 
 
+def _block_rows(X: np.ndarray) -> int:
+    """How many rows of 2-D ``X`` make a block of about ``_BLOCK_BYTES``."""
+    return max(1, _BLOCK_BYTES // max(1, X[:1].nbytes))
+
+
 def _row_blocks(X: np.ndarray, visit) -> None:
-    """``visit(lo, hi)`` on each block of about ``_BLOCK_BYTES`` of the rows of
-    2-D ``X``, in row order within each of the ``_row_halves``."""
-    step = max(1, _BLOCK_BYTES // max(1, X[:1].nbytes))
+    """``visit(lo, hi)`` on each block of ``_block_rows`` rows of 2-D ``X``,
+    in row order within each of the ``_row_halves``."""
+    step = _block_rows(X)
 
     def half(lo: int, hi: int) -> None:
         for b in range(lo, hi, step):

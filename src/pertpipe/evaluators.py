@@ -23,11 +23,13 @@ from .actions import Candidate, enumerate_candidates
 from .data import (
     CanonicalDataset,
     SplitAssignment,
+    _block_rows,
     _row_halves,
     column_means,
     factorize,
     normalize_log1p,
     pseudo_bulk,
+    release_pages,
     validate_canonical,
 )
 from .errors import ParameterError, ValidationError
@@ -128,6 +130,12 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[CanonicalDataset, GroundTr
     ranked first by the pathway hash, which nests it inside the
     pathway-masked family's gene mask. Cells are basal + effect + Gaussian
     noise, clipped at zero, then log1p-transformed.
+
+    ``X`` is filled one block of ``_block_rows`` rows at a time, in row
+    order on the calling thread, so no n x g temporary is ever held beside
+    it. The generator draws the same noise stream in blocks as in one call,
+    so the dataset does not depend on the block size. A non-finite cell
+    (noise past the float64 range) is named by its row in ``X``.
     """
     rng = np.random.default_rng(cfg.seed)
     g, p, c = cfg.n_genes, cfg.n_perts, cfg.cells_per_condition
@@ -155,14 +163,25 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[CanonicalDataset, GroundTr
     n_cells = (p + 1) * c
     block = np.repeat(np.arange(p + 1), c)  # c cells per condition, controls first
     is_control = block == 0
-    linear = np.vstack([x0, x0 + effects])[block]
-    if cfg.noise_sigma > 0:
-        noise = rng.normal(0.0, cfg.noise_sigma, size=(n_cells, g))
-        linear = np.clip(linear + noise, 0.0, None)
-
-    X = normalize_log1p(
-        linear, target_sum=1e4, is_already_log1p=False, normalization_required=False
-    )
+    means = np.vstack([x0, x0 + effects])
+    X = np.empty((n_cells, g))
+    step = _block_rows(X)
+    for lo in range(0, n_cells, step):
+        hi = min(lo + step, n_cells)
+        linear = means[block[lo:hi]]
+        if cfg.noise_sigma > 0:
+            linear += rng.normal(0.0, cfg.noise_sigma, size=(hi - lo, g))
+            np.clip(linear, 0.0, None, out=linear)
+        try:
+            X[lo:hi] = normalize_log1p(
+                linear, target_sum=1e4, is_already_log1p=False, normalization_required=False
+            )
+        except ValidationError:
+            # the rows before lo passed, so a scan of X[:hi] that leaves it
+            # unchanged names the same cell by its row in X
+            X[lo:hi] = linear
+            normalize_log1p(X[:hi], 1e4, is_already_log1p=True, normalization_required=False)
+            raise
     ds = CanonicalDataset(
         cell_type=np.array(["LINE_0"] * n_cells, dtype=object),
         batch_id=np.array(["batch_0"] * n_cells, dtype=object),
@@ -219,6 +238,13 @@ class _LossView:
     mean_norm: float  # mean norm of the condition means
 
 
+def _release_runs(X: np.ndarray, rows: np.ndarray) -> None:
+    """``release_pages`` on each run of consecutive rows of ``X`` in ``rows``."""
+    cuts = [0, *(np.flatnonzero(np.diff(rows) != 1) + 1).tolist(), rows.size]
+    for a, b in zip(cuts, cuts[1:]):
+        release_pages(X[rows[a]:rows[b - 1] + 1])
+
+
 def _loss_view(X: np.ndarray, stats: _SplitStats, clip=None) -> _LossView:
     """Shift statistics gathered one condition block at a time.
 
@@ -229,8 +255,19 @@ def _loss_view(X: np.ndarray, stats: _SplitStats, clip=None) -> _LossView:
     conditions are split in two halves, one on a worker thread, each under
     the caller's numpy error state. The mean direction and norm are flow
     matching's unseen-condition statistics.
+
+    Once rows are read, ``release_pages`` lets go of each run of
+    consecutive rows among them, so a search never holds the whole of an
+    ``X`` mapped from a bundle. A run that goes on into the next condition
+    waits for that condition's rows until ``_block_rows`` rows are read,
+    so adjacent conditions share a release (one per condition took
+    measurably longer) and neither half holds more than about a block of
+    read rows. A later pass maps the pages back from the page cache, so no
+    value changes.
     """
     m, g = stats.counts.size, X.shape[1]
+    rows = stats.rows
+    step = _block_rows(X)
     sums = np.empty((m, g))
     cond_vars = np.empty((m, g))
     ends = np.cumsum(stats.counts).tolist()
@@ -238,9 +275,9 @@ def _loss_view(X: np.ndarray, stats: _SplitStats, clip=None) -> _LossView:
 
     def blocks(lo: int, hi: int) -> None:
         with np.errstate(**errors):  # the caller's state does not reach the worker
-            start = ends[lo - 1] if lo else 0
+            start = read = ends[lo - 1] if lo else 0
             for i in range(lo, hi):
-                block = X[stats.rows[start:ends[i]]]
+                block = X[rows[start:ends[i]]]
                 block -= stats.y_ctrl
                 if clip is not None:
                     np.maximum(block, clip[0], out=block)
@@ -250,6 +287,10 @@ def _loss_view(X: np.ndarray, stats: _SplitStats, clip=None) -> _LossView:
                 np.square(block, out=block)
                 block.sum(axis=0, out=cond_vars[i])
                 start = ends[i]
+                goes_on = i + 1 < hi and rows[start] == rows[start - 1] + 1
+                if not goes_on or start - read >= step:
+                    _release_runs(X, rows[read:start])
+                    read = start
 
     _row_halves(m, blocks)
     cond_vars /= stats.counts[:, None]
@@ -321,6 +362,7 @@ def _prepare(ds: CanonicalDataset, split: SplitAssignment):
     # when the val split carries no control cells
     y_ctrl_val = column_means(ds.X[val_ctrl]) if val_ctrl.size else y_ctrl
     val_means = pseudo_bulk(ds, val_pert)
+    release_pages(ds.X)  # the control and val rows are read; the loss views read train rows
     # NaN and inf survive every sum, so these means see each cell read; the
     # means of finite cells are finite, but a shift or its square may not be
     non_finite = "non-finite input: X holds NaN or inf in the {} cells".format
@@ -376,7 +418,10 @@ class SurrogateEvaluator:
     means and variances of the train shifts, gathered one condition block
     at a time with the blocks split over two cores (the huber clip bounds
     are pooled from the mse statistics), and flow matching's mean direction
-    and norm. An error raised while building them is raised by the
+    and norm. When ``X`` is mapped from a bundle, the pages of the control
+    and val rows are let go of once they are read, and each loss pass lets
+    go of the train rows it has read, so the evaluator never holds the
+    whole mapped matrix. An error raised while building them is raised by the
     constructor.
 
     A candidate costs O(m * g) for its fit (the ridge families solve the

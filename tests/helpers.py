@@ -30,6 +30,7 @@ import math
 import random
 import re
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -837,3 +838,17 @@ def exhaustive_best(evaluator, seed: int) -> ExhaustiveResult:
             if best_m is None or outcome.m_val > best_m:
                 best, best_m = candidate, outcome.m_val
     return ExhaustiveResult(best_candidate=best, best_m_val=best_m, table=tuple(rows))
+
+
+def mapping_rss_kb(a: np.ndarray) -> int:
+    """The resident kB of the mapping that holds ``a``'s first byte."""
+    address = a.ctypes.data
+    inside = False
+    for line in Path("/proc/self/smaps").read_text().splitlines():
+        field = line.split()[0]
+        if not field.endswith(":"):  # a mapping's "start-end perms ..." line
+            start, end = (int(x, 16) for x in field.split("-"))
+            inside = start <= address < end
+        elif inside and field == "Rss:":
+            return int(line.split()[1])
+    raise AssertionError("no mapping holds the array")

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_tsv_text, small_canonical
+from helpers import mapping_rss_kb, reference_tsv_text, small_canonical
 from pertpipe import bundle
 from pertpipe.bundle import (
     bundle_digest,
@@ -690,20 +690,6 @@ class TestMappedReads:
             read_raw_bundle(tmp_path / "raw")
 
 
-def _mapping_rss_kb(a: np.ndarray) -> int:
-    """The resident kB of the mapping that holds ``a``'s first byte."""
-    address = a.ctypes.data
-    inside = False
-    for line in Path("/proc/self/smaps").read_text().splitlines():
-        field = line.split()[0]
-        if not field.endswith(":"):  # a mapping's "start-end perms ..." line
-            start, end = (int(x, 16) for x in field.split("-"))
-            inside = start <= address < end
-        elif inside and field == "Rss:":
-            return int(line.split()[1])
-    raise AssertionError("no mapping holds the array")
-
-
 _SMAPS = pytest.mark.skipif(
     not Path("/proc/self/smaps").is_file() or not hasattr(mmap, "MADV_DONTNEED"),
     reason="needs /proc/self/smaps and MADV_DONTNEED",
@@ -749,27 +735,27 @@ class TestReleasePages:
         page = mmap.PAGESIZE
         pages = -(-mapped.nbytes // page)
         assert mapped.sum() == X.sum()
-        assert _mapping_rss_kb(mapped) == pages * page // 1024
+        assert mapping_rss_kb(mapped) == pages * page // 1024
         release_pages(mapped[:, :256])  # a column slice is left alone
         release_pages(mapped[::2])
-        assert _mapping_rss_kb(mapped) == pages * page // 1024
+        assert mapping_rss_kb(mapped) == pages * page // 1024
         # the whole pages inside rows 5:41 go, the two they share with rows 4 and 41 stay
         lo, hi = 5 * mapped[0].nbytes, 41 * mapped[0].nbytes
         assert lo % page and hi % page and mapped.nbytes % page
         release_pages(mapped[5:41])
         inside = hi // page - -(-lo // page)
-        assert _mapping_rss_kb(mapped) == (pages - inside) * page // 1024
+        assert mapping_rss_kb(mapped) == (pages - inside) * page // 1024
         release_pages(mapped)
-        assert _mapping_rss_kb(mapped) == 0
+        assert mapping_rss_kb(mapped) == 0
         assert mapped.tobytes() == X.tobytes()  # a read maps the pages again
-        assert _mapping_rss_kb(mapped) == pages * page // 1024
+        assert mapping_rss_kb(mapped) == pages * page // 1024
 
     @_SMAPS
     def test_without_madv_dontneed_nothing_is_released(self, tmp_path, monkeypatch):
         mapped = self._mapped(tmp_path)
         monkeypatch.delattr(mmap, "MADV_DONTNEED")
         release_pages(mapped)
-        assert _mapping_rss_kb(mapped) == mapped.nbytes // 1024
+        assert mapping_rss_kb(mapped) == mapped.nbytes // 1024
 
 
 _SHA256 = hashlib.sha256  # not the counting stand-in of TestKeptDigest

@@ -2,9 +2,14 @@ from __future__ import annotations
 
 import math
 import itertools
+import mmap
+import os
+import subprocess
+import sys
 import threading
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,14 +17,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from pertpipe import evaluators
+from pertpipe import data, evaluators
 from pertpipe.actions import Candidate, HYPERPARAM_GRID, enumerate_candidates
+from pertpipe.bundle import bundle_digest, read_canonical_bundle, write_canonical_bundle
 from helpers import (
     assert_outcome_close,
     builtin_landscape,
     csr_from_dense,
     exhaustive_best,
     huge_constant_shifts,
+    mapping_rss_kb,
     reference_loss_view,
     reference_scored_m_val,
     reference_surrogate_evaluate,
@@ -32,7 +39,7 @@ from pertpipe.data import (
     split_unseen_perturbation,
     validate_canonical,
 )
-from pertpipe.errors import ParameterError
+from pertpipe.errors import ParameterError, ValidationError
 from pertpipe.evaluators import (
     FailureInjectingEvaluator,
     LandscapeEvaluator,
@@ -122,6 +129,68 @@ class TestGenerateSynthetic:
             SyntheticConfig(0, 3, 4, 0.1, 0.3, seed=1)
         with pytest.raises(ParameterError):
             SyntheticConfig(10, 3, 4, 0.1, 1.5, seed=1)
+
+    # bundle_digest of each config, taken when X was drawn in one call
+    BLOCK_PINS = {
+        # the gen-synthetic defaults
+        SyntheticConfig(60, 8, 12, 0.3, 0.3, seed=0):
+            "90d674cc91255bfaa0f034eed35c426a119378ebbdd42fe10f84ccefbe4687a3",
+        # no noise is drawn
+        SyntheticConfig(60, 8, 12, 0.0, 0.3, seed=0):
+            "50e4daec79ea9d65d4057ececfded57bd8363c485b208da06dedbccda7c12863",
+        # one cell per condition
+        SyntheticConfig(7, 5, 1, 0.4, 0.3, seed=2):
+            "3db20fa0fa13bfbaaeb2faaff3aa160379d754175609f0d7ed275f3ae489b94f",
+    }
+
+    @pytest.mark.parametrize("cfg", list(BLOCK_PINS), ids=["defaults", "noiseless", "one-cell"])
+    @pytest.mark.parametrize("rows", [1, 3, None], ids=["one-row", "three-rows", "all-of-X"])
+    def test_the_bundle_does_not_depend_on_the_block_size(self, tmp_path, monkeypatch, cfg, rows):
+        n_cells = (cfg.n_perts + 1) * cfg.cells_per_condition
+        row_bytes = cfg.n_genes * 8
+        monkeypatch.setattr(data, "_BLOCK_BYTES", row_bytes * (rows or 2 * n_cells))
+        ds, _ = generate_synthetic(cfg)
+        write_canonical_bundle(ds, tmp_path / "b")
+        assert bundle_digest(tmp_path / "b") == self.BLOCK_PINS[cfg]
+
+    @pytest.mark.parametrize("rows", [1, 16, None], ids=["one-row", "16-rows", "default"])
+    def test_a_non_finite_cell_is_named_by_its_row_in_x(self, monkeypatch, rows):
+        # noise this wide passes the float64 range first at row 134, past
+        # the first block of 1 or 16 rows; the message was taken when X was
+        # drawn in one call
+        if rows:
+            monkeypatch.setattr(data, "_BLOCK_BYTES", 256 * 8 * rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as caught:
+                generate_synthetic(SyntheticConfig(256, 8, 64, 4.5e307, 0.3, seed=0))
+        assert str(caught.value) == "non-finite expression value inf at cell X[134, 34]"
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/status").is_file(), reason="needs /proc/self/status"
+    )
+    def test_x_is_built_without_whole_temporaries(self):
+        # 2040 x 2000 float64: a 31 MiB X. The child reads its own high-water
+        # mark: ru_maxrss would start at this process's peak, which a child
+        # inherits
+        code = (
+            "import re\n"
+            "from pathlib import Path\n"
+            "from pertpipe.evaluators import SyntheticConfig, generate_synthetic\n"
+            "def kb(key):\n"
+            "    status = Path('/proc/self/status').read_text()\n"
+            "    return int(re.search(rf'^{key}:\\s+(\\d+) kB', status, re.M).group(1))\n"
+            "before = kb('VmRSS')\n"
+            "ds, _ = generate_synthetic(SyntheticConfig(2000, 50, 40, 0.4, 0.3, seed=0))\n"
+            "print(before, kb('VmHWM'), ds.X.nbytes // 1024)\n"
+        )
+        src = str(Path(evaluators.__file__).parents[1])
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, env={**os.environ, "PYTHONPATH": src})
+        before, peak, x_kb = map(int, done.stdout.split())
+        # the noise, the noisy cells, their clip and the log1p output of
+        # whole-matrix steps would add about 4 * x_kb
+        assert peak - before < 2 * x_kb
 
 
 @pytest.fixture(scope="module")
@@ -262,6 +331,17 @@ def _reference_case(noise, split_kind):
     return ds, split_unseen_cell(ds, "LINE_1", seed=1)
 
 
+def _shuffled_case():
+    """The noisy ``unseen_perturbation`` reference case with its cells shuffled."""
+    ds, split = _reference_case(0.4, "unseen_perturbation")
+    order = np.random.default_rng(5).permutation(ds.n_cells)
+    per_cell = ("cell_type", "batch_id", "donor_id", "pert_type", "is_control",
+                "condition_name", "X")
+    ds = replace(ds, **{name: getattr(ds, name)[order] for name in per_cell},
+                 **csr_from_dense(ds.pert_mask[order], ds.pert_dose[order]))
+    return ds, replace(split, labels=split.labels[order])
+
+
 class TestSurrogateMatchesReference:
     """Fits from per-condition sufficient statistics agree with the dense fits.
 
@@ -283,17 +363,49 @@ class TestSurrogateMatchesReference:
     def test_shuffled_cells_match(self):
         # the generator writes each condition's cells in one sorted block;
         # the evaluator must not rely on that order
-        ds, split = _reference_case(0.4, "unseen_perturbation")
-        order = np.random.default_rng(5).permutation(ds.n_cells)
-        per_cell = ("cell_type", "batch_id", "donor_id", "pert_type", "is_control",
-                    "condition_name", "X")
-        ds = replace(ds, **{name: getattr(ds, name)[order] for name in per_cell},
-                     **csr_from_dense(ds.pert_mask[order], ds.pert_dose[order]))
-        split = replace(split, labels=split.labels[order])
+        ds, split = _shuffled_case()
         ev = SurrogateEvaluator(ds, split)
         for candidate in EVERY_CANDIDATE:
             expected = reference_surrogate_evaluate(ds, split, candidate)
             assert_outcome_close(ev.evaluate(candidate, 0), expected, candidate.key())
+
+    @pytest.mark.parametrize("block_rows", [None, 1], ids=["default-block", "one-row-block"])
+    def test_a_mapped_x_is_released_and_scores_as_in_memory(
+        self, tmp_path, monkeypatch, block_rows
+    ):
+        # each condition's rows are scattered, so the released runs are short;
+        # with one-row blocks no release waits for the next condition
+        ds, split = _shuffled_case()
+        write_canonical_bundle(ds, tmp_path / "b")
+        mapped = read_canonical_bundle(tmp_path / "b")
+        base = mapped.X
+        while isinstance(base, np.ndarray):
+            base = base.base
+        assert isinstance(base, memoryview)  # X maps the bundle's X.f64
+        expected = SurrogateEvaluator(replace(mapped, X=np.array(mapped.X)), split)
+
+        passes = [set()]  # the rows released before the loss views, then by each view
+        loss_view, release_pages = evaluators._loss_view, evaluators.release_pages
+
+        def each_pass(*args, **kwargs):
+            passes.append(set())
+            return loss_view(*args, **kwargs)
+
+        def spy(a):
+            if a.size:
+                first = (a.ctypes.data - mapped.X.ctypes.data) // mapped.X.strides[0]
+                passes[-1].update(range(first, first + len(a)))
+            release_pages(a)
+
+        monkeypatch.setattr(evaluators, "_loss_view", each_pass)
+        if block_rows:
+            monkeypatch.setattr(data, "_BLOCK_BYTES", mapped.X[:block_rows].nbytes)
+        monkeypatch.setattr(evaluators, "release_pages", spy)
+        ev = SurrogateEvaluator(mapped, split)
+        train = np.flatnonzero((split.labels == "train") & ~mapped.is_control)
+        assert passes == [set(range(mapped.n_cells))] + [set(train.tolist())] * 2
+        for candidate in EVERY_CANDIDATE:
+            assert ev.evaluate(candidate, 0) == expected.evaluate(candidate, 0), candidate.key()
 
     def test_degenerate_split_error_on_every_call(self, noiseless_bundle):
         ds, _, _ = noiseless_bundle
@@ -534,6 +646,24 @@ class TestPreparation:
         with pytest.raises(MemoryError, match="^no room for the loss view$"):
             SurrogateEvaluator(ds, split)
         assert hooked == []
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/smaps").is_file() or not hasattr(mmap, "MADV_DONTNEED"),
+        reason="needs /proc/self/smaps and MADV_DONTNEED",
+    )
+    def test_a_mapped_x_is_let_go_of(self, tmp_path):
+        # 200 x 2048 float64: each row is four whole 4 KiB pages
+        ds, _ = generate_synthetic(SyntheticConfig(2048, 24, 8, 0.4, 0.3, seed=1))
+        write_canonical_bundle(ds, tmp_path / "b")
+        mapped = read_canonical_bundle(tmp_path / "b")
+        split = split_unseen_perturbation(mapped, 0.8, seed=1)
+        assert SurrogateEvaluator(mapped, split).evaluate(_ridge("resnet"), 0).ok
+        resident = mapping_rss_kb(mapped.X) * 1024
+        # the control and val rows that the preparation reads stay mapped;
+        # the perturbed train rows, most of X, are let go of
+        train = np.count_nonzero((split.labels == "train") & ~mapped.is_control)
+        row = mapped.X[:1].nbytes
+        assert resident < (mapped.n_cells - train) * row < train * row
 
     @pytest.mark.parametrize("half", ["first", "second"])
     def test_both_halves_ignore_invalid_values(self, noisy_bundle, half):
